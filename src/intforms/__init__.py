@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .scalars import GaussRat, PoleAtAssignment, ScalarContext, ScalarRF  # noqa: F401
+from .scalars import PoleAtAssignment, ScalarContext, ScalarRF  # noqa: F401
 from .ncalg import (  # noqa: F401
     AlgElement,
     MIXED,

@@ -32,7 +32,10 @@ def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cases", type=int, default=100)
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="accepted for compatibility; checks always run serially",
+    )
     parser.add_argument("--timings", action="store_true")
 
 
@@ -77,17 +80,27 @@ def _list_presets(fmt):
     return 0
 
 
+def _check_flags(args):
+    for flag, value, least in (
+        ("--max-len", args.max_len, 1),
+        ("--max-degree", args.max_degree, 2),
+        ("--cases", args.cases, 1),
+        ("--jobs", args.jobs, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def _run(command, preset, args):
     opts = Options(
         max_len=args.max_len,
         max_degree=args.max_degree,
         seed=args.seed,
         cases=args.cases,
-        jobs=args.jobs,
         degree=getattr(args, "degree", None),
     )
     checks = checks_for(preset, command, opts)
-    results = run_checks(checks, jobs=opts.jobs)
+    results = run_checks(checks)
     report = build_report(command, preset, opts, results, timings=args.timings)
     render = render_json if args.format == "json" else render_text
     sys.stdout.write(render(report))
@@ -99,6 +112,7 @@ def main(argv=None):
     if args.command == "preset":
         return _list_presets(args.format)
     try:
+        _check_flags(args)
         if args.command == "sphere":
             return _run("verify", get_preset("podles-sphere"), args)
         if args.command == "matrix":

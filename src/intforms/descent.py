@@ -20,16 +20,14 @@ from importlib import resources
 from . import dga
 from .dga import FormElement
 from .homconn import DegreeMismatch
-from .integrals import SquareFails
 from .ncalg import TensorElement, antipode, coproduct, zdegree
 from .parser import ParseError, parse_tensor
+from .report import CheckReport
 
 __all__ = [
     "BHomForm",
     "CrossCheckFailed",
     "SphereData",
-    "SphereLadderReport",
-    "SphereReport",
     "check_sphere_ladder",
     "fhat_crosscheck",
     "nabla_coH",
@@ -46,7 +44,10 @@ __all__ = [
 
 
 class CrossCheckFailed(ValueError):
-    pass
+    """The two routes to the descended connection disagree.
+
+    Raised by ``fhat_crosscheck(...).raise_first(CrossCheckFailed)``.
+    """
 
 
 def project_degree0(a):
@@ -592,15 +593,15 @@ def _nabla_written_out(sphere, f):
     )
 
 
-def fhat_crosscheck(sphere, f, strict=False, fixtures=None):
+def fhat_crosscheck(sphere, f, fixtures=None):
     """Play the two routes to the descended connection against each other.
 
     f may be a functional or an index into the dual basis.  The fixture
     coproducts are reloaded and compared with the machine extension of the
     Hopf data, the translation-map route is evaluated once with each, and
-    the written-out six-generator formula must agree with both.  With strict
-    on, the first discrepancy raises CrossCheckFailed.  Passing fixtures
-    overrides the shipped file and turns the comparison into a control.
+    the written-out six-generator formula must agree with both.  Passing
+    fixtures overrides the shipped file and turns the comparison into a
+    control.
     """
     if isinstance(f, int):
         f = sphere.dual_basis()[f]
@@ -609,18 +610,16 @@ def fhat_crosscheck(sphere, f, strict=False, fixtures=None):
         fixtures = sphere_fixtures(pres)
     # both routes read f through the same dual-basis expansion, so a broken
     # weight cancels between them; the determinant identities catch it
-    checks = sphere.determinant_checks()
+    report = CheckReport(sphere.determinant_checks())
     machine = {}
     for key in ("alpha^2", "delta^2"):
         g = pres.gen(key.partition("^")[0])
         machine[key] = coproduct(pres, g * g)
         ok = fixtures[key] == machine[key]
-        checks.append(
-            {
-                "name": f"fixture coproduct of {key} matches the Hopf data",
-                "ok": ok,
-                "witness": None if ok else f"{fixtures[key]} versus {machine[key]}",
-            }
+        report.add(
+            f"fixture coproduct of {key} matches the Hopf data",
+            ok,
+            None if ok else f"{fixtures[key]} versus {machine[key]}",
         )
     via_fixtures = _nabla_from_letter_values(
         sphere, *_fhat_values(sphere, f, (fixtures["alpha^2"], fixtures["delta^2"]))
@@ -632,13 +631,7 @@ def fhat_crosscheck(sphere, f, strict=False, fixtures=None):
         ("translation route equals the written-out formula", via_machine, written),
     ):
         ok = lhs == rhs
-        checks.append(
-            {"name": name, "ok": ok, "witness": None if ok else f"{lhs} versus {rhs}"}
-        )
-    report = SphereReport(checks)
-    if strict and not report.ok:
-        first = report.failures[0]
-        raise CrossCheckFailed(f"{first['name']}: {first['witness']}")
+        report.add(name, ok, None if ok else f"{lhs} versus {rhs}")
     return report
 
 
@@ -666,18 +659,14 @@ def sphere_flatness(sphere):
     that the lifted connection kills the top dual, then the curvature on the
     top dual times each algebra generator of the invariants.
     """
-    checks = sphere.determinant_checks() + sphere.reproduction_checks()
-    if not all(c["ok"] for c in checks):
-        return SphereReport(checks)
+    report = CheckReport(sphere.determinant_checks() + sphere.reproduction_checks())
+    if not report.ok:
+        return report
     phi = sphere.top_dual()
     lifted = nabla_coH_1(sphere, phi)
     ok = lifted.is_zero()
-    checks.append(
-        {
-            "name": "lifted connection kills the top dual",
-            "ok": ok,
-            "witness": None if ok else str(lifted),
-        }
+    report.add(
+        "lifted connection kills the top dual", ok, None if ok else str(lifted)
     )
     pres = sphere.presentation
     alpha, beta, gamma, delta = (
@@ -690,14 +679,12 @@ def sphere_flatness(sphere):
     ):
         curv = nabla_coH(sphere, nabla_coH_1(sphere, phi * b))
         ok = not curv
-        checks.append(
-            {
-                "name": f"curvature vanishes on the top dual times {name}",
-                "ok": ok,
-                "witness": None if ok else str(curv),
-            }
+        report.add(
+            f"curvature vanishes on the top dual times {name}",
+            ok,
+            None if ok else str(curv),
         )
-    return SphereReport(checks)
+    return report
 
 
 def psi(sphere, omega):
@@ -740,52 +727,7 @@ def theta_star(sphere, b):
     return BHomForm.top(sphere, b)
 
 
-class SphereReport:
-    """Named checks with failure witnesses."""
-
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def ok(self):
-        return all(c["ok"] for c in self.checks)
-
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c["ok"]]
-
-    def __repr__(self):
-        word = "ok" if self.ok else f"{len(self.failures)} failed"
-        return f"<SphereReport {len(self.checks)} checks, {word}>"
-
-
-class SphereLadderReport:
-    """Commutation and bijectivity results for the sphere ladder."""
-
-    def __init__(self, checks, squares_checked, square_failures, roundtrips_checked, roundtrip_failures):
-        self.checks = checks
-        self.squares_checked = squares_checked
-        self.square_failures = square_failures
-        self.roundtrips_checked = roundtrips_checked
-        self.roundtrip_failures = roundtrip_failures
-
-    @property
-    def ok(self):
-        return (
-            all(c["ok"] for c in self.checks)
-            and not self.square_failures
-            and not self.roundtrip_failures
-        )
-
-    def __repr__(self):
-        word = "ok" if self.ok else "FAILED"
-        return (
-            f"<SphereLadderReport {self.squares_checked} squares, "
-            f"{self.roundtrips_checked} round trips, {word}>"
-        )
-
-
-def check_sphere_ladder(sphere, length_bound, strict=False):
+def check_sphere_ladder(sphere, length_bound):
     """Verify the ladder between the de Rham and integral complexes of B.
 
     The determinant identities run first; if the projective data is broken
@@ -794,61 +736,53 @@ def check_sphere_ladder(sphere, length_bound, strict=False):
     Otherwise both squares are checked on every invariant normal word up to
     the bound (tensored with each module generator where the source is a
     one-form), and bijectivity of the vertical maps is certified by round
-    trips in both directions.
+    trips in both directions.  The report counts squares and round trips;
+    each failing one is a check named by its source, with a field naming
+    the square or the direction of the round trip.
     """
-    checks = sphere.determinant_checks()
-    if not all(c["ok"] for c in checks):
-        report = SphereLadderReport(checks, 0, [], 0, [])
-        if strict:
-            first = next(c for c in checks if not c["ok"])
-            raise SquareFails(f"{first['name']}: {first['witness']}")
+    report = CheckReport(sphere.determinant_checks(), squares=0, round_trips=0)
+    if not report.ok:
         return report
+    counts = report.counts
     spec = sphere.spec
     pres = sphere.presentation
     words = pres.normal_words(length_bound, degree=0)
-    squares = 0
-    square_failures = []
     for w in words:
         b = pres.monomial(w)
         lhs = psi(sphere, dga.d(spec, b))
         rhs = nabla_coH_1(sphere, theta_star(sphere, b))
-        squares += 1
+        counts["squares"] += 1
         if lhs != rhs:
-            square_failures.append(
-                {
-                    "square": "functions to one-form functionals",
-                    "source": pres.word_str(w),
-                    "witness": f"{lhs} versus {rhs}",
-                }
+            report.add(
+                pres.word_str(w),
+                False,
+                f"{lhs} versus {rhs}",
+                square="functions to one-form functionals",
             )
         for k, gen in enumerate(sphere.module_generators):
             omega = gen * b
             lhs2 = theta(sphere, nabla_coH(sphere, psi(sphere, omega)))
             rhs2 = dga.d(spec, omega)
-            squares += 1
+            counts["squares"] += 1
             if lhs2 != rhs2:
-                square_failures.append(
-                    {
-                        "square": "one-forms to invariants",
-                        "source": f"generator {k} times {pres.word_str(w)}",
-                        "witness": f"{lhs2} versus {rhs2}",
-                    }
+                report.add(
+                    f"generator {k} times {pres.word_str(w)}",
+                    False,
+                    f"{lhs2} versus {rhs2}",
+                    square="one-forms to invariants",
                 )
-    roundtrips = 0
-    roundtrip_failures = []
     for w in words:
         b = pres.monomial(w)
         for k, gen in enumerate(sphere.module_generators):
             omega = gen * b
             back = psi_inv(sphere, psi(sphere, omega))
-            roundtrips += 1
+            counts["round_trips"] += 1
             if back != omega:
-                roundtrip_failures.append(
-                    {
-                        "direction": "form round trip",
-                        "source": f"generator {k} times {pres.word_str(w)}",
-                        "witness": str(back),
-                    }
+                report.add(
+                    f"generator {k} times {pres.word_str(w)}",
+                    False,
+                    str(back),
+                    direction="form round trip",
                 )
         for slot in range(6):
             plus_coords = [pres.zero] * 3
@@ -856,19 +790,12 @@ def check_sphere_ladder(sphere, length_bound, strict=False):
             (plus_coords if slot < 3 else minus_coords)[slot % 3] = b
             f = BHomForm.from_coordinates(sphere, plus_coords, minus_coords)
             back = psi(sphere, psi_inv(sphere, f))
-            roundtrips += 1
+            counts["round_trips"] += 1
             if back != f:
-                roundtrip_failures.append(
-                    {
-                        "direction": "functional round trip",
-                        "source": f"slot {slot} times {pres.word_str(w)}",
-                        "witness": str(back),
-                    }
+                report.add(
+                    f"slot {slot} times {pres.word_str(w)}",
+                    False,
+                    str(back),
+                    direction="functional round trip",
                 )
-    report = SphereLadderReport(
-        checks, squares, square_failures, roundtrips, roundtrip_failures
-    )
-    if strict and not report.ok:
-        first = (square_failures + roundtrip_failures)[0]
-        raise SquareFails(f"{first['source']}: {first['witness']}")
     return report

@@ -16,10 +16,11 @@ from itertools import product
 
 from .linalg import LinearSystem
 from .ncalg import AlgElement, RuleOrientationError
+from .report import CheckReport
+from .sparse import add_scaled
 
 __all__ = [
     "CalculusSpec",
-    "DSquaredReport",
     "DegreeOverflow",
     "DensityWitness",
     "FormElement",
@@ -161,13 +162,7 @@ class CalculusSpec:
                 out = {}
                 for repl, coeff in rhs.items():
                     sub = self.reduce_word(word[:pos] + repl + word[pos + len(lhs) :])
-                    for w, s in sub.items():
-                        acc = out.get(w)
-                        acc = coeff * s if acc is None else acc + coeff * s
-                        if acc:
-                            out[w] = acc
-                        elif w in out:
-                            del out[w]
+                    add_scaled(out, sub, coeff)
             self._reduce_memo[word] = out
         return out
 
@@ -186,13 +181,7 @@ class CalculusSpec:
                     sub = self._nf_all_positions(
                         word[:pos] + repl + word[pos + len(lhs) :], memo
                     )
-                    for w, s in sub.items():
-                        acc = out.get(w)
-                        acc = coeff * s if acc is None else acc + coeff * s
-                        if acc:
-                            out[w] = acc
-                        elif w in out:
-                            del out[w]
+                    add_scaled(out, sub, coeff)
                 if result is None:
                     result = out
                 elif out != result:
@@ -282,10 +271,8 @@ class CalculusSpec:
                 )
             if not isinstance(coeff, AlgElement):
                 coeff = self.presentation.scalar(coeff)
-            if not coeff:
-                continue
-            for w, s in self.reduce_word(word).items():
-                _merge(out, w, s * coeff)
+            if coeff:
+                add_scaled(out, self.reduce_word(word), coeff)
         return FormElement(self, degree, out)
 
     def parse(self, text):
@@ -305,8 +292,7 @@ class CalculusSpec:
             elif len(word) != degree:
                 raise ValueError("expression mixes degrees")
             if coeff:
-                for w, s in self.reduce_word(word).items():
-                    _merge(out, w, s * coeff)
+                add_scaled(out, self.reduce_word(word), coeff)
         if degree is None:
             raise ValueError("expression has no form word")
         return FormElement(self, degree, out)
@@ -314,15 +300,6 @@ class CalculusSpec:
     def __repr__(self):
         names = ", ".join(self.form_names)
         return f"<CalculusSpec [{names}] top degree {self.top_degree}>"
-
-
-def _merge(coords, word, elem):
-    acc = coords.get(word)
-    acc = elem if acc is None else acc + elem
-    if acc:
-        coords[word] = acc
-    elif word in coords:
-        del coords[word]
 
 
 class FormElement:
@@ -357,10 +334,7 @@ class FormElement:
         if not isinstance(other, FormElement):
             return NotImplemented
         self._check_mate(other)
-        coords = dict(self.coords)
-        for word, elem in other.coords.items():
-            _merge(coords, word, elem)
-        return FormElement(self.spec, self.degree, coords)
+        return FormElement(self.spec, self.degree, add_scaled(dict(self.coords), other.coords))
 
     def __sub__(self, other):
         if not isinstance(other, FormElement):
@@ -389,9 +363,7 @@ class FormElement:
 
     def __rmul__(self, other):
         if isinstance(other, AlgElement):
-            coords = {}
-            for word, elem in self.coords.items():
-                _merge(coords, word, other * elem)
+            coords = add_scaled({}, self.coords, other)
             return FormElement(self.spec, self.degree, coords)
         return self.__mul__(other)
 
@@ -451,7 +423,7 @@ def _word_action(spec, word, a):
             for j in range(spec.n):
                 c = sigma.entry(letter, j).apply(coeff)
                 if c:
-                    _merge(nxt, (j,) + w, c)
+                    add_scaled(nxt, {(j,) + w: c})
         out = nxt
     return out
 
@@ -463,9 +435,7 @@ def right_mul(spec, x, a):
     coords = {}
     for word, cu in x.coords.items():
         for w, c in _word_action(spec, word, a).items():
-            prod = cu * c
-            for bw, s in spec.reduce_word(w).items():
-                _merge(coords, bw, s * prod)
+            add_scaled(coords, spec.reduce_word(w), cu * c)
     return FormElement(spec, x.degree, coords)
 
 
@@ -486,13 +456,12 @@ def right_coords(spec, a, word):
             for k in range(spec.n):
                 cc = bar.entry(k, letter).apply(c)
                 if cc:
-                    _merge(nxt, w + (k,), cc)
+                    add_scaled(nxt, {w + (k,): cc})
         raw = nxt
     out = {}
     for w, c in raw.items():
         # rule coefficients are scalars, so they slide past right coefficients
-        for bw, s in spec.reduce_word(w).items():
-            _merge(out, bw, s * c)
+        add_scaled(out, spec.reduce_word(w), c)
     return out
 
 
@@ -505,9 +474,7 @@ def mul(spec, x, y):
     for u, cu in x.coords.items():
         for v, cv in y.coords.items():
             for w, c in _word_action(spec, u, cv).items():
-                prod = cu * c
-                for bw, s in spec.reduce_word(w + v).items():
-                    _merge(coords, bw, s * prod)
+                add_scaled(coords, spec.reduce_word(w + v), cu * c)
     return FormElement(spec, degree, coords)
 
 
@@ -526,11 +493,12 @@ def d(spec, x):
             f"d on degree {x.degree} leaves the calculus (top degree "
             f"{spec.top_degree})"
         )
-    out = FormElement(spec, x.degree + 1, {})
+    coords = {}
     for word, a in x.coords.items():
         unit = FormElement(spec, len(word), {word: pres.one})
-        out = out + mul(spec, d(spec, a), unit) + a * _d_word(spec, word)
-    return out
+        add_scaled(coords, mul(spec, d(spec, a), unit).coords)
+        add_scaled(coords, _d_word(spec, word).coords, a)
+    return FormElement(spec, x.degree + 1, coords)
 
 
 def _d_word(spec, word):
@@ -550,42 +518,34 @@ def _d_word(spec, word):
     return hit
 
 
-class DSquaredReport:
-    """Outcome of check_d_squared: failure witnesses are nonzero forms."""
-
-    def __init__(self, checked, failures):
-        self.checked = checked
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def __repr__(self):
-        return f"<DSquaredReport {self.checked} checks, {len(self.failures)} failed>"
-
-
 def check_d_squared(spec, length_bound):
-    """Apply d twice to every short basis word and to each basis form."""
+    """Apply d twice to every short basis word and to each basis form.
+
+    Only failing inputs become checks, named "d^2 at <input>"; counts
+    carry the number of inputs.
+    """
     pres = spec.presentation
-    failures = []
-    checked = 0
+    report = CheckReport(inputs=0)
+
+    def fail(label, witness):
+        report.add(f"d^2 at {label}", False, witness, input=label)
+
     for word in pres.normal_words(length_bound):
         dd = d(spec, d(spec, pres.monomial(word)))
-        checked += 1
+        report.counts["inputs"] += 1
         if dd:
-            failures.append({"input": pres.word_str(word) or "1", "witness": dd})
+            fail(pres.word_str(word) or "1", dd)
     for i, name in enumerate(spec.form_names):
-        checked += 1
+        report.counts["inputs"] += 1
         value = spec.d_on_forms[i]
         try:
             dd = d(spec, value)
         except DegreeOverflow:
-            failures.append({"input": f"d {name}", "witness": value})
+            fail(f"d {name}", value)
             continue
         if dd:
-            failures.append({"input": f"d {name}", "witness": dd})
-    return DSquaredReport(checked, failures)
+            fail(f"d {name}", dd)
+    return report
 
 
 class DensityWitness:

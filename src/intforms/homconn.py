@@ -13,10 +13,11 @@ from __future__ import annotations
 from . import dga
 from .dga import FormElement
 from .ncalg import AlgElement
+from .report import CheckReport
+from .sparse import add_scaled
 
 __all__ = [
     "DegreeMismatch",
-    "FlatnessReport",
     "HomForm",
     "NotAUnit",
     "curvature",
@@ -39,15 +40,6 @@ class DegreeMismatch(ValueError):
 
 class NotAUnit(ValueError):
     pass
-
-
-def _acc(table, key, elem):
-    have = table.get(key)
-    have = elem if have is None else have + elem
-    if have:
-        table[key] = have
-    elif key in table:
-        del table[key]
 
 
 _right_coords = dga.right_coords
@@ -100,9 +92,7 @@ class HomForm:
             return NotImplemented
         if self.spec is not other.spec or self.degree != other.degree:
             raise DegreeMismatch("hom-forms of different degrees")
-        values = dict(self.values)
-        for word, elem in other.values.items():
-            _acc(values, word, elem)
+        values = add_scaled(dict(self.values), other.values)
         return HomForm(self.spec, self.degree, values)
 
     def __sub__(self, other):
@@ -155,13 +145,13 @@ def hom_apply(spec, f, omega):
         raise DegreeMismatch(
             f"hom-form of degree {f.degree} applied to degree {omega.degree}"
         )
-    total = spec.presentation.zero
+    terms = {}
     for word, a in omega.coords.items():
         for w, c in _right_coords(spec, a, word).items():
             fv = f.values.get(w)
             if fv:
-                total = total + fv * c
-    return total
+                add_scaled(terms, (fv * c).terms)
+    return AlgElement(spec.presentation, terms)
 
 
 def hom_right_act(spec, f, a):
@@ -252,41 +242,21 @@ def curvature(spec, f):
     return nabla(spec, nabla_n(spec, 1, f))
 
 
-class FlatnessReport:
-    """Curvature values on the degree-2 dual basis; flat iff all vanish."""
-
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def ok(self):
-        return all(c["ok"] for c in self.checks)
-
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c["ok"]]
-
-    def __repr__(self):
-        return f"<FlatnessReport {len(self.checks)} checks, {len(self.failures)} failed>"
-
-
 def is_flat(spec):
     """Evaluate the curvature on each degree-2 dual form.
 
     Right-linearity of the curvature (property-tested separately) makes
     this finite check conclusive.
     """
-    checks = []
+    report = CheckReport()
     for e in spec.basis(2):
         value = curvature(spec, dual_form(spec, e))
-        checks.append(
-            {
-                "name": f"curvature on dual of {spec.word_str(e)}",
-                "ok": value.is_zero(),
-                "witness": None if value.is_zero() else value,
-            }
+        report.add(
+            f"curvature on dual of {spec.word_str(e)}",
+            value.is_zero(),
+            None if value.is_zero() else value,
         )
-    return FlatnessReport(checks)
+    return report
 
 
 def gauge_transform(spec, u, f, u_inv=None):

@@ -16,13 +16,12 @@ from . import dga
 from .homconn import HomForm, dual_basis, nabla, nabla_n, twisted_partial
 from .linalg import LinearSystem
 from .ncalg import AlgElement, MIXED, zdegree
+from .report import CheckReport
 
 __all__ = [
     "FiltrationViolated",
     "ImageReport",
     "LadderDiagram",
-    "LadderReport",
-    "LambdaReport",
     "NoPreimageUpToBound",
     "SquareFails",
     "Truncation",
@@ -43,7 +42,7 @@ class NoPreimageUpToBound(ValueError):
 
 
 class SquareFails(ValueError):
-    pass
+    """A ladder square or vertical fails; raised through ``raise_first``."""
 
 
 def _word_key(word):
@@ -182,43 +181,26 @@ def sl2_lambda(a):
     return total
 
 
-class LambdaReport:
-    def __init__(self, checked, failures):
-        self.checked = checked
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def __repr__(self):
-        return f"<LambdaReport {self.checked} checked, {len(self.failures)} failed>"
-
-
 def check_lambda_annihilates(spec, length_bound, lam=None):
     """Certify lam(nabla(xi_i * w)) = 0 on every window coordinate.
 
     lam defaults to sl2_lambda; passing a different functional turns the
-    same sweep into a control.
+    same sweep into a control.  Only failing coordinates become checks;
+    counts carry the number of coordinates swept.
     """
     lam = sl2_lambda if lam is None else lam
     pres = spec.presentation
-    checked = 0
-    failures = []
+    report = CheckReport(coordinates=0)
     for i, xi in enumerate(dual_basis(spec, 1)):
         name = spec.form_names[spec.basis(1)[i][0]]
         for w in pres.normal_words(length_bound):
             value = lam(nabla(spec, xi * pres.monomial(w)))
-            checked += 1
+            report.counts["coordinates"] += 1
             if value:
-                failures.append(
-                    {
-                        "name": f"lambda(nabla(dual({name})*{pres.word_str(w)}))",
-                        "ok": False,
-                        "witness": value,
-                    }
+                report.add(
+                    f"lambda(nabla(dual({name})*{pres.word_str(w)}))", False, value
                 )
-    return LambdaReport(checked, failures)
+    return report
 
 
 def integral_class(spec, a, length_bound):
@@ -332,45 +314,27 @@ class LadderDiagram:
         return HomForm(spec, spec.top_degree - k, {})
 
 
-class LadderReport:
-    """Square-by-square commutation plus per-level bijectivity ranks."""
-
-    def __init__(self, squares_checked, square_failures, verticals):
-        self.squares_checked = squares_checked
-        self.square_failures = square_failures
-        self.verticals = verticals
-
-    @property
-    def ok(self):
-        return not self.square_failures and all(v["ok"] for v in self.verticals)
-
-    def __repr__(self):
-        state = "ok" if self.ok else "FAILED"
-        return (
-            f"<LadderReport {self.squares_checked} squares, "
-            f"{len(self.square_failures)} failed, {state}>"
-        )
-
-
 def _hom_vector(f):
     return {(word, u): c for word, value in f.values.items()
             for u, c in value.terms.items()}
 
 
-def check_ladder(diagram, length_bound, strict=False):
+def check_ladder(diagram, length_bound):
     """Walk every square on the windowed basis and rank the verticals.
 
     A square at level k compares V_(k+1)(d omega) with the level-(top-k-1)
     connection applied to V_k(omega), omega running over basis-word times
     normal-word products.  Verticals are bijective on the window iff their
-    matrix rank matches both dimensions.
+    matrix rank matches both dimensions.  The report counts the squares and
+    holds one check per failing square (with its level, source, word, lhs
+    and rhs) followed by one check per vertical (with its level, rank,
+    domain and codomain).
     """
     spec = diagram.spec
     pres = spec.presentation
     top = spec.top_degree
     words = tuple(pres.normal_words(length_bound))
-    squares_checked = 0
-    square_failures = []
+    report = CheckReport(squares=0)
     for k in range(top):
         sources = ((),) if k == 0 else spec.basis(k)
         level = top - k - 1
@@ -391,18 +355,20 @@ def check_ladder(diagram, length_bound, strict=False):
                     rhs = nabla(spec, below)
                 else:
                     rhs = nabla_n(spec, level, below)
-                squares_checked += 1
+                report.counts["squares"] += 1
                 if lhs != rhs:
-                    square_failures.append(
-                        {
-                            "level": k,
-                            "source": "1" if k == 0 else spec.word_str(e),
-                            "word": pres.word_str(w),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
+                    source = "1" if k == 0 else spec.word_str(e)
+                    word = pres.word_str(w)
+                    report.add(
+                        f"level {k} at {source} * {word}",
+                        False,
+                        f"{lhs} versus {rhs}",
+                        level=k,
+                        source=source,
+                        word=word,
+                        lhs=lhs,
+                        rhs=rhs,
                     )
-    verticals = []
     for k in range(top + 1):
         sources = ((),) if k == 0 else spec.basis(k)
         n_target = 1 if k == top else len(spec.basis(top - k))
@@ -427,28 +393,12 @@ def check_ladder(diagram, length_bound, strict=False):
         domain = len(sources) * len(words)
         codomain = n_target * len(words)
         rank = system.rank()
-        verticals.append(
-            {
-                "level": k,
-                "rank": rank,
-                "domain": domain,
-                "codomain": codomain,
-                "ok": rank == domain == codomain,
-            }
-        )
-    report = LadderReport(squares_checked, square_failures, verticals)
-    if strict and not report.ok:
-        if square_failures:
-            first = square_failures[0]
-            raise SquareFails(
-                f"square at level {first['level']} fails on "
-                f"{first['source']} * {first['word']}: "
-                f"{first['lhs']} != {first['rhs']}"
-            )
-        bad = next(v for v in report.verticals if not v["ok"])
-        raise SquareFails(
-            f"vertical {bad['level']} is not bijective on the window "
-            f"(rank {bad['rank']}, domain {bad['domain']}, "
-            f"codomain {bad['codomain']})"
+        report.add(
+            f"vertical at level {k} has rank {rank}",
+            rank == domain == codomain,
+            level=k,
+            rank=rank,
+            domain=domain,
+            codomain=codomain,
         )
     return report

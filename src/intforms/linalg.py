@@ -13,18 +13,9 @@ row, which makes every result deterministic for a fixed insertion order.
 
 from __future__ import annotations
 
+from .sparse import add_scaled
+
 __all__ = ["LinearSystem"]
-
-
-def _sub_scaled(target, source, factor):
-    """target -= factor * source, dropping entries that cancel."""
-    for col, val in source.items():
-        acc = target.get(col)
-        acc = -factor * val if acc is None else acc - factor * val
-        if acc:
-            target[col] = acc
-        elif col in target:
-            del target[col]
 
 
 class LinearSystem:
@@ -52,9 +43,9 @@ class LinearSystem:
         for col in list(coeffs):
             hit = pivots.get(col)
             if hit is not None:
-                factor = coeffs.pop(col)
-                _sub_scaled(coeffs, hit[0], factor)
-                _sub_scaled(rhs, hit[1], factor)
+                factor = -coeffs.pop(col)
+                add_scaled(coeffs, hit[0], factor)
+                add_scaled(rhs, hit[1], factor)
         if not coeffs:
             if rhs:
                 self._obstructions.append(rhs)
@@ -66,8 +57,9 @@ class LinearSystem:
         for pcoeffs, prhs in pivots.values():
             factor = pcoeffs.pop(col, None)
             if factor is not None:
-                _sub_scaled(pcoeffs, coeffs, factor)
-                _sub_scaled(prhs, rhs, factor)
+                factor = -factor
+                add_scaled(pcoeffs, coeffs, factor)
+                add_scaled(prhs, rhs, factor)
         pivots[col] = (coeffs, rhs)
 
     def _reduce(self):
@@ -116,8 +108,7 @@ class LinearSystem:
         for col in list(vec):
             hit = self._pivots.get(col)
             if hit is not None:
-                factor = vec.pop(col)
-                _sub_scaled(vec, hit[0], factor)
+                add_scaled(vec, hit[0], -vec.pop(col))
         return vec
 
     def in_row_space(self, vec):

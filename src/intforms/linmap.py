@@ -15,7 +15,8 @@ passes compare raw-word evaluation of each relation's two sides.
 """
 from __future__ import annotations
 
-from .ncalg import GradingAbsent
+from .ncalg import AlgElement, GradingAbsent
+from .sparse import add_scaled
 
 
 class SizeMismatch(ValueError):
@@ -48,10 +49,10 @@ class MapExpr:
     def apply(self, element):
         if element.presentation is not self.presentation:
             raise ValueError("element from a different presentation")
-        out = self.presentation.zero
+        terms = {}
         for word, coeff in element.terms.items():
-            out = out + self.on_word(word).scale(coeff)
-        return out
+            add_scaled(terms, self.on_word(word).terms, coeff)
+        return AlgElement(self.presentation, terms)
 
     def _eval_word(self, word):
         raise NotImplementedError
@@ -175,10 +176,10 @@ class Sum(MapExpr):
         self.parts = parts
 
     def _eval_word(self, word):
-        out = self.presentation.zero
+        terms = {}
         for part in self.parts:
-            out = out + part.on_word(word)
-        return out
+            add_scaled(terms, part.on_word(word).terms)
+        return AlgElement(self.presentation, terms)
 
     def __repr__(self):
         return "(" + " + ".join(repr(p) for p in self.parts) + ")"
@@ -306,14 +307,15 @@ class MapMatrix:
         return acc
 
     def apply(self, element):
-        out = _scalar_matrix(self.presentation, self.n, self.presentation.zero, fill=True)
+        n = self.n
+        out = [[{} for _ in range(n)] for _ in range(n)]
         for word, coeff in element.terms.items():
             m = self.on_word(word)
-            out = tuple(
-                tuple(out[i][j] + m[i][j].scale(coeff) for j in range(self.n))
-                for i in range(self.n)
-            )
-        return out
+            for i in range(n):
+                for j in range(n):
+                    add_scaled(out[i][j], m[i][j].terms, coeff)
+        pres = self.presentation
+        return tuple(tuple(AlgElement(pres, terms) for terms in row) for row in out)
 
     def transpose(self):
         flipped = {
@@ -344,11 +346,9 @@ def _kind_of(n, is_zero):
     return "general"
 
 
-def _scalar_matrix(presentation, n, diag, fill=False):
+def _scalar_matrix(presentation, n, diag):
     zero = presentation.zero
-    return tuple(
-        tuple(diag if (i == j or fill) else zero for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(diag if i == j else zero for j in range(n)) for i in range(n))
 
 
 def _matrix_product(a, b):

@@ -16,15 +16,15 @@ from itertools import combinations
 from sympy.polys.domains import QQ_I
 
 from .dga import DegreeOverflow
-from .integrals import SquareFails
 from .linalg import LinearSystem
+from .report import CheckReport
+from .sparse import add_scaled
 
 __all__ = [
     "DerBasis",
     "MatElement",
     "MatHomForm",
     "MatForm",
-    "MatrixReport",
     "NotClosed",
     "commutator",
     "curvature_mn",
@@ -307,15 +307,7 @@ class MatForm:
         mate = self._mate(other)
         if mate is None:
             return NotImplemented
-        coords = dict(self.coords)
-        for word, value in mate.coords.items():
-            acc = coords.get(word)
-            total = value if acc is None else acc + value
-            if total:
-                coords[word] = total
-            elif word in coords:
-                del coords[word]
-        return MatForm(self.basis, self.degree, coords)
+        return MatForm(self.basis, self.degree, add_scaled(dict(self.coords), mate.coords))
 
     def __neg__(self):
         return MatForm(
@@ -341,15 +333,8 @@ class MatForm:
             for left, a in self.coords.items():
                 for right, b in other.coords.items():
                     word, sign = _sort_word(left + right)
-                    if word is None:
-                        continue
-                    value = a * b if sign > 0 else -(a * b)
-                    acc = coords.get(word)
-                    total = value if acc is None else acc + value
-                    if total:
-                        coords[word] = total
-                    elif word in coords:
-                        del coords[word]
+                    if word is not None:
+                        add_scaled(coords, {word: a * b if sign > 0 else -(a * b)})
             return MatForm(self.basis, degree, coords)
         if isinstance(other, MatElement):
             return MatForm(
@@ -483,15 +468,7 @@ class MatHomForm:
         mate = self._mate(other)
         if mate is None:
             return NotImplemented
-        values = dict(self.values)
-        for word, value in mate.values.items():
-            acc = values.get(word)
-            total = value if acc is None else acc + value
-            if total:
-                values[word] = total
-            elif word in values:
-                del values[word]
-        return MatHomForm(self.basis, self.degree, values)
+        return MatHomForm(self.basis, self.degree, add_scaled(dict(self.values), mate.values))
 
     def __neg__(self):
         return MatHomForm(
@@ -657,25 +634,6 @@ def phi_inv(basis, k, f):
     return MatForm(basis, k, coords)
 
 
-class MatrixReport:
-    """Named checks with failure witnesses."""
-
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def ok(self):
-        return all(c["ok"] for c in self.checks)
-
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c["ok"]]
-
-    def __repr__(self):
-        word = "ok" if self.ok else f"{len(self.failures)} failed"
-        return f"<MatrixReport {len(self.checks)} checks, {word}>"
-
-
 def _flat(a):
     return {
         (r, s): a.entries[r][s]
@@ -685,7 +643,7 @@ def _flat(a):
     }
 
 
-def phi_ladder(basis, strict=False):
+def phi_ladder(basis):
     """Check every square of the chain ladder and invert every vertical.
 
     Each degree contributes one square per basis word and matrix unit; the
@@ -693,7 +651,7 @@ def phi_ladder(basis, strict=False):
     cokernel of the connection is pinned to the line of the identity.
     """
     n, N = basis.n, basis.N
-    checks = []
+    report = CheckReport()
     units = [
         MatElement.unit(n, r, s) for r in range(n) for s in range(n)
     ]
@@ -715,13 +673,7 @@ def phi_ladder(basis, strict=False):
                     break
             if bad:
                 break
-        checks.append(
-            {
-                "name": f"square from degree {k} commutes ({count} cases)",
-                "ok": bad is None,
-                "witness": bad,
-            }
-        )
+        report.add(f"square from degree {k} commutes ({count} cases)", bad is None, bad)
     for k in range(N + 1):
         bad = None
         for word in combinations(range(N), k):
@@ -732,13 +684,7 @@ def phi_ladder(basis, strict=False):
                     break
             if bad:
                 break
-        checks.append(
-            {
-                "name": f"vertical map at degree {k} inverts exactly",
-                "ok": bad is None,
-                "witness": bad,
-            }
-        )
+        report.add(f"vertical map at degree {k} inverts exactly", bad is None, bad)
     system = LinearSystem()
     bad = None
     for l in range(N):
@@ -747,33 +693,19 @@ def phi_ladder(basis, strict=False):
             if trace_integral(image):
                 bad = f"derivation {l}, unit {unit}"
             system.add(_flat(image))
-    checks.append(
-        {
-            "name": "trace integral kills the image of the connection",
-            "ok": bad is None,
-            "witness": bad,
-        }
-    )
+    report.add("trace integral kills the image of the connection", bad is None, bad)
     rank = system.rank()
     ok = rank == n * n - 1
-    checks.append(
-        {
-            "name": "image of the connection is the traceless matrices",
-            "ok": ok,
-            "witness": None if ok else f"rank {rank}",
-        }
+    report.add(
+        "image of the connection is the traceless matrices",
+        ok,
+        None if ok else f"rank {rank}",
     )
     leftover = system.reduce_mod(_flat(MatElement.identity(n)))
     ok = bool(leftover)
-    checks.append(
-        {
-            "name": "class of the identity spans the cokernel",
-            "ok": ok,
-            "witness": None if ok else "identity lies in the image",
-        }
+    report.add(
+        "class of the identity spans the cokernel",
+        ok,
+        None if ok else "identity lies in the image",
     )
-    report = MatrixReport(checks)
-    if strict and not report.ok:
-        first = report.failures[0]
-        raise SquareFails(f"{first['name']}: {first['witness']}")
     return report

@@ -13,29 +13,13 @@ reports failures with witnesses instead of raising.
 from __future__ import annotations
 
 from .linmap import bullet, free_pair, identity_matrix, is_identity_on_words
-from .ncalg import MIXED, zdegree
+from .ncalg import MIXED, AlgElement, zdegree
+from .report import CheckReport
+from .sparse import add_scaled
 
 
 class SigmaNotDiagonal(ValueError):
     pass
-
-
-class FreenessReport:
-    """Outcome of verify_free: named checks with failure witnesses."""
-
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def ok(self):
-        return all(c["ok"] for c in self.checks)
-
-    @property
-    def failures(self):
-        return [c for c in self.checks if not c["ok"]]
-
-    def __repr__(self):
-        return f"<FreenessReport {len(self.checks)} checks, {len(self.failures)} failed>"
 
 
 class TwistedMultiDerivation:
@@ -107,12 +91,11 @@ class TwistedMultiDerivation:
         """Row (partial_1(a), ..., partial_n(a))."""
         if a.presentation is not self.presentation:
             raise ValueError("element from a different presentation")
-        out = [self.presentation.zero] * self.n
+        out = [{} for _ in range(self.n)]
         for word, coeff in a.terms.items():
-            row = self._partial_word(word)
-            for i in range(self.n):
-                out[i] = out[i] + row[i].scale(coeff)
-        return tuple(out)
+            for terms, part in zip(out, self._partial_word(word)):
+                add_scaled(terms, part.terms, coeff)
+        return tuple(AlgElement(self.presentation, terms) for terms in out)
 
     def degree_shifts(self):
         """Per-index Z-degree shift on generators, MIXED when inconsistent."""
@@ -168,20 +151,14 @@ def _identity_witness(product, words, pres):
 def verify_free(t):
     """Re-check every assumption behind (partial, sigma) freeness.
 
-    Returns a FreenessReport; failures carry witnesses and nothing raises.
+    Returns a CheckReport; failures carry witnesses and nothing raises.
     The report is also stored on t.verified.
     """
     pres = t.presentation
-    checks = []
+    report = CheckReport()
 
     zero_row = t._partial_word(())
-    checks.append(
-        {
-            "name": "partial(1) is the zero row",
-            "ok": all(e.is_zero() for e in zero_row),
-            "witness": None,
-        }
-    )
+    report.add("partial(1) is the zero row", all(e.is_zero() for e in zero_row))
 
     for label, matrix in (
         ("sigma", t.sigma),
@@ -193,13 +170,7 @@ def verify_free(t):
             witness = _relation_respected(pres, matrix, lhs, rhs)
             if witness is not None:
                 break
-        checks.append(
-            {
-                "name": f"{label} respects the defining relations",
-                "ok": witness is None,
-                "witness": witness,
-            }
-        )
+        report.add(f"{label} respects the defining relations", witness is None, witness)
 
     words = [()] + [(g,) for g in range(len(pres.generators))]
     sigma_t = t.sigma.transpose()
@@ -211,7 +182,7 @@ def verify_free(t):
         ("bar^T o hat = id", bullet(bar_t, t.sigma_hat)),
     ):
         witness = _identity_witness(product, words, pres)
-        checks.append({"name": name, "ok": witness is None, "witness": witness})
+        report.add(name, witness is None, witness)
 
     witness = None
     for lhs, rhs in pres.rules:
@@ -225,15 +196,7 @@ def verify_free(t):
                 break
         if witness is not None:
             break
-    checks.append(
-        {
-            "name": "partial annihilates the defining relations",
-            "ok": witness is None,
-            "witness": witness,
-        }
-    )
-
-    report = FreenessReport(checks)
+    report.add("partial annihilates the defining relations", witness is None, witness)
     t.verified = report
     return report
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .report import CheckReport
 from .scalars import ScalarRF
+from .sparse import add_scaled
 
 
 class UnknownGenerator(KeyError):
@@ -138,27 +140,39 @@ class Presentation:
         return None
 
     def _normal_word(self, word, budget):
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
-        hit = self._find_redex(word)
-        if hit is None:
-            result = {word: self.context.one}
-        else:
-            pos, lhs, coeffs = hit
+        """Normal form of a raw word as {normal word: scalar}, memoised.
+
+        An explicit worklist rather than recursion, so long words cost
+        memory and budget, not stack depth: each pending word rewrites its
+        leftmost redex once (one budget unit) and is summed up after the
+        words it rewrote to, which come first off the stack.
+        """
+        cache = self._nf_cache
+        result = cache.get(word)
+        if result is not None:
+            return result
+        stack = [(word, None)]
+        while stack:
+            top, pieces = stack.pop()
+            if pieces is not None:
+                result = {}
+                for piece, coeff in pieces:
+                    add_scaled(result, cache[piece], coeff)
+                cache[top] = result
+                continue
+            if top in cache:
+                continue
+            hit = self._find_redex(top)
+            if hit is None:
+                cache[top] = {top: self.context.one}
+                continue
             budget.spend()
-            head, tail = word[:pos], word[pos + len(lhs) :]
-            result = {}
-            for rword, rcoeff in coeffs.items():
-                for nword, ncoeff in self._normal_word(head + rword + tail, budget).items():
-                    acc = result.get(nword)
-                    acc = rcoeff * ncoeff if acc is None else acc + rcoeff * ncoeff
-                    if acc:
-                        result[nword] = acc
-                    elif nword in result:
-                        del result[nword]
-        self._nf_cache[word] = result
-        return result
+            pos, lhs, coeffs = hit
+            head, tail = top[:pos], top[pos + len(lhs) :]
+            pieces = [(head + rword + tail, rcoeff) for rword, rcoeff in coeffs.items()]
+            stack.append((top, pieces))
+            stack.extend((piece, None) for piece, _ in reversed(pieces))
+        return cache[word]
 
     def element(self, coeffs, budget=DEFAULT_BUDGET):
         """Normalize a {word: scalar} mapping into an AlgElement."""
@@ -167,15 +181,8 @@ class Presentation:
         for word, coeff in coeffs.items():
             word = self._coerce_word(word)
             coeff = self.context.coerce(coeff)
-            if not coeff:
-                continue
-            for nword, ncoeff in self._normal_word(word, bud).items():
-                acc = out.get(nword)
-                acc = coeff * ncoeff if acc is None else acc + coeff * ncoeff
-                if acc:
-                    out[nword] = acc
-                elif nword in out:
-                    del out[nword]
+            if coeff:
+                add_scaled(out, self._normal_word(word, bud), coeff)
         return AlgElement(self, out)
 
     def monomial(self, word, coeff=1):
@@ -283,15 +290,7 @@ class AlgElement:
         other = self._same(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
-        return AlgElement(self.presentation, out)
+        return AlgElement(self.presentation, add_scaled(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -327,14 +326,7 @@ class AlgElement:
         out = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                coeff = ca * cb
-                for nword, ncoeff in pres._normal_word(wa + wb, bud).items():
-                    acc = out.get(nword)
-                    acc = coeff * ncoeff if acc is None else acc + coeff * ncoeff
-                    if acc:
-                        out[nword] = acc
-                    elif nword in out:
-                        del out[nword]
+                add_scaled(out, pres._normal_word(wa + wb, bud), ca * cb)
         return AlgElement(pres, out)
 
     def __rmul__(self, other):
@@ -450,36 +442,17 @@ def zdegree(a):
     return 0 if degree is None else degree
 
 
-class ConfluenceReport:
-    def __init__(self, ambiguities):
-        self.ambiguities = ambiguities
-
-    @property
-    def failures(self):
-        return [a for a in self.ambiguities if not a["resolved"]]
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def __repr__(self):
-        return (
-            f"<ConfluenceReport {len(self.ambiguities)} ambiguities, "
-            f"{len(self.failures)} unresolved>"
-        )
-
-
 def check_local_confluence(presentation, max_degree, budget=DEFAULT_BUDGET):
     """Resolve every overlap ambiguity between rule left-hand sides.
 
-    Overlap words longer than max_degree are skipped.  Returns a report
-    listing each ambiguity with both reduction routes and whether their
-    normal forms agree.
+    Overlap words longer than max_degree are skipped.  Returns a
+    CheckReport with one check per ambiguity, named by its overlap word and
+    carrying the word and the normal forms of both reduction routes.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     pres = presentation
-    ambiguities = []
+    report = CheckReport()
     seen = set()
     rules = pres.rules
     for i, (l1, r1) in enumerate(rules):
@@ -491,18 +464,18 @@ def check_local_confluence(presentation, max_degree, budget=DEFAULT_BUDGET):
                 if l1[-k:] != l2[:k]:
                     continue
                 word = l1 + l2[k:]
-                _record_ambiguity(pres, ambiguities, seen, max_degree, budget,
+                _record_ambiguity(pres, report, seen, max_degree, budget,
                                   word, (0, l1, r1), (len(l1) - k, l2, r2))
             # l2 strictly inside l1
             if len(l2) < len(l1):
                 for pos in range(1, len(l1) - len(l2)):
                     if l1[pos : pos + len(l2)] == l2:
-                        _record_ambiguity(pres, ambiguities, seen, max_degree, budget,
+                        _record_ambiguity(pres, report, seen, max_degree, budget,
                                           l1, (0, l1, r1), (pos, l2, r2))
-    return ConfluenceReport(ambiguities)
+    return report
 
 
-def _record_ambiguity(pres, ambiguities, seen, max_degree, budget, word, hit1, hit2):
+def _record_ambiguity(pres, report, seen, max_degree, budget, word, hit1, hit2):
     if len(word) > max_degree:
         return
     key = (word, hit1[0], id(hit1[1]), hit2[0], id(hit2[1]))
@@ -511,14 +484,14 @@ def _record_ambiguity(pres, ambiguities, seen, max_degree, budget, word, hit1, h
     seen.add(key)
     nf1 = _apply_then_normalize(pres, word, hit1, budget)
     nf2 = _apply_then_normalize(pres, word, hit2, budget)
-    ambiguities.append(
-        {
-            "word": word,
-            "word_str": pres.word_str(word),
-            "route1": nf1,
-            "route2": nf2,
-            "resolved": nf1 == nf2,
-        }
+    resolved = nf1 == nf2
+    report.add(
+        pres.word_str(word),
+        resolved,
+        None if resolved else f"{nf1} versus {nf2}",
+        word=word,
+        route1=nf1,
+        route2=nf2,
     )
 
 
@@ -564,31 +537,19 @@ class TensorElement:
     def of(cls, a, b, coeff=1):
         pres = a.presentation
         coeff = pres.context.coerce(coeff)
-        terms = {}
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                c = coeff * ca * cb
-                key = (wa, wb)
-                acc = terms.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    terms[key] = acc
-                elif key in terms:
-                    del terms[key]
-        return cls(pres, terms)
+        if not coeff:
+            return cls(pres, {})
+        # the word pairs are distinct, so no two terms can cancel
+        return cls(pres, {
+            (wa, wb): coeff * ca * cb
+            for wa, ca in a.terms.items()
+            for wb, cb in b.terms.items()
+        })
 
     def __add__(self, other):
         if other.presentation is not self.presentation:
             raise ValueError("tensors over different presentations")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return TensorElement(self.presentation, out)
+        return TensorElement(self.presentation, add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return TensorElement(self.presentation, {k: -c for k, c in self.terms.items()})
@@ -607,13 +568,13 @@ class TensorElement:
             return self.scale(other)
         # componentwise: (a x b)(c x d) = ac x bd
         pres = self.presentation
-        out = TensorElement(pres, {})
+        terms = {}
         for (u1, u2), c in self.terms.items():
             for (v1, v2), d in other.terms.items():
                 left = pres.monomial(u1 + v1)
                 right = pres.monomial(u2 + v2)
-                out = out + TensorElement.of(left, right, c * d)
-        return out
+                add_scaled(terms, TensorElement.of(left, right, c * d).terms)
+        return TensorElement(pres, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, ScalarRF)):
@@ -673,21 +634,21 @@ def coproduct(presentation, a):
     pres = presentation
     gen_delta = {}
     for name, parts in hopf.coproduct.items():
-        terms = TensorElement(pres, {})
+        terms = {}
         for left, right, coeff in parts:
-            terms = terms + TensorElement.of(
+            add_scaled(terms, TensorElement.of(
                 pres.monomial(pres._coerce_word(left)),
                 pres.monomial(pres._coerce_word(right)),
                 coeff,
-            )
-        gen_delta[pres.index(name)] = terms
-    out = TensorElement(pres, {})
+            ).terms)
+        gen_delta[pres.index(name)] = TensorElement(pres, terms)
+    terms = {}
     for word, coeff in a.terms.items():
         part = TensorElement(pres, {((), ()): pres.context.coerce(coeff)})
         for letter in word:
             part = part * gen_delta[letter]
-        out = out + part
-    return out
+        add_scaled(terms, part.terms)
+    return TensorElement(pres, terms)
 
 
 def counit(presentation, a):
@@ -719,13 +680,13 @@ def antipode(presentation, a, power=1):
     table = {pres.index(name): pres.element(v) for name, v in table_src.items()}
 
     def once(element):
-        out = pres.zero
+        terms = {}
         for word, coeff in element.terms.items():
             part = pres.scalar(coeff)
             for letter in reversed(word):
                 part = part * table[letter]
-            out = out + part
-        return out
+            add_scaled(terms, part.terms)
+        return AlgElement(pres, terms)
 
     out = once(a)
     if power in (2, -2):

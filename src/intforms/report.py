@@ -1,9 +1,55 @@
-"""Machine- and human-readable rendering of a check run."""
+"""Outcomes of the verification passes and the rendering of a check run."""
 
 from __future__ import annotations
 
 import json
 from importlib import metadata
+
+
+class CheckReport:
+    """Named checks with failure witnesses, plus counts of the cases swept.
+
+    Each check is a dict with at least name, ok and witness (None when there
+    is nothing to show); passes may add fields of their own.  A sweep over
+    many cases can record only the cases that fail and keep how many it
+    covered in counts, keyed by what it counted.
+    """
+
+    def __init__(self, checks=(), **counts):
+        self.checks = list(checks)
+        self.counts = counts
+
+    def add(self, name, ok, witness=None, **fields):
+        self.checks.append({"name": name, "ok": ok, "witness": witness, **fields})
+
+    @property
+    def ok(self):
+        return all(c["ok"] for c in self.checks)
+
+    @property
+    def failures(self):
+        return [c for c in self.checks if not c["ok"]]
+
+    def first_failure(self):
+        """The "name: witness" text of the first failed check, or None."""
+        for check in self.checks:
+            if not check["ok"]:
+                witness = check["witness"]
+                return check["name"] if witness is None else f"{check['name']}: {witness}"
+        return None
+
+    def raise_first(self, error):
+        """Raise the exception class error with the first failure, if any."""
+        message = self.first_failure()
+        if message is not None:
+            raise error(message)
+
+    def __repr__(self):
+        counts = "".join(f", {n} {name}" for name, n in self.counts.items())
+        return (
+            f"<CheckReport {len(self.checks)} checks, "
+            f"{len(self.failures)} failed{counts}>"
+        )
 
 
 def tool_version():

@@ -1,10 +1,10 @@
-"""Exact scalars: rational functions over Q in declared parameters, and Q(i).
+"""Exact scalars: rational functions over Q in declared parameters.
 
-Every coefficient in the package is either a ScalarRF (a reduced fraction of
-integer-coefficient polynomials in the parameters of one ScalarContext) or a
-GaussRat (Gaussian rational, used by the matrix-algebra calculus).  There are
-no floats anywhere and no tolerance knobs: equality is equality of canonical
-forms.
+Every coefficient of the presented algebras is a ScalarRF: a reduced
+fraction of integer-coefficient polynomials in the parameters of one
+ScalarContext.  The matrix-algebra calculus uses sympy's Gaussian
+rationals QQ_I instead.  There are no floats anywhere and no tolerance
+knobs: equality is equality of canonical forms.
 """
 from __future__ import annotations
 
@@ -274,103 +274,3 @@ def _atomic_denominator(terms):
     if used == 0:
         return True
     return int(coeff) == 1 and used == 1
-
-
-class GaussRat:
-    """Gaussian rational a + b*i with Fraction components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other):
-        other = _gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _gauss(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return GaussRat(self.re / norm, -self.im / norm)
-
-    def __truediv__(self, other):
-        other = _gauss(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _gauss(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        other = _gauss(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        mag = abs(self.im)
-        im = "i" if mag == 1 else f"{mag}*i"
-        if not self.re:
-            return f"-{im}" if self.im < 0 else im
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {im}"
-
-    __repr__ = __str__
-
-
-def _gauss(value):
-    if isinstance(value, GaussRat):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussRat(value)
-    return None
-
-
-GAUSS_I = GaussRat(0, 1)

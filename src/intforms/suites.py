@@ -12,7 +12,6 @@ as a failure.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 from . import dga
@@ -69,21 +68,14 @@ SLICES = (
 class Options:
     """Knobs shared by every command."""
 
-    __slots__ = ("max_len", "max_degree", "seed", "cases", "jobs", "degree")
+    __slots__ = ("max_len", "max_degree", "seed", "cases", "degree")
 
-    def __init__(self, max_len=4, max_degree=6, seed=0, cases=100, jobs=1, degree=None):
+    def __init__(self, max_len=4, max_degree=6, seed=0, cases=100, degree=None):
         self.max_len = max_len
         self.max_degree = max_degree
         self.seed = seed
         self.cases = cases
-        self.jobs = jobs
         self.degree = degree
-
-
-def _first_failure(report):
-    bad = report.failures[0]
-    witness = bad.get("witness")
-    return bad["name"] if witness is None else f"{bad['name']}: {witness}"
 
 
 def _random_element(pres, rng, max_len, terms=2):
@@ -101,11 +93,10 @@ def _freeness_checks(bundle, opts, preset_name):
     tmd, pres = bundle.tmd, bundle.presentation
     checks = []
 
-    def structural():
-        report = verify_free(tmd)
-        return None if report.ok else _first_failure(report)
-
-    checks.append(("derivation data verifies as free", structural))
+    checks.append((
+        "derivation data verifies as free",
+        lambda: verify_free(tmd).first_failure(),
+    ))
 
     def identities():
         words = pres.normal_words(opts.max_len)
@@ -221,7 +212,7 @@ def _flatness_checks(bundle, opts, preset_name):
     spec = bundle.spec
     checks = [(
         "curvature vanishes on the degree-2 duals",
-        lambda: None if is_flat(spec).ok else _first_failure(is_flat(spec)),
+        lambda: is_flat(spec).first_failure(),
     )]
     if preset_name == "sl2-3d":
         checks.append((
@@ -276,8 +267,8 @@ def _integral_checks(bundle, opts, preset_name):
         def annihilates():
             report = check_lambda_annihilates(spec, opts.max_len)
             if not report.ok:
-                return _first_failure(report)
-            return True, f"{report.checked} window coordinates"
+                return report.first_failure()
+            return True, f"{report.counts['coordinates']} window coordinates"
 
         checks.append((
             f"Haar functional kills the connection image up to length {opts.max_len}",
@@ -343,15 +334,8 @@ def _ladder_checks(bundle, opts):
             return "skipped", "no ladder section"
         report = check_ladder(bundle.ladder, opts.max_len)
         if report.ok:
-            return True, f"{report.squares_checked} squares"
-        if report.square_failures:
-            bad = report.square_failures[0]
-            return (
-                f"level {bad['level']} at {bad['source']} * {bad['word']}: "
-                f"{bad['lhs']} versus {bad['rhs']}"
-            )
-        bad = next(v for v in report.verticals if not v["ok"])
-        return f"vertical at level {bad['level']} has rank {bad['rank']}"
+            return True, f"{report.counts['squares']} squares"
+        return report.first_failure()
 
     return [(
         f"chain ladder commutes with bijective verticals up to length {opts.max_len}",
@@ -377,7 +361,7 @@ def _axiom_checks(bundle, opts):
     def confluent():
         report = check_local_confluence(pres, opts.max_degree)
         if report.ok:
-            return True, f"{len(report.ambiguities)} overlaps resolved"
+            return True, f"{len(report.checks)} overlaps resolved"
         return f"{len(report.failures)} unresolved overlaps"
 
     checks.append((
@@ -387,14 +371,10 @@ def _axiom_checks(bundle, opts):
 
     if bundle.spec is not None:
 
-        def d_squared():
-            report = check_d_squared(bundle.spec, min(opts.max_len, 5))
-            if report.ok:
-                return None
-            bad = report.failures[0]
-            return f"d^2 at {bad['input']}: {bad['witness']}"
-
-        checks.append(("differential squares to zero on the window", d_squared))
+        checks.append((
+            "differential squares to zero on the window",
+            lambda: check_d_squared(bundle.spec, min(opts.max_len, 5)).first_failure(),
+        ))
     return checks
 
 
@@ -411,7 +391,7 @@ def _calculus_controls(bundle, preset_name):
             report = check_ladder(load_calc(patched).ladder, 2)
             if report.ok:
                 return "sign-flipped ladder vertical passed"
-            bad = report.square_failures[0]
+            bad = report.failures[0]
             return True, f"fails as expected at level {bad['level']}, {bad['word']}"
 
         checks.append(
@@ -442,11 +422,10 @@ def _sphere_checks(sphere, opts):
     pres = sphere.presentation
     checks = []
 
-    def flat():
-        report = sphere_flatness(sphere)
-        return None if report.ok else _first_failure(report)
-
-    checks.append(("determinants, dual reproduction, and flatness", flat))
+    checks.append((
+        "determinants, dual reproduction, and flatness",
+        lambda: sphere_flatness(sphere).first_failure(),
+    ))
 
     def dual_values():
         q = sphere.q
@@ -470,7 +449,7 @@ def _sphere_checks(sphere, opts):
         for i in range(6):
             report = fhat_crosscheck(sphere, i)
             if not report.ok:
-                return f"dual {i}: {_first_failure(report)}"
+                return f"dual {i}: {report.first_failure()}"
         return None
 
     checks.append(("double route to the connection agrees on every dual", crosscheck))
@@ -486,14 +465,9 @@ def _sphere_checks(sphere, opts):
     def ladder():
         report = check_sphere_ladder(sphere, min(opts.max_len, 4))
         if report.ok:
-            return True, (
-                f"{report.squares_checked} squares, "
-                f"{report.roundtrips_checked} round trips"
-            )
-        for bad in report.square_failures + report.roundtrip_failures:
-            return f"{bad['source']}: {bad['witness']}"
-        bad = next(c for c in report.checks if not c["ok"])
-        return f"{bad['name']}: {bad['witness']}"
+            counts = report.counts
+            return True, f"{counts['squares']} squares, {counts['round_trips']} round trips"
+        return report.first_failure()
 
     checks.append(("projective ladder commutes with exact round trips", ladder))
 
@@ -600,11 +574,10 @@ def _matrix_checks(basis, opts):
 
     checks.append(("differential squares to zero on the basis", d_squared))
 
-    def ladder():
-        report = phi_ladder(basis)
-        return None if report.ok else _first_failure(report)
-
-    checks.append(("vertical maps invert and the cokernel is one line", ladder))
+    checks.append((
+        "vertical maps invert and the cokernel is one line",
+        lambda: phi_ladder(basis).first_failure(),
+    ))
 
     def corrupted():
         report = phi_ladder(_corrupted_constants(basis))
@@ -649,8 +622,8 @@ def checks_for(preset, command, opts):
     return slices[command]()
 
 
-def run_checks(checks, jobs=1):
-    """Execute thunks, preserving order; returns check dicts with timings."""
+def run_checks(checks):
+    """Execute thunks in order; returns check dicts with timings."""
 
     def execute(item):
         name, thunk = item
@@ -672,7 +645,4 @@ def run_checks(checks, jobs=1):
             status, witness = "fail", str(outcome)
         return {"name": name, "status": status, "witness": witness, "elapsed": elapsed}
 
-    if jobs > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(execute, checks))
     return [execute(item) for item in checks]

@@ -71,6 +71,18 @@ def test_jobs_do_not_change_the_report(capsys):
     assert serial == pooled
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-len", "0"), ("--max-len", "-1"), ("--cases", "0"), ("--cases", "-5"),
+     ("--max-degree", "1"), ("--jobs", "0")],
+)
+def test_out_of_range_flags_are_usage_errors(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "preset:qplane", *FAST, flag, value)
+    assert code == 2
+    assert out == ""  # rejected before any check runs
+    assert err.startswith("error:") and flag in err
+
+
 def test_timings_stay_out_of_the_report_by_default(capsys):
     argv = ["density", "preset:qplane", "--format", "json", *FAST]
     _, out, _ = run_cli(capsys, *argv)

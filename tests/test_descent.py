@@ -278,7 +278,7 @@ def test_crosscheck_reports_broken_weights(sl2_3d_calc):
     assert not report.ok
     assert any("determinant" in c["name"] for c in report.failures)
     with pytest.raises(CrossCheckFailed):
-        fhat_crosscheck(bad, 0, strict=True)
+        fhat_crosscheck(bad, 0).raise_first(CrossCheckFailed)
 
 
 def test_sphere_d_values(sphere, sl2):
@@ -388,10 +388,8 @@ def test_ladder(sphere):
     assert report.ok
     # invariant words have even length: 4 of them up to the bound,
     # each feeding one function square and six one-form squares
-    assert report.squares_checked == 28
-    assert report.roundtrips_checked == 48
-    assert not report.square_failures
-    assert not report.roundtrip_failures
+    assert report.counts == {"squares": 28, "round_trips": 48}
+    assert not report.failures
 
 
 def test_ladder_corruption_fails_before_squares(sl2_3d_calc):
@@ -400,10 +398,10 @@ def test_ladder_corruption_fails_before_squares(sl2_3d_calc):
     bad.plus_weights = (bad.plus_weights[0], q**-3, bad.plus_weights[2])
     report = check_sphere_ladder(bad, 3)
     assert not report.ok
-    assert report.squares_checked == 0
+    assert report.counts["squares"] == 0
     assert any(not c["ok"] for c in report.checks)
     with pytest.raises(SquareFails, match="determinant"):
-        check_sphere_ladder(bad, 3, strict=True)
+        check_sphere_ladder(bad, 3).raise_first(SquareFails)
 
 
 def test_lambda_integrates_the_descended_connection(sphere):

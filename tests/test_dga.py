@@ -346,13 +346,13 @@ def test_d_value_must_be_degree_two(sl2_3d_tmd):
 def test_d_squared_vanishes_3d(sl2_3d_calc):
     report = check_d_squared(sl2_3d_calc, 5)
     assert report.ok
-    assert report.checked == 94  # 91 normal words plus the three basis forms
+    assert report.counts["inputs"] == 94  # 91 normal words plus the three basis forms
 
 
 def test_d_squared_vanishes_quantum_plane(qplane_calc):
     report = check_d_squared(qplane_calc, 6)
     assert report.ok
-    assert report.checked == 30
+    assert report.counts["inputs"] == 30
 
 
 def test_d_squared_catches_corrupted_differential(sl2, sl2_3d_tmd):

@@ -85,7 +85,7 @@ def test_lambda_wants_sl2(qplane):
 def test_lambda_annihilates(sl2_3d_calc):
     report = check_lambda_annihilates(sl2_3d_calc, 4)
     assert report.ok
-    assert report.checked == 3 * 55
+    assert report.counts["coordinates"] == 3 * 55
 
 
 def test_lambda_annihilates_single_case(sl2, sl2_3d_calc):
@@ -260,15 +260,15 @@ def make_sl2_ladder(sl2, spec):
 def test_ladder_quantum_plane(qplane, qplane_calc):
     report = check_ladder(make_qplane_ladder(qplane, qplane_calc), 5)
     assert report.ok
-    assert not report.square_failures
-    assert all(v["ok"] for v in report.verticals)
+    assert not report.failures
+    assert all(c["ok"] for c in report.checks if "rank" in c)
 
 
 def test_ladder_3d(sl2, sl2_3d_calc):
     report = check_ladder(make_sl2_ladder(sl2, sl2_3d_calc), 3)
     assert report.ok
-    assert report.squares_checked == 7 * 30
-    assert [v["rank"] for v in report.verticals] == [30, 90, 90, 30]
+    assert report.counts["squares"] == 7 * 30
+    assert [c["rank"] for c in report.checks if "rank" in c] == [30, 90, 90, 30]
 
 
 def test_ladder_trivial():
@@ -296,11 +296,10 @@ def test_ladder_broken_vertical(qplane, qplane_calc):
     )
     report = check_ladder(bad, 2)
     assert not report.ok
-    assert report.square_failures
-    witness = report.square_failures[0]
+    witness = report.failures[0]
     assert witness["lhs"] != witness["rhs"]
     with pytest.raises(SquareFails):
-        check_ladder(bad, 2, strict=True)
+        check_ladder(bad, 2).raise_first(SquareFails)
 
 
 def test_ladder_validation(qplane, qplane_calc):

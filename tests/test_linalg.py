@@ -4,7 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from intforms.linalg import LinearSystem
-from intforms.scalars import GAUSS_I, GaussRat, ScalarContext
+from intforms.matrixcalc import I_UNIT, gaussian
+from intforms.scalars import ScalarContext
 
 
 def test_solve_over_rational_functions():
@@ -75,15 +76,15 @@ def test_reduce_mod_gives_canonical_representatives():
 
 
 def test_gaussian_rational_entries():
-    i = GAUSS_I
-    one = GaussRat(1)
+    i = I_UNIT
+    one = gaussian(1)
     sys = LinearSystem()
-    sys.add({0: one, 1: i}, {"t": GaussRat(2)})
-    sys.add({0: i, 1: one}, {"t": GaussRat(0)})
+    sys.add({0: one, 1: i}, {"t": gaussian(2)})
+    sys.add({0: i, 1: one}, {"t": gaussian(0)})
     sol = sys.solve("t")
-    assert sol[0] + i * sol[1] == GaussRat(2)
-    assert i * sol[0] + sol[1] == GaussRat(0)
-    assert sol[0] == GaussRat(1) and sol[1] == -i
-    assert sol[0] * sol[0] + sol[1] * sol[1] == GaussRat(0)
+    assert sol[0] + i * sol[1] == gaussian(2)
+    assert i * sol[0] + sol[1] == gaussian(0)
+    assert sol[0] == gaussian(1) and sol[1] == -i
+    assert sol[0] * sol[0] + sol[1] * sol[1] == gaussian(0)
     assert sys.rank() == 2
-    assert GaussRat(Fraction(1, 2)) + GaussRat(Fraction(1, 2)) == one
+    assert gaussian(Fraction(1, 2)) + gaussian(Fraction(1, 2)) == one

@@ -360,7 +360,7 @@ def test_phi_ladder_catches_broken_constants():
     assert not report.ok
     assert any("square" in f["name"] and f["witness"] for f in report.failures)
     with pytest.raises(SquareFails):
-        phi_ladder(corrupted_pauli(0, 2, 0), strict=True)
+        phi_ladder(corrupted_pauli(0, 2, 0)).raise_first(SquareFails)
 
 
 def test_square_of_d_catches_what_the_ladder_cannot():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intforms.ncalg import (
     MIXED,
@@ -21,7 +23,9 @@ from intforms.ncalg import (
     zdegree,
 )
 
-from conftest import make_sl2_presentation
+from intforms.presets import get_preset
+
+from conftest import make_qplane_presentation, make_sl2_presentation
 
 
 def test_qplane_normalize(qplane):
@@ -153,14 +157,14 @@ def test_grading_homogeneity_enforced(qctx):
 def test_confluence_sl2(sl2):
     report = check_local_confluence(sl2, max_degree=6)
     assert report.ok
-    assert report.ambiguities
+    assert report.checks
     assert report.failures == []
 
 
 def test_confluence_qplane(qplane):
     report = check_local_confluence(qplane, max_degree=6)
     assert report.ok
-    assert report.ambiguities == []
+    assert report.checks == []
 
 
 def test_confluence_detects_bad_coefficient(qctx):
@@ -187,6 +191,68 @@ def test_reduction_budget(qctx):
     with pytest.raises(ReductionBudgetExceeded):
         pres.element({long_word: 1}, budget=3)
     assert pres.monomial(long_word) == pres.monomial(long_word)
+
+
+def test_long_word_normalises_without_recursion(qctx):
+    # y^k x^k = q^(-k^2) x^k y^k takes k^2 rewrite steps in one chain
+    q = qctx.parameter("q")
+    k = 40
+    pres = make_qplane_presentation(qctx)
+    value = pres.monomial(pres.word(*("y",) * k + ("x",) * k))
+    want = pres.monomial(pres.word(*("x",) * k + ("y",) * k), coeff=q ** (-k * k))
+    assert value == want
+
+
+@pytest.mark.parametrize("budget", [100, 40 * 40 - 1])
+def test_long_word_exhausts_the_budget(qctx, budget):
+    pres = make_qplane_presentation(qctx)
+    word = pres.word(*("y",) * 40 + ("x",) * 40)
+    with pytest.raises(ReductionBudgetExceeded):
+        pres.element({word: 1}, budget=budget)
+    # one budget unit per rewrite step: k^2 units are exactly enough
+    assert pres.element({word: 1}, budget=40 * 40)
+
+
+def _leftmost_normal_form(pres, word):
+    """Reference: rewrite the leftmost redex of some reducible word, repeatedly."""
+    terms = {word: pres.context.one}
+    while True:
+        for raw, coeff in terms.items():
+            hits = [
+                (pos, lhs, rhs)
+                for pos in range(len(raw))
+                for lhs, rhs in pres.rules
+                if raw[pos : pos + len(lhs)] == lhs
+            ]
+            if hits:
+                break
+        else:
+            return terms
+        pos, lhs, rhs = hits[0]
+        del terms[raw]
+        for rword, rcoeff in rhs.items():
+            new = raw[:pos] + rword + raw[pos + len(lhs) :]
+            total = terms.get(new, pres.context.zero) + coeff * rcoeff
+            if total:
+                terms[new] = total
+            else:
+                terms.pop(new, None)
+
+
+PRESETS = {name: get_preset(name).load().presentation for name in ("qplane", "sl2-3d")}
+
+
+@given(
+    name=st.sampled_from(sorted(PRESETS)),
+    letters=st.lists(st.integers(0, 3), max_size=7),
+)
+@settings(max_examples=60, deadline=None)
+def test_worklist_matches_leftmost_rewriting(name, letters):
+    shipped = PRESETS[name]
+    # a fresh presentation, so the normal form is computed rather than cached
+    pres = Presentation(shipped.context, shipped.generators, shipped.rules)
+    word = tuple(g % len(pres.generators) for g in letters)
+    assert pres.monomial(word).terms == _leftmost_normal_form(pres, word)
 
 
 def test_str_formatting(sl2):

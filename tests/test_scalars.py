@@ -1,5 +1,4 @@
-"""Exact scalar arithmetic: rational functions in the parameters and the
-Gaussian rationals."""
+"""Exact scalar arithmetic: rational functions in the parameters."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intforms.scalars import GAUSS_I, GaussRat, PoleAtAssignment, ScalarContext
+from intforms.scalars import PoleAtAssignment, ScalarContext
 
 
 def test_reduction_to_lowest_terms(qctx):
@@ -154,29 +153,3 @@ def test_field_laws_and_round_trip(qpctx, data):
     if not b.is_zero():
         assert (a / b) * b == a
     assert qpctx.parse(str(a)) == a
-
-
-def test_gauss_rat_basics():
-    one = GaussRat(1)
-    i = GAUSS_I
-    assert i * i == GaussRat(-1)
-    assert (one + i) * (one - i) == GaussRat(2)
-    assert (one + i).conjugate() == one - i
-    assert str(GaussRat(Fraction(1, 2), Fraction(-3, 2))) == "1/2 - 3/2*i"
-    assert str(GaussRat(0)) == "0"
-    assert str(i) == "i"
-    assert str(-i) == "-i"
-
-
-def test_gauss_rat_division():
-    z = GaussRat(3, 4)
-    assert z * z.inverse() == GaussRat(1)
-    assert (GaussRat(1) / GAUSS_I) == -GAUSS_I
-    with pytest.raises(ZeroDivisionError):
-        z / GaussRat(0)
-
-
-def test_gauss_rat_hash_eq():
-    assert GaussRat(Fraction(2, 4), 0) == GaussRat(Fraction(1, 2))
-    assert hash(GaussRat(5)) == hash(GaussRat(5, 0))
-    assert GaussRat(1, 1) != GaussRat(1, -1)
