@@ -1,21 +1,20 @@
 """Differential graded algebra on top of a free twisted multi-derivation.
 
 Degree one is the free left module on the basis forms, with the right
-action routed through sigma.  Higher degrees are presented by rewrite
-rules on adjacent basis-form pairs; the exterior differential combines
-the derivation rows (degree 0) with declared values on the basis forms.
-All rewrite data is validated at construction: rules must preserve
-degree, strictly decrease the canonical form order, admit one normal
-form regardless of rewrite position, and kill every word above the top
-degree.
+action routed through sigma.  Higher degrees are words in the basis forms
+modulo rewrite rules on adjacent pairs, normalised by an ncalg
+Presentation whose letters are the forms in canonical order, each of
+degree 1; the exterior differential combines the derivation rows
+(degree 0) with declared values on the basis forms.  All rewrite data is
+validated at construction: the engine rejects rules that change degree or
+fail to decrease the canonical order, every overlap up to one past the
+top degree must resolve, and no word may survive above the top degree.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .linalg import LinearSystem
-from .ncalg import AlgElement, RuleOrientationError
+from .ncalg import AlgElement, Presentation, check_local_confluence
 from .report import CheckReport
 from .sparse import add_scaled
 
@@ -76,14 +75,17 @@ class CalculusSpec:
         order = tuple(form_order) if form_order is not None else self.form_names
         if sorted(order) != sorted(self.form_names):
             raise ValueError("form order must permute the form names")
+        # letter r of the engine is form index _unrank[r], whose rank is r
         self._rank = {self._index[name]: pos for pos, name in enumerate(order)}
-
-        self._rules = {}
-        for lhs, rhs in rules.items():
-            self._add_rule(lhs, rhs)
+        self._unrank = tuple(self._index[name] for name in order)
+        self._letters = Presentation(
+            self.context,
+            order,
+            rules=[self._letter_rule(lhs, rhs) for lhs, rhs in rules.items()],
+            grading=dict.fromkeys(order, 1),
+        )
         self._reduce_memo = {}
         self._dword_memo = {}
-        self._validate_rewriting()
         self._bases = self._build_bases(bases)
 
         self.d_on_forms = {}
@@ -117,102 +119,56 @@ class CalculusSpec:
     def _rank_key(self, word):
         return tuple(self._rank[l] for l in word)
 
-    def _add_rule(self, lhs, rhs):
+    def _letter_rule(self, lhs, rhs):
+        """A form rule spelled with form names, as the letter engine takes it."""
         lhs = self._coerce_form_word(lhs)
         if len(lhs) < 2:
             raise ValueError("rule left-hand sides must have degree at least 2")
+        names = self.form_names
         out = {}
         for word, coeff in rhs.items():
-            word = self._coerce_form_word(word)
-            coeff = self.context.coerce(coeff)
-            if not coeff:
-                continue
-            if len(word) != len(lhs):
-                raise ValueError(
-                    f"rule {self.word_str(lhs)} -> ... does not preserve degree"
-                )
-            if self._rank_key(word) >= self._rank_key(lhs):
-                raise RuleOrientationError(
-                    f"form rule {self.word_str(lhs)} -> ... does not decrease "
-                    f"the canonical order (offending word {self.word_str(word)})"
-                )
-            out[word] = out.get(word, self.context.zero) + coeff
-        self._rules.setdefault(lhs[0], []).append(
-            (lhs, {w: c for w, c in out.items() if c})
-        )
+            word = tuple(names[i] for i in self._coerce_form_word(word))
+            out[word] = out.get(word, self.context.zero) + self.context.coerce(coeff)
+        return tuple(names[i] for i in lhs), out
 
-    def _redexes(self, word):
-        hits = []
-        for pos in range(len(word)):
-            for lhs, rhs in self._rules.get(word[pos], ()):
-                if word[pos : pos + len(lhs)] == lhs:
-                    hits.append((pos, lhs, rhs))
-        return hits
+    def _form_word_of(self, letters):
+        return tuple(self._unrank[r] for r in letters)
 
     def reduce_word(self, word):
         """Canonical form of a raw form word as {basis word: scalar}."""
         word = self._coerce_form_word(word)
         out = self._reduce_memo.get(word)
         if out is None:
-            hits = self._redexes(word)
-            if not hits:
-                out = {word: self.context.one}
-            else:
-                pos, lhs, rhs = hits[0]
-                out = {}
-                for repl, coeff in rhs.items():
-                    sub = self.reduce_word(word[:pos] + repl + word[pos + len(lhs) :])
-                    add_scaled(out, sub, coeff)
+            nf = self._letters.monomial(self._rank_key(word)).terms
+            out = {self._form_word_of(w): c for w, c in nf.items()}
             self._reduce_memo[word] = out
         return out
 
-    def _nf_all_positions(self, word, memo):
-        known = memo.get(word)
-        if known is not None:
-            return known
-        hits = self._redexes(word)
-        if not hits:
-            result = {word: self.context.one}
-        else:
-            result = None
-            for pos, lhs, rhs in hits:
-                out = {}
-                for repl, coeff in rhs.items():
-                    sub = self._nf_all_positions(
-                        word[:pos] + repl + word[pos + len(lhs) :], memo
-                    )
-                    add_scaled(out, sub, coeff)
-                if result is None:
-                    result = out
-                elif out != result:
-                    raise ValueError(
-                        f"form rules are not confluent: {self.word_str(word)} "
-                        f"reduces to different normal forms"
-                    )
-        memo[word] = result
-        return result
-
-    def _validate_rewriting(self):
-        memo = {}
-        for length in range(2, self.top_degree + 2):
-            for seq in product(range(self.n), repeat=length):
-                nf = self._nf_all_positions(seq, memo)
-                if length == self.top_degree + 1 and nf:
-                    raise ValueError(
-                        f"form word {self.word_str(seq)} of degree {length} "
-                        f"does not reduce to zero above the top degree"
-                    )
-
     def _build_bases(self, declared):
-        bases = {1: tuple(sorted(((i,) for i in range(self.n)), key=self._rank_key))}
-        for k in range(2, self.top_degree + 1):
-            words = [
-                seq
-                for seq in product(range(self.n), repeat=k)
-                if not self._redexes(seq)
-            ]
-            words.sort(key=self._rank_key)
-            bases[k] = tuple(words)
+        """Check confluence and the top degree; basis words per degree.
+
+        Form rules preserve length, so overlaps up to one past the top
+        degree cover every word the calculus can hold.
+        """
+        top = self.top_degree
+        failures = check_local_confluence(self._letters, top + 1).failures
+        if failures:
+            word = self._form_word_of(failures[0]["word"])
+            raise ValueError(
+                f"form rules are not confluent: {self.word_str(word)} "
+                f"reduces to different normal forms"
+            )
+        bases = {}
+        # normal_words starts with the empty word, which is no form
+        for letters in self._letters.normal_words(top + 1)[1:]:
+            word = self._form_word_of(letters)
+            if len(word) > top:
+                raise ValueError(
+                    f"form word {self.word_str(word)} of degree {len(word)} "
+                    f"does not reduce to zero above the top degree"
+                )
+            bases.setdefault(len(word), []).append(word)
+        bases = {k: tuple(words) for k, words in bases.items()}
         for k, wanted in (declared or {}).items():
             wanted = tuple(self._coerce_form_word(w) for w in wanted)
             if sorted(wanted) != sorted(bases.get(k, ())):

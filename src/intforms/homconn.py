@@ -158,15 +158,10 @@ def hom_right_act(spec, f, a):
     """(f*a)(e) = f(a*e): the right module structure on hom-forms."""
     if not isinstance(a, AlgElement):
         a = spec.presentation.scalar(a)
-    values = {}
-    for e in spec.basis(f.degree):
-        val = spec.presentation.zero
-        for w, c in _right_coords(spec, a, e).items():
-            fv = f.values.get(w)
-            if fv:
-                val = val + fv * c
-        if val:
-            values[e] = val
+    values = {
+        e: hom_apply(spec, f, FormElement(spec, f.degree, {e: a}))
+        for e in spec.basis(f.degree)
+    }
     return HomForm(spec, f.degree, values)
 
 

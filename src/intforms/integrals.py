@@ -218,19 +218,12 @@ def integral_class(spec, a, length_bound):
     degree = zdegree(a)
     if degree is MIXED:
         raise ValueError("integral classes need a Z-homogeneous element")
-    trunc = Truncation(spec, length_bound)
+    trunc = Truncation(spec, length_bound, degree)
     rows = {}
     for i, w in trunc.columns():
-        value = trunc.image(i, w)
-        if degree is not None and value:
-            vdeg = zdegree(value)
-            if vdeg is MIXED:
-                raise FiltrationViolated(
-                    f"image of ({spec.form_names[i]}, {pres.word_str(w)}) "
-                    "mixes Z-degrees"
-                )
-            if vdeg != degree:
-                continue
+        value = trunc.block_image(i, w)
+        if value is None:
+            continue
         for word, coeff in value.terms.items():
             rows.setdefault(word, {})[("f", i, w)] = coeff
     if degree == 0:

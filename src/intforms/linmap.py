@@ -81,14 +81,12 @@ class Identity(MapExpr):
 class AlgebraMap(MapExpr):
     """Endomorphism given by a complete generator-image table.
 
-    With multiplicative set (the default), a word maps to the product of the
-    images of its letters; 1 maps to 1.  A non-multiplicative table only
-    defines images of single letters and rejects longer words.
+    A word maps to the product of the images of its letters; 1 maps to 1.
     """
 
-    __slots__ = ("images", "multiplicative", "name")
+    __slots__ = ("images", "name")
 
-    def __init__(self, presentation, images, multiplicative=True, name=None):
+    def __init__(self, presentation, images, name=None):
         super().__init__(presentation)
         table = {}
         for key, image in images.items():
@@ -106,12 +104,9 @@ class AlgebraMap(MapExpr):
         if missing:
             raise ValueError(f"generator images missing for {missing}")
         self.images = table
-        self.multiplicative = bool(multiplicative)
         self.name = name
 
     def _eval_word(self, word):
-        if not self.multiplicative and len(word) > 1:
-            raise ValueError("non-multiplicative table applied to a longer word")
         acc = self.presentation.one
         for letter in word:
             acc = acc * self.images[letter]
@@ -297,7 +292,7 @@ class MapMatrix:
         if self._images is not None:
             acc = _scalar_matrix(pres, self.n, pres.one)
             for letter in word:
-                acc = _matrix_product(acc, self._images[letter])
+                acc = _matrix_product(pres, acc, self._images[letter])
         else:
             acc = tuple(
                 tuple(self.entries[i][j].on_word(word) for j in range(self.n))
@@ -351,21 +346,15 @@ def _scalar_matrix(presentation, n, diag):
     return tuple(tuple(diag if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _matrix_product(a, b):
+def _matrix_product(presentation, a, b):
     n = len(a)
     return tuple(
         tuple(
-            _sum_elements(a[i][k] * b[k][j] for k in range(n)) for j in range(n)
+            sum((a[i][k] * b[k][j] for k in range(n)), presentation.zero)
+            for j in range(n)
         )
         for i in range(n)
     )
-
-
-def _sum_elements(items):
-    total = None
-    for item in items:
-        total = item if total is None else total + item
-    return total
 
 
 def identity_matrix(presentation, n):

@@ -81,7 +81,8 @@ class TwistedMultiDerivation:
             tail_row = self._partial_word(tail)
             g_elem = pres.monomial((head,))
             result = tuple(
-                _total(row_g[j] * sig[j][i] for j in range(self.n)) + g_elem * tail_row[i]
+                sum((row_g[j] * sig[j][i] for j in range(self.n)), pres.zero)
+                + g_elem * tail_row[i]
                 for i in range(self.n)
             )
         self._memo[word] = result
@@ -114,13 +115,6 @@ class TwistedMultiDerivation:
                     seen = MIXED
             shifts.append(seen)
         return shifts
-
-
-def _total(items):
-    out = None
-    for item in items:
-        out = item if out is None else out + item
-    return out
 
 
 def extend_partial(t, a):

@@ -41,18 +41,6 @@ __all__ = [
     "resolve_target",
 ]
 
-SECTION_ORDER = (
-    "scalars",
-    "algebra",
-    "grading",
-    "hopf",
-    "derivation",
-    "calculus",
-    "forms",
-    "ladder",
-)
-
-
 class CalcBundle:
     """Everything one presentation file defines, ready to run."""
 
@@ -76,10 +64,13 @@ class CalcBundle:
 
 
 def canonical_text(sections):
-    """Render parsed sections back to the canonical file text."""
+    """Render parsed sections back to the canonical file text.
+
+    The parser lists every section in file-format order, so the rendering
+    follows the order of the sections dict.
+    """
     lines = []
-    for name in SECTION_ORDER:
-        directives = sections.get(name)
+    for name, directives in sections.items():
         if not directives:
             continue
         lines.append(f"[{name}]")

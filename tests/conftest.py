@@ -113,36 +113,43 @@ def make_sl2_3d_tmd(pres):
     return TwistedMultiDerivation(pres, rows, sigma, diag_inverses=inverses)
 
 
-def make_qplane_calculus(tmd):
-    ctx = tmd.presentation.context
+def qplane_form_rules(ctx):
     q, p = ctx.parameter("q"), ctx.parameter("p")
+    return {
+        ("dx", "dx"): {},
+        ("dy", "dy"): {},
+        ("dy", "dx"): {("dx", "dy"): -p / q},
+    }
+
+
+def sl2_3d_form_rules(ctx):
+    q = ctx.parameter("q")
+    q2, q4 = q**2, q**4
+    return {
+        ("w0", "w0"): {},
+        ("w+", "w+"): {},
+        ("w-", "w-"): {},
+        ("w+", "w-"): {("w-", "w+"): -q2},
+        ("w0", "w-"): {("w-", "w0"): -q4},
+        ("w+", "w0"): {("w0", "w+"): -q4},
+    }
+
+
+def make_qplane_calculus(tmd):
     return CalculusSpec(
         tmd,
         form_names=("dx", "dy"),
-        rules={
-            ("dx", "dx"): {},
-            ("dy", "dy"): {},
-            ("dy", "dx"): {("dx", "dy"): -p / q},
-        },
+        rules=qplane_form_rules(tmd.presentation.context),
         top_degree=2,
     )
 
 
 def make_sl2_3d_calculus(tmd):
-    q = tmd.presentation.context.parameter("q")
-    q2, q4 = q**2, q**4
     return CalculusSpec(
         tmd,
         form_names=("w0", "w+", "w-"),
         form_order=("w-", "w0", "w+"),
-        rules={
-            ("w0", "w0"): {},
-            ("w+", "w+"): {},
-            ("w-", "w-"): {},
-            ("w+", "w-"): {("w-", "w+"): -q2},
-            ("w0", "w-"): {("w-", "w0"): -q4},
-            ("w+", "w0"): {("w0", "w+"): -q4},
-        },
+        rules=sl2_3d_form_rules(tmd.presentation.context),
         d_on_forms={
             "w0": "q * w-.w+",
             "w+": "q^2*(q^2 + 1) * w0.w+",

@@ -5,6 +5,7 @@ with their negative controls."""
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,9 @@ from intforms.linmap import Identity
 from intforms.multider import TwistedMultiDerivation, untwisted_sigma
 from intforms.ncalg import RuleOrientationError
 
-from conftest import make_sl2_3d_calculus
+from intforms.sparse import add_scaled
+
+from conftest import make_sl2_3d_calculus, qplane_form_rules, sl2_3d_form_rules
 
 
 def random_element(pres, rng, max_len=3, terms=2):
@@ -214,6 +217,59 @@ def test_every_degree_three_product_hits_the_volume_form(sl2_3d_calc):
         reduced = spec.reduce_word(perm)
         assert set(reduced) == {volume}
         assert reduced[volume]
+
+
+def _all_positions_nf(spec, rules, word, memo):
+    """Reference normal form: rewrite each redex first, in turn.
+
+    Every route must end in the same normal form, or the rules are not
+    confluent on this word.
+    """
+    known = memo.get(word)
+    if known is not None:
+        return known
+    result = None
+    for pos in range(len(word)):
+        for lhs, rhs in rules:
+            if word[pos : pos + len(lhs)] != lhs:
+                continue
+            out = {}
+            for repl, coeff in rhs.items():
+                rest = word[:pos] + repl + word[pos + len(lhs) :]
+                add_scaled(out, _all_positions_nf(spec, rules, rest, memo), coeff)
+            if result is None:
+                result = out
+            else:
+                assert out == result, f"routes disagree on {spec.word_str(word)}"
+    if result is None:
+        result = {word: spec.context.one}
+    memo[word] = result
+    return result
+
+
+@pytest.mark.parametrize(
+    "calc, form_rules, words",
+    [
+        ("qplane_calc", qplane_form_rules, 2 + 4 + 8),
+        ("sl2_3d_calc", sl2_3d_form_rules, 3 + 9 + 27 + 81),
+    ],
+)
+def test_normal_forms_agree_with_all_positions_rewriting(request, calc, form_rules, words):
+    spec = request.getfixturevalue(calc)
+    rules = [
+        (
+            spec.form_word(*lhs),
+            {spec.form_word(*w): spec.context.coerce(c) for w, c in rhs.items()},
+        )
+        for lhs, rhs in form_rules(spec.context).items()
+    ]
+    memo = {}
+    checked = 0
+    for length in range(1, spec.top_degree + 2):
+        for word in product(range(spec.n), repeat=length):
+            assert spec.reduce_word(word) == _all_positions_nf(spec, rules, word, memo)
+            checked += 1
+    assert checked == words
 
 
 def test_form_rules_rewrite_products(qplane, qplane_calc, sl2, sl2_3d_calc):

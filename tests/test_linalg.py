@@ -3,6 +3,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from intforms.linalg import LinearSystem
 from intforms.matrixcalc import I_UNIT, gaussian
 from intforms.scalars import ScalarContext
@@ -88,3 +91,60 @@ def test_gaussian_rational_entries():
     assert sol[0] * sol[0] + sol[1] * sol[1] == gaussian(0)
     assert sys.rank() == 2
     assert gaussian(Fraction(1, 2)) + gaussian(Fraction(1, 2)) == one
+
+
+def _dense_rank(rows):
+    """Rank by plain Gaussian elimination on lists of Fractions."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _vector(size):
+    return st.lists(st.integers(-3, 3).map(Fraction), min_size=size, max_size=size)
+
+
+@given(data=st.data(), ncols=st.integers(1, 4), nrows=st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_linear_system_properties(data, ncols, nrows):
+    """Solutions substitute back, consistency matches a dense rank test, and
+    reduce_mod is idempotent with no pivot column left."""
+    matrix = data.draw(st.lists(_vector(ncols), min_size=nrows, max_size=nrows))
+    known = data.draw(_vector(ncols))
+    free = data.draw(_vector(nrows))
+    made = [sum(a * x for a, x in zip(row, known)) for row in matrix]
+    system = LinearSystem()
+    for row, m, f in zip(matrix, made, free):
+        system.add(dict(enumerate(row)), {"made": m, "free": f})
+
+    def substitutes_back(solution, rhs):
+        return all(
+            sum(a * solution.get(c, 0) for c, a in enumerate(row)) == b
+            for row, b in zip(matrix, rhs)
+        )
+
+    assert system.rank() == _dense_rank(matrix)
+    assert system.consistent("made")
+    assert substitutes_back(system.solve("made"), made)
+    augmented = [row + [f] for row, f in zip(matrix, free)]
+    solvable = _dense_rank(augmented) == _dense_rank(matrix)
+    assert system.consistent("free") == solvable
+    solution = system.solve("free")
+    assert (solution is not None) == solvable
+    if solution is not None:
+        assert substitutes_back(solution, free)
+
+    vec = dict(enumerate(data.draw(_vector(ncols))))
+    rep = system.reduce_mod(vec)
+    assert system.reduce_mod(rep) == rep
+    assert not set(rep) & set(system.pivot_columns())
