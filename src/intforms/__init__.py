@@ -12,7 +12,5 @@ from .ncalg import (  # noqa: F401
     coproduct,
     counit,
     antipode,
-    mul,
-    normalize,
     zdegree,
 )

@@ -11,6 +11,10 @@ differential, flatness, and the ladder identifying the complex of integral
 forms on B with its de Rham complex.  Both vertical maps of that ladder have
 explicit inverses here, so bijectivity is certified by exact round trips
 rather than by rank counts.
+
+A one-form functional keeps its six values on the projective generators;
+evaluation, the right action, the consistency check and combinations of the
+dual bases all read them through one dual-basis expansion.
 """
 
 from __future__ import annotations
@@ -99,10 +103,16 @@ class SphereData:
             (-(q + q**-1)) * (beta * delta),
         )
         self.plus_weights = (ctx.one, q**-4, q**-2)
-        unit_minus = FormElement(spec, 1, {(self.minus,): pres.one})
-        unit_plus = FormElement(spec, 1, {(self.plus,): pres.one})
-        self.minus_generators = tuple(unit_minus * c for c in self.minus_coeffs)
-        self.plus_generators = tuple(unit_plus * c for c in self.plus_coeffs)
+        self.unit_minus = FormElement(spec, 1, {(self.minus,): pres.one})
+        self.unit_plus = FormElement(spec, 1, {(self.plus,): pres.one})
+        self.minus_generators = tuple(self.unit_minus * c for c in self.minus_coeffs)
+        self.plus_generators = tuple(self.unit_plus * c for c in self.plus_coeffs)
+        # basis words a sphere form may use, per degree, with the name and
+        # Z-degree of the right coefficient each one carries
+        self.form_slots = {
+            1: {(self.minus,): ("minus", 2), (self.plus,): ("plus", -2)},
+            2: {(self.minus, self.plus): ("two-form", 0)},
+        }
         self.module_generators = (
             FormElement(spec, 1, {(self.minus,): alpha * alpha}),
             FormElement(spec, 1, {(self.minus,): alpha * gamma}),
@@ -116,11 +126,7 @@ class SphereData:
 
     def one_form(self, r, s):
         """Assemble the one-form with right coefficients r (minus) and s (plus)."""
-        spec = self.spec
-        pres = self.presentation
-        unit_minus = FormElement(spec, 1, {(self.minus,): pres.one})
-        unit_plus = FormElement(spec, 1, {(self.plus,): pres.one})
-        return unit_minus * r + unit_plus * s
+        return self.unit_minus * r + self.unit_plus * s
 
     def determinant_checks(self):
         pres = self.presentation
@@ -167,12 +173,12 @@ class SphereData:
         values = tuple(
             self.plus_weights[i] * (self.minus_coeffs[i] * a) for a in self.plus_coeffs
         )
-        return BHomForm.from_values(self, values, (zero, zero, zero), check=False)
+        return BHomForm(self, 1, values, (zero, zero, zero))
 
     def minus_dual(self, i):
         zero = self.presentation.zero
         values = tuple(self.plus_coeffs[i] * b for b in self.minus_coeffs)
-        return BHomForm.from_values(self, (zero, zero, zero), values, check=False)
+        return BHomForm(self, 1, (zero, zero, zero), values)
 
     def dual_basis(self):
         return tuple(self.plus_dual(i) for i in range(3)) + tuple(
@@ -195,59 +201,61 @@ class SphereData:
         return self._squares
 
 
-def _one_form_coords(sphere, omega):
-    """Right coefficients (minus, plus) of a one-form of the sphere calculus."""
+def _form_coords(sphere, omega, degree):
+    """Right coefficients of a sphere form, one per word of form_slots[degree]."""
     spec = sphere.spec
     if not isinstance(omega, FormElement) or omega.spec is not spec:
         raise ValueError("expected a form of the ambient 3D calculus")
-    if omega.degree != 1:
-        raise DegreeMismatch(f"expected a one-form, got degree {omega.degree}")
-    pres = spec.presentation
-    r = pres.zero
-    s = pres.zero
+    kind = ("one-form", "two-form")[degree - 1]
+    if omega.degree != degree:
+        raise DegreeMismatch(f"expected a {kind}, got degree {omega.degree}")
+    slots = sphere.form_slots[degree]
+    totals = dict.fromkeys(slots, spec.presentation.zero)
     for word, coeff in omega.coords.items():
         for w, c in dga.right_coords(spec, coeff, word).items():
-            if w == (sphere.minus,):
-                r = r + c
-            elif w == (sphere.plus,):
-                s = s + c
-            else:
+            if w not in totals:
                 raise DegreeMismatch(
-                    "not a one-form on the sphere: component at "
-                    + spec.word_str(w)
+                    f"not a {kind} on the sphere: component at " + spec.word_str(w)
                 )
-    for name, coeff, want in (("minus", r, 2), ("plus", s, -2)):
+            totals[w] = totals[w] + c
+    for w, (name, want) in slots.items():
+        coeff = totals[w]
         if coeff and zdegree(coeff) != want:
             raise DegreeMismatch(
                 f"the {name} coefficient must have Z-degree {want}, got {coeff}"
             )
-    return r, s
+    return tuple(totals.values())
 
 
-def _two_form_coord(sphere, omega):
-    """Right coefficient of a two-form of the sphere calculus."""
-    spec = sphere.spec
-    if not isinstance(omega, FormElement) or omega.spec is not spec:
-        raise ValueError("expected a form of the ambient 3D calculus")
-    if omega.degree != 2:
-        raise DegreeMismatch(f"expected a two-form, got degree {omega.degree}")
-    pres = spec.presentation
-    target = (sphere.minus, sphere.plus)
-    total = pres.zero
-    for word, coeff in omega.coords.items():
-        for w, c in dga.right_coords(spec, coeff, word).items():
-            if w == target:
-                total = total + c
-            else:
-                raise DegreeMismatch(
-                    "not a two-form on the sphere: component at "
-                    + spec.word_str(w)
-                )
-    if total and zdegree(total) != 0:
-        raise DegreeMismatch(
-            f"the two-form coefficient must have Z-degree 0, got {total}"
-        )
+def _on_plus(sphere, values, s=None):
+    """f(plus letter * s) for f with these plus values; s = None stands for 1."""
+    total = sphere.presentation.zero
+    for w, v, b in zip(sphere.plus_weights, values, sphere.minus_coeffs):
+        total = total + w * (v * (b if s is None else b * s))
     return total
+
+
+def _on_minus(sphere, values, r=None):
+    """f(minus letter * r) for f with these minus values; r = None stands for 1."""
+    total = sphere.presentation.zero
+    for v, a in zip(values, sphere.plus_coeffs):
+        total = total + v * (a if r is None else a * r)
+    return total
+
+
+def _expand(sphere, plus_values, minus_values, b=None):
+    """Generator values of f*b for f = sum of values times the dual bases.
+
+    Read with f's own values this is f*b, and f itself exactly when the
+    values are consistent; b = None stands for 1 without the products by it.
+    """
+    def at(c):
+        return c if b is None else b * c
+
+    return (
+        tuple(_on_plus(sphere, plus_values, at(a)) for a in sphere.plus_coeffs),
+        tuple(_on_minus(sphere, minus_values, at(c)) for c in sphere.minus_coeffs),
+    )
 
 
 class BHomForm:
@@ -288,18 +296,17 @@ class BHomForm:
             raise DegreeMismatch(f"no sphere functionals in degree {degree}")
 
     @classmethod
-    def from_values(cls, sphere, plus_values, minus_values, check=True):
+    def from_values(cls, sphere, plus_values, minus_values):
         """Functional with prescribed generator values.
 
-        Arbitrary six-tuples need not extend to the whole module; with check
-        on, each value is re-expanded through the dual bases and a mismatch
-        raises with the offending slot.
+        Arbitrary six-tuples need not extend to the whole module, so each
+        value is re-expanded through the dual bases and a mismatch raises
+        with the offending slot.
         """
         f = cls(sphere, 1, plus_values, minus_values)
-        if check:
-            witness = f._consistency_witness()
-            if witness is not None:
-                raise ValueError(witness)
+        witness = f._consistency_witness()
+        if witness is not None:
+            raise ValueError(witness)
         return f
 
     @classmethod
@@ -308,22 +315,7 @@ class BHomForm:
         pres = sphere.presentation
         plus_coords = tuple(plus_coords) + (pres.zero,) * (3 - len(plus_coords))
         minus_coords = tuple(minus_coords) + (pres.zero,) * (3 - len(minus_coords))
-        plus_values = []
-        minus_values = []
-        for j in range(3):
-            total = pres.zero
-            for i in range(3):
-                total = total + sphere.plus_weights[i] * (
-                    plus_coords[i] * (sphere.minus_coeffs[i] * sphere.plus_coeffs[j])
-                )
-            plus_values.append(total)
-            total = pres.zero
-            for i in range(3):
-                total = total + minus_coords[i] * (
-                    sphere.plus_coeffs[i] * sphere.minus_coeffs[j]
-                )
-            minus_values.append(total)
-        return cls.from_values(sphere, plus_values, minus_values, check=False)
+        return cls(sphere, 1, *_expand(sphere, plus_coords, minus_coords))
 
     @classmethod
     def top(cls, sphere, value):
@@ -331,38 +323,30 @@ class BHomForm:
 
     def value_on_plus(self, s):
         """Value at the plus letter times s."""
-        total = self.sphere.presentation.zero
-        for i in range(3):
-            total = total + self.sphere.plus_weights[i] * (
-                self.plus_values[i] * (self.sphere.minus_coeffs[i] * s)
-            )
-        return total
+        return _on_plus(self.sphere, self.plus_values, s)
 
     def value_on_minus(self, r):
-        total = self.sphere.presentation.zero
-        for i in range(3):
-            total = total + self.minus_values[i] * (self.sphere.plus_coeffs[i] * r)
-        return total
+        return _on_minus(self.sphere, self.minus_values, r)
 
     def _consistency_witness(self):
-        for side, values, coeffs, expand in (
-            ("plus", self.plus_values, self.sphere.plus_coeffs, self.value_on_plus),
-            ("minus", self.minus_values, self.sphere.minus_coeffs, self.value_on_minus),
+        again = _expand(self.sphere, self.plus_values, self.minus_values)
+        for side, values, expanded in zip(
+            ("plus", "minus"), (self.plus_values, self.minus_values), again
         ):
             for j in range(3):
-                again = expand(coeffs[j])
-                if again != values[j]:
+                if expanded[j] != values[j]:
                     return (
                         f"value at {side} generator {j} fails the dual-basis "
-                        f"expansion: {values[j]} versus {again}"
+                        f"expansion: {values[j]} versus {expanded[j]}"
                     )
         return None
 
     def __call__(self, omega):
         if self.degree == 1:
-            r, s = _one_form_coords(self.sphere, omega)
+            r, s = _form_coords(self.sphere, omega, 1)
             return self.value_on_plus(s) + self.value_on_minus(r)
-        return self.top_value * _two_form_coord(self.sphere, omega)
+        (coeff,) = _form_coords(self.sphere, omega, 2)
+        return self.top_value * coeff
 
     def is_zero(self):
         if self.degree == 1:
@@ -415,7 +399,7 @@ class BHomForm:
                 raise DegreeMismatch("contraction needs a two-form functional and a one-form")
             plus_values = [self(other * g) for g in self.sphere.plus_generators]
             minus_values = [self(other * g) for g in self.sphere.minus_generators]
-            return BHomForm.from_values(self.sphere, plus_values, minus_values, check=False)
+            return BHomForm(self.sphere, 1, plus_values, minus_values)
         pres = self.sphere.presentation
         b = other if hasattr(other, "terms") else pres.scalar(other)
         if b and zdegree(b) != 0:
@@ -425,10 +409,7 @@ class BHomForm:
         # b slides through the free letters, so acting on the argument is
         # just right multiplication inside each value
         return BHomForm(
-            self.sphere,
-            1,
-            tuple(self.value_on_plus(b * a) for a in self.sphere.plus_coeffs),
-            tuple(self.value_on_minus(b * c) for c in self.sphere.minus_coeffs),
+            self.sphere, 1, *_expand(self.sphere, self.plus_values, self.minus_values, b)
         )
 
     def __eq__(self, other):
@@ -506,14 +487,13 @@ def _fhat_values(sphere, f, squares):
     matching the letter, so the values come out homogeneous.
     """
     pres = sphere.presentation
-    plus_square, minus_square = squares
-    at_plus = pres.zero
-    for left, right, c in plus_square.sweedler():
-        at_plus = at_plus + (f.value_on_plus(antipode(pres, left)) * right).scale(c)
-    at_minus = pres.zero
-    for left, right, c in minus_square.sweedler():
-        at_minus = at_minus + (f.value_on_minus(antipode(pres, left)) * right).scale(c)
-    return at_plus, at_minus
+    values = []
+    for square, value_on in zip(squares, (f.value_on_plus, f.value_on_minus)):
+        total = pres.zero
+        for left, right, c in square.sweedler():
+            total = total + (value_on(antipode(pres, left)) * right).scale(c)
+        values.append(total)
+    return tuple(values)
 
 
 def _nabla_from_letter_values(sphere, at_plus, at_minus):
@@ -550,15 +530,11 @@ def nabla_coH_1(sphere, f):
     if not isinstance(f, BHomForm) or f.degree != 2:
         raise DegreeMismatch("the lifted connection starts at two-form functionals")
     spec = sphere.spec
-    values = {}
-    for side, gens in (
-        ("plus", sphere.plus_generators),
-        ("minus", sphere.minus_generators),
-    ):
-        values[side] = [
-            nabla_coH(sphere, f * w) + f(dga.d(spec, w)) for w in gens
-        ]
-    return BHomForm.from_values(sphere, values["plus"], values["minus"])
+    plus_values, minus_values = (
+        [nabla_coH(sphere, f * w) + f(dga.d(spec, w)) for w in gens]
+        for gens in (sphere.plus_generators, sphere.minus_generators)
+    )
+    return BHomForm.from_values(sphere, plus_values, minus_values)
 
 
 def _nabla_written_out(sphere, f):
@@ -694,27 +670,19 @@ def psi(sphere, omega):
     generator values collapse through the determinant identity to products
     of the right coefficients of omega.
     """
-    r, s = _one_form_coords(sphere, omega)
+    r, s = _form_coords(sphere, omega, 1)
     q = sphere.q
     plus_values = tuple((-(q * q)) * (r * a) for a in sphere.plus_coeffs)
     minus_values = tuple(s * b for b in sphere.minus_coeffs)
-    return BHomForm.from_values(sphere, plus_values, minus_values, check=False)
+    return BHomForm(sphere, 1, plus_values, minus_values)
 
 
 def psi_inv(sphere, f):
     """Explicit inverse of psi on consistent functionals."""
     if not isinstance(f, BHomForm) or f.degree != 1:
         raise DegreeMismatch("psi_inv starts at one-form functionals")
-    pres = sphere.presentation
-    q = sphere.q
-    r = pres.zero
-    for w, value, b in zip(sphere.plus_weights, f.plus_values, sphere.minus_coeffs):
-        r = r + w * (value * b)
-    r = -(q**-2) * r
-    s = pres.zero
-    for value, a in zip(f.minus_values, sphere.plus_coeffs):
-        s = s + value * a
-    return sphere.one_form(r, s)
+    r = -(sphere.q**-2) * _on_plus(sphere, f.plus_values)
+    return sphere.one_form(r, _on_minus(sphere, f.minus_values))
 
 
 def theta(sphere, b):
@@ -785,10 +753,9 @@ def check_sphere_ladder(sphere, length_bound):
                     direction="form round trip",
                 )
         for slot in range(6):
-            plus_coords = [pres.zero] * 3
-            minus_coords = [pres.zero] * 3
-            (plus_coords if slot < 3 else minus_coords)[slot % 3] = b
-            f = BHomForm.from_coordinates(sphere, plus_coords, minus_coords)
+            coords = [pres.zero] * 6
+            coords[slot] = b
+            f = BHomForm.from_coordinates(sphere, coords[:3], coords[3:])
             back = psi(sphere, psi_inv(sphere, f))
             counts["round_trips"] += 1
             if back != f:

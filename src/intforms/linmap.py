@@ -3,10 +3,10 @@
 Map expressions are small immutable trees (identity, generator-image maps,
 grade scalings, compositions, sums, scalar multiples, matrix entries) that
 evaluate on words with per-node memoization.  Matrices of maps carry a
-triangularity kind and a multiplicativity flag; the module provides the
-entrywise-composition product of such matrices and the two triangular
-recursions that build the inverse pair (bar, hat) of an upper-triangular
-multiplicative matrix.
+triangularity kind; the module provides the entrywise-composition product
+of such matrices and one triangular substitution, transpose_inverse, that
+builds the inverse pair of a triangular matrix: bar inverts sigma^T, and
+hat inverts bar^T by the same step.
 
 Evaluation is defined on raw words, not only normal ones: a generator-image
 map multiplies images along the word as written.  Whether that descends to
@@ -222,21 +222,20 @@ class MapMatrix:
     MapExpr entries.  The kind flag records the structural zero pattern.
     """
 
-    __slots__ = ("presentation", "n", "entries", "kind", "multiplicative", "_images", "_memo")
+    __slots__ = ("presentation", "n", "entries", "kind", "_images", "_memo")
 
-    def __init__(self, presentation, n, entries, kind, multiplicative, images):
+    def __init__(self, presentation, n, entries, kind, images):
         self.presentation = presentation
         self.n = n
         self.entries = entries
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
-        self.multiplicative = multiplicative
         self._images = images
         self._memo = {}
 
     @classmethod
-    def from_images(cls, presentation, images, multiplicative=True):
+    def from_images(cls, presentation, images):
         """images: {generator: n x n matrix of algebra elements}."""
         table = {}
         n = None
@@ -262,14 +261,14 @@ class MapMatrix:
         if missing:
             raise ValueError(f"generator image matrices missing for {missing}")
         kind = _kind_of(n, lambda i, j: all(m[i][j].is_zero() for m in table.values()))
-        self = cls(presentation, n, None, kind, multiplicative, table)
+        self = cls(presentation, n, None, kind, table)
         self.entries = tuple(
             tuple(MatrixEntry(self, i, j) for j in range(n)) for i in range(n)
         )
         return self
 
     @classmethod
-    def from_entries(cls, presentation, entries, multiplicative=False):
+    def from_entries(cls, presentation, entries):
         entries = tuple(tuple(row) for row in entries)
         n = len(entries)
         if any(len(row) != n for row in entries):
@@ -279,7 +278,7 @@ class MapMatrix:
                 if e.presentation is not presentation:
                     raise ValueError("entry from a different presentation")
         kind = _kind_of(n, lambda i, j: isinstance(entries[i][j], Zero))
-        return cls(presentation, n, entries, kind, multiplicative, None)
+        return cls(presentation, n, entries, kind, None)
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -325,8 +324,7 @@ class MapMatrix:
         return out
 
     def __repr__(self):
-        tag = "multiplicative " if self.multiplicative else ""
-        return f"<MapMatrix {self.n}x{self.n} {tag}{self.kind}>"
+        return f"<MapMatrix {self.n}x{self.n} {self.kind}>"
 
 
 def _kind_of(n, is_zero):
@@ -365,7 +363,7 @@ def identity_matrix(presentation, n):
         )
         for i in range(n)
     )
-    return MapMatrix.from_entries(presentation, entries, multiplicative=True)
+    return MapMatrix.from_entries(presentation, entries)
 
 
 def bullet(amat, bmat):
@@ -432,7 +430,7 @@ def _check_diag_inverses(sigma, diag_inverses):
                 )
 
 
-def _verify_inverse_pair(left, right, tag):
+def _verify_inverse_pair(left, right):
     pres = left.presentation
     words = [()] + [(g,) for g in range(len(pres.generators))]
     for amat, bmat in ((left, right), (right, left)):
@@ -440,76 +438,48 @@ def _verify_inverse_pair(left, right, tag):
         if witness is not None:
             word, i, j, got, want = witness
             raise RuntimeError(
-                f"{tag} identity fails at entry ({i},{j}) on "
+                f"inverse identity fails at entry ({i},{j}) on "
                 f"{pres.word_str(word)}: {got} != {want}"
             )
 
 
-def invert_triangular(sigma, diag_inverses):
-    """Lower-triangular bar-matrix with bar o sigma^T = sigma^T o bar = id.
+def transpose_inverse(m, diag_inverses):
+    """Matrix x with x o m^T = m^T o x = id, for a triangular m.
 
-    sigma must be upper-triangular (or diagonal) and multiplicative; the
-    caller supplies two-sided inverses of the diagonal entries, which are
-    verified by round-trip on every generator.
+    x_ij = -inv_i o sum_k m_ki o x_kj, k from j to i with i left out: forward
+    substitution when m^T is lower triangular, backward when it is upper.
+    The supplied inverses of the diagonal entries are verified by round trip
+    on every generator.
     """
-    if sigma.kind not in ("upper_triangular", "diagonal"):
-        raise NotTriangular(f"matrix is {sigma.kind}")
-    if not sigma.multiplicative:
-        raise NotTriangular("inversion needs a multiplicative matrix")
-    _check_diag_inverses(sigma, diag_inverses)
-    pres = sigma.presentation
-    n = sigma.n
-    bar = [[Zero(pres) for _ in range(n)] for _ in range(n)]
+    if m.kind == "general":
+        raise NotTriangular(f"matrix is {m.kind}")
+    _check_diag_inverses(m, diag_inverses)
+    pres = m.presentation
+    n = m.n
+    forward = m.kind != "lower_triangular"
+    x = [[Zero(pres) for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        bar[i][i] = diag_inverses[i]
+        x[i][i] = diag_inverses[i]
     for gap in range(1, n):
-        for j in range(n - gap):
-            i = j + gap
+        for lo in range(n - gap):
+            hi = lo + gap
+            i, j = (hi, lo) if forward else (lo, hi)
             parts = [
-                Compose(diag_inverses[i], Compose(sigma.entries[k][i], bar[k][j]))
-                for k in range(j, i)
-                if not isinstance(sigma.entries[k][i], Zero)
-                and not isinstance(bar[k][j], Zero)
+                Compose(diag_inverses[i], Compose(m.entries[k][i], x[k][j]))
+                for k in range(lo, hi + 1)
+                if k != i
+                and not isinstance(m.entries[k][i], Zero)
+                and not isinstance(x[k][j], Zero)
             ]
             if parts:
-                bar[i][j] = Scale(-1, Sum(parts))
-    out = MapMatrix.from_entries(pres, bar)
-    _verify_inverse_pair(out, sigma.transpose(), "bar")
-    return out
-
-
-def tilde_of_lower(alpha, diag_inverses):
-    """Upper-triangular tilde-matrix with tilde o alpha^T = alpha^T o tilde = id.
-
-    Applied to the bar-matrix of invert_triangular (with the original
-    diagonal entries as inverses) this produces the hat-matrix.
-    """
-    if alpha.kind not in ("lower_triangular", "diagonal"):
-        raise NotTriangular(f"matrix is {alpha.kind}")
-    _check_diag_inverses(alpha, diag_inverses)
-    pres = alpha.presentation
-    n = alpha.n
-    tilde = [[Zero(pres) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        tilde[i][i] = diag_inverses[i]
-    for gap in range(1, n):
-        for i in range(n - gap):
-            j = i + gap
-            parts = [
-                Compose(diag_inverses[i], Compose(alpha.entries[l][i], tilde[l][j]))
-                for l in range(i + 1, j + 1)
-                if not isinstance(alpha.entries[l][i], Zero)
-                and not isinstance(tilde[l][j], Zero)
-            ]
-            if parts:
-                tilde[i][j] = Scale(-1, Sum(parts))
-    out = MapMatrix.from_entries(pres, tilde)
-    _verify_inverse_pair(out, alpha.transpose(), "hat")
+                x[i][j] = Scale(-1, Sum(parts))
+    out = MapMatrix.from_entries(pres, x)
+    _verify_inverse_pair(out, m.transpose())
     return out
 
 
 def free_pair(sigma, diag_inverses):
-    """(bar, hat) for an upper-triangular multiplicative sigma."""
-    bar = invert_triangular(sigma, diag_inverses)
-    hat = tilde_of_lower(bar, [sigma.entries[i][i] for i in range(sigma.n)])
+    """(bar, hat): bar inverts sigma^T, hat inverts bar^T by the same step."""
+    bar = transpose_inverse(sigma, diag_inverses)
+    hat = transpose_inverse(bar, [sigma.entries[i][i] for i in range(sigma.n)])
     return bar, hat

@@ -1,18 +1,21 @@
 """Right twisted multi-derivations.
 
 A multi-derivation is a row of n maps (partial_1 ... partial_n) together with
-a multiplicative matrix sigma, obeying the twisted Leibniz rule
+a matrix sigma of maps, obeying the twisted Leibniz rule
 
     partial_i(ab) = sum_j partial_j(a) sigma_ji(b) + a partial_i(b).
 
-Generator rows determine everything: extension recurses on the leading
-letter.  Freeness data (the bar and hat matrices) is either supplied or built
-from a triangular sigma; verify_free re-derives every assumed identity and
-reports failures with witnesses instead of raising.
+Generator rows determine everything: extension (TwistedMultiDerivation.partial)
+recurses on the leading letter.  Freeness data (the bar and hat matrices) is
+either supplied or built from a triangular sigma by linmap.free_pair, two
+calls of one transpose-inverse; verify_free re-derives every assumed identity
+(relations respected, both inverse pairs) and reports failures with
+witnesses instead of raising.  The untwisted case is sigma =
+linmap.identity_matrix.
 """
 from __future__ import annotations
 
-from .linmap import bullet, free_pair, identity_matrix, is_identity_on_words
+from .linmap import bullet, free_pair, is_identity_on_words
 from .ncalg import MIXED, AlgElement, zdegree
 from .report import CheckReport
 from .sparse import add_scaled
@@ -115,10 +118,6 @@ class TwistedMultiDerivation:
                     seen = MIXED
             shifts.append(seen)
         return shifts
-
-
-def extend_partial(t, a):
-    return t.partial(a)
 
 
 def _relation_respected(pres, matrix, lhs, rhs):
@@ -229,8 +228,3 @@ def detect_q_skew(t):
             ratio = c
         out.append(ratio if ratio is not None else pres.context.one)
     return out
-
-
-def untwisted_sigma(presentation, n):
-    """sigma = identity matrix: the classical (untwisted) derivation case."""
-    return identity_matrix(presentation, n)

@@ -414,19 +414,6 @@ def _term_str(pres, word, coeff):
 # -- spec surface -------------------------------------------------------------
 
 
-def normalize(presentation, coeffs, budget=DEFAULT_BUDGET):
-    """Fixed point of exhaustive leftmost-innermost rewriting of a raw map."""
-    if isinstance(coeffs, AlgElement):
-        coeffs = coeffs.terms
-    return presentation.element(coeffs, budget=budget)
-
-
-def mul(a, b):
-    if a.presentation is not b.presentation:
-        raise ValueError("elements do not belong to the same presentation")
-    return a * b
-
-
 def zdegree(a):
     """Common Z-degree of the element's words, or MIXED."""
     presentation = a.presentation

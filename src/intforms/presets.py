@@ -29,6 +29,7 @@ from .parser import (
     parse_tensor,
 )
 from .scalars import ScalarContext
+from .sparse import add_scaled
 
 __all__ = [
     "CalcBundle",
@@ -230,7 +231,7 @@ def _build_tmd(sections, pres):
             [GradeScale(pres, grades[i], 1) if i == j else Zero(pres) for j in range(n)]
             for i in range(n)
         ]
-        sigma = MapMatrix.from_entries(pres, entries, multiplicative=True)
+        sigma = MapMatrix.from_entries(pres, entries)
         inverses = [GradeScale(pres, grades[i] ** -1, 1) for i in range(n)]
     else:
         if set(inverse_maps) != set(range(1, n + 1)):
@@ -246,12 +247,10 @@ def _build_tmd(sections, pres):
 def _scalar_form_terms(pres, names, text, lineno):
     out = {}
     for coeff, word in parse_form_terms(pres, names, text, line=lineno):
-        if not coeff:
-            continue
         scalar = coeff.coefficient(())
         if pres.scalar(scalar) != coeff:
             raise ParseError("form rule coefficients must be scalars", lineno, 1)
-        out[word] = scalar
+        add_scaled(out, {word: scalar})
     return out
 
 

@@ -172,6 +172,10 @@ class ScalarRF:
         return NotImplemented
 
     def __hash__(self):
+        # constants equal ints and Fractions, so they must hash like them
+        num, den = self._ex.numer, self._ex.denom
+        if num.is_ground and den.is_ground:
+            return hash(Fraction(int(num.LC), int(den.LC)))
         return hash(self._ex)
 
     # -- inspection ---------------------------------------------------------

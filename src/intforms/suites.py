@@ -594,10 +594,14 @@ def _matrix_checks(basis, opts):
 
 def checks_for(preset, command, opts):
     """Ordered (name, thunk) list for one command against one preset."""
-    if preset.kind == "sphere":
-        return _sphere_checks(preset.load(), opts)
-    if preset.kind == "matrix":
-        return _matrix_checks(preset.load(), opts)
+    whole = {"sphere": _sphere_checks, "matrix": _matrix_checks}.get(preset.kind)
+    if whole is not None:
+        if command != "verify":
+            raise ValueError(
+                f"{preset.name} has no '{command}' slice; run "
+                f"'{preset.kind} verify'"
+            )
+        return whole(preset.load(), opts)
     bundle = preset.load()
     name = preset.name
     if bundle.spec is None and command != "verify":

@@ -98,7 +98,7 @@ def make_sl2_3d_tmd(pres):
         [Zero(pres), GradeScale(pres, q, -1), Zero(pres)],
         [Zero(pres), Zero(pres), GradeScale(pres, q, -1)],
     ]
-    sigma = MapMatrix.from_entries(pres, entries, multiplicative=True)
+    sigma = MapMatrix.from_entries(pres, entries)
     inverses = [
         GradeScale(pres, q, 2),
         GradeScale(pres, q, 1),

@@ -1,11 +1,14 @@
 """Exit codes, report shape, and determinism of the command line."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import intforms
 from intforms.cli import main
 from intforms.presets import REGISTRY
 
@@ -138,10 +141,29 @@ def test_file_target_passes_like_the_preset(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it, also when
+    # pytest put the source tree on sys.path rather than on PYTHONPATH
+    src = str(Path(intforms.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "intforms", "preset", "list"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "qplane" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, target, hint",
+    [("flatness", "preset:matrix-m2", "matrix verify"),
+     ("integral", "preset:podles", "sphere verify"),
+     ("invert-sigma", "preset:podles-sphere", "sphere verify")],
+)
+def test_slice_commands_on_whole_suite_presets_are_usage_errors(capsys, command, target, hint):
+    code, out, err = run_cli(capsys, command, target, *FAST)
+    assert code == 2
+    assert out == ""  # rejected before any check runs
+    assert err.startswith("error:") and hint in err

@@ -134,7 +134,7 @@ def test_values_must_be_invariant(sphere, sl2):
     alpha = sl2.gen("alpha")
     zeros = (sl2.zero,) * 3
     with pytest.raises(DegreeMismatch):
-        BHomForm.from_values(sphere, (alpha, sl2.zero, sl2.zero), zeros, check=False)
+        BHomForm(sphere, 1, (alpha, sl2.zero, sl2.zero), zeros)
     with pytest.raises(DegreeMismatch):
         BHomForm.top(sphere, alpha)
 

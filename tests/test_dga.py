@@ -11,8 +11,8 @@ import pytest
 
 from intforms import dga
 from intforms.dga import CalculusSpec, DegreeOverflow, check_d_squared, check_density
-from intforms.linmap import Identity
-from intforms.multider import TwistedMultiDerivation, untwisted_sigma
+from intforms.linmap import Identity, identity_matrix
+from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import RuleOrientationError
 
 from intforms.sparse import add_scaled
@@ -462,7 +462,7 @@ def test_density_fails_for_zero_derivation(qplane):
     tmd = TwistedMultiDerivation(
         qplane,
         rows,
-        untwisted_sigma(qplane, 2),
+        identity_matrix(qplane, 2),
         diag_inverses=[Identity(qplane), Identity(qplane)],
     )
     spec = CalculusSpec(

@@ -23,8 +23,8 @@ from intforms.integrals import (
     sl2_lambda,
 )
 from intforms.linalg import LinearSystem
-from intforms.linmap import Identity
-from intforms.multider import TwistedMultiDerivation, untwisted_sigma
+from intforms.linmap import Identity, identity_matrix
+from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import Presentation
 from intforms.scalars import ScalarContext
 
@@ -37,7 +37,7 @@ def make_free_line(partial_image=None, grading=None):
     tmd = TwistedMultiDerivation(
         pres,
         {"x": (image,)},
-        untwisted_sigma(pres, 1),
+        identity_matrix(pres, 1),
         diag_inverses=[Identity(pres)],
     )
     return CalculusSpec(tmd, ("dx",), {("dx", "dx"): {}}, top_degree=1)

@@ -20,10 +20,9 @@ from intforms.linmap import (
     Zero,
     bullet,
     identity_matrix,
-    invert_triangular,
     is_identity_on_words,
     matrix_equals_on_words,
-    tilde_of_lower,
+    transpose_inverse,
 )
 from intforms.ncalg import GradingAbsent, Presentation
 
@@ -83,7 +82,6 @@ def test_map_linearity_randomised(qplane_tmd, qplane):
 
 def test_matrix_kinds(qplane, qplane_tmd):
     assert qplane_tmd.sigma.kind == "upper_triangular"
-    assert qplane_tmd.sigma.multiplicative
     assert qplane_tmd.sigma_bar.kind == "lower_triangular"
     assert qplane_tmd.sigma_hat.kind == "upper_triangular"
     assert identity_matrix(qplane, 2).kind == "diagonal"
@@ -185,21 +183,21 @@ def test_diagonal_sigma_hat_equals_sigma(sl2, sl2_3d_tmd):
     assert matrix_equals_on_words(sl2_3d_tmd.sigma_hat, sl2_3d_tmd.sigma, words) is None
 
 
-def test_invert_triangular_rejects(qplane, qplane_tmd):
-    lower = qplane_tmd.sigma_bar
+def test_transpose_inverse_rejects(qplane, qplane_tmd):
+    sigma = qplane_tmd.sigma
+    general = bullet(sigma, sigma.transpose())
+    assert general.kind == "general"
     with pytest.raises(NotTriangular):
-        invert_triangular(lower, [Identity(qplane), Identity(qplane)])
-    with pytest.raises(NotTriangular):
-        tilde_of_lower(qplane_tmd.sigma, [Identity(qplane), Identity(qplane)])
+        transpose_inverse(general, [Identity(qplane), Identity(qplane)])
     bad_inv = [Identity(qplane), Identity(qplane)]
     with pytest.raises(DiagonalNotInvertible):
-        invert_triangular(qplane_tmd.sigma, bad_inv)
+        transpose_inverse(sigma, bad_inv)
 
 
 def test_single_generator_trivial_inverse(qctx):
     pres = Presentation(qctx, generators=("t",))
-    sigma = MapMatrix.from_entries(pres, [[Identity(pres)]], multiplicative=True)
-    bar = invert_triangular(sigma, [Identity(pres)])
+    sigma = MapMatrix.from_entries(pres, [[Identity(pres)]])
+    bar = transpose_inverse(sigma, [Identity(pres)])
     assert bar.on_word(pres.word("t"))[0][0] == pres.gen("t")
-    hat = tilde_of_lower(bar, [Identity(pres)])
+    hat = transpose_inverse(bar, [Identity(pres)])
     assert hat.on_word(pres.word("t", "t"))[0][0] == pres.gen("t") ** 2

@@ -6,13 +6,11 @@ import random
 
 import pytest
 
-from intforms.linmap import MapMatrix, Scale
+from intforms.linmap import MapMatrix, Scale, identity_matrix
 from intforms.multider import (
     SigmaNotDiagonal,
     TwistedMultiDerivation,
     detect_q_skew,
-    extend_partial,
-    untwisted_sigma,
     verify_free,
 )
 from intforms.ncalg import MIXED
@@ -21,24 +19,24 @@ from intforms.ncalg import MIXED
 def test_partial_on_generators(sl2_3d_tmd, sl2):
     q = sl2.context.parameter("q")
     a, b = sl2.gen("alpha"), sl2.gen("beta")
-    assert extend_partial(sl2_3d_tmd, a) == (a, -q * b, sl2.zero)
-    assert extend_partial(sl2_3d_tmd, sl2.one) == (sl2.zero,) * 3
+    assert sl2_3d_tmd.partial(a) == (a, -q * b, sl2.zero)
+    assert sl2_3d_tmd.partial(sl2.one) == (sl2.zero,) * 3
 
 
 def test_partial_of_beta_gamma_vanishes_at_zero_index(sl2_3d_tmd, sl2):
     # partial_0(beta gamma) = partial_0(beta) sigma_0(gamma) + beta partial_0(gamma)
     #                       = (-q^2 beta)(q^-2 gamma) + beta gamma = 0
     bc = sl2.gen("beta") * sl2.gen("gamma")
-    row = extend_partial(sl2_3d_tmd, bc)
+    row = sl2_3d_tmd.partial(bc)
     assert row[0] == sl2.zero
 
 
 def test_partial_linear(sl2_3d_tmd, sl2):
     q = sl2.context.parameter("q")
     a, d = sl2.gen("alpha"), sl2.gen("delta")
-    lhs = extend_partial(sl2_3d_tmd, a * a - q * d)
-    ra = extend_partial(sl2_3d_tmd, a * a)
-    rd = extend_partial(sl2_3d_tmd, d)
+    lhs = sl2_3d_tmd.partial(a * a - q * d)
+    ra = sl2_3d_tmd.partial(a * a)
+    rd = sl2_3d_tmd.partial(d)
     assert lhs == tuple(ra[i] - q * rd[i] for i in range(3))
 
 
@@ -60,9 +58,9 @@ def test_twisted_leibniz_randomised(fixture, request):
     rng = random.Random(2024)
     elems = _random_elements(pres, rng, 30, 4)
     for a, b in zip(elems[::2], elems[1::2]):
-        left = extend_partial(tmd, a * b)
-        pa = extend_partial(tmd, a)
-        pb = extend_partial(tmd, b)
+        left = tmd.partial(a * b)
+        pa = tmd.partial(a)
+        pb = tmd.partial(b)
         sig_b = tmd.sigma.apply(b)
         for i in range(tmd.n):
             twisted = pres.zero
@@ -78,7 +76,7 @@ def test_bracketing_independence(qplane_tmd, qplane):
     w1 = (x * y) * (y * x)
     w2 = x * (y * (y * x))
     assert w1 == w2
-    assert extend_partial(qplane_tmd, w1) == extend_partial(qplane_tmd, w2)
+    assert qplane_tmd.partial(w1) == qplane_tmd.partial(w2)
 
 
 def test_verify_free_passes(qplane_tmd, sl2_3d_tmd):
@@ -127,7 +125,7 @@ def test_detect_q_skew_requires_diagonal(qplane_tmd):
 
 
 def test_detect_q_skew_untwisted(qplane):
-    sigma = untwisted_sigma(qplane, 2)
+    sigma = identity_matrix(qplane, 2)
     rows = {"x": (qplane.one, qplane.zero), "y": (qplane.zero, qplane.one)}
     tmd = TwistedMultiDerivation(
         qplane, rows, sigma, sigma_bar=sigma, sigma_hat=sigma

@@ -136,3 +136,15 @@ def test_resolve_target_prefix_and_file(tmp_path):
     assert preset.load().presentation.generators == ("u", "v")
     with pytest.raises(OSError):
         resolve_target(str(tmp_path / "missing.calc"))
+
+
+def test_form_rule_sums_repeated_words():
+    source = REGISTRY["qplane"].source
+    old = "rule: dy.dx = -p*q^-1 * dx.dy"
+    assert old in source
+    summed = load_calc(source.replace(old, "rule: dy.dx = dx.dy + -p*q^-1 * dx.dy"))
+    ctx = summed.presentation.context
+    q, p = ctx.parameter("q"), ctx.parameter("p")
+    assert summed.spec.reduce_word((1, 0)) == {(0, 1): 1 - p / q}
+    cancelled = load_calc(source.replace(old, "rule: dy.dx = dx.dy + -1 * dx.dy"))
+    assert cancelled.spec.reduce_word((1, 0)) == {}

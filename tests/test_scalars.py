@@ -111,6 +111,14 @@ def test_parse_matches_constructed(qctx):
     assert qctx.parse("2 - q") == 2 - q
 
 
+def test_constants_hash_like_ints_and_fractions(qctx):
+    assert qctx.from_int(3) == 3 and hash(qctx.from_int(3)) == hash(3)
+    half = qctx.from_fraction(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert hash(qctx.zero) == hash(0)
+    assert {qctx.from_int(-2): "found"}[Fraction(-2)] == "found"
+
+
 def test_empty_context():
     ctx = ScalarContext(())
     assert ctx.parse("3/4 - 1") == ctx.from_fraction(Fraction(-1, 4))
@@ -153,3 +161,20 @@ def test_field_laws_and_round_trip(qpctx, data):
     if not b.is_zero():
         assert (a / b) * b == a
     assert qpctx.parse(str(a)) == a
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_equal_scalars_hash_equally(qpctx, data):
+    a = data.draw(rational_scalars(qpctx))
+    b = data.draw(rational_scalars(qpctx))
+    value = data.draw(st.fractions(max_denominator=12).filter(lambda f: abs(f) < 50))
+    routes = [a, value, qpctx.from_fraction(value), qpctx.zero + value]
+    if not b.is_zero():
+        routes += [a * b / b, (qpctx.one * value) * b / b]
+    if value.denominator == 1:
+        routes += [int(value), qpctx.from_int(int(value))]
+    for x in routes:
+        for y in routes:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
