@@ -186,7 +186,7 @@ class _ExprParser:
         if tok.kind == "FORM":
             return _Monomial(self.context.one, (), self.parse_form_tail(tok.value))
         if tok.kind == "NAME":
-            if tok.value in self.context._gens:
+            if tok.value in self.context.parameters:
                 return _Monomial(self.context.parameter(tok.value))
             if self.presentation is not None:
                 try:
