@@ -211,7 +211,7 @@ def _form_coords(sphere, omega, degree):
         raise DegreeMismatch(f"expected a {kind}, got degree {omega.degree}")
     slots = sphere.form_slots[degree]
     totals = dict.fromkeys(slots, spec.presentation.zero)
-    for word, coeff in omega.coords.items():
+    for word, coeff in omega.terms.items():
         for w, c in dga.right_coords(spec, coeff, word).items():
             if w not in totals:
                 raise DegreeMismatch(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .linalg import LinearSystem
 from .ncalg import AlgElement, Presentation, check_local_confluence
 from .report import CheckReport
-from .sparse import add_scaled
+from .sparse import SparseVector, add_scaled
 
 __all__ = [
     "CalculusSpec",
@@ -190,11 +190,11 @@ class CalculusSpec:
                 raise ValueError("d value belongs to a different calculus")
         else:
             value = self.form(2, value)
-        if value.coords and value.degree != 2:
+        if value.terms and value.degree != 2:
             raise ValueError(f"d {name} must be a degree-2 form")
-        if value.coords and self.top_degree < 2:
+        if value.terms and self.top_degree < 2:
             raise ValueError(f"d {name} exceeds the top degree")
-        return value if value.degree == 2 else FormElement(self, 2, value.coords)
+        return value if value.degree == 2 else FormElement(self, 2, value.terms)
 
     # -- elements ---------------------------------------------------------
 
@@ -258,49 +258,33 @@ class CalculusSpec:
         return f"<CalculusSpec [{names}] top degree {self.top_degree}>"
 
 
-class FormElement:
+class FormElement(SparseVector):
     """Degree-homogeneous form: left coefficients on basis form words."""
 
-    __slots__ = ("spec", "degree", "coords")
+    __slots__ = ("spec", "degree")
 
-    def __init__(self, spec, degree, coords):
+    def __init__(self, spec, degree, terms):
         self.spec = spec
         self.degree = degree
-        self.coords = coords
+        self.terms = terms
 
     def coefficient(self, word):
         word = self.spec._coerce_form_word(word)
-        return self.coords.get(word, self.spec.presentation.zero)
+        return self.terms.get(word, self.spec.presentation.zero)
 
-    def is_zero(self):
-        return not self.coords
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def _check_mate(self, other):
+    def _mate(self, other):
+        if not isinstance(other, FormElement):
+            return None
         if self.spec is not other.spec:
             raise ValueError("forms belong to different calculi")
         if self.degree != other.degree:
             raise ValueError(
                 f"cannot mix degrees {self.degree} and {other.degree}"
             )
+        return other
 
-    def __add__(self, other):
-        if not isinstance(other, FormElement):
-            return NotImplemented
-        self._check_mate(other)
-        return FormElement(self.spec, self.degree, add_scaled(dict(self.coords), other.coords))
-
-    def __sub__(self, other):
-        if not isinstance(other, FormElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return FormElement(
-            self.spec, self.degree, {w: -e for w, e in self.coords.items()}
-        )
+    def _like(self, terms):
+        return FormElement(self.spec, self.degree, terms)
 
     def __mul__(self, other):
         if isinstance(other, FormElement):
@@ -311,34 +295,20 @@ class FormElement:
             coeff = self.spec.context.coerce(other)
         except TypeError:
             return NotImplemented
-        return FormElement(
-            self.spec,
-            self.degree,
-            {w: coeff * e for w, e in self.coords.items()} if coeff else {},
-        )
+        return self._scaled(coeff)
 
     def __rmul__(self, other):
         if isinstance(other, AlgElement):
-            coords = add_scaled({}, self.coords, other)
-            return FormElement(self.spec, self.degree, coords)
+            return self._like(add_scaled({}, self.terms, other))
         return self.__mul__(other)
 
-    def __eq__(self, other):
-        if not isinstance(other, FormElement):
-            return NotImplemented
-        return (
-            self.spec is other.spec
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
-
     def __str__(self):
-        if not self.coords:
+        if not self.terms:
             return "0"
         spec = self.spec
         chunks = []
-        for word in sorted(self.coords, key=spec._rank_key):
-            text = _form_term_str(spec, word, self.coords[word])
+        for word in sorted(self.terms, key=spec._rank_key):
+            text = _form_term_str(spec, word, self.terms[word])
             if not chunks:
                 chunks.append(text)
             elif text.startswith("-"):
@@ -389,7 +359,7 @@ def right_mul(spec, x, a):
     if not isinstance(a, AlgElement):
         a = spec.presentation.scalar(a)
     coords = {}
-    for word, cu in x.coords.items():
+    for word, cu in x.terms.items():
         for w, c in _word_action(spec, word, a).items():
             add_scaled(coords, spec.reduce_word(w), cu * c)
     return FormElement(spec, x.degree, coords)
@@ -427,8 +397,8 @@ def mul(spec, x, y):
         raise ValueError("forms belong to a different calculus")
     degree = x.degree + y.degree
     coords = {}
-    for u, cu in x.coords.items():
-        for v, cv in y.coords.items():
+    for u, cu in x.terms.items():
+        for v, cv in y.terms.items():
             for w, c in _word_action(spec, u, cv).items():
                 add_scaled(coords, spec.reduce_word(w + v), cu * c)
     return FormElement(spec, degree, coords)
@@ -442,7 +412,7 @@ def d(spec, x):
         return FormElement(spec, 1, {(i,): c for i, c in enumerate(row) if c})
     if x.spec is not spec:
         raise ValueError("form belongs to a different calculus")
-    if not x.coords:
+    if not x.terms:
         return FormElement(spec, x.degree + 1, {})
     if x.degree >= spec.top_degree:
         raise DegreeOverflow(
@@ -450,10 +420,10 @@ def d(spec, x):
             f"{spec.top_degree})"
         )
     coords = {}
-    for word, a in x.coords.items():
+    for word, a in x.terms.items():
         unit = FormElement(spec, len(word), {word: pres.one})
-        add_scaled(coords, mul(spec, d(spec, a), unit).coords)
-        add_scaled(coords, _d_word(spec, word).coords, a)
+        add_scaled(coords, mul(spec, d(spec, a), unit).terms)
+        add_scaled(coords, _d_word(spec, word).terms, a)
     return FormElement(spec, x.degree + 1, coords)
 
 

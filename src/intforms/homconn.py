@@ -14,7 +14,7 @@ from . import dga
 from .dga import FormElement
 from .ncalg import AlgElement
 from .report import CheckReport
-from .sparse import add_scaled
+from .sparse import SparseVector, add_scaled
 
 __all__ = [
     "DegreeMismatch",
@@ -45,17 +45,17 @@ class NotAUnit(ValueError):
 _right_coords = dga.right_coords
 
 
-class HomForm:
+class HomForm(SparseVector):
     """Values of one right-linear map on the basis words of its degree."""
 
-    __slots__ = ("spec", "degree", "values")
+    __slots__ = ("spec", "degree")
 
-    def __init__(self, spec, degree, values):
+    def __init__(self, spec, degree, terms):
         allowed = set(spec.basis(degree))
         if not allowed:
             raise DegreeMismatch(f"no basis forms in degree {degree}")
         table = {}
-        for word, elem in values.items():
+        for word, elem in terms.items():
             word = spec._coerce_form_word(word)
             if word not in allowed:
                 raise ValueError(
@@ -67,17 +67,11 @@ class HomForm:
                 table[word] = elem
         self.spec = spec
         self.degree = degree
-        self.values = table
+        self.terms = table
 
     def value(self, word):
         word = self.spec._coerce_form_word(word)
-        return self.values.get(word, self.spec.presentation.zero)
-
-    def is_zero(self):
-        return not self.values
-
-    def __bool__(self):
-        return bool(self.values)
+        return self.terms.get(word, self.spec.presentation.zero)
 
     def __call__(self, omega):
         return hom_apply(self.spec, self, omega)
@@ -87,40 +81,23 @@ class HomForm:
             return hom_mul_form(self.spec, self, other)
         return hom_right_act(self.spec, self, other)
 
-    def __add__(self, other):
+    def _mate(self, other):
         if not isinstance(other, HomForm):
-            return NotImplemented
+            return None
         if self.spec is not other.spec or self.degree != other.degree:
             raise DegreeMismatch("hom-forms of different degrees")
-        values = add_scaled(dict(self.values), other.values)
-        return HomForm(self.spec, self.degree, values)
+        return other
 
-    def __sub__(self, other):
-        if not isinstance(other, HomForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return HomForm(
-            self.spec, self.degree, {w: -e for w, e in self.values.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, HomForm):
-            return NotImplemented
-        return (
-            self.spec is other.spec
-            and self.degree == other.degree
-            and self.values == other.values
-        )
+    def _like(self, terms):
+        return HomForm(self.spec, self.degree, terms)
 
     def __str__(self):
-        if not self.values:
+        if not self.terms:
             return "0"
         spec = self.spec
         parts = []
-        for word in sorted(self.values, key=spec._rank_key):
-            parts.append(f"{spec.word_str(word)} := {self.values[word]}")
+        for word in sorted(self.terms, key=spec._rank_key):
+            parts.append(f"{spec.word_str(word)} := {self.terms[word]}")
         return ", ".join(parts)
 
     def __repr__(self):
@@ -146,9 +123,9 @@ def hom_apply(spec, f, omega):
             f"hom-form of degree {f.degree} applied to degree {omega.degree}"
         )
     terms = {}
-    for word, a in omega.coords.items():
+    for word, a in omega.terms.items():
         for w, c in _right_coords(spec, a, word).items():
-            fv = f.values.get(w)
+            fv = f.terms.get(w)
             if fv:
                 add_scaled(terms, (fv * c).terms)
     return AlgElement(spec.presentation, terms)
@@ -204,7 +181,7 @@ def nabla(spec, f):
         raise DegreeMismatch("the connection consumes degree-1 hom-forms")
     total = spec.presentation.zero
     for i in range(spec.n):
-        v = f.values.get((i,))
+        v = f.terms.get((i,))
         if v:
             total = total + twisted_partial(spec, i, v)
     return total
@@ -273,6 +250,6 @@ def gauge_transform(spec, u, f, u_inv=None):
         if u * u_inv != pres.one or u_inv * u != pres.one:
             raise NotAUnit("u_inv is not a two-sided inverse of u")
     shifted = HomForm(
-        spec, f.degree, {w: u_inv * v for w, v in f.values.items()}
+        spec, f.degree, {w: u_inv * v for w, v in f.terms.items()}
     )
     return u * nabla(spec, shifted)

@@ -20,7 +20,6 @@ from .report import CheckReport
 
 __all__ = [
     "FiltrationViolated",
-    "ImageReport",
     "LadderDiagram",
     "NoPreimageUpToBound",
     "SquareFails",
@@ -111,31 +110,12 @@ class Truncation:
         return value if deg == self.degree else None
 
 
-class ImageReport:
-    """Rank of the truncated connection and what its image misses."""
-
-    def __init__(self, rank, cokernel, truncation):
-        self.rank = rank
-        self.cokernel = cokernel
-        self.truncation = truncation
-
-    @property
-    def cokernel_dimension(self):
-        return len(self.cokernel)
-
-    def __repr__(self):
-        return (
-            f"<ImageReport rank {self.rank}, "
-            f"cokernel dim {len(self.cokernel)}>"
-        )
-
-
 def image_rank(spec, length_bound, degree=None):
-    """Row-reduce nabla on the window; cokernel classes come out as words.
+    """Row-reduce nabla on the window; returns (rank, cokernel).
 
-    Representatives are exact: a window word is in the cokernel list iff
-    its class is not hit, because the reduced row space has canonical
-    pivot words independent of assembly order.
+    The cokernel is a tuple of monomials, one per window word whose class
+    is not hit.  Representatives are exact, because the reduced row space
+    has canonical pivot words independent of assembly order.
     """
     trunc = Truncation(spec, length_bound, degree)
     system = LinearSystem(key=_pivot_key)
@@ -149,7 +129,7 @@ def image_rank(spec, length_bound, degree=None):
     cokernel = tuple(
         pres.monomial(w) for w in trunc.target_words if w not in pivots
     )
-    return ImageReport(system.rank(), cokernel, trunc)
+    return system.rank(), cokernel
 
 
 def sl2_lambda(a):
@@ -292,7 +272,7 @@ class LadderDiagram:
         if k == 0:
             return self.verticals[0][()] * omega
         rights = {}
-        for word, coeff in omega.coords.items():
+        for word, coeff in omega.terms.items():
             for e, r in dga.right_coords(spec, coeff, word).items():
                 have = rights.get(e)
                 rights[e] = r if have is None else have + r
@@ -308,7 +288,7 @@ class LadderDiagram:
 
 
 def _hom_vector(f):
-    return {(word, u): c for word, value in f.values.items()
+    return {(word, u): c for word, value in f.terms.items()
             for u, c in value.terms.items()}
 
 

@@ -110,6 +110,3 @@ class LinearSystem:
             if hit is not None:
                 add_scaled(vec, hit[0], -vec.pop(col))
         return vec
-
-    def in_row_space(self, vec):
-        return not self.reduce_mod(vec)

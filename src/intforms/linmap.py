@@ -389,19 +389,6 @@ def bullet(amat, bmat):
     return MapMatrix.from_entries(pres, rows)
 
 
-def matrix_equals_on_words(amat, bmat, words):
-    """First (word, i, j, lhs, rhs) discrepancy, or None."""
-    if amat.n != bmat.n:
-        raise SizeMismatch(f"sizes {amat.n} and {bmat.n}")
-    for word in words:
-        ma, mb = amat.on_word(word), bmat.on_word(word)
-        for i in range(amat.n):
-            for j in range(amat.n):
-                if ma[i][j] != mb[i][j]:
-                    return (word, i, j, ma[i][j], mb[i][j])
-    return None
-
-
 def is_identity_on_words(mat, words):
     pres = mat.presentation
     for word in words:

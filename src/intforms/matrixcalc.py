@@ -18,7 +18,7 @@ from sympy.polys.domains import QQ_I
 from .dga import DegreeOverflow
 from .linalg import LinearSystem
 from .report import CheckReport
-from .sparse import add_scaled
+from .sparse import SparseVector, add_scaled
 
 __all__ = [
     "DerBasis",
@@ -251,7 +251,7 @@ def _sort_word(word):
     return tuple(work), sign
 
 
-class MatForm:
+class MatForm(SparseVector):
     """Exterior form with matrix coefficients on ordered index words.
 
     The generating one-forms are central and pairwise anticommute, so a
@@ -260,13 +260,13 @@ class MatForm:
     permutation signs.
     """
 
-    __slots__ = ("basis", "degree", "coords")
+    __slots__ = ("basis", "degree")
 
-    def __init__(self, basis, degree, coords):
+    def __init__(self, basis, degree, terms):
         if not 0 <= degree <= basis.N:
             raise DegreeOverflow(f"no {degree}-forms on {basis.N} derivations")
         clean = {}
-        for word, value in coords.items():
+        for word, value in terms.items():
             word = tuple(word)
             if len(word) != degree or list(word) != sorted(set(word)):
                 raise ValueError(f"expected a strictly increasing word of length {degree}")
@@ -274,7 +274,7 @@ class MatForm:
                 clean[word] = value
         self.basis = basis
         self.degree = degree
-        self.coords = clean
+        self.terms = clean
 
     def at(self, *indices):
         """Evaluation against the tuple of basis derivations."""
@@ -285,16 +285,10 @@ class MatForm:
         word, sign = _sort_word(indices)
         if word is None:
             return MatElement.zero(self.basis.n)
-        value = self.coords.get(word)
+        value = self.terms.get(word)
         if value is None:
             return MatElement.zero(self.basis.n)
         return value if sign > 0 else -value
-
-    def is_zero(self):
-        return not self.coords
-
-    def __bool__(self):
-        return bool(self.coords)
 
     def _mate(self, other):
         if not isinstance(other, MatForm):
@@ -303,22 +297,8 @@ class MatForm:
             raise DegreeOverflow("forms live in different components")
         return other
 
-    def __add__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        return MatForm(self.basis, self.degree, add_scaled(dict(self.coords), mate.coords))
-
-    def __neg__(self):
-        return MatForm(
-            self.basis, self.degree, {w: -v for w, v in self.coords.items()}
-        )
-
-    def __sub__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        return self + (-mate)
+    def _like(self, terms):
+        return MatForm(self.basis, self.degree, terms)
 
     def __mul__(self, other):
         if isinstance(other, MatForm):
@@ -330,46 +310,28 @@ class MatForm:
                     f"degree {degree} exceeds the top degree {self.basis.N}"
                 )
             coords = {}
-            for left, a in self.coords.items():
-                for right, b in other.coords.items():
+            for left, a in self.terms.items():
+                for right, b in other.terms.items():
                     word, sign = _sort_word(left + right)
                     if word is not None:
                         add_scaled(coords, {word: a * b if sign > 0 else -(a * b)})
             return MatForm(self.basis, degree, coords)
-        if isinstance(other, MatElement):
-            return MatForm(
-                self.basis, self.degree, {w: v * other for w, v in self.coords.items()}
-            )
-        c = _scalar(other)
-        return MatForm(
-            self.basis, self.degree, {w: v * c for w, v in self.coords.items()}
-        )
+        if not isinstance(other, MatElement):
+            other = _scalar(other)
+        return self._like({w: v * other for w, v in self.terms.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, MatElement):
-            return MatForm(
-                self.basis, self.degree, {w: other * v for w, v in self.coords.items()}
-            )
-        c = _scalar(other)
-        return MatForm(
-            self.basis, self.degree, {w: c * v for w, v in self.coords.items()}
-        )
-
-    def __eq__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        return self.coords == mate.coords
-
-    __hash__ = None
+        if not isinstance(other, MatElement):
+            other = _scalar(other)
+        return self._like({w: other * v for w, v in self.terms.items()})
 
     def __str__(self):
-        if not self.coords:
+        if not self.terms:
             return "0"
         parts = []
-        for word in sorted(self.coords):
+        for word in sorted(self.terms):
             label = ".".join(f"w{l + 1}" for l in word) or "1"
-            parts.append(f"{self.coords[word]} {label}")
+            parts.append(f"{self.terms[word]} {label}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -415,16 +377,16 @@ def koszul_d(basis, x):
     return MatForm(basis, x.degree + 1, coords)
 
 
-class MatHomForm:
+class MatHomForm(SparseVector):
     """Right-linear functional on k-forms, stored by values on basis words."""
 
-    __slots__ = ("basis", "degree", "values")
+    __slots__ = ("basis", "degree")
 
-    def __init__(self, basis, degree, values):
+    def __init__(self, basis, degree, terms):
         if not 1 <= degree <= basis.N:
             raise DegreeOverflow(f"no form functionals in degree {degree}")
         clean = {}
-        for word, value in values.items():
+        for word, value in terms.items():
             word = tuple(word)
             if len(word) != degree or list(word) != sorted(set(word)):
                 raise ValueError(f"expected a strictly increasing word of length {degree}")
@@ -432,10 +394,10 @@ class MatHomForm:
                 clean[word] = value
         self.basis = basis
         self.degree = degree
-        self.values = clean
+        self.terms = clean
 
     def value(self, word):
-        return self.values.get(tuple(word), MatElement.zero(self.basis.n))
+        return self.terms.get(tuple(word), MatElement.zero(self.basis.n))
 
     def __call__(self, omega):
         if not isinstance(omega, MatForm) or omega.basis is not self.basis:
@@ -445,17 +407,11 @@ class MatHomForm:
                 f"a degree-{self.degree} functional cannot eat a {omega.degree}-form"
             )
         total = MatElement.zero(self.basis.n)
-        for word, coeff in omega.coords.items():
+        for word, coeff in omega.terms.items():
             # coefficients slide through the central generators, so
             # right-linearity pins the value
             total = total + self.value(word) * coeff
         return total
-
-    def is_zero(self):
-        return not self.values
-
-    def __bool__(self):
-        return bool(self.values)
 
     def _mate(self, other):
         if not isinstance(other, MatHomForm):
@@ -464,22 +420,8 @@ class MatHomForm:
             raise DegreeOverflow("functionals live in different components")
         return other
 
-    def __add__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        return MatHomForm(self.basis, self.degree, add_scaled(dict(self.values), mate.values))
-
-    def __neg__(self):
-        return MatHomForm(
-            self.basis, self.degree, {w: -v for w, v in self.values.items()}
-        )
-
-    def __sub__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        return self + (-mate)
+    def _like(self, terms):
+        return MatHomForm(self.basis, self.degree, terms)
 
     def __mul__(self, other):
         if isinstance(other, MatForm):
@@ -492,30 +434,17 @@ class MatHomForm:
                 for word in combinations(range(self.basis.N), left)
             }
             return MatHomForm(self.basis, left, values)
-        if isinstance(other, MatElement):
-            return MatHomForm(
-                self.basis, self.degree, {w: v * other for w, v in self.values.items()}
-            )
-        c = _scalar(other)
-        return MatHomForm(
-            self.basis, self.degree, {w: v * c for w, v in self.values.items()}
-        )
-
-    def __eq__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        return self.values == mate.values
-
-    __hash__ = None
+        if not isinstance(other, MatElement):
+            other = _scalar(other)
+        return self._like({w: v * other for w, v in self.terms.items()})
 
     def __str__(self):
-        if not self.values:
+        if not self.terms:
             return "0"
         parts = []
-        for word in sorted(self.values):
+        for word in sorted(self.terms):
             label = ".".join(f"w{l + 1}" for l in word)
-            parts.append(f"{label} := {self.values[word]}")
+            parts.append(f"{label} := {self.terms[word]}")
         return ", ".join(parts)
 
     def __repr__(self):
@@ -601,13 +530,13 @@ def phi(basis, x):
     if not isinstance(x, MatForm) or x.basis is not basis:
         raise ValueError("expected a matrix or a form on this basis")
     if x.degree == basis.N:
-        return x.coords.get(top, MatElement.zero(basis.n))
+        return x.terms.get(top, MatElement.zero(basis.n))
     sign = -1 if ((basis.N - 1) * x.degree) % 2 else 1
     one = MatElement.identity(basis.n)
     values = {}
     for word in combinations(range(basis.N), basis.N - x.degree):
         paired = x * MatForm(basis, basis.N - x.degree, {word: one})
-        value = paired.coords.get(top, MatElement.zero(basis.n))
+        value = paired.terms.get(top, MatElement.zero(basis.n))
         values[word] = value if sign > 0 else -value
     return MatHomForm(basis, basis.N - x.degree, values)
 
@@ -628,7 +557,7 @@ def phi_inv(basis, k, f):
         wedge = MatForm(basis, k, {word: one}) * MatForm(
             basis, basis.N - k, {complement: one}
         )
-        pair_sign = 1 if wedge.coords.get(basis.top_word()) == one else -1
+        pair_sign = 1 if wedge.terms.get(basis.top_word()) == one else -1
         value = f.value(complement)
         coords[word] = value if sign_k * pair_sign > 0 else -value
     return MatForm(basis, k, coords)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .report import CheckReport
 from .scalars import ScalarRF
-from .sparse import add_scaled
+from .sparse import SparseVector, add_scaled
 
 
 class UnknownGenerator(KeyError):
@@ -202,9 +202,6 @@ class Presentation:
 
     # -- basis enumeration ----------------------------------------------------
 
-    def is_normal_word(self, word):
-        return self._find_redex(self._coerce_word(word)) is None
-
     def normal_words(self, max_len, degree=None):
         """Normal words of length <= max_len in deglex order.
 
@@ -265,18 +262,16 @@ class Presentation:
         return f"<Presentation {'*'.join(self.generators)}, {len(self.rules)} rules>"
 
 
-class AlgElement:
+class AlgElement(SparseVector):
     """Linear combination of normal words; always kept in normal form."""
 
-    __slots__ = ("presentation", "terms")
-    __hash__ = None
+    __slots__ = ("presentation",)
 
     def __init__(self, presentation, terms):
         self.presentation = presentation
         self.terms = terms
 
-    def _same(self, other):
-        """Coerce to a mate AlgElement, or None for foreign types."""
+    def _mate(self, other):
         if isinstance(other, AlgElement):
             if other.presentation is not self.presentation:
                 raise ValueError("elements of different presentations")
@@ -286,39 +281,16 @@ class AlgElement:
             return self.presentation.scalar(other)
         return None
 
-    def __add__(self, other):
-        other = self._same(other)
-        if other is None:
-            return NotImplemented
-        return AlgElement(self.presentation, add_scaled(dict(self.terms), other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgElement(self.presentation, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._same(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._same(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+    def _like(self, terms):
+        return AlgElement(self.presentation, terms)
 
     def scale(self, coeff):
-        coeff = self.presentation.context.coerce(coeff)
-        if not coeff:
-            return AlgElement(self.presentation, {})
-        return AlgElement(self.presentation, {w: coeff * c for w, c in self.terms.items()})
+        return self._scaled(self.presentation.context.coerce(coeff))
 
     def __mul__(self, other):
         if isinstance(other, (int, ScalarRF)):
             return self.scale(other)
-        other = self._same(other)
+        other = self._mate(other)
         if other is None:
             return NotImplemented
         pres = self.presentation
@@ -332,7 +304,7 @@ class AlgElement:
     def __rmul__(self, other):
         if isinstance(other, (int, ScalarRF)):
             return self.scale(other)
-        other = self._same(other)
+        other = self._mate(other)
         if other is None:
             return NotImplemented
         return other * self
@@ -352,19 +324,6 @@ class AlgElement:
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, AlgElement):
-            return self.presentation is other.presentation and self.terms == other.terms
-        if isinstance(other, (int, ScalarRF)):
-            return self == self.presentation.scalar(other)
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def coefficient(self, word):
         word = self.presentation._coerce_word(word)
@@ -510,11 +469,10 @@ class HopfData:
         self.antipode_inv = antipode_inv
 
 
-class TensorElement:
+class TensorElement(SparseVector):
     """Element of A tensor A, normal-word pairs with scalar coefficients."""
 
-    __slots__ = ("presentation", "terms")
-    __hash__ = None
+    __slots__ = ("presentation",)
 
     def __init__(self, presentation, terms):
         self.presentation = presentation
@@ -533,26 +491,25 @@ class TensorElement:
             for wb, cb in b.terms.items()
         })
 
-    def __add__(self, other):
+    def _mate(self, other):
+        if not isinstance(other, TensorElement):
+            return None
         if other.presentation is not self.presentation:
             raise ValueError("tensors over different presentations")
-        return TensorElement(self.presentation, add_scaled(dict(self.terms), other.terms))
+        return other
 
-    def __neg__(self):
-        return TensorElement(self.presentation, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _like(self, terms):
+        return TensorElement(self.presentation, terms)
 
     def scale(self, coeff):
-        coeff = self.presentation.context.coerce(coeff)
-        if not coeff:
-            return TensorElement(self.presentation, {})
-        return TensorElement(self.presentation, {k: coeff * c for k, c in self.terms.items()})
+        return self._scaled(self.presentation.context.coerce(coeff))
 
     def __mul__(self, other):
         if isinstance(other, (int, ScalarRF)):
             return self.scale(other)
+        other = self._mate(other)
+        if other is None:
+            return NotImplemented
         # componentwise: (a x b)(c x d) = ac x bd
         pres = self.presentation
         terms = {}
@@ -567,21 +524,6 @@ class TensorElement:
         if isinstance(other, (int, ScalarRF)):
             return self.scale(other)
         return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, TensorElement):
-            return self.presentation is other.presentation and self.terms == other.terms
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def sweedler_words(self):
-        """Sorted ((left word, right word), scalar) pairs."""
-        return sorted(self.terms.items())
 
     def sweedler(self):
         """List of (left AlgElement, right AlgElement, scalar) components."""

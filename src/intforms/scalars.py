@@ -69,10 +69,10 @@ class ScalarContext:
         return ScalarRF(self, {exps: 1})
 
     def from_fraction(self, value):
-        return ScalarRF(self, self._constant(Fraction(value)))
+        return ScalarRF(self, self._constant(_exact(value)))
 
     def from_int(self, value):
-        return ScalarRF(self, self._constant(int(value)))
+        return ScalarRF(self, self._constant(operator.index(value)))
 
     def parse(self, text):
         from .parser import parse_scalar  # grammar is shared with the frontend
@@ -282,7 +282,7 @@ class ScalarRF:
         for name in self.context.parameters:
             if name not in assignment:
                 raise KeyError(f"no value for parameter {name!r}")
-            values.append(Fraction(assignment[name]))
+            values.append(Fraction(_exact(assignment[name])))
         if self._terms is None:
             den = _eval_terms(self._ex.denom.items(), values)
             if den == 0:
@@ -326,6 +326,14 @@ def _divide(left, right):
 
 # -- Laurent dicts ------------------------------------------------------------
 # Operands are never mutated; every result is a fresh dict without zeros.
+
+
+def _exact(value):
+    # a float would be taken as its binary approximation, so only exact
+    # numbers pass
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, not {type(value).__name__}")
+    return value
 
 
 def _reduce(value):

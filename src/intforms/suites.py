@@ -318,9 +318,9 @@ def _integral_checks(bundle, opts, preset_name):
                 (opts.degree,) if opts.degree is not None else range(opts.max_len)
             )
             for degree in degrees:
-                report = image_rank(spec, opts.max_len, degree=degree)
-                if report.cokernel_dimension:
-                    missed = ", ".join(str(m) for m in report.cokernel)
+                _, cokernel = image_rank(spec, opts.max_len, degree=degree)
+                if cokernel:
+                    missed = ", ".join(str(m) for m in cokernel)
                     return f"degree {degree} block misses {missed}"
             return None
 

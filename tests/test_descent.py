@@ -311,8 +311,8 @@ def test_sphere_d_matches_ambient_differential(sphere, sl2):
     word = (sphere.minus, sphere.plus)
     for gen in sphere.module_generators:
         omega = gen * invariant_sample(sl2, rng)
-        x = omega.coords.get((sphere.minus,), sl2.zero)
-        y = omega.coords.get((sphere.plus,), sl2.zero)
+        x = omega.terms.get((sphere.minus,), sl2.zero)
+        y = omega.terms.get((sphere.plus,), sl2.zero)
         want = FormElement(
             spec, 2, {word: (-(q * q)) * sphere_d(sphere, x, y)}
         )

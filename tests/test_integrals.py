@@ -117,26 +117,26 @@ def test_lambda_sign_control(sl2, sl2_3d_calc):
 
 def test_image_rank_quantum_plane_blocks(qplane_calc):
     for d in range(6):
-        report = image_rank(qplane_calc, 6, degree=d)
-        assert report.rank == d + 1
-        assert report.cokernel == ()
+        rank, cokernel = image_rank(qplane_calc, 6, degree=d)
+        assert rank == d + 1
+        assert cokernel == ()
 
 
 def test_image_rank_sl2_degree_zero_block(sl2, sl2_3d_calc):
-    report = image_rank(sl2_3d_calc, 6, degree=0)
-    assert report.cokernel == (sl2.one,)
-    assert report.rank == len(report.truncation.target_words) - 1
+    rank, cokernel = image_rank(sl2_3d_calc, 6, degree=0)
+    assert cokernel == (sl2.one,)
+    assert rank == len(Truncation(sl2_3d_calc, 6, 0).target_words) - 1
 
 
 def test_image_rank_zero_derivation():
     spec = make_free_line()
-    report = image_rank(spec, 4)
-    assert report.rank == 0
-    assert len(report.cokernel) == len(spec.presentation.normal_words(4))
+    rank, cokernel = image_rank(spec, 4)
+    assert rank == 0
+    assert len(cokernel) == len(spec.presentation.normal_words(4))
 
 
 def test_image_rank_order_invariant(sl2_3d_calc):
-    report = image_rank(sl2_3d_calc, 3, degree=0)
+    rank, cokernel = image_rank(sl2_3d_calc, 3, degree=0)
     trunc = Truncation(sl2_3d_calc, 3, degree=0)
     rows = []
     for i, w in trunc.columns():
@@ -149,10 +149,10 @@ def test_image_rank_order_invariant(sl2_3d_calc):
         system = LinearSystem(key=integrals._pivot_key)
         for row in rows:
             system.add(row)
-        assert system.rank() == report.rank
+        assert system.rank() == rank
         hit = set(system.pivot_columns())
         assert {w for w in trunc.target_words if w not in hit} == {
-            tuple(rep.terms)[0] for rep in report.cokernel
+            tuple(rep.terms)[0] for rep in cokernel
         }
 
 

@@ -3,6 +3,7 @@ operations on quantum SL(2)."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +34,8 @@ def test_qplane_normalize(qplane):
     x, y = qplane.gen("x"), qplane.gen("y")
     assert y * x == (1 / q) * (x * y)
     assert (y * y * x).sorted_terms() == [(qplane.word("x", "y", "y"), 1 / q**2)]
-    assert qplane.is_normal_word(("x", "x", "y"))
-    assert not qplane.is_normal_word(("y", "x"))
+    assert qplane.word("x", "x", "y") in qplane.normal_words(3)
+    assert qplane.word("y", "x") not in qplane.normal_words(2)
 
 
 def test_qplane_normal_words(qplane):
@@ -75,7 +76,8 @@ def test_sl2_normal_basis(sl2):
     ia, id_ = sl2.index("alpha"), sl2.index("delta")
     for w in words:
         assert not (ia in w and id_ in w)
-        assert sl2.is_normal_word(w)
+        # a normal word is its own normal form
+        assert sl2.monomial(w).terms == {w: sl2.context.one}
 
 
 def test_sl2_powers(sl2):
@@ -280,7 +282,7 @@ def test_coproduct_is_algebra_map(sl2):
     # straightening alpha*beta (x) alpha*gamma and beta*alpha (x) gamma*alpha
     # lands both on beta*alpha (x) alpha*gamma, with weights q and 1/q
     da2 = coproduct(sl2, a * a)
-    terms = dict(da2.sweedler_words())
+    terms = da2.terms
     assert terms[(sl2.word("alpha", "alpha"), sl2.word("alpha", "alpha"))] == sl2.context.one
     assert terms[(sl2.word("beta", "alpha"), sl2.word("alpha", "gamma"))] == q + 1 / q
     assert terms[(sl2.word("beta", "beta"), sl2.word("gamma", "gamma"))] == sl2.context.one
@@ -332,3 +334,26 @@ def test_tensor_element_ops(sl2):
     s = TensorElement.of(a, a) + 2 * TensorElement.of(b, b)
     assert s.sweedler()
     assert "@" in str(s)
+
+
+def test_tensor_arithmetic_rejects_non_tensors(qplane):
+    # x (x) y + x used to build a tensor with a bare word among its keys,
+    # and t + 5 failed inside the method with an AttributeError
+    x, y = qplane.gen("x"), qplane.gen("y")
+    t = TensorElement.of(x, y)
+    for other in (x, 5):
+        with pytest.raises(TypeError):
+            t + other
+        with pytest.raises(TypeError):
+            t - other
+        with pytest.raises(TypeError):
+            other + t
+    assert t != x
+
+
+def test_scalar_elements_equal_their_fractions(qplane):
+    half = Fraction(1, 2)
+    assert qplane.scalar(half) == half
+    assert half == qplane.scalar(half)
+    assert qplane.scalar(half) != Fraction(1, 3)
+    assert qplane.scalar(1) == 1

@@ -91,6 +91,21 @@ def test_evaluate(qctx):
         s.evaluate({})
 
 
+def test_exact_entry_points_reject_floats(qctx):
+    # Fraction(0.1) is the binary approximation and int(2.7) truncates
+    q = qctx.parameter("q")
+    for value in (0.1, 2.0, "1/2"):
+        with pytest.raises(TypeError):
+            qctx.from_fraction(value)
+        with pytest.raises(TypeError):
+            (q + 1).evaluate({"q": value})
+    for value in (2.7, 2.0, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            qctx.from_int(value)
+    assert qctx.from_fraction(3) == 3
+    assert (q + 1).evaluate({"q": Fraction(1, 10)}) == Fraction(11, 10)
+
+
 def test_evaluate_pole_masked_by_reduction(qctx):
     # (q^2-1)/(q-1) reduces to q+1, so q=1 is not a pole
     q = qctx.parameter("q")
