@@ -24,6 +24,8 @@ TARGET_COMMANDS = (
     "iso-check",
     "density",
 )
+# commands that run one preset's whole suite: command -> preset
+WHOLE_SUITES = {"sphere": "podles-sphere", "matrix": "matrix-m2"}
 
 
 def _common_flags(parser):
@@ -51,13 +53,10 @@ def _build_parser():
         _common_flags(sub)
         if name == "integral":
             sub.add_argument("--degree", type=int, default=None)
-    sphere = commands.add_parser("sphere")
-    sphere.add_argument("action", choices=("verify",))
-    _common_flags(sphere)
-    matrix = commands.add_parser("matrix")
-    matrix.add_argument("action", choices=("verify",))
-    matrix.add_argument("--n", type=int, default=2)
-    _common_flags(matrix)
+    for name in WHOLE_SUITES:
+        sub = commands.add_parser(name)
+        sub.add_argument("action", choices=("verify",))
+        _common_flags(sub)
     preset = commands.add_parser("preset")
     preset.add_argument("action", choices=("list",))
     preset.add_argument("--format", choices=("json", "text"), default="text")
@@ -113,12 +112,8 @@ def main(argv=None):
         return _list_presets(args.format)
     try:
         _check_flags(args)
-        if args.command == "sphere":
-            return _run("verify", get_preset("podles-sphere"), args)
-        if args.command == "matrix":
-            if args.n != 2:
-                raise ValueError(f"only n = 2 ships as a preset, not n = {args.n}")
-            return _run("verify", get_preset("matrix-m2"), args)
+        if args.command in WHOLE_SUITES:
+            return _run("verify", get_preset(WHOLE_SUITES[args.command]), args)
         return _run(args.command, resolve_target(args.target), args)
     except KeyError as exc:
         sys.stderr.write(f"error: {exc.args[0]}\n")

@@ -24,9 +24,10 @@ from importlib import resources
 from . import dga
 from .dga import FormElement
 from .homconn import DegreeMismatch
-from .ncalg import TensorElement, antipode, coproduct, zdegree
+from .ncalg import AlgElement, TensorElement, antipode, coproduct, zdegree
 from .parser import ParseError, parse_tensor
 from .report import CheckReport
+from .sparse import SparseVector
 
 __all__ = [
     "BHomForm",
@@ -258,42 +259,72 @@ def _expand(sphere, plus_values, minus_values, b=None):
     )
 
 
-class BHomForm:
+class BHomForm(SparseVector):
     """Right-linear functional on the sphere's one- or two-forms.
 
     Degree one stores the six values on the projective generators, plus side
-    before minus side; evaluation expands any sphere form through the dual
-    bases, so the values determine the functional everywhere.  Degree two
-    stores the single value on the free generator.  Values always lie in the
-    degree-zero subalgebra.
+    in slots 0-2 and minus side in slots 3-5; evaluation expands any sphere
+    form through the dual bases, so the values determine the functional
+    everywhere.  Degree two stores the single value on the free generator
+    in slot 0.  Values always lie in the degree-zero subalgebra.
     """
 
-    __slots__ = ("sphere", "degree", "plus_values", "minus_values", "top_value")
+    __slots__ = ("sphere", "degree")
 
     def __init__(self, sphere, degree, plus_values=(), minus_values=(), top_value=None):
         pres = sphere.presentation
-        def invariant(v):
-            v = v if hasattr(v, "terms") else pres.scalar(v)
-            if v and zdegree(v) != 0:
-                raise DegreeMismatch(
-                    f"functional values must be coaction invariants, got {v}"
-                )
-            return v
-
-        self.sphere = sphere
-        self.degree = degree
         if degree == 1:
             if len(plus_values) != 3 or len(minus_values) != 3:
                 raise ValueError("a degree-one functional carries 3 + 3 values")
-            self.plus_values = tuple(invariant(v) for v in plus_values)
-            self.minus_values = tuple(invariant(v) for v in minus_values)
-            self.top_value = None
+            values = (*plus_values, *minus_values)
         elif degree == 2:
-            self.plus_values = ()
-            self.minus_values = ()
-            self.top_value = invariant(pres.zero if top_value is None else top_value)
+            values = (pres.zero if top_value is None else top_value,)
         else:
             raise DegreeMismatch(f"no sphere functionals in degree {degree}")
+        terms = {}
+        for slot, v in enumerate(values):
+            v = v if isinstance(v, AlgElement) else pres.scalar(v)
+            if v:
+                if zdegree(v) != 0:
+                    raise DegreeMismatch(
+                        f"functional values must be coaction invariants, got {v}"
+                    )
+                terms[slot] = v
+        self.sphere = sphere
+        self.degree = degree
+        self.terms = terms
+
+    def _values(self, slots):
+        zero = self.sphere.presentation.zero
+        return tuple(self.terms.get(slot, zero) for slot in slots)
+
+    @property
+    def plus_values(self):
+        return self._values(range(3)) if self.degree == 1 else ()
+
+    @property
+    def minus_values(self):
+        return self._values(range(3, 6)) if self.degree == 1 else ()
+
+    @property
+    def top_value(self):
+        if self.degree == 2:
+            return self.terms.get(0, self.sphere.presentation.zero)
+        return None
+
+    def _mate(self, other):
+        if not isinstance(other, BHomForm):
+            return None
+        if other.sphere is not self.sphere or other.degree != self.degree:
+            raise DegreeMismatch("functionals live on different sphere modules")
+        return other
+
+    def _like(self, terms):
+        f = BHomForm.__new__(BHomForm)
+        f.sphere = self.sphere
+        f.degree = self.degree
+        f.terms = terms
+        return f
 
     @classmethod
     def from_values(cls, sphere, plus_values, minus_values):
@@ -348,50 +379,6 @@ class BHomForm:
         (coeff,) = _form_coords(self.sphere, omega, 2)
         return self.top_value * coeff
 
-    def is_zero(self):
-        if self.degree == 1:
-            return not any(self.plus_values) and not any(self.minus_values)
-        return not self.top_value
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def _mate(self, other):
-        if not isinstance(other, BHomForm):
-            return None
-        if other.sphere is not self.sphere or other.degree != self.degree:
-            raise DegreeMismatch("functionals live on different sphere modules")
-        return other
-
-    def __add__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        if self.degree == 2:
-            return BHomForm.top(self.sphere, self.top_value + mate.top_value)
-        return BHomForm(
-            self.sphere,
-            1,
-            tuple(a + b for a, b in zip(self.plus_values, mate.plus_values)),
-            tuple(a + b for a, b in zip(self.minus_values, mate.minus_values)),
-        )
-
-    def __neg__(self):
-        if self.degree == 2:
-            return BHomForm.top(self.sphere, -self.top_value)
-        return BHomForm(
-            self.sphere,
-            1,
-            tuple(-v for v in self.plus_values),
-            tuple(-v for v in self.minus_values),
-        )
-
-    def __sub__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        return self + (-mate)
-
     def __mul__(self, other):
         if isinstance(other, FormElement):
             # contraction (f*w)(w') = f(w w'), one degree down
@@ -401,7 +388,7 @@ class BHomForm:
             minus_values = [self(other * g) for g in self.sphere.minus_generators]
             return BHomForm(self.sphere, 1, plus_values, minus_values)
         pres = self.sphere.presentation
-        b = other if hasattr(other, "terms") else pres.scalar(other)
+        b = other if isinstance(other, AlgElement) else pres.scalar(other)
         if b and zdegree(b) != 0:
             raise DegreeMismatch(f"the right action only admits invariants, got {b}")
         if self.degree == 2:
@@ -410,17 +397,6 @@ class BHomForm:
         # just right multiplication inside each value
         return BHomForm(
             self.sphere, 1, *_expand(self.sphere, self.plus_values, self.minus_values, b)
-        )
-
-    def __eq__(self, other):
-        mate = self._mate(other)
-        if mate is None:
-            return NotImplemented
-        if self.degree == 2:
-            return self.top_value == mate.top_value
-        return (
-            self.plus_values == mate.plus_values
-            and self.minus_values == mate.minus_values
         )
 
     def __str__(self):

@@ -5,8 +5,10 @@ attached to a traceless matrix basis, so the whole complex is finite
 dimensional over exact Gaussian rationals: the Koszul differential, the
 hom-connection with its trace integral, the curvature formula, and the
 chain maps identifying the de Rham complex with the complex of integral
-forms.  The two-by-two case is the certified preset; nothing below assumes
-it except the tests.
+forms.  Matrices are sparse vectors holding only their nonzero entries,
+and every scalar factor is applied on the right of a matrix.  The
+two-by-two case is the certified preset; nothing below assumes it except
+the tests.
 """
 
 from __future__ import annotations
@@ -56,91 +58,91 @@ def _scalar(value):
     return value if isinstance(value, type(QQ_I.zero)) else QQ_I.convert(value)
 
 
-class MatElement:
-    """Square matrix with exact Gaussian-rational entries."""
+class MatElement(SparseVector):
+    """Square matrix with exact Gaussian-rational entries.
 
-    __slots__ = ("entries",)
+    `terms` maps (row, column) to each nonzero entry.  Scalars are applied
+    on the right, `m * c`: a Gaussian rational on the left first tries to
+    convert the matrix and only then hands over to `__rmul__`.
+    """
+
+    __slots__ = ("n",)
 
     def __init__(self, entries):
-        rows = tuple(tuple(_scalar(v) for v in row) for row in entries)
+        rows = [tuple(row) for row in entries]
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix entries must be square")
-        self.entries = rows
+        self.n = len(rows)
+        self.terms = {
+            (r, s): _scalar(v)
+            for r, row in enumerate(rows)
+            for s, v in enumerate(row)
+            if v
+        }
+
+    @classmethod
+    def _sparse(cls, n, terms):
+        m = cls.__new__(cls)
+        m.n = n
+        m.terms = terms
+        return m
 
     @classmethod
     def zero(cls, n):
-        return cls([[0] * n for _ in range(n)])
+        return cls._sparse(n, {})
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if r == s else 0 for s in range(n)] for r in range(n)])
+        return cls._sparse(n, {(r, r): QQ_I.one for r in range(n)})
 
     @classmethod
     def unit(cls, n, r, s):
-        return cls([[1 if (a, b) == (r, s) else 0 for b in range(n)] for a in range(n)])
+        return cls._sparse(n, {(r, s): QQ_I.one})
 
-    @property
-    def n(self):
-        return len(self.entries)
+    def entry(self, r, s):
+        return self.terms.get((r, s), QQ_I.zero)
 
     def trace(self):
         total = QQ_I.zero
         for r in range(self.n):
-            total = total + self.entries[r][r]
+            total = total + self.entry(r, r)
         return total
 
-    def __add__(self, other):
+    def _mate(self, other):
         if not isinstance(other, MatElement):
-            return NotImplemented
-        return MatElement(
-            [
-                [a + b for a, b in zip(row, orow)]
-                for row, orow in zip(self.entries, other.entries)
-            ]
-        )
+            return None
+        if other.n != self.n:
+            raise ValueError(f"a {self.n}x{self.n} and a {other.n}x{other.n} matrix")
+        return other
 
-    def __neg__(self):
-        return MatElement([[-a for a in row] for row in self.entries])
-
-    def __sub__(self, other):
-        if not isinstance(other, MatElement):
-            return NotImplemented
-        return self + (-other)
+    def _like(self, terms):
+        return self._sparse(self.n, terms)
 
     def __mul__(self, other):
-        if isinstance(other, MatElement):
-            n = self.n
-            return MatElement(
-                [
-                    [
-                        sum(
-                            (self.entries[r][k] * other.entries[k][s] for k in range(n)),
-                            QQ_I.zero,
-                        )
-                        for s in range(n)
-                    ]
-                    for r in range(n)
-                ]
+        if isinstance(other, SparseVector):
+            other = self._mate(other)
+            if other is None:
+                return NotImplemented
+            rows = {}
+            for (k, s), b in other.terms.items():
+                rows.setdefault(k, {})[s] = b
+            out = {}
+            for (r, k), a in self.terms.items():
+                if k in rows:
+                    add_scaled(out.setdefault(r, {}), rows[k], a)
+            return self._like(
+                {(r, s): v for r, row in out.items() for s, v in row.items()}
             )
-        if isinstance(other, MatForm):
-            return NotImplemented
-        c = _scalar(other)
-        return MatElement([[a * c for a in row] for row in self.entries])
+        return self._scaled(_scalar(other))
 
     def __rmul__(self, other):
-        c = _scalar(other)
-        return MatElement([[c * a for a in row] for row in self.entries])
-
-    def __eq__(self, other):
-        return isinstance(other, MatElement) and self.entries == other.entries
-
-    __hash__ = None
-
-    def __bool__(self):
-        return any(any(v for v in row) for row in self.entries)
+        return self._scaled(_scalar(other))
 
     def __str__(self):
-        rows = ("[" + ", ".join(str(v) for v in row) + "]" for row in self.entries)
+        rows = (
+            "[" + ", ".join(str(self.entry(r, s)) for s in range(self.n)) + "]"
+            for r in range(self.n)
+        )
         return "[" + ", ".join(rows) + "]"
 
     def __repr__(self):
@@ -180,7 +182,7 @@ class DerBasis:
         )
 
     def derive(self, l, a):
-        return I_UNIT * commutator(self.matrices[l], a)
+        return commutator(self.matrices[l], a) * I_UNIT
 
     def constants(self):
         if self._constants is None:
@@ -211,11 +213,11 @@ def structure_constants(basis):
     for i in range(N):
         for j in range(N):
             # i[E, -] brackets compose to the commutator with i[E_i, E_j]
-            targets[(i, j)] = I_UNIT * commutator(basis.matrices[i], basis.matrices[j])
+            targets[(i, j)] = commutator(basis.matrices[i], basis.matrices[j]) * I_UNIT
     for r in range(n):
         for s in range(n):
-            coeffs = {l: basis.matrices[l].entries[r][s] for l in range(N)}
-            rhs = {key: m.entries[r][s] for key, m in targets.items()}
+            coeffs = {l: basis.matrices[l].entry(r, s) for l in range(N)}
+            rhs = {key: m.entry(r, s) for key, m in targets.items()}
             system.add(coeffs, rhs)
     if system.rank() != N:
         raise NotClosed("basis matrices are linearly dependent")
@@ -322,7 +324,7 @@ class MatForm(SparseVector):
 
     def __rmul__(self, other):
         if not isinstance(other, MatElement):
-            other = _scalar(other)
+            return self * other  # scalars commute, and act on the right
         return self._like({w: other * v for w, v in self.terms.items()})
 
     def __str__(self):
@@ -370,7 +372,7 @@ def koszul_d(basis, x):
                 coeff = c[word[pi]][word[pj]][l]
                 if not coeff:
                     continue
-                term = coeff * x.at(l, *rest)
+                term = x.at(l, *rest) * coeff
                 total = total + (term if sign > 0 else -term)
         if total:
             coords[word] = total
@@ -510,12 +512,12 @@ def curvature_mn(basis, f):
             for l in range(basis.N):
                 if not c[i][j][l]:
                     continue
-                coeff = basis.derive(l, c[i][j][l] * scalar_one)
+                coeff = basis.derive(l, scalar_one * c[i][j][l])
                 if not coeff:
                     continue
                 omega = basis.one_form(i, coeff) * basis.one_form(j)
                 total = total + f(omega)
-    return -half * total
+    return total * -half
 
 
 def phi(basis, x):
@@ -561,15 +563,6 @@ def phi_inv(basis, k, f):
         value = f.value(complement)
         coords[word] = value if sign_k * pair_sign > 0 else -value
     return MatForm(basis, k, coords)
-
-
-def _flat(a):
-    return {
-        (r, s): a.entries[r][s]
-        for r in range(a.n)
-        for s in range(a.n)
-        if a.entries[r][s]
-    }
 
 
 def phi_ladder(basis):
@@ -621,7 +614,7 @@ def phi_ladder(basis):
             image = nabla_mn(basis, [(l, unit)])
             if trace_integral(image):
                 bad = f"derivation {l}, unit {unit}"
-            system.add(_flat(image))
+            system.add(image.terms)
     report.add("trace integral kills the image of the connection", bad is None, bad)
     rank = system.rank()
     ok = rank == n * n - 1
@@ -630,7 +623,7 @@ def phi_ladder(basis):
         ok,
         None if ok else f"rank {rank}",
     )
-    leftover = system.reduce_mod(_flat(MatElement.identity(n)))
+    leftover = system.reduce_mod(MatElement.identity(n).terms)
     ok = bool(leftover)
     report.add(
         "class of the identity spans the cokernel",

@@ -44,6 +44,9 @@ MIXED = _Mixed()
 
 DEFAULT_BUDGET = 10**6
 
+# coefficients that act by scaling rather than by the word product
+_SCALARS = (int, Fraction, ScalarRF)
+
 
 def _deglex_key(word):
     return (len(word), word)
@@ -276,7 +279,7 @@ class AlgElement(SparseVector):
             if other.presentation is not self.presentation:
                 raise ValueError("elements of different presentations")
             return other
-        if isinstance(other, (int, Fraction, ScalarRF)):
+        if isinstance(other, _SCALARS):
             # scalars embed via the unit
             return self.presentation.scalar(other)
         return None
@@ -288,7 +291,7 @@ class AlgElement(SparseVector):
         return self._scaled(self.presentation.context.coerce(coeff))
 
     def __mul__(self, other):
-        if isinstance(other, (int, ScalarRF)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         other = self._mate(other)
         if other is None:
@@ -302,7 +305,7 @@ class AlgElement(SparseVector):
         return AlgElement(pres, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, ScalarRF)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         other = self._mate(other)
         if other is None:
@@ -505,7 +508,7 @@ class TensorElement(SparseVector):
         return self._scaled(self.presentation.context.coerce(coeff))
 
     def __mul__(self, other):
-        if isinstance(other, (int, ScalarRF)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         other = self._mate(other)
         if other is None:
@@ -521,7 +524,7 @@ class TensorElement(SparseVector):
         return TensorElement(pres, terms)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, ScalarRF)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 

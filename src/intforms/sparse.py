@@ -1,7 +1,8 @@
 """The one accumulation kernel and vector base behind every sparse linear
 combination.
 
-Algebra elements, tensors, form coordinates, hom-form values and
+Algebra elements, tensors, form coordinates, hom-form values, the sphere's
+functionals (by generator slot), matrices (by row and column) and
 elimination rows are all dicts from a key to a nonzero coefficient.
 `add_scaled` is the loop that sums them; `SparseVector` is the group
 structure built on it: `+`, `-`, negation, `==`, truth and `is_zero`,

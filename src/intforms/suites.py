@@ -456,9 +456,7 @@ def _sphere_checks(sphere, opts):
 
     def top_dies():
         value = nabla_coH_1(sphere, sphere.top_dual())
-        if any(value.plus_values + value.minus_values):
-            return str(value)
-        return None
+        return str(value) if value else None
 
     checks.append(("level-one connection kills the top dual", top_dies))
 

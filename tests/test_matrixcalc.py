@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ_I
 
 from intforms import matrixcalc as mc
 from intforms.dga import DegreeOverflow
@@ -71,6 +75,74 @@ def test_matrix_arithmetic():
     assert a
     with pytest.raises(ValueError, match="square"):
         MatElement([[1, 2]])
+
+
+# entries with small parts and mostly zero, so that sums and products cancel
+PARTS = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 2)))
+ENTRIES = st.one_of(
+    st.just(QQ_I.zero),
+    st.just(QQ_I.zero),
+    st.builds(QQ_I, PARTS, PARTS),
+)
+
+
+def _rows(n):
+    return st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# the dense formulas, on plain row lists
+def _dense_add(a, b):
+    return [[x + y for x, y in zip(row, orow)] for row, orow in zip(a, b)]
+
+
+def _dense_neg(a):
+    return [[-x for x in row] for row in a]
+
+
+def _dense_mul(a, b):
+    n = len(a)
+    return [
+        [sum((a[r][k] * b[k][s] for k in range(n)), QQ_I.zero) for s in range(n)]
+        for r in range(n)
+    ]
+
+
+def _dense_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def _dense_str(a):
+    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in a) + "]"
+
+
+@given(data=st.data(), n=st.sampled_from((2, 3)))
+@settings(max_examples=120, deadline=None)
+def test_matrices_agree_with_dense_rows(data, n):
+    a, b = data.draw(_rows(n)), data.draw(_rows(n))
+    c = data.draw(ENTRIES)
+    x, y = MatElement(a), MatElement(b)
+    for got, want in (
+        (x + y, _dense_add(a, b)),
+        (x - y, _dense_add(a, _dense_neg(b))),
+        (-x, _dense_neg(a)),
+        (x * y, _dense_mul(a, b)),
+        (c * x, _dense_scale(c, a)),
+        (x * c, _dense_scale(c, a)),
+    ):
+        assert str(got) == _dense_str(want)
+        assert got == MatElement(want)
+        assert bool(got) == any(v for row in want for v in row)
+    assert str(x) == _dense_str(a)
+    assert x.trace() == sum((a[r][r] for r in range(n)), QQ_I.zero)
+    assert all(x.entry(r, s) == a[r][s] for r in range(n) for s in range(n))
+    assert (x == y) == (a == b)
+    assert bool(x) == any(v for row in a for v in row)
+
+
+def test_matrix_product_rejects_another_size():
+    # the dense product used to truncate to the smaller size
+    with pytest.raises(ValueError, match="2x2 and a 3x3"):
+        MatElement.identity(2) * MatElement.identity(3)
 
 
 def test_basis_validation():
@@ -345,6 +417,20 @@ def test_phi_ladder(pauli):
     assert "class of the identity spans the cokernel" in names
     assert "image of the connection is the traceless matrices" in names
     assert all(c["witness"] is None for c in report.checks)
+
+
+def test_passing_checks_print_no_matrix(monkeypatch):
+    # a Gaussian factor on the left of a matrix makes sympy print the matrix
+    # into a conversion error before MatElement.__rmul__ runs
+    def refuse(self):
+        raise AssertionError("a matrix was printed")
+
+    monkeypatch.setattr(MatElement, "__str__", refuse)
+    basis = DerBasis.pauli()  # fresh, so its structure constants are solved here
+    assert phi_ladder(basis).ok
+    for word in basis.words(2):
+        f = MatHomForm(basis, 2, {word: MatElement.unit(2, 0, 1)})
+        assert not curvature_mn(basis, f)
 
 
 def corrupted_pauli(i, j, l):

@@ -351,6 +351,22 @@ def test_tensor_arithmetic_rejects_non_tensors(qplane):
     assert t != x
 
 
+def test_fraction_factors_scale(qplane, monkeypatch):
+    # a Fraction used to take the word product on elements and raise
+    # TypeError on tensors
+    half = Fraction(1, 2)
+    x, y = qplane.gen("x"), qplane.gen("y")
+    t = TensorElement.of(x, y)
+    scaled_x, scaled_t = x.scale(half), t.scale(half)
+
+    def refuse(word, budget):
+        raise AssertionError("a scalar factor took the word product")
+
+    monkeypatch.setattr(qplane, "_normal_word", refuse)
+    assert half * x == x * half == scaled_x
+    assert half * t == t * half == scaled_t
+
+
 def test_scalar_elements_equal_their_fractions(qplane):
     half = Fraction(1, 2)
     assert qplane.scalar(half) == half

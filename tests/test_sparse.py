@@ -2,12 +2,16 @@
 combination."""
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intforms
+from intforms.descent import BHomForm, SphereData
 from intforms.dga import DegreeOverflow, FormElement
 from intforms.homconn import DegreeMismatch, HomForm
 from intforms.matrixcalc import DerBasis, MatElement, MatForm, MatHomForm, gaussian
@@ -69,10 +73,24 @@ def test_add_scaled_without_factor_multiplies_nothing():
 
 # -- the vector base ----------------------------------------------------------
 
-SUBCLASSES = (AlgElement, TensorElement, FormElement, HomForm, MatForm, MatHomForm)
+SUBCLASSES = (
+    AlgElement,
+    TensorElement,
+    FormElement,
+    HomForm,
+    BHomForm,
+    MatElement,
+    MatForm,
+    MatHomForm,
+)
 
 
-def _cases(sl2, qplane, spec):
+@pytest.fixture(scope="module")
+def sphere(sl2_3d_calc):
+    return SphereData(sl2_3d_calc)
+
+
+def _cases(sl2, qplane, spec, sphere):
     """Per class: x and y of one space, z of the class in another space,
     the class's mismatch error, and a foreign operand."""
     q = sl2.context.parameter("q")
@@ -105,6 +123,20 @@ def _cases(sl2, qplane, spec):
             DegreeMismatch,
             5,
         ),
+        BHomForm: (
+            sphere.plus_dual(0) + sphere.minus_dual(1) * (b * c),
+            sphere.minus_dual(2),
+            sphere.top_dual(),
+            DegreeMismatch,
+            a,
+        ),
+        MatElement: (
+            m,
+            n,
+            MatElement([[1, 0, 0], [0, gaussian(0, 1), 0], [0, 0, 2]]),
+            ValueError,
+            pauli.one_form(0),
+        ),
         MatForm: (
             pauli.one_form(0, m) + pauli.one_form(2, n),
             pauli.one_form(0, n),
@@ -123,8 +155,8 @@ def _cases(sl2, qplane, spec):
 
 
 @pytest.mark.parametrize("cls", SUBCLASSES, ids=lambda cls: cls.__name__)
-def test_group_laws_and_mismatches(cls, sl2, qplane, sl2_3d_calc):
-    x, y, z, error, foreign = _cases(sl2, qplane, sl2_3d_calc)[cls]
+def test_group_laws_and_mismatches(cls, sl2, qplane, sl2_3d_calc, sphere):
+    x, y, z, error, foreign = _cases(sl2, qplane, sl2_3d_calc, sphere)[cls]
     assert all(isinstance(v, cls) for v in (x, y, z))
     assert x and y and not x.is_zero()
     zero = x - x
@@ -151,6 +183,18 @@ def test_group_laws_and_mismatches(cls, sl2, qplane, sl2_3d_calc):
     assert x != foreign
 
 
+def _package_vector_classes():
+    """Every SparseVector subclass defined in the package, once all of its
+    modules are imported."""
+    for info in pkgutil.iter_modules(intforms.__path__):
+        if not info.name.startswith("_"):
+            importlib.import_module(f"intforms.{info.name}")
+    return [
+        cls for cls in SparseVector.__subclasses__()
+        if cls.__module__.startswith("intforms.")
+    ]
+
+
 def test_subclasses_keep_to_the_two_hooks():
     """No vector class re-implements what the base provides."""
     provided = {
@@ -158,8 +202,9 @@ def test_subclasses_keep_to_the_two_hooks():
         if callable(value) or value is None
     }
     assert {"__add__", "__sub__", "__neg__", "__eq__", "__bool__", "is_zero"} <= provided
-    for cls in SUBCLASSES:
-        assert issubclass(cls, SparseVector)
+    classes = _package_vector_classes()
+    assert set(SUBCLASSES) <= set(classes)
+    for cls in classes:
         assert not provided & set(vars(cls)), cls.__name__
         assert {"_mate", "_like"} <= set(vars(cls)), cls.__name__
         assert "terms" not in cls.__slots__
