@@ -1,8 +1,9 @@
 """Sparse exact linear algebra over the package's field scalars.
 
 Rows and vectors are plain dicts mapping column labels to nonzero field
-elements (anything with +, -, *, / and truthiness: rational functions,
-Gaussian rationals, Fractions).  Elimination keeps a reduced row-echelon
+elements: anything exact with +, -, *, / and truthiness, such as the
+rational functions of `scalars`, the Gaussian rationals of `gaussians` or
+Fractions.  Elimination keeps a reduced row-echelon
 basis incrementally, so solving, ranks, and canonical representatives
 modulo a row space all come from the same pivot table.
 

@@ -6,18 +6,19 @@ dimensional over exact Gaussian rationals: the Koszul differential, the
 hom-connection with its trace integral, the curvature formula, and the
 chain maps identifying the de Rham complex with the complex of integral
 forms.  Matrices are sparse vectors holding only their nonzero entries,
-and every scalar factor is applied on the right of a matrix.  The
-two-by-two case is the certified preset; nothing below assumes it except
-the tests.
+which are `gaussians.Gaussian` values, and every scalar factor is applied
+on the right of a matrix.  Entries and factors must be ints, Fractions or
+Gaussians; anything else raises TypeError.  The two-by-two case is the
+certified preset; nothing below assumes it except the tests.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from sympy.polys.domains import QQ_I
-
 from .dga import DegreeOverflow
+from .gaussians import I as I_UNIT
+from .gaussians import Gaussian, gaussian
 from .linalg import LinearSystem
 from .report import CheckReport
 from .sparse import SparseVector, add_scaled
@@ -42,28 +43,18 @@ __all__ = [
     "trace_integral",
 ]
 
-I_UNIT = QQ_I(0, 1)
-
-
-def gaussian(re, im=0):
-    """Exact Gaussian-rational scalar."""
-    return QQ_I(re, im)
+ZERO, ONE = Gaussian(0), Gaussian(1)
 
 
 class NotClosed(ValueError):
     pass
 
 
-def _scalar(value):
-    return value if isinstance(value, type(QQ_I.zero)) else QQ_I.convert(value)
-
-
 class MatElement(SparseVector):
     """Square matrix with exact Gaussian-rational entries.
 
     `terms` maps (row, column) to each nonzero entry.  Scalars are applied
-    on the right, `m * c`: a Gaussian rational on the left first tries to
-    convert the matrix and only then hands over to `__rmul__`.
+    on the right, `m * c`; `c * m` gives the same, as scalars commute.
     """
 
     __slots__ = ("n",)
@@ -73,10 +64,11 @@ class MatElement(SparseVector):
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix entries must be square")
         self.n = len(rows)
+        # convert before testing, so that a float zero is refused too
         self.terms = {
-            (r, s): _scalar(v)
+            (r, s): v
             for r, row in enumerate(rows)
-            for s, v in enumerate(row)
+            for s, v in enumerate(map(gaussian, row))
             if v
         }
 
@@ -93,17 +85,17 @@ class MatElement(SparseVector):
 
     @classmethod
     def identity(cls, n):
-        return cls._sparse(n, {(r, r): QQ_I.one for r in range(n)})
+        return cls._sparse(n, {(r, r): ONE for r in range(n)})
 
     @classmethod
     def unit(cls, n, r, s):
-        return cls._sparse(n, {(r, s): QQ_I.one})
+        return cls._sparse(n, {(r, s): ONE})
 
     def entry(self, r, s):
-        return self.terms.get((r, s), QQ_I.zero)
+        return self.terms.get((r, s), ZERO)
 
     def trace(self):
-        total = QQ_I.zero
+        total = ZERO
         for r in range(self.n):
             total = total + self.entry(r, r)
         return total
@@ -133,10 +125,10 @@ class MatElement(SparseVector):
             return self._like(
                 {(r, s): v for r, row in out.items() for s, v in row.items()}
             )
-        return self._scaled(_scalar(other))
+        return self._scaled(gaussian(other))
 
     def __rmul__(self, other):
-        return self._scaled(_scalar(other))
+        return self._scaled(gaussian(other))
 
     def __str__(self):
         rows = (
@@ -221,7 +213,7 @@ def structure_constants(basis):
             system.add(coeffs, rhs)
     if system.rank() != N:
         raise NotClosed("basis matrices are linearly dependent")
-    c = [[[QQ_I.zero] * N for _ in range(N)] for _ in range(N)]
+    c = [[[ZERO] * N for _ in range(N)] for _ in range(N)]
     for (i, j), target in targets.items():
         solution = system.solve((i, j))
         if solution is None:
@@ -319,7 +311,7 @@ class MatForm(SparseVector):
                         add_scaled(coords, {word: a * b if sign > 0 else -(a * b)})
             return MatForm(self.basis, degree, coords)
         if not isinstance(other, MatElement):
-            other = _scalar(other)
+            other = gaussian(other)
         return self._like({w: v * other for w, v in self.terms.items()})
 
     def __rmul__(self, other):
@@ -437,7 +429,7 @@ class MatHomForm(SparseVector):
             }
             return MatHomForm(self.basis, left, values)
         if not isinstance(other, MatElement):
-            other = _scalar(other)
+            other = gaussian(other)
         return self._like({w: v * other for w, v in self.terms.items()})
 
     def __str__(self):
@@ -504,7 +496,7 @@ def curvature_mn(basis, f):
     if not isinstance(f, MatHomForm) or f.degree != 2:
         raise DegreeOverflow("curvature eats two-form functionals")
     c = basis.constants()
-    half = QQ_I.one / QQ_I(2, 0)
+    half = Gaussian(1, 0, 2)
     total = MatElement.zero(basis.n)
     scalar_one = MatElement.identity(basis.n)
     for i in range(basis.N):

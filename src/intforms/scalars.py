@@ -7,26 +7,31 @@ one of two forms:
 * a Laurent polynomial -- a dict from exponent tuples (negative exponents
   allowed) to nonzero int or Fraction coefficients -- whenever its reduced
   denominator is a monomial;
-* an element of sympy's fraction field ZZ(params), only for a true rational
-  function, whose reduced denominator has at least two terms.
+* a reduced fraction (numer, denom) of polynomials over Z -- dicts from
+  exponent tuples without negative entries to nonzero ints -- only for a
+  true rational function, whose reduced denominator has at least two terms.
 
 Sums, products, integer powers and division by a monomial of Laurent values
-stay in the dict and never call sympy.  Division by a non-monomial and
-anything involving a true rational function go through the field, and a
-field result whose denominator is a monomial goes back to the dict.  So each
-value has one representation, and equality is equality of canonical forms.
-The matrix-algebra calculus uses sympy's Gaussian rationals QQ_I instead.
-There are no floats anywhere and no tolerance knobs.
+stay in the dict.  Division by a non-monomial and anything involving a true
+rational function work on fractions, with Henrici's cross-cancelled products
+and sums.  Their polynomial gcds over Z take the primitive PRS method
+(Knuth, TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971).  A gcd with a
+monomial side is a monomial times an integer gcd, and one whose images
+modulo a prime are coprime is 1 times the gcd of the contents; neither
+runs the PRS.  A fraction whose reduced denominator is a monomial goes back
+to the dict.  Reduced is the canonical
+form of sympy's fraction field ZZ(params): numerator and denominator share
+no factor, integer content included, and the leading coefficient of the
+denominator under grlex is positive.  So each value has one representation,
+and equality is equality of canonical forms.  There are no floats anywhere
+and no tolerance knobs.
 """
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, neg, sub
-
-from sympy import ZZ, grlex
-from sympy.polys.fields import field as _fraction_field
 
 
 class PoleAtAssignment(ArithmeticError):
@@ -47,17 +52,13 @@ class ScalarContext:
     """A fixed tuple of commuting parameters, e.g. ("q",) or ("q", "p").
 
     Values from different contexts never mix; arithmetic between them raises
-    ValueError.  True rational functions live in the field ZZ(params) with
-    deglex monomial order, so reduced fractions have gcd-free
-    numerator/denominator and a denominator whose leading coefficient is
-    positive.
+    ValueError.
     """
 
     def __init__(self, parameters=()):
         names = tuple(parameters)
         _check_names(names)
         self.parameters = names
-        self._field = _fraction_field(list(names), ZZ, grlex)[0]
         self._unit = (0,) * len(names)
         self.zero = ScalarRF(self, {})
         self.one = ScalarRF(self, {self._unit: 1})
@@ -96,44 +97,41 @@ class ScalarContext:
     def _constant(self, value):
         return {self._unit: _reduce(value)} if value else {}
 
-    def _to_field(self, terms):
-        # numerator and denominator are already reduced and hold no zeros
-        poly, integer = self._field.ring.dtype, ZZ.dtype
-        shift, den = denominator = _denominator(terms, self._unit)
-        numer = {exps: integer(c) for exps, c in _numerator(terms, denominator)}
-        return self._field.raw_new(poly(numer), poly({shift: integer(den)}))
-
-    def _from_field(self, ex):
-        # back to the dict when the reduced denominator is a monomial
-        denom = ex.denom
-        if len(denom) != 1:
-            return ScalarRF(self, None, ex)
-        ((shift, den),) = denom.items()
-        den = int(den)
-        return ScalarRF(
-            self,
-            {
-                tuple(map(sub, exps, shift)): _reduce(Fraction(int(c), den))
-                for exps, c in ex.numer.items()
-            },
-        )
+    def _from_fraction(self, numer, denom):
+        # the value of a coprime fraction: back to the dict when the
+        # denominator is a monomial, else with its sign normalised
+        if not numer:
+            return self.zero
+        if len(denom) == 1:
+            ((shift, den),) = denom.items()
+            return ScalarRF(
+                self,
+                {
+                    tuple(map(sub, exps, shift)): _reduce(Fraction(c, den))
+                    for exps, c in numer.items()
+                },
+            )
+        if denom[max(denom, key=_grlex)] < 0:
+            numer, denom = _neg(numer), _neg(denom)
+        return ScalarRF(self, None, (numer, denom))
 
 
 class ScalarRF:
     """Reduced rational function with exact arithmetic.
 
-    Exactly one of `_terms` and `_ex` is set.  `_terms` is the Laurent dict
-    {exponent tuple: nonzero int or Fraction} when the reduced denominator
-    is a monomial; otherwise `_ex` is the sympy fraction-field element.
-    Constants are Laurent values and hash like the equal int or Fraction.
+    Exactly one of `_terms` and `_frac` is set.  `_terms` is the Laurent
+    dict {exponent tuple: nonzero int or Fraction} when the reduced
+    denominator is a monomial; otherwise `_frac` is the reduced pair
+    (numer, denom) of {exponent tuple: nonzero int} polynomials.  Constants
+    are Laurent values and hash like the equal int or Fraction.
     """
 
-    __slots__ = ("context", "_terms", "_ex")
+    __slots__ = ("context", "_terms", "_frac")
 
-    def __init__(self, context, terms, ex=None):
+    def __init__(self, context, terms, frac=None):
         self.context = context
         self._terms = terms
-        self._ex = ex
+        self._frac = frac
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -148,10 +146,12 @@ class ScalarRF:
             return ScalarRF(self.context, self.context._constant(other))
         return None
 
-    def _field_value(self):
-        if self._ex is not None:
-            return self._ex
-        return self.context._to_field(self._terms)
+    def _fraction(self):
+        if self._frac is not None:
+            return self._frac
+        # a Laurent dict over its reduced monomial denominator
+        shift, den = denominator = _denominator(self._terms, self.context._unit)
+        return dict(_numerator(self._terms, denominator)), {shift: den}
 
     def __add__(self, other):
         other = self._operand(other)
@@ -159,7 +159,7 @@ class ScalarRF:
             return NotImplemented
         if self._terms is not None and other._terms is not None:
             return ScalarRF(self.context, _add(self._terms, other._terms))
-        return _via_field(add, self, other)
+        return _rational(_fraction_add, self, other)
 
     __radd__ = __add__
 
@@ -169,7 +169,7 @@ class ScalarRF:
             return NotImplemented
         if self._terms is not None and other._terms is not None:
             return ScalarRF(self.context, _add(self._terms, _neg(other._terms)))
-        return _via_field(sub, self, other)
+        return _rational(_fraction_sub, self, other)
 
     def __rsub__(self, other):
         other = self._operand(other)
@@ -177,7 +177,7 @@ class ScalarRF:
             return NotImplemented
         if self._terms is not None and other._terms is not None:
             return ScalarRF(self.context, _add(other._terms, _neg(self._terms)))
-        return _via_field(sub, other, self)
+        return _rational(_fraction_sub, other, self)
 
     def __mul__(self, other):
         other = self._operand(other)
@@ -185,7 +185,7 @@ class ScalarRF:
             return NotImplemented
         if self._terms is not None and other._terms is not None:
             return ScalarRF(self.context, _mul(self._terms, other._terms))
-        return _via_field(operator.mul, self, other)
+        return _rational(_fraction_mul, self, other)
 
     __rmul__ = __mul__
 
@@ -213,30 +213,30 @@ class ScalarRF:
             return ScalarRF(self.context, _monomial_power(exps, coeff, n))
         if terms is not None and n > 0:
             return ScalarRF(self.context, _power(terms, n))
-        # sympy's negative powers leave the denominator's sign as it falls,
-        # so invert by field division, which normalises it
-        base = self._field_value()
+        # powers of a coprime pair stay coprime; inverting may flip the sign
+        numer, denom = self._fraction()
         if n < 0:
-            base, n = self.context._field.one / base, -n
-        return self.context._from_field(base**n)
+            numer, denom, n = denom, numer, -n
+        return self.context._from_fraction(_power(numer, n), _power(denom, n))
 
     def __neg__(self):
         if self._terms is None:
-            return ScalarRF(self.context, None, -self._ex)
+            numer, denom = self._frac
+            return ScalarRF(self.context, None, (_neg(numer), denom))
         return ScalarRF(self.context, _neg(self._terms))
 
     def __bool__(self):
-        return self._ex is not None or bool(self._terms)
+        return self._frac is not None or bool(self._terms)
 
     def is_zero(self):
-        return not self._terms and self._ex is None
+        return not self._terms and self._frac is None
 
     def __eq__(self, other):
         if isinstance(other, ScalarRF):
             if self.context is not other.context:
                 return False
             if self._terms is None:
-                return other._terms is None and self._ex == other._ex
+                return other._terms is None and self._frac == other._frac
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self._terms == self.context._constant(other)
@@ -246,7 +246,8 @@ class ScalarRF:
         # constants equal ints and Fractions, so they must hash like them
         terms = self._terms
         if terms is None:
-            return hash(self._ex)
+            numer, denom = self._frac
+            return hash((frozenset(numer.items()), frozenset(denom.items())))
         if not terms:
             return hash(0)
         if len(terms) == 1:
@@ -263,12 +264,13 @@ class ScalarRF:
 
     def denom_terms(self):
         if self._terms is None:
-            return _poly_terms(self._ex.denom)
+            return _sorted_terms(list(self._frac[1].items()))
         return [_denominator(self._terms, self.context._unit)]
 
     def _fraction_terms(self):
         if self._terms is None:
-            return _poly_terms(self._ex.numer), _poly_terms(self._ex.denom)
+            numer, denom = self._frac
+            return _sorted_terms(list(numer.items())), _sorted_terms(list(denom.items()))
         denominator = _denominator(self._terms, self.context._unit)
         return _sorted_terms(_numerator(self._terms, denominator)), [denominator]
 
@@ -284,10 +286,11 @@ class ScalarRF:
                 raise KeyError(f"no value for parameter {name!r}")
             values.append(Fraction(_exact(assignment[name])))
         if self._terms is None:
-            den = _eval_terms(self._ex.denom.items(), values)
+            numer, denom = self._frac
+            den = _eval_terms(denom.items(), values)
             if den == 0:
                 raise PoleAtAssignment(f"denominator vanishes at {assignment!r}")
-            return _eval_terms(self._ex.numer.items(), values) / den
+            return _eval_terms(numer.items(), values) / den
         for exps in self._terms:
             if any(e < 0 and v == 0 for e, v in zip(exps, values)):
                 raise PoleAtAssignment(f"denominator vanishes at {assignment!r}")
@@ -310,8 +313,8 @@ class ScalarRF:
         return f"<ScalarRF {self}>"
 
 
-def _via_field(op, left, right):
-    return left.context._from_field(op(left._field_value(), right._field_value()))
+def _rational(op, left, right):
+    return left.context._from_fraction(*op(left._fraction(), right._fraction()))
 
 
 def _divide(left, right):
@@ -321,7 +324,8 @@ def _divide(left, right):
     if a is not None and b is not None and len(b) == 1:
         ((exps, coeff),) = b.items()
         return ScalarRF(left.context, _mul(a, _monomial_power(exps, coeff, -1)))
-    return _via_field(operator.truediv, left, right)
+    numer, denom = right._fraction()
+    return left.context._from_fraction(*_fraction_mul(left._fraction(), (denom, numer)))
 
 
 # -- Laurent dicts ------------------------------------------------------------
@@ -399,7 +403,7 @@ def _denominator(terms, unit):
 
     It is the least common denominator of the coefficients times the
     monomial that clears the negative exponents; with the numerator below,
-    no integer or parameter divides both parts, as in sympy's reduced form.
+    no integer or parameter divides both parts.
     """
     low, den = unit, 1
     for exps, coeff in terms.items():
@@ -419,17 +423,215 @@ def _numerator(terms, denominator):
     ]
 
 
+# -- fractions of polynomials over Z ------------------------------------------
+# A polynomial is a dict {exponent tuple without negative entries: nonzero
+# int}; a fraction is a pair (numer, denom) of them, coprime including the
+# integer content.  Signs are left as they fall until `_from_fraction`.
+
+
+def _fraction_mul(a, b):
+    # Henrici: cancel across, so the product of the reduced cofactors is reduced
+    (n1, d1), (n2, d2) = a, b
+    g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
+    return (
+        _mul(_divexact(n1, g1), _divexact(n2, g2)),
+        _mul(_divexact(d1, g2), _divexact(d2, g1)),
+    )
+
+
+def _fraction_add(a, b):
+    # Henrici: over d1*d2/g with g = gcd(d1, d2), only g can share a factor
+    # with the numerator
+    (n1, d1), (n2, d2) = a, b
+    g = _gcd(d1, d2)
+    e1, e2 = _divexact(d1, g), _divexact(d2, g)
+    numer = _add(_mul(n1, e2), _mul(n2, e1))
+    h = _gcd(numer, g)
+    return _divexact(numer, h), _mul(e1, _divexact(d2, h))
+
+
+def _fraction_sub(a, b):
+    numer, denom = b
+    return _fraction_add(a, (_neg(numer), denom))
+
+
+def _gcd(f, g):
+    """The gcd over Z of f and g, with a positive leading coefficient."""
+    if not f:
+        out = g
+    elif not g or f == g:
+        out = f
+    else:
+        out = _prs_gcd(f, g, 0)
+    if out and out[max(out, key=_grlex)] < 0:
+        return _neg(out)
+    return out
+
+
+def _prs_gcd(f, g, k):
+    # f and g are nonzero and hold no variable before the k-th.  As
+    # polynomials in variable k over Z[later variables], gcd = gcd of the
+    # contents times gcd of the primitive parts, and the latter is the last
+    # nonzero pseudo-remainder of the primitive PRS, made primitive.
+    if len(f) == 1 or len(g) == 1:
+        return _monomial_gcd(f, g)
+    a, b = _split(f, k), _split(g, k)
+    content_a, content_b = _content(a, k), _content(b, k)
+    content = _prs_gcd(content_a, content_b, k + 1)
+    a, b = _primitive(a, content_a), _primitive(b, content_b)
+    if max(a) < max(b):
+        a, b = b, a
+    if max(b) and _coprime_images(a, b):
+        return content
+    while max(b):
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return _mul(content, _join(b, k))
+        a, b = b, _primitive(r, _content(r, k))
+    return content  # the primitive parts are coprime
+
+
+# Images modulo a prime, with every variable after the main one at a fixed
+# point.  A common factor of two polynomials maps to a common factor of
+# their images, of the same degree in the main variable when a leading
+# coefficient stays nonzero; so coprime images settle that the primitive
+# parts are coprime, and the PRS, whose pseudo-remainders swell on large
+# coprime inputs, runs only where a factor may be shared.
+_PRIME = 2**31 - 1
+_POINTS = (1009, 2003, 3001, 4001, 5003, 6007)
+
+
+def _coprime_images(a, b):
+    images = []
+    for coeffs in (a, b):
+        image = [0] * (max(coeffs) + 1)
+        for degree, poly in coeffs.items():
+            image[degree] = _image(poly)
+        if not image[-1]:
+            return False  # the point is a zero of the leading coefficient
+        images.append(image)
+    f, g = images
+    while len(g) > 1:
+        inverse = pow(g[-1], -1, _PRIME)
+        while len(f) >= len(g):
+            factor = f[-1] * inverse % _PRIME
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - factor * c) % _PRIME
+            while f and not f[-1]:
+                f.pop()
+        if not f:
+            return False
+        f, g = g, f
+    return True
+
+
+def _image(poly):
+    total = 0
+    for exps, coeff in poly.items():
+        for point, e in zip(_POINTS, exps):
+            if e:
+                coeff = coeff * pow(point, e, _PRIME)
+        total += coeff
+    return total % _PRIME
+
+
+def _monomial_gcd(f, g):
+    # one side is a single term: the gcd is the monomial of the least
+    # exponents times the gcd of all integer coefficients
+    low, content = None, 0
+    for poly in (f, g):
+        for exps, coeff in poly.items():
+            low = exps if low is None else tuple(map(min, low, exps))
+            content = gcd(content, coeff)
+    return {low: content}
+
+
+def _split(f, k):
+    # {degree in variable k: coefficient polynomial without variable k}
+    out = {}
+    for exps, coeff in f.items():
+        out.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1 :]] = coeff
+    return out
+
+
+def _join(coeffs, k):
+    return {
+        exps[:k] + (degree,) + exps[k + 1 :]: coeff
+        for degree, poly in coeffs.items()
+        for exps, coeff in poly.items()
+    }
+
+
+def _content(coeffs, k):
+    # gcd of the coefficients of a polynomial split at variable k
+    polys = sorted(coeffs.values(), key=len)
+    out = polys[0]
+    for poly in polys[1:]:
+        out = _prs_gcd(out, poly, k + 1)
+    return out
+
+
+def _primitive(coeffs, content):
+    return {degree: _divexact(poly, content) for degree, poly in coeffs.items()}
+
+
+def _pseudo_remainder(a, b):
+    # the remainder of lc(b)^e * a by b in the main variable, where each
+    # reduction step multiplies by lc(b) once; only its primitive part is
+    # used, so the further power of lc(b) in prem proper is left out
+    top = max(b)
+    lead = b[top]
+    rest = {degree: poly for degree, poly in b.items() if degree != top}
+    r = dict(a)
+    while r:
+        degree = max(r)
+        if degree < top:
+            break
+        factor = _neg(r.pop(degree))
+        r = {d: _mul(poly, lead) for d, poly in r.items()}
+        for d, poly in rest.items():
+            d += degree - top
+            total = _add(r.get(d, {}), _mul(poly, factor))
+            if total:
+                r[d] = total
+            else:
+                r.pop(d, None)
+    return r
+
+
+def _divexact(f, g):
+    """The quotient f / g of polynomials over Z, where g divides f."""
+    if len(g) == 1:
+        ((shift, den),) = g.items()
+        if den == 1 and not any(shift):
+            return f
+        return {tuple(map(sub, exps, shift)): coeff // den for exps, coeff in f.items()}
+    lead = max(g, key=_grlex)
+    lead_coeff = g[lead]
+    quotient = {}
+    while f:
+        top = max(f, key=_grlex)
+        coeff, remainder = divmod(f[top], lead_coeff)
+        shift = tuple(map(sub, top, lead))
+        if remainder or any(e < 0 for e in shift):
+            raise ArithmeticError("polynomial division is not exact")
+        quotient[shift] = coeff
+        f = _add(f, {tuple(map(add, shift, e)): -coeff * c for e, c in g.items()})
+    return quotient
+
+
 def _sorted_terms(terms):
-    # deglex descending: total degree first, ties by exponent tuple.
-    terms.sort(key=_deglex, reverse=True)
+    # grlex descending: total degree first, ties by exponent tuple.
+    terms.sort(key=_grlex_term, reverse=True)
     return terms
 
 
-def _poly_terms(poly):
-    return _sorted_terms([(exps, int(coeff)) for exps, coeff in poly.items()])
+def _grlex(exps):
+    return sum(exps), exps
 
 
-def _deglex(term):
+def _grlex_term(term):
     return sum(term[0]), term[0]
 
 

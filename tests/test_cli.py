@@ -142,20 +142,63 @@ def test_file_target_passes_like_the_preset(capsys, tmp_path):
     assert "plane" in out
 
 
-def test_module_entry_point():
+def _child_env():
     # the child finds the package where this process found it, also when
     # pytest put the source tree on sys.path rather than on PYTHONPATH
     src = str(Path(intforms.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "intforms", "preset", "list"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "qplane" in proc.stdout
+
+
+NO_SYMPY = """
+import contextlib, io, sys
+
+class NoSympy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "sympy" or name.startswith("sympy."):
+            raise ImportError(f"sympy is a test-only dependency: {name}")
+
+sys.meta_path.insert(0, NoSympy())
+from intforms.cli import main
+
+FAST = FAST_FLAGS
+for argv in (
+    ["verify", "preset:qplane", *FAST],
+    ["verify", "preset:sl2-3d", *FAST],
+    ["sphere", "verify", *FAST],
+    ["matrix", "verify", *FAST],
+    ["preset", "list"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    assert status == 0, (argv, status)
+assert "sympy" not in sys.modules, "sympy was imported"
+print("ok")
+"""
+
+
+def test_runs_without_sympy():
+    # sympy is only the tests' oracle: every command runs with it unimportable
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY.replace("FAST_FLAGS", repr(FAST))],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Rational, grlex, symbols
 from sympy.polys.fields import field
+from sympy.polys.rings import ring
 
+from intforms import scalars
 from intforms.scalars import PoleAtAssignment, ScalarContext, ScalarRF
 
 
@@ -225,7 +227,7 @@ def test_equal_scalars_hash_equally(qpctx, data):
 
 
 def _is_laurent(s):
-    return s._ex is None and isinstance(s._terms, dict)
+    return s._frac is None and isinstance(s._terms, dict)
 
 
 def test_monomial_denominators_are_held_as_laurent_dicts(qctx, qpctx):
@@ -289,12 +291,36 @@ def paired_scalars(draw, ctx):
             f = f + _FIELD(c.numerator) / c.denominator * _Q**a * _P**b
         return s, f
 
+    def mixed():
+        # at least two terms, and both q and p occur
+        s, f = ctx.zero, _FIELD.zero
+        terms = draw(st.lists(_polynomial_terms, min_size=2, max_size=3, unique_by=lambda t: t[1:]))
+        assume(any(a for _, a, _ in terms) and any(b for _, _, b in terms))
+        for c, a, b in terms:
+            s = s + c * ctx.parameter("q") ** a * ctx.parameter("p") ** b
+            f = f + c * _Q**a * _P**b
+        return s, f
+
+    shape = draw(st.sampled_from(("laurent", "quotient", "mixed")))
     s, f = laurent(0)
-    if draw(st.booleans()):
+    if shape == "quotient":
         d, g = laurent(2)
         if g:
             s, f = s / d, f / g
+    elif shape == "mixed":
+        # numerator and denominator of at least two terms in both q and p,
+        # often with a common factor that has to cancel
+        (a, fa), (b, fb) = mixed(), mixed()
+        s, f = a / b, fa / fb
+        if draw(st.booleans()):
+            c, fc = mixed()
+            s, f = (a * c) / (b * c), (fa * fc) / (fb * fc)
     return s, f
+
+
+_polynomial_terms = st.tuples(
+    st.integers(-4, 4).filter(bool), st.integers(0, 2), st.integers(0, 2)
+)
 
 
 def _field_terms(poly):
@@ -302,13 +328,19 @@ def _field_terms(poly):
     return sorted(terms, key=lambda tc: (sum(tc[0]), tc[0]), reverse=True)
 
 
+def _int_poly(poly):
+    return {exps: int(c) for exps, c in poly.items()}
+
+
 def _assert_matches(s, f):
     ctx = s.context
     assert s.numer_terms() == _field_terms(f.numer)
     assert s.denom_terms() == _field_terms(f.denom)
-    # the fraction-field branch prints straight from sympy's reduced form
-    assert str(s) == str(ScalarRF(ctx, None, f))
+    # printing from sympy's reduced pair gives the same text
+    assert str(s) == str(ScalarRF(ctx, None, (_int_poly(f.numer), _int_poly(f.denom))))
     assert _is_laurent(s) == (len(f.denom) == 1)
+    if not _is_laurent(s):
+        assert s._frac == (_int_poly(f.numer), _int_poly(f.denom))
     assert s == ctx.parse(str(s))
 
 
@@ -374,3 +406,48 @@ def test_cancellation_into_and_out_of_the_field(qpctx):
     ]
     for s, f in pairs:
         _assert_matches(s, f)
+
+
+# -- the gcd against sympy's --------------------------------------------------
+
+_RING, _RQ, _RP = ring("q,p", ZZ, grlex)
+
+
+@st.composite
+def integer_polynomials(draw, min_size=0):
+    terms = draw(st.lists(_polynomial_terms, min_size=min_size, max_size=4))
+    poly = _RING.zero
+    for c, a, b in terms:
+        poly += c * _RQ**a * _RP**b
+    return poly
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_gcd_agrees_with_sympy(data):
+    common = data.draw(integer_polynomials(min_size=1))
+    f = data.draw(integer_polynomials()) * common
+    g = data.draw(integer_polynomials()) * common
+    assume(f or g)
+    h = scalars._gcd(_int_poly(f), _int_poly(g))
+    # sympy's gcd carries the full integer content, with its sign taken
+    # from the lex leading term; ours has a positive leading coefficient
+    # under grlex, the order of the fractions' canonical form
+    expected = f.gcd(g)
+    assert h in (_int_poly(expected), _int_poly(-expected))
+    assert h[max(h, key=lambda e: (sum(e), e))] > 0
+    # it divides both inputs, and the cofactors are coprime
+    cofactors = [scalars._divexact(_int_poly(x), h) for x in (f, g)]
+    for x, cofactor in zip((f, g), cofactors):
+        assert scalars._mul(cofactor, h) == _int_poly(x)
+    assert scalars._gcd(*cofactors) == {(0, 0): 1}
+
+
+def test_gcd_edge_cases():
+    q2, qp = {(2, 0): 1}, {(1, 1): 1}
+    assert scalars._gcd({}, {}) == {}
+    assert scalars._gcd({}, {(1, 0): -3, (0, 0): 6}) == {(1, 0): 3, (0, 0): -6}
+    assert scalars._gcd({(2, 1): -4}, {(3, 0): 6, (1, 2): 2}) == {(1, 0): 2}
+    assert scalars._gcd(q2, qp) == {(1, 0): 1}
+    with pytest.raises(ArithmeticError):
+        scalars._divexact({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1})
