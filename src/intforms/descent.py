@@ -25,7 +25,7 @@ from . import dga
 from .dga import FormElement
 from .homconn import DegreeMismatch
 from .ncalg import AlgElement, TensorElement, antipode, coproduct, zdegree
-from .parser import ParseError, parse_tensor
+from .parser import ParseError, parse_presentation_file, parse_tensor
 from .report import CheckReport
 from .sparse import SparseVector
 
@@ -37,7 +37,6 @@ __all__ = [
     "fhat_crosscheck",
     "nabla_coH",
     "nabla_coH_1",
-    "project_degree0",
     "psi",
     "psi_inv",
     "sphere_d",
@@ -53,13 +52,6 @@ class CrossCheckFailed(ValueError):
 
     Raised by ``fhat_crosscheck(...).raise_first(CrossCheckFailed)``.
     """
-
-
-def project_degree0(a):
-    """Degree-zero component of an element of the graded coordinate ring."""
-    pres = a.presentation
-    kept = {w: c for w, c in a.terms.items() if pres.word_degree(w) == 0}
-    return pres.element(kept)
 
 
 class SphereData:
@@ -413,25 +405,6 @@ class BHomForm(SparseVector):
         return f"<BHomForm degree {self.degree}: {self}>"
 
 
-def _fixture_sections(text):
-    sections = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError("unterminated section header", line=lineno)
-            current = line[1:-1].strip()
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            raise ParseError("fixture term before any [section]", line=lineno)
-        sections[current].append(line)
-    return sections
-
-
 def sphere_fixtures(presentation, filename="sphere.fixtures"):
     """Hand-expanded coproduct components shipped with the package.
 
@@ -444,13 +417,13 @@ def sphere_fixtures(presentation, filename="sphere.fixtures"):
         .read_text(encoding="utf-8")
     )
     out = {}
-    for name, lines in _fixture_sections(text).items():
+    for name, lines in parse_presentation_file(text, sections=None).items():
         head, _, key = name.partition(" ")
         if head != "coproduct" or not key:
             raise ParseError(f"unknown fixture section [{name}]")
         total = TensorElement(presentation, {})
-        for line in lines:
-            total = total + parse_tensor(presentation, line)
+        for lineno, term in lines:
+            total = total + parse_tensor(presentation, term, line=lineno)
         out[key] = total
     return out
 
@@ -549,29 +522,26 @@ def fhat_crosscheck(sphere, f, fixtures=None):
     """Play the two routes to the descended connection against each other.
 
     f may be a functional or an index into the dual basis.  The fixture
-    coproducts are reloaded and compared with the machine extension of the
-    Hopf data, the translation-map route is evaluated once with each, and
-    the written-out six-generator formula must agree with both.  Passing
-    fixtures overrides the shipped file and turns the comparison into a
-    control.
+    coproducts are compared with the machine extension of the Hopf data,
+    the translation-map route is evaluated once with each, and the
+    written-out six-generator formula must agree with both.  fixtures
+    defaults to the shipped file; callers checking many functionals load
+    it once with sphere_fixtures, and a corrupted copy turns the comparison
+    into a control.
     """
     if isinstance(f, int):
         f = sphere.dual_basis()[f]
-    pres = sphere.presentation
     if fixtures is None:
-        fixtures = sphere_fixtures(pres)
+        fixtures = sphere_fixtures(sphere.presentation)
     # both routes read f through the same dual-basis expansion, so a broken
     # weight cancels between them; the determinant identities catch it
     report = CheckReport(sphere.determinant_checks())
-    machine = {}
-    for key in ("alpha^2", "delta^2"):
-        g = pres.gen(key.partition("^")[0])
-        machine[key] = coproduct(pres, g * g)
-        ok = fixtures[key] == machine[key]
+    for key, machine in zip(("alpha^2", "delta^2"), sphere._sweedler_squares()):
+        ok = fixtures[key] == machine
         report.add(
             f"fixture coproduct of {key} matches the Hopf data",
             ok,
-            None if ok else f"{fixtures[key]} versus {machine[key]}",
+            None if ok else f"{fixtures[key]} versus {machine}",
         )
     via_fixtures = _nabla_from_letter_values(
         sphere, *_fhat_values(sphere, f, (fixtures["alpha^2"], fixtures["delta^2"]))

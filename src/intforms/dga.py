@@ -26,7 +26,6 @@ __all__ = [
     "check_d_squared",
     "check_density",
     "d",
-    "left_from_right",
     "mul",
     "right_mul",
 ]
@@ -363,13 +362,6 @@ def right_mul(spec, x, a):
         for w, c in _word_action(spec, word, a).items():
             add_scaled(coords, spec.reduce_word(w), cu * c)
     return FormElement(spec, x.degree, coords)
-
-
-def left_from_right(spec, a, form):
-    """Right coefficients of a*omega_i: entry j rides to the right of omega_j."""
-    i = spec.index(form)
-    bar = spec.tmd.sigma_bar
-    return tuple(bar.entry(j, i).apply(a) for j in range(spec.n))
 
 
 def right_coords(spec, a, word):

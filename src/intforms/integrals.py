@@ -267,10 +267,8 @@ class LadderDiagram:
         self.verticals = table
 
     def apply(self, k, omega):
-        """V_k on an element (k = 0) or a form of degree k."""
+        """V_k on a form of degree k >= 1."""
         spec = self.spec
-        if k == 0:
-            return self.verticals[0][()] * omega
         rights = {}
         for word, coeff in omega.terms.items():
             for e, r in dga.right_coords(spec, coeff, word).items():
@@ -308,26 +306,35 @@ def check_ladder(diagram, length_bound):
     top = spec.top_degree
     words = tuple(pres.normal_words(length_bound))
     report = CheckReport(squares=0)
-    for k in range(top):
+    ranks = []
+    for k in range(top + 1):
         sources = ((),) if k == 0 else spec.basis(k)
         level = top - k - 1
+        system = LinearSystem()
         for e in sources:
             for w in words:
                 a = pres.monomial(w)
+                # right-linearity: V_k(e*a) = V_k(e)*a, the square's lower
+                # leg and the vertical's matrix row at once
+                below = diagram.verticals[k][e] * a
+                vector = dict(below.terms) if k == top else _hom_vector(below)
+                for label in vector:
+                    u = label if k == top else label[1]
+                    if len(u) > length_bound:
+                        raise FiltrationViolated(
+                            f"vertical {k} escapes the window on "
+                            f"{pres.word_str(w)}"
+                        )
+                if vector:
+                    system.add(vector)
+                if k == top:
+                    continue
                 if k == 0:
-                    omega = a
                     d_omega = dga.d(spec, a)
                 else:
-                    omega = dga.right_mul(
-                        spec, spec.basis_form(e), a
-                    )
-                    d_omega = dga.d(spec, omega)
+                    d_omega = dga.d(spec, dga.right_mul(spec, spec.basis_form(e), a))
                 lhs = diagram.apply(k + 1, d_omega)
-                below = diagram.apply(k, omega)
-                if level == 0:
-                    rhs = nabla(spec, below)
-                else:
-                    rhs = nabla_n(spec, level, below)
+                rhs = nabla(spec, below) if level == 0 else nabla_n(spec, level, below)
                 report.counts["squares"] += 1
                 if lhs != rhs:
                     source = "1" if k == 0 else spec.word_str(e)
@@ -342,30 +349,9 @@ def check_ladder(diagram, length_bound):
                         lhs=lhs,
                         rhs=rhs,
                     )
-    for k in range(top + 1):
-        sources = ((),) if k == 0 else spec.basis(k)
         n_target = 1 if k == top else len(spec.basis(top - k))
-        system = LinearSystem()
-        for e in sources:
-            image = diagram.verticals[k][e]
-            for w in words:
-                value = image * pres.monomial(w)
-                if k == top:
-                    vector = dict(value.terms)
-                else:
-                    vector = _hom_vector(value)
-                for label in vector:
-                    u = label if k == top else label[1]
-                    if len(u) > length_bound:
-                        raise FiltrationViolated(
-                            f"vertical {k} escapes the window on "
-                            f"{pres.word_str(w)}"
-                        )
-                if vector:
-                    system.add(vector)
-        domain = len(sources) * len(words)
-        codomain = n_target * len(words)
-        rank = system.rank()
+        ranks.append((k, system.rank(), len(sources) * len(words), n_target * len(words)))
+    for k, rank, domain, codomain in ranks:
         report.add(
             f"vertical at level {k} has rank {rank}",
             rank == domain == codomain,

@@ -1,14 +1,24 @@
-"""Shared literal grammar and the presentation-file reader.
+"""Shared literal grammar and the sectioned-file reader.
 
-One tokenizer serves scalar literals, algebra elements, tensor terms, form
-expressions, and ladder rules.  Scalars: integers, declared parameters, ^ with
-(possibly negative) integer exponents, * / + - and parentheses.  Elements add
-generator names (nonnegative powers, concatenation in written order).  Form
-expressions add dot-joined form words; tensor terms join two elements with @.
+One tokenizer and one recursive-descent parser serve scalar literals,
+algebra elements, tensors, form expressions and ladder rules:
 
-Presentation files are ini-like: [section] headers, # comments, directive
-lines.  This module splits them into positioned raw directives; assembly into
-domain objects happens in presets.py.
+    sum       := term (('+' | '-') term)*
+    term      := product ['@' product]
+    product   := factor (('*' | '/') factor)*
+    factor    := '-' factor | atom ['^' ['-'] INT]
+    atom      := INT | parameter | generator | form_word
+               | 'dual' '(' form_word ')' | '(' sum ')'
+    form_word := FORM ('.' FORM)*
+
+Parentheses group scalars only, generators take nonnegative powers, and
+algebra coefficients precede the form word.  Every entry point parses one
+whole sum and then checks that each term has a kind it accepts: scalar,
+algebra, form, dual or tensor.
+
+Presentation and fixture files are ini-like: [section] headers, # comments,
+directive lines.  This module splits them into positioned raw directives;
+assembly into domain objects happens in presets.py and descent.py.
 """
 from __future__ import annotations
 
@@ -31,7 +41,7 @@ class _Token:
         self.col = col
 
 
-_PUNCT = ("->", "@", "^", "*", "+", "-", "/", "(", ")", ".", ",", "=", "[", "]", ":")
+_PUNCT = ("@", "^", "*", "+", "-", "/", "(", ")", ".")
 
 
 def tokenize(text, line=1, col_offset=0, literals=()):
@@ -85,23 +95,42 @@ def tokenize(text, line=1, col_offset=0, literals=()):
 
 
 class _Monomial:
-    """Intermediate product value: scalar coefficient, algebra word, form word."""
+    """One term: scalar coefficient, algebra word, form word, the right leg's
+    algebra word for a tensor term (None otherwise), and a mark for a
+    dual(...) atom.  `col` is where the term starts."""
 
-    __slots__ = ("coeff", "word", "form")
+    __slots__ = ("coeff", "word", "form", "right", "dual", "col")
 
-    def __init__(self, coeff, word=(), form=()):
+    def __init__(self, coeff, word=(), form=(), right=None, dual=False):
         self.coeff = coeff
         self.word = word
         self.form = form
+        self.right = right
+        self.dual = dual
+        self.col = None
+
+    def negated(self):
+        out = _Monomial(-self.coeff, self.word, self.form, self.right, self.dual)
+        out.col = self.col
+        return out
+
+    @property
+    def kind(self):
+        if self.right is not None:
+            return "tensor"
+        if self.dual:
+            return "dual"
+        if self.form:
+            return "form"
+        return "algebra" if self.word else "scalar"
 
 
 class _ExprParser:
-    def __init__(self, tokens, context, presentation=None, form_names=(), line=1):
+    def __init__(self, tokens, context, presentation=None, line=1):
         self.tokens = tokens
         self.pos = 0
         self.context = context
         self.presentation = presentation
-        self.form_names = set(form_names)
         self.line = line
 
     def peek(self):
@@ -121,19 +150,28 @@ class _ExprParser:
     def fail(self, message, tok, expected=None):
         raise ParseError(message, self.line, tok.col, expected=expected)
 
-    # expr := term (('+'|'-') term)*
+    # sum := term (('+'|'-') term)*
     def parse_sum(self):
         terms = [self.parse_term()]
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+            negate = self.next().kind == "-"
             term = self.parse_term()
-            if op == "-":
-                term = _Monomial(-term.coeff, term.word, term.form)
-            terms.append(term)
+            terms.append(term.negated() if negate else term)
         return terms
 
-    # term := factor (('*'|'/') factor)*
+    # term := product ['@' product]
     def parse_term(self):
+        col = self.peek().col
+        value = self.parse_product()
+        if self.peek().kind == "@":
+            self.next()
+            right = self.parse_product()
+            value = _Monomial(value.coeff * right.coeff, value.word, right=right.word)
+        value.col = col
+        return value
+
+    # product := factor (('*'|'/') factor)*
+    def parse_product(self):
         value = self.parse_factor()
         while self.peek().kind in ("*", "/"):
             op = self.next().kind
@@ -142,14 +180,19 @@ class _ExprParser:
             if op == "/":
                 if rhs.word or rhs.form:
                     self.fail("can only divide by a scalar", tok)
-                value = _Monomial(value.coeff / rhs.coeff, value.word, value.form)
+                value = _Monomial(
+                    value.coeff / rhs.coeff, value.word, value.form, dual=value.dual
+                )
             else:
                 if value.form and rhs.form:
                     self.fail("form words cannot be multiplied here", tok)
                 if value.form and rhs.word:
                     self.fail("algebra coefficients must precede the form word", tok)
                 value = _Monomial(
-                    value.coeff * rhs.coeff, value.word + rhs.word, value.form + rhs.form
+                    value.coeff * rhs.coeff,
+                    value.word + rhs.word,
+                    value.form + rhs.form,
+                    dual=value.dual or rhs.dual,
                 )
         return value
 
@@ -157,8 +200,7 @@ class _ExprParser:
     def parse_factor(self):
         if self.peek().kind == "-":
             self.next()
-            inner = self.parse_factor()
-            return _Monomial(-inner.coeff, inner.word, inner.form)
+            return self.parse_factor().negated()
         atom = self.parse_atom()
         if self.peek().kind == "^":
             self.next()
@@ -176,9 +218,11 @@ class _ExprParser:
                 if exp < 0:
                     self.fail("generators take nonnegative exponents", tok)
                 return _Monomial(atom.coeff, atom.word * exp if exp else ())
-            return _Monomial(atom.coeff ** exp, (), ())
+            return _Monomial(atom.coeff ** exp)
         return atom
 
+    # atom := INT | parameter | generator | form_word
+    #       | 'dual' '(' form_word ')' | '(' sum ')'
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "INT":
@@ -186,6 +230,14 @@ class _ExprParser:
         if tok.kind == "FORM":
             return _Monomial(self.context.one, (), self.parse_form_tail(tok.value))
         if tok.kind == "NAME":
+            if tok.value == "dual" and self.peek().kind == "(":
+                self.next()
+                first = self.next()
+                if first.kind != "FORM":
+                    self.fail("dual(...) needs a form word", first, expected="form name")
+                form = self.parse_form_tail(first.value)
+                self.expect(")")
+                return _Monomial(self.context.one, (), form, dual=True)
             if tok.value in self.context.parameters:
                 return _Monomial(self.context.parameter(tok.value))
             if self.presentation is not None:
@@ -200,12 +252,13 @@ class _ExprParser:
             self.expect(")")
             scalar = self.context.zero
             for t in terms:
-                if t.word or t.form:
+                if t.kind != "scalar":
                     self.fail("parentheses may only group scalars", tok)
                 scalar = scalar + t.coeff
             return _Monomial(scalar)
         self.fail(f"got {tok.value!r}", tok, expected="a scalar, name, or '('")
 
+    # form_word := FORM ('.' FORM)*
     def parse_form_tail(self, first):
         word = [first]
         while self.peek().kind == ".":
@@ -217,135 +270,71 @@ class _ExprParser:
         return tuple(word)
 
 
-def _finish(parser):
+def _terms(what, kinds, context, text, line, col_offset, presentation=None, form_names=()):
+    """The terms of `text` read as one whole sum, each checked to be of one
+    of `kinds`; `what` names the input in error messages."""
+    parser = _ExprParser(
+        tokenize(text, line, col_offset, literals=form_names), context, presentation, line
+    )
+    terms = parser.parse_sum()
     tok = parser.peek()
     if tok.kind != "EOF":
         parser.fail(f"trailing input {tok.value!r}", tok)
+    for t in terms:
+        if t.kind not in kinds:
+            raise ParseError(
+                f"{t.kind} term in {what}", line, t.col, expected=" or ".join(kinds) + " terms"
+            )
+    return terms
 
 
 def parse_scalar(context, text, line=1, col_offset=0):
-    parser = _ExprParser(tokenize(text, line, col_offset), context, line=line)
-    terms = parser.parse_sum()
-    _finish(parser)
     total = context.zero
-    for t in terms:
-        if t.word or t.form:
-            raise ParseError("scalar literal contains a non-scalar name", line, 1)
+    for t in _terms("a scalar literal", ("scalar",), context, text, line, col_offset):
         total = total + t.coeff
     return total
 
 
 def parse_element(presentation, text, line=1, col_offset=0):
-    parser = _ExprParser(
-        tokenize(text, line, col_offset), presentation.context, presentation, line=line
-    )
-    terms = parser.parse_sum()
-    _finish(parser)
+    ctx = presentation.context
+    kinds = ("scalar", "algebra")
     coeffs = {}
-    for t in terms:
-        if t.form:
-            raise ParseError("algebra element contains a form word", line, 1)
-        coeffs[t.word] = coeffs.get(t.word, presentation.context.zero) + t.coeff
+    for t in _terms("an algebra element", kinds, ctx, text, line, col_offset, presentation):
+        coeffs[t.word] = coeffs.get(t.word, ctx.zero) + t.coeff
     return presentation.element(coeffs)
 
 
 def parse_tensor(presentation, text, line=1, col_offset=0):
-    """Sum of `element @ element` terms."""
+    """Sum of `product @ product` terms."""
     from .ncalg import TensorElement
 
-    chunks = []
-    depth = 0
-    start = 0
-    sign = 1
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0 and _splittable(text, i):
-            chunks.append((sign, text[start:i], start))
-            sign, start = 1, i + 1
-        elif ch == "-" and depth == 0 and _splittable(text, i):
-            chunks.append((sign, text[start:i], start))
-            sign, start = -1, i + 1
-    chunks.append((sign, text[start:], start))
+    ctx = presentation.context
     out = TensorElement(presentation, {})
-    for sgn, chunk, offset in chunks:
-        if "@" not in chunk:
-            raise ParseError("tensor term lacks '@'", line, col_offset + offset + 1)
-        left_text, right_text = chunk.split("@", 1)
-        left = parse_element(presentation, left_text, line, col_offset + offset)
-        right = parse_element(
-            presentation, right_text, line, col_offset + offset + len(left_text) + 1
-        )
-        out = out + TensorElement.of(left, right, sgn)
+    for t in _terms("a tensor", ("tensor",), ctx, text, line, col_offset, presentation):
+        left, right = presentation.monomial(t.word), presentation.monomial(t.right)
+        out = out + TensorElement.of(left, right, t.coeff)
     return out
-
-
-def _splittable(text, i):
-    # a +/- at depth 0 splits terms unless it is a unary sign or an exponent sign
-    j = i - 1
-    while j >= 0 and text[j] in " \t":
-        j -= 1
-    if j < 0:
-        return False
-    return text[j] not in "^*/+-(@"
 
 
 def parse_form_terms(presentation, form_names, text, line=1, col_offset=0):
     """Parse into [(coefficient AlgElement, form word tuple)]; empty form
     words (pure algebra terms) are allowed and returned with word ()."""
-    parser = _ExprParser(
-        tokenize(text, line, col_offset, literals=form_names),
-        presentation.context,
-        presentation,
-        form_names,
-        line=line,
+    kinds = ("scalar", "algebra", "form")
+    terms = _terms(
+        "a form expression", kinds, presentation.context, text, line, col_offset,
+        presentation, form_names,
     )
-    terms = parser.parse_sum()
-    _finish(parser)
-    out = []
-    for t in terms:
-        coeff = presentation.element({t.word: t.coeff})
-        out.append((coeff, t.form))
-    return out
+    return [(presentation.element({t.word: t.coeff}), t.form) for t in terms]
 
 
 def parse_ladder_rhs(context, form_names, text, line=1, col_offset=0):
     """`scalar * dual(formword)` or `dual(formword)`; returns (scalar, word)."""
-    tokens = tokenize(text, line, col_offset, literals=form_names)
-    parser = _ExprParser(tokens, context, line=line)
-    coeff = context.one
-    # optional scalar prefix up to 'dual('
-    cut = None
-    for k, tok in enumerate(tokens):
-        if tok.kind == "NAME" and tok.value == "dual":
-            cut = k
-            break
-    if cut is None:
-        raise ParseError("ladder rule lacks dual(...)", line, col_offset + 1)
-    if cut > 0:
-        if tokens[cut - 1].kind != "*":
-            raise ParseError("scalar prefix must be joined with '*'", line, tokens[cut - 1].col)
-        prefix = _ExprParser(
-            tokens[: cut - 1] + [_Token("EOF", None, tokens[cut - 1].col)], context, line=line
-        )
-        terms = prefix.parse_sum()
-        _finish(prefix)
-        coeff = context.zero
-        for t in terms:
-            if t.word or t.form:
-                raise ParseError("ladder coefficient must be a scalar", line, tokens[0].col)
-            coeff = coeff + t.coeff
-    parser.pos = cut + 1
-    parser.expect("(")
-    tok = parser.next()
-    if tok.kind != "FORM":
-        raise ParseError("dual(...) needs a form word", line, tok.col, expected="form name")
-    word = parser.parse_form_tail(tok.value)
-    parser.expect(")")
-    _finish(parser)
-    return coeff, word
+    terms = _terms(
+        "a ladder rule", ("dual",), context, text, line, col_offset, form_names=form_names
+    )
+    if len(terms) > 1:
+        raise ParseError("a ladder rule has one dual(...) term", line, terms[1].col)
+    return terms[0].coeff, terms[0].form
 
 
 # -- presentation files -------------------------------------------------------
@@ -362,30 +351,32 @@ _SECTIONS = (
 )
 
 
-def parse_presentation_file(text):
-    """Split a presentation file into {section: [(lineno, directive text)]}.
+def parse_presentation_file(text, sections=_SECTIONS):
+    """Split a sectioned file into {header: [(lineno, directive text)]}.
 
-    Comments (# to end of line) and blank lines are dropped.  Unknown section
-    headers raise ParseError; directive semantics are checked by the builder.
+    Comments (# to end of line) and blank lines are dropped.  With the
+    default `sections` every presentation-file section is listed, empty or
+    not, and any other header raises ParseError; with None any header is
+    accepted and listed in file order.  Directive semantics are checked by
+    the caller.
     """
-    sections = {name: [] for name in _SECTIONS}
+    out = {name: [] for name in sections or ()}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        stripped = line.strip()
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
+        if line.startswith("["):
+            if not line.endswith("]"):
                 raise ParseError("unterminated section header", lineno, 1)
-            name = stripped[1:-1].strip()
-            if name not in _SECTIONS:
+            current = line[1:-1].strip()
+            if sections is not None and current not in sections:
                 raise ParseError(
-                    f"unknown section [{name}]", lineno, 1, expected="|".join(_SECTIONS)
+                    f"unknown section [{current}]", lineno, 1, expected="|".join(sections)
                 )
-            current = name
+            out.setdefault(current, [])
             continue
         if current is None:
             raise ParseError("directive before any [section]", lineno, 1)
-        sections[current].append((lineno, stripped))
-    return sections
+        out[current].append((lineno, line))
+    return out

@@ -35,7 +35,6 @@ __all__ = [
     "CalcBundle",
     "Preset",
     "REGISTRY",
-    "canonical_text",
     "get_preset",
     "load_calc",
     "preset_names",
@@ -45,12 +44,11 @@ __all__ = [
 class CalcBundle:
     """Everything one presentation file defines, ready to run."""
 
-    def __init__(self, presentation, tmd, spec, ladder, sections, source):
+    def __init__(self, presentation, tmd, spec, ladder, source):
         self.presentation = presentation
         self.tmd = tmd
         self.spec = spec
         self.ladder = ladder
-        self.sections = sections
         self.source = source
 
     def __repr__(self):
@@ -62,22 +60,6 @@ class CalcBundle:
         if self.ladder is not None:
             parts.append("ladder")
         return f"<CalcBundle {' + '.join(parts)}>"
-
-
-def canonical_text(sections):
-    """Render parsed sections back to the canonical file text.
-
-    The parser lists every section in file-format order, so the rendering
-    follows the order of the sections dict.
-    """
-    lines = []
-    for name, directives in sections.items():
-        if not directives:
-            continue
-        lines.append(f"[{name}]")
-        lines.extend(text for _, text in directives)
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _split_assign(rest, lineno, what):
@@ -355,7 +337,7 @@ def load_calc(text):
     ladder = None
     if spec is not None and sections["ladder"]:
         ladder = _build_ladder(sections, spec)
-    return CalcBundle(presentation, tmd, spec, ladder, sections, text)
+    return CalcBundle(presentation, tmd, spec, ladder, text)
 
 
 # -- registry ------------------------------------------------------------------

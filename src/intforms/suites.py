@@ -446,8 +446,9 @@ def _sphere_checks(sphere, opts):
     checks.append(("connection values on the six dual generators", dual_values))
 
     def crosscheck():
+        fixtures = sphere_fixtures(pres)
         for i in range(6):
-            report = fhat_crosscheck(sphere, i)
+            report = fhat_crosscheck(sphere, i, fixtures)
             if not report.ok:
                 return f"dual {i}: {report.first_failure()}"
         return None
@@ -505,10 +506,6 @@ def _sphere_checks(sphere, opts):
     return checks
 
 
-def _matrix_units(n):
-    return [MatElement.unit(n, r, s) for r in range(n) for s in range(n)]
-
-
 def _corrupted_constants(basis):
     plane = [[list(row) for row in p] for p in basis.constants()]
     plane[0][2][0] = plane[0][2][0] + 1
@@ -540,7 +537,7 @@ def _matrix_checks(basis, opts):
 
     def curvature():
         for word in basis.words(2):
-            for unit in _matrix_units(basis.n):
+            for unit in MatElement.units(basis.n):
                 f = MatHomForm(basis, 2, {word: unit})
                 direct = curvature_mn(basis, f)
                 composed = nabla_hom(basis, nabla_chain(basis, 1, f))
@@ -552,7 +549,7 @@ def _matrix_checks(basis, opts):
 
     def trace_kills():
         for l in range(basis.N):
-            for unit in _matrix_units(basis.n):
+            for unit in MatElement.units(basis.n):
                 value = trace_integral(nabla_mn(basis, [(l, unit)]))
                 if value:
                     return f"derivation {l}, unit {unit}: {value}"
@@ -561,7 +558,7 @@ def _matrix_checks(basis, opts):
     checks.append(("trace integral kills the connection image", trace_kills))
 
     def d_squared():
-        for unit in _matrix_units(basis.n):
+        for unit in MatElement.units(basis.n):
             if koszul_d(basis, koszul_d(basis, unit)):
                 return f"d^2 at {unit}"
             for l in range(basis.N):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
 
-from intforms import descent, dga
+from intforms import descent, dga, suites
 from intforms.descent import (
     BHomForm,
     CrossCheckFailed,
@@ -15,7 +16,6 @@ from intforms.descent import (
     fhat_crosscheck,
     nabla_coH,
     nabla_coH_1,
-    project_degree0,
     psi,
     psi_inv,
     sphere_d,
@@ -121,13 +121,6 @@ def test_module_generator_dictionary(sphere):
         )
     ):
         assert sphere.module_generators[k] == gens[index] * pres.scalar(scale), k
-
-
-def test_project_degree0(sl2):
-    alpha, beta, gamma, delta = corners(sl2)
-    assert project_degree0(alpha * beta) == alpha * beta
-    assert project_degree0(alpha) == sl2.zero
-    assert project_degree0(sl2.one + alpha + beta * gamma) == sl2.one + beta * gamma
 
 
 def test_values_must_be_invariant(sphere, sl2):
@@ -244,6 +237,25 @@ def test_crosscheck_dual_basis(sphere):
         report = fhat_crosscheck(sphere, i)
         assert report.ok, report.failures
     assert fhat_crosscheck(sphere, BHomForm.from_coordinates(sphere)).ok
+
+
+def test_suite_crosscheck_reads_its_inputs_once(monkeypatch, sl2_3d_calc):
+    # six duals share one fixture read and the two cached coproducts
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(suites, "sphere_fixtures", counted("fixtures", suites.sphere_fixtures))
+    monkeypatch.setattr(descent, "sphere_fixtures", counted("fixtures", descent.sphere_fixtures))
+    monkeypatch.setattr(descent, "coproduct", counted("coproduct", descent.coproduct))
+    checks = dict(suites._sphere_checks(SphereData(sl2_3d_calc), None))
+    assert checks["double route to the connection agrees on every dual"]() is None
+    assert calls == {"fixtures": 1, "coproduct": 2}
 
 
 def test_crosscheck_random_functionals(sphere):

@@ -84,34 +84,33 @@ def test_right_mul_higher_degree_iterates(qplane, qplane_calc):
 def test_left_from_right_quantum_plane(qplane, qplane_calc):
     p = qplane.context.parameter("p")
     x = qplane.gen("x")
-    comps = dga.left_from_right(qplane_calc, x, "dx")
-    assert comps[0] == x / p
-    assert comps[1].is_zero()
+    dx = qplane_calc.form_word("dx")
+    assert dga.right_coords(qplane_calc, x, dx) == {dx: x / p}
 
 
 def test_left_from_right_3d(sl2, sl2_3d_calc):
     q = sl2.context.parameter("q")
     alpha = sl2.gen("alpha")
-    comps = dga.left_from_right(sl2_3d_calc, alpha, "w0")
-    assert comps[0] == alpha * q**2
-    assert comps[1].is_zero() and comps[2].is_zero()
+    w0 = sl2_3d_calc.form_word("w0")
+    assert dga.right_coords(sl2_3d_calc, alpha, w0) == {w0: alpha * q**2}
 
 
 def test_left_from_right_unit(qplane, qplane_calc):
-    comps = dga.left_from_right(qplane_calc, qplane.one, "dy")
-    assert comps[0].is_zero() and comps[1] == qplane.one
+    dy = qplane_calc.form_word("dy")
+    assert dga.right_coords(qplane_calc, qplane.one, dy) == {dy: qplane.one}
 
 
 def test_left_from_right_roundtrip(qplane, qplane_calc, sl2, sl2_3d_calc):
+    # a*omega_i = sum_j omega_j c_j on every one-form generator
     rng = random.Random(903)
     for pres, spec in ((qplane, qplane_calc), (sl2, sl2_3d_calc)):
         for name in spec.form_names:
             for _ in range(4):
                 a = random_element(pres, rng)
-                comps = dga.left_from_right(spec, a, name)
+                comps = dga.right_coords(spec, a, spec.form_word(name))
                 total = spec.zero(1)
-                for j, c in enumerate(comps):
-                    total = total + spec.basis_form(spec.form_names[j]) * c
+                for word, c in comps.items():
+                    total = total + spec.basis_form(word) * c
                 assert total == a * spec.basis_form(name)
 
 

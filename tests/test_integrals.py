@@ -302,6 +302,22 @@ def test_ladder_broken_vertical(qplane, qplane_calc):
         check_ladder(bad, 2).raise_first(SquareFails)
 
 
+def test_ladder_vertical_escaping_the_window(qplane, qplane_calc):
+    # a top vertical multiplying by x lengthens every word by one letter
+    spec = qplane_calc
+    q, p = qplane.context.parameter("q"), qplane.context.parameter("p")
+    diagram = LadderDiagram(
+        spec,
+        [
+            {(): dual_form(spec, ("dx", "dy"))},
+            {"dx": -dual_form(spec, "dy"), "dy": HomForm(spec, 1, {"dx": p / q})},
+            {("dx", "dy"): qplane.gen("x")},
+        ],
+    )
+    with pytest.raises(FiltrationViolated, match="vertical 2 escapes the window"):
+        check_ladder(diagram, 2)
+
+
 def test_ladder_validation(qplane, qplane_calc):
     spec = qplane_calc
     with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from intforms.ncalg import TensorElement
+from intforms import descent
+from intforms.descent import sphere_fixtures
+from intforms.ncalg import Presentation, TensorElement
 from intforms.parser import (
     ParseError,
     parse_element,
@@ -151,3 +153,85 @@ def test_presentation_file_errors():
         parse_presentation_file("order = 1\n")
     with pytest.raises(ParseError):
         parse_presentation_file("[algebra\ngenerators = x\n")
+
+
+def test_presentation_file_with_any_header():
+    text = "[coproduct a]\nx @ y  # one term\n\n[other]\nz\n[coproduct a]\nw\n"
+    assert parse_presentation_file(text, sections=None) == {
+        "coproduct a": [(2, "x @ y"), (7, "w")],
+        "other": [(5, "z")],
+    }
+
+
+# -- each production stays inside the entry points that accept it -----------
+
+FORMS = ("w0", "w+", "w-")
+
+
+@pytest.mark.parametrize(
+    "entry, text",
+    [
+        ("scalar", "q @ q"),
+        ("scalar", "q * dual(w0)"),
+        ("element", "alpha @ beta"),
+        ("element", "dual(w0)"),
+        ("form", "alpha @ beta"),
+        ("form", "q * dual(w0)"),
+        ("form", "w0 @ alpha"),
+        ("tensor", "alpha*beta"),
+        ("tensor", "alpha @ beta + gamma"),
+        ("tensor", "alpha @ beta @ gamma"),
+        ("tensor", "(alpha @ beta)"),
+        ("ladder", "dual(w0) + q * dual(w+)"),
+        ("ladder", "q * dual(w0) - dual(w0)"),
+        ("ladder", "beta * dual(w0)"),
+        ("ladder", "q^4 * w0"),
+        ("ladder", "q^4"),
+        ("ladder", "dual(w0) @ dual(w+)"),
+        ("ladder", "dual(w0)^2"),
+        ("ladder", "dual(q)"),
+    ],
+)
+def test_productions_stay_in_their_entry_point(sl2, entry, text):
+    parse = {
+        "scalar": lambda: parse_scalar(sl2.context, text),
+        "element": lambda: parse_element(sl2, text),
+        "form": lambda: parse_form_terms(sl2, FORMS, text),
+        "tensor": lambda: parse_tensor(sl2, text),
+        "ladder": lambda: parse_ladder_rhs(sl2.context, FORMS, text),
+    }[entry]
+    with pytest.raises(ParseError):
+        parse()
+
+
+def test_kind_errors_point_at_the_term(sl2):
+    with pytest.raises(ParseError) as err:
+        parse_tensor(sl2, "alpha @ beta + gamma", line=4)
+    assert (err.value.line, err.value.col) == (4, 16)
+    with pytest.raises(ParseError) as err:
+        parse_ladder_rhs(sl2.context, FORMS, "dual(w0) + q * dual(w+)")
+    assert err.value.col == 12
+
+
+def test_dual_is_still_a_generator_name(qctx):
+    pres = Presentation(qctx, generators=("dual", "x"), rules=[])
+    assert parse_element(pres, "dual*x - q*dual") == pres.element(
+        {(0, 1): qctx.one, (0,): -qctx.parameter("q")}
+    )
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("[coproduct alpha^2]\nalpha @ alpha\nalpha*beta\n", 3),
+        ("# comment\n\n[coproduct delta^2]\ndelta @ delta @ delta\n", 4),
+        ("[coproduct alpha^2]\nalpha @ alpha\n[coproduct delta^2]\ndelta @ $\n", 4),
+    ],
+)
+def test_fixture_errors_carry_the_file_line(monkeypatch, tmp_path, sl2, body, line):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "broken.fixtures").write_text(body, encoding="utf-8")
+    monkeypatch.setattr(descent.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ParseError) as err:
+        sphere_fixtures(sl2, "broken.fixtures")
+    assert err.value.line == line

@@ -9,7 +9,6 @@ from intforms.matrixcalc import DerBasis
 from intforms.parser import ParseError, parse_presentation_file
 from intforms.presets import (
     REGISTRY,
-    canonical_text,
     get_preset,
     load_calc,
     preset_names,
@@ -52,14 +51,6 @@ def test_digest_is_sha256_of_name_and_source():
     payload = f"{preset.name}\n{preset.source}".encode()
     assert preset.digest == hashlib.sha256(payload).hexdigest()
     assert preset.digest == preset.digest
-
-
-def test_canonical_round_trip_on_shipped_files():
-    for name in ("qplane", "sl2-3d"):
-        bundle = REGISTRY[name].load()
-        canon = canonical_text(bundle.sections)
-        again = canonical_text(parse_presentation_file(canon))
-        assert again == canon
 
 
 def test_minimal_file_builds_a_presentation():
