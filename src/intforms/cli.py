@@ -1,8 +1,11 @@
 """Command-line entry points.
 
 Targets are `preset:NAME` (prefixes are fine) or a path to a presentation
-file.  Exit codes: 0 when every check passes, 1 when any fails, 2 for
-unusable input or flags.
+file.  A file target runs the generic checks of any calculus, whatever its
+file is named; the closed forms of the quantum plane and quantum SL(2) run
+only on their presets.  Exit codes: 0 when every check passes, 1 when any
+fails, 2 for unusable input or flags, and 2 for a command with nothing to
+check on its target, before any check runs.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from . import dga
 from .dga import FormElement
 from .homconn import DegreeMismatch
 from .ncalg import AlgElement, TensorElement, antipode, coproduct, zdegree
-from .parser import ParseError, parse_presentation_file, parse_tensor
+from .parser import parse_presentation_file, parse_tensor
 from .report import CheckReport
 from .sparse import SparseVector
 
@@ -416,15 +416,15 @@ def sphere_fixtures(presentation, filename="sphere.fixtures"):
         .joinpath("data", filename)
         .read_text(encoding="utf-8")
     )
+    sections = parse_presentation_file(
+        text, sections=("coproduct alpha^2", "coproduct delta^2")
+    )
     out = {}
-    for name, lines in parse_presentation_file(text, sections=None).items():
-        head, _, key = name.partition(" ")
-        if head != "coproduct" or not key:
-            raise ParseError(f"unknown fixture section [{name}]")
+    for name, lines in sections.items():
         total = TensorElement(presentation, {})
         for lineno, term in lines:
             total = total + parse_tensor(presentation, term, line=lineno)
-        out[key] = total
+        out[name.partition(" ")[2]] = total
     return out
 
 

@@ -242,11 +242,6 @@ class Presentation:
                 return False
         return True
 
-    def word_degree(self, word):
-        if self.grading is None:
-            raise GradingAbsent("presentation has no grading")
-        return sum(self.grading[g] for g in self._coerce_word(word))
-
     def word_str(self, word):
         if not word:
             return "1"
@@ -599,28 +594,17 @@ def counit(presentation, a):
 
 
 def antipode(presentation, a, power=1):
-    """Anti-multiplicative extension of S (power 1) or S^{-1} (power -1).
-
-    Powers +/-2 are the multiplicative maps obtained by applying the base
-    map twice.
-    """
-    if power not in (1, -1, 2, -2):
-        raise ValueError("antipode power must be one of 1, -1, 2, -2")
+    """Anti-multiplicative extension of S (power 1) or S^{-1} (power -1)."""
+    if power not in (1, -1):
+        raise ValueError("antipode power must be 1 or -1")
     hopf = _require_hopf(presentation)
     pres = presentation
     table_src = hopf.antipode if power > 0 else hopf.antipode_inv
     table = {pres.index(name): pres.element(v) for name, v in table_src.items()}
-
-    def once(element):
-        terms = {}
-        for word, coeff in element.terms.items():
-            part = pres.scalar(coeff)
-            for letter in reversed(word):
-                part = part * table[letter]
-            add_scaled(terms, part.terms)
-        return AlgElement(pres, terms)
-
-    out = once(a)
-    if power in (2, -2):
-        out = once(out)
-    return out
+    terms = {}
+    for word, coeff in a.terms.items():
+        part = pres.scalar(coeff)
+        for letter in reversed(word):
+            part = part * table[letter]
+        add_scaled(terms, part.terms)
+    return AlgElement(pres, terms)

@@ -344,7 +344,11 @@ def load_calc(text):
 
 
 class Preset:
-    """Named, hashed input plus a loader for its objects."""
+    """Named, hashed input plus a loader for its objects.
+
+    The kind picks the preset's checks from `suites.SUITES`; a file target
+    is kind "calculus" whatever its name, so it runs the generic checks.
+    """
 
     def __init__(self, name, description, kind, loader, source):
         self.name = name
@@ -397,14 +401,14 @@ def _registry():
         Preset(
             "qplane",
             "quantum plane with the two-parameter covariant calculus",
-            "calculus",
+            "qplane",
             lambda source: load_calc(source),
             qplane_text,
         ),
         Preset(
             "sl2-3d",
             "quantum SL(2) with the left-covariant three-dimensional calculus",
-            "calculus",
+            "sl2-3d",
             lambda source: load_calc(source),
             sl2_text,
         ),

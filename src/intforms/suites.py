@@ -1,12 +1,17 @@
 """Verification suites behind the command-line reports.
 
-Each preset contributes named checks grouped into slices matching the
-commands; verify runs the union.  A check thunk returns None to pass, a
-witness string to fail, ("skipped", reason) to skip, or (True, note) to
-pass with a printable witness; raising also fails, with the exception as
-the witness.  Every suite ends with a deliberately corrupted variant that
-must fail, and a corrupted variant that sails through is itself reported
-as a failure.
+One table, SUITES, decides what runs: preset kind -> slice -> check
+builders, in report order.  A slice command runs its slice, verify runs
+them all.  Any calculus, a file target included, gets the checks of the
+paper's general results; the quantum plane and quantum SL(2) append their
+closed forms and a negative control to the slices; the sphere and the
+matrix algebra run whole.  A command with no checks raises ValueError.
+
+A check thunk returns None to pass, a witness string to fail, ("skipped",
+reason) to skip, or (True, note) to pass with a printable witness;
+raising also fails, with the exception as the witness.  A negative
+control is a deliberately corrupted variant that must fail, and a
+corrupted variant that sails through is itself reported as a failure.
 """
 
 from __future__ import annotations
@@ -51,18 +56,7 @@ from .multider import verify_free
 from .ncalg import check_local_confluence
 from .presets import load_calc
 
-__all__ = ["Options", "SLICES", "checks_for", "run_checks"]
-
-SLICES = (
-    "invert-sigma",
-    "nabla",
-    "flatness",
-    "integral",
-    "iso-check",
-    "density",
-    "axioms",
-    "controls",
-)
+__all__ = ["Options", "SUITES", "checks_for", "run_checks"]
 
 
 class Options:
@@ -89,7 +83,7 @@ def _random_element(pres, rng, max_len, terms=2):
 # -- calculus slices -----------------------------------------------------------
 
 
-def _freeness_checks(bundle, opts, preset_name):
+def _freeness_checks(bundle, opts):
     tmd, pres = bundle.tmd, bundle.presentation
     checks = []
 
@@ -118,56 +112,7 @@ def _freeness_checks(bundle, opts, preset_name):
         f"inverse identities hold on words up to length {opts.max_len}",
         identities,
     ))
-
-    if preset_name == "qplane":
-        checks.append((
-            "triangular inverses match the closed forms",
-            lambda: _qplane_closed_forms(bundle),
-        ))
     return checks
-
-
-def _qplane_closed_forms(bundle):
-    pres, tmd = bundle.presentation, bundle.tmd
-    ctx = pres.context
-    q, p = ctx.parameter("q"), ctx.parameter("p")
-    bar, hat = tmd.sigma_bar, tmd.sigma_hat
-    for r in range(5):
-        for s in range(5):
-            word = pres.word(*(("x",) * r + ("y",) * s))
-            mono = pres.monomial(word)
-            shorter = None
-            if s > 0:
-                shorter = pres.monomial(
-                    pres.word(*(("x",) * (r + 1) + ("y",) * (s - 1)))
-                )
-            m = bar.on_word(word)
-            ok = (
-                m[0][0] == mono.scale(p**-r * q**-s)
-                and m[0][1] == pres.zero
-                and m[1][1] == mono.scale((q / p) ** r * p**-s)
-            )
-            if s == 0:
-                ok = ok and m[1][0] == pres.zero
-            else:
-                ok = ok and m[1][0] == shorter.scale(
-                    p**-r * q ** (r - s + 1) * (p**-s - 1)
-                )
-            if not ok:
-                return f"triangular inverse at x^{r} y^{s}"
-            m = hat.on_word(word)
-            ok = (
-                m[0][0] == mono.scale(p**r * q**s)
-                and m[1][0] == pres.zero
-                and m[1][1] == mono.scale((p / q) ** r * p**s)
-            )
-            if s == 0:
-                ok = ok and m[0][1] == pres.zero
-            else:
-                ok = ok and m[0][1] == shorter.scale(p ** (r + 1) * (p**s - 1))
-            if not ok:
-                return f"double twist at x^{r} y^{s}"
-    return None
 
 
 def _nabla_checks(bundle, opts):
@@ -207,125 +152,12 @@ def _nabla_checks(bundle, opts):
     return checks
 
 
-def _flatness_checks(bundle, opts, preset_name):
+def _flatness_checks(bundle, opts):
     del opts
-    spec = bundle.spec
-    checks = [(
+    return [(
         "curvature vanishes on the degree-2 duals",
-        lambda: is_flat(spec).first_failure(),
+        lambda: is_flat(bundle.spec).first_failure(),
     )]
-    if preset_name == "sl2-3d":
-        checks.append((
-            "level-one connection values are the scaled duals",
-            lambda: _sl2_level_one(bundle),
-        ))
-        checks.append((
-            "level-two connection kills the top dual",
-            lambda: _sl2_level_two(bundle),
-        ))
-    return checks
-
-
-def _sl2_level_one(bundle):
-    spec = bundle.spec
-    q = bundle.presentation.context.parameter("q")
-    heavy = q * q * (q * q + 1)
-    expected = {
-        ("w-", "w+"): HomForm(spec, 1, {"w0": q}),
-        ("w-", "w0"): HomForm(spec, 1, {"w-": heavy}),
-        ("w0", "w+"): HomForm(spec, 1, {"w+": heavy}),
-    }
-    for word, want in expected.items():
-        got = nabla_n(spec, 1, dual_form(spec, word))
-        if got != want:
-            return f"dual of {'.'.join(word)} maps to {got}"
-    return None
-
-
-def _sl2_level_two(bundle):
-    spec = bundle.spec
-    top = nabla_n(spec, 2, dual_form(spec, ("w-", "w0", "w+")))
-    return None if top.is_zero() else str(top)
-
-
-def _qplane_onto_witness(bundle, r, s):
-    """Closed-form preimage of x^r y^s under the connection."""
-    pres = bundle.presentation
-    ctx = pres.context
-    q, p = ctx.parameter("q"), ctx.parameter("p")
-    coeff = p ** (r + s) * q**-r * (p - 1) / (p ** (s + 1) - 1)
-    longer = pres.word(*(("x",) * r + ("y",) * (s + 1)))
-    return dual_form(bundle.spec, ("dy",)) * pres.monomial(longer, coeff=coeff)
-
-
-def _integral_checks(bundle, opts, preset_name):
-    spec = bundle.spec
-    pres = bundle.presentation
-    checks = []
-    if preset_name == "sl2-3d":
-
-        def annihilates():
-            report = check_lambda_annihilates(spec, opts.max_len)
-            if not report.ok:
-                return report.first_failure()
-            return True, f"{report.counts['coordinates']} window coordinates"
-
-        checks.append((
-            f"Haar functional kills the connection image up to length {opts.max_len}",
-            annihilates,
-        ))
-
-        def classes():
-            q = pres.context.parameter("q")
-            bg = pres.gen("beta") * pres.gen("gamma")
-            lines = []
-            power = pres.one
-            for level in (1, 2):
-                power = power * bg
-                want = ((-1) ** level) * (q - q**-1) / (
-                    q ** (level + 1) - q ** -(level + 1)
-                )
-                bound = max(opts.max_len, 2 * level + 2)
-                c, _ = integral_class(spec, power, bound)
-                if c != want:
-                    return f"(beta*gamma)^{level}: got {c}, want {want}"
-                label = "beta*gamma" if level == 1 else f"(beta*gamma)^{level}"
-                lines.append(f"Lambda({label}) = {c}")
-            return True, "; ".join(lines)
-
-        checks.append(("cokernel classes of the beta*gamma powers", classes))
-    else:
-
-        def onto():
-            names = pres.generators
-            for w in pres.normal_words(opts.max_len):
-                r = sum(1 for g in w if names[g] == "x")
-                s = len(w) - r
-                f = _qplane_onto_witness(bundle, r, s)
-                if nabla(spec, f) != pres.monomial(w):
-                    return f"closed-form preimage misses x^{r} y^{s}"
-            return None
-
-        checks.append((
-            f"closed-form preimages hit every monomial up to length {opts.max_len}",
-            onto,
-        ))
-
-        def blocks():
-            # a degree-d preimage uses words one letter longer, so the top
-            # block of the window stays out of the sweep
-            degrees = (
-                (opts.degree,) if opts.degree is not None else range(opts.max_len)
-            )
-            for degree in degrees:
-                _, cokernel = image_rank(spec, opts.max_len, degree=degree)
-                if cokernel:
-                    missed = ", ".join(str(m) for m in cokernel)
-                    return f"degree {degree} block misses {missed}"
-            return None
-
-        checks.append(("truncated cokernel vanishes in every degree block", blocks))
-    return checks
 
 
 def _ladder_checks(bundle, opts):
@@ -354,65 +186,213 @@ def _density_checks(bundle, opts):
     return [("calculus is dense", witnessed)]
 
 
-def _axiom_checks(bundle, opts):
-    pres = bundle.presentation
-    checks = []
-
+def _confluence_checks(bundle, opts):
     def confluent():
-        report = check_local_confluence(pres, opts.max_degree)
+        report = check_local_confluence(bundle.presentation, opts.max_degree)
         if report.ok:
             return True, f"{len(report.checks)} overlaps resolved"
         return f"{len(report.failures)} unresolved overlaps"
 
-    checks.append((
+    return [(
         f"rewriting is locally confluent up to degree {opts.max_degree}",
         confluent,
-    ))
-
-    if bundle.spec is not None:
-
-        checks.append((
-            "differential squares to zero on the window",
-            lambda: check_d_squared(bundle.spec, min(opts.max_len, 5)).first_failure(),
-        ))
-    return checks
+    )]
 
 
-def _calculus_controls(bundle, preset_name):
-    checks = []
-    if preset_name == "qplane":
+def _d_squared_checks(bundle, opts):
+    return [(
+        "differential squares to zero on the window",
+        lambda: check_d_squared(bundle.spec, min(opts.max_len, 5)).first_failure(),
+    )]
 
-        def flipped_vertical():
-            patched = bundle.source.replace(
-                "1: dx = -1 * dual(dy)", "1: dx = 1 * dual(dy)"
+
+# -- closed forms of the worked examples --------------------------------------
+
+
+def _qplane_inverses(bundle, opts):
+    del opts
+    pres, tmd = bundle.presentation, bundle.tmd
+
+    def closed_forms():
+        q, p = pres.context.parameter("q"), pres.context.parameter("p")
+        bar, hat = tmd.sigma_bar, tmd.sigma_hat
+        for r in range(5):
+            for s in range(5):
+                word = pres.word(*(("x",) * r + ("y",) * s))
+                mono = pres.monomial(word)
+                shorter = None
+                if s > 0:
+                    shorter = pres.monomial(
+                        pres.word(*(("x",) * (r + 1) + ("y",) * (s - 1)))
+                    )
+                m = bar.on_word(word)
+                ok = (
+                    m[0][0] == mono.scale(p**-r * q**-s)
+                    and m[0][1] == pres.zero
+                    and m[1][1] == mono.scale((q / p) ** r * p**-s)
+                )
+                if s == 0:
+                    ok = ok and m[1][0] == pres.zero
+                else:
+                    ok = ok and m[1][0] == shorter.scale(
+                        p**-r * q ** (r - s + 1) * (p**-s - 1)
+                    )
+                if not ok:
+                    return f"triangular inverse at x^{r} y^{s}"
+                m = hat.on_word(word)
+                ok = (
+                    m[0][0] == mono.scale(p**r * q**s)
+                    and m[1][0] == pres.zero
+                    and m[1][1] == mono.scale((p / q) ** r * p**s)
+                )
+                if s == 0:
+                    ok = ok and m[0][1] == pres.zero
+                else:
+                    ok = ok and m[0][1] == shorter.scale(p ** (r + 1) * (p**s - 1))
+                if not ok:
+                    return f"double twist at x^{r} y^{s}"
+        return None
+
+    return [("triangular inverses match the closed forms", closed_forms)]
+
+
+def _qplane_integral(bundle, opts):
+    spec = bundle.spec
+    pres = bundle.presentation
+
+    def onto():
+        q, p = pres.context.parameter("q"), pres.context.parameter("p")
+        names = pres.generators
+        for w in pres.normal_words(opts.max_len):
+            r = sum(1 for g in w if names[g] == "x")
+            s = len(w) - r
+            # the closed-form preimage of x^r y^s under the connection
+            coeff = p ** (r + s) * q**-r * (p - 1) / (p ** (s + 1) - 1)
+            longer = pres.word(*(("x",) * r + ("y",) * (s + 1)))
+            f = dual_form(spec, ("dy",)) * pres.monomial(longer, coeff=coeff)
+            if nabla(spec, f) != pres.monomial(w):
+                return f"closed-form preimage misses x^{r} y^{s}"
+        return None
+
+    def blocks():
+        # a degree-d preimage uses words one letter longer, so the top
+        # block of the window stays out of the sweep
+        degrees = (opts.degree,) if opts.degree is not None else range(opts.max_len)
+        for degree in degrees:
+            _, cokernel = image_rank(spec, opts.max_len, degree=degree)
+            if cokernel:
+                missed = ", ".join(str(m) for m in cokernel)
+                return f"degree {degree} block misses {missed}"
+        return None
+
+    return [
+        (f"closed-form preimages hit every monomial up to length {opts.max_len}", onto),
+        ("truncated cokernel vanishes in every degree block", blocks),
+    ]
+
+
+def _qplane_controls(bundle, opts):
+    del opts
+
+    def flipped_vertical():
+        patched = bundle.source.replace("1: dx = -1 * dual(dy)", "1: dx = 1 * dual(dy)")
+        if patched == bundle.source:
+            return "control patch found nothing to corrupt"
+        report = check_ladder(load_calc(patched).ladder, 2)
+        if report.ok:
+            return "sign-flipped ladder vertical passed"
+        bad = report.failures[0]
+        return True, f"fails as expected at level {bad['level']}, {bad['word']}"
+
+    return [("negative control: sign-flipped ladder vertical", flipped_vertical)]
+
+
+def _sl2_level_one(bundle):
+    spec = bundle.spec
+    q = bundle.presentation.context.parameter("q")
+    heavy = q * q * (q * q + 1)
+    expected = {
+        ("w-", "w+"): HomForm(spec, 1, {"w0": q}),
+        ("w-", "w0"): HomForm(spec, 1, {"w-": heavy}),
+        ("w0", "w+"): HomForm(spec, 1, {"w+": heavy}),
+    }
+    for word, want in expected.items():
+        got = nabla_n(spec, 1, dual_form(spec, word))
+        if got != want:
+            return f"dual of {'.'.join(word)} maps to {got}"
+    return None
+
+
+def _sl2_flatness(bundle, opts):
+    del opts
+    spec = bundle.spec
+
+    def level_two():
+        top = nabla_n(spec, 2, dual_form(spec, ("w-", "w0", "w+")))
+        return None if top.is_zero() else str(top)
+
+    return [
+        (
+            "level-one connection values are the scaled duals",
+            lambda: _sl2_level_one(bundle),
+        ),
+        ("level-two connection kills the top dual", level_two),
+    ]
+
+
+def _sl2_integral(bundle, opts):
+    spec = bundle.spec
+    pres = bundle.presentation
+
+    def annihilates():
+        report = check_lambda_annihilates(spec, opts.max_len)
+        if not report.ok:
+            return report.first_failure()
+        return True, f"{report.counts['coordinates']} window coordinates"
+
+    def classes():
+        q = pres.context.parameter("q")
+        bg = pres.gen("beta") * pres.gen("gamma")
+        lines = []
+        power = pres.one
+        for level in (1, 2):
+            power = power * bg
+            want = ((-1) ** level) * (q - q**-1) / (
+                q ** (level + 1) - q ** -(level + 1)
             )
-            if patched == bundle.source:
-                return "control patch found nothing to corrupt"
-            report = check_ladder(load_calc(patched).ladder, 2)
-            if report.ok:
-                return "sign-flipped ladder vertical passed"
-            bad = report.failures[0]
-            return True, f"fails as expected at level {bad['level']}, {bad['word']}"
+            bound = max(opts.max_len, 2 * level + 2)
+            c, _ = integral_class(spec, power, bound)
+            if c != want:
+                return f"(beta*gamma)^{level}: got {c}, want {want}"
+            label = "beta*gamma" if level == 1 else f"(beta*gamma)^{level}"
+            lines.append(f"Lambda({label}) = {c}")
+        return True, "; ".join(lines)
 
-        checks.append(
-            ("negative control: sign-flipped ladder vertical", flipped_vertical)
-        )
-    if preset_name == "sl2-3d":
+    return [
+        (
+            f"Haar functional kills the connection image up to length {opts.max_len}",
+            annihilates,
+        ),
+        ("cokernel classes of the beta*gamma powers", classes),
+    ]
 
-        def shifted_d():
-            patched = bundle.source.replace("d w0 = q * w-.w+", "d w0 = q^2 * w-.w+")
-            if patched == bundle.source:
-                return "control patch found nothing to corrupt"
-            try:
-                witness = _sl2_level_one(load_calc(patched))
-            except ValueError as exc:
-                return True, f"rejected at build time: {exc}"
-            if witness is None:
-                return "exponent-shifted d rule passed the level-one values"
-            return True, f"fails as expected: {witness}"
 
-        checks.append(("negative control: exponent-shifted d rule", shifted_d))
-    return checks
+def _sl2_controls(bundle, opts):
+    del opts
+
+    def shifted_d():
+        patched = bundle.source.replace("d w0 = q * w-.w+", "d w0 = q^2 * w-.w+")
+        if patched == bundle.source:
+            return "control patch found nothing to corrupt"
+        try:
+            witness = _sl2_level_one(load_calc(patched))
+        except ValueError as exc:
+            return True, f"rejected at build time: {exc}"
+        if witness is None:
+            return "exponent-shifted d rule passed the level-one values"
+        return True, f"fails as expected: {witness}"
+
+    return [("negative control: exponent-shifted d rule", shifted_d)]
 
 
 # -- sphere and matrix suites --------------------------------------------------
@@ -586,39 +566,66 @@ def _matrix_checks(basis, opts):
 
 # -- assembly ------------------------------------------------------------------
 
+# slice -> builders for any calculus, with no closed form assumed
+_CALCULUS = {
+    "invert-sigma": (_freeness_checks,),
+    "nabla": (_nabla_checks,),
+    "flatness": (_flatness_checks,),
+    "integral": (),
+    "iso-check": (_ladder_checks,),
+    "density": (_density_checks,),
+    "axioms": (_confluence_checks, _d_squared_checks),
+    "controls": (),
+}
+
+
+def _calculus_with(own):
+    """The calculus slices, each followed by a preset's own builders."""
+    return {piece: generic + own.get(piece, ()) for piece, generic in _CALCULUS.items()}
+
+
+# preset kind -> slice -> check builders, in report order.  A builder maps
+# (loaded preset, Options) to (name, thunk) pairs; verify runs every slice.
+# Sphere and matrix run whole, through the command named after their kind.
+SUITES = {
+    "calculus": _CALCULUS,
+    "presentation": {"axioms": (_confluence_checks,)},
+    "qplane": _calculus_with({
+        "invert-sigma": (_qplane_inverses,),
+        "integral": (_qplane_integral,),
+        "controls": (_qplane_controls,),
+    }),
+    "sl2-3d": _calculus_with({
+        "flatness": (_sl2_flatness,),
+        "integral": (_sl2_integral,),
+        "controls": (_sl2_controls,),
+    }),
+    "sphere": {"verify": (_sphere_checks,)},
+    "matrix": {"verify": (_matrix_checks,)},
+}
+
 
 def checks_for(preset, command, opts):
-    """Ordered (name, thunk) list for one command against one preset."""
-    whole = {"sphere": _sphere_checks, "matrix": _matrix_checks}.get(preset.kind)
-    if whole is not None:
-        if command != "verify":
-            raise ValueError(
-                f"{preset.name} has no '{command}' slice; run "
-                f"'{preset.kind} verify'"
-            )
-        return whole(preset.load(), opts)
-    bundle = preset.load()
-    name = preset.name
-    if bundle.spec is None and command != "verify":
-        raise ValueError(f"{name} has no calculus section for '{command}'")
-    slices = {
-        "invert-sigma": lambda: _freeness_checks(bundle, opts, name),
-        "nabla": lambda: _nabla_checks(bundle, opts),
-        "flatness": lambda: _flatness_checks(bundle, opts, name),
-        "integral": lambda: _integral_checks(bundle, opts, name),
-        "iso-check": lambda: _ladder_checks(bundle, opts),
-        "density": lambda: _density_checks(bundle, opts),
-        "axioms": lambda: _axiom_checks(bundle, opts),
-        "controls": lambda: _calculus_controls(bundle, name),
-    }
-    if command == "verify":
-        checks = []
-        for piece in SLICES:
-            if bundle.spec is None and piece != "axioms":
-                continue
-            checks.extend(slices[piece]())
-        return checks
-    return slices[command]()
+    """Ordered (name, thunk) list for one command against one preset.
+
+    Raises ValueError when the command has nothing to check on the preset.
+    """
+    loaded = preset.load()
+    kind = preset.kind
+    if kind == "calculus" and loaded.spec is None:
+        kind = "presentation"  # a file with an algebra but no calculus
+    suite = SUITES[kind]
+    pieces = suite.values() if command == "verify" else [suite.get(command, ())]
+    checks = [
+        check
+        for builders in pieces
+        for build in builders
+        for check in build(loaded, opts)
+    ]
+    if not checks:
+        hint = f"; run '{kind} verify'" if "verify" in suite else ""
+        raise ValueError(f"{preset.name} has no checks for '{command}'{hint}")
+    return checks
 
 
 def run_checks(checks):

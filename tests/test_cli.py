@@ -13,6 +13,19 @@ from intforms.cli import main
 from intforms.presets import REGISTRY
 
 FAST = ["--max-len", "2", "--max-degree", "3", "--cases", "5"]
+DATA = Path(intforms.__file__).parent / "data"
+# the rows every calculus file gets at FAST, in report order
+GENERIC_ROWS = [
+    "derivation data verifies as free",
+    "inverse identities hold on words up to length 2",
+    "connection kills every dual one-form",
+    "connection obeys the product rule on 5 seeded samples",
+    "curvature vanishes on the degree-2 duals",
+    "chain ladder commutes with bijective verticals up to length 2",
+    "calculus is dense",
+    "rewriting is locally confluent up to degree 3",
+    "differential squares to zero on the window",
+]
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +155,23 @@ def test_file_target_passes_like_the_preset(capsys, tmp_path):
     assert "plane" in out
 
 
+@pytest.mark.parametrize("filename", ["sl2_3d.calc", "qplane.calc"])
+def test_shipped_files_by_path_run_the_generic_checks(capsys, filename):
+    # a file's name picks no preset's closed forms, whatever it is
+    code, out, _ = run_cli(capsys, "verify", str(DATA / filename), *FAST, "--format", "json")
+    assert code == 0
+    assert [row["name"] for row in json.loads(out)["checks"]] == GENERIC_ROWS
+
+
+def test_file_named_like_a_preset_runs_the_generic_checks(capsys, tmp_path):
+    path = tmp_path / "sl2-3d.calc"
+    path.write_text(REGISTRY["qplane"].source)
+    code, out, _ = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 0
+    for sl2_only in ("level-one", "Haar", "beta*gamma"):
+        assert sl2_only not in out
+
+
 def _child_env():
     # the child finds the package where this process found it, also when
     # pytest put the source tree on sys.path rather than on PYTHONPATH
@@ -205,7 +235,9 @@ def test_runs_without_sympy():
     "command, target, hint",
     [("flatness", "preset:matrix-m2", "matrix verify"),
      ("integral", "preset:podles", "sphere verify"),
-     ("invert-sigma", "preset:podles-sphere", "sphere verify")],
+     ("invert-sigma", "preset:podles-sphere", "sphere verify"),
+     pytest.param("integral", str(DATA / "qplane.calc"), "no checks for 'integral'",
+                  id="integral-qplane.calc-no checks")],
 )
 def test_slice_commands_on_whole_suite_presets_are_usage_errors(capsys, command, target, hint):
     code, out, err = run_cli(capsys, command, target, *FAST)

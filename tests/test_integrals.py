@@ -69,9 +69,8 @@ def test_lambda_kills_alpha_delta_and_unbalanced(sl2):
 
 def test_lambda_vanishes_off_degree_zero(sl2):
     zero = sl2.context.zero
-    for w in sl2.normal_words(4):
-        if sl2.word_degree(w) != 0:
-            assert sl2_lambda(sl2.monomial(w)) == zero
+    for w in set(sl2.normal_words(4)) - set(sl2.normal_words(4, degree=0)):
+        assert sl2_lambda(sl2.monomial(w)) == zero
 
 
 def test_lambda_wants_sl2(qplane):

@@ -226,6 +226,7 @@ def test_dual_is_still_a_generator_name(qctx):
         ("[coproduct alpha^2]\nalpha @ alpha\nalpha*beta\n", 3),
         ("# comment\n\n[coproduct delta^2]\ndelta @ delta @ delta\n", 4),
         ("[coproduct alpha^2]\nalpha @ alpha\n[coproduct delta^2]\ndelta @ $\n", 4),
+        ("[coproduct alpha^2]\nalpha @ alpha\n\n# the counit is no fixture\n[counit alpha]\n", 5),
     ],
 )
 def test_fixture_errors_carry_the_file_line(monkeypatch, tmp_path, sl2, body, line):

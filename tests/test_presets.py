@@ -30,8 +30,8 @@ def test_registry_names_exactly_four():
 
 
 def test_registry_kinds_and_loads():
-    assert REGISTRY["qplane"].kind == "calculus"
-    assert REGISTRY["sl2-3d"].kind == "calculus"
+    assert REGISTRY["qplane"].kind == "qplane"
+    assert REGISTRY["sl2-3d"].kind == "sl2-3d"
     assert isinstance(REGISTRY["podles-sphere"].load(), SphereData)
     assert isinstance(REGISTRY["matrix-m2"].load(), DerBasis)
 
