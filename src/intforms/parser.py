@@ -354,13 +354,12 @@ _SECTIONS = (
 def parse_presentation_file(text, sections=_SECTIONS):
     """Split a sectioned file into {header: [(lineno, directive text)]}.
 
-    Comments (# to end of line) and blank lines are dropped.  With the
-    default `sections` every presentation-file section is listed, empty or
-    not, and any other header raises ParseError; with None any header is
-    accepted and listed in file order.  Directive semantics are checked by
-    the caller.
+    Comments (# to end of line) and blank lines are dropped.  Every name in
+    `sections` (the presentation-file sections by default) is listed, empty
+    or not, and any other header raises ParseError.  Directive semantics
+    are checked by the caller.
     """
-    out = {name: [] for name in sections or ()}
+    out = {name: [] for name in sections}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -370,11 +369,10 @@ def parse_presentation_file(text, sections=_SECTIONS):
             if not line.endswith("]"):
                 raise ParseError("unterminated section header", lineno, 1)
             current = line[1:-1].strip()
-            if sections is not None and current not in sections:
+            if current not in sections:
                 raise ParseError(
                     f"unknown section [{current}]", lineno, 1, expected="|".join(sections)
                 )
-            out.setdefault(current, [])
             continue
         if current is None:
             raise ParseError("directive before any [section]", lineno, 1)

@@ -157,9 +157,10 @@ def test_presentation_file_errors():
 
 def test_presentation_file_with_any_header():
     text = "[coproduct a]\nx @ y  # one term\n\n[other]\nz\n[coproduct a]\nw\n"
-    assert parse_presentation_file(text, sections=None) == {
+    assert parse_presentation_file(text, sections=("coproduct a", "other", "none")) == {
         "coproduct a": [(2, "x @ y"), (7, "w")],
         "other": [(5, "z")],
+        "none": [],
     }
 
 
