@@ -204,13 +204,12 @@ def _form_coords(sphere, omega, degree):
         raise DegreeMismatch(f"expected a {kind}, got degree {omega.degree}")
     slots = sphere.form_slots[degree]
     totals = dict.fromkeys(slots, spec.presentation.zero)
-    for word, coeff in omega.terms.items():
-        for w, c in dga.right_coords(spec, coeff, word).items():
-            if w not in totals:
-                raise DegreeMismatch(
-                    f"not a {kind} on the sphere: component at " + spec.word_str(w)
-                )
-            totals[w] = totals[w] + c
+    for w, c in dga.right_coords(spec, omega).items():
+        if w not in totals:
+            raise DegreeMismatch(
+                f"not a {kind} on the sphere: component at " + spec.word_str(w)
+            )
+        totals[w] = c
     for w, (name, want) in slots.items():
         coeff = totals[w]
         if coeff and zdegree(coeff) != want:

@@ -1,14 +1,17 @@
 """Differential graded algebra on top of a free twisted multi-derivation.
 
-Degree one is the free left module on the basis forms, with the right
-action routed through sigma.  Higher degrees are words in the basis forms
-modulo rewrite rules on adjacent pairs, normalised by an ncalg
-Presentation whose letters are the forms in canonical order, each of
-degree 1; the exterior differential combines the derivation rows
-(degree 0) with declared values on the basis forms.  All rewrite data is
-validated at construction: the engine rejects rules that change degree or
-fail to decrease the canonical order, every overlap up to one past the
-top degree must resolve, and no word may survive above the top degree.
+Degree one is free as a left and as a right module on the basis forms:
+a coefficient crosses a form letter through sigma one way and through
+sigma-bar = (sigma^T)^-1 the other, omega_i*a = sum_j sigma_ij(a)*omega_j
+and a*omega_i = sum_k omega_k*sigma-bar_ki(a); `_push` runs both.  Higher
+degrees are words in the basis forms modulo rewrite rules on adjacent
+pairs, normalised by an ncalg Presentation whose letters are the forms in
+canonical order, each of degree 1; the exterior differential combines the
+derivation rows (degree 0) with declared values on the basis forms.  All
+rewrite data is validated at construction: the engine rejects rules that
+change degree or fail to decrease the canonical order, every overlap up
+to one past the top degree must resolve, and no word may survive above
+the top degree.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ class CalculusSpec:
             rules=[self._letter_rule(lhs, rhs) for lhs, rhs in rules.items()],
             grading=dict.fromkeys(order, 1),
         )
+        self._sigma_t = tmd.sigma.transpose()
         self._reduce_memo = {}
         self._dword_memo = {}
         self._bases = self._build_bases(bases)
@@ -336,63 +340,53 @@ def _form_term_str(spec, word, coeff):
 # -- module operations --------------------------------------------------------
 
 
-def _word_action(spec, word, a):
-    """Push a through the form word: word*a = sum coeffs[w]*w, raw words w."""
-    if not a:
-        return {}
-    sigma = spec.tmd.sigma
-    out = {(): a}
-    for letter in reversed(word):
-        nxt = {}
-        for w, coeff in out.items():
-            for j in range(spec.n):
-                c = sigma.entry(letter, j).apply(coeff)
-                if c:
-                    add_scaled(nxt, {(j,) + w: c})
-        out = nxt
-    return out
+def _push(matrix, word, a):
+    """Spread a over raw words: c on w goes to w + (k,) as matrix[k][letter](c).
 
-
-def right_mul(spec, x, a):
-    """The right action of the algebra, one sigma twist per basis letter."""
-    if not isinstance(a, AlgElement):
-        a = spec.presentation.scalar(a)
-    coords = {}
-    for word, cu in x.terms.items():
-        for w, c in _word_action(spec, word, a).items():
-            add_scaled(coords, spec.reduce_word(w), cu * c)
-    return FormElement(spec, x.degree, coords)
-
-
-def right_coords(spec, a, word):
-    """Right coefficients of a*word: a*word = sum_w w*out[w], w basis words."""
-    bar = spec.tmd.sigma_bar
+    Right coefficients take sigma-bar and the word as written; the left push
+    takes sigma^T and the word reversed, and comes out spelled backwards.
+    """
     raw = {(): a} if a else {}
     for letter in word:
         nxt = {}
         for w, c in raw.items():
-            for k in range(spec.n):
-                cc = bar.entry(k, letter).apply(c)
+            for k in range(matrix.n):
+                cc = matrix.entry(k, letter).apply(c)
                 if cc:
-                    add_scaled(nxt, {w + (k,): cc})
+                    nxt[w + (k,)] = cc
         raw = nxt
+    return raw
+
+
+def right_mul(spec, x, a):
+    """The right action of the algebra: mul by a on the empty form word."""
+    if not isinstance(a, AlgElement):
+        a = spec.presentation.scalar(a)
+    return mul(spec, x, FormElement(spec, 0, {(): a} if a else {}))
+
+
+def right_coords(spec, omega):
+    """Right coefficients of a form, summed: omega = sum_w w*out[w], w basis
+    words; each left coefficient crosses its word through sigma-bar."""
+    bar = spec.tmd.sigma_bar
     out = {}
-    for w, c in raw.items():
-        # rule coefficients are scalars, so they slide past right coefficients
-        add_scaled(out, spec.reduce_word(w), c)
+    for word, a in omega.terms.items():
+        for w, c in _push(bar, word, a).items():
+            # rule coefficients are scalars, so they slide past right coefficients
+            add_scaled(out, spec.reduce_word(w), c)
     return out
 
 
 def mul(spec, x, y):
-    """Product of forms; the right factor's coefficients pass through sigma."""
+    """Product of forms; the right factor's coefficients cross x through sigma."""
     if x.spec is not spec or y.spec is not spec:
         raise ValueError("forms belong to a different calculus")
     degree = x.degree + y.degree
     coords = {}
     for u, cu in x.terms.items():
         for v, cv in y.terms.items():
-            for w, c in _word_action(spec, u, cv).items():
-                add_scaled(coords, spec.reduce_word(w + v), cu * c)
+            for w, c in _push(spec._sigma_t, u[::-1], cv).items():
+                add_scaled(coords, spec.reduce_word(w[::-1] + v), cu * c)
     return FormElement(spec, degree, coords)
 
 

@@ -42,9 +42,6 @@ class NotAUnit(ValueError):
     pass
 
 
-_right_coords = dga.right_coords
-
-
 class HomForm(SparseVector):
     """Values of one right-linear map on the basis words of its degree."""
 
@@ -115,7 +112,8 @@ def dual_basis(spec, degree):
 
 
 def hom_apply(spec, f, omega):
-    """Evaluate: left coefficients are first moved right through sigma-bar."""
+    """Evaluate as f(sum_w w*c_w) = sum_w f(w)*c_w, the right coefficients
+    c_w from `dga.right_coords` (left ones cross through sigma-bar)."""
     if not isinstance(omega, FormElement) or omega.spec is not spec:
         raise ValueError("expected a form of the same calculus")
     if f.degree != omega.degree:
@@ -123,11 +121,10 @@ def hom_apply(spec, f, omega):
             f"hom-form of degree {f.degree} applied to degree {omega.degree}"
         )
     terms = {}
-    for word, a in omega.terms.items():
-        for w, c in _right_coords(spec, a, word).items():
-            fv = f.terms.get(w)
-            if fv:
-                add_scaled(terms, (fv * c).terms)
+    for w, c in dga.right_coords(spec, omega).items():
+        fv = f.terms.get(w)
+        if fv:
+            add_scaled(terms, (fv * c).terms)
     return AlgElement(spec.presentation, terms)
 
 

@@ -267,15 +267,11 @@ class LadderDiagram:
         self.verticals = table
 
     def apply(self, k, omega):
-        """V_k on a form of degree k >= 1."""
+        """V_k on a form of degree k >= 1, as V_k(e*r) = V_k(e)*r with the
+        right coefficients r from `dga.right_coords` (through sigma-bar)."""
         spec = self.spec
-        rights = {}
-        for word, coeff in omega.terms.items():
-            for e, r in dga.right_coords(spec, coeff, word).items():
-                have = rights.get(e)
-                rights[e] = r if have is None else have + r
         total = None
-        for e, r in rights.items():
+        for e, r in dga.right_coords(spec, omega).items():
             piece = self.verticals[k][e] * r
             total = piece if total is None else total + piece
         if total is not None:

@@ -65,7 +65,6 @@ class TwistedMultiDerivation:
             sigma_hat = sigma_hat or built_hat
         self.sigma_bar = sigma_bar
         self.sigma_hat = sigma_hat
-        self.verified = None
         self._memo = {(): (presentation.zero,) * self.n}
 
     # -- extension -----------------------------------------------------------
@@ -145,7 +144,6 @@ def verify_free(t):
     """Re-check every assumption behind (partial, sigma) freeness.
 
     Returns a CheckReport; failures carry witnesses and nothing raises.
-    The report is also stored on t.verified.
     """
     pres = t.presentation
     report = CheckReport()
@@ -190,7 +188,6 @@ def verify_free(t):
         if witness is not None:
             break
     report.add("partial annihilates the defining relations", witness is None, witness)
-    t.verified = report
     return report
 
 

@@ -83,6 +83,7 @@ class Presentation:
         for lhs, rhs in rules:
             self._add_rule(lhs, rhs)
         self.hopf = hopf
+        self._hopf_tables = {}
         self.one = AlgElement(self, {(): context.one})
         self.zero = AlgElement(self, {})
 
@@ -549,26 +550,23 @@ class TensorElement(SparseVector):
     __repr__ = __str__
 
 
-def _require_hopf(presentation):
-    if presentation.hopf is None:
-        raise ValueError("presentation carries no Hopf data")
-    return presentation.hopf
+def _generator_table(pres, datum, image):
+    """{letter: image(value)} for one HopfData table, built once per presentation."""
+    if datum not in pres._hopf_tables:
+        if pres.hopf is None:
+            raise ValueError("presentation carries no Hopf data")
+        values = getattr(pres.hopf, datum)
+        pres._hopf_tables[datum] = {pres.index(g): image(v) for g, v in values.items()}
+    return pres._hopf_tables[datum]
 
 
 def coproduct(presentation, a):
     """Multiplicative extension of the generator coproducts."""
-    hopf = _require_hopf(presentation)
     pres = presentation
-    gen_delta = {}
-    for name, parts in hopf.coproduct.items():
-        terms = {}
-        for left, right, coeff in parts:
-            add_scaled(terms, TensorElement.of(
-                pres.monomial(pres._coerce_word(left)),
-                pres.monomial(pres._coerce_word(right)),
-                coeff,
-            ).terms)
-        gen_delta[pres.index(name)] = TensorElement(pres, terms)
+    gen_delta = _generator_table(pres, "coproduct", lambda parts: sum(
+        (TensorElement.of(pres.monomial(u), pres.monomial(v), c) for u, v, c in parts),
+        TensorElement(pres, {}),
+    ))
     terms = {}
     for word, coeff in a.terms.items():
         part = TensorElement(pres, {((), ()): pres.context.coerce(coeff)})
@@ -579,9 +577,8 @@ def coproduct(presentation, a):
 
 
 def counit(presentation, a):
-    hopf = _require_hopf(presentation)
     pres = presentation
-    eps = {pres.index(name): pres.context.coerce(v) for name, v in hopf.counit.items()}
+    eps = _generator_table(pres, "counit", pres.context.coerce)
     total = pres.context.zero
     for word, coeff in a.terms.items():
         value = pres.context.coerce(coeff)
@@ -597,10 +594,8 @@ def antipode(presentation, a, power=1):
     """Anti-multiplicative extension of S (power 1) or S^{-1} (power -1)."""
     if power not in (1, -1):
         raise ValueError("antipode power must be 1 or -1")
-    hopf = _require_hopf(presentation)
     pres = presentation
-    table_src = hopf.antipode if power > 0 else hopf.antipode_inv
-    table = {pres.index(name): pres.element(v) for name, v in table_src.items()}
+    table = _generator_table(pres, "antipode" if power > 0 else "antipode_inv", pres.element)
     terms = {}
     for word, coeff in a.terms.items():
         part = pres.scalar(coeff)

@@ -402,14 +402,14 @@ def _registry():
             "qplane",
             "quantum plane with the two-parameter covariant calculus",
             "qplane",
-            lambda source: load_calc(source),
+            load_calc,
             qplane_text,
         ),
         Preset(
             "sl2-3d",
             "quantum SL(2) with the left-covariant three-dimensional calculus",
             "sl2-3d",
-            lambda source: load_calc(source),
+            load_calc,
             sl2_text,
         ),
         Preset(
@@ -457,5 +457,4 @@ def resolve_target(target):
     name = target.rsplit("/", 1)[-1]
     if name.endswith(".calc"):
         name = name[: -len(".calc")]
-    return Preset(name, f"presentation file {target}", "calculus",
-                  lambda source: load_calc(source), text)
+    return Preset(name, f"presentation file {target}", "calculus", load_calc, text)

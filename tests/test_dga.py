@@ -85,33 +85,45 @@ def test_left_from_right_quantum_plane(qplane, qplane_calc):
     p = qplane.context.parameter("p")
     x = qplane.gen("x")
     dx = qplane_calc.form_word("dx")
-    assert dga.right_coords(qplane_calc, x, dx) == {dx: x / p}
+    assert dga.right_coords(qplane_calc, qplane_calc.form(1, {dx: x})) == {dx: x / p}
 
 
 def test_left_from_right_3d(sl2, sl2_3d_calc):
     q = sl2.context.parameter("q")
     alpha = sl2.gen("alpha")
     w0 = sl2_3d_calc.form_word("w0")
-    assert dga.right_coords(sl2_3d_calc, alpha, w0) == {w0: alpha * q**2}
+    omega = sl2_3d_calc.form(1, {w0: alpha})
+    assert dga.right_coords(sl2_3d_calc, omega) == {w0: alpha * q**2}
 
 
 def test_left_from_right_unit(qplane, qplane_calc):
     dy = qplane_calc.form_word("dy")
-    assert dga.right_coords(qplane_calc, qplane.one, dy) == {dy: qplane.one}
+    assert dga.right_coords(qplane_calc, qplane_calc.basis_form(dy)) == {dy: qplane.one}
 
 
 def test_left_from_right_roundtrip(qplane, qplane_calc, sl2, sl2_3d_calc):
-    # a*omega_i = sum_j omega_j c_j on every one-form generator
+    # a*e = sum_w w*c_w on every basis word e of every degree, and on sums
+    # of such terms, where several left terms feed one right coefficient
     rng = random.Random(903)
+
+    def from_right(spec, degree, comps):
+        total = spec.zero(degree)
+        for word, c in comps.items():
+            total = total + spec.basis_form(word) * c
+        return total
+
     for pres, spec in ((qplane, qplane_calc), (sl2, sl2_3d_calc)):
-        for name in spec.form_names:
-            for _ in range(4):
-                a = random_element(pres, rng)
-                comps = dga.right_coords(spec, a, spec.form_word(name))
-                total = spec.zero(1)
-                for word, c in comps.items():
-                    total = total + spec.basis_form(word) * c
-                assert total == a * spec.basis_form(name)
+        for degree in range(1, spec.top_degree + 1):
+            basis = spec.basis(degree)
+            assert basis
+            for word in basis:
+                for _ in range(4):
+                    a = random_element(pres, rng)
+                    omega = a * spec.basis_form(word)
+                    comps = dga.right_coords(spec, omega)
+                    assert from_right(spec, degree, comps) == omega
+            omega = spec.form(degree, {w: random_element(pres, rng) for w in basis})
+            assert from_right(spec, degree, dga.right_coords(spec, omega)) == omega
 
 
 # -- exterior differential --------------------------------------------------

@@ -308,6 +308,25 @@ def test_antipode(sl2):
     assert antipode(sl2, d) == a
 
 
+def test_antipode_table_is_built_once(sl2, monkeypatch):
+    # the generator images depend only on the presentation, so after a
+    # first call S and S^-1 normalise no element for their tables
+    w = sl2.gen("alpha") * sl2.gen("beta") + sl2.gen("delta")
+    first = {power: antipode(sl2, w, power=power) for power in (1, -1)}
+    calls = []
+    element = Presentation.element
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return element(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "element", counted)
+    for _ in range(3):
+        for power in (1, -1):
+            assert antipode(sl2, w, power=power) == first[power]
+    assert calls == []
+
+
 def test_antipode_axiom(sl2):
     # m (S (x) id) Delta = counit * unit, checked on all four generators
     for g in ("alpha", "beta", "gamma", "delta"):
