@@ -12,6 +12,18 @@ rewrite data is validated at construction: the engine rejects rules that
 change degree or fail to decrease the canonical order, every overlap up
 to one past the top degree must resolve, and no word may survive above
 the top degree.
+
+Each calculus keeps one twist table (`CalculusSpec._twists`) of the three
+per-word evaluations that move a coefficient across forms: sigma-bar
+pushed along a form word and reduced (`right_coords`), sigma^T pushed
+along the reversed word and reduced with the right factor's word appended
+(`mul`), and the connection-kernel row (`homconn.twisted_partial`).  An
+entry is keyed by (kind, form word, normal word u, appended word) and
+holds the value on the monomial u as {basis word: {normal word: scalar}}.
+sigma, sigma-bar, sigma-hat and the derivations are linear over the
+scalars, which are central, so a coefficient sum_u s_u*u is read as
+sum_u s_u * entry(u): a general coefficient is expanded into its terms,
+and a hit costs scalar products only.
 """
 
 from __future__ import annotations
@@ -48,6 +60,14 @@ class CalculusSpec:
     {word: scalar}; d_on_forms maps a form name to its degree-2 value
     (omitted names differentiate to zero).  bases optionally pins the
     stored basis order for degrees >= 2.
+
+    The spec holds the calculus's twist table (see the module docstring):
+    `_twists` maps (kind, form word, normal word u, appended word) to the
+    kind's evaluation on the monomial u; the kinds are "right", "left" and
+    "kernel", whose form word is (i,) for row i.  The maps behind each kind are
+    linear over the scalars, so one entry per normal word serves every
+    coefficient, and the table grows with the words reached, never with
+    the coefficients.
     """
 
     def __init__(
@@ -89,6 +109,7 @@ class CalculusSpec:
         self._sigma_t = tmd.sigma.transpose()
         self._reduce_memo = {}
         self._dword_memo = {}
+        self._twists = {}
         self._bases = self._build_bases(bases)
 
         self.d_on_forms = {}
@@ -358,6 +379,72 @@ def _push(matrix, word, a):
     return raw
 
 
+def _reduced(spec, raw, tail):
+    """{basis word: terms} of sum_w reduce(w + tail)*c over raw {w: c}."""
+    out = {}
+    for w, c in raw.items():
+        # rule coefficients are scalars, so they slide past the coefficients
+        for b, r in spec.reduce_word(w + tail).items():
+            add_scaled(out.setdefault(b, {}), c.terms, r)
+    return {b: terms for b, terms in out.items() if terms}
+
+
+# The table's three kinds: each builds the entry of a monomial u (as the
+# element unit) from scratch.
+
+
+def _right_entry(spec, word, unit, tail):
+    return _reduced(spec, _push(spec.tmd.sigma_bar, word, unit), tail)
+
+
+def _left_entry(spec, word, unit, tail):
+    raw = _push(spec._sigma_t, word[::-1], unit)
+    return _reduced(spec, {w[::-1]: c for w, c in raw.items()}, tail)
+
+
+def _kernel_entry(spec, word, unit, tail):
+    # sum_jk sigma_bar_kj(partial_j(sigma_hat_ki(u))) for word (i,), on the
+    # empty form word
+    tmd = spec.tmd
+    (i,) = word
+    terms = {}
+    for k in range(tmd.n):
+        b = tmd.sigma_hat.entry(k, i).apply(unit)
+        if not b:
+            continue
+        row = tmd.partial(b)
+        for j in range(tmd.n):
+            if row[j]:
+                add_scaled(terms, tmd.sigma_bar.entry(k, j).apply(row[j]).terms)
+    return {(): terms} if terms else {}
+
+
+_ENTRIES = {"right": _right_entry, "left": _left_entry, "kernel": _kernel_entry}
+
+
+def _twisted(spec, kind, word, a, tail, out):
+    """out[b] += s * entry(u)[b] over the terms s*u of a; returns out.
+
+    The entries come from the spec's twist table, built on first use; out
+    maps basis words to term dicts, which may end up empty.
+    """
+    table = spec._twists
+    for u, s in a.terms.items():
+        key = (kind, word, u, tail)
+        entry = table.get(key)
+        if entry is None:
+            unit = AlgElement(spec.presentation, {u: spec.context.one})
+            entry = table[key] = _ENTRIES[kind](spec, word, unit, tail)
+        for b, terms in entry.items():
+            add_scaled(out.setdefault(b, {}), terms, s)
+    return out
+
+
+def _elements(spec, out):
+    pres = spec.presentation
+    return {b: AlgElement(pres, terms) for b, terms in out.items() if terms}
+
+
 def right_mul(spec, x, a):
     """The right action of the algebra: mul by a on the empty form word."""
     if not isinstance(a, AlgElement):
@@ -367,26 +454,26 @@ def right_mul(spec, x, a):
 
 def right_coords(spec, omega):
     """Right coefficients of a form, summed: omega = sum_w w*out[w], w basis
-    words; each left coefficient crosses its word through sigma-bar."""
-    bar = spec.tmd.sigma_bar
+    words; each left coefficient crosses its word through sigma-bar, read
+    from the twist table."""
     out = {}
     for word, a in omega.terms.items():
-        for w, c in _push(bar, word, a).items():
-            # rule coefficients are scalars, so they slide past right coefficients
-            add_scaled(out, spec.reduce_word(w), c)
-    return out
+        _twisted(spec, "right", word, a, (), out)
+    return _elements(spec, out)
 
 
 def mul(spec, x, y):
-    """Product of forms; the right factor's coefficients cross x through sigma."""
+    """Product of forms; the right factor's coefficients cross x through
+    sigma, read from the twist table, and x's coefficient multiplies each
+    basis word's sum once."""
     if x.spec is not spec or y.spec is not spec:
         raise ValueError("forms belong to a different calculus")
     degree = x.degree + y.degree
     coords = {}
     for u, cu in x.terms.items():
         for v, cv in y.terms.items():
-            for w, c in _push(spec._sigma_t, u[::-1], cv).items():
-                add_scaled(coords, spec.reduce_word(w[::-1] + v), cu * c)
+            pushed = _twisted(spec, "left", u, cv, v, {})
+            add_scaled(coords, _elements(spec, pushed), cu)
     return FormElement(spec, degree, coords)
 
 

@@ -158,18 +158,11 @@ def hom_mul_form(spec, f, omega):
 
 
 def twisted_partial(spec, i, a):
-    """Row i of the connection kernel: sum_jk sigma_bar_kj(partial_j(sigma_hat_ki(a)))."""
-    tmd = spec.tmd
-    total = spec.presentation.zero
-    for k in range(tmd.n):
-        b = tmd.sigma_hat.entry(k, i).apply(a)
-        if not b:
-            continue
-        row = tmd.partial(b)
-        for j in range(tmd.n):
-            if row[j]:
-                total = total + tmd.sigma_bar.entry(k, j).apply(row[j])
-    return total
+    """Row i of the connection kernel,
+    sum_jk sigma_bar_kj(partial_j(sigma_hat_ki(a))), read from the twist
+    table per normal word of a."""
+    terms = dga._twisted(spec, "kernel", (i,), a, (), {}).get((), {})
+    return AlgElement(spec.presentation, terms)
 
 
 def nabla(spec, f):

@@ -59,9 +59,20 @@ class MapExpr:
 
 
 class Zero(MapExpr):
+    """The zero map: every value is the shared `presentation.zero`, so it
+    keeps no memo."""
+
     __slots__ = ()
 
-    def _eval_word(self, word):
+    def __init__(self, presentation):
+        self.presentation = presentation
+
+    def on_word(self, word):
+        return self.presentation.zero
+
+    def apply(self, element):
+        if element.presentation is not self.presentation:
+            raise ValueError("element from a different presentation")
         return self.presentation.zero
 
     def __repr__(self):

@@ -53,6 +53,13 @@ class ScalarContext:
 
     Values from different contexts never mix; arithmetic between them raises
     ValueError.
+
+    The context shares Laurent monomials: a product of two monomials is
+    looked up by its exponents and its `_reduce`d coefficient, so each such
+    value exists once per context and `x * y is x * y` for monomials x, y.
+    The key holds the reduced coefficient because `2 == Fraction(2)`: an
+    unreduced key would let one stand for the other.  Sharing is safe
+    because no operation writes to a ScalarRF or its dict.
     """
 
     def __init__(self, parameters=()):
@@ -62,6 +69,7 @@ class ScalarContext:
         self._unit = (0,) * len(names)
         self.zero = ScalarRF(self, {})
         self.one = ScalarRF(self, {self._unit: 1})
+        self._monomials = {(self._unit, 1): self.one}
 
     def parameter(self, name):
         if name not in self.parameters:
@@ -96,6 +104,15 @@ class ScalarContext:
 
     def _constant(self, value):
         return {self._unit: _reduce(value)} if value else {}
+
+    def _monomial(self, exps, coeff):
+        # the shared value coeff * params^exps, coeff a nonzero int or Fraction
+        coeff = _reduce(coeff)
+        key = (exps, coeff)
+        value = self._monomials.get(key)
+        if value is None:
+            value = self._monomials[key] = ScalarRF(self, {exps: coeff})
+        return value
 
     def _from_fraction(self, numer, denom):
         # the value of a coprime fraction: back to the dict when the
@@ -183,8 +200,13 @@ class ScalarRF:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        if self._terms is not None and other._terms is not None:
-            return ScalarRF(self.context, _mul(self._terms, other._terms))
+        a, b = self._terms, other._terms
+        if a is not None and b is not None:
+            if len(a) == 1 == len(b):
+                ((e, c),) = a.items()
+                ((f, d),) = b.items()
+                return self.context._monomial(tuple(map(add, e, f)), c * d)
+            return ScalarRF(self.context, _mul(a, b))
         return _rational(_fraction_mul, self, other)
 
     __rmul__ = __mul__

@@ -8,16 +8,25 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intforms import dga
+from intforms import cli, dga, homconn, integrals, linmap
 from intforms.dga import CalculusSpec, DegreeOverflow, check_d_squared, check_density
+from intforms.homconn import twisted_partial
 from intforms.linmap import Identity, identity_matrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import RuleOrientationError
+from intforms.presets import REGISTRY
 
 from intforms.sparse import add_scaled
 
-from conftest import make_sl2_3d_calculus, qplane_form_rules, sl2_3d_form_rules
+from conftest import (
+    make_qplane_calculus,
+    make_sl2_3d_calculus,
+    qplane_form_rules,
+    sl2_3d_form_rules,
+)
 
 
 def random_element(pres, rng, max_len=3, terms=2):
@@ -124,6 +133,141 @@ def test_left_from_right_roundtrip(qplane, qplane_calc, sl2, sl2_3d_calc):
                     assert from_right(spec, degree, comps) == omega
             omega = spec.form(degree, {w: random_element(pres, rng) for w in basis})
             assert from_right(spec, degree, dga.right_coords(spec, omega)) == omega
+
+
+# -- the twist table ---------------------------------------------------------
+
+
+# preset name -> (session fixture, builder of a fresh spec on its derivation)
+_CALCULI = {
+    "qplane": ("qplane_calc", make_qplane_calculus),
+    "sl2-3d": ("sl2_3d_calc", make_sl2_3d_calculus),
+}
+
+
+@st.composite
+def coefficients(draw, pres, max_len=3):
+    """A multi-term element: random normal words with int or Fraction scalars."""
+    words = pres.normal_words(max_len)
+    terms = draw(st.lists(
+        st.tuples(
+            st.sampled_from(words),
+            st.one_of(
+                st.integers(-3, 3),
+                st.fractions(min_value=-2, max_value=2, max_denominator=4),
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    return pres.element(dict(terms))
+
+
+def _twist_results(spec, coords, degree, right_factor, i, a):
+    # right_coords, mul (by a degree-1 form and by a) and the
+    # connection-kernel row, as plain dicts comparable across specs
+    omega = spec.form(degree, coords)
+    return [
+        dga.right_coords(spec, omega),
+        dga.mul(spec, omega, spec.form(1, right_factor)).terms,
+        dga.right_mul(spec, omega, a).terms,
+        twisted_partial(spec, i, a),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_CALCULI))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_twist_table_agrees_with_a_cold_table(request, name, data):
+    # random multi-term coefficients on every basis word, against a freshly
+    # built spec of the same derivation, whose table starts empty
+    fixture, build = _CALCULI[name]
+    warm = request.getfixturevalue(fixture)
+    pres = warm.presentation
+    degree = data.draw(st.integers(1, warm.top_degree))
+    coords = {w: data.draw(coefficients(pres)) for w in warm.basis(degree)}
+    right_factor = {w: data.draw(coefficients(pres)) for w in warm.basis(1)}
+    i = data.draw(st.integers(0, warm.n - 1))
+    a = data.draw(coefficients(pres))
+    args = (coords, degree, right_factor, i, a)
+    first = _twist_results(warm, *args)
+    assert _twist_results(warm, *args) == first
+    cold = build(warm.tmd)
+    assert not cold._twists
+    assert _twist_results(cold, *args) == first
+
+
+def _map_applies(monkeypatch):
+    """Count every map evaluation by `apply` (MatrixEntry inherits MapExpr's)."""
+    calls = []
+    for cls in vars(linmap).values():
+        if isinstance(cls, type) and "apply" in vars(cls):
+            def counted(self, element, _apply=vars(cls)["apply"]):
+                calls.append(self)
+                return _apply(self, element)
+
+            monkeypatch.setattr(cls, "apply", counted)
+    return calls
+
+
+def test_twist_table_serves_repeated_calls(qplane, qplane_calc, sl2, sl2_3d_calc, monkeypatch):
+    rng = random.Random(1307)
+    runs = []
+    for pres, spec in ((qplane, qplane_calc), (sl2, sl2_3d_calc)):
+        omega = spec.form(1, {w: random_element(pres, rng) for w in spec.basis(1)})
+        other = spec.form(1, {w: random_element(pres, rng) for w in spec.basis(1)})
+        a = random_element(pres, rng, terms=3)
+        runs += [
+            lambda spec=spec, omega=omega: dga.right_coords(spec, omega),
+            lambda spec=spec, omega=omega, other=other: dga.mul(spec, omega, other),
+            lambda spec=spec, a=a: [twisted_partial(spec, i, a) for i in range(spec.n)],
+        ]
+    first = [run() for run in runs]
+    calls = _map_applies(monkeypatch)
+    assert [run() for run in runs] == first
+    assert calls == []
+
+
+def test_twist_table_grows_with_words_not_coefficients(monkeypatch, capsys):
+    # one entry per (kind, form word, normal word, appended word) that the
+    # verify run reached through right_coords, mul and twisted_partial
+    preset = REGISTRY["sl2-3d"]
+    monkeypatch.setattr(preset, "_cache", None)
+    reached = set()
+
+    def recording(fn, keys):
+        def wrapper(*args):
+            reached.update(keys(*args))
+            return fn(*args)
+
+        return wrapper
+
+    def right_keys(spec, omega):
+        return {("right", w, u, ()) for w, a in omega.terms.items() for u in a.terms}
+
+    def left_keys(spec, x, y):
+        return {("left", u, n, v) for u in x.terms for v, c in y.terms.items() for n in c.terms}
+
+    def kernel_keys(spec, i, a):
+        return {("kernel", (i,), n, ()) for n in a.terms}
+
+    monkeypatch.setattr(dga, "right_coords", recording(dga.right_coords, right_keys))
+    monkeypatch.setattr(dga, "mul", recording(dga.mul, left_keys))
+    partial = recording(homconn.twisted_partial, kernel_keys)
+    monkeypatch.setattr(homconn, "twisted_partial", partial)
+    monkeypatch.setattr(integrals, "twisted_partial", partial)
+    assert cli.main(["verify", "preset:sl2-3d", "--max-len", "3"]) == 0
+    capsys.readouterr()
+
+    spec = preset.load().spec
+    pres = spec.presentation
+    table = spec._twists
+    assert table and set(table) <= reached
+    basis_words = {w for k in range(1, spec.top_degree + 1) for w in spec.basis(k)}
+    for kind, word, u, tail in table:
+        assert pres.monomial(u).terms == {u: pres.context.one}
+        assert word in basis_words and tail in basis_words | {()}
+    assert {kind for kind, *_ in table} == {"right", "left", "kernel"}
 
 
 # -- exterior differential --------------------------------------------------

@@ -46,6 +46,19 @@ def test_basic_nodes(qplane):
     assert swap.on_word(()) == qplane.one
 
 
+def test_zero_map_shares_the_zero_without_a_memo(qplane, sl2):
+    # the sl2 sigma matrices are mostly Zero entries; each value is the one
+    # shared presentation.zero, and no per-word table fills up
+    zero = Zero(qplane)
+    for word in qplane.normal_words(3):
+        assert zero.on_word(word) is qplane.zero
+    x, y = qplane.gen("x"), qplane.gen("y")
+    assert zero.apply(x * y - 2 * y) is qplane.zero
+    assert not hasattr(zero, "_memo")
+    with pytest.raises(ValueError):
+        zero.apply(sl2.gen("alpha"))
+
+
 def test_algebra_map_validation(qplane):
     with pytest.raises(ValueError):
         AlgebraMap(qplane, {"x": qplane.gen("x")})  # y image missing

@@ -451,3 +451,64 @@ def test_gcd_edge_cases():
     assert scalars._gcd(q2, qp) == {(1, 0): 1}
     with pytest.raises(ArithmeticError):
         scalars._divexact({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1})
+
+
+# -- shared Laurent monomials -------------------------------------------------
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two Laurent monomials whose exponents may cancel and whose
+    coefficients may multiply to 1 or to an integral Fraction."""
+    c, a, b = draw(_monomials)
+    shape = draw(st.sampled_from(("free", "inverse", "cancel", "integral")))
+    if shape == "inverse":
+        d, e, f = 1 / Fraction(c), -a, -b
+    elif shape == "cancel":
+        d, e, f = draw(_coefficients), -a, draw(st.integers(-3, 3))
+    elif shape == "integral":
+        # c*d is the integer k, held as a Fraction by the raw product
+        d = Fraction(draw(st.integers(-4, 4).filter(bool))) / Fraction(c)
+        e, f = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    else:
+        d, e, f = draw(_monomials)
+    return (c, a, b), (d, e, f)
+
+
+def _raw_monomial(ctx, c, a, b):
+    return ScalarRF(ctx, {(a, b): scalars._reduce(Fraction(c))})
+
+
+@given(pair=monomial_pairs())
+@settings(max_examples=150, deadline=None)
+def test_monomial_products_are_shared_and_canonical(qpctx, pair):
+    x, y = (_raw_monomial(qpctx, *m) for m in pair)
+    general = ScalarRF(qpctx, scalars._mul(x._terms, y._terms))
+    product = x * y
+    assert product == general
+    assert hash(product) == hash(general)
+    assert str(product) == str(general)
+    # the shared value holds the reduced coefficient: an int when integral
+    ((_, coeff),) = product._terms.items()
+    reduced = scalars._reduce(coeff)
+    assert type(coeff) is type(reduced) and coeff == reduced
+    assert x * y is x * y
+    assert y * x is product
+    if product == 1:
+        assert product is qpctx.one
+
+
+@given(pair=monomial_pairs(), n=st.integers(-3, 3))
+@settings(max_examples=80, deadline=None)
+def test_arithmetic_leaves_shared_monomials_unchanged(qpctx, pair, n):
+    x, y = (_raw_monomial(qpctx, *m) for m in pair)
+    shared = x * y
+    terms, text = dict(shared._terms), str(shared)
+    -shared
+    shared + x
+    x + shared
+    shared - y
+    shared**n
+    shared * (x + y)
+    assert shared._terms == terms and str(shared) == text
+    assert x * y is shared
