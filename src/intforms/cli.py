@@ -91,6 +91,10 @@ def _check_flags(args):
     ):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    # the default sweep covers the degree blocks 0 .. max_len - 1
+    degree = getattr(args, "degree", None)
+    if degree is not None and not 0 <= degree < args.max_len:
+        raise ValueError(f"--degree must be in 0..{args.max_len - 1}, got {degree}")
 
 
 def _run(command, preset, args):

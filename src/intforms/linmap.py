@@ -1,12 +1,20 @@
 """Linear maps on a presented algebra and square matrices of them.
 
-Map expressions are small immutable trees (identity, generator-image maps,
-grade scalings, compositions, sums, scalar multiples, matrix entries) that
-evaluate on words with per-node memoization.  Matrices of maps carry a
-triangularity kind; the module provides the entrywise-composition product
-of such matrices and one triangular substitution, transpose_inverse, that
-builds the inverse pair of a triangular matrix: bar inverts sigma^T, and
-hat inverts bar^T by the same step.
+A map is a linear endomorphism evaluated per word: the identity, a
+generator-image map, a grade scaling, the zero map, or one entry of a
+matrix.  A MapMatrix is its value on words: value(word) is the n x n tuple
+of the entries' images of the word.  Its kind records the triangular zero
+pattern; the slots the kind forces to vanish hold one shared Zero, so
+callers skip them at no cost.  Every other slot is a MatrixEntry view that
+reads the value, except that diagonal and transpose_inverse put the maps
+their diagonal is made of in the diagonal slots.
+
+Only the two costly sources memoise per word: from_images (products of the
+generators' image matrices) and transpose_inverse, the one triangular
+substitution that builds the inverse pair of a free twisted
+multi-derivation (bar inverts sigma^T, and hat inverts bar^T by the same
+step).  transpose, diagonal and bullet, the product with entrywise
+composition, read through to the matrices and maps they are built from.
 
 Evaluation is defined on raw words, not only normal ones: a generator-image
 map multiplies images along the word as written.  Whether that descends to
@@ -15,8 +23,35 @@ passes compare raw-word evaluation of each relation's two sides.
 """
 from __future__ import annotations
 
+import functools
+import operator
+
 from .ncalg import AlgElement, GradingAbsent
 from .sparse import add_scaled
+
+
+def by_generator(presentation, table, what):
+    """{generator index: value} of a table keyed by generator name or index.
+
+    Elements, alone or in rows or matrices, are taken into the presentation;
+    every generator needs an entry.
+    """
+    out = {}
+    for key, value in table.items():
+        idx = presentation.index(key) if isinstance(key, str) else key
+        if not 0 <= idx < len(presentation.generators):
+            raise ValueError(f"no generator with index {idx}")
+        out[idx] = _elements(presentation, value)
+    missing = [g for i, g in enumerate(presentation.generators) if i not in out]
+    if missing:
+        raise ValueError(f"{what} missing for {missing}")
+    return out
+
+
+def _elements(presentation, value):
+    if isinstance(value, (tuple, list)):
+        return tuple(_elements(presentation, v) for v in value)
+    return presentation.element(value.terms if hasattr(value, "terms") else value)
 
 
 class SizeMismatch(ValueError):
@@ -99,22 +134,7 @@ class AlgebraMap(MapExpr):
 
     def __init__(self, presentation, images, name=None):
         super().__init__(presentation)
-        table = {}
-        for key, image in images.items():
-            idx = presentation.index(key) if isinstance(key, str) else key
-            if not 0 <= idx < len(presentation.generators):
-                raise ValueError(f"no generator with index {idx}")
-            table[idx] = presentation.element(
-                image.terms if hasattr(image, "terms") else image
-            )
-        missing = [
-            presentation.generators[i]
-            for i in range(len(presentation.generators))
-            if i not in table
-        ]
-        if missing:
-            raise ValueError(f"generator images missing for {missing}")
-        self.images = table
+        self.images = by_generator(presentation, images, "generator images")
         self.name = name
 
     def _eval_word(self, word):
@@ -139,7 +159,7 @@ class GradeScale(MapExpr):
         self.base = presentation.context.coerce(base)
         if not self.base:
             raise ValueError("grade scaling base must be invertible")
-        self.exponent = int(exponent)
+        self.exponent = operator.index(exponent)  # TypeError for floats
 
     def _eval_word(self, word):
         degree = sum(self.presentation.grading[g] for g in word)
@@ -149,167 +169,101 @@ class GradeScale(MapExpr):
         return f"<GradeScale {self.base}^({self.exponent}*deg)>"
 
 
-class Compose(MapExpr):
-    """outer after inner."""
-
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer, inner):
-        if outer.presentation is not inner.presentation:
-            raise ValueError("composed maps live on different presentations")
-        super().__init__(outer.presentation)
-        self.outer = outer
-        self.inner = inner
-
-    def _eval_word(self, word):
-        return self.outer.apply(self.inner.on_word(word))
-
-    def __repr__(self):
-        return f"({self.outer!r} . {self.inner!r})"
-
-
-class Sum(MapExpr):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("empty sum; use Zero")
-        super().__init__(parts[0].presentation)
-        for part in parts:
-            if part.presentation is not self.presentation:
-                raise ValueError("summed maps live on different presentations")
-        self.parts = parts
-
-    def _eval_word(self, word):
-        terms = {}
-        for part in self.parts:
-            add_scaled(terms, part.on_word(word).terms)
-        return AlgElement(self.presentation, terms)
-
-    def __repr__(self):
-        return "(" + " + ".join(repr(p) for p in self.parts) + ")"
-
-
-class Scale(MapExpr):
-    __slots__ = ("coeff", "inner")
-
-    def __init__(self, coeff, inner):
-        super().__init__(inner.presentation)
-        self.coeff = self.presentation.context.coerce(coeff)
-        self.inner = inner
-
-    def _eval_word(self, word):
-        return self.inner.on_word(word).scale(self.coeff)
-
-    def __repr__(self):
-        return f"({self.coeff})*{self.inner!r}"
-
-
 class MatrixEntry(MapExpr):
+    """Entry (i, j) of a MapMatrix, read from the matrix's value; no memo."""
+
     __slots__ = ("matrix", "i", "j")
 
     def __init__(self, matrix, i, j):
-        super().__init__(matrix.presentation)
+        self.presentation = matrix.presentation
         self.matrix = matrix
         self.i = i
         self.j = j
 
-    def _eval_word(self, word):
+    def on_word(self, word):
         return self.matrix.on_word(word)[self.i][self.j]
 
     def __repr__(self):
         return f"<entry ({self.i},{self.j})>"
 
 
-KINDS = ("general", "upper_triangular", "lower_triangular", "diagonal")
+# kind -> (the entries below the diagonal vanish, those above it vanish)
+KINDS = {
+    "general": (False, False),
+    "upper_triangular": (True, False),
+    "lower_triangular": (False, True),
+    "diagonal": (True, True),
+}
+_KIND_OF = {zeros: kind for kind, zeros in KINDS.items()}
 
 
 class MapMatrix:
-    """Square matrix of maps; optionally an algebra map A -> M_n(A).
+    """Square matrix of maps, given by its value on words.
 
-    Built either from per-generator image matrices (multiplicative: a word
-    evaluates to the product of its letters' matrices) or from explicit
-    MapExpr entries.  The kind flag records the structural zero pattern.
+    value(word) is the n x n tuple whose entry (i, j) is the (i, j) map
+    applied to the word.  The kind flag records the structural zero pattern:
+    every slot the kind forces to vanish holds one shared Zero, every other
+    slot a MatrixEntry view of the value (or, see _with_diagonal, the map on
+    the diagonal).
     """
 
-    __slots__ = ("presentation", "n", "entries", "kind", "_images", "_memo")
+    __slots__ = ("presentation", "n", "kind", "value", "entries")
 
-    def __init__(self, presentation, n, entries, kind, images):
-        self.presentation = presentation
-        self.n = n
-        self.entries = entries
+    def __init__(self, presentation, n, kind, value):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
+        self.presentation = presentation
+        self.n = n
         self.kind = kind
-        self._images = images
-        self._memo = {}
+        self.value = value
+        zero = Zero(presentation)
+        self.entries = tuple(
+            tuple(
+                zero if i != j and KINDS[kind][i < j] else MatrixEntry(self, i, j)
+                for j in range(n)
+            )
+            for i in range(n)
+        )
 
     @classmethod
     def from_images(cls, presentation, images):
-        """images: {generator: n x n matrix of algebra elements}."""
-        table = {}
-        n = None
-        for key, matrix in images.items():
-            idx = presentation.index(key) if isinstance(key, str) else key
-            rows = tuple(
-                tuple(
-                    presentation.element(e.terms if hasattr(e, "terms") else e)
-                    for e in row
-                )
-                for row in matrix
-            )
-            if n is None:
-                n = len(rows)
-            if len(rows) != n or any(len(r) != n for r in rows):
-                raise SizeMismatch("generator image matrices must share one square size")
-            table[idx] = rows
-        missing = [
-            presentation.generators[i]
-            for i in range(len(presentation.generators))
-            if i not in table
-        ]
-        if missing:
-            raise ValueError(f"generator image matrices missing for {missing}")
+        """Algebra map A -> M_n(A), from {generator: n x n matrix of elements}.
+
+        A word evaluates to the product of its letters' matrices, memoised.
+        """
+        table = by_generator(presentation, images, "generator image matrices")
+        n = len(table[0])
+        if any(len(m) != n or any(len(row) != n for row in m) for m in table.values()):
+            raise SizeMismatch("generator image matrices must share one square size")
         kind = _kind_of(n, lambda i, j: all(m[i][j].is_zero() for m in table.values()))
-        self = cls(presentation, n, None, kind, table)
-        self.entries = tuple(
-            tuple(MatrixEntry(self, i, j) for j in range(n)) for i in range(n)
-        )
-        return self
+        one = _diagonal(presentation, (presentation.one,) * n)
+
+        def product(word):
+            acc = one
+            for letter in word:
+                acc = _matrix_product(presentation, acc, table[letter])
+            return acc
+
+        return cls(presentation, n, kind, functools.cache(product))
 
     @classmethod
-    def from_entries(cls, presentation, entries):
-        entries = tuple(tuple(row) for row in entries)
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise SizeMismatch("matrix of maps must be square")
-        for row in entries:
-            for e in row:
-                if e.presentation is not presentation:
-                    raise ValueError("entry from a different presentation")
-        kind = _kind_of(n, lambda i, j: isinstance(entries[i][j], Zero))
-        return cls(presentation, n, entries, kind, None)
+    def diagonal(cls, maps):
+        """The diagonal matrix of maps, read through to them."""
+        maps = tuple(maps)
+        pres = maps[0].presentation
+        if any(m.presentation is not pres for m in maps):
+            raise ValueError("entry from a different presentation")
+
+        def value(word):
+            return _diagonal(pres, [m.on_word(word) for m in maps])
+
+        return _with_diagonal(cls(pres, len(maps), "diagonal", value), maps)
 
     def entry(self, i, j):
         return self.entries[i][j]
 
     def on_word(self, word):
-        cached = self._memo.get(word)
-        if cached is not None:
-            return cached
-        pres = self.presentation
-        if self._images is not None:
-            acc = _scalar_matrix(pres, self.n, pres.one)
-            for letter in word:
-                acc = _matrix_product(pres, acc, self._images[letter])
-        else:
-            acc = tuple(
-                tuple(self.entries[i][j].on_word(word) for j in range(self.n))
-                for i in range(self.n)
-            )
-        self._memo[word] = acc
-        return acc
+        return self.value(word)
 
     def apply(self, element):
         n = self.n
@@ -323,84 +277,94 @@ class MapMatrix:
         return tuple(tuple(AlgElement(pres, terms) for terms in row) for row in out)
 
     def transpose(self):
-        flipped = {
-            "upper_triangular": "lower_triangular",
-            "lower_triangular": "upper_triangular",
-        }
-        out = MapMatrix.from_entries(
-            self.presentation,
-            tuple(tuple(self.entries[j][i] for j in range(self.n)) for i in range(self.n)),
-        )
-        out.kind = flipped.get(self.kind, self.kind)
-        return out
+        if self.kind == "diagonal":
+            return self
+        value = self.value
+
+        def flipped(word):
+            return tuple(zip(*value(word)))
+
+        return MapMatrix(self.presentation, self.n, _transposed(self.kind), flipped)
 
     def __repr__(self):
         return f"<MapMatrix {self.n}x{self.n} {self.kind}>"
 
 
+def _with_diagonal(mat, maps):
+    """mat with the maps as its diagonal entries, in place of views.
+
+    Each map is the diagonal of mat's value, and reading it directly does not
+    build the whole value.
+    """
+    mat.entries = tuple(
+        tuple(maps[i] if i == j else e for j, e in enumerate(row))
+        for i, row in enumerate(mat.entries)
+    )
+    return mat
+
+
 def _kind_of(n, is_zero):
-    above = all(is_zero(i, j) for i in range(n) for j in range(i + 1, n))
     below = all(is_zero(i, j) for i in range(n) for j in range(i))
-    if above and below:
-        return "diagonal"
-    if below:
-        return "upper_triangular"
-    if above:
-        return "lower_triangular"
-    return "general"
+    above = all(is_zero(i, j) for i in range(n) for j in range(i + 1, n))
+    return _KIND_OF[below, above]
 
 
-def _scalar_matrix(presentation, n, diag):
+def _transposed(kind):
+    return _KIND_OF[KINDS[kind][::-1]]
+
+
+def _diagonal(presentation, diag):
     zero = presentation.zero
-    return tuple(tuple(diag if i == j else zero for j in range(n)) for i in range(n))
+    n = len(diag)
+    return tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n))
 
 
 def _matrix_product(presentation, a, b):
     n = len(a)
     return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(n)), presentation.zero)
-            for j in range(n)
-        )
+        tuple(_total(presentation, (a[i][k] * b[k][j] for k in range(n))) for j in range(n))
         for i in range(n)
     )
+
+
+def _total(presentation, parts):
+    terms = {}
+    for part in parts:
+        add_scaled(terms, part.terms)
+    return AlgElement(presentation, terms) if terms else presentation.zero
 
 
 def identity_matrix(presentation, n):
-    entries = tuple(
-        tuple(
-            Identity(presentation) if i == j else Zero(presentation)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return MapMatrix.from_entries(presentation, entries)
+    return MapMatrix.diagonal([Identity(presentation)] * n)
 
 
 def bullet(amat, bmat):
-    """Matrix product with entrywise composition: (A o B)_ij = sum_k A_ik . B_kj."""
+    """Matrix product with entrywise composition: (A o B)_ij = sum_k A_ik . B_kj.
+
+    Read through: each word takes B's value and applies A's entries to it.
+    """
     if amat.n != bmat.n:
         raise SizeMismatch(f"sizes {amat.n} and {bmat.n}")
     if amat.presentation is not bmat.presentation:
         raise ValueError("matrices over different presentations")
-    pres = amat.presentation
-    n = amat.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            parts = [
-                Compose(amat.entries[i][k], bmat.entries[k][j])
-                for k in range(n)
-                if not isinstance(amat.entries[i][k], Zero)
-                and not isinstance(bmat.entries[k][j], Zero)
-            ]
-            row.append(Zero(pres) if not parts else Sum(parts))
-        rows.append(tuple(row))
-    return MapMatrix.from_entries(pres, rows)
+    pres, n = amat.presentation, amat.n
+    a, b = amat.entries, bmat.entries
+    # slot (i, j) -> the k for which neither A_ik nor B_kj is Zero
+    live = [[k for k in range(n) if not isinstance(a[i][k], Zero)] for i in range(n)]
+    ks = [[[k for k in live[i] if not isinstance(b[k][j], Zero)] for j in range(n)] for i in range(n)]
+
+    def value(word):
+        bw = bmat.on_word(word)
+        return tuple(
+            tuple(_total(pres, (a[i][k].apply(bw[k][j]) for k in ks[i][j])) for j in range(n))
+            for i in range(n)
+        )
+
+    return MapMatrix(pres, n, _kind_of(n, lambda i, j: not ks[i][j]), value)
 
 
 def is_identity_on_words(mat, words):
+    """None when mat is the identity on every word, else the first witness."""
     pres = mat.presentation
     for word in words:
         m = mat.on_word(word)
@@ -409,7 +373,10 @@ def is_identity_on_words(mat, words):
             for j in range(mat.n):
                 want = target if i == j else pres.zero
                 if m[i][j] != want:
-                    return (word, i, j, m[i][j], want)
+                    return (
+                        f"entry ({i},{j}) on {pres.word_str(word)}: "
+                        f"{m[i][j]} != {want}"
+                    )
     return None
 
 
@@ -434,20 +401,17 @@ def _verify_inverse_pair(left, right):
     for amat, bmat in ((left, right), (right, left)):
         witness = is_identity_on_words(bullet(amat, bmat), words)
         if witness is not None:
-            word, i, j, got, want = witness
-            raise RuntimeError(
-                f"inverse identity fails at entry ({i},{j}) on "
-                f"{pres.word_str(word)}: {got} != {want}"
-            )
+            raise RuntimeError(f"inverse identity fails at {witness}")
 
 
 def transpose_inverse(m, diag_inverses):
-    """Matrix x with x o m^T = m^T o x = id, for a triangular m.
+    """Matrix x with x o m^T = m^T o x = id, for a triangular m; memoised.
 
-    x_ij = -inv_i o sum_k m_ki o x_kj, k from j to i with i left out: forward
-    substitution when m^T is lower triangular, backward when it is upper.
-    The supplied inverses of the diagonal entries are verified by round trip
-    on every generator.
+    On each word, x_ii = inv_i and x_ij = -inv_i(sum_k m_ki(x_kj)), k from
+    j to i with i left out: forward substitution when m^T is lower
+    triangular, backward when it is upper.  The supplied inverses of the
+    diagonal entries are verified by round trip on every generator, and
+    they are x's diagonal entries.
     """
     if m.kind == "general":
         raise NotTriangular(f"matrix is {m.kind}")
@@ -455,23 +419,31 @@ def transpose_inverse(m, diag_inverses):
     pres = m.presentation
     n = m.n
     forward = m.kind != "lower_triangular"
-    x = [[Zero(pres) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        x[i][i] = diag_inverses[i]
+    # the off-diagonal slots in substitution order, with the m_ki to sum over
+    steps = []
     for gap in range(1, n):
         for lo in range(n - gap):
             hi = lo + gap
             i, j = (hi, lo) if forward else (lo, hi)
-            parts = [
-                Compose(diag_inverses[i], Compose(m.entries[k][i], x[k][j]))
+            ks = [
+                (m.entries[k][i], k)
                 for k in range(lo, hi + 1)
-                if k != i
-                and not isinstance(m.entries[k][i], Zero)
-                and not isinstance(x[k][j], Zero)
+                if k != i and not isinstance(m.entries[k][i], Zero)
             ]
-            if parts:
-                x[i][j] = Scale(-1, Sum(parts))
-    out = MapMatrix.from_entries(pres, x)
+            if ks:
+                steps.append((i, j, ks))
+
+    def value(word):
+        diag = [inv.on_word(word) for inv in diag_inverses]
+        x = [list(row) for row in _diagonal(pres, diag)]
+        for i, j, ks in steps:
+            total = _total(pres, (mki.apply(x[k][j]) for mki, k in ks if x[k][j]))
+            if total:
+                x[i][j] = -diag_inverses[i].apply(total)
+        return tuple(map(tuple, x))
+
+    out = MapMatrix(pres, n, _transposed(m.kind), functools.cache(value))
+    _with_diagonal(out, diag_inverses)
     _verify_inverse_pair(out, m.transpose())
     return out
 

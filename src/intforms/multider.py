@@ -6,16 +6,19 @@ a matrix sigma of maps, obeying the twisted Leibniz rule
     partial_i(ab) = sum_j partial_j(a) sigma_ji(b) + a partial_i(b).
 
 Generator rows determine everything: extension (TwistedMultiDerivation.partial)
-recurses on the leading letter.  Freeness data (the bar and hat matrices) is
-either supplied or built from a triangular sigma by linmap.free_pair, two
-calls of one transpose-inverse; verify_free re-derives every assumed identity
+recurses on the leading letter.  The derivation is free: sigma is a
+triangular matrix given by its values on words, and the bar = (sigma^T)^-1
+and hat = (bar^T)^-1 matrices are always built from it and the inverses
+of its diagonal entries by linmap.free_pair, two calls of one memoised
+transpose-inverse.  verify_free re-derives every assumed identity
 (relations respected, both inverse pairs) and reports failures with
-witnesses instead of raising.  The untwisted case is sigma =
+witnesses instead of raising; inverse_identities is the one sweep of the
+inverse pairs over a list of words.  The untwisted case is sigma =
 linmap.identity_matrix.
 """
 from __future__ import annotations
 
-from .linmap import bullet, free_pair, is_identity_on_words
+from .linmap import bullet, by_generator, free_pair, is_identity_on_words
 from .ncalg import MIXED, AlgElement, zdegree
 from .report import CheckReport
 from .sparse import add_scaled
@@ -26,45 +29,15 @@ class SigmaNotDiagonal(ValueError):
 
 
 class TwistedMultiDerivation:
-    def __init__(
-        self,
-        presentation,
-        partial_on_gens,
-        sigma,
-        sigma_bar=None,
-        sigma_hat=None,
-        diag_inverses=None,
-    ):
+    def __init__(self, presentation, partial_on_gens, sigma, diag_inverses):
         self.presentation = presentation
         self.n = sigma.n
-        rows = {}
-        for key, row in partial_on_gens.items():
-            idx = presentation.index(key) if isinstance(key, str) else key
-            row = tuple(
-                presentation.element(e.terms if hasattr(e, "terms") else e) for e in row
-            )
-            if len(row) != self.n:
-                raise ValueError("partial row length differs from sigma size")
-            rows[idx] = row
-        missing = [
-            presentation.generators[i]
-            for i in range(len(presentation.generators))
-            if i not in rows
-        ]
-        if missing:
-            raise ValueError(f"partial rows missing for {missing}")
+        rows = by_generator(presentation, partial_on_gens, "partial rows")
+        if any(len(row) != self.n for row in rows.values()):
+            raise ValueError("partial row length differs from sigma size")
         self.partial_on_gens = rows
         self.sigma = sigma
-        if sigma_bar is None or sigma_hat is None:
-            if diag_inverses is None:
-                raise ValueError(
-                    "either both bar and hat matrices or diagonal inverses are required"
-                )
-            built_bar, built_hat = free_pair(sigma, diag_inverses)
-            sigma_bar = sigma_bar or built_bar
-            sigma_hat = sigma_hat or built_hat
-        self.sigma_bar = sigma_bar
-        self.sigma_hat = sigma_hat
+        self.sigma_bar, self.sigma_hat = free_pair(sigma, diag_inverses)
         self._memo = {(): (presentation.zero,) * self.n}
 
     # -- extension -----------------------------------------------------------
@@ -132,12 +105,21 @@ def _relation_respected(pres, matrix, lhs, rhs):
     return None
 
 
-def _identity_witness(product, words, pres):
-    hit = is_identity_on_words(product, words)
-    if hit is None:
-        return None
-    word, i, j, got, want = hit
-    return f"entry ({i},{j}) on {pres.word_str(word)}: {got} != {want}"
+def inverse_identities(t, words):
+    """(name, witness) for each product the inverse pairs make the identity.
+
+    The witness is None when the product is the identity on every word of
+    words; the pairs are produced one at a time, so a caller may stop early.
+    """
+    sigma_t = t.sigma.transpose()
+    bar_t = t.sigma_bar.transpose()
+    for name, left, right in (
+        ("bar o sigma^T = id", t.sigma_bar, sigma_t),
+        ("sigma^T o bar = id", sigma_t, t.sigma_bar),
+        ("hat o bar^T = id", t.sigma_hat, bar_t),
+        ("bar^T o hat = id", bar_t, t.sigma_hat),
+    ):
+        yield name, is_identity_on_words(bullet(left, right), words)
 
 
 def verify_free(t):
@@ -164,15 +146,7 @@ def verify_free(t):
         report.add(f"{label} respects the defining relations", witness is None, witness)
 
     words = [()] + [(g,) for g in range(len(pres.generators))]
-    sigma_t = t.sigma.transpose()
-    bar_t = t.sigma_bar.transpose()
-    for name, product in (
-        ("bar o sigma^T = id", bullet(t.sigma_bar, sigma_t)),
-        ("sigma^T o bar = id", bullet(sigma_t, t.sigma_bar)),
-        ("hat o bar^T = id", bullet(t.sigma_hat, bar_t)),
-        ("bar^T o hat = id", bullet(bar_t, t.sigma_hat)),
-    ):
-        witness = _identity_witness(product, words, pres)
+    for name, witness in inverse_identities(t, words):
         report.add(name, witness is None, witness)
 
     witness = None

@@ -9,6 +9,7 @@ and its inverse on generators, extended (anti)multiplicatively).
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .report import CheckReport
@@ -316,7 +317,7 @@ class AlgElement(SparseVector):
         return self.scale(1 / coeff)
 
     def __pow__(self, n):
-        n = int(n)
+        n = operator.index(n)  # TypeError for Fractions and floats
         if n < 0:
             raise ValueError("negative powers are not defined in the algebra")
         out = self.presentation.one

@@ -16,7 +16,7 @@ from .descent import SphereData
 from .dga import CalculusSpec
 from .homconn import HomForm
 from .integrals import LadderDiagram
-from .linmap import AlgebraMap, GradeScale, MapMatrix, Zero
+from .linmap import AlgebraMap, GradeScale, MapMatrix
 from .matrixcalc import DerBasis
 from .multider import TwistedMultiDerivation
 from .ncalg import HopfData, Presentation
@@ -209,11 +209,7 @@ def _build_tmd(sections, pres):
     if grades is not None:
         if len(grades) != n:
             raise ParseError(f"expected {n} sigma grades", 1, 1)
-        entries = [
-            [GradeScale(pres, grades[i], 1) if i == j else Zero(pres) for j in range(n)]
-            for i in range(n)
-        ]
-        sigma = MapMatrix.from_entries(pres, entries)
+        sigma = MapMatrix.diagonal(GradeScale(pres, g, 1) for g in grades)
         inverses = [GradeScale(pres, grades[i] ** -1, 1) for i in range(n)]
     else:
         if set(inverse_maps) != set(range(1, n + 1)):

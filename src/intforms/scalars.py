@@ -377,10 +377,12 @@ def _add(a, b):
     out = dict(a)
     for exps, coeff in b.items():
         total = out.get(exps, 0) + coeff
-        if total:
-            out[exps] = total
-        else:
+        if not total:
             del out[exps]
+        elif type(total) is Fraction:
+            out[exps] = _reduce(total)
+        else:
+            out[exps] = total
     return out
 
 
@@ -392,13 +394,18 @@ def _mul(a, b):
     if len(a) == 1:
         # a monomial times anything: exponents shift, no term cancels
         ((e, c),) = a.items()
-        return {tuple(map(add, e, f)): c * d for f, d in b.items()}
-    out = {}
-    for e, c in a.items():
-        for f, d in b.items():
-            exps = tuple(map(add, e, f))
-            out[exps] = out.get(exps, 0) + c * d
-    return {exps: coeff for exps, coeff in out.items() if coeff}
+        out = {tuple(map(add, e, f)): c * d for f, d in b.items()}
+    else:
+        out = {}
+        for e, c in a.items():
+            for f, d in b.items():
+                exps = tuple(map(add, e, f))
+                out[exps] = out.get(exps, 0) + c * d
+        out = {exps: coeff for exps, coeff in out.items() if coeff}
+    for exps, coeff in out.items():
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            out[exps] = coeff.numerator
+    return out
 
 
 def _monomial_power(exps, coeff, n):

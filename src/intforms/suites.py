@@ -38,7 +38,6 @@ from .integrals import (
     integral_class,
     sl2_lambda,
 )
-from .linmap import bullet, is_identity_on_words
 from .matrixcalc import (
     DerBasis,
     MatElement,
@@ -52,7 +51,7 @@ from .matrixcalc import (
     structure_constants,
     trace_integral,
 )
-from .multider import verify_free
+from .multider import inverse_identities, verify_free
 from .ncalg import check_local_confluence
 from .presets import load_calc
 
@@ -93,19 +92,9 @@ def _freeness_checks(bundle, opts):
     ))
 
     def identities():
-        words = pres.normal_words(opts.max_len)
-        sigma_t = tmd.sigma.transpose()
-        bar_t = tmd.sigma_bar.transpose()
-        pairs = (
-            ("bar o sigma-transpose", bullet(tmd.sigma_bar, sigma_t)),
-            ("sigma-transpose o bar", bullet(sigma_t, tmd.sigma_bar)),
-            ("hat o bar-transpose", bullet(tmd.sigma_hat, bar_t)),
-            ("bar-transpose o hat", bullet(bar_t, tmd.sigma_hat)),
-        )
-        for label, product in pairs:
-            witness = is_identity_on_words(product, words)
+        for name, witness in inverse_identities(tmd, pres.normal_words(opts.max_len)):
             if witness is not None:
-                return f"{label}: {witness}"
+                return f"{name}: {witness}"
         return None
 
     checks.append((

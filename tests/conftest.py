@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from intforms.dga import CalculusSpec
-from intforms.linmap import AlgebraMap, GradeScale, MapMatrix, Zero
+from intforms.linmap import AlgebraMap, GradeScale, MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import HopfData, Presentation
 from intforms.scalars import ScalarContext
@@ -93,12 +93,9 @@ def make_sl2_3d_tmd(pres):
     a, b, c, d = (pres.gen(g) for g in ("alpha", "beta", "gamma", "delta"))
     zero = pres.zero
     q2 = q * q
-    entries = [
-        [GradeScale(pres, q, -2), Zero(pres), Zero(pres)],
-        [Zero(pres), GradeScale(pres, q, -1), Zero(pres)],
-        [Zero(pres), Zero(pres), GradeScale(pres, q, -1)],
-    ]
-    sigma = MapMatrix.from_entries(pres, entries)
+    sigma = MapMatrix.diagonal(
+        [GradeScale(pres, q, -2), GradeScale(pres, q, -1), GradeScale(pres, q, -1)]
+    )
     inverses = [
         GradeScale(pres, q, 2),
         GradeScale(pres, q, 1),

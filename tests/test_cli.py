@@ -99,6 +99,18 @@ def test_out_of_range_flags_are_usage_errors(capsys, flag, value):
     assert err.startswith("error:") and flag in err
 
 
+@pytest.mark.parametrize("degree", ["3", "9", "-1", "-4"])
+def test_integral_degree_outside_the_window_is_a_usage_error(capsys, degree):
+    # the window of --max-len 3 has the degree blocks 0, 1 and 2
+    argv = ["integral", "preset:qplane", "--max-len", "3"]
+    code, out, err = run_cli(capsys, *argv, "--degree", degree)
+    assert code == 2
+    assert out == ""  # rejected before any check runs
+    assert err.startswith("error:") and "--degree" in err
+    code, out, _ = run_cli(capsys, *argv, "--degree", "2")
+    assert code == 0 and "vanishes in every degree block" in out
+
+
 def test_timings_stay_out_of_the_report_by_default(capsys):
     argv = ["density", "preset:qplane", "--format", "json", *FAST]
     _, out, _ = run_cli(capsys, *argv)

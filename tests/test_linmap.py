@@ -1,5 +1,5 @@
-"""Map expressions, map matrices, the composition product, and the
-triangular construction of the inverse pair."""
+"""Maps, map matrices given by their values on words, the composition
+product, and the triangular construction of the inverse pair."""
 from __future__ import annotations
 
 import random
@@ -8,17 +8,16 @@ import pytest
 
 from intforms.linmap import (
     AlgebraMap,
-    Compose,
     DiagonalNotInvertible,
     GradeScale,
     Identity,
     MapMatrix,
+    MatrixEntry,
     NotTriangular,
-    Scale,
     SizeMismatch,
-    Sum,
     Zero,
     bullet,
+    free_pair,
     identity_matrix,
     is_identity_on_words,
     transpose_inverse,
@@ -37,12 +36,9 @@ def test_basic_nodes(qplane):
     ident = Identity(qplane)
     assert ident.apply(x * y - 2 * y) == x * y - 2 * y
     assert Zero(qplane).apply(x) == qplane.zero
-    doubler = Scale(2, ident)
-    assert doubler.apply(x) == 2 * x
-    assert Sum([ident, doubler]).apply(y) == 3 * y
     swap = AlgebraMap(qplane, {"x": q * y, "y": x}, name="swap")
     assert swap.apply(x * x) == q * q * (y * y)
-    assert Compose(swap, swap).apply(x) == q * (x)
+    assert swap.apply(swap.apply(x)) == q * x
     assert swap.on_word(()) == qplane.one
 
 
@@ -78,6 +74,13 @@ def test_grade_scale(sl2):
         GradeScale(ungraded, q, -2)
 
 
+def test_grade_scale_rejects_a_float_exponent(sl2):
+    # int() would have truncated 2.7 to 2 without a word
+    q = sl2.context.parameter("q")
+    with pytest.raises(TypeError):
+        GradeScale(sl2, q, 2.7)
+
+
 def test_map_linearity_randomised(qplane_tmd, qplane):
     rng = random.Random(11)
     ctx = qplane.context
@@ -102,8 +105,29 @@ def test_matrix_kinds(qplane, qplane_tmd):
     assert qplane_tmd.sigma_bar.kind == "lower_triangular"
     assert qplane_tmd.sigma_hat.kind == "upper_triangular"
     assert identity_matrix(qplane, 2).kind == "diagonal"
+    assert qplane_tmd.sigma.transpose().kind == "lower_triangular"
+    x, y = qplane.gen("x"), qplane.gen("y")
     with pytest.raises(SizeMismatch):
-        MapMatrix.from_entries(qplane, [[Zero(qplane)], [Zero(qplane), Zero(qplane)]])
+        MapMatrix.from_images(qplane, {"x": [[x]], "y": [[y, x], [x, y]]})
+
+
+def test_entries_are_shared_zeros_and_views(qplane, qplane_tmd, sl2_3d_tmd):
+    # the slots a kind forces to vanish hold one Zero, which callers skip;
+    # an off-diagonal slot reads the matrix's value and keeps no memo
+    for mat in (qplane_tmd.sigma, qplane_tmd.sigma_bar, sl2_3d_tmd.sigma_hat):
+        zeros = {id(e) for row in mat.entries for e in row if isinstance(e, Zero)}
+        assert len(zeros) == 1
+    bar = qplane_tmd.sigma_bar
+    assert isinstance(bar.entries[0][1], Zero)
+    entry = bar.entries[1][0]
+    assert isinstance(entry, MatrixEntry) and not hasattr(entry, "_memo")
+    for word in qplane.normal_words(3):
+        assert entry.on_word(word) is bar.on_word(word)[1][0]
+    diag = identity_matrix(qplane, 3)
+    assert [isinstance(e, Zero) for e in diag.entries[0]] == [False, True, True]
+    # a diagonal slot of a diagonal matrix or of an inverse holds its map
+    assert all(isinstance(sl2_3d_tmd.sigma.entries[i][i], GradeScale) for i in range(3))
+    assert [repr(bar.entries[i][i]) for i in range(2)] == ["sigma11_inv", "sigma22_inv"]
 
 
 def test_multiplicative_matrix_on_words(qplane, qplane_tmd):
@@ -213,8 +237,41 @@ def test_transpose_inverse_rejects(qplane, qplane_tmd):
 
 def test_single_generator_trivial_inverse(qctx):
     pres = Presentation(qctx, generators=("t",))
-    sigma = MapMatrix.from_entries(pres, [[Identity(pres)]])
+    sigma = MapMatrix.diagonal([Identity(pres)])
     bar = transpose_inverse(sigma, [Identity(pres)])
     assert bar.on_word(pres.word("t"))[0][0] == pres.gen("t")
     hat = transpose_inverse(bar, [Identity(pres)])
     assert hat.on_word(pres.word("t", "t"))[0][0] == pres.gen("t") ** 2
+
+
+def test_three_by_three_inverse_pairs(qctx):
+    # on a free algebra, an upper and a lower triangular 3x3 sigma: the gap-2
+    # slot of bar and hat needs two substitution steps, forward for the upper
+    # sigma and backward for the lower one
+    pres = Presentation(qctx, generators=("x", "y"))
+    q = qctx.parameter("q")
+    x, y, one, zero = pres.gen("x"), pres.gen("y"), pres.one, pres.zero
+    upper = {
+        "x": [[q * x, x, y], [zero, 2 * x, q * y], [zero, zero, q * q * x]],
+        "y": [[y, x + y, one], [zero, (1 / q) * y, x], [zero, zero, 3 * y]],
+    }
+    lower = {g: [list(col) for col in zip(*m)] for g, m in upper.items()}
+    inverses = [
+        AlgebraMap(pres, {"x": (1 / q) * x, "y": y}),
+        AlgebraMap(pres, {"x": x / 2, "y": q * y}),
+        AlgebraMap(pres, {"x": (1 / (q * q)) * x, "y": y / 3}),
+    ]
+    words = pres.normal_words(3)
+    for images, kinds, corner in (
+        (upper, ("lower_triangular", "upper_triangular"), (2, 0)),
+        (lower, ("upper_triangular", "lower_triangular"), (0, 2)),
+    ):
+        sigma = MapMatrix.from_images(pres, images)
+        bar, hat = free_pair(sigma, inverses)
+        assert (bar.kind, hat.kind) == kinds
+        sigma_t, bar_t = sigma.transpose(), bar.transpose()
+        for left, right in ((bar, sigma_t), (sigma_t, bar), (hat, bar_t), (bar_t, hat)):
+            assert is_identity_on_words(bullet(left, right), words) is None
+        i, j = corner
+        assert any(bar.on_word(w)[i][j] for w in words)
+        assert any(hat.on_word(w)[j][i] for w in words)

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from intforms.linmap import MapMatrix, Scale, identity_matrix
+from intforms.linmap import Identity, MapMatrix, identity_matrix
 from intforms.multider import (
     SigmaNotDiagonal,
     TwistedMultiDerivation,
     detect_q_skew,
+    inverse_identities,
     verify_free,
 )
 from intforms.ncalg import MIXED
@@ -86,26 +87,31 @@ def test_verify_free_passes(qplane_tmd, sl2_3d_tmd):
         assert len(report.checks) == 9
 
 
-def test_verify_free_catches_sign_flip(qplane):
+def test_verify_free_catches_sign_flip(qplane, qplane_tmd):
     from conftest import make_qplane_tmd
 
-    tmd = make_qplane_tmd(qplane)
-    bar = tmd.sigma_bar
-    entries = [list(row) for row in bar.entries]
-    entries[1][0] = Scale(-1, entries[1][0])
-    tampered = MapMatrix.from_entries(qplane, entries)
-    broken = TwistedMultiDerivation(
-        qplane,
-        {g: tmd.partial_on_gens[qplane.index(g)] for g in ("x", "y")},
-        tmd.sigma,
-        sigma_bar=tampered,
-        sigma_hat=tmd.sigma_hat,
-    )
+    # the constructor always builds a correct bar, so flip the sign of its
+    # (1, 0) entry afterwards
+    broken = make_qplane_tmd(qplane)
+    bar = broken.sigma_bar
+
+    def flipped(word):
+        m = [list(row) for row in bar.on_word(word)]
+        m[1][0] = -m[1][0]
+        return tuple(map(tuple, m))
+
+    broken.sigma_bar = MapMatrix(qplane, 2, bar.kind, flipped)
     report = verify_free(broken)
     assert not report.ok
     names = [c["name"] for c in report.failures]
     assert any("bar" in n for n in names)
     assert all(c["witness"] for c in report.failures)
+    # the sweep names the product and formats its first witness
+    witnesses = dict(inverse_identities(broken, qplane.normal_words(2)))
+    assert witnesses["bar o sigma^T = id"].startswith("entry (1,0) on y: ")
+    assert witnesses["hat o bar^T = id"] is not None
+    sound = inverse_identities(qplane_tmd, qplane.normal_words(3))
+    assert [w for _, w in sound] == [None] * 4
 
 
 def test_degree_shifts(sl2_3d_tmd):
@@ -126,27 +132,15 @@ def test_detect_q_skew_requires_diagonal(qplane_tmd):
 def test_detect_q_skew_untwisted(qplane):
     sigma = identity_matrix(qplane, 2)
     rows = {"x": (qplane.one, qplane.zero), "y": (qplane.zero, qplane.one)}
-    tmd = TwistedMultiDerivation(
-        qplane, rows, sigma, sigma_bar=sigma, sigma_hat=sigma
-    )
+    tmd = TwistedMultiDerivation(qplane, rows, sigma, [Identity(qplane)] * 2)
     ones = detect_q_skew(tmd)
     assert ones == [qplane.context.one] * 2
 
 
-def test_row_validation(qplane, qplane_tmd):
+def test_row_validation(qplane):
+    inverses = [Identity(qplane)] * 2
+    sigma = identity_matrix(qplane, 2)
     with pytest.raises(ValueError):
-        TwistedMultiDerivation(
-            qplane, {"x": (qplane.one,)}, qplane_tmd.sigma,
-            sigma_bar=qplane_tmd.sigma_bar, sigma_hat=qplane_tmd.sigma_hat,
-        )
+        TwistedMultiDerivation(qplane, {"x": (qplane.one,)}, sigma, inverses)
     with pytest.raises(ValueError):
-        TwistedMultiDerivation(
-            qplane, {"x": (qplane.one, qplane.zero)}, qplane_tmd.sigma,
-            sigma_bar=qplane_tmd.sigma_bar, sigma_hat=qplane_tmd.sigma_hat,
-        )
-    with pytest.raises(ValueError):
-        TwistedMultiDerivation(
-            qplane,
-            {"x": (qplane.one, qplane.zero), "y": (qplane.zero, qplane.one)},
-            qplane_tmd.sigma,
-        )
+        TwistedMultiDerivation(qplane, {"x": (qplane.one, qplane.zero)}, sigma, inverses)

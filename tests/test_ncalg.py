@@ -89,6 +89,15 @@ def test_sl2_powers(sl2):
     assert bc**0 == sl2.one
 
 
+def test_powers_need_an_integer_exponent(qplane):
+    # int() would have truncated x ** 2.7 to x^2 without a word
+    x = qplane.gen("x")
+    for exponent in (2.7, 2.0, Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            x ** exponent
+    assert x ** 2 == x * x
+
+
 def test_mul_associative_randomised(sl2):
     rng = random.Random(7)
     gens = ["alpha", "beta", "gamma", "delta"]

@@ -512,3 +512,41 @@ def test_arithmetic_leaves_shared_monomials_unchanged(qpctx, pair, n):
     shared * (x + y)
     assert shared._terms == terms and str(shared) == text
     assert x * y is shared
+
+
+# -- integral coefficients stay ints ---------------------------------------------
+
+
+def _ints_where_integral(value):
+    return all(
+        type(c) is int or c.denominator != 1 for c in value._terms.values()
+    )
+
+
+def test_integral_sums_and_products_hold_ints(qctx):
+    q = qctx.parameter("q")
+    half = q / 2
+    for value in (
+        (half + 1) * 2,  # monomial times polynomial
+        half + half,  # sum
+        3 * half - half,  # difference
+        (q / 3 + Fraction(1, 3)) * (3 * q + 3),  # polynomial times polynomial
+    ):
+        assert _ints_where_integral(value), value._terms
+    assert ((half + 1) * 2)._terms == {(1,): 1, (0,): 2}
+
+
+_laurent = st.dictionaries(
+    st.tuples(st.integers(-2, 2)),
+    st.fractions(max_denominator=4).filter(bool).map(scalars._reduce),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(a=_laurent, b=_laurent)
+@settings(max_examples=150, deadline=None)
+def test_laurent_arithmetic_reduces_integral_fractions(qctx, a, b):
+    x, y = ScalarRF(qctx, a), ScalarRF(qctx, b)
+    for value in (x * y, x + y, x - y):
+        assert _ints_where_integral(value), value._terms
