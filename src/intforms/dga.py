@@ -15,15 +15,21 @@ the top degree.
 
 Each calculus keeps one twist table (`CalculusSpec._twists`) of the three
 per-word evaluations that move a coefficient across forms: sigma-bar
-pushed along a form word and reduced (`right_coords`), sigma^T pushed
-along the reversed word and reduced with the right factor's word appended
-(`mul`), and the connection-kernel row (`homconn.twisted_partial`).  An
+pushed along a form word and reduced (`right_coords`, and the hom-form
+evaluations of `homconn`), sigma^T pushed along the reversed word and
+reduced with the right factor's word appended (`mul`), and the
+connection-kernel row (`homconn.twisted_partial` and the connection).  An
 entry is keyed by (kind, form word, normal word u, appended word) and
 holds the value on the monomial u as {basis word: {normal word: scalar}}.
 sigma, sigma-bar, sigma-hat and the derivations are linear over the
 scalars, which are central, so a coefficient sum_u s_u*u is read as
 sum_u s_u * entry(u): a general coefficient is expanded into its terms,
 and a hit costs scalar products only.
+
+Beside it, `CalculusSpec._signed_d` holds what the level-n hom-connection
+(`homconn.nabla_n`) reads for each basis n-word e besides `reduce_word`:
+the right coordinates of (-1)^(n+1) d e.  They depend on e only, so
+they are built once, on first use.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ class CalculusSpec:
     "kernel", whose form word is (i,) for row i.  The maps behind each kind are
     linear over the scalars, so one entry per normal word serves every
     coefficient, and the table grows with the words reached, never with
-    the coefficients.
+    the coefficients.  `_signed_d` maps a basis n-word e to the right
+    coordinates of (-1)^(n+1) d e, which `homconn.nabla_n` reads.
     """
 
     def __init__(
@@ -109,6 +116,7 @@ class CalculusSpec:
         self._sigma_t = tmd.sigma.transpose()
         self._reduce_memo = {}
         self._dword_memo = {}
+        self._signed_d = {}
         self._twists = {}
         self._bases = self._build_bases(bases)
 
@@ -423,13 +431,13 @@ _ENTRIES = {"right": _right_entry, "left": _left_entry, "kernel": _kernel_entry}
 
 
 def _twisted(spec, kind, word, a, tail, out):
-    """out[b] += s * entry(u)[b] over the terms s*u of a; returns out.
+    """out[b] += s * entry(u)[b] over the terms {u: s} of a; returns out.
 
     The entries come from the spec's twist table, built on first use; out
     maps basis words to term dicts, which may end up empty.
     """
     table = spec._twists
-    for u, s in a.terms.items():
+    for u, s in a.items():
         key = (kind, word, u, tail)
         entry = table.get(key)
         if entry is None:
@@ -452,14 +460,20 @@ def right_mul(spec, x, a):
     return mul(spec, x, FormElement(spec, 0, {(): a} if a else {}))
 
 
+def _right_terms(spec, omega):
+    """right_coords as term dicts {basis word: {normal word: scalar}},
+    which may be empty."""
+    out = {}
+    for word, a in omega.terms.items():
+        _twisted(spec, "right", word, a.terms, (), out)
+    return out
+
+
 def right_coords(spec, omega):
     """Right coefficients of a form, summed: omega = sum_w w*out[w], w basis
     words; each left coefficient crosses its word through sigma-bar, read
     from the twist table."""
-    out = {}
-    for word, a in omega.terms.items():
-        _twisted(spec, "right", word, a, (), out)
-    return _elements(spec, out)
+    return _elements(spec, _right_terms(spec, omega))
 
 
 def mul(spec, x, y):
@@ -472,7 +486,7 @@ def mul(spec, x, y):
     coords = {}
     for u, cu in x.terms.items():
         for v, cv in y.terms.items():
-            pushed = _twisted(spec, "left", u, cv, v, {})
+            pushed = _twisted(spec, "left", u, cv.terms, v, {})
             add_scaled(coords, _elements(spec, pushed), cu)
     return FormElement(spec, degree, coords)
 

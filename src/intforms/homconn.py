@@ -2,17 +2,27 @@
 
 A hom-form of degree n is stored by its values on the basis n-form words;
 right linearity plus right-freeness of each degree (certified by the
-sigma-bar identities) determine it everywhere.  The connection sends a
-degree-1 hom-form f to the sum of twisted derivations of its values, and
-extends to higher degrees through the right module structure and the
-exterior differential.
+sigma-bar identities) determine it everywhere.  To evaluate one, a form's
+left coefficients cross to the right through the twist table's "right"
+entries (`dga._twisted`), and the hom-form's values multiply in on term
+dicts (`ncalg.mul_terms`); the right action reads the same entries for
+the acting element on each basis word.
+
+The connection sends a degree-1 hom-form f to the sum of twisted
+derivations of its values, the "kernel" entries of the twist table.  Its
+level-n extension, e -> nabla(f*e) + (-1)^(n+1) f(d e), reads the
+scalar coordinates of the basis products e.(i,) from `spec.reduce_word`
+and the right coordinates of the signed d e from the spec's table
+`CalculusSpec._signed_d`, built once per basis word.  So a call costs
+the scalar products that combine them with f's values, and no form
+product or differential.
 """
 
 from __future__ import annotations
 
 from . import dga
 from .dga import FormElement
-from .ncalg import AlgElement
+from .ncalg import AlgElement, mul_terms
 from .report import CheckReport
 from .sparse import SparseVector, add_scaled
 
@@ -111,36 +121,50 @@ def dual_basis(spec, degree):
     return tuple(dual_form(spec, w) for w in spec.basis(degree))
 
 
+def _check_hom(spec, f):
+    if not isinstance(f, HomForm) or f.spec is not spec:
+        raise ValueError("expected a hom-form of the same calculus")
+
+
+def _pair(pres, f, coords, out):
+    """out += sum_w f(w)*c_w over right coordinates {w: terms}; returns out."""
+    for w, c in coords.items():
+        fv = f.terms.get(w)
+        if fv:
+            mul_terms(pres, fv.terms, c, out)
+    return out
+
+
 def hom_apply(spec, f, omega):
     """Evaluate as f(sum_w w*c_w) = sum_w f(w)*c_w, the right coefficients
-    c_w from `dga.right_coords` (left ones cross through sigma-bar)."""
+    c_w read from the twist table (left ones cross through sigma-bar)."""
+    _check_hom(spec, f)
     if not isinstance(omega, FormElement) or omega.spec is not spec:
         raise ValueError("expected a form of the same calculus")
     if f.degree != omega.degree:
         raise DegreeMismatch(
             f"hom-form of degree {f.degree} applied to degree {omega.degree}"
         )
-    terms = {}
-    for w, c in dga.right_coords(spec, omega).items():
-        fv = f.terms.get(w)
-        if fv:
-            add_scaled(terms, (fv * c).terms)
-    return AlgElement(spec.presentation, terms)
+    pres = spec.presentation
+    return AlgElement(pres, _pair(pres, f, dga._right_terms(spec, omega), {}))
 
 
 def hom_right_act(spec, f, a):
     """(f*a)(e) = f(a*e): the right module structure on hom-forms."""
+    _check_hom(spec, f)
+    pres = spec.presentation
     if not isinstance(a, AlgElement):
-        a = spec.presentation.scalar(a)
-    values = {
-        e: hom_apply(spec, f, FormElement(spec, f.degree, {e: a}))
-        for e in spec.basis(f.degree)
-    }
+        a = pres.scalar(a)
+    values = {}
+    for e in spec.basis(f.degree):
+        coords = dga._twisted(spec, "right", e, a.terms, (), {})
+        values[e] = AlgElement(pres, _pair(pres, f, coords, {}))
     return HomForm(spec, f.degree, values)
 
 
 def hom_mul_form(spec, f, omega):
     """(f*omega)(e) = f(omega*e); lowers the degree by deg(omega)."""
+    _check_hom(spec, f)
     if not isinstance(omega, FormElement) or omega.spec is not spec:
         raise ValueError("expected a form of the same calculus")
     m = f.degree - omega.degree
@@ -161,24 +185,42 @@ def twisted_partial(spec, i, a):
     """Row i of the connection kernel,
     sum_jk sigma_bar_kj(partial_j(sigma_hat_ki(a))), read from the twist
     table per normal word of a."""
-    terms = dga._twisted(spec, "kernel", (i,), a, (), {}).get((), {})
+    terms = dga._twisted(spec, "kernel", (i,), a.terms, (), {}).get((), {})
     return AlgElement(spec.presentation, terms)
 
 
 def nabla(spec, f):
     """The unique hom-connection vanishing on the dual basis forms."""
+    _check_hom(spec, f)
     if f.degree != 1:
         raise DegreeMismatch("the connection consumes degree-1 hom-forms")
-    total = spec.presentation.zero
-    for i in range(spec.n):
-        v = f.terms.get((i,))
-        if v:
-            total = total + twisted_partial(spec, i, v)
-    return total
+    out = {}
+    for (i,), v in f.terms.items():
+        dga._twisted(spec, "kernel", (i,), v.terms, (), out)
+    return AlgElement(spec.presentation, out.get((), {}))
+
+
+def _signed_d(spec, e):
+    """Right coordinates of (-1)^(n+1) d e for the basis n-word e, from
+    the spec's table, built on first use."""
+    entry = spec._signed_d.get(e)
+    if entry is None:
+        sign = spec.context.coerce((-1) ** (len(e) + 1))
+        entry = spec._signed_d[e] = {
+            w: {u: sign * s for u, s in terms.items()}
+            for w, terms in dga._right_terms(spec, dga._d_word(spec, e)).items()
+        }
+    return entry
 
 
 def nabla_n(spec, n, f):
-    """Level-n extension: values e -> nabla(f*e) + (-1)^(n+1) f(d e)."""
+    """Level-n extension: values e -> nabla(f*e) + (-1)^(n+1) f(d e).
+
+    A basis word e has coefficient 1, and sigma(1) = sigma-bar(1) = id, so
+    (f*e)(i) = f(e.(i,)) = sum_b r_b*f(b) over the scalar coordinates r_b
+    of e.(i,) (`spec.reduce_word`), and d(1*e) is d e (`_signed_d`).
+    """
+    _check_hom(spec, f)
     if not 1 <= n < spec.top_degree:
         raise DegreeMismatch(
             f"level {n} outside 1..{spec.top_degree - 1}"
@@ -188,14 +230,19 @@ def nabla_n(spec, n, f):
             f"level {n} consumes degree {n + 1}, got {f.degree}"
         )
     pres = spec.presentation
-    sign = (-1) ** (n + 1)
     values = {}
     for e in spec.basis(n):
-        unit = FormElement(spec, n, {e: pres.one})
-        val = nabla(spec, hom_mul_form(spec, f, unit))
-        val = val + sign * hom_apply(spec, f, dga.d(spec, unit))
-        if val:
-            values[e] = val
+        out = {}
+        for i in range(spec.n):
+            lowered = {}
+            for b, r in spec.reduce_word(e + (i,)).items():
+                fv = f.terms.get(b)
+                if fv:
+                    add_scaled(lowered, fv.terms, r)
+            dga._twisted(spec, "kernel", (i,), lowered, (), out)
+        terms = _pair(pres, f, _signed_d(spec, e), out.get((), {}))
+        if terms:
+            values[e] = AlgElement(pres, terms)
     return HomForm(spec, n, values)
 
 
@@ -227,10 +274,13 @@ def gauge_transform(spec, u, f, u_inv=None):
     Only scalar units can be inverted here; anything else needs an
     explicit u_inv, which is certified before use.
     """
+    _check_hom(spec, f)
     pres = spec.presentation
     if not isinstance(u, AlgElement):
         u = pres.scalar(u)
     if u_inv is None:
+        if not u:
+            raise NotAUnit("zero is not a unit")
         if list(u.terms.keys()) != [()]:
             raise NotAUnit(
                 "cannot invert a non-scalar element; pass u_inv explicitly"

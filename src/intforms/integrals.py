@@ -68,13 +68,11 @@ class Truncation:
         self.length_bound = length_bound
         self.degree = degree
         pres = spec.presentation
-        self.words = tuple(pres.normal_words(length_bound))
+        self.words = pres.normal_words(length_bound)
         if degree is None:
             self.target_words = self.words
         else:
-            self.target_words = tuple(
-                pres.normal_words(length_bound, degree=degree)
-            )
+            self.target_words = pres.normal_words(length_bound, degree=degree)
 
     def columns(self):
         for i in range(self.spec.n):
@@ -300,7 +298,7 @@ def check_ladder(diagram, length_bound):
     spec = diagram.spec
     pres = spec.presentation
     top = spec.top_degree
-    words = tuple(pres.normal_words(length_bound))
+    words = pres.normal_words(length_bound)
     report = CheckReport(squares=0)
     ranks = []
     for k in range(top + 1):

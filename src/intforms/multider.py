@@ -6,10 +6,11 @@ a matrix sigma of maps, obeying the twisted Leibniz rule
     partial_i(ab) = sum_j partial_j(a) sigma_ji(b) + a partial_i(b).
 
 Generator rows determine everything: extension (TwistedMultiDerivation.partial)
-recurses on the leading letter.  The derivation is free: sigma is a
-triangular matrix given by its values on words, and the bar = (sigma^T)^-1
-and hat = (bar^T)^-1 matrices are always built from it and the inverses
-of its diagonal entries by linmap.free_pair, two calls of one memoised
+peels off the leading letter, filling a per-word memo in a loop from the
+shortest suffix up.  The derivation is free: sigma is a triangular matrix
+given by its values on words, and the bar = (sigma^T)^-1 and
+hat = (bar^T)^-1 matrices are always built from it and the inverses of
+its diagonal entries by linmap.free_pair, two calls of one memoised
 transpose-inverse.  verify_free re-derives every assumed identity
 (relations respected, both inverse pairs) and reports failures with
 witnesses instead of raising; inverse_identities is the one sweep of the
@@ -43,24 +44,32 @@ class TwistedMultiDerivation:
     # -- extension -----------------------------------------------------------
 
     def _partial_word(self, word):
-        cached = self._memo.get(word)
+        memo = self._memo
+        cached = memo.get(word)
         if cached is not None:
             return cached
+        # every suffix of a memoised word is memoised, so fill the memo
+        # from the shortest suffix missing up to the whole word: a loop,
+        # so a long word costs no stack depth
         pres = self.presentation
-        head, tail = word[0], word[1:]
-        row_g = self.partial_on_gens[head]
-        if not tail:
-            result = row_g
-        else:
-            sig = self.sigma.on_word(tail)
-            tail_row = self._partial_word(tail)
-            g_elem = pres.monomial((head,))
-            result = tuple(
-                sum((row_g[j] * sig[j][i] for j in range(self.n)), pres.zero)
-                + g_elem * tail_row[i]
-                for i in range(self.n)
-            )
-        self._memo[word] = result
+        start = len(word) - 1
+        while word[start:] in memo:
+            start -= 1
+        for pos in range(start, -1, -1):
+            head, tail = word[pos], word[pos + 1 :]
+            row_g = self.partial_on_gens[head]
+            if not tail:
+                result = row_g
+            else:
+                sig = self.sigma.on_word(tail)
+                tail_row = memo[tail]
+                g_elem = pres.monomial((head,))
+                result = tuple(
+                    sum((row_g[j] * sig[j][i] for j in range(self.n)), pres.zero)
+                    + g_elem * tail_row[i]
+                    for i in range(self.n)
+                )
+            memo[word[pos:]] = result
         return result
 
     def partial(self, a):

@@ -78,6 +78,7 @@ class Presentation:
         self._rules_at = {i: [] for i in range(len(self.generators))}
         self._max_lhs = 1
         self._nf_cache = {}
+        self._words_memo = {}
         self.grading = None
         if grading is not None:
             self.grading = tuple(int(grading[name]) for name in self.generators)
@@ -208,28 +209,40 @@ class Presentation:
     # -- basis enumeration ----------------------------------------------------
 
     def normal_words(self, max_len, degree=None):
-        """Normal words of length <= max_len in deglex order.
+        """Normal words of length <= max_len in deglex order, as a tuple.
 
         With degree set (graded presentations only), keep words of that
-        Z-degree.
+        Z-degree.  Memoised per (max_len, degree); the tuple is shared, so
+        no caller can change what the next one reads.
         """
         if degree is not None and self.grading is None:
             raise GradingAbsent("presentation has no grading")
-        layer = [()]
-        out = [()]
-        n = len(self.generators)
-        for _ in range(max_len):
-            nxt = []
-            for word in layer:
-                for g in range(n):
-                    cand = word + (g,)
-                    if self._new_suffix_clean(cand):
-                        nxt.append(cand)
-            out.extend(nxt)
-            layer = nxt
+        key = (max_len, degree)
+        words = self._words_memo.get(key)
+        if words is not None:
+            return words
         if degree is not None:
-            out = [w for w in out if sum(self.grading[g] for g in w) == degree]
-        return out
+            grading = self.grading
+            words = tuple(
+                w for w in self.normal_words(max_len)
+                if sum(grading[g] for g in w) == degree
+            )
+        else:
+            layer = [()]
+            out = [()]
+            n = len(self.generators)
+            for _ in range(max_len):
+                nxt = []
+                for word in layer:
+                    for g in range(n):
+                        cand = word + (g,)
+                        if self._new_suffix_clean(cand):
+                            nxt.append(cand)
+                out.extend(nxt)
+                layer = nxt
+            words = tuple(out)
+        self._words_memo[key] = words
+        return words
 
     def _new_suffix_clean(self, word):
         # word[:-1] is already normal, so only suffixes ending at the new
@@ -294,12 +307,7 @@ class AlgElement(SparseVector):
         if other is None:
             return NotImplemented
         pres = self.presentation
-        bud = _Budget(DEFAULT_BUDGET)
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                add_scaled(out, pres._normal_word(wa + wb, bud), ca * cb)
-        return AlgElement(pres, out)
+        return AlgElement(pres, mul_terms(pres, self.terms, other.terms, {}))
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -349,6 +357,19 @@ class AlgElement(SparseVector):
 
     def __repr__(self):
         return f"<AlgElement {self}>"
+
+
+def mul_terms(pres, a, b, out):
+    """out += a*b for term dicts {normal word: scalar} of pres; returns out.
+
+    The product behind AlgElement.__mul__, open to callers that sum several
+    products into one dict; out must be a dict the caller owns.
+    """
+    bud = _Budget(DEFAULT_BUDGET)
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            add_scaled(out, pres._normal_word(wa + wb, bud), ca * cb)
+    return out
 
 
 def _coeff_needs_parens(coeff):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intforms import cli, dga, homconn, integrals, linmap
+from intforms import cli, dga, linmap
 from intforms.dga import CalculusSpec, DegreeOverflow, check_d_squared, check_density
 from intforms.homconn import twisted_partial
 from intforms.linmap import Identity, identity_matrix
@@ -230,32 +230,17 @@ def test_twist_table_serves_repeated_calls(qplane, qplane_calc, sl2, sl2_3d_calc
 
 def test_twist_table_grows_with_words_not_coefficients(monkeypatch, capsys):
     # one entry per (kind, form word, normal word, appended word) that the
-    # verify run reached through right_coords, mul and twisted_partial
+    # verify run reached through the one table reader, dga._twisted
     preset = REGISTRY["sl2-3d"]
     monkeypatch.setattr(preset, "_cache", None)
     reached = set()
+    twisted = dga._twisted
 
-    def recording(fn, keys):
-        def wrapper(*args):
-            reached.update(keys(*args))
-            return fn(*args)
+    def recording(spec, kind, word, a, tail, out):
+        reached.update((kind, word, u, tail) for u in a)
+        return twisted(spec, kind, word, a, tail, out)
 
-        return wrapper
-
-    def right_keys(spec, omega):
-        return {("right", w, u, ()) for w, a in omega.terms.items() for u in a.terms}
-
-    def left_keys(spec, x, y):
-        return {("left", u, n, v) for u in x.terms for v, c in y.terms.items() for n in c.terms}
-
-    def kernel_keys(spec, i, a):
-        return {("kernel", (i,), n, ()) for n in a.terms}
-
-    monkeypatch.setattr(dga, "right_coords", recording(dga.right_coords, right_keys))
-    monkeypatch.setattr(dga, "mul", recording(dga.mul, left_keys))
-    partial = recording(homconn.twisted_partial, kernel_keys)
-    monkeypatch.setattr(homconn, "twisted_partial", partial)
-    monkeypatch.setattr(integrals, "twisted_partial", partial)
+    monkeypatch.setattr(dga, "_twisted", recording)
     assert cli.main(["verify", "preset:sl2-3d", "--max-len", "3"]) == 0
     capsys.readouterr()
 

@@ -1,14 +1,17 @@
 """Hom-forms and the hom-connection on the two reference calculi: dual
 pairing, module structure, published connection values, curvature with a
-corrupted-constant negative control, and gauge transforms."""
+corrupted-constant negative control, gauge transforms, and the table-read
+evaluations against their generic definitions."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intforms import dga
+from intforms import cli, dga
 from intforms.dga import FormElement
 from intforms.homconn import (
     DegreeMismatch,
@@ -18,11 +21,14 @@ from intforms.homconn import (
     dual_basis,
     dual_form,
     gauge_transform,
+    hom_apply,
     hom_mul_form,
+    hom_right_act,
     is_flat,
     nabla,
     nabla_n,
 )
+from intforms.presets import REGISTRY
 
 from conftest import random_element
 
@@ -310,3 +316,109 @@ def test_gauge_guards(qplane, qplane_calc):
     two = 2 * qplane.one
     half = qplane.scalar(Fraction(1, 2))
     assert gauge_transform(qplane_calc, two, f, u_inv=half) == nabla(qplane_calc, f)
+
+
+def test_gauge_zero_is_not_a_unit(qplane, qplane_calc):
+    f = dual_form(qplane_calc, "dx")
+    for zero in (0, qplane.zero):
+        with pytest.raises(NotAUnit, match="zero is not a unit"):
+            gauge_transform(qplane_calc, zero, f)
+
+
+# -- hom-forms of another calculus ------------------------------------------
+
+
+def test_foreign_hom_forms_are_rejected(qplane, qplane_calc, sl2_3d_calc):
+    spec = qplane_calc
+    one = dual_form(sl2_3d_calc, "w0")
+    two = dual_form(sl2_3d_calc, ("w-", "w+"))
+    calls = (
+        lambda: nabla(spec, one),
+        lambda: nabla_n(spec, 1, two),
+        lambda: hom_apply(spec, one, spec.basis_form("dx")),
+        lambda: hom_right_act(spec, one, qplane.gen("x")),
+        lambda: hom_mul_form(spec, two, spec.basis_form("dx")),
+        lambda: gauge_transform(spec, 1, one),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="same calculus"):
+            call()
+
+
+# -- table reads against the generic definitions ----------------------------
+
+
+@st.composite
+def values(draw, pres, max_len=3):
+    """An element of one to three terms: normal words with small int scalars."""
+    words = pres.normal_words(max_len)
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(words), st.integers(-3, 3).filter(bool)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[0],
+    ))
+    return pres.element(dict(terms))
+
+
+def _hom_form(data, spec, degree):
+    pres = spec.presentation
+    return HomForm(spec, degree, {w: data.draw(values(pres)) for w in spec.basis(degree)})
+
+
+def _generic_nabla_n(spec, n, f):
+    pres = spec.presentation
+    sign = (-1) ** (n + 1)
+    out = {}
+    for e in spec.basis(n):
+        unit = FormElement(spec, n, {e: pres.one})
+        val = nabla(spec, hom_mul_form(spec, f, unit))
+        val = val + sign * hom_apply(spec, f, dga.d(spec, unit))
+        if val:
+            out[e] = val
+    return HomForm(spec, n, out)
+
+
+def _generic_apply(spec, f, omega):
+    pres = spec.presentation
+    total = pres.zero
+    for w, c in dga.right_coords(spec, omega).items():
+        total = total + f.value(w) * c
+    return total
+
+
+@pytest.mark.parametrize(
+    "fixture, n", [("sl2_3d_calc", 1), ("sl2_3d_calc", 2), ("qplane_calc", 1)]
+)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_nabla_n_table_matches_the_generic_extension(request, fixture, n, data):
+    spec = request.getfixturevalue(fixture)
+    f = _hom_form(data, spec, n + 1)
+    assert nabla_n(spec, n, f) == _generic_nabla_n(spec, n, f)
+
+
+@pytest.mark.parametrize("fixture", ["sl2_3d_calc", "qplane_calc"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_hom_evaluation_matches_right_coords(request, fixture, data):
+    spec = request.getfixturevalue(fixture)
+    pres = spec.presentation
+    degree = data.draw(st.integers(1, spec.top_degree))
+    f = _hom_form(data, spec, degree)
+    omega = spec.form(degree, {w: data.draw(values(pres)) for w in spec.basis(degree)})
+    assert hom_apply(spec, f, omega) == _generic_apply(spec, f, omega)
+    a = data.draw(values(pres))
+    acted = hom_right_act(spec, f, a)
+    for e in spec.basis(degree):
+        assert acted.value(e) == _generic_apply(spec, f, FormElement(spec, degree, {e: a}))
+
+
+def test_nabla_n_table_has_one_entry_per_level_and_word(monkeypatch, capsys):
+    preset = REGISTRY["sl2-3d"]
+    monkeypatch.setattr(preset, "_cache", None)
+    assert cli.main(["verify", "preset:sl2-3d", "--max-len", "3"]) == 0
+    capsys.readouterr()
+    spec = preset.load().spec
+    want = [e for n in range(1, spec.top_degree) for e in spec.basis(n)]
+    assert sorted(spec._signed_d) == sorted(want)

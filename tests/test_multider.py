@@ -3,6 +3,7 @@ verification, q-skew detection."""
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -68,6 +69,45 @@ def test_twisted_leibniz_randomised(fixture, request):
             for j in range(tmd.n):
                 twisted = twisted + pa[j] * sig_b[j][i]
             assert left[i] == twisted + a * pb[i]
+
+
+def _recursive_partial(tmd, word):
+    """partial on a word by the twisted Leibniz rule on its leading letter,
+    recursing on the rest."""
+    pres = tmd.presentation
+    if not word:
+        return (pres.zero,) * tmd.n
+    head, tail = word[0], word[1:]
+    row_g = tmd.partial_on_gens[head]
+    if not tail:
+        return row_g
+    sig = tmd.sigma.on_word(tail)
+    rest = _recursive_partial(tmd, tail)
+    g = pres.monomial((head,))
+    return tuple(
+        sum((row_g[j] * sig[j][i] for j in range(tmd.n)), pres.zero) + g * rest[i]
+        for i in range(tmd.n)
+    )
+
+
+@pytest.mark.parametrize("cached", [0, 7])
+def test_partial_of_a_long_word_needs_no_stack(qplane, cached):
+    # 120 letters under a 150-frame limit; with a cached suffix the memo
+    # is filled from the first missing one
+    from conftest import make_qplane_tmd
+
+    tmd = make_qplane_tmd(qplane)
+    word = (0,) * 117 + (1,) * 3
+    if cached:
+        tmd.partial(qplane.monomial(word[-cached:]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        row = tmd.partial(qplane.monomial(word))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert row == _recursive_partial(make_qplane_tmd(qplane), word)
+    assert all(word[k:] in tmd._memo for k in range(len(word) + 1))
 
 
 def test_bracketing_independence(qplane_tmd, qplane):

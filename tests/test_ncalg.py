@@ -44,11 +44,25 @@ def test_qplane_normal_words(qplane):
     assert words[0] == ()
     assert qplane.word("x", "y", "y") in words
     assert all(list(w) == sorted(w) for w in words)
-    assert qplane.normal_words(4, degree=2) == [
+    assert qplane.normal_words(4, degree=2) == (
         qplane.word("x", "x"),
         qplane.word("x", "y"),
         qplane.word("y", "y"),
-    ]
+    )
+
+
+def test_normal_words_memo_is_shared_and_immutable(qpctx):
+    pres = make_qplane_presentation(qpctx)
+    first = pres.normal_words(3)
+    graded = pres.normal_words(3, degree=2)
+    assert pres.normal_words(3) is first
+    assert pres.normal_words(3, degree=2) is graded
+    assert first == pres.normal_words(4)[: len(first)]
+    assert graded == tuple(w for w in first if len(w) == 2)
+    with pytest.raises(AttributeError):
+        first.append((1, 0))
+    with pytest.raises(TypeError):
+        first[0] = (1, 0)
 
 
 def test_sl2_defining_relations(sl2):
