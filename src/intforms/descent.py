@@ -5,12 +5,20 @@ from the three-dimensional left-covariant one: its one-forms split into two
 finitely generated projective summands with explicit dual bases, its
 two-forms are free of rank one, and the hom-connection descends to
 functionals on them.  This module builds that projective data, the descended
-connection (computed through the translation map, with the written-out
-six-generator formula kept as an independent cross-check), the degree-two
-differential, flatness, and the ladder identifying the complex of integral
-forms on B with its de Rham complex.  Both vertical maps of that ladder have
-explicit inverses here, so bijectivity is certified by exact round trips
-rather than by rank counts.
+connection, the degree-two differential, flatness, and the ladder
+identifying the complex of integral forms on B with its de Rham complex.
+Both vertical maps of that ladder have explicit inverses here, so
+bijectivity is certified by exact round trips rather than by rank counts.
+
+The connection needs the values of the equivariant extension f^ of f at the
+two free letters e+ and e-.  The paper reaches them through the translation
+map, as Sweedler sums of c*f(e.S(x1))*x2 over the coproducts of alpha^2 and
+delta^2.  f is right linear, so such a sum is f(e.sum S(x1)x2), and the
+antipode axiom sum S(x1)x2 = eps(x)*1 collapses it to f(e), the dual-basis
+extension of f at the letter.  nabla_coH reads that value directly.
+fhat_crosscheck plays three routes against each other: the dual-basis
+extension, the Sweedler sum over the machine Hopf data and over the shipped
+fixture coproducts, and the written-out six-generator formula.
 
 A one-form functional keeps its six values on the projective generators;
 evaluation, the right action, the consistency check and combinations of the
@@ -48,7 +56,7 @@ __all__ = [
 
 
 class CrossCheckFailed(ValueError):
-    """The two routes to the descended connection disagree.
+    """The routes to the descended connection disagree.
 
     Raised by ``fhat_crosscheck(...).raise_first(CrossCheckFailed)``.
     """
@@ -428,11 +436,14 @@ def sphere_fixtures(presentation, filename="sphere.fixtures"):
 
 
 def _fhat_values(sphere, f, squares):
-    """Values of the induced equivariant functional at the two free letters.
+    """Values of the induced equivariant functional at the two free letters,
+    through the translation map: sum c*f(e.S(x1))*x2 over each coproduct.
 
     squares holds the coproducts of the elements lifting the grading group
     in degrees 2 and -2; the antipode of each left leg lands in the degree
-    matching the letter, so the values come out homogeneous.
+    matching the letter, so the values come out homogeneous.  By the
+    antipode axiom they equal f(e+) and f(e-), so only fhat_crosscheck
+    takes this route, as a check on the Hopf data.
     """
     pres = sphere.presentation
     values = []
@@ -455,14 +466,18 @@ def _nabla_from_letter_values(sphere, at_plus, at_minus):
 def nabla_coH(sphere, f):
     """Descended hom-connection on a one-form functional.
 
-    Computed through the translation map: extend f equivariantly to the
-    ambient calculus, then combine the two grade-shifting derivations of its
-    letter values.  The result is again a coaction invariant.
+    Combines the two grade-shifting derivations of the values of f's
+    equivariant extension at the free letters.  Those values are read from
+    the dual-basis extension, f(e+) and f(e-): the translation-map sum over
+    a coproduct collapses to them by right linearity and the antipode axiom
+    (see the module docstring), so no Hopf map is evaluated here.  The
+    result is again a coaction invariant.
     """
     if not isinstance(f, BHomForm) or f.degree != 1:
         raise DegreeMismatch("the descended connection starts at one-form functionals")
-    at_plus, at_minus = _fhat_values(sphere, f, sphere._sweedler_squares())
-    out = _nabla_from_letter_values(sphere, at_plus, at_minus)
+    out = _nabla_from_letter_values(
+        sphere, f.value_on_plus(None), f.value_on_minus(None)
+    )
     if out and zdegree(out) != 0:
         raise RuntimeError(f"the descended connection left the invariants: {out}")
     return out
@@ -518,24 +533,28 @@ def _nabla_written_out(sphere, f):
 
 
 def fhat_crosscheck(sphere, f, fixtures=None):
-    """Play the two routes to the descended connection against each other.
+    """Play three routes to the descended connection against each other.
 
-    f may be a functional or an index into the dual basis.  The fixture
-    coproducts are compared with the machine extension of the Hopf data,
-    the translation-map route is evaluated once with each, and the
-    written-out six-generator formula must agree with both.  fixtures
-    defaults to the shipped file; callers checking many functionals load
-    it once with sphere_fixtures, and a corrupted copy turns the comparison
-    into a control.
+    f may be a functional or an index into the dual basis.  The routes are
+    the dual-basis extension (nabla_coH), the translation-map Sweedler sum
+    (_fhat_values) and the written-out six-generator formula.  The fixture
+    coproducts are first compared with the machine extension of the Hopf
+    data, and the Sweedler sum is evaluated once with each.  It must equal
+    the written-out formula, and the dual-basis extension, to which the
+    antipode axiom reduces it; so broken Hopf data splits the routes.
+    fixtures defaults to the shipped file; callers checking many
+    functionals load it once with sphere_fixtures, and a corrupted copy
+    turns the comparison into a control.
     """
     if isinstance(f, int):
         f = sphere.dual_basis()[f]
     if fixtures is None:
         fixtures = sphere_fixtures(sphere.presentation)
-    # both routes read f through the same dual-basis expansion, so a broken
+    # every route reads f through the same dual-basis expansion, so a broken
     # weight cancels between them; the determinant identities catch it
     report = CheckReport(sphere.determinant_checks())
-    for key, machine in zip(("alpha^2", "delta^2"), sphere._sweedler_squares()):
+    squares = sphere._sweedler_squares()
+    for key, machine in zip(("alpha^2", "delta^2"), squares):
         ok = fixtures[key] == machine
         report.add(
             f"fixture coproduct of {key} matches the Hopf data",
@@ -545,11 +564,12 @@ def fhat_crosscheck(sphere, f, fixtures=None):
     via_fixtures = _nabla_from_letter_values(
         sphere, *_fhat_values(sphere, f, (fixtures["alpha^2"], fixtures["delta^2"]))
     )
-    via_machine = nabla_coH(sphere, f)
+    via_machine = _nabla_from_letter_values(sphere, *_fhat_values(sphere, f, squares))
     written = _nabla_written_out(sphere, f)
     for name, lhs, rhs in (
         ("translation route agrees between fixture and Hopf data", via_fixtures, via_machine),
         ("translation route equals the written-out formula", via_machine, written),
+        ("dual-basis extension equals the translation route", nabla_coH(sphere, f), via_machine),
     ):
         ok = lhs == rhs
         report.add(name, ok, None if ok else f"{lhs} versus {rhs}")

@@ -95,8 +95,18 @@ class HomForm(SparseVector):
             raise DegreeMismatch("hom-forms of different degrees")
         return other
 
+    @classmethod
+    def _unchecked(cls, spec, degree, terms):
+        """A hom-form on terms that already map basis words of this degree
+        to nonzero elements, built without the constructor's checks."""
+        f = cls.__new__(cls)
+        f.spec = spec
+        f.degree = degree
+        f.terms = terms
+        return f
+
     def _like(self, terms):
-        return HomForm(self.spec, self.degree, terms)
+        return HomForm._unchecked(self.spec, self.degree, terms)
 
     def __str__(self):
         if not self.terms:
@@ -158,8 +168,10 @@ def hom_right_act(spec, f, a):
     values = {}
     for e in spec.basis(f.degree):
         coords = dga._twisted(spec, "right", e, a.terms, (), {})
-        values[e] = AlgElement(pres, _pair(pres, f, coords, {}))
-    return HomForm(spec, f.degree, values)
+        terms = _pair(pres, f, coords, {})
+        if terms:
+            values[e] = AlgElement(pres, terms)
+    return HomForm._unchecked(spec, f.degree, values)
 
 
 def hom_mul_form(spec, f, omega):
@@ -178,7 +190,7 @@ def hom_mul_form(spec, f, omega):
         val = hom_apply(spec, f, dga.mul(spec, omega, FormElement(spec, m, {e: pres.one})))
         if val:
             values[e] = val
-    return HomForm(spec, m, values)
+    return HomForm._unchecked(spec, m, values)
 
 
 def twisted_partial(spec, i, a):
@@ -243,7 +255,7 @@ def nabla_n(spec, n, f):
         terms = _pair(pres, f, _signed_d(spec, e), out.get((), {}))
         if terms:
             values[e] = AlgElement(pres, terms)
-    return HomForm(spec, n, values)
+    return HomForm._unchecked(spec, n, values)
 
 
 def curvature(spec, f):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from importlib import metadata
+
+from . import __version__
 
 
 class CheckReport:
@@ -53,10 +54,8 @@ class CheckReport:
 
 
 def tool_version():
-    try:
-        return f"intforms {metadata.version('intforms')}"
-    except metadata.PackageNotFoundError:
-        return "intforms unreleased"
+    """The package's own version string; the packaging metadata reads it too."""
+    return f"intforms {__version__}"
 
 
 def build_report(command, preset, opts, checks, timings=False):

@@ -243,6 +243,22 @@ def test_runs_without_sympy():
     assert proc.stdout == "ok\n"
 
 
+def test_import_path_skips_packaging_metadata():
+    # the report's version string comes from the package itself, so a cold
+    # start never pays for importlib.metadata
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import intforms.cli"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "intforms.cli" in imported
+    assert not [name for name in imported if name.startswith("importlib.metadata")]
+    assert intforms.report.tool_version() == f"intforms {intforms.__version__}"
+
+
 @pytest.mark.parametrize(
     "command, target, hint",
     [("flatness", "preset:matrix-m2", "matrix verify"),

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import collections
+import functools
 import random
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intforms import descent, dga, suites
+from intforms import descent, dga, ncalg, suites
 from intforms.descent import (
     BHomForm,
     CrossCheckFailed,
@@ -28,6 +32,7 @@ from intforms.dga import FormElement
 from intforms.homconn import DegreeMismatch
 from intforms.integrals import SquareFails, sl2_lambda
 from intforms.ncalg import TensorElement, coproduct, zdegree
+from intforms.presets import load_calc
 
 
 @pytest.fixture(scope="module")
@@ -239,23 +244,91 @@ def test_crosscheck_dual_basis(sphere):
     assert fhat_crosscheck(sphere, BHomForm.from_coordinates(sphere)).ok
 
 
+def counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_suite_crosscheck_reads_its_inputs_once(monkeypatch, sl2_3d_calc):
     # six duals share one fixture read and the two cached coproducts
     calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
+    counted = functools.partial(counting, calls)
     monkeypatch.setattr(suites, "sphere_fixtures", counted("fixtures", suites.sphere_fixtures))
     monkeypatch.setattr(descent, "sphere_fixtures", counted("fixtures", descent.sphere_fixtures))
     monkeypatch.setattr(descent, "coproduct", counted("coproduct", descent.coproduct))
     checks = dict(suites._sphere_checks(SphereData(sl2_3d_calc), None))
     assert checks["double route to the connection agrees on every dual"]() is None
     assert calls == {"fixtures": 1, "coproduct": 2}
+
+
+def test_connection_evaluates_no_hopf_map(monkeypatch, sl2_3d_calc):
+    # a fresh sphere has no cached coproducts, so any Hopf use would show
+    calls = collections.Counter()
+    for module in (descent, ncalg):
+        for name in ("coproduct", "antipode"):
+            monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
+    fresh = SphereData(sl2_3d_calc)
+    rng = random.Random(11)
+    for f in (*fresh.dual_basis(), random_functional(fresh, rng)):
+        nabla_coH(fresh, f)
+    nabla_coH_1(fresh, fresh.top_dual())
+    assert calls == {}
+    assert fhat_crosscheck(fresh, 0).ok
+    assert calls["coproduct"] == 2 and calls["antipode"] > 0
+
+
+@st.composite
+def coordinate_functionals(draw, sphere):
+    """from_coordinates on six degree-0 normal words (length <= 4) times
+    small integers, zero included."""
+    pres = sphere.presentation
+    words = pres.normal_words(4, degree=0)
+    coords = [
+        pres.monomial(draw(st.sampled_from(words)), draw(st.integers(-3, 3)))
+        for _ in range(6)
+    ]
+    return BHomForm.from_coordinates(sphere, coords[:3], coords[3:])
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_dual_basis_route_equals_the_sweedler_route(sphere, data):
+    f = data.draw(coordinate_functionals(sphere))
+    got = nabla_coH(sphere, f)
+    letter_values = (f.value_on_plus(None), f.value_on_minus(None))
+    fixtures = sphere_fixtures(sphere.presentation)
+    for squares in (
+        sphere._sweedler_squares(),
+        (fixtures["alpha^2"], fixtures["delta^2"]),
+    ):
+        fhat = descent._fhat_values(sphere, f, squares)
+        assert fhat == letter_values
+        assert descent._nabla_from_letter_values(sphere, *fhat) == got
+
+
+def test_crosscheck_catches_a_negated_antipode():
+    text = resources.files("intforms").joinpath("data", "sl2_3d.calc").read_text()
+    line = "antipode: alpha = delta"
+    assert text.count(line + "\n") == 1
+    bundle = load_calc(text.replace(line + "\n", "antipode: alpha = -delta\n"))
+    bad = SphereData(bundle.spec)
+    alpha = bad.presentation.gen("alpha")
+    assert ncalg.antipode(bad.presentation, alpha) == -bad.presentation.gen("delta")
+    report = fhat_crosscheck(bad, 0)
+    assert not report.ok
+    # the fixtures still match the coproducts, and the dual-basis route
+    # needs no antipode: the Sweedler sum is what breaks
+    failed = [c["name"] for c in report.failures]
+    assert "translation route equals the written-out formula" in failed
+    assert "dual-basis extension equals the translation route" in failed
+    assert not any(name.startswith("fixture coproduct") for name in failed)
+    f = bad.plus_dual(0)
+    assert nabla_coH(bad, f) == descent._nabla_written_out(bad, f)
 
 
 def test_crosscheck_random_functionals(sphere):

@@ -113,6 +113,40 @@ def test_homform_construction_guards(qplane_calc, sl2_3d_calc):
         HomForm(sl2_3d_calc, 2, {("w+", "w-"): 1})
 
 
+def test_kernels_build_hom_forms_without_rechecking(monkeypatch, sl2, sl2_3d_calc):
+    spec = sl2_3d_calc
+    alpha, delta = sl2.gen("alpha"), sl2.gen("delta")
+    f = HomForm(spec, 1, {"w0": alpha, "w-": sl2.one})
+    g = HomForm(spec, 2, {w: delta for w in spec.basis(2)})
+    built = []
+    real_init = HomForm.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(HomForm, "__init__", counted)
+    outputs = [
+        hom_right_act(spec, f, alpha * delta),
+        hom_right_act(spec, f, 0),
+        nabla_n(spec, 1, g),
+        f + f * alpha,
+        -f,
+        f - f,
+    ]
+    assert built == []
+    for h in outputs:
+        assert set(h.terms) <= set(spec.basis(h.degree))
+        assert all(h.terms.values())
+    assert outputs[1].is_zero() and outputs[5].is_zero()
+    # the public constructor keeps its checks
+    with pytest.raises(ValueError, match="not a degree-2 basis word"):
+        HomForm(spec, 2, {"w0": 1})
+    with pytest.raises(ValueError, match="not a degree-1 basis word"):
+        HomForm(spec, 1, {("w0", "w0"): alpha})
+    assert len(built) == 2
+
+
 def test_homform_display(sl2, sl2_3d_calc):
     f = HomForm(sl2_3d_calc, 1, {"w0": sl2.gen("alpha"), "w-": sl2.one})
     assert str(f) == "w- := 1, w0 := alpha"
