@@ -4,12 +4,31 @@ Every coefficient of the presented algebras is a ScalarRF, a rational
 function in the parameters of one ScalarContext.  A value is held in exactly
 one of two forms:
 
-* a Laurent polynomial -- a dict from exponent tuples (negative exponents
-  allowed) to nonzero int or Fraction coefficients -- whenever its reduced
-  denominator is a monomial;
+* a Laurent polynomial -- a dict from packed exponents (below) to nonzero
+  int or Fraction coefficients -- whenever its reduced denominator is a
+  monomial;
 * a reduced fraction (numer, denom) of polynomials over Z -- dicts from
   exponent tuples without negative entries to nonzero ints -- only for a
   true rational function, whose reduced denominator has at least two terms.
+
+A Laurent key packs the exponent tuple e into one int by Kronecker
+substitution, sum(e[i] * 2**(32*i)): parameter i owns the balanced 32-bit
+digit i, the unit monomial is 0, a one-parameter key is the exponent
+itself, and the key of a product of monomials is the sum of their keys.
+Exponents lie in [-2**30, 2**30).  Adding the bias, 2**30 in every digit,
+takes an in-range digit into [0, 2**31), so the top bit of each digit is
+its guard bit (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  A sum of two
+in-range keys has digits in [-2**31, 2**31); one that left the range sets
+its guard bit, a negative one through the borrow.  So every exponent sum
+z pays the one test (z + bias) & guard, and no digit wraps into its
+neighbour: a product, power, parse or fallback result with an exponent
+outside the range raises ExponentOutOfRange.  Keys are unpacked into
+tuples only on the way to the fraction form, for printing and for
+evaluation, so everything a caller reads is in exponent tuples.  Printing
+moves negative exponents into the denominator, so 1/q^(2**30) and values
+whose exponents in one parameter spread over more than the range print a
+power outside it, and that text does not parse back.
 
 Sums, products, integer powers and division by a monomial of Laurent values
 stay in the dict.  Division by a non-monomial and anything involving a true
@@ -25,6 +44,10 @@ no factor, integer content included, and the leading coefficient of the
 denominator under grlex is positive.  So each value has one representation,
 and equality is equality of canonical forms.  There are no floats anywhere
 and no tolerance knobs.
+
+The constant 1 is the context's `one` whenever it is built from an int or
+a Fraction, and a product with `one` returns the other factor without
+arithmetic.
 """
 from __future__ import annotations
 
@@ -33,9 +56,17 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
 
+_DIGIT = 32  # bits of packed exponent per parameter
+_LIMIT = 1 << 30  # exponents lie in [-_LIMIT, _LIMIT)
+_MASK = (1 << _DIGIT) - 1
+
 
 class PoleAtAssignment(ArithmeticError):
     """Substitution point lies on the zero set of the (reduced) denominator."""
+
+
+class ExponentOutOfRange(ValueError):
+    """A Laurent exponent left [-2**30, 2**30), the range of a packed digit."""
 
 
 def _check_names(names):
@@ -54,34 +85,41 @@ class ScalarContext:
     Values from different contexts never mix; arithmetic between them raises
     ValueError.
 
+    The context owns the packed exponent layout: `_pack` and `_unpack`
+    convert between exponent tuples and keys, `_bias` and `_guard` hold
+    2**30 and 2**31 in every digit, and `_mul` is the Laurent product, which
+    guard-tests every exponent sum.
+
     The context shares Laurent monomials: a product of two monomials is
-    looked up by its exponents and its `_reduce`d coefficient, so each such
-    value exists once per context and `x * y is x * y` for monomials x, y.
-    The key holds the reduced coefficient because `2 == Fraction(2)`: an
-    unreduced key would let one stand for the other.  Sharing is safe
-    because no operation writes to a ScalarRF or its dict.
+    looked up by its packed exponents and its `_reduce`d coefficient, so
+    each such value exists once per context and `x * y is x * y` for
+    monomials x, y.  The key holds the reduced coefficient because
+    `2 == Fraction(2)`: an unreduced key would let one stand for the other.
+    Sharing is safe because no operation writes to a ScalarRF or its dict.
     """
 
     def __init__(self, parameters=()):
         names = tuple(parameters)
         _check_names(names)
         self.parameters = names
-        self._unit = (0,) * len(names)
+        self._shifts = tuple(range(0, _DIGIT * len(names), _DIGIT))
+        self._bias = sum(_LIMIT << shift for shift in self._shifts)
+        self._guard = self._bias << 1
+        self._unit_exps = (0,) * len(names)  # the unit monomial, unpacked
         self.zero = ScalarRF(self, {})
-        self.one = ScalarRF(self, {self._unit: 1})
-        self._monomials = {(self._unit, 1): self.one}
+        self.one = ScalarRF(self, {0: 1})
+        self._monomials = {(0, 1): self.one}
 
     def parameter(self, name):
         if name not in self.parameters:
             raise KeyError(f"unknown parameter {name!r}; declared: {self.parameters}")
-        exps = tuple(int(other == name) for other in self.parameters)
-        return ScalarRF(self, {exps: 1})
+        return ScalarRF(self, {1 << self._shifts[self.parameters.index(name)]: 1})
 
     def from_fraction(self, value):
-        return ScalarRF(self, self._constant(_exact(value)))
+        return self._scalar(_exact(value))
 
     def from_int(self, value):
-        return ScalarRF(self, self._constant(operator.index(value)))
+        return self._scalar(operator.index(value))
 
     def parse(self, text):
         from .parser import parse_scalar  # grammar is shared with the frontend
@@ -102,17 +140,94 @@ class ScalarContext:
     def __repr__(self):
         return f"ScalarContext{self.parameters!r}"
 
-    def _constant(self, value):
-        return {self._unit: _reduce(value)} if value else {}
+    def _scalar(self, value):
+        # the constant value of an int or Fraction; 1 is `one` itself, so
+        # that products with it take the short-circuit
+        if value == 1:
+            return self.one
+        return ScalarRF(self, self._constant(value))
 
-    def _monomial(self, exps, coeff):
+    def _constant(self, value):
+        return {0: _reduce(value)} if value else {}
+
+    def _pack(self, exps):
+        """The key of an exponent tuple; ExponentOutOfRange off the range."""
+        packed = 0
+        for shift, e in zip(self._shifts, exps):
+            if not -_LIMIT <= e < _LIMIT:
+                raise self._out_of_range(exps)
+            packed += e << shift
+        return packed
+
+    def _unpack(self, packed):
+        packed += self._bias
+        return tuple(((packed >> shift) & _MASK) - _LIMIT for shift in self._shifts)
+
+    def _unpacked(self, terms):
+        # the (exponent tuple, coefficient) items of a Laurent dict
+        unpack = self._unpack
+        return [(unpack(packed), coeff) for packed, coeff in terms.items()]
+
+    def _out_of_range(self, exps):
+        monomial = _monom_str(exps, self.parameters)
+        return ExponentOutOfRange(f"{monomial} has an exponent outside [-2^30, 2^30)")
+
+    def _overflow(self, e, f):
+        # the exception for keys e, f whose sum failed the guard test
+        return self._out_of_range(tuple(map(add, self._unpack(e), self._unpack(f))))
+
+    def _monomial(self, packed, coeff):
         # the shared value coeff * params^exps, coeff a nonzero int or Fraction
         coeff = _reduce(coeff)
-        key = (exps, coeff)
+        key = (packed, coeff)
         value = self._monomials.get(key)
         if value is None:
-            value = self._monomials[key] = ScalarRF(self, {exps: coeff})
+            value = self._monomials[key] = ScalarRF(self, {packed: coeff})
         return value
+
+    def _mul(self, a, b):
+        """The product of two Laurent dicts, guard-testing every exponent sum."""
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return {}
+        bias, guard = self._bias, self._guard
+        out = {}
+        if len(a) == 1:
+            # a monomial times anything: exponents shift, no term cancels
+            ((e, c),) = a.items()
+            for f, d in b.items():
+                z = e + f
+                if (z + bias) & guard:
+                    raise self._overflow(e, f)
+                out[z] = c * d
+        else:
+            for e, c in a.items():
+                for f, d in b.items():
+                    z = e + f
+                    if (z + bias) & guard:
+                        raise self._overflow(e, f)
+                    out[z] = out.get(z, 0) + c * d
+            out = {z: coeff for z, coeff in out.items() if coeff}
+        for z, coeff in out.items():
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                out[z] = coeff.numerator
+        return out
+
+    def _monomial_power(self, packed, coeff, n):
+        if n < 0:
+            coeff = Fraction(1, coeff) if isinstance(coeff, int) else 1 / coeff
+        exps = self._pack(tuple(e * n for e in self._unpack(packed)))
+        return {exps: _reduce(coeff ** abs(n))}
+
+    def _power(self, terms, n):
+        # the n-th power of a Laurent dict, n >= 1.  Its extreme exponents
+        # in each parameter are n times the operand's, so the bound is
+        # checked before the first product.
+        columns = list(zip(*map(self._unpack, terms)))
+        self._pack(tuple(min(column) * n for column in columns))
+        self._pack(tuple(max(column) * n for column in columns))
+        return _power(terms, n, self._mul)
 
     def _from_fraction(self, numer, denom):
         # the value of a coprime fraction: back to the dict when the
@@ -124,7 +239,7 @@ class ScalarContext:
             return ScalarRF(
                 self,
                 {
-                    tuple(map(sub, exps, shift)): _reduce(Fraction(c, den))
+                    self._pack(tuple(map(sub, exps, shift))): _reduce(Fraction(c, den))
                     for exps, c in numer.items()
                 },
             )
@@ -137,10 +252,18 @@ class ScalarRF:
     """Reduced rational function with exact arithmetic.
 
     Exactly one of `_terms` and `_frac` is set.  `_terms` is the Laurent
-    dict {exponent tuple: nonzero int or Fraction} when the reduced
+    dict {packed exponents: nonzero int or Fraction} when the reduced
     denominator is a monomial; otherwise `_frac` is the reduced pair
-    (numer, denom) of {exponent tuple: nonzero int} polynomials.  Constants
-    are Laurent values and hash like the equal int or Fraction.
+    (numer, denom) of {exponent tuple: nonzero int} polynomials.  The
+    packed keys follow the context's layout (see the module docstring);
+    `_fraction()` and `ScalarContext._from_fraction` are the only moves
+    between the two exponent forms.  Constants are Laurent values and hash
+    like the equal int or Fraction; other Laurent values hash their
+    unpacked terms, so no hash depends on the key layout.
+
+    A product with the context's `one` returns the other factor itself:
+    `x * one is x` and `one * x is x` for every scalar x, and an int or
+    Fraction factor is coerced first.
     """
 
     __slots__ = ("context", "_terms", "_frac")
@@ -160,15 +283,16 @@ class ScalarRF:
                 raise ValueError("scalar from a different context")
             return other
         if isinstance(other, (int, Fraction)):
-            return ScalarRF(self.context, self.context._constant(other))
+            return self.context._scalar(other)
         return None
 
     def _fraction(self):
         if self._frac is not None:
             return self._frac
         # a Laurent dict over its reduced monomial denominator
-        shift, den = denominator = _denominator(self._terms, self.context._unit)
-        return dict(_numerator(self._terms, denominator)), {shift: den}
+        items = self.context._unpacked(self._terms)
+        shift, den = denominator = _denominator(items, self.context._unit_exps)
+        return dict(_numerator(items, denominator)), {shift: den}
 
     def __add__(self, other):
         other = self._operand(other)
@@ -197,16 +321,24 @@ class ScalarRF:
         return _rational(_fraction_sub, other, self)
 
     def __mul__(self, other):
+        context = self.context
+        if other is context.one:
+            return self
         other = self._operand(other)
         if other is None:
             return NotImplemented
+        if self is context.one:
+            return other
         a, b = self._terms, other._terms
         if a is not None and b is not None:
             if len(a) == 1 == len(b):
                 ((e, c),) = a.items()
                 ((f, d),) = b.items()
-                return self.context._monomial(tuple(map(add, e, f)), c * d)
-            return ScalarRF(self.context, _mul(a, b))
+                z = e + f
+                if (z + context._bias) & context._guard:
+                    raise context._overflow(e, f)
+                return context._monomial(z, c * d)
+            return ScalarRF(context, context._mul(a, b))
         return _rational(_fraction_mul, self, other)
 
     __rmul__ = __mul__
@@ -231,15 +363,15 @@ class ScalarRF:
             return self.context.one
         terms = self._terms
         if terms is not None and len(terms) == 1:
-            ((exps, coeff),) = terms.items()
-            return ScalarRF(self.context, _monomial_power(exps, coeff, n))
+            ((packed, coeff),) = terms.items()
+            return ScalarRF(self.context, self.context._monomial_power(packed, coeff, n))
         if terms is not None and n > 0:
-            return ScalarRF(self.context, _power(terms, n))
+            return ScalarRF(self.context, self.context._power(terms, n))
         # powers of a coprime pair stay coprime; inverting may flip the sign
         numer, denom = self._fraction()
         if n < 0:
             numer, denom, n = denom, numer, -n
-        return self.context._from_fraction(_power(numer, n), _power(denom, n))
+        return self.context._from_fraction(_power(numer, n, _mul), _power(denom, n, _mul))
 
     def __neg__(self):
         if self._terms is None:
@@ -273,10 +405,10 @@ class ScalarRF:
         if not terms:
             return hash(0)
         if len(terms) == 1:
-            ((exps, coeff),) = terms.items()
-            if not any(exps):
+            ((packed, coeff),) = terms.items()
+            if not packed:
                 return hash(coeff)
-        return hash(frozenset(terms.items()))
+        return hash(frozenset(self.context._unpacked(terms)))
 
     # -- inspection ---------------------------------------------------------
 
@@ -287,14 +419,16 @@ class ScalarRF:
     def denom_terms(self):
         if self._terms is None:
             return _sorted_terms(list(self._frac[1].items()))
-        return [_denominator(self._terms, self.context._unit)]
+        items = self.context._unpacked(self._terms)
+        return [_denominator(items, self.context._unit_exps)]
 
     def _fraction_terms(self):
         if self._terms is None:
             numer, denom = self._frac
             return _sorted_terms(list(numer.items())), _sorted_terms(list(denom.items()))
-        denominator = _denominator(self._terms, self.context._unit)
-        return _sorted_terms(_numerator(self._terms, denominator)), [denominator]
+        items = self.context._unpacked(self._terms)
+        denominator = _denominator(items, self.context._unit_exps)
+        return _sorted_terms(_numerator(items, denominator)), [denominator]
 
     def evaluate(self, assignment):
         """Exact value at parameter -> Fraction/int assignment.
@@ -313,16 +447,17 @@ class ScalarRF:
             if den == 0:
                 raise PoleAtAssignment(f"denominator vanishes at {assignment!r}")
             return _eval_terms(numer.items(), values) / den
-        for exps in self._terms:
+        items = self.context._unpacked(self._terms)
+        for exps, _ in items:
             if any(e < 0 and v == 0 for e, v in zip(exps, values)):
                 raise PoleAtAssignment(f"denominator vanishes at {assignment!r}")
-        return _eval_terms(self._terms.items(), values)
+        return _eval_terms(items, values)
 
     def __str__(self):
         names = self.context.parameters
         num_terms, den_terms = self._fraction_terms()
         num_str = _poly_str(num_terms, names)
-        if den_terms == [(self.context._unit, 1)]:
+        if den_terms == [(self.context._unit_exps, 1)]:
             return num_str
         den_str = _poly_str(den_terms, names)
         if len(num_terms) > 1:
@@ -344,14 +479,19 @@ def _divide(left, right):
         raise ZeroDivisionError("division by the zero rational function")
     a, b = left._terms, right._terms
     if a is not None and b is not None and len(b) == 1:
-        ((exps, coeff),) = b.items()
-        return ScalarRF(left.context, _mul(a, _monomial_power(exps, coeff, -1)))
+        # times the inverse monomial, whose key may lie one past the range
+        # (the inverse of 1/q^(2^30)); differences of in-range exponents
+        # still pass the guard test exactly
+        context = left.context
+        ((packed, coeff),) = b.items()
+        return ScalarRF(context, context._mul(a, {-packed: 1 / Fraction(coeff)}))
     numer, denom = right._fraction()
     return left.context._from_fraction(*_fraction_mul(left._fraction(), (denom, numer)))
 
 
 # -- Laurent dicts ------------------------------------------------------------
 # Operands are never mutated; every result is a fresh dict without zeros.
+# `_neg`, `_add` and `_power` serve the polynomials of the fractions too.
 
 
 def _exact(value):
@@ -386,6 +526,49 @@ def _add(a, b):
     return out
 
 
+def _power(terms, n, mul):
+    # square-and-multiply with the product `mul`, n >= 1
+    out = None
+    while True:
+        if n & 1:
+            out = terms if out is None else mul(out, terms)
+        n >>= 1
+        if not n:
+            return out
+        terms = mul(terms, terms)
+
+
+def _denominator(items, unit):
+    """Reduced denominator (exps, int > 0) of Laurent (exps, coeff) items.
+
+    It is the least common denominator of the coefficients times the
+    monomial that clears the negative exponents; with the numerator below,
+    no integer or parameter divides both parts.
+    """
+    low, den = unit, 1
+    for exps, coeff in items:
+        if coeff.denominator != 1:
+            den = lcm(den, coeff.denominator)
+        if exps and min(exps) < 0:
+            low = tuple(map(min, low, exps))
+    return tuple(map(neg, low)), den
+
+
+def _numerator(items, denominator):
+    # (exps, int) terms of the reduced numerator over `denominator`
+    shift, den = denominator
+    return [
+        (tuple(map(add, exps, shift)), coeff.numerator * (den // coeff.denominator))
+        for exps, coeff in items
+    ]
+
+
+# -- fractions of polynomials over Z ------------------------------------------
+# A polynomial is a dict {exponent tuple without negative entries: nonzero
+# int}; a fraction is a pair (numer, denom) of them, coprime including the
+# integer content.  Signs are left as they fall until `_from_fraction`.
+
+
 def _mul(a, b):
     if len(a) > len(b):
         a, b = b, a
@@ -394,68 +577,13 @@ def _mul(a, b):
     if len(a) == 1:
         # a monomial times anything: exponents shift, no term cancels
         ((e, c),) = a.items()
-        out = {tuple(map(add, e, f)): c * d for f, d in b.items()}
-    else:
-        out = {}
-        for e, c in a.items():
-            for f, d in b.items():
-                exps = tuple(map(add, e, f))
-                out[exps] = out.get(exps, 0) + c * d
-        out = {exps: coeff for exps, coeff in out.items() if coeff}
-    for exps, coeff in out.items():
-        if type(coeff) is Fraction and coeff.denominator == 1:
-            out[exps] = coeff.numerator
-    return out
-
-
-def _monomial_power(exps, coeff, n):
-    if n < 0:
-        coeff = Fraction(1, coeff) if isinstance(coeff, int) else 1 / coeff
-        exps, n = tuple(-e for e in exps), -n
-    return {tuple(e * n for e in exps): _reduce(coeff**n)}
-
-
-def _power(terms, n):
-    # square-and-multiply, n >= 1
-    out = None
-    while True:
-        if n & 1:
-            out = terms if out is None else _mul(out, terms)
-        n >>= 1
-        if not n:
-            return out
-        terms = _mul(terms, terms)
-
-
-def _denominator(terms, unit):
-    """Reduced denominator (exps, int > 0) of a Laurent dict.
-
-    It is the least common denominator of the coefficients times the
-    monomial that clears the negative exponents; with the numerator below,
-    no integer or parameter divides both parts.
-    """
-    low, den = unit, 1
-    for exps, coeff in terms.items():
-        if coeff.denominator != 1:
-            den = lcm(den, coeff.denominator)
-        if exps and min(exps) < 0:
-            low = tuple(map(min, low, exps))
-    return tuple(map(neg, low)), den
-
-
-def _numerator(terms, denominator):
-    # (exps, int) terms of the reduced numerator over `denominator`
-    shift, den = denominator
-    return [
-        (tuple(map(add, exps, shift)), coeff.numerator * (den // coeff.denominator))
-        for exps, coeff in terms.items()
-    ]
-
-
-# -- fractions of polynomials over Z ------------------------------------------
-# A polynomial is a dict {exponent tuple without negative entries: nonzero
-# int}; a fraction is a pair (numer, denom) of them, coprime including the
-# integer content.  Signs are left as they fall until `_from_fraction`.
+        return {tuple(map(add, e, f)): c * d for f, d in b.items()}
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            exps = tuple(map(add, e, f))
+            out[exps] = out.get(exps, 0) + c * d
+    return {exps: coeff for exps, coeff in out.items() if coeff}
 
 
 def _fraction_mul(a, b):

@@ -159,6 +159,19 @@ def test_corrupted_file_fails_with_witness(capsys, tmp_path):
     assert "FAIL" in out and "versus" in out
 
 
+def test_exponent_outside_the_range_is_a_config_error(capsys, tmp_path):
+    source = REGISTRY["qplane"].source.replace(
+        "relation: y*x = q^-1 * x*y", "relation: y*x = q^1073741824 * x*y"
+    )
+    assert "q^1073741824" in source
+    path = tmp_path / "huge.calc"
+    path.write_text(source)
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "outside [-2^30, 2^30)" in err
+
+
 def test_file_target_passes_like_the_preset(capsys, tmp_path):
     path = tmp_path / "plane.calc"
     path.write_text(REGISTRY["qplane"].source)
