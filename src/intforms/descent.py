@@ -20,9 +20,11 @@ fhat_crosscheck plays three routes against each other: the dual-basis
 extension, the Sweedler sum over the machine Hopf data and over the shipped
 fixture coproducts, and the written-out six-generator formula.
 
-A one-form functional keeps its six values on the projective generators;
-evaluation, the right action, the consistency check and combinations of the
-dual bases all read them through one dual-basis expansion.
+A one-form functional keeps its six values on the projective generators,
+and every route reads them through the two letter values f(e+) and f(e-):
+evaluation, the right action, the consistency check, combinations of the
+dual bases, psi_inv and the connection.  f is right linear, so a value at a
+letter times a coefficient is the letter value times that coefficient.
 """
 
 from __future__ import annotations
@@ -68,9 +70,14 @@ class SphereData:
     Stores the ambient 3D calculus together with the generator coefficients
     of the two projective summands (one per vertical form letter), the
     scalar weights entering the plus-side pairing, and the six module
-    generators in their customary left-coefficient spelling.  Everything
-    downstream reads these fields live, so a corrupted weight is caught by
-    the determinant identities instead of being baked into cached duals.
+    generators in their customary left-coefficient spelling.  The duals,
+    the determinant identities and every evaluation read the weights and
+    coefficients live, so a corrupted weight is caught by the determinant
+    identities instead of being baked into cached duals.  Two tables are
+    built once, on first use: the coproducts of alpha^2 and delta^2
+    (_sweedler_squares) and the two-form coefficients of the generators'
+    products and differentials (_generator_wedges).  Both read only the
+    Hopf data, the generators and the calculus, never the weights.
     """
 
     def __init__(self, spec):
@@ -124,6 +131,7 @@ class SphereData:
         )
         self.top_form = spec.basis_form((self.minus, self.plus))
         self._squares = None
+        self._wedges = None
 
     def one_form(self, r, s):
         """Assemble the one-form with right coefficients r (minus) and s (plus)."""
@@ -201,6 +209,26 @@ class SphereData:
             )
         return self._squares
 
+    def _generator_wedges(self):
+        """Two-form coefficients of products with the projective generators.
+
+        One entry per generator w, plus side first: the coefficients of w*g
+        for the six generators g, in the same order, and the coefficient of
+        d w.  nabla_coH_1 reads a two-form functional through them.
+        """
+        if self._wedges is None:
+            spec = self.spec
+            gens = self.plus_generators + self.minus_generators
+
+            def coeff(omega):
+                return _form_coords(self, omega, 2)[0]
+
+            self._wedges = tuple(
+                (tuple(coeff(w * g) for g in gens), coeff(dga.d(spec, w)))
+                for w in gens
+            )
+        return self._wedges
+
 
 def _form_coords(sphere, omega, degree):
     """Right coefficients of a sphere form, one per word of form_slots[degree]."""
@@ -228,19 +256,28 @@ def _form_coords(sphere, omega, degree):
 
 
 def _on_plus(sphere, values, s=None):
-    """f(plus letter * s) for f with these plus values; s = None stands for 1."""
+    """f(plus letter * s) for f with these plus values; s = None stands for 1.
+
+    The letter value is sum_i w_i*(v_i*b_i) over the weights, the values and
+    the minus coefficients.  f is right linear, so s multiplies that sum
+    once instead of entering each of its terms.
+    """
     total = sphere.presentation.zero
     for w, v, b in zip(sphere.plus_weights, values, sphere.minus_coeffs):
-        total = total + w * (v * (b if s is None else b * s))
-    return total
+        total = total + w * (v * b)
+    return total if s is None else total * s
 
 
 def _on_minus(sphere, values, r=None):
-    """f(minus letter * r) for f with these minus values; r = None stands for 1."""
+    """f(minus letter * r) for f with these minus values; r = None stands for 1.
+
+    The letter value is sum_i v_i*a_i over the values and the plus
+    coefficients, and r multiplies it once, as on the plus side.
+    """
     total = sphere.presentation.zero
     for v, a in zip(values, sphere.plus_coeffs):
-        total = total + v * (a if r is None else a * r)
-    return total
+        total = total + v * a
+    return total if r is None else total * r
 
 
 def _expand(sphere, plus_values, minus_values, b=None):
@@ -248,13 +285,18 @@ def _expand(sphere, plus_values, minus_values, b=None):
 
     Read with f's own values this is f*b, and f itself exactly when the
     values are consistent; b = None stands for 1 without the products by it.
+    Each letter value is computed once and multiplied by b times each
+    generator's coefficient.
     """
+    at_plus = _on_plus(sphere, plus_values)
+    at_minus = _on_minus(sphere, minus_values)
+
     def at(c):
         return c if b is None else b * c
 
     return (
-        tuple(_on_plus(sphere, plus_values, at(a)) for a in sphere.plus_coeffs),
-        tuple(_on_minus(sphere, minus_values, at(c)) for c in sphere.minus_coeffs),
+        tuple(at_plus * at(a) for a in sphere.plus_coeffs),
+        tuple(at_minus * at(c) for c in sphere.minus_coeffs),
     )
 
 
@@ -488,16 +530,20 @@ def nabla_coH_1(sphere, f):
 
     The value on a one-form w is nabla(f*w) + f(dw); evaluating on the six
     projective generators pins the result down, and the constructor checks
-    that those values extend.
+    that those values extend.  f*w and f(dw) are the top value times the
+    coefficients of _generator_wedges, as the contraction and evaluation
+    would compute them.
     """
     if not isinstance(f, BHomForm) or f.degree != 2:
         raise DegreeMismatch("the lifted connection starts at two-form functionals")
-    spec = sphere.spec
-    plus_values, minus_values = (
-        [nabla_coH(sphere, f * w) + f(dga.d(spec, w)) for w in gens]
-        for gens in (sphere.plus_generators, sphere.minus_generators)
-    )
-    return BHomForm.from_values(sphere, plus_values, minus_values)
+    top = f.top_value
+    values = []
+    for products, dw in sphere._generator_wedges():
+        contracted = BHomForm(
+            sphere, 1, [top * c for c in products[:3]], [top * c for c in products[3:]]
+        )
+        values.append(nabla_coH(sphere, contracted) + top * dw)
+    return BHomForm.from_values(sphere, values[:3], values[3:])
 
 
 def _nabla_written_out(sphere, f):

@@ -31,6 +31,9 @@ class LinearSystem:
         self._key = key
         self._pending = []
         self._pivots = {}
+        # column -> pivot columns whose rows may hold it; a column cancelled
+        # from a row is not struck off, so visiting a holder may find nothing
+        self._holders = {}
         self._obstructions = []
 
     def add(self, coeffs, rhs=None):
@@ -55,12 +58,21 @@ class LinearSystem:
         lead = coeffs.pop(col)
         coeffs = {c: v / lead for c, v in coeffs.items()}
         rhs = {t: v / lead for t, v in rhs.items()}
-        for pcoeffs, prhs in pivots.values():
+        # only the rows holding the new pivot column change; once it is
+        # cleared from them no row gains it again, so its entry goes
+        holders = self._holders
+        for c in coeffs:
+            holders.setdefault(c, []).append(col)
+        for held in holders.pop(col, ()):
+            pcoeffs, prhs = pivots[held]
             factor = pcoeffs.pop(col, None)
             if factor is not None:
+                gained = [c for c in coeffs if c not in pcoeffs]
                 factor = -factor
                 add_scaled(pcoeffs, coeffs, factor)
                 add_scaled(prhs, rhs, factor)
+                for c in gained:
+                    holders[c].append(held)
         pivots[col] = (coeffs, rhs)
 
     def _reduce(self):

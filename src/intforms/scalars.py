@@ -215,9 +215,12 @@ class ScalarContext:
         return out
 
     def _monomial_power(self, packed, coeff, n):
+        exps = self._pack(tuple(e * n for e in self._unpack(packed)))
+        if coeff == 1 or coeff == -1:
+            # a unit coefficient stays an int: -1 only to an odd power
+            return {exps: -1 if coeff == -1 and n & 1 else 1}
         if n < 0:
             coeff = Fraction(1, coeff) if isinstance(coeff, int) else 1 / coeff
-        exps = self._pack(tuple(e * n for e in self._unpack(packed)))
         return {exps: _reduce(coeff ** abs(n))}
 
     def _power(self, terms, n):

@@ -495,3 +495,110 @@ def test_lambda_integrates_the_descended_connection(sphere):
     fs = list(sphere.dual_basis()) + [random_functional(sphere, rng) for _ in range(4)]
     for f in fs:
         assert not sl2_lambda(nabla_coH(sphere, f))
+
+
+# -- letter values and the wedge table ---------------------------------------------
+
+
+def _on_plus_six_products(sphere, values, s=None):
+    """The plus-letter value times s, expanded through each of the three terms."""
+    total = sphere.presentation.zero
+    for w, v, b in zip(sphere.plus_weights, values, sphere.minus_coeffs):
+        total = total + w * (v * (b if s is None else b * s))
+    return total
+
+
+def _on_minus_six_products(sphere, values, r=None):
+    total = sphere.presentation.zero
+    for v, a in zip(values, sphere.plus_coeffs):
+        total = total + v * (a if r is None else a * r)
+    return total
+
+
+def _expand_six_products(sphere, plus_values, minus_values, b=None):
+    def at(c):
+        return c if b is None else b * c
+
+    return (
+        tuple(_on_plus_six_products(sphere, plus_values, at(a)) for a in sphere.plus_coeffs),
+        tuple(_on_minus_six_products(sphere, minus_values, at(c)) for c in sphere.minus_coeffs),
+    )
+
+
+def test_letter_values_match_the_six_product_expansion(sphere, sl2):
+    """Arbitrary six-tuples, consistent or not, with and without a factor."""
+    rng = random.Random(31)
+    alpha, beta, gamma, delta = corners(sl2)
+    consistent = random_functional(sphere, rng)
+    tuples = [(consistent.plus_values, consistent.minus_values)]
+    for _ in range(4):
+        tuples.append(
+            tuple(tuple(invariant_sample(sl2, rng) for _ in range(3)) for _ in range(2))
+        )
+    tuples.append(((sl2.one, sl2.zero, sl2.zero), (sl2.zero,) * 3))
+    for plus_values, minus_values in tuples:
+        for s, r in ((None, None), (beta * beta, alpha * alpha), (beta * delta, gamma * alpha)):
+            assert descent._on_plus(sphere, plus_values, s) == _on_plus_six_products(
+                sphere, plus_values, s
+            )
+            assert descent._on_minus(sphere, minus_values, r) == _on_minus_six_products(
+                sphere, minus_values, r
+            )
+        for b in (None, sl2.one, invariant_sample(sl2, rng)):
+            assert descent._expand(sphere, plus_values, minus_values, b) == (
+                _expand_six_products(sphere, plus_values, minus_values, b)
+            )
+
+
+def test_lifted_connection_equals_the_contraction_route(sphere, sl2):
+    """nabla_coH_1 reads the wedge table; the contraction f*w and the
+    evaluation f(dw) give the same values on every invariant word."""
+    spec = sphere.spec
+    words = sl2.normal_words(4, degree=0)
+    assert len(words) > 4
+    for word in words:
+        f = sphere.top_dual() * sl2.monomial(word, 2)
+        plus_values, minus_values = (
+            [nabla_coH(sphere, f * w) + f(dga.d(spec, w)) for w in gens]
+            for gens in (sphere.plus_generators, sphere.minus_generators)
+        )
+        want = BHomForm.from_values(sphere, plus_values, minus_values)
+        assert nabla_coH_1(sphere, f) == want, sl2.word_str(word)
+
+
+def test_wedge_table_leaves_a_corrupted_weight_to_the_determinant(sl2_3d_calc):
+    bad = SphereData(sl2_3d_calc)
+    table = bad._generator_wedges()
+    assert nabla_coH_1(bad, bad.top_dual()).is_zero()
+    q = bad.q
+    bad.plus_weights = (bad.plus_weights[0], q**-3, bad.plus_weights[2])
+    assert bad._generator_wedges() is table
+    for report in (sphere_flatness(bad), check_sphere_ladder(bad, 3), fhat_crosscheck(bad, 0)):
+        assert not report.ok
+        assert report.failures[0]["name"].startswith("quantum determinant")
+        names = [c["name"] for c in report.checks]
+        assert not any("lifted" in n or "curvature" in n for n in names)
+    assert check_sphere_ladder(bad, 3).counts["squares"] == 0
+
+
+def test_letter_values_and_the_wedge_table_bound_the_work(monkeypatch, sl2_3d_calc):
+    fresh = SphereData(sl2_3d_calc)
+    pres = fresh.presentation
+    rng = random.Random(7)
+    coords = [invariant_sample(pres, rng) for _ in range(6)]
+    b = invariant_sample(pres, rng)
+    calls = collections.Counter()
+    monkeypatch.setattr(
+        ncalg.AlgElement, "__mul__", counting(calls, "algmul", ncalg.AlgElement.__mul__)
+    )
+    # two letter values of three products each, then six letter products
+    BHomForm.from_coordinates(fresh, coords[:3], coords[3:])
+    assert 0 < calls["algmul"] <= 12
+    nabla_coH_1(fresh, fresh.top_dual())
+    monkeypatch.setattr(dga, "mul", counting(calls, "mul", dga.mul))
+    monkeypatch.setattr(dga, "d", counting(calls, "d", dga.d))
+    # the products with the generators and their differentials are
+    # constants of the sphere, read from the table the first call built
+    lifted = nabla_coH_1(fresh, fresh.top_dual() * b)
+    assert calls["mul"] == 0 and calls["d"] == 0
+    assert lifted == psi(fresh, dga.d(fresh.spec, b))

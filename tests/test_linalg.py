@@ -148,3 +148,70 @@ def test_linear_system_properties(data, ncols, nrows):
     rep = system.reduce_mod(vec)
     assert system.reduce_mod(rep) == rep
     assert not set(rep) & set(system.pivot_columns())
+
+
+def _dense_elimination(rows, ncols, key):
+    """Incremental reduced echelon form on dense lists of Fractions.
+
+    Each row (coefficients, then right-hand sides) is reduced by every
+    pivot row so far, pivots on its key-minimal nonzero column, and clears
+    that column from every earlier pivot row.  Returns the pivot rows by
+    column and the right-hand sides of the rows that reduced to zero.
+    """
+    pivots, obstructions = {}, []
+    for row in rows:
+        for col, prow in pivots.items():
+            if row[col]:
+                row = [a - row[col] * b for a, b in zip(row, prow)]
+        support = [c for c in range(ncols) if row[c]]
+        if not support:
+            if any(row[ncols:]):
+                obstructions.append(row[ncols:])
+            continue
+        lead = min(support, key=key)
+        row = [a / row[lead] for a in row]
+        for col, prow in pivots.items():
+            if prow[lead]:
+                pivots[col] = [a - prow[lead] * b for a, b in zip(prow, row)]
+        pivots[lead] = row
+    return pivots, obstructions
+
+
+@given(
+    data=st.data(),
+    ncols=st.integers(1, 7),
+    nrows=st.integers(1, 9),
+    reverse=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_a_dense_reference(data, ncols, nrows, reverse):
+    """Sparse rows share a few columns and arrive in a random order; after
+    every add no pivot row holds another pivot's column, and ranks, pivots,
+    solutions and representatives match the dense elimination."""
+    key = (lambda c: -c) if reverse else None
+    tags = ("s", "t")
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -3)).map(Fraction)
+    row = st.lists(entries, min_size=ncols + len(tags), max_size=ncols + len(tags))
+    rows = data.draw(st.permutations(data.draw(st.lists(row, min_size=nrows, max_size=nrows))))
+    system = LinearSystem(key=key)
+    for row in rows:
+        system.add(dict(enumerate(row[:ncols])), dict(zip(tags, row[ncols:])))
+        pivots = set(system.pivot_columns())
+        for col, (coeffs, _) in system._pivots.items():
+            assert not pivots & set(coeffs), col
+
+    dense, obstructions = _dense_elimination(rows, ncols, key or (lambda c: c))
+    assert system.rank() == len(dense) == _dense_rank([r[:ncols] for r in rows])
+    assert system.pivot_columns() == sorted(dense, key=key)
+    for k, tag in enumerate(tags):
+        solvable = not any(obs[k] for obs in obstructions)
+        assert system.consistent(tag) == solvable
+        want = {c: r[ncols + k] for c, r in dense.items() if r[ncols + k]}
+        assert system.solve(tag) == (want if solvable else None)
+    vec = reduced = data.draw(_vector(ncols))
+    for col, prow in dense.items():
+        if reduced[col]:
+            reduced = [a - reduced[col] * b for a, b in zip(reduced, prow)]
+    assert system.reduce_mod(dict(enumerate(vec))) == {
+        c: v for c, v in enumerate(reduced) if v
+    }

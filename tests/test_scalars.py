@@ -705,3 +705,38 @@ def test_one_times_an_algebra_element_defers_to_the_element(qplane):
     x = qplane.gen("x")
     product = qplane.context.one * x
     assert isinstance(product, AlgElement) and product == x
+
+
+# -- powers of monomials --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["q", "p"])
+def test_monomial_powers_match_repeated_products(qpctx, name):
+    x = qpctx.parameter(name)
+    for coeff in (1, -1, 2, Fraction(-1, 3)):
+        m = coeff * x**3 * _other(qpctx, name) ** -1
+        for n in range(-5, 6):
+            want = qpctx.one
+            for _ in range(abs(n)):
+                want = want * m
+            if n < 0:
+                want = 1 / want
+            got = m**n
+            assert got == want, (coeff, n)
+            ((c,),) = [got._terms.values()]
+            if coeff in (1, -1):
+                assert type(c) is int and c == coeff ** (n % 2)
+
+
+@pytest.mark.parametrize("coeff", [1, -1])
+def test_unit_monomial_powers_check_the_bound(qpctx, coeff):
+    q, p = qpctx.parameter("q"), qpctx.parameter("p")
+    assert str((coeff * q * p**-1) ** _TOP) == f"{'-' if coeff < 0 else ''}q^{_TOP}/p^{_TOP}"
+    routes = [
+        lambda: (coeff * q) ** _BOUND,
+        lambda: (coeff * p**-1) ** (_BOUND + 1),
+        lambda: (coeff * q**2) ** -(2**29 + 1),
+    ]
+    for route in routes:
+        with pytest.raises(ExponentOutOfRange):
+            route()
