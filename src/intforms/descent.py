@@ -300,7 +300,7 @@ def _expand(sphere, plus_values, minus_values, b=None):
     )
 
 
-class BHomForm(SparseVector):
+class BHomForm(SparseVector, space=("sphere", "degree"), mismatch=DegreeMismatch):
     """Right-linear functional on the sphere's one- or two-forms.
 
     Degree one stores the six values on the projective generators, plus side
@@ -352,13 +352,6 @@ class BHomForm(SparseVector):
         if self.degree == 2:
             return self.terms.get(0, self.sphere.presentation.zero)
         return None
-
-    def _mate(self, other):
-        if not isinstance(other, BHomForm):
-            return None
-        if other.sphere is not self.sphere or other.degree != self.degree:
-            raise DegreeMismatch("functionals live on different sphere modules")
-        return other
 
     def _like(self, terms):
         f = BHomForm.__new__(BHomForm)

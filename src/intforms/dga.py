@@ -290,7 +290,7 @@ class CalculusSpec:
         return f"<CalculusSpec [{names}] top degree {self.top_degree}>"
 
 
-class FormElement(SparseVector):
+class FormElement(SparseVector, space=("spec", "degree")):
     """Degree-homogeneous form: left coefficients on basis form words."""
 
     __slots__ = ("spec", "degree")
@@ -303,17 +303,6 @@ class FormElement(SparseVector):
     def coefficient(self, word):
         word = self.spec._coerce_form_word(word)
         return self.terms.get(word, self.spec.presentation.zero)
-
-    def _mate(self, other):
-        if not isinstance(other, FormElement):
-            return None
-        if self.spec is not other.spec:
-            raise ValueError("forms belong to different calculi")
-        if self.degree != other.degree:
-            raise ValueError(
-                f"cannot mix degrees {self.degree} and {other.degree}"
-            )
-        return other
 
     def _like(self, terms):
         return FormElement(self.spec, self.degree, terms)

@@ -52,7 +52,7 @@ class NotAUnit(ValueError):
     pass
 
 
-class HomForm(SparseVector):
+class HomForm(SparseVector, space=("spec", "degree"), mismatch=DegreeMismatch):
     """Values of one right-linear map on the basis words of its degree."""
 
     __slots__ = ("spec", "degree")
@@ -87,13 +87,6 @@ class HomForm(SparseVector):
         if isinstance(other, FormElement):
             return hom_mul_form(self.spec, self, other)
         return hom_right_act(self.spec, self, other)
-
-    def _mate(self, other):
-        if not isinstance(other, HomForm):
-            return None
-        if self.spec is not other.spec or self.degree != other.degree:
-            raise DegreeMismatch("hom-forms of different degrees")
-        return other
 
     @classmethod
     def _unchecked(cls, spec, degree, terms):

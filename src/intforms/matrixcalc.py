@@ -50,7 +50,7 @@ class NotClosed(ValueError):
     pass
 
 
-class MatElement(SparseVector):
+class MatElement(SparseVector, space=("n",), message="a {0}x{0} and a {1}x{1} matrix"):
     """Square matrix with exact Gaussian-rational entries.
 
     `terms` maps (row, column) to each nonzero entry.  Scalars are applied
@@ -104,13 +104,6 @@ class MatElement(SparseVector):
         for r in range(self.n):
             total = total + self.entry(r, r)
         return total
-
-    def _mate(self, other):
-        if not isinstance(other, MatElement):
-            return None
-        if other.n != self.n:
-            raise ValueError(f"a {self.n}x{self.n} and a {other.n}x{other.n} matrix")
-        return other
 
     def _like(self, terms):
         return self._sparse(self.n, terms)
@@ -250,7 +243,19 @@ def _sort_word(word):
     return tuple(work), sign
 
 
-class MatForm(SparseVector):
+def _increasing_terms(degree, terms):
+    """terms on strictly increasing words of length degree, zeros dropped."""
+    clean = {}
+    for word, value in terms.items():
+        word = tuple(word)
+        if len(word) != degree or list(word) != sorted(set(word)):
+            raise ValueError(f"expected a strictly increasing word of length {degree}")
+        if value:
+            clean[word] = value
+    return clean
+
+
+class MatForm(SparseVector, space=("basis", "degree"), mismatch=DegreeOverflow):
     """Exterior form with matrix coefficients on ordered index words.
 
     The generating one-forms are central and pairwise anticommute, so a
@@ -264,16 +269,9 @@ class MatForm(SparseVector):
     def __init__(self, basis, degree, terms):
         if not 0 <= degree <= basis.N:
             raise DegreeOverflow(f"no {degree}-forms on {basis.N} derivations")
-        clean = {}
-        for word, value in terms.items():
-            word = tuple(word)
-            if len(word) != degree or list(word) != sorted(set(word)):
-                raise ValueError(f"expected a strictly increasing word of length {degree}")
-            if value:
-                clean[word] = value
         self.basis = basis
         self.degree = degree
-        self.terms = clean
+        self.terms = _increasing_terms(degree, terms)
 
     def at(self, *indices):
         """Evaluation against the tuple of basis derivations."""
@@ -288,13 +286,6 @@ class MatForm(SparseVector):
         if value is None:
             return MatElement.zero(self.basis.n)
         return value if sign > 0 else -value
-
-    def _mate(self, other):
-        if not isinstance(other, MatForm):
-            return None
-        if other.basis is not self.basis or other.degree != self.degree:
-            raise DegreeOverflow("forms live in different components")
-        return other
 
     def _like(self, terms):
         return MatForm(self.basis, self.degree, terms)
@@ -376,7 +367,7 @@ def koszul_d(basis, x):
     return MatForm(basis, x.degree + 1, coords)
 
 
-class MatHomForm(SparseVector):
+class MatHomForm(SparseVector, space=("basis", "degree"), mismatch=DegreeOverflow):
     """Right-linear functional on k-forms, stored by values on basis words."""
 
     __slots__ = ("basis", "degree")
@@ -384,16 +375,9 @@ class MatHomForm(SparseVector):
     def __init__(self, basis, degree, terms):
         if not 1 <= degree <= basis.N:
             raise DegreeOverflow(f"no form functionals in degree {degree}")
-        clean = {}
-        for word, value in terms.items():
-            word = tuple(word)
-            if len(word) != degree or list(word) != sorted(set(word)):
-                raise ValueError(f"expected a strictly increasing word of length {degree}")
-            if value:
-                clean[word] = value
         self.basis = basis
         self.degree = degree
-        self.terms = clean
+        self.terms = _increasing_terms(degree, terms)
 
     def value(self, word):
         return self.terms.get(tuple(word), MatElement.zero(self.basis.n))
@@ -411,13 +395,6 @@ class MatHomForm(SparseVector):
             # right-linearity pins the value
             total = total + self.value(word) * coeff
         return total
-
-    def _mate(self, other):
-        if not isinstance(other, MatHomForm):
-            return None
-        if other.basis is not self.basis or other.degree != self.degree:
-            raise DegreeOverflow("functionals live in different components")
-        return other
 
     def _like(self, terms):
         return MatHomForm(self.basis, self.degree, terms)

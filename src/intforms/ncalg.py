@@ -275,7 +275,7 @@ class Presentation:
         return f"<Presentation {'*'.join(self.generators)}, {len(self.rules)} rules>"
 
 
-class AlgElement(SparseVector):
+class AlgElement(SparseVector, space=("presentation",)):
     """Linear combination of normal words; always kept in normal form."""
 
     __slots__ = ("presentation",)
@@ -285,14 +285,11 @@ class AlgElement(SparseVector):
         self.terms = terms
 
     def _mate(self, other):
-        if isinstance(other, AlgElement):
-            if other.presentation is not self.presentation:
-                raise ValueError("elements of different presentations")
-            return other
-        if isinstance(other, _SCALARS):
-            # scalars embed via the unit
-            return self.presentation.scalar(other)
-        return None
+        # the base first: Fraction's ABC makes the scalar test the slower one
+        mate = SparseVector._mate(self, other)
+        if mate is None and isinstance(other, _SCALARS):
+            return self.presentation.scalar(other)  # scalars embed via the unit
+        return mate
 
     def _like(self, terms):
         return AlgElement(self.presentation, terms)
@@ -490,7 +487,7 @@ class HopfData:
         self.antipode_inv = antipode_inv
 
 
-class TensorElement(SparseVector):
+class TensorElement(SparseVector, space=("presentation",)):
     """Element of A tensor A, normal-word pairs with scalar coefficients."""
 
     __slots__ = ("presentation",)
@@ -511,13 +508,6 @@ class TensorElement(SparseVector):
             for wa, ca in a.terms.items()
             for wb, cb in b.terms.items()
         })
-
-    def _mate(self, other):
-        if not isinstance(other, TensorElement):
-            return None
-        if other.presentation is not self.presentation:
-            raise ValueError("tensors over different presentations")
-        return other
 
     def _like(self, terms):
         return TensorElement(self.presentation, terms)

@@ -8,15 +8,15 @@ elimination rows are all dicts from a key to a nonzero coefficient.
 structure built on it: `+`, `-`, negation, `==`, truth and `is_zero`,
 with the coefficients held in `terms`.
 
-A subclass supplies two hooks and keeps only what differs: its products,
-printing and validation.
-
-- `_mate(other)` returns `other` as a vector of the same space (embedding
-  scalars where the class allows it), or None for a foreign type, so
-  the operator hands over to the other operand.  When `other` is of the
-  class but lives in another space, it raises the class's own error, a
-  `ValueError`; `==` reads that as False.
-- `_like(terms)` builds a vector of the same space holding `terms`.
+A subclass declares, as class keywords, the attributes that fix its space
+and its mismatch error, as in `class HomForm(SparseVector, space=("spec",
+"degree"), mismatch=DegreeMismatch)`, and keeps only its products,
+printing, validation and `_like(terms)`, a vector of its space holding
+`terms`.  The base `_mate(other)` returns None for a foreign type, so the
+operator hands over; raises the mismatch error (a `ValueError`, read by
+`==` as False), its `message` naming the attribute and both values, when a
+space attribute differs by `!=` (calculi and bases by identity); and
+otherwise returns `other`.  Only `AlgElement` overrides it, to embed scalars.
 
 The module stays outside the benchmark's traced layers on purpose: time
 spent here, in the kernel or in an inherited operator, stays with the
@@ -24,6 +24,8 @@ layer that called it.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 __all__ = ["SparseVector", "add_scaled"]
 
@@ -54,6 +56,24 @@ class SparseVector:
 
     __slots__ = ("terms",)
     __hash__ = None
+
+    def __init_subclass__(
+        cls, *, space, mismatch=ValueError, message="cannot mix {name} {0} and {1}"
+    ):
+        cls._space = attrgetter(*space)  # one C call per operand, no loop
+        cls._space_names = space
+        cls._mismatch = mismatch
+        cls._message = message
+
+    def _mate(self, other):
+        if not isinstance(other, self.__class__):
+            return None
+        if self._space(other) != self._space(self):
+            for name in self._space_names:
+                mine, theirs = getattr(self, name), getattr(other, name)
+                if mine != theirs:
+                    raise self._mismatch(self._message.format(mine, theirs, name=name))
+        return other
 
     def __add__(self, other):
         other = self._mate(other)

@@ -597,10 +597,13 @@ SUITES = {
 def checks_for(preset, command, opts):
     """Ordered (name, thunk) list for one command against one preset.
 
-    Raises ValueError when the command has nothing to check on the preset.
+    Raises ValueError when the command has nothing to check on the preset,
+    or when --degree is given to a preset whose checks do not read it.
     """
-    loaded = preset.load()
     kind = preset.kind
+    if opts.degree is not None and kind != "qplane":  # no other kind reads it
+        raise ValueError(f"{preset.name} has no checks that read --degree")
+    loaded = preset.load()
     if kind == "calculus" and loaded.spec is None:
         kind = "presentation"  # a file with an algebra but no calculus
     suite = SUITES[kind]

@@ -62,7 +62,7 @@ def test_no_command_is_usage_error():
 
 def test_integral_report_carries_the_haar_value(capsys):
     code, out, _ = run_cli(
-        capsys, "integral", "preset:sl2", "--max-len", "6", "--degree", "0"
+        capsys, "integral", "preset:sl2", "--max-len", "6"
     )
     assert code == 0
     assert "Lambda(beta*gamma) = -q/(q^2 + 1)" in out
@@ -109,6 +109,17 @@ def test_integral_degree_outside_the_window_is_a_usage_error(capsys, degree):
     assert err.startswith("error:") and "--degree" in err
     code, out, _ = run_cli(capsys, *argv, "--degree", "2")
     assert code == 0 and "vanishes in every degree block" in out
+
+
+@pytest.mark.parametrize(
+    "target", ["preset:sl2-3d", str(DATA / "qplane.calc")], ids=["preset", "file"]
+)
+def test_integral_degree_is_refused_where_no_check_reads_it(capsys, target):
+    # only the quantum plane preset's checks read --degree
+    code, out, err = run_cli(capsys, "integral", target, "--max-len", "3", "--degree", "1")
+    assert code == 2
+    assert out == ""  # rejected before any check runs
+    assert err.startswith("error:") and "--degree" in err
 
 
 def test_timings_stay_out_of_the_report_by_default(capsys):

@@ -90,64 +90,76 @@ def sphere(sl2_3d_calc):
     return SphereData(sl2_3d_calc)
 
 
-def _cases(sl2, qplane, spec, sphere):
-    """Per class: x and y of one space, z of the class in another space,
-    the class's mismatch error, and a foreign operand."""
+def _cases(sl2, qplane, spec, qspec, sphere):
+    """Per class: x and y of one space; per declared space attribute, a z
+    of the class that differs from x in that attribute alone; the class's
+    mismatch error; and a foreign operand."""
     q = sl2.context.parameter("q")
     a, b, c, d = (sl2.gen(n) for n in ("alpha", "beta", "gamma", "delta"))
     e0, e1 = spec.basis(1)[:2]
     top = spec.basis(2)[0]
-    pauli = DerBasis.pauli()
+    f0 = qspec.basis(1)[0]
+    other_sphere = SphereData(spec)
+    pauli, other_pauli = DerBasis.pauli(), DerBasis.pauli()
     m = MatElement([[1, gaussian(0, 2)], [3, -1]])
     n = MatElement([[0, 1], [gaussian(1, 1), 2]])
     return {
-        AlgElement: (a * b + 2 * c, q * d - 1, qplane.gen("x"), ValueError, object()),
+        AlgElement: (
+            a * b + 2 * c,
+            q * d - 1,
+            {"presentation": qplane.gen("x")},
+            ValueError,
+            object(),
+        ),
         TensorElement: (
             coproduct(sl2, a),
             TensorElement.of(b, c, q) + TensorElement.of(a, a),
-            TensorElement.of(qplane.gen("x"), qplane.gen("y")),
+            {"presentation": TensorElement.of(qplane.gen("x"), qplane.gen("y"))},
             ValueError,
             a,
         ),
         FormElement: (
             spec.form(1, {e0: a * b, e1: q}),
             spec.form(1, {e0: -c}),
-            spec.form(2, {top: a}),
+            {"degree": spec.form(2, {top: a}), "spec": qspec.form(1, {f0: 1})},
             ValueError,
             a,
         ),
         HomForm: (
             HomForm(spec, 1, {e0: a, e1: b * c}),
             HomForm(spec, 1, {e1: 3}),
-            HomForm(spec, 2, {top: d}),
+            {"degree": HomForm(spec, 2, {top: d}), "spec": HomForm(qspec, 1, {f0: 1})},
             DegreeMismatch,
             5,
         ),
         BHomForm: (
             sphere.plus_dual(0) + sphere.minus_dual(1) * (b * c),
             sphere.minus_dual(2),
-            sphere.top_dual(),
+            {"degree": sphere.top_dual(), "sphere": other_sphere.plus_dual(0)},
             DegreeMismatch,
             a,
         ),
         MatElement: (
             m,
             n,
-            MatElement([[1, 0, 0], [0, gaussian(0, 1), 0], [0, 0, 2]]),
+            {"n": MatElement([[1, 0, 0], [0, gaussian(0, 1), 0], [0, 0, 2]])},
             ValueError,
             pauli.one_form(0),
         ),
         MatForm: (
             pauli.one_form(0, m) + pauli.one_form(2, n),
             pauli.one_form(0, n),
-            MatForm(pauli, 2, {(0, 1): m}),
+            {"degree": MatForm(pauli, 2, {(0, 1): m}), "basis": other_pauli.one_form(0, m)},
             DegreeOverflow,
             m,
         ),
         MatHomForm: (
             MatHomForm(pauli, 1, {(0,): m, (1,): n}),
             MatHomForm(pauli, 1, {(2,): m}),
-            MatHomForm(pauli, 2, {(0, 2): n}),
+            {
+                "degree": MatHomForm(pauli, 2, {(0, 2): n}),
+                "basis": MatHomForm(other_pauli, 1, {(0,): m}),
+            },
             DegreeOverflow,
             pauli.one_form(0, m),
         ),
@@ -155,9 +167,9 @@ def _cases(sl2, qplane, spec, sphere):
 
 
 @pytest.mark.parametrize("cls", SUBCLASSES, ids=lambda cls: cls.__name__)
-def test_group_laws_and_mismatches(cls, sl2, qplane, sl2_3d_calc, sphere):
-    x, y, z, error, foreign = _cases(sl2, qplane, sl2_3d_calc, sphere)[cls]
-    assert all(isinstance(v, cls) for v in (x, y, z))
+def test_group_laws_and_mismatches(cls, sl2, qplane, sl2_3d_calc, qplane_calc, sphere):
+    x, y, others, error, foreign = _cases(sl2, qplane, sl2_3d_calc, qplane_calc, sphere)[cls]
+    assert all(isinstance(v, cls) for v in (x, y, *others.values()))
     assert x and y and not x.is_zero()
     zero = x - x
     assert not zero and zero.is_zero()
@@ -167,13 +179,22 @@ def test_group_laws_and_mismatches(cls, sl2, qplane, sl2_3d_calc, sphere):
     assert x + y != x
     scaled = x * 0
     assert not scaled and scaled.is_zero() and scaled == zero
-    # the same class in another space: + raises the class's error, == is False
-    with pytest.raises(error):
-        x + z
-    with pytest.raises(error):
-        x - z
-    assert (x == z) is False
-    assert (x != z) is True
+    # one z per declared space attribute, differing from x there alone:
+    # + and - raise the class's error, naming both values; == is False
+    assert set(others) == set(cls._space_names)
+    for attr, z in others.items():
+        differs = [
+            name for name in cls._space_names
+            if getattr(z, name) != getattr(x, name)
+        ]
+        assert differs == [attr], cls.__name__
+        for op in (lambda u, v: u + v, lambda u, v: u - v):
+            with pytest.raises(error) as raised:
+                op(x, z)
+            assert str(getattr(x, attr)) in str(raised.value)
+            assert str(getattr(z, attr)) in str(raised.value)
+        assert (x == z) is False
+        assert (x != z) is True
     # a foreign type is handed back to Python, which raises TypeError
     for op in (lambda u, v: u + v, lambda u, v: u - v):
         with pytest.raises(TypeError):
@@ -196,15 +217,25 @@ def _package_vector_classes():
 
 
 def test_subclasses_keep_to_the_two_hooks():
-    """No vector class re-implements what the base provides."""
+    """The base owns the group law and the same-space check; a vector class
+    declares its space and builds its own vectors with `_like`."""
     provided = {
         name for name, value in vars(SparseVector).items()
         if callable(value) or value is None
     }
-    assert {"__add__", "__sub__", "__neg__", "__eq__", "__bool__", "is_zero"} <= provided
+    assert {
+        "__add__", "__sub__", "__neg__", "__eq__", "__bool__", "is_zero", "_mate"
+    } <= provided
     classes = _package_vector_classes()
-    assert set(SUBCLASSES) <= set(classes)
+    # a new vector class has to join the group-law test above
+    assert set(classes) == set(SUBCLASSES)
     for cls in classes:
-        assert not provided & set(vars(cls)), cls.__name__
-        assert {"_mate", "_like"} <= set(vars(cls)), cls.__name__
+        own = set(vars(cls))
+        # AlgElement alone overrides _mate, to embed scalars before the check
+        assert provided & own == ({"_mate"} if cls is AlgElement else set()), cls.__name__
+        assert "_like" in own, cls.__name__
+        assert cls._space_names, cls.__name__
+        assert set(cls._space_names) <= set(cls.__slots__), cls.__name__
+        # == reads a mismatch as False only when it is a ValueError
+        assert issubclass(cls._mismatch, ValueError), cls.__name__
         assert "terms" not in cls.__slots__
