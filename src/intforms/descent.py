@@ -720,7 +720,7 @@ def check_sphere_ladder(sphere, length_bound):
     pres = sphere.presentation
     words = pres.normal_words(length_bound, degree=0)
     for w in words:
-        b = pres.monomial(w)
+        b = pres._monomial(w)
         lhs = psi(sphere, dga.d(spec, b))
         rhs = nabla_coH_1(sphere, theta_star(sphere, b))
         counts["squares"] += 1
@@ -744,7 +744,7 @@ def check_sphere_ladder(sphere, length_bound):
                     square="one-forms to invariants",
                 )
     for w in words:
-        b = pres.monomial(w)
+        b = pres._monomial(w)
         for k, gen in enumerate(sphere.module_generators):
             omega = gen * b
             back = psi_inv(sphere, psi(sphere, omega))

@@ -34,6 +34,8 @@ they are built once, on first use.
 
 from __future__ import annotations
 
+import operator
+
 from .linalg import LinearSystem
 from .ncalg import AlgElement, Presentation, check_local_confluence
 from .report import CheckReport
@@ -133,6 +135,7 @@ class CalculusSpec:
                 return self._index[name]
             except KeyError:
                 raise KeyError(f"unknown form name {name!r}") from None
+        name = operator.index(name)  # TypeError for floats and Fractions
         if not 0 <= name < self.n:
             raise KeyError(f"form index {name} out of range")
         return name
@@ -168,10 +171,13 @@ class CalculusSpec:
 
     def reduce_word(self, word):
         """Canonical form of a raw form word as {basis word: scalar}."""
-        word = self._coerce_form_word(word)
+        return self._reduce_word(self._coerce_form_word(word))
+
+    def _reduce_word(self, word):
+        # reduce_word for a word of form indices already checked
         out = self._reduce_memo.get(word)
         if out is None:
-            nf = self._letters.monomial(self._rank_key(word)).terms
+            nf = self._letters._monomial(self._rank_key(word)).terms
             out = {self._form_word_of(w): c for w, c in nf.items()}
             self._reduce_memo[word] = out
         return out
@@ -243,7 +249,7 @@ class CalculusSpec:
         word = self._coerce_form_word(word)
         coords = {}
         one = self.presentation.one
-        for w, s in self.reduce_word(word).items():
+        for w, s in self._reduce_word(word).items():
             coords[w] = s * one
         return FormElement(self, len(word), coords)
 
@@ -260,7 +266,7 @@ class CalculusSpec:
             if not isinstance(coeff, AlgElement):
                 coeff = self.presentation.scalar(coeff)
             if coeff:
-                add_scaled(out, self.reduce_word(word), coeff)
+                add_scaled(out, self._reduce_word(word), coeff)
         return FormElement(self, degree, out)
 
     def parse(self, text):
@@ -280,7 +286,7 @@ class CalculusSpec:
             elif len(word) != degree:
                 raise ValueError("expression mixes degrees")
             if coeff:
-                add_scaled(out, self.reduce_word(word), coeff)
+                add_scaled(out, self._reduce_word(word), coeff)
         if degree is None:
             raise ValueError("expression has no form word")
         return FormElement(self, degree, out)
@@ -381,7 +387,7 @@ def _reduced(spec, raw, tail):
     out = {}
     for w, c in raw.items():
         # rule coefficients are scalars, so they slide past the coefficients
-        for b, r in spec.reduce_word(w + tail).items():
+        for b, r in spec._reduce_word(w + tail).items():
             add_scaled(out.setdefault(b, {}), c.terms, r)
     return {b: terms for b, terms in out.items() if terms}
 
@@ -533,7 +539,7 @@ def check_d_squared(spec, length_bound):
         report.add(f"d^2 at {label}", False, witness, input=label)
 
     for word in pres.normal_words(length_bound):
-        dd = d(spec, d(spec, pres.monomial(word)))
+        dd = d(spec, d(spec, pres._monomial(word)))
         report.counts["inputs"] += 1
         if dd:
             fail(pres.word_str(word) or "1", dd)
@@ -590,9 +596,9 @@ def check_density(spec, length_bound):
     for v in words:
         if not v:
             continue
-        partial_v = tmd.partial(pres.monomial(v))
+        partial_v = tmd.partial(pres._monomial(v))
         for u in words:
-            au = pres.monomial(u)
+            au = pres._monomial(u)
             for k in range(n):
                 if not partial_v[k]:
                     continue

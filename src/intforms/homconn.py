@@ -240,7 +240,7 @@ def nabla_n(spec, n, f):
         out = {}
         for i in range(spec.n):
             lowered = {}
-            for b, r in spec.reduce_word(e + (i,)).items():
+            for b, r in spec._reduce_word(e + (i,)).items():
                 fv = f.terms.get(b)
                 if fv:
                     add_scaled(lowered, fv.terms, r)

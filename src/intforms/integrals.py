@@ -81,22 +81,30 @@ class Truncation:
 
     def image(self, i, w):
         """nabla of the coordinate hom-form with value w at form i."""
-        w = self.spec.presentation._coerce_word(w)
-        value = twisted_partial(self.spec, i, self.spec.presentation.monomial(w))
+        return self._image(i, self.spec.presentation._coerce_word(w))
+
+    def block_image(self, i, w):
+        """image(), or None when the degree filter excludes the column."""
+        return self._block_image(i, self.spec.presentation._coerce_word(w))
+
+    # image() and block_image() for a word already checked, such as the
+    # window's own words in columns()
+
+    def _image(self, i, w):
+        pres = self.spec.presentation
+        value = twisted_partial(self.spec, i, pres._monomial(w))
         for word in value.terms:
             if len(word) > self.length_bound:
                 raise FiltrationViolated(
                     f"nabla escapes the window: coordinate "
                     f"({self.spec.form_names[i]}, "
-                    f"{self.spec.presentation.word_str(w)}) produced "
-                    f"{self.spec.presentation.word_str(word)}"
+                    f"{pres.word_str(w)}) produced "
+                    f"{pres.word_str(word)}"
                 )
         return value
 
-    def block_image(self, i, w):
-        """image(), or None when the degree filter excludes the column."""
-        w = self.spec.presentation._coerce_word(w)
-        value = self.image(i, w)
+    def _block_image(self, i, w):
+        value = self._image(i, w)
         if self.degree is None or not value:
             return value
         deg = zdegree(value)
@@ -118,7 +126,7 @@ def image_rank(spec, length_bound, degree=None):
     trunc = Truncation(spec, length_bound, degree)
     system = LinearSystem(key=_pivot_key)
     for i, w in trunc.columns():
-        value = trunc.block_image(i, w)
+        value = trunc._block_image(i, w)
         if value is None or not value:
             continue
         system.add(dict(value.terms))
@@ -172,7 +180,7 @@ def check_lambda_annihilates(spec, length_bound, lam=None):
     for i, xi in enumerate(dual_basis(spec, 1)):
         name = spec.form_names[spec.basis(1)[i][0]]
         for w in pres.normal_words(length_bound):
-            value = lam(nabla(spec, xi * pres.monomial(w)))
+            value = lam(nabla(spec, xi * pres._monomial(w)))
             report.counts["coordinates"] += 1
             if value:
                 report.add(
@@ -199,7 +207,7 @@ def integral_class(spec, a, length_bound):
     trunc = Truncation(spec, length_bound, degree)
     rows = {}
     for i, w in trunc.columns():
-        value = trunc.block_image(i, w)
+        value = trunc._block_image(i, w)
         if value is None:
             continue
         for word, coeff in value.terms.items():
@@ -306,8 +314,9 @@ def check_ladder(diagram, length_bound):
         level = top - k - 1
         system = LinearSystem()
         for e in sources:
+            form_e = spec.basis_form(e) if 0 < k < top else None
             for w in words:
-                a = pres.monomial(w)
+                a = pres._monomial(w)
                 # right-linearity: V_k(e*a) = V_k(e)*a, the square's lower
                 # leg and the vertical's matrix row at once
                 below = diagram.verticals[k][e] * a
@@ -326,7 +335,7 @@ def check_ladder(diagram, length_bound):
                 if k == 0:
                     d_omega = dga.d(spec, a)
                 else:
-                    d_omega = dga.d(spec, dga.right_mul(spec, spec.basis_form(e), a))
+                    d_omega = dga.d(spec, dga.right_mul(spec, form_e, a))
                 lhs = diagram.apply(k + 1, d_omega)
                 rhs = nabla(spec, below) if level == 0 else nabla_n(spec, level, below)
                 report.counts["squares"] += 1

@@ -128,6 +128,8 @@ class AlgebraMap(MapExpr):
     """Endomorphism given by a complete generator-image table.
 
     A word maps to the product of the images of its letters; 1 maps to 1.
+    A new word extends the value of its longest memoised prefix, so it
+    costs one product per letter the memo lacks.
     """
 
     __slots__ = ("images", "name")
@@ -136,12 +138,10 @@ class AlgebraMap(MapExpr):
         super().__init__(presentation)
         self.images = by_generator(presentation, images, "generator images")
         self.name = name
+        self._memo[()] = presentation.one
 
     def _eval_word(self, word):
-        acc = self.presentation.one
-        for letter in word:
-            acc = acc * self.images[letter]
-        return acc
+        return _extend_prefix(self._memo, word, self.images, operator.mul)
 
     def __repr__(self):
         return self.name or f"<AlgebraMap {len(self.images)} gens>"
@@ -229,22 +229,22 @@ class MapMatrix:
     def from_images(cls, presentation, images):
         """Algebra map A -> M_n(A), from {generator: n x n matrix of elements}.
 
-        A word evaluates to the product of its letters' matrices, memoised.
+        A word evaluates to the product of its letters' matrices, memoised
+        with every prefix: a new word extends its longest memoised prefix,
+        one matrix product per letter the memo lacks.
         """
         table = by_generator(presentation, images, "generator image matrices")
         n = len(table[0])
         if any(len(m) != n or any(len(row) != n for row in m) for m in table.values()):
             raise SizeMismatch("generator image matrices must share one square size")
         kind = _kind_of(n, lambda i, j: all(m[i][j].is_zero() for m in table.values()))
-        one = _diagonal(presentation, (presentation.one,) * n)
+        memo = {(): _diagonal(presentation, (presentation.one,) * n)}
+        times = functools.partial(_matrix_product, presentation)
 
         def product(word):
-            acc = one
-            for letter in word:
-                acc = _matrix_product(presentation, acc, table[letter])
-            return acc
+            return _extend_prefix(memo, word, table, times)
 
-        return cls(presentation, n, kind, functools.cache(product))
+        return cls(presentation, n, kind, product)
 
     @classmethod
     def diagonal(cls, maps):
@@ -288,6 +288,25 @@ class MapMatrix:
 
     def __repr__(self):
         return f"<MapMatrix {self.n}x{self.n} {self.kind}>"
+
+
+def _extend_prefix(memo, word, images, times):
+    """Value of word under a multiplicative map, memoising every prefix.
+
+    memo holds the empty word and, with each word, all its prefixes.  The
+    loop starts from the longest memoised prefix (the word itself when it
+    is memoised) and multiplies one letter's image on the right at a time,
+    so the values are those of a fold from the empty word, and a long word
+    costs no stack depth.
+    """
+    end = len(word)
+    while word[:end] not in memo:
+        end -= 1
+    value = memo[word[:end]]
+    for pos in range(end, len(word)):
+        value = times(value, images[word[pos]])
+        memo[word[: pos + 1]] = value
+    return value
 
 
 def _with_diagonal(mat, maps):

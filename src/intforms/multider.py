@@ -63,7 +63,7 @@ class TwistedMultiDerivation:
             else:
                 sig = self.sigma.on_word(tail)
                 tail_row = memo[tail]
-                g_elem = pres.monomial((head,))
+                g_elem = pres._monomial((head,))
                 result = tuple(
                     sum((row_g[j] * sig[j][i] for j in range(self.n)), pres.zero)
                     + g_elem * tail_row[i]

@@ -45,8 +45,9 @@ MIXED = _Mixed()
 
 DEFAULT_BUDGET = 10**6
 
-# coefficients that act by scaling rather than by the word product
-_SCALARS = (int, Fraction, ScalarRF)
+# coefficients that act by scaling rather than by the word product; the
+# ABC check of Fraction is the slow one, so it comes last
+_SCALARS = (ScalarRF, int, Fraction)
 
 
 def _deglex_key(word):
@@ -99,6 +100,7 @@ class Presentation:
         return tuple(self.index(n) if isinstance(n, str) else self._check_letter(n) for n in names)
 
     def _check_letter(self, i):
+        i = operator.index(i)  # TypeError for floats and Fractions
         if not 0 <= i < len(self.generators):
             raise UnknownGenerator(f"generator index {i} out of range")
         return i
@@ -137,29 +139,35 @@ class Presentation:
 
     # -- normal forms --------------------------------------------------------
 
-    def _find_redex(self, word):
+    def _find_redex(self, word, start=0):
         rules_at = self._rules_at
-        for pos, letter in enumerate(word):
-            for lhs, coeffs in rules_at[letter]:
+        for pos in range(start, len(word)):
+            for lhs, coeffs in rules_at[word[pos]]:
                 if word[pos : pos + len(lhs)] == lhs:
                     return pos, lhs, coeffs
         return None
 
-    def _normal_word(self, word, budget):
+    def _normal_word(self, word, budget, start=0):
         """Normal form of a raw word as {normal word: scalar}, memoised.
 
         An explicit worklist rather than recursion, so long words cost
         memory and budget, not stack depth: each pending word rewrites its
         leftmost redex once (one budget unit) and is summed up after the
         words it rewrote to, which come first off the stack.
+
+        No redex of word may start before start.  The search for a leftmost
+        redex resumes there, and a word rewritten at pos hands its pieces
+        max(pos - (max_lhs - 1), 0): a redex starting further left would
+        end inside the untouched head, which had none.
         """
         cache = self._nf_cache
         result = cache.get(word)
         if result is not None:
             return result
-        stack = [(word, None)]
+        back = self._max_lhs - 1
+        stack = [(word, start, None)]
         while stack:
-            top, pieces = stack.pop()
+            top, start, pieces = stack.pop()
             if pieces is not None:
                 result = {}
                 for piece, coeff in pieces:
@@ -168,7 +176,7 @@ class Presentation:
                 continue
             if top in cache:
                 continue
-            hit = self._find_redex(top)
+            hit = self._find_redex(top, start)
             if hit is None:
                 cache[top] = {top: self.context.one}
                 continue
@@ -176,8 +184,9 @@ class Presentation:
             pos, lhs, coeffs = hit
             head, tail = top[:pos], top[pos + len(lhs) :]
             pieces = [(head + rword + tail, rcoeff) for rword, rcoeff in coeffs.items()]
-            stack.append((top, pieces))
-            stack.extend((piece, None) for piece, _ in reversed(pieces))
+            stack.append((top, None, pieces))
+            start = max(pos - back, 0)
+            stack.extend((piece, start, None) for piece, _ in reversed(pieces))
         return cache[word]
 
     def element(self, coeffs, budget=DEFAULT_BUDGET):
@@ -193,6 +202,11 @@ class Presentation:
 
     def monomial(self, word, coeff=1):
         return self.element({tuple(word): coeff})
+
+    def _monomial(self, word):
+        """monomial(word) for a word already checked: a tuple of letter
+        indices, such as a normal word or a memo key."""
+        return AlgElement(self, dict(self._normal_word(word, _Budget(DEFAULT_BUDGET))))
 
     def gen(self, name):
         return AlgElement(self, {(self.index(name),): self.context.one})
@@ -298,21 +312,17 @@ class AlgElement(SparseVector, space=("presentation",)):
         return self._scaled(self.presentation.context.coerce(coeff))
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
+        # the element first: Fraction's ABC makes the scalar test the slower one
+        if not isinstance(other, AlgElement):
+            return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
         other = self._mate(other)
-        if other is None:
-            return NotImplemented
         pres = self.presentation
         return AlgElement(pres, mul_terms(pres, self.terms, other.terms, {}))
 
     def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
-        other = self._mate(other)
-        if other is None:
-            return NotImplemented
-        return other * self
+        if isinstance(other, AlgElement):
+            return other * self
+        return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
 
     def __truediv__(self, other):
         # scalar denominators only; the algebra has no quotients
@@ -360,12 +370,15 @@ def mul_terms(pres, a, b, out):
     """out += a*b for term dicts {normal word: scalar} of pres; returns out.
 
     The product behind AlgElement.__mul__, open to callers that sum several
-    products into one dict; out must be a dict the caller owns.
+    products into one dict; out must be a dict the caller owns.  Since wa is
+    normal, a redex of wa + wb starts at len(wa) - (max_lhs - 1) or later.
     """
     bud = _Budget(DEFAULT_BUDGET)
+    back = pres._max_lhs - 1
     for wa, ca in a.items():
+        start = max(len(wa) - back, 0)
         for wb, cb in b.items():
-            add_scaled(out, pres._normal_word(wa + wb, bud), ca * cb)
+            add_scaled(out, pres._normal_word(wa + wb, bud, start), ca * cb)
     return out
 
 
@@ -516,11 +529,9 @@ class TensorElement(SparseVector, space=("presentation",)):
         return self._scaled(self.presentation.context.coerce(coeff))
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
+        if not isinstance(other, TensorElement):
+            return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
         other = self._mate(other)
-        if other is None:
-            return NotImplemented
         # componentwise: (a x b)(c x d) = ac x bd
         pres = self.presentation
         terms = {}

@@ -259,7 +259,7 @@ def _qplane_integral(bundle, opts):
             coeff = p ** (r + s) * q**-r * (p - 1) / (p ** (s + 1) - 1)
             longer = pres.word(*(("x",) * r + ("y",) * (s + 1)))
             f = dual_form(spec, ("dy",)) * pres.monomial(longer, coeff=coeff)
-            if nabla(spec, f) != pres.monomial(w):
+            if nabla(spec, f) != pres._monomial(w):
                 return f"closed-form preimage misses x^{r} y^{s}"
         return None
 

@@ -337,6 +337,17 @@ def test_degree_overflow(qplane, qplane_calc):
     assert dga.d(spec, spec.zero(2)).is_zero()
 
 
+def test_form_letters_must_be_ints(qplane_calc):
+    spec = qplane_calc
+    with pytest.raises(TypeError):
+        spec.reduce_word((0.5,))
+    assert spec.reduce_word((1, 0)) == spec.reduce_word(("dy", "dx"))
+    with pytest.raises(TypeError):
+        spec.reduce_word((1.0, 0))
+    with pytest.raises(TypeError):
+        spec.basis_form((0.0,))
+
+
 # -- higher-form structure ---------------------------------------------------
 
 

@@ -3,9 +3,11 @@ product, and the triangular construction of the inverse pair."""
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
+from intforms import linmap
 from intforms.linmap import (
     AlgebraMap,
     DiagonalNotInvertible,
@@ -22,7 +24,9 @@ from intforms.linmap import (
     is_identity_on_words,
     transpose_inverse,
 )
-from intforms.ncalg import GradingAbsent, Presentation
+from intforms.ncalg import AlgElement, GradingAbsent, Presentation
+
+from conftest import make_qplane_presentation
 
 
 def _table(mat, words):
@@ -275,3 +279,93 @@ def test_three_by_three_inverse_pairs(qctx):
         i, j = corner
         assert any(bar.on_word(w)[i][j] for w in words)
         assert any(hat.on_word(w)[j][i] for w in words)
+
+
+# -- values from the memoised prefix -----------------------------------------
+
+
+def _low_stack(fn, *args):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _long_words(rng):
+    """A 200-letter raw word over x, y and a 210-letter one that leaves it
+    after 150 letters."""
+    word = tuple(rng.randrange(2) for _ in range(200))
+    return word, word[:150] + (1 - word[150],) + tuple(rng.randrange(2) for _ in range(59))
+
+
+def _fold_matrices(pres, images, word):
+    """The product of the letters' matrices from the identity, letter by letter."""
+    n = len(images[0])
+    acc = tuple(tuple(pres.one if i == j else pres.zero for j in range(n)) for i in range(n))
+    for letter in word:
+        m = images[letter]
+        acc = tuple(
+            tuple(sum((acc[i][k] * m[k][j] for k in range(n)), pres.zero) for j in range(n))
+            for i in range(n)
+        )
+    return acc
+
+
+def test_sigma_extends_its_memoised_prefix(qpctx, monkeypatch):
+    # a fresh presentation keeps the long words out of the shared caches
+    pres = make_qplane_presentation(qpctx)
+    q, p = qpctx.parameter("q"), qpctx.parameter("p")
+    x, y, zero = pres.gen("x"), pres.gen("y"), pres.zero
+    images = {
+        0: ((p * x, zero), (zero, (p / q) * x)),
+        1: ((q * y, (p - 1) * x), (zero, p * y)),
+    }
+    calls = []
+    product = linmap._matrix_product
+
+    def counted(presentation, a, b):
+        calls.append(1)
+        return product(presentation, a, b)
+
+    monkeypatch.setattr(linmap, "_matrix_product", counted)
+    sigma = MapMatrix.from_images(pres, images)
+    first, second = _long_words(random.Random(20))
+    assert _low_stack(sigma.on_word, first) == _fold_matrices(pres, images, first)
+    # one matrix product per new word: the word and each of its prefixes
+    assert len(calls) == 200
+    assert _low_stack(sigma.on_word, second) == _fold_matrices(pres, images, second)
+    assert len(calls) == 260
+    # every prefix of both words is memoised
+    for word in (first, second):
+        for k in range(len(word) + 1):
+            sigma.on_word(word[:k])
+    assert len(calls) == 260
+    assert sigma.on_word(first[:37]) == _fold_matrices(pres, images, first[:37])
+
+
+def test_algebra_map_extends_its_memoised_prefix(qpctx, monkeypatch):
+    pres = make_qplane_presentation(qpctx)
+    q, p = qpctx.parameter("q"), qpctx.parameter("p")
+    swap = AlgebraMap(pres, {"x": p * pres.gen("y"), "y": q * pres.gen("x")})
+    calls = []
+    mul = AlgElement.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    first, second = _long_words(random.Random(21))
+    monkeypatch.setattr(AlgElement, "__mul__", counted)
+    value = _low_stack(swap.on_word, first)
+    assert len(calls) == 200
+    _low_stack(swap.on_word, second)
+    assert len(calls) == 260
+    monkeypatch.undo()
+    assert all(w[:k] in swap._memo for w in (first, second) for k in range(len(w) + 1))
+    for word, got in ((first, value), (second, swap.on_word(second))):
+        want = pres.one
+        for letter in word:
+            want = want * swap.images[letter]
+        assert got == want

@@ -21,6 +21,7 @@ from intforms.ncalg import (
     check_local_confluence,
     coproduct,
     counit,
+    mul_terms,
     zdegree,
 )
 
@@ -155,6 +156,23 @@ def test_unknown_generator(qplane):
         qplane.index("z")
 
 
+def test_letters_must_be_ints(qplane, sl2):
+    # floats used to pass the range check: (1.0, 0) was taken as a word and
+    # (0.5,) failed later with a bare KeyError
+    with pytest.raises(TypeError):
+        qplane.word(1.0, 0)
+    with pytest.raises(TypeError):
+        sl2.monomial((2.0, 1))
+    with pytest.raises(TypeError):
+        qplane.monomial((0.5,))
+    with pytest.raises(TypeError):
+        qplane.element({(Fraction(1),): 1})
+    # (1.0, 0) == (1, 0), so a seen int word must not let the float through
+    assert qplane.monomial((1, 0)) == qplane.monomial(qplane.word("y", "x"))
+    with pytest.raises(TypeError):
+        qplane.monomial((1.0, 0))
+
+
 def test_rule_orientation_enforced(qctx):
     q = qctx.parameter("q")
     with pytest.raises(RuleOrientationError):
@@ -278,6 +296,30 @@ def test_worklist_matches_leftmost_rewriting(name, letters):
     pres = Presentation(shipped.context, shipped.generators, shipped.rules)
     word = tuple(g % len(pres.generators) for g in letters)
     assert pres.monomial(word).terms == _leftmost_normal_form(pres, word)
+
+
+@given(name=st.sampled_from(sorted(PRESETS)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_match_leftmost_rewriting(name, data):
+    # mul_terms starts the redex search near the end of the left word
+    shipped = PRESETS[name]
+    pres = Presentation(shipped.context, shipped.generators, shipped.rules)
+    words = shipped.normal_words(4)
+    factor = st.dictionaries(st.sampled_from(words), st.integers(1, 3), max_size=3)
+    a, b = data.draw(factor), data.draw(factor)
+    coerce = pres.context.coerce
+    want = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            for word, coeff in _leftmost_normal_form(pres, wa + wb).items():
+                total = want.get(word, pres.context.zero) + ca * cb * coeff
+                if total:
+                    want[word] = total
+                else:
+                    del want[word]
+    a = {w: coerce(c) for w, c in a.items()}
+    b = {w: coerce(c) for w, c in b.items()}
+    assert mul_terms(pres, a, b, {}) == want
 
 
 def test_str_formatting(sl2):
