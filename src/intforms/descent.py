@@ -34,7 +34,7 @@ from importlib import resources
 from . import dga
 from .dga import FormElement
 from .homconn import DegreeMismatch
-from .ncalg import AlgElement, TensorElement, antipode, coproduct, zdegree
+from .ncalg import AlgElement, TensorElement, antipode, coproduct, mul_terms, zdegree
 from .parser import parse_presentation_file, parse_tensor
 from .report import CheckReport
 from .sparse import SparseVector
@@ -258,13 +258,14 @@ def _form_coords(sphere, omega, degree):
 def _on_plus(sphere, values, s=None):
     """f(plus letter * s) for f with these plus values; s = None stands for 1.
 
-    The letter value is sum_i w_i*(v_i*b_i) over the weights, the values and
-    the minus coefficients.  f is right linear, so s multiplies that sum
-    once instead of entering each of its terms.
+    The letter value is sum_i v_i*(w_i*b_i) over the values, the weights and
+    the minus coefficients, summed into one term dict.  f is right linear,
+    so s multiplies that sum once instead of entering each of its terms.
     """
-    total = sphere.presentation.zero
+    terms = {}
     for w, v, b in zip(sphere.plus_weights, values, sphere.minus_coeffs):
-        total = total + w * (v * b)
+        mul_terms(sphere.presentation, v.terms, (w * b).terms, terms)
+    total = AlgElement(sphere.presentation, terms)
     return total if s is None else total * s
 
 
@@ -274,9 +275,10 @@ def _on_minus(sphere, values, r=None):
     The letter value is sum_i v_i*a_i over the values and the plus
     coefficients, and r multiplies it once, as on the plus side.
     """
-    total = sphere.presentation.zero
+    terms = {}
     for v, a in zip(values, sphere.plus_coeffs):
-        total = total + v * a
+        mul_terms(sphere.presentation, v.terms, a.terms, terms)
+    total = AlgElement(sphere.presentation, terms)
     return total if r is None else total * r
 
 

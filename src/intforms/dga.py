@@ -13,18 +13,25 @@ change degree or fail to decrease the canonical order, every overlap up
 to one past the top degree must resolve, and no word may survive above
 the top degree.
 
-Each calculus keeps one twist table (`CalculusSpec._twists`) of the three
+Each calculus keeps one twist table (`CalculusSpec._twists`) of the two
 per-word evaluations that move a coefficient across forms: sigma-bar
-pushed along a form word and reduced (`right_coords`, and the hom-form
-evaluations of `homconn`), sigma^T pushed along the reversed word and
-reduced with the right factor's word appended (`mul`), and the
-connection-kernel row (`homconn.twisted_partial` and the connection).  An
-entry is keyed by (kind, form word, normal word u, appended word) and
-holds the value on the monomial u as {basis word: {normal word: scalar}}.
-sigma, sigma-bar, sigma-hat and the derivations are linear over the
+pushed along a form word and reduced (kind "right": `right_coords`, and
+the hom-form evaluations of `homconn`), and sigma^T pushed along the
+reversed word and reduced with the right factor's word appended (kind
+"left": `mul`).  An entry is keyed by (kind, form word, normal word u,
+appended word) and holds the value on the monomial u as {basis word:
+{normal word: scalar}}.  sigma and sigma-bar are linear over the
 scalars, which are central, so a coefficient sum_u s_u*u is read as
 sum_u s_u * entry(u): a general coefficient is expanded into its terms,
 and a hit costs scalar products only.
+
+The connection kernel T_i = sum_jk sigma-bar_kj o partial_j o
+sigma-hat_ki is no kind of the table: it is a right twisted
+multi-derivation with twist sigma-hat, T_i(ab) = sum_j T_j(a)
+sigma-hat_ji(b) + a T_i(b) (put b = sigma-hat_mj(w) in nabla(f b) =
+nabla(f) b + f(db) for f supported on omega_m, and sum over m with
+sum_m sigma-bar_mi o sigma-hat_mj = delta_ij), so it keeps rows on
+normal words as partial does (`multider`).
 
 Beside it, `CalculusSpec._signed_d` holds what the level-n hom-connection
 (`homconn.nabla_n`) reads for each basis n-word e besides `reduce_word`:
@@ -71,12 +78,12 @@ class CalculusSpec:
 
     The spec holds the calculus's twist table (see the module docstring):
     `_twists` maps (kind, form word, normal word u, appended word) to the
-    kind's evaluation on the monomial u; the kinds are "right", "left" and
-    "kernel", whose form word is (i,) for row i.  The maps behind each kind are
-    linear over the scalars, so one entry per normal word serves every
-    coefficient, and the table grows with the words reached, never with
-    the coefficients.  `_signed_d` maps a basis n-word e to the right
-    coordinates of (-1)^(n+1) d e, which `homconn.nabla_n` reads.
+    kind's evaluation on the monomial u; the kinds are "right" and "left".
+    The maps behind each kind are linear over the scalars, so one entry per
+    normal word serves every coefficient, and the table grows with the
+    words reached, never with the coefficients.  `_signed_d` maps a basis
+    n-word e to the right coordinates of (-1)^(n+1) d e, which
+    `homconn.nabla_n` reads.
     """
 
     def __init__(
@@ -392,7 +399,7 @@ def _reduced(spec, raw, tail):
     return {b: terms for b, terms in out.items() if terms}
 
 
-# The table's three kinds: each builds the entry of a monomial u (as the
+# The table's two kinds: each builds the entry of a monomial u (as the
 # element unit) from scratch.
 
 
@@ -405,28 +412,12 @@ def _left_entry(spec, word, unit, tail):
     return _reduced(spec, {w[::-1]: c for w, c in raw.items()}, tail)
 
 
-def _kernel_entry(spec, word, unit, tail):
-    # sum_jk sigma_bar_kj(partial_j(sigma_hat_ki(u))) for word (i,), on the
-    # empty form word
-    tmd = spec.tmd
-    (i,) = word
-    terms = {}
-    for k in range(tmd.n):
-        b = tmd.sigma_hat.entry(k, i).apply(unit)
-        if not b:
-            continue
-        row = tmd.partial(b)
-        for j in range(tmd.n):
-            if row[j]:
-                add_scaled(terms, tmd.sigma_bar.entry(k, j).apply(row[j]).terms)
-    return {(): terms} if terms else {}
+_ENTRIES = {"right": _right_entry, "left": _left_entry}
 
 
-_ENTRIES = {"right": _right_entry, "left": _left_entry, "kernel": _kernel_entry}
-
-
-def _twisted(spec, kind, word, a, tail, out):
-    """out[b] += s * entry(u)[b] over the terms {u: s} of a; returns out.
+def _twisted(spec, kind, word, a, tail, out, keep=None):
+    """out[b] += s * entry(u)[b] over the terms {u: s} of a, for the basis
+    words b in keep (every b when keep is None); returns out.
 
     The entries come from the spec's twist table, built on first use; out
     maps basis words to term dicts, which may end up empty.
@@ -439,7 +430,8 @@ def _twisted(spec, kind, word, a, tail, out):
             unit = AlgElement(spec.presentation, {u: spec.context.one})
             entry = table[key] = _ENTRIES[kind](spec, word, unit, tail)
         for b, terms in entry.items():
-            add_scaled(out.setdefault(b, {}), terms, s)
+            if keep is None or b in keep:
+                add_scaled(out.setdefault(b, {}), terms, s)
     return out
 
 

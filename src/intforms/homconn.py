@@ -8,8 +8,16 @@ entries (`dga._twisted`), and the hom-form's values multiply in on term
 dicts (`ncalg.mul_terms`); the right action reads the same entries for
 the acting element on each basis word.
 
-The connection sends a degree-1 hom-form f to the sum of twisted
-derivations of its values, the "kernel" entries of the twist table.  Its
+The connection sends a degree-1 hom-form f to sum_i T_i(f(omega_i)), with
+kernel T_i = sum_jk bar_kj o partial_j o hat_ki (bar and hat being
+sigma-bar and sigma-hat).  As nabla(f b) = nabla(f) b + f(db), T is a
+right twisted multi-derivation with twist hat,
+
+    T_i(ab) = sum_j T_j(a) hat_ji(b) + a T_i(b):
+
+take f supported on omega_m, put b = hat_mj(w), and sum over m with
+sum_m bar_mi o hat_mj = delta_ij.  So its rows on normal words extend
+like partial's (`multider`).  Its
 level-n extension, e -> nabla(f*e) + (-1)^(n+1) f(d e), reads the
 scalar coordinates of the basis products e.(i,) from `spec.reduce_word`
 and the right coordinates of the signed d e from the spec's table
@@ -153,14 +161,15 @@ def hom_apply(spec, f, omega):
 
 
 def hom_right_act(spec, f, a):
-    """(f*a)(e) = f(a*e): the right module structure on hom-forms."""
+    """(f*a)(e) = f(a*e): the right module structure on hom-forms, reading
+    the right coordinates of a*e on the basis words where f has values."""
     _check_hom(spec, f)
     pres = spec.presentation
     if not isinstance(a, AlgElement):
         a = pres.scalar(a)
     values = {}
     for e in spec.basis(f.degree):
-        coords = dga._twisted(spec, "right", e, a.terms, (), {})
+        coords = dga._twisted(spec, "right", e, a.terms, (), {}, f.terms)
         terms = _pair(pres, f, coords, {})
         if terms:
             values[e] = AlgElement(pres, terms)
@@ -186,12 +195,17 @@ def hom_mul_form(spec, f, omega):
     return HomForm._unchecked(spec, m, values)
 
 
+def _kernel(spec, i, a, out):
+    """out += T_i(a) for a term dict a, read from the kernel rows; returns out."""
+    rows = spec.tmd._kernel_word
+    for u, s in a.items():
+        add_scaled(out, rows(u)[i].terms, s)
+    return out
+
+
 def twisted_partial(spec, i, a):
-    """Row i of the connection kernel,
-    sum_jk sigma_bar_kj(partial_j(sigma_hat_ki(a))), read from the twist
-    table per normal word of a."""
-    terms = dga._twisted(spec, "kernel", (i,), a.terms, (), {}).get((), {})
-    return AlgElement(spec.presentation, terms)
+    """Row i of the connection kernel, sum_jk bar_kj(partial_j(hat_ki(a)))."""
+    return AlgElement(spec.presentation, _kernel(spec, i, a.terms, {}))
 
 
 def nabla(spec, f):
@@ -201,8 +215,8 @@ def nabla(spec, f):
         raise DegreeMismatch("the connection consumes degree-1 hom-forms")
     out = {}
     for (i,), v in f.terms.items():
-        dga._twisted(spec, "kernel", (i,), v.terms, (), out)
-    return AlgElement(spec.presentation, out.get((), {}))
+        _kernel(spec, i, v.terms, out)
+    return AlgElement(spec.presentation, out)
 
 
 def _signed_d(spec, e):
@@ -244,8 +258,8 @@ def nabla_n(spec, n, f):
                 fv = f.terms.get(b)
                 if fv:
                     add_scaled(lowered, fv.terms, r)
-            dga._twisted(spec, "kernel", (i,), lowered, (), out)
-        terms = _pair(pres, f, _signed_d(spec, e), out.get((), {}))
+            _kernel(spec, i, lowered, out)
+        terms = _pair(pres, f, _signed_d(spec, e), out)
         if terms:
             values[e] = AlgElement(pres, terms)
     return HomForm._unchecked(spec, n, values)

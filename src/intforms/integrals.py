@@ -17,6 +17,7 @@ from .homconn import HomForm, dual_basis, nabla, nabla_n, twisted_partial
 from .linalg import LinearSystem
 from .ncalg import AlgElement, MIXED, zdegree
 from .report import CheckReport
+from .sparse import add_scaled
 
 __all__ = [
     "FiltrationViolated",
@@ -276,15 +277,12 @@ class LadderDiagram:
         """V_k on a form of degree k >= 1, as V_k(e*r) = V_k(e)*r with the
         right coefficients r from `dga.right_coords` (through sigma-bar)."""
         spec = self.spec
-        total = None
+        terms = {}
         for e, r in dga.right_coords(spec, omega).items():
-            piece = self.verticals[k][e] * r
-            total = piece if total is None else total + piece
-        if total is not None:
-            return total
+            add_scaled(terms, (self.verticals[k][e] * r).terms)
         if k == spec.top_degree:
-            return spec.presentation.zero
-        return HomForm(spec, spec.top_degree - k, {})
+            return AlgElement(spec.presentation, terms)
+        return HomForm._unchecked(spec, spec.top_degree - k, terms)
 
 
 def _hom_vector(f):

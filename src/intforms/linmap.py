@@ -81,12 +81,14 @@ class MapExpr:
             cached = self._memo[word] = self._eval_word(word)
         return cached
 
+    _on_word = on_word  # the memo path for a checked word; GradeScale checks first
+
     def apply(self, element):
         if element.presentation is not self.presentation:
             raise ValueError("element from a different presentation")
         terms = {}
         for word, coeff in element.terms.items():
-            add_scaled(terms, self.on_word(word).terms, coeff)
+            add_scaled(terms, self._on_word(word).terms, coeff)
         return AlgElement(self.presentation, terms)
 
     def _eval_word(self, word):
@@ -104,6 +106,8 @@ class Zero(MapExpr):
 
     def on_word(self, word):
         return self.presentation.zero
+
+    _on_word = on_word
 
     def apply(self, element):
         if element.presentation is not self.presentation:
@@ -161,9 +165,14 @@ class GradeScale(MapExpr):
             raise ValueError("grade scaling base must be invertible")
         self.exponent = operator.index(exponent)  # TypeError for floats
 
+    def on_word(self, word):
+        # a raw word is checked here; apply and the matrices read _on_word
+        return self._on_word(self.presentation._coerce_word(word))
+
     def _eval_word(self, word):
-        degree = sum(self.presentation.grading[g] for g in word)
-        return self.presentation.monomial(word, self.base ** (self.exponent * degree))
+        pres = self.presentation
+        degree = sum(pres.grading[g] for g in word)
+        return pres._monomial(word)._scaled(self.base ** (self.exponent * degree))
 
     def __repr__(self):
         return f"<GradeScale {self.base}^({self.exponent}*deg)>"
@@ -182,6 +191,8 @@ class MatrixEntry(MapExpr):
 
     def on_word(self, word):
         return self.matrix.on_word(word)[self.i][self.j]
+
+    _on_word = on_word
 
     def __repr__(self):
         return f"<entry ({self.i},{self.j})>"
@@ -255,7 +266,7 @@ class MapMatrix:
             raise ValueError("entry from a different presentation")
 
         def value(word):
-            return _diagonal(pres, [m.on_word(word) for m in maps])
+            return _diagonal(pres, [m._on_word(word) for m in maps])
 
         return _with_diagonal(cls(pres, len(maps), "diagonal", value), maps)
 
@@ -453,7 +464,7 @@ def transpose_inverse(m, diag_inverses):
                 steps.append((i, j, ks))
 
     def value(word):
-        diag = [inv.on_word(word) for inv in diag_inverses]
+        diag = [inv._on_word(word) for inv in diag_inverses]
         x = [list(row) for row in _diagonal(pres, diag)]
         for i, j, ks in steps:
             total = _total(pres, (mki.apply(x[k][j]) for mki, k in ks if x[k][j]))

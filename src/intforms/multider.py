@@ -5,22 +5,29 @@ a matrix sigma of maps, obeying the twisted Leibniz rule
 
     partial_i(ab) = sum_j partial_j(a) sigma_ji(b) + a partial_i(b).
 
-Generator rows determine everything: extension (TwistedMultiDerivation.partial)
-peels off the leading letter, filling a per-word memo in a loop from the
-shortest suffix up.  The derivation is free: sigma is a triangular matrix
-given by its values on words, and the bar = (sigma^T)^-1 and
-hat = (bar^T)^-1 matrices are always built from it and the inverses of
-its diagonal entries by linmap.free_pair, two calls of one memoised
-transpose-inverse.  verify_free re-derives every assumed identity
-(relations respected, both inverse pairs) and reports failures with
-witnesses instead of raising; inverse_identities is the one sweep of the
-inverse pairs over a list of words.  The untwisted case is sigma =
+Generator rows determine everything: extension (`_fill_rows`) peels off the
+leading letter, filling a per-word memo in a loop from the shortest suffix
+up.  The connection kernel T_i = sum_jk bar_kj o partial_j o hat_ki is one
+too, with twist hat: T_i(ab) = sum_j T_j(a) hat_ji(b) + a T_i(b).  (Put
+b = hat_mj(w) in the hom-connection rule nabla(f b) = nabla(f) b + f(db)
+for f supported on omega_m, and sum over m with sum_m bar_mi o hat_mj =
+delta_ij.)  So `_kernel_word` takes the formula on generators only and
+extends it by the same loop.  The derivation is free: sigma is a
+triangular matrix given by its values on words, and the bar =
+(sigma^T)^-1 and hat = (bar^T)^-1 matrices are always built from it and
+the inverses of its diagonal entries by linmap.free_pair, two calls of
+one memoised transpose-inverse.  verify_free re-derives every assumed
+identity (relations respected, both inverse pairs) and reports failures
+with witnesses instead of raising; inverse_identities is the one sweep of
+the inverse pairs over a list of words.  The untwisted case is sigma =
 linmap.identity_matrix.
 """
 from __future__ import annotations
 
+import functools
+
 from .linmap import bullet, by_generator, free_pair, is_identity_on_words
-from .ncalg import MIXED, AlgElement, zdegree
+from .ncalg import MIXED, AlgElement, mul_terms, zdegree
 from .report import CheckReport
 from .sparse import add_scaled
 
@@ -40,37 +47,29 @@ class TwistedMultiDerivation:
         self.sigma = sigma
         self.sigma_bar, self.sigma_hat = free_pair(sigma, diag_inverses)
         self._memo = {(): (presentation.zero,) * self.n}
+        self._kernel_memo = dict(self._memo)
 
     # -- extension -----------------------------------------------------------
 
     def _partial_word(self, word):
-        memo = self._memo
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
-        # every suffix of a memoised word is memoised, so fill the memo
-        # from the shortest suffix missing up to the whole word: a loop,
-        # so a long word costs no stack depth
-        pres = self.presentation
-        start = len(word) - 1
-        while word[start:] in memo:
-            start -= 1
-        for pos in range(start, -1, -1):
-            head, tail = word[pos], word[pos + 1 :]
-            row_g = self.partial_on_gens[head]
-            if not tail:
-                result = row_g
-            else:
-                sig = self.sigma.on_word(tail)
-                tail_row = memo[tail]
-                g_elem = pres._monomial((head,))
-                result = tuple(
-                    sum((row_g[j] * sig[j][i] for j in range(self.n)), pres.zero)
-                    + g_elem * tail_row[i]
-                    for i in range(self.n)
-                )
-            memo[word[pos:]] = result
-        return result
+        return _fill_rows(self.presentation, self._memo, word, self.partial_on_gens, self.sigma)
+
+    @functools.cached_property
+    def _kernel_gens(self):
+        # the formula sum_jk bar_kj(partial_j(hat_ki(g))), on generators g only
+        pres, bar = self.presentation, self.sigma_bar.entries
+        hats = [self.sigma_hat.on_word((g,)) for g in range(len(pres.generators))]
+        return [
+            tuple(sum((bar[k][j].apply(d) for k, row in enumerate(hat)
+                       for j, d in enumerate(self.partial(row[i]))), pres.zero)
+                  for i in range(self.n))
+            for hat in hats
+        ]
+
+    def _kernel_word(self, word):
+        """Row (T_1(u), ..., T_n(u)) of the connection kernel on a normal word u."""
+        pres, gens = self.presentation, self._kernel_gens
+        return _fill_rows(pres, self._kernel_memo, word, gens, self.sigma_hat)
 
     def partial(self, a):
         """Row (partial_1(a), ..., partial_n(a))."""
@@ -99,6 +98,32 @@ class TwistedMultiDerivation:
                     seen = MIXED
             shifts.append(seen)
         return shifts
+
+
+def _fill_rows(pres, memo, word, gen_rows, twist):
+    """Row D(word) of D_i(g w) = sum_j D_j(g) twist_ji(w) + g D_i(w),
+    from the rows on generators.  memo holds the zero row on the empty word
+    and, with each word, all its suffixes; it is filled from the shortest
+    missing suffix up, in a loop, so a long word costs no stack depth."""
+    if word in memo:
+        return memo[word]
+    start = len(word) - 1
+    while word[start:] in memo:
+        start -= 1
+    for pos in range(start, -1, -1):
+        head, tail = word[pos], word[pos + 1 :]
+        row = gen_rows[head]
+        if tail:
+            # one term dict per index; zero values and twist entries are skipped
+            letter = {(head,): pres.context.one}
+            out = [mul_terms(pres, letter, r.terms, {}) for r in memo[tail]]
+            for part, sig_j in zip(row, twist.on_word(tail)):
+                for terms, s in zip(out, sig_j):
+                    if part.terms and s.terms:
+                        mul_terms(pres, part.terms, s.terms, terms)
+            row = tuple(AlgElement(pres, terms) for terms in out)
+        memo[word[pos:]] = row
+    return row
 
 
 def _relation_respected(pres, matrix, lhs, rhs):

@@ -152,11 +152,13 @@ class Presentation:
 
         An explicit worklist rather than recursion, so long words cost
         memory and budget, not stack depth: each pending word rewrites its
-        leftmost redex once (one budget unit) and is summed up after the
-        words it rewrote to, which come first off the stack.
+        leftmost redex (one budget unit a step) in place with a running
+        scalar while the rule has one term, and a multi-term rule hands its
+        pieces to the stack, the word being summed up after them.  So only
+        the words asked for and the pieces of a branch are cached.
 
         No redex of word may start before start.  The search for a leftmost
-        redex resumes there, and a word rewritten at pos hands its pieces
+        redex resumes there, and a word rewritten at pos resumes at
         max(pos - (max_lhs - 1), 0): a redex starting further left would
         end inside the untouched head, which had none.
         """
@@ -165,28 +167,35 @@ class Presentation:
         if result is not None:
             return result
         back = self._max_lhs - 1
+        one = self.context.one
         stack = [(word, start, None)]
         while stack:
-            top, start, pieces = stack.pop()
+            node, start, pieces = stack.pop()
             if pieces is not None:
                 result = {}
                 for piece, coeff in pieces:
                     add_scaled(result, cache[piece], coeff)
-                cache[top] = result
+                cache[node] = result
                 continue
-            if top in cache:
+            if node in cache:
                 continue
-            hit = self._find_redex(top, start)
-            if hit is None:
-                cache[top] = {top: self.context.one}
-                continue
-            budget.spend()
-            pos, lhs, coeffs = hit
-            head, tail = top[:pos], top[pos + len(lhs) :]
-            pieces = [(head + rword + tail, rcoeff) for rword, rcoeff in coeffs.items()]
-            stack.append((top, None, pieces))
-            start = max(pos - back, 0)
-            stack.extend((piece, start, None) for piece, _ in reversed(pieces))
+            top, scale = node, one
+            while True:
+                hit = self._find_redex(top, start)
+                if hit is None:
+                    cache[node] = {top: scale}
+                    break
+                budget.spend()
+                pos, lhs, coeffs = hit
+                head, tail = top[:pos], top[pos + len(lhs) :]
+                start = max(pos - back, 0)
+                pieces = [(head + rword + tail, scale * rcoeff) for rword, rcoeff in coeffs.items()]
+                if len(pieces) == 1 and pieces[0][0] not in cache:
+                    ((top, scale),) = pieces
+                    continue
+                stack.append((node, None, pieces))
+                stack.extend((piece, start, None) for piece, _ in reversed(pieces))
+                break
         return cache[word]
 
     def element(self, coeffs, budget=DEFAULT_BUDGET):
@@ -376,6 +385,9 @@ def mul_terms(pres, a, b, out):
     bud = _Budget(DEFAULT_BUDGET)
     back = pres._max_lhs - 1
     for wa, ca in a.items():
+        if not wa:  # the unit word: each wb is its own normal form
+            add_scaled(out, b, ca)
+            continue
         start = max(len(wa) - back, 0)
         for wb, cb in b.items():
             add_scaled(out, pres._normal_word(wa + wb, bud, start), ca * cb)
@@ -537,8 +549,8 @@ class TensorElement(SparseVector, space=("presentation",)):
         terms = {}
         for (u1, u2), c in self.terms.items():
             for (v1, v2), d in other.terms.items():
-                left = pres.monomial(u1 + v1)
-                right = pres.monomial(u2 + v2)
+                left = pres._monomial(u1 + v1)
+                right = pres._monomial(u2 + v2)
                 add_scaled(terms, TensorElement.of(left, right, c * d).terms)
         return TensorElement(pres, terms)
 

@@ -28,7 +28,8 @@ tuples only on the way to the fraction form, for printing and for
 evaluation, so everything a caller reads is in exponent tuples.  Printing
 moves negative exponents into the denominator, so 1/q^(2**30) and values
 whose exponents in one parameter spread over more than the range print a
-power outside it, and that text does not parse back.
+power outside it, and that text does not parse back.  A monomial's power
+whose coefficient would exceed 2**20 bits raises CoefficientTooLarge.
 
 Sums, products, integer powers and division by a monomial of Laurent values
 stay in the dict.  Division by a non-monomial and anything involving a true
@@ -59,6 +60,7 @@ from operator import add, neg, sub
 _DIGIT = 32  # bits of packed exponent per parameter
 _LIMIT = 1 << 30  # exponents lie in [-_LIMIT, _LIMIT)
 _MASK = (1 << _DIGIT) - 1
+_COEFF_BITS = 1 << 20  # bound on the coefficient of a monomial's power
 
 
 class PoleAtAssignment(ArithmeticError):
@@ -67,6 +69,10 @@ class PoleAtAssignment(ArithmeticError):
 
 class ExponentOutOfRange(ValueError):
     """A Laurent exponent left [-2**30, 2**30), the range of a packed digit."""
+
+
+class CoefficientTooLarge(ValueError):
+    """A power of a monomial would have a coefficient over 2**20 bits."""
 
 
 def _check_names(names):
@@ -178,7 +184,8 @@ class ScalarContext:
 
     def _monomial(self, packed, coeff):
         # the shared value coeff * params^exps, coeff a nonzero int or Fraction
-        coeff = _reduce(coeff)
+        if type(coeff) is not int:
+            coeff = _reduce(coeff)
         key = (packed, coeff)
         value = self._monomials.get(key)
         if value is None:
@@ -219,6 +226,9 @@ class ScalarContext:
         if coeff == 1 or coeff == -1:
             # a unit coefficient stays an int: -1 only to an odd power
             return {exps: -1 if coeff == -1 and n & 1 else 1}
+        bits = max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
+        if bits * abs(n) > _COEFF_BITS:
+            raise CoefficientTooLarge(f"({coeff})^{n} has a coefficient over 2^20 bits")
         if n < 0:
             coeff = Fraction(1, coeff) if isinstance(coeff, int) else 1 / coeff
         return {exps: _reduce(coeff ** abs(n))}
@@ -327,9 +337,10 @@ class ScalarRF:
         context = self.context
         if other is context.one:
             return self
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not ScalarRF or other.context is not context:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
         if self is context.one:
             return other
         a, b = self._terms, other._terms

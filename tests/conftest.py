@@ -1,6 +1,7 @@
 """Shared fixtures: scalar contexts, the two presented algebras used
-throughout (quantum plane, quantum SL(2) with its Hopf structure), and their
-twisted multi-derivations."""
+throughout (quantum plane, quantum SL(2) with its Hopf structure), their
+twisted multi-derivations, and cold_preset for tests that measure what a
+first load of a shipped preset builds."""
 from __future__ import annotations
 
 import pytest
@@ -9,6 +10,7 @@ from intforms.dga import CalculusSpec
 from intforms.linmap import AlgebraMap, GradeScale, MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import HopfData, Presentation
+from intforms.presets import REGISTRY
 from intforms.scalars import ScalarContext
 
 
@@ -203,3 +205,17 @@ def qplane_calc(qplane_tmd):
 @pytest.fixture(scope="session")
 def sl2_3d_calc(sl2_3d_tmd):
     return make_sl2_3d_calculus(sl2_3d_tmd)
+
+
+@pytest.fixture
+def cold_preset(monkeypatch):
+    """cold_preset(name): the shipped preset with its loaded bundle dropped
+    for this test, so its next load builds every table and memo from empty
+    whatever ran before; the bundle is restored afterwards."""
+
+    def cold(name):
+        preset = REGISTRY[name]
+        monkeypatch.setattr(preset, "_cache", None)
+        return preset
+
+    return cold

@@ -217,6 +217,43 @@ def _child_env():
     return env
 
 
+HUGE_POWER = """
+import resource, sys, time
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from intforms.cli import main
+
+start = time.perf_counter()
+status = main(["verify", sys.argv[1]])
+print(f"elapsed {time.perf_counter() - start:.3f}", file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def test_huge_coefficient_power_is_a_config_error(tmp_path):
+    # 2^(2^30 - 1) would be a 2^30-bit coefficient; the power is refused
+    # before it is taken.  A child process under a 1 GiB address-space
+    # limit, so a regression fails or times out instead of holding this one
+    source = REGISTRY["qplane"].source.replace(
+        "relation: y*x = q^-1 * x*y", "relation: y*x = (2*q)^1073741823 * x*y"
+    )
+    assert "(2*q)^1073741823" in source
+    path = tmp_path / "huge.calc"
+    path.write_text(source)
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_POWER, str(path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    *message, elapsed = proc.stderr.strip().splitlines()
+    assert message[0].startswith("error:") and "over 2^20 bits" in message[0]
+    assert float(elapsed.split()[1]) < 1.0
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "intforms", "preset", "list"],

@@ -17,7 +17,6 @@ from intforms.homconn import twisted_partial
 from intforms.linmap import Identity, identity_matrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import RuleOrientationError
-from intforms.presets import REGISTRY
 
 from intforms.sparse import add_scaled
 
@@ -228,17 +227,17 @@ def test_twist_table_serves_repeated_calls(qplane, qplane_calc, sl2, sl2_3d_calc
     assert calls == []
 
 
-def test_twist_table_grows_with_words_not_coefficients(monkeypatch, capsys):
+def test_twist_table_grows_with_words_not_coefficients(cold_preset, monkeypatch, capsys):
     # one entry per (kind, form word, normal word, appended word) that the
-    # verify run reached through the one table reader, dga._twisted
-    preset = REGISTRY["sl2-3d"]
-    monkeypatch.setattr(preset, "_cache", None)
+    # verify run reached through the one table reader, dga._twisted; the
+    # connection kernel keeps rows on normal words instead
+    preset = cold_preset("sl2-3d")
     reached = set()
     twisted = dga._twisted
 
-    def recording(spec, kind, word, a, tail, out):
+    def recording(spec, kind, word, a, tail, out, keep=None):
         reached.update((kind, word, u, tail) for u in a)
-        return twisted(spec, kind, word, a, tail, out)
+        return twisted(spec, kind, word, a, tail, out, keep)
 
     monkeypatch.setattr(dga, "_twisted", recording)
     assert cli.main(["verify", "preset:sl2-3d", "--max-len", "3"]) == 0
@@ -252,7 +251,12 @@ def test_twist_table_grows_with_words_not_coefficients(monkeypatch, capsys):
     for kind, word, u, tail in table:
         assert pres.monomial(u).terms == {u: pres.context.one}
         assert word in basis_words and tail in basis_words | {()}
-    assert {kind for kind, *_ in table} == {"right", "left", "kernel"}
+    assert {kind for kind, *_ in table} == {"right", "left"}
+    kernel = spec.tmd._kernel_memo
+    assert len(kernel) > 1
+    for u in kernel:
+        assert pres.monomial(u).terms == {u: pres.context.one}
+        assert u[1:] in kernel
 
 
 # -- exterior differential --------------------------------------------------

@@ -28,7 +28,6 @@ from intforms.homconn import (
     nabla,
     nabla_n,
 )
-from intforms.presets import REGISTRY
 
 from conftest import random_element
 
@@ -448,9 +447,8 @@ def test_hom_evaluation_matches_right_coords(request, fixture, data):
         assert acted.value(e) == _generic_apply(spec, f, FormElement(spec, degree, {e: a}))
 
 
-def test_nabla_n_table_has_one_entry_per_level_and_word(monkeypatch, capsys):
-    preset = REGISTRY["sl2-3d"]
-    monkeypatch.setattr(preset, "_cache", None)
+def test_nabla_n_table_has_one_entry_per_level_and_word(cold_preset, capsys):
+    preset = cold_preset("sl2-3d")
     assert cli.main(["verify", "preset:sl2-3d", "--max-len", "3"]) == 0
     capsys.readouterr()
     spec = preset.load().spec

@@ -85,6 +85,28 @@ def test_grade_scale_rejects_a_float_exponent(sl2):
         GradeScale(sl2, q, 2.7)
 
 
+def test_grade_scale_checks_raw_words_only(sl2, monkeypatch):
+    # apply hands over the normal words of an element, already checked; a
+    # raw word through on_word is checked, also when an equal one is memoised
+    q = sl2.context.parameter("q")
+    scale = GradeScale(sl2, q, 1)
+    checked = []
+    coerce = sl2._coerce_word
+
+    def counting(word):
+        checked.append(word)
+        return coerce(word)
+
+    monkeypatch.setattr(sl2, "_coerce_word", counting)
+    a, b = sl2.gen("alpha"), sl2.gen("beta")
+    assert scale.apply(a * a + b) == (q * q) * (a * a) + (1 / q) * b
+    assert checked == []
+    assert scale.on_word((1, 1)) == (q * q) * (a * a)
+    assert checked == [(1, 1)]
+    with pytest.raises(TypeError):
+        scale.on_word((1.0, 1))
+
+
 def test_map_linearity_randomised(qplane_tmd, qplane):
     rng = random.Random(11)
     ctx = qplane.context

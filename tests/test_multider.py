@@ -17,6 +17,13 @@ from intforms.multider import (
 )
 from intforms.ncalg import MIXED
 
+from conftest import (
+    make_qplane_presentation,
+    make_qplane_tmd,
+    make_sl2_3d_tmd,
+    make_sl2_presentation,
+)
+
 
 def test_partial_on_generators(sl2_3d_tmd, sl2):
     q = sl2.context.parameter("q")
@@ -94,8 +101,6 @@ def _recursive_partial(tmd, word):
 def test_partial_of_a_long_word_needs_no_stack(qplane, cached):
     # 120 letters under a 150-frame limit; with a cached suffix the memo
     # is filled from the first missing one
-    from conftest import make_qplane_tmd
-
     tmd = make_qplane_tmd(qplane)
     word = (0,) * 117 + (1,) * 3
     if cached:
@@ -108,6 +113,54 @@ def test_partial_of_a_long_word_needs_no_stack(qplane, cached):
         sys.setrecursionlimit(limit)
     assert row == _recursive_partial(make_qplane_tmd(qplane), word)
     assert all(word[k:] in tmd._memo for k in range(len(word) + 1))
+
+
+def _kernel_formula(tmd, u):
+    """Reference row: sum_jk sigma_bar_kj(partial_j(sigma_hat_ki(u))) on the
+    monomial u, evaluated as written."""
+    pres = tmd.presentation
+    unit = pres.monomial(u)
+    row = []
+    for i in range(tmd.n):
+        total = pres.zero
+        for k in range(tmd.n):
+            part = tmd.partial(tmd.sigma_hat.entry(k, i).apply(unit))
+            for j in range(tmd.n):
+                total = total + tmd.sigma_bar.entry(k, j).apply(part[j])
+        row.append(total)
+    return tuple(row)
+
+
+KERNEL_CASES = {
+    "qplane": (make_qplane_presentation, make_qplane_tmd, "qpctx", 10),
+    "sl2-3d": (make_sl2_presentation, make_sl2_3d_tmd, "qctx", 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_rows_match_the_formula(request, name):
+    # the rows extend along words with sigma-hat as the twist; a twist by
+    # sigma instead differs on qplane, whose sigma is not diagonal.  Longest
+    # words first, on a fresh derivation, so most fills span several suffixes
+    make_pres, make_tmd, ctx, max_len = KERNEL_CASES[name]
+    tmd = make_tmd(make_pres(request.getfixturevalue(ctx)))
+    words = tmd.presentation.normal_words(max_len)
+    assert len(words) == {"qplane": 66, "sl2-3d": 140}[name]
+    for u in reversed(words):
+        assert tmd._kernel_word(u) == _kernel_formula(tmd, u), u
+
+
+def test_kernel_of_a_long_word_needs_no_stack(qplane):
+    tmd = make_qplane_tmd(qplane)
+    word = (0,) * 117 + (1,) * 3
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        row = tmd._kernel_word(word)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert row == _kernel_formula(tmd, word)
+    assert all(word[k:] in tmd._kernel_memo for k in range(len(word) + 1))
 
 
 def test_bracketing_independence(qplane_tmd, qplane):
@@ -128,8 +181,6 @@ def test_verify_free_passes(qplane_tmd, sl2_3d_tmd):
 
 
 def test_verify_free_catches_sign_flip(qplane, qplane_tmd):
-    from conftest import make_qplane_tmd
-
     # the constructor always builds a correct bar, so flip the sign of its
     # (1, 0) entry afterwards
     broken = make_qplane_tmd(qplane)

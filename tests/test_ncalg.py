@@ -3,6 +3,7 @@ operations on quantum SL(2)."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intforms.ncalg import (
+    DEFAULT_BUDGET,
     MIXED,
     GradingAbsent,
     Presentation,
@@ -17,6 +19,7 @@ from intforms.ncalg import (
     RuleOrientationError,
     TensorElement,
     UnknownGenerator,
+    _Budget,
     antipode,
     check_local_confluence,
     coproduct,
@@ -287,15 +290,19 @@ PRESETS = {name: get_preset(name).load().presentation for name in ("qplane", "sl
 
 @given(
     name=st.sampled_from(sorted(PRESETS)),
-    letters=st.lists(st.integers(0, 3), max_size=7),
+    words=st.lists(st.lists(st.integers(0, 3), max_size=12), min_size=1, max_size=3),
 )
 @settings(max_examples=60, deadline=None)
-def test_worklist_matches_leftmost_rewriting(name, letters):
+def test_worklist_matches_leftmost_rewriting(name, words):
     shipped = PRESETS[name]
-    # a fresh presentation, so the normal form is computed rather than cached
+    # a fresh presentation, so the normal forms are computed rather than
+    # cached, and words in turn, so a later one-term chain may end on a
+    # word an earlier one cached
     pres = Presentation(shipped.context, shipped.generators, shipped.rules)
-    word = tuple(g % len(pres.generators) for g in letters)
-    assert pres.monomial(word).terms == _leftmost_normal_form(pres, word)
+    for letters in words:
+        word = tuple(g % len(pres.generators) for g in letters)
+        got = pres._normal_word(word, _Budget(DEFAULT_BUDGET))
+        assert got == _leftmost_normal_form(pres, word)
 
 
 @given(name=st.sampled_from(sorted(PRESETS)), data=st.data())
@@ -320,6 +327,31 @@ def test_products_match_leftmost_rewriting(name, data):
     a = {w: coerce(c) for w, c in a.items()}
     b = {w: coerce(c) for w, c in b.items()}
     assert mul_terms(pres, a, b, {}) == want
+
+
+def test_one_term_chain_caches_only_its_ends(qctx):
+    # y^40 x^40 rewrites in 1,600 one-term steps; none of the words between
+    # its ends is kept
+    pres = make_qplane_presentation(qctx)
+    before = len(pres._nf_cache)
+    pres.monomial(pres.word(*("y",) * 40 + ("x",) * 40))
+    assert len(pres._nf_cache) - before <= 3
+
+
+def test_long_words_never_recurse(qctx):
+    sl2 = make_sl2_presentation(qctx)
+    plane = make_qplane_presentation(qctx)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        # delta alpha branches into two words at every step
+        value = sl2.monomial(sl2.word(*("delta",) * 10 + ("alpha",) * 10))
+        with pytest.raises(ReductionBudgetExceeded):
+            plane.element({plane.word(*("y",) * 200 + ("x",) * 200): 1}, budget=10**4)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the counit is multiplicative with counit(alpha) = counit(delta) = 1
+    assert counit(sl2, value) == 1
 
 
 def test_str_formatting(sl2):
