@@ -29,6 +29,7 @@ letter times a coefficient is the letter value times that coefficient.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from . import dga
@@ -41,7 +42,6 @@ from .sparse import SparseVector
 
 __all__ = [
     "BHomForm",
-    "CrossCheckFailed",
     "SphereData",
     "check_sphere_ladder",
     "fhat_crosscheck",
@@ -49,19 +49,11 @@ __all__ = [
     "nabla_coH_1",
     "psi",
     "psi_inv",
-    "sphere_d",
     "sphere_fixtures",
     "sphere_flatness",
     "theta",
     "theta_star",
 ]
-
-
-class CrossCheckFailed(ValueError):
-    """The routes to the descended connection disagree.
-
-    Raised by ``fhat_crosscheck(...).raise_first(CrossCheckFailed)``.
-    """
 
 
 class SphereData:
@@ -130,8 +122,6 @@ class SphereData:
             FormElement(spec, 1, {(self.plus,): delta * delta}),
         )
         self.top_form = spec.basis_form((self.minus, self.plus))
-        self._squares = None
-        self._wedges = None
 
     def one_form(self, r, s):
         """Assemble the one-form with right coefficients r (minus) and s (plus)."""
@@ -198,17 +188,14 @@ class SphereData:
         """The functional dual to the free generator of the two-forms."""
         return BHomForm.top(self, self.presentation.one)
 
+    @functools.cached_property
     def _sweedler_squares(self):
-        if self._squares is None:
-            pres = self.presentation
-            alpha = pres.gen("alpha")
-            delta = pres.gen("delta")
-            self._squares = (
-                coproduct(pres, alpha * alpha),
-                coproduct(pres, delta * delta),
-            )
-        return self._squares
+        pres = self.presentation
+        alpha = pres.gen("alpha")
+        delta = pres.gen("delta")
+        return (coproduct(pres, alpha * alpha), coproduct(pres, delta * delta))
 
+    @functools.cached_property
     def _generator_wedges(self):
         """Two-form coefficients of products with the projective generators.
 
@@ -216,18 +203,16 @@ class SphereData:
         for the six generators g, in the same order, and the coefficient of
         d w.  nabla_coH_1 reads a two-form functional through them.
         """
-        if self._wedges is None:
-            spec = self.spec
-            gens = self.plus_generators + self.minus_generators
+        spec = self.spec
+        gens = self.plus_generators + self.minus_generators
 
-            def coeff(omega):
-                return _form_coords(self, omega, 2)[0]
+        def coeff(omega):
+            return _form_coords(self, omega, 2)[0]
 
-            self._wedges = tuple(
-                (tuple(coeff(w * g) for g in gens), coeff(dga.d(spec, w)))
-                for w in gens
-            )
-        return self._wedges
+        return tuple(
+            (tuple(coeff(w * g) for g in gens), coeff(dga.d(spec, w)))
+            for w in gens
+        )
 
 
 def _form_coords(sphere, omega, degree):
@@ -533,7 +518,7 @@ def nabla_coH_1(sphere, f):
         raise DegreeMismatch("the lifted connection starts at two-form functionals")
     top = f.top_value
     values = []
-    for products, dw in sphere._generator_wedges():
+    for products, dw in sphere._generator_wedges:
         contracted = BHomForm(
             sphere, 1, [top * c for c in products[:3]], [top * c for c in products[3:]]
         )
@@ -594,7 +579,7 @@ def fhat_crosscheck(sphere, f, fixtures=None):
     # every route reads f through the same dual-basis expansion, so a broken
     # weight cancels between them; the determinant identities catch it
     report = CheckReport(sphere.determinant_checks())
-    squares = sphere._sweedler_squares()
+    squares = sphere._sweedler_squares
     for key, machine in zip(("alpha^2", "delta^2"), squares):
         ok = fixtures[key] == machine
         report.add(
@@ -615,22 +600,6 @@ def fhat_crosscheck(sphere, f, fixtures=None):
         ok = lhs == rhs
         report.add(name, ok, None if ok else f"{lhs} versus {rhs}")
     return report
-
-
-def sphere_d(sphere, x, y):
-    """Two-form coefficient of d on the one-form x*minus + y*plus.
-
-    x and y are the left coefficients, of Z-degrees 2 and -2; the vertical
-    components of d cancel on such forms, and what is returned is the left
-    coefficient on the wedge of plus and minus (the stored basis word runs
-    the other way round and differs by -q^2).
-    """
-    for name, coeff, want in (("x", x, 2), ("y", y, -2)):
-        if coeff and zdegree(coeff) != want:
-            raise DegreeMismatch(f"{name} must have Z-degree {want}, got {coeff}")
-    q = sphere.q
-    tmd = sphere.spec.tmd
-    return tmd.partial(x)[sphere.plus] - (q**-2) * tmd.partial(y)[sphere.minus]
 
 
 def sphere_flatness(sphere):

@@ -37,11 +37,9 @@ from .sparse import SparseVector, add_scaled
 __all__ = [
     "DegreeMismatch",
     "HomForm",
-    "NotAUnit",
     "curvature",
     "dual_basis",
     "dual_form",
-    "gauge_transform",
     "hom_apply",
     "hom_mul_form",
     "hom_right_act",
@@ -53,10 +51,6 @@ __all__ = [
 
 
 class DegreeMismatch(ValueError):
-    pass
-
-
-class NotAUnit(ValueError):
     pass
 
 
@@ -286,29 +280,3 @@ def is_flat(spec):
         )
     return report
 
-
-def gauge_transform(spec, u, f, u_inv=None):
-    """Connection conjugated by left multiplication with the unit u.
-
-    Only scalar units can be inverted here; anything else needs an
-    explicit u_inv, which is certified before use.
-    """
-    _check_hom(spec, f)
-    pres = spec.presentation
-    if not isinstance(u, AlgElement):
-        u = pres.scalar(u)
-    if u_inv is None:
-        if not u:
-            raise NotAUnit("zero is not a unit")
-        if list(u.terms.keys()) != [()]:
-            raise NotAUnit(
-                "cannot invert a non-scalar element; pass u_inv explicitly"
-            )
-        u_inv = pres.scalar(1 / u.terms[()])
-    else:
-        if u * u_inv != pres.one or u_inv * u != pres.one:
-            raise NotAUnit("u_inv is not a two-sided inverse of u")
-    shifted = HomForm(
-        spec, f.degree, {w: u_inv * v for w, v in f.terms.items()}
-    )
-    return u * nabla(spec, shifted)

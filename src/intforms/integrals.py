@@ -23,7 +23,6 @@ __all__ = [
     "FiltrationViolated",
     "LadderDiagram",
     "NoPreimageUpToBound",
-    "SquareFails",
     "Truncation",
     "check_ladder",
     "check_lambda_annihilates",
@@ -39,10 +38,6 @@ class FiltrationViolated(ValueError):
 
 class NoPreimageUpToBound(ValueError):
     pass
-
-
-class SquareFails(ValueError):
-    """A ladder square or vertical fails; raised through ``raise_first``."""
 
 
 def _word_key(word):
@@ -80,18 +75,9 @@ class Truncation:
             for w in self.words:
                 yield (i, w)
 
-    def image(self, i, w):
-        """nabla of the coordinate hom-form with value w at form i."""
-        return self._image(i, self.spec.presentation._coerce_word(w))
-
-    def block_image(self, i, w):
-        """image(), or None when the degree filter excludes the column."""
-        return self._block_image(i, self.spec.presentation._coerce_word(w))
-
-    # image() and block_image() for a word already checked, such as the
-    # window's own words in columns()
-
     def _image(self, i, w):
+        # nabla of the coordinate hom-form with value w at form i, for an
+        # index word such as the window's own words in columns()
         pres = self.spec.presentation
         value = twisted_partial(self.spec, i, pres._monomial(w))
         for word in value.terms:
@@ -105,6 +91,7 @@ class Truncation:
         return value
 
     def _block_image(self, i, w):
+        # _image, or None when the degree filter excludes the column
         value = self._image(i, w)
         if self.degree is None or not value:
             return value

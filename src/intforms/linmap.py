@@ -1,13 +1,13 @@
 """Linear maps on a presented algebra and square matrices of them.
 
-A map is a linear endomorphism evaluated per word: the identity, a
-generator-image map, a grade scaling, the zero map, or one entry of a
-matrix.  A MapMatrix is its value on words: value(word) is the n x n tuple
-of the entries' images of the word.  Its kind records the triangular zero
+A map is a linear endomorphism evaluated per word: a generator-image
+map, a grade scaling, the zero map, or one entry of a matrix.  A
+MapMatrix is its value on words: value(word) is the n x n tuple of the
+entries' images of the word.  Its kind records the triangular zero
 pattern; the slots the kind forces to vanish hold one shared Zero, so
-callers skip them at no cost.  Every other slot is a MatrixEntry view that
-reads the value, except that diagonal and transpose_inverse put the maps
-their diagonal is made of in the diagonal slots.
+callers skip them at no cost.  Every other slot is a MatrixEntry view
+that reads the value, except that diagonal and transpose_inverse put the
+maps their diagonal is made of in the diagonal slots.
 
 Only the two costly sources memoise per word: from_images (products of the
 generators' image matrices) and transpose_inverse, the one triangular
@@ -116,16 +116,6 @@ class Zero(MapExpr):
 
     def __repr__(self):
         return "0"
-
-
-class Identity(MapExpr):
-    __slots__ = ()
-
-    def _eval_word(self, word):
-        return self.presentation.monomial(word)
-
-    def __repr__(self):
-        return "id"
 
 
 class AlgebraMap(MapExpr):
@@ -362,10 +352,6 @@ def _total(presentation, parts):
     for part in parts:
         add_scaled(terms, part.terms)
     return AlgElement(presentation, terms) if terms else presentation.zero
-
-
-def identity_matrix(presentation, n):
-    return MapMatrix.diagonal([Identity(presentation)] * n)
 
 
 def bullet(amat, bmat):

@@ -19,8 +19,7 @@ the inverses of its diagonal entries by linmap.free_pair, two calls of
 one memoised transpose-inverse.  verify_free re-derives every assumed
 identity (relations respected, both inverse pairs) and reports failures
 with witnesses instead of raising; inverse_identities is the one sweep of
-the inverse pairs over a list of words.  The untwisted case is sigma =
-linmap.identity_matrix.
+the inverse pairs over a list of words.
 """
 from __future__ import annotations
 

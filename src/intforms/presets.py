@@ -37,7 +37,6 @@ __all__ = [
     "REGISTRY",
     "get_preset",
     "load_calc",
-    "preset_names",
     "resolve_target",
 ]
 
@@ -427,10 +426,6 @@ def _registry():
 
 
 REGISTRY = _registry()
-
-
-def preset_names():
-    return tuple(REGISTRY)
 
 
 def get_preset(name):

@@ -39,12 +39,6 @@ class CheckReport:
                 return check["name"] if witness is None else f"{check['name']}: {witness}"
         return None
 
-    def raise_first(self, error):
-        """Raise the exception class error with the first failure, if any."""
-        message = self.first_failure()
-        if message is not None:
-            raise error(message)
-
     def __repr__(self):
         counts = "".join(f", {n} {name}" for name, n in self.counts.items())
         return (

@@ -28,8 +28,9 @@ tuples only on the way to the fraction form, for printing and for
 evaluation, so everything a caller reads is in exponent tuples.  Printing
 moves negative exponents into the denominator, so 1/q^(2**30) and values
 whose exponents in one parameter spread over more than the range print a
-power outside it, and that text does not parse back.  A monomial's power
-whose coefficient would exceed 2**20 bits raises CoefficientTooLarge.
+power outside it, and that text does not parse back.  A power over 2**20
+bits raises CoefficientTooLarge before it is taken: a monomial's by its
+coefficient, a sum's by an estimate of its terms times their bits.
 
 Sums, products, integer powers and division by a monomial of Laurent values
 stay in the dict.  Division by a non-monomial and anything involving a true
@@ -54,13 +55,13 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, neg, sub
 
 _DIGIT = 32  # bits of packed exponent per parameter
 _LIMIT = 1 << 30  # exponents lie in [-_LIMIT, _LIMIT)
 _MASK = (1 << _DIGIT) - 1
-_COEFF_BITS = 1 << 20  # bound on the coefficient of a monomial's power
+_COEFF_BITS = 1 << 20  # bound on the bits of a power
 
 
 class PoleAtAssignment(ArithmeticError):
@@ -72,7 +73,7 @@ class ExponentOutOfRange(ValueError):
 
 
 class CoefficientTooLarge(ValueError):
-    """A power of a monomial would have a coefficient over 2**20 bits."""
+    """A power would have a coefficient, or a sum of them, over 2**20 bits."""
 
 
 def _check_names(names):
@@ -235,11 +236,14 @@ class ScalarContext:
 
     def _power(self, terms, n):
         # the n-th power of a Laurent dict, n >= 1.  Its extreme exponents
-        # in each parameter are n times the operand's, so the bound is
+        # in each parameter are n times the operand's, so the bounds are
         # checked before the first product.
+        if not terms:
+            return {}
         columns = list(zip(*map(self._unpack, terms)))
         self._pack(tuple(min(column) * n for column in columns))
         self._pack(tuple(max(column) * n for column in columns))
+        _check_power_size(columns, terms.values(), n)
         return _power(terms, n, self._mul)
 
     def _from_fraction(self, numer, denom):
@@ -385,6 +389,8 @@ class ScalarRF:
         numer, denom = self._fraction()
         if n < 0:
             numer, denom, n = denom, numer, -n
+        for part in (numer, denom):
+            _check_power_size(list(zip(*part)), part.values(), n)
         return self.context._from_fraction(_power(numer, n, _mul), _power(denom, n, _mul))
 
     def __neg__(self):
@@ -538,6 +544,19 @@ def _add(a, b):
         else:
             out[exps] = total
     return out
+
+
+def _check_power_size(columns, coeffs, n):
+    # the n-th power of t terms has at most C(n + t - 1, t - 1) terms, and
+    # at most n * s + 1 exponents in a parameter whose exponents span s.
+    # With L the lcm of the coefficients' denominators, each of its
+    # coefficients is an integer under (L * sum |c|)^n over L^n.
+    t = len(coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    bits = n * (int(den * sum(map(abs, coeffs))).bit_length() + den.bit_length() - 1)
+    count = min(comb(n + t - 1, t - 1), prod(n * (max(c) - min(c)) + 1 for c in columns))
+    if count * bits > _COEFF_BITS:
+        raise CoefficientTooLarge(f"a {t}-term sum to the {n} has over 2^20 bits")
 
 
 def _power(terms, n, mul):

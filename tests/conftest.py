@@ -68,6 +68,11 @@ def make_sl2_presentation(ctx):
     )
 
 
+def identity_map(pres):
+    """The identity endomorphism: the algebra map fixing every generator."""
+    return AlgebraMap(pres, {g: pres.gen(g) for g in pres.generators})
+
+
 def make_qplane_tmd(pres):
     ctx = pres.context
     q, p = ctx.parameter("q"), ctx.parameter("p")

@@ -230,14 +230,14 @@ sys.exit(status)
 """
 
 
-def test_huge_coefficient_power_is_a_config_error(tmp_path):
-    # 2^(2^30 - 1) would be a 2^30-bit coefficient; the power is refused
-    # before it is taken.  A child process under a 1 GiB address-space
-    # limit, so a regression fails or times out instead of holding this one
+def _assert_power_is_refused_in_a_child(tmp_path, coefficient):
+    # verify qplane with its relation coefficient replaced, in a child
+    # process under a 1 GiB address-space limit, so a regression fails or
+    # times out instead of holding this one
     source = REGISTRY["qplane"].source.replace(
-        "relation: y*x = q^-1 * x*y", "relation: y*x = (2*q)^1073741823 * x*y"
+        "relation: y*x = q^-1 * x*y", f"relation: y*x = {coefficient} * x*y"
     )
-    assert "(2*q)^1073741823" in source
+    assert coefficient in source
     path = tmp_path / "huge.calc"
     path.write_text(source)
     proc = subprocess.run(
@@ -252,6 +252,18 @@ def test_huge_coefficient_power_is_a_config_error(tmp_path):
     *message, elapsed = proc.stderr.strip().splitlines()
     assert message[0].startswith("error:") and "over 2^20 bits" in message[0]
     assert float(elapsed.split()[1]) < 1.0
+
+
+def test_huge_coefficient_power_is_a_config_error(tmp_path):
+    # 2^(2^30 - 1) would be a 2^30-bit coefficient; the power is refused
+    # before it is taken
+    _assert_power_is_refused_in_a_child(tmp_path, "(2*q)^1073741823")
+
+
+def test_huge_power_of_a_sum_is_a_config_error(tmp_path):
+    # about 10^5 terms of up to 1.6 * 10^5 bits each; squaring up to it
+    # would take days, so the size is estimated and refused first
+    _assert_power_is_refused_in_a_child(tmp_path, "(q + 2)^100000")
 
 
 def test_module_entry_point():

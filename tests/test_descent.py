@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from intforms import descent, dga, ncalg, suites
 from intforms.descent import (
     BHomForm,
-    CrossCheckFailed,
     SphereData,
     check_sphere_ladder,
     fhat_crosscheck,
@@ -22,7 +21,6 @@ from intforms.descent import (
     nabla_coH_1,
     psi,
     psi_inv,
-    sphere_d,
     sphere_fixtures,
     sphere_flatness,
     theta,
@@ -30,7 +28,7 @@ from intforms.descent import (
 )
 from intforms.dga import FormElement
 from intforms.homconn import DegreeMismatch
-from intforms.integrals import SquareFails, sl2_lambda
+from intforms.integrals import sl2_lambda
 from intforms.ncalg import TensorElement, coproduct, zdegree
 from intforms.presets import load_calc
 
@@ -303,7 +301,7 @@ def test_dual_basis_route_equals_the_sweedler_route(sphere, data):
     letter_values = (f.value_on_plus(None), f.value_on_minus(None))
     fixtures = sphere_fixtures(sphere.presentation)
     for squares in (
-        sphere._sweedler_squares(),
+        sphere._sweedler_squares,
         (fixtures["alpha^2"], fixtures["delta^2"]),
     ):
         fhat = descent._fhat_values(sphere, f, squares)
@@ -362,46 +360,49 @@ def test_crosscheck_reports_broken_weights(sl2_3d_calc):
     report = fhat_crosscheck(bad, 0)
     assert not report.ok
     assert any("determinant" in c["name"] for c in report.failures)
-    with pytest.raises(CrossCheckFailed):
-        fhat_crosscheck(bad, 0).raise_first(CrossCheckFailed)
+    assert report.first_failure().startswith(report.failures[0]["name"])
 
 
 def test_sphere_d_values(sphere, sl2):
     alpha, beta, gamma, delta = corners(sl2)
+    spec = sphere.spec
     q = sphere.q
+
+    def d(x, y):
+        # d of the one-form x*minus + y*plus, with left coefficients x, y
+        terms = {(sphere.minus,): x, (sphere.plus,): y}
+        return dga.d(spec, FormElement(spec, 1, {w: c for w, c in terms.items() if c}))
+
     x = alpha * alpha
     y = (-(q * q)) * (beta * beta)
     # the one-form with these coefficients is exact, so its d vanishes
-    assert sphere_d(sphere, x, y) == sl2.zero
+    assert d(x, y).is_zero()
     frozen = (-(1 + q * q)) * (beta * alpha)
-    assert sphere_d(sphere, x, sl2.zero) == frozen
-    assert sphere_d(sphere, x, sl2.zero) == sphere.spec.tmd.partial(x)[sphere.plus]
-    assert sphere_d(sphere, sl2.zero, sl2.zero) == sl2.zero
-    with pytest.raises(DegreeMismatch):
-        sphere_d(sphere, alpha, sl2.zero)
-    with pytest.raises(DegreeMismatch):
-        sphere_d(sphere, x, alpha)
+    assert spec.tmd.partial(x)[sphere.plus] == frozen
+    word = (sphere.minus, sphere.plus)
+    assert d(x, sl2.zero) == FormElement(spec, 2, {word: (-(q * q)) * frozen})
+    assert d(sl2.zero, sl2.zero).is_zero()
 
 
 def test_sphere_d_matches_ambient_differential(sphere, sl2):
     """On sphere one-forms the ambient d has a single basis coefficient.
 
-    The vertical components must cancel, and the surviving coefficient is
-    sphere_d up to the sign and scale of rewriting the wedge into the
-    stored basis word.
+    The vertical components must cancel.  On the wedge of plus and minus
+    the surviving coefficient of d(x*minus + y*plus) is
+    partial(x)[plus] - q^-2 partial(y)[minus]; the stored basis word runs
+    the other way round and differs by -q^2.
     """
     rng = random.Random(3)
     spec = sphere.spec
+    partial = spec.tmd.partial
     q = sphere.q
     word = (sphere.minus, sphere.plus)
     for gen in sphere.module_generators:
         omega = gen * invariant_sample(sl2, rng)
         x = omega.terms.get((sphere.minus,), sl2.zero)
         y = omega.terms.get((sphere.plus,), sl2.zero)
-        want = FormElement(
-            spec, 2, {word: (-(q * q)) * sphere_d(sphere, x, y)}
-        )
-        assert dga.d(spec, omega) == want
+        wedge = partial(x)[sphere.plus] - (q**-2) * partial(y)[sphere.minus]
+        assert dga.d(spec, omega) == FormElement(spec, 2, {word: (-(q * q)) * wedge})
 
 
 def test_evaluation_guards(sphere, sl2_3d_calc):
@@ -485,8 +486,7 @@ def test_ladder_corruption_fails_before_squares(sl2_3d_calc):
     assert not report.ok
     assert report.counts["squares"] == 0
     assert any(not c["ok"] for c in report.checks)
-    with pytest.raises(SquareFails, match="determinant"):
-        check_sphere_ladder(bad, 3).raise_first(SquareFails)
+    assert "determinant" in report.first_failure()
 
 
 def test_lambda_integrates_the_descended_connection(sphere):
@@ -568,11 +568,11 @@ def test_lifted_connection_equals_the_contraction_route(sphere, sl2):
 
 def test_wedge_table_leaves_a_corrupted_weight_to_the_determinant(sl2_3d_calc):
     bad = SphereData(sl2_3d_calc)
-    table = bad._generator_wedges()
+    table = bad._generator_wedges
     assert nabla_coH_1(bad, bad.top_dual()).is_zero()
     q = bad.q
     bad.plus_weights = (bad.plus_weights[0], q**-3, bad.plus_weights[2])
-    assert bad._generator_wedges() is table
+    assert bad._generator_wedges is table
     for report in (sphere_flatness(bad), check_sphere_ladder(bad, 3), fhat_crosscheck(bad, 0)):
         assert not report.ok
         assert report.failures[0]["name"].startswith("quantum determinant")

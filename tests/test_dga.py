@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from intforms import cli, dga, linmap
 from intforms.dga import CalculusSpec, DegreeOverflow, check_d_squared, check_density
 from intforms.homconn import twisted_partial
-from intforms.linmap import Identity, identity_matrix
+from intforms.linmap import MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import RuleOrientationError
 
 from intforms.sparse import add_scaled
 
 from conftest import (
+    identity_map,
     make_qplane_calculus,
     make_sl2_3d_calculus,
     qplane_form_rules,
@@ -617,8 +618,8 @@ def test_density_fails_for_zero_derivation(qplane):
     tmd = TwistedMultiDerivation(
         qplane,
         rows,
-        identity_matrix(qplane, 2),
-        diag_inverses=[Identity(qplane), Identity(qplane)],
+        MapMatrix.diagonal([identity_map(qplane)] * 2),
+        diag_inverses=[identity_map(qplane), identity_map(qplane)],
     )
     spec = CalculusSpec(
         tmd,

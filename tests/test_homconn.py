@@ -1,11 +1,10 @@
 """Hom-forms and the hom-connection on the two reference calculi: dual
 pairing, module structure, published connection values, curvature with a
-corrupted-constant negative control, gauge transforms, and the table-read
-evaluations against their generic definitions."""
+corrupted-constant negative control, and the table-read evaluations against
+their generic definitions."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +15,9 @@ from intforms.dga import FormElement
 from intforms.homconn import (
     DegreeMismatch,
     HomForm,
-    NotAUnit,
     curvature,
     dual_basis,
     dual_form,
-    gauge_transform,
     hom_apply,
     hom_mul_form,
     hom_right_act,
@@ -308,56 +305,6 @@ def test_corrupted_connection_detected(sl2, sl2_3d_tmd, sl2_3d_calc):
     assert bad_nabla(xip) * alpha + xip(dga.d(spec, alpha)) == -beta
 
 
-# -- gauge transforms -------------------------------------------------------
-
-
-def test_gauge_scalar_units(qplane, qplane_calc):
-    ctx = qplane.context
-    q, p = ctx.parameter("q"), ctx.parameter("p")
-    rng = random.Random(40)
-    spec = qplane_calc
-    for _ in range(5):
-        f = HomForm(
-            spec, 1, {w: random_element(qplane, rng) for w in spec.basis(1)}
-        )
-        plain = nabla(spec, f)
-        assert gauge_transform(spec, 1, f) == plain
-        assert gauge_transform(spec, p**2 * q**-1, f) == plain
-        assert gauge_transform(spec, qplane.scalar(Fraction(3, 7)), f) == plain
-
-
-def test_gauge_leibniz(sl2, sl2_3d_calc):
-    q = sl2.context.parameter("q")
-    spec = sl2_3d_calc
-    rng = random.Random(41)
-    for _ in range(8):
-        f = HomForm(spec, 1, {rng.choice(spec.basis(1)): random_element(sl2, rng)})
-        a = random_element(sl2, rng, max_len=2)
-        lhs = gauge_transform(spec, q**2, f * a)
-        rhs = gauge_transform(spec, q**2, f) * a + f(dga.d(spec, a))
-        assert lhs == rhs
-
-
-def test_gauge_guards(qplane, qplane_calc):
-    f = dual_form(qplane_calc, "dx")
-    with pytest.raises(NotAUnit):
-        gauge_transform(qplane_calc, qplane.gen("x"), f)
-    with pytest.raises(NotAUnit):
-        gauge_transform(qplane_calc, qplane.zero, f)
-    with pytest.raises(NotAUnit):
-        gauge_transform(qplane_calc, 2 * qplane.one, f, u_inv=qplane.one)
-    two = 2 * qplane.one
-    half = qplane.scalar(Fraction(1, 2))
-    assert gauge_transform(qplane_calc, two, f, u_inv=half) == nabla(qplane_calc, f)
-
-
-def test_gauge_zero_is_not_a_unit(qplane, qplane_calc):
-    f = dual_form(qplane_calc, "dx")
-    for zero in (0, qplane.zero):
-        with pytest.raises(NotAUnit, match="zero is not a unit"):
-            gauge_transform(qplane_calc, zero, f)
-
-
 # -- hom-forms of another calculus ------------------------------------------
 
 
@@ -371,7 +318,6 @@ def test_foreign_hom_forms_are_rejected(qplane, qplane_calc, sl2_3d_calc):
         lambda: hom_apply(spec, one, spec.basis_form("dx")),
         lambda: hom_right_act(spec, one, qplane.gen("x")),
         lambda: hom_mul_form(spec, two, spec.basis_form("dx")),
-        lambda: gauge_transform(spec, 1, one),
     )
     for call in calls:
         with pytest.raises(ValueError, match="same calculus"):

@@ -14,7 +14,6 @@ from intforms.integrals import (
     FiltrationViolated,
     LadderDiagram,
     NoPreimageUpToBound,
-    SquareFails,
     Truncation,
     check_ladder,
     check_lambda_annihilates,
@@ -23,10 +22,12 @@ from intforms.integrals import (
     sl2_lambda,
 )
 from intforms.linalg import LinearSystem
-from intforms.linmap import Identity, identity_matrix
+from intforms.linmap import MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import Presentation
 from intforms.scalars import ScalarContext
+
+from conftest import identity_map
 
 
 def make_free_line(partial_image=None, grading=None):
@@ -37,8 +38,8 @@ def make_free_line(partial_image=None, grading=None):
     tmd = TwistedMultiDerivation(
         pres,
         {"x": (image,)},
-        identity_matrix(pres, 1),
-        diag_inverses=[Identity(pres)],
+        MapMatrix.diagonal([identity_map(pres)]),
+        diag_inverses=[identity_map(pres)],
     )
     return CalculusSpec(tmd, ("dx",), {("dx", "dx"): {}}, top_degree=1)
 
@@ -139,7 +140,7 @@ def test_image_rank_order_invariant(sl2_3d_calc):
     trunc = Truncation(sl2_3d_calc, 3, degree=0)
     rows = []
     for i, w in trunc.columns():
-        value = trunc.block_image(i, w)
+        value = trunc._block_image(i, w)
         if value:
             rows.append(dict(value.terms))
     rng = random.Random(5)
@@ -158,7 +159,7 @@ def test_image_rank_order_invariant(sl2_3d_calc):
 def test_filtration_violation():
     spec = make_free_line(lambda pres: pres.gen("x") ** 2)
     with pytest.raises(FiltrationViolated):
-        Truncation(spec, 2).image(0, ("x", "x"))
+        Truncation(spec, 2)._image(0, (0, 0))
 
 
 def test_mixed_degree_violation():
@@ -166,7 +167,7 @@ def test_mixed_degree_violation():
         lambda pres: pres.one + pres.gen("x") ** 2, grading={"x": 1}
     )
     with pytest.raises(FiltrationViolated):
-        Truncation(spec, 3, degree=2).block_image(0, ("x",))
+        Truncation(spec, 3, degree=2)._block_image(0, (0,))
 
 
 # -- integral classes --------------------------------------------------------
@@ -297,8 +298,7 @@ def test_ladder_broken_vertical(qplane, qplane_calc):
     assert not report.ok
     witness = report.failures[0]
     assert witness["lhs"] != witness["rhs"]
-    with pytest.raises(SquareFails):
-        check_ladder(bad, 2).raise_first(SquareFails)
+    assert report.first_failure().startswith(witness["name"])
 
 
 def test_ladder_vertical_escaping_the_window(qplane, qplane_calc):

@@ -12,7 +12,6 @@ from intforms.linmap import (
     AlgebraMap,
     DiagonalNotInvertible,
     GradeScale,
-    Identity,
     MapMatrix,
     MatrixEntry,
     NotTriangular,
@@ -20,13 +19,12 @@ from intforms.linmap import (
     Zero,
     bullet,
     free_pair,
-    identity_matrix,
     is_identity_on_words,
     transpose_inverse,
 )
 from intforms.ncalg import AlgElement, GradingAbsent, Presentation
 
-from conftest import make_qplane_presentation
+from conftest import identity_map, make_qplane_presentation
 
 
 def _table(mat, words):
@@ -37,7 +35,7 @@ def _table(mat, words):
 def test_basic_nodes(qplane):
     q = qplane.context.parameter("q")
     x, y = qplane.gen("x"), qplane.gen("y")
-    ident = Identity(qplane)
+    ident = identity_map(qplane)
     assert ident.apply(x * y - 2 * y) == x * y - 2 * y
     assert Zero(qplane).apply(x) == qplane.zero
     swap = AlgebraMap(qplane, {"x": q * y, "y": x}, name="swap")
@@ -130,7 +128,7 @@ def test_matrix_kinds(qplane, qplane_tmd):
     assert qplane_tmd.sigma.kind == "upper_triangular"
     assert qplane_tmd.sigma_bar.kind == "lower_triangular"
     assert qplane_tmd.sigma_hat.kind == "upper_triangular"
-    assert identity_matrix(qplane, 2).kind == "diagonal"
+    assert MapMatrix.diagonal([identity_map(qplane)] * 2).kind == "diagonal"
     assert qplane_tmd.sigma.transpose().kind == "lower_triangular"
     x, y = qplane.gen("x"), qplane.gen("y")
     with pytest.raises(SizeMismatch):
@@ -149,7 +147,7 @@ def test_entries_are_shared_zeros_and_views(qplane, qplane_tmd, sl2_3d_tmd):
     assert isinstance(entry, MatrixEntry) and not hasattr(entry, "_memo")
     for word in qplane.normal_words(3):
         assert entry.on_word(word) is bar.on_word(word)[1][0]
-    diag = identity_matrix(qplane, 3)
+    diag = MapMatrix.diagonal([identity_map(qplane)] * 3)
     assert [isinstance(e, Zero) for e in diag.entries[0]] == [False, True, True]
     # a diagonal slot of a diagonal matrix or of an inverse holds its map
     assert all(isinstance(sl2_3d_tmd.sigma.entries[i][i], GradeScale) for i in range(3))
@@ -170,12 +168,12 @@ def test_multiplicative_matrix_on_words(qplane, qplane_tmd):
 
 def test_bullet_identity_and_shapes(qplane, qplane_tmd):
     sigma = qplane_tmd.sigma
-    ident = identity_matrix(qplane, 2)
+    ident = MapMatrix.diagonal([identity_map(qplane)] * 2)
     words = qplane.normal_words(3)
     assert _table(bullet(sigma, ident), words) == _table(sigma, words)
     assert _table(bullet(ident, sigma), words) == _table(sigma, words)
     with pytest.raises(SizeMismatch):
-        bullet(sigma, identity_matrix(qplane, 3))
+        bullet(sigma, MapMatrix.diagonal([identity_map(qplane)] * 3))
 
 
 def test_bullet_is_entrywise_composition(qplane, qplane_tmd):
@@ -255,18 +253,18 @@ def test_transpose_inverse_rejects(qplane, qplane_tmd):
     general = bullet(sigma, sigma.transpose())
     assert general.kind == "general"
     with pytest.raises(NotTriangular):
-        transpose_inverse(general, [Identity(qplane), Identity(qplane)])
-    bad_inv = [Identity(qplane), Identity(qplane)]
+        transpose_inverse(general, [identity_map(qplane), identity_map(qplane)])
+    bad_inv = [identity_map(qplane), identity_map(qplane)]
     with pytest.raises(DiagonalNotInvertible):
         transpose_inverse(sigma, bad_inv)
 
 
 def test_single_generator_trivial_inverse(qctx):
     pres = Presentation(qctx, generators=("t",))
-    sigma = MapMatrix.diagonal([Identity(pres)])
-    bar = transpose_inverse(sigma, [Identity(pres)])
+    sigma = MapMatrix.diagonal([identity_map(pres)])
+    bar = transpose_inverse(sigma, [identity_map(pres)])
     assert bar.on_word(pres.word("t"))[0][0] == pres.gen("t")
-    hat = transpose_inverse(bar, [Identity(pres)])
+    hat = transpose_inverse(bar, [identity_map(pres)])
     assert hat.on_word(pres.word("t", "t"))[0][0] == pres.gen("t") ** 2
 
 

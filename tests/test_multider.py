@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from intforms.linmap import Identity, MapMatrix, identity_matrix
+from intforms.linmap import MapMatrix
 from intforms.multider import (
     SigmaNotDiagonal,
     TwistedMultiDerivation,
@@ -18,6 +18,7 @@ from intforms.multider import (
 from intforms.ncalg import MIXED
 
 from conftest import (
+    identity_map,
     make_qplane_presentation,
     make_qplane_tmd,
     make_sl2_3d_tmd,
@@ -221,16 +222,16 @@ def test_detect_q_skew_requires_diagonal(qplane_tmd):
 
 
 def test_detect_q_skew_untwisted(qplane):
-    sigma = identity_matrix(qplane, 2)
+    sigma = MapMatrix.diagonal([identity_map(qplane)] * 2)
     rows = {"x": (qplane.one, qplane.zero), "y": (qplane.zero, qplane.one)}
-    tmd = TwistedMultiDerivation(qplane, rows, sigma, [Identity(qplane)] * 2)
+    tmd = TwistedMultiDerivation(qplane, rows, sigma, [identity_map(qplane)] * 2)
     ones = detect_q_skew(tmd)
     assert ones == [qplane.context.one] * 2
 
 
 def test_row_validation(qplane):
-    inverses = [Identity(qplane)] * 2
-    sigma = identity_matrix(qplane, 2)
+    inverses = [identity_map(qplane)] * 2
+    sigma = MapMatrix.diagonal([identity_map(qplane)] * 2)
     with pytest.raises(ValueError):
         TwistedMultiDerivation(qplane, {"x": (qplane.one,)}, sigma, inverses)
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from intforms.presets import (
     REGISTRY,
     get_preset,
     load_calc,
-    preset_names,
     resolve_target,
 )
 
@@ -26,7 +25,7 @@ relation: v*u = q * u*v
 
 
 def test_registry_names_exactly_four():
-    assert preset_names() == ("qplane", "sl2-3d", "podles-sphere", "matrix-m2")
+    assert tuple(REGISTRY) == ("qplane", "sl2-3d", "podles-sphere", "matrix-m2")
 
 
 def test_registry_kinds_and_loads():

@@ -13,7 +13,13 @@ from sympy.polys.rings import ring
 
 from intforms import scalars
 from intforms.ncalg import AlgElement
-from intforms.scalars import ExponentOutOfRange, PoleAtAssignment, ScalarContext, ScalarRF
+from intforms.scalars import (
+    CoefficientTooLarge,
+    ExponentOutOfRange,
+    PoleAtAssignment,
+    ScalarContext,
+    ScalarRF,
+)
 
 _BOUND = 2**30  # Laurent exponents lie in [-_BOUND, _BOUND)
 
@@ -685,6 +691,30 @@ def test_keys_pack_the_exponent_tuples(qctx, qpctx):
     for exps in [(_BOUND, 0), (0, _BOTTOM - 1)]:
         with pytest.raises(ExponentOutOfRange, match=r"outside \[-2\^30, 2\^30\)"):
             qpctx._pack(exps)
+
+
+def test_powers_over_2_to_the_20_bits_are_refused(qctx):
+    q = qctx.parameter("q")
+    # a monomial: the bits of its coefficient times |n|, 2 * 2^19 = 2^20
+    assert (2 * q) ** (2**19) == 2 ** (2**19) * q ** (2**19)
+    assert (2 * q) ** -(2**19) == q ** -(2**19) / 2 ** (2**19)
+    for n in (2**19 + 1, -(2**19) - 1):
+        with pytest.raises(CoefficientTooLarge, match=r"over 2\^20 bits"):
+            (2 * q) ** n
+    # a sum: (q + 2)^n has n + 1 terms of at most 2n bits each (3^n < 4^n),
+    # so the estimate 2n(n + 1) passes 2^20 between n = 723 and 724
+    big = (q + 2) ** 723
+    assert len(big.numer_terms()) == 724 and big.evaluate({"q": 1}) == 3**723
+    for n in (724, -724, 100_000):
+        with pytest.raises(CoefficientTooLarge, match=r"over 2\^20 bits"):
+            (q + 2) ** n
+    # a fraction, each part on its own: the denominator of
+    # ((q + 1)/(q^2 + 3))^n has n + 1 terms of 3n bits, 3n(n + 1) > 2^20 from 591
+    ratio = (q + 1) / (q**2 + 3)
+    assert (ratio**590).evaluate({"q": 1}) == Fraction(1, 2**590)
+    for n in (591, -591):
+        with pytest.raises(CoefficientTooLarge, match=r"over 2\^20 bits"):
+            ratio**n
 
 
 # -- products with one ----------------------------------------------------------
