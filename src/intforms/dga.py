@@ -33,10 +33,10 @@ nabla(f) b + f(db) for f supported on omega_m, and sum over m with
 sum_m sigma-bar_mi o sigma-hat_mj = delta_ij), so it keeps rows on
 normal words as partial does (`multider`).
 
-Beside it, `CalculusSpec._signed_d` holds what the level-n hom-connection
-(`homconn.nabla_n`) reads for each basis n-word e besides `reduce_word`:
-the right coordinates of (-1)^(n+1) d e.  They depend on e only, so
-they are built once, on first use.
+Beside it, `CalculusSpec._signed_d` holds the right coordinates of
+(-1)^(n+1) d e for each basis n-word e (`signed_d`), built once, on first
+use.  `homconn.nabla_n` and the ladder's Leibniz rule for d(e*a)
+(`integrals.check_ladder`) pair them with the scalars of `reduce_word`.
 """
 
 from __future__ import annotations
@@ -82,8 +82,7 @@ class CalculusSpec:
     The maps behind each kind are linear over the scalars, so one entry per
     normal word serves every coefficient, and the table grows with the
     words reached, never with the coefficients.  `_signed_d` maps a basis
-    n-word e to the right coordinates of (-1)^(n+1) d e, which
-    `homconn.nabla_n` reads.
+    n-word e to the right coordinates of (-1)^(n+1) d e (`signed_d`).
     """
 
     def __init__(
@@ -516,6 +515,19 @@ def _d_word(spec, word):
             )
         spec._dword_memo[word] = hit
     return hit
+
+
+def signed_d(spec, e):
+    """Right coordinates of (-1)^(n+1) d e for the basis n-word e, from
+    the spec's table, built on first use."""
+    entry = spec._signed_d.get(e)
+    if entry is None:
+        sign = spec.context.coerce((-1) ** (len(e) + 1))
+        entry = spec._signed_d[e] = {
+            w: {u: sign * s for u, s in terms.items()}
+            for w, terms in _right_terms(spec, _d_word(spec, e)).items()
+        }
+    return entry
 
 
 def check_d_squared(spec, length_bound):

@@ -20,10 +20,9 @@ sum_m bar_mi o hat_mj = delta_ij.  So its rows on normal words extend
 like partial's (`multider`).  Its
 level-n extension, e -> nabla(f*e) + (-1)^(n+1) f(d e), reads the
 scalar coordinates of the basis products e.(i,) from `spec.reduce_word`
-and the right coordinates of the signed d e from the spec's table
-`CalculusSpec._signed_d`, built once per basis word.  So a call costs
-the scalar products that combine them with f's values, and no form
-product or differential.
+and the right coordinates of the signed d e from `dga.signed_d`, built
+once per basis word.  So a call costs the scalar products that combine
+them with f's values, and no form product or differential.
 """
 
 from __future__ import annotations
@@ -213,25 +212,12 @@ def nabla(spec, f):
     return AlgElement(spec.presentation, out)
 
 
-def _signed_d(spec, e):
-    """Right coordinates of (-1)^(n+1) d e for the basis n-word e, from
-    the spec's table, built on first use."""
-    entry = spec._signed_d.get(e)
-    if entry is None:
-        sign = spec.context.coerce((-1) ** (len(e) + 1))
-        entry = spec._signed_d[e] = {
-            w: {u: sign * s for u, s in terms.items()}
-            for w, terms in dga._right_terms(spec, dga._d_word(spec, e)).items()
-        }
-    return entry
-
-
 def nabla_n(spec, n, f):
     """Level-n extension: values e -> nabla(f*e) + (-1)^(n+1) f(d e).
 
     A basis word e has coefficient 1, and sigma(1) = sigma-bar(1) = id, so
     (f*e)(i) = f(e.(i,)) = sum_b r_b*f(b) over the scalar coordinates r_b
-    of e.(i,) (`spec.reduce_word`), and d(1*e) is d e (`_signed_d`).
+    of e.(i,) (`spec.reduce_word`), and d(1*e) is d e (`dga.signed_d`).
     """
     _check_hom(spec, f)
     if not 1 <= n < spec.top_degree:
@@ -253,7 +239,7 @@ def nabla_n(spec, n, f):
                 if fv:
                     add_scaled(lowered, fv.terms, r)
             _kernel(spec, i, lowered, out)
-        terms = _pair(pres, f, _signed_d(spec, e), out)
+        terms = _pair(pres, f, dga.signed_d(spec, e), out)
         if terms:
             values[e] = AlgElement(pres, terms)
     return HomForm._unchecked(spec, n, values)

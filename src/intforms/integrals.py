@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import dga
 from .homconn import HomForm, dual_basis, nabla, nabla_n, twisted_partial
 from .linalg import LinearSystem
-from .ncalg import AlgElement, MIXED, zdegree
+from .ncalg import AlgElement, MIXED, mul_terms, zdegree
 from .report import CheckReport
 from .sparse import add_scaled
 
@@ -260,15 +260,18 @@ class LadderDiagram:
         self.spec = spec
         self.verticals = table
 
-    def apply(self, k, omega):
-        """V_k on a form of degree k >= 1, as V_k(e*r) = V_k(e)*r with the
-        right coefficients r from `dga.right_coords` (through sigma-bar)."""
+    def apply(self, k, coords):
+        """V_k on the form sum_b b*R_b of degree k >= 1, given by its right
+        coordinates {basis word b: term dict R_b}; right-linearity makes it
+        sum_b V_k(b)*R_b."""
         spec = self.spec
+        pres = spec.presentation
         terms = {}
-        for e, r in dga.right_coords(spec, omega).items():
-            add_scaled(terms, (self.verticals[k][e] * r).terms)
+        for b, r in coords.items():
+            if r:
+                add_scaled(terms, (self.verticals[k][b] * AlgElement(pres, r)).terms)
         if k == spec.top_degree:
-            return AlgElement(spec.presentation, terms)
+            return AlgElement(pres, terms)
         return HomForm._unchecked(spec, spec.top_degree - k, terms)
 
 
@@ -277,16 +280,37 @@ def _hom_vector(f):
             for u, c in value.terms.items()}
 
 
+def _d_right_mul(spec, e, a, da):
+    """Right coordinates of d(e*a) from those of d a, which they are at the
+    empty source (k = 0).  For a basis k-word e the graded Leibniz rule
+    gives d(e*a) = d(e)*a + (-1)^k e*da = (-1)^k (e*da - S_e*a), S_e being
+    (-1)^(k+1) d e in right coordinates (`dga.signed_d`), and e*omega_i*R =
+    sum_b r_b b*R over the scalars r_b of e.(i,).  Entries may be empty."""
+    if not e:
+        return da
+    sign = spec.context.coerce((-1) ** len(e))
+    out = {}
+    for (i,), terms in da.items():
+        for b, r in spec._reduce_word(e + (i,)).items():
+            add_scaled(out.setdefault(b, {}), terms, sign * r)
+    for b, terms in dga.signed_d(spec, e).items():
+        add_scaled(out.setdefault(b, {}), mul_terms(spec.presentation, terms, a.terms, {}), -sign)
+    return out
+
+
 def check_ladder(diagram, length_bound):
     """Walk every square on the windowed basis and rank the verticals.
 
     A square at level k compares V_(k+1)(d omega) with the level-(top-k-1)
     connection applied to V_k(omega), omega running over basis-word times
-    normal-word products.  Verticals are bijective on the window iff their
-    matrix rank matches both dimensions.  The report counts the squares and
-    holds one check per failing square (with its level, source, word, lhs
-    and rhs) followed by one check per vertical (with its level, rank,
-    domain and codomain).
+    normal-word products.  The upper leg (`_d_right_mul`) takes d(e*a) in
+    right coordinates by the graded Leibniz rule d(e*a) = (-1)^k (e*da -
+    S_e*a), S_e the right coordinates of (-1)^(k+1) d e, with those of d a
+    built once per window word.  Verticals are bijective on the window iff
+    their matrix rank matches both dimensions.  The report counts the
+    squares and holds one check per failing square (with its level, source,
+    word, lhs and rhs) followed by one check per vertical (with its level,
+    rank, domain and codomain).
     """
     spec = diagram.spec
     pres = spec.presentation
@@ -294,12 +318,13 @@ def check_ladder(diagram, length_bound):
     words = pres.normal_words(length_bound)
     report = CheckReport(squares=0)
     ranks = []
+    # right coordinates of d a, one per window word, shared by every source
+    d_words = {w: dga._right_terms(spec, dga.d(spec, pres._monomial(w))) for w in words}
     for k in range(top + 1):
         sources = ((),) if k == 0 else spec.basis(k)
         level = top - k - 1
         system = LinearSystem()
         for e in sources:
-            form_e = spec.basis_form(e) if 0 < k < top else None
             for w in words:
                 a = pres._monomial(w)
                 # right-linearity: V_k(e*a) = V_k(e)*a, the square's lower
@@ -317,11 +342,7 @@ def check_ladder(diagram, length_bound):
                     system.add(vector)
                 if k == top:
                     continue
-                if k == 0:
-                    d_omega = dga.d(spec, a)
-                else:
-                    d_omega = dga.d(spec, dga.right_mul(spec, form_e, a))
-                lhs = diagram.apply(k + 1, d_omega)
+                lhs = diagram.apply(k + 1, _d_right_mul(spec, e, a, d_words[w]))
                 rhs = nabla(spec, below) if level == 0 else nabla_n(spec, level, below)
                 report.counts["squares"] += 1
                 if lhs != rhs:

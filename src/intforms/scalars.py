@@ -244,7 +244,12 @@ class ScalarContext:
         self._pack(tuple(min(column) * n for column in columns))
         self._pack(tuple(max(column) * n for column in columns))
         _check_power_size(columns, terms.values(), n)
-        return _power(terms, n, self._mul)
+        # square-and-multiply on integers, times L, the lcm of the
+        # denominators; the result is divided by L^n once
+        den = lcm(*(c.denominator for c in terms.values()))
+        scaled = {z: c.numerator * (den // c.denominator) for z, c in terms.items()}
+        out, den = _power(scaled, n, self._mul), den**n
+        return out if den == 1 else {z: _reduce(Fraction(c, den)) for z, c in out.items()}
 
     def _from_fraction(self, numer, denom):
         # the value of a coprime fraction: back to the dict when the

@@ -2,9 +2,9 @@
 
 Each file in tests/golden is the JSON report of one CLI run with its
 `tool` field masked; the runs cover every preset at the defaults and at
-the fast test flags, plus a sign-flipped quantum plane whose failure
-witnesses the report must keep.  Regenerate all of them from the repo
-root with
+the fast test flags, the benchmark windows of the two presets with a
+ladder, and a sign-flipped quantum plane whose failure witnesses the
+report must keep.  Regenerate all of them from the repo root with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); import test_golden; test_golden.regenerate()"
 """
@@ -36,6 +36,8 @@ RUNS = {
     "matrix-fast": (["matrix", "verify", *FAST], 0),
     "matrix": (["matrix", "verify"], 0),
     "broken-qplane-fast": (["verify", BROKEN, *FAST], 1),
+    "sl2-3d-window": (["verify", "preset:sl2-3d", "--max-len", "6"], 0),
+    "qplane-window": (["verify", "preset:qplane", "--max-len", "12"], 0),
 }
 
 

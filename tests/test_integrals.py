@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from intforms import dga
 from intforms.dga import CalculusSpec
 from intforms.homconn import HomForm, dual_form, nabla, nabla_n
 from intforms import integrals
@@ -25,6 +26,7 @@ from intforms.linalg import LinearSystem
 from intforms.linmap import MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import Presentation
+from intforms.presets import REGISTRY
 from intforms.scalars import ScalarContext
 
 from conftest import identity_map
@@ -339,3 +341,48 @@ def test_ladder_validation(qplane, qplane_calc):
                 {("dx", "dy"): qplane.one},
             ],
         )
+
+
+def _nonempty(coords):
+    return {b: terms for b, terms in coords.items() if terms}
+
+
+@pytest.mark.parametrize("name, bound, pairs", [("sl2-3d", 6, 980), ("qplane", 12, 273)])
+def test_leibniz_coordinates_match_the_form_product(name, bound, pairs):
+    # the ladder's right coordinates of d(e*a) against the differential of
+    # the form product, on every source and window word of the benchmark
+    spec = REGISTRY[name].load().spec
+    pres = spec.presentation
+    sources = [()] + [e for k in range(1, spec.top_degree) for e in spec.basis(k)]
+    seen = 0
+    for w in pres.normal_words(bound):
+        a = pres._monomial(w)
+        da = dga._right_terms(spec, dga.d(spec, a))
+        for e in sources:
+            omega = a if not e else dga.right_mul(spec, spec.basis_form(e), a)
+            want = _nonempty(dga._right_terms(spec, dga.d(spec, omega)))
+            assert _nonempty(integrals._d_right_mul(spec, e, a, da)) == want, (e, w)
+            seen += 1
+    assert seen == pairs
+
+
+@pytest.mark.parametrize("name, middle", [("qplane", 4), ("sl2-3d", 18)])
+def test_shipped_ladders_are_the_top_form_pairing(name, middle):
+    # Theta_k(e)(e') = (-1)^(k(n-k)) pi_top(e.e'), pi_top the coefficient of
+    # the top basis word; Theta_0(1) = dual(top) and Theta_n(top) = 1
+    bundle = REGISTRY[name].load()
+    spec, verticals = bundle.spec, bundle.ladder.verticals
+    pres = spec.presentation
+    n = spec.top_degree
+    (top,) = spec.basis(n)
+    assert verticals[0] == {(): dual_form(spec, top)}
+    assert verticals[n] == {top: pres.one}
+    checked = 0
+    for k in range(1, n):
+        sign = (-1) ** (k * (n - k))
+        for e in spec.basis(k):
+            for e2 in spec.basis(n - k):
+                theta = sign * spec.reduce_word(e + e2).get(top, 0)
+                assert verticals[k][e].value(e2) == pres.scalar(theta), (e, e2)
+                checked += 1
+    assert checked == middle

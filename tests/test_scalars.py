@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -715,6 +716,29 @@ def test_powers_over_2_to_the_20_bits_are_refused(qctx):
     for n in (591, -591):
         with pytest.raises(CoefficientTooLarge, match=r"over 2\^20 bits"):
             ratio**n
+
+
+def test_powers_of_sums_with_fraction_coefficients(qpctx):
+    q, p = qpctx.parameter("q"), qpctx.parameter("p")
+    fq, fp = _FIELD(_Q), _FIELD(_P)
+    cases = [
+        (q / 3 + 1, fq / 3 + 1, 7),
+        (q / 3 + p / 5 + 1, fq / 3 + fp / 5 + 1, 6),
+        (
+            Fraction(-2, 3) / q + Fraction(5, 4) * p**2 - q * p / 6,
+            -2 / (3 * fq) + 5 * fp**2 / 4 - fq * fp / 6,
+            5,
+        ),
+        (q / 2 + Fraction(3, 2), fq / 2 + _FIELD(3) / 2, 4),  # integral terms appear
+        (q / 3 + 2 * p, fq / 3 + 2 * fp, 1),
+    ]
+    for s, f, n in cases:
+        _assert_matches(s**n, f**n)
+    # one division by 3^500 at the end instead of a Fraction per term product
+    start = time.perf_counter()
+    big = (q / 3 + 1) ** 500
+    assert time.perf_counter() - start < 0.3
+    assert big.evaluate({"q": 3, "p": 1}) == 2**500
 
 
 # -- products with one ----------------------------------------------------------
