@@ -371,7 +371,8 @@ def _form_term_str(spec, word, coeff):
 
 
 def _push(matrix, word, a):
-    """Spread a over raw words: c on w goes to w + (k,) as matrix[k][letter](c).
+    """Spread a over raw words: c on w goes to w + (k,) as
+    matrix.entry(k, letter, c), the (k, letter) map applied to c.
 
     Right coefficients take sigma-bar and the word as written; the left push
     takes sigma^T and the word reversed, and comes out spelled backwards.
@@ -381,7 +382,7 @@ def _push(matrix, word, a):
         nxt = {}
         for w, c in raw.items():
             for k in range(matrix.n):
-                cc = matrix.entry(k, letter).apply(c)
+                cc = matrix.entry(k, letter, c)
                 if cc:
                     nxt[w + (k,)] = cc
         raw = nxt

@@ -1,20 +1,20 @@
 """Linear maps on a presented algebra and square matrices of them.
 
-A map is a linear endomorphism evaluated per word: a generator-image
-map, a grade scaling, the zero map, or one entry of a matrix.  A
-MapMatrix is its value on words: value(word) is the n x n tuple of the
-entries' images of the word.  Its kind records the triangular zero
-pattern; the slots the kind forces to vanish hold one shared Zero, so
-callers skip them at no cost.  Every other slot is a MatrixEntry view
-that reads the value, except that diagonal and transpose_inverse put the
-maps their diagonal is made of in the diagonal slots.
+A map is a linear endomorphism evaluated per word; the one kind built here
+is the algebra map given by its generator images.  A MapMatrix is its
+value on words: value(word) is the n x n tuple of the entries' images of
+the word, and entry(i, j, a) applies the (i, j) map to an element.  Its
+kind records the triangular zero pattern, and an entry in a slot the kind
+forces to vanish is presentation.zero without a look at the value.
 
-Only the two costly sources memoise per word: from_images (products of the
-generators' image matrices) and transpose_inverse, the one triangular
-substitution that builds the inverse pair of a free twisted
-multi-derivation (bar inverts sigma^T, and hat inverts bar^T by the same
-step).  transpose, diagonal and bullet, the product with entrywise
-composition, read through to the matrices and maps they are built from.
+A twist matrix sigma is an algebra map A -> M_n(A) and has one
+constructor, from_images: a word evaluates to the product of its letters'
+image matrices, and the products skip the slots the kind forces to vanish.
+transpose_inverse is the one triangular substitution that builds the
+inverse pair of a free twisted multi-derivation (bar inverts sigma^T, and
+hat inverts bar^T by the same step); both memoise per word.  transpose
+and bullet, the product with entrywise composition, read through to the
+matrices they are built from.
 
 Evaluation is defined on raw words, not only normal ones: a generator-image
 map multiplies images along the word as written.  Whether that descends to
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .ncalg import AlgElement, GradingAbsent
+from .ncalg import AlgElement
 from .sparse import add_scaled
 
 
@@ -81,41 +81,16 @@ class MapExpr:
             cached = self._memo[word] = self._eval_word(word)
         return cached
 
-    _on_word = on_word  # the memo path for a checked word; GradeScale checks first
-
     def apply(self, element):
         if element.presentation is not self.presentation:
             raise ValueError("element from a different presentation")
         terms = {}
         for word, coeff in element.terms.items():
-            add_scaled(terms, self._on_word(word).terms, coeff)
+            add_scaled(terms, self.on_word(word).terms, coeff)
         return AlgElement(self.presentation, terms)
 
     def _eval_word(self, word):
         raise NotImplementedError
-
-
-class Zero(MapExpr):
-    """The zero map: every value is the shared `presentation.zero`, so it
-    keeps no memo."""
-
-    __slots__ = ()
-
-    def __init__(self, presentation):
-        self.presentation = presentation
-
-    def on_word(self, word):
-        return self.presentation.zero
-
-    _on_word = on_word
-
-    def apply(self, element):
-        if element.presentation is not self.presentation:
-            raise ValueError("element from a different presentation")
-        return self.presentation.zero
-
-    def __repr__(self):
-        return "0"
 
 
 class AlgebraMap(MapExpr):
@@ -141,53 +116,6 @@ class AlgebraMap(MapExpr):
         return self.name or f"<AlgebraMap {len(self.images)} gens>"
 
 
-class GradeScale(MapExpr):
-    """a -> base^(exponent * |a|) a on homogeneous a, extended linearly."""
-
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, presentation, base, exponent):
-        if presentation.grading is None:
-            raise GradingAbsent("grade scaling needs a graded presentation")
-        super().__init__(presentation)
-        self.base = presentation.context.coerce(base)
-        if not self.base:
-            raise ValueError("grade scaling base must be invertible")
-        self.exponent = operator.index(exponent)  # TypeError for floats
-
-    def on_word(self, word):
-        # a raw word is checked here; apply and the matrices read _on_word
-        return self._on_word(self.presentation._coerce_word(word))
-
-    def _eval_word(self, word):
-        pres = self.presentation
-        degree = sum(pres.grading[g] for g in word)
-        return pres._monomial(word)._scaled(self.base ** (self.exponent * degree))
-
-    def __repr__(self):
-        return f"<GradeScale {self.base}^({self.exponent}*deg)>"
-
-
-class MatrixEntry(MapExpr):
-    """Entry (i, j) of a MapMatrix, read from the matrix's value; no memo."""
-
-    __slots__ = ("matrix", "i", "j")
-
-    def __init__(self, matrix, i, j):
-        self.presentation = matrix.presentation
-        self.matrix = matrix
-        self.i = i
-        self.j = j
-
-    def on_word(self, word):
-        return self.matrix.on_word(word)[self.i][self.j]
-
-    _on_word = on_word
-
-    def __repr__(self):
-        return f"<entry ({self.i},{self.j})>"
-
-
 # kind -> (the entries below the diagonal vanish, those above it vanish)
 KINDS = {
     "general": (False, False),
@@ -202,13 +130,10 @@ class MapMatrix:
     """Square matrix of maps, given by its value on words.
 
     value(word) is the n x n tuple whose entry (i, j) is the (i, j) map
-    applied to the word.  The kind flag records the structural zero pattern:
-    every slot the kind forces to vanish holds one shared Zero, every other
-    slot a MatrixEntry view of the value (or, see _with_diagonal, the map on
-    the diagonal).
+    applied to the word.  The kind records the structural zero pattern.
     """
 
-    __slots__ = ("presentation", "n", "kind", "value", "entries")
+    __slots__ = ("presentation", "n", "kind", "value")
 
     def __init__(self, presentation, n, kind, value):
         if kind not in KINDS:
@@ -217,14 +142,6 @@ class MapMatrix:
         self.n = n
         self.kind = kind
         self.value = value
-        zero = Zero(presentation)
-        self.entries = tuple(
-            tuple(
-                zero if i != j and KINDS[kind][i < j] else MatrixEntry(self, i, j)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
 
     @classmethod
     def from_images(cls, presentation, images):
@@ -240,28 +157,24 @@ class MapMatrix:
             raise SizeMismatch("generator image matrices must share one square size")
         kind = _kind_of(n, lambda i, j: all(m[i][j].is_zero() for m in table.values()))
         memo = {(): _diagonal(presentation, (presentation.one,) * n)}
-        times = functools.partial(_matrix_product, presentation)
+        times = functools.partial(_matrix_product, presentation, _live(n, kind, kind))
 
         def product(word):
             return _extend_prefix(memo, word, table, times)
 
         return cls(presentation, n, kind, product)
 
-    @classmethod
-    def diagonal(cls, maps):
-        """The diagonal matrix of maps, read through to them."""
-        maps = tuple(maps)
-        pres = maps[0].presentation
-        if any(m.presentation is not pres for m in maps):
-            raise ValueError("entry from a different presentation")
-
-        def value(word):
-            return _diagonal(pres, [m._on_word(word) for m in maps])
-
-        return _with_diagonal(cls(pres, len(maps), "diagonal", value), maps)
-
-    def entry(self, i, j):
-        return self.entries[i][j]
+    def entry(self, i, j, a):
+        """The (i, j) map applied to the element a."""
+        pres = self.presentation
+        if a.presentation is not pres:
+            raise ValueError("element from a different presentation")
+        if _vanishes(self.kind, i, j):
+            return pres.zero
+        terms = {}
+        for word, coeff in a.terms.items():
+            add_scaled(terms, self.on_word(word)[i][j].terms, coeff)
+        return AlgElement(pres, terms)
 
     def on_word(self, word):
         return self.value(word)
@@ -310,17 +223,21 @@ def _extend_prefix(memo, word, images, times):
     return value
 
 
-def _with_diagonal(mat, maps):
-    """mat with the maps as its diagonal entries, in place of views.
+def _vanishes(kind, i, j):
+    """Whether the kind forces entry (i, j) to vanish."""
+    return i != j and KINDS[kind][i < j]
 
-    Each map is the diagonal of mat's value, and reading it directly does not
-    build the whole value.
-    """
-    mat.entries = tuple(
-        tuple(maps[i] if i == j else e for j, e in enumerate(row))
-        for i, row in enumerate(mat.entries)
-    )
-    return mat
+
+def _live(n, akind, bkind):
+    """Slot (i, j) of a product A B -> the k for which the kinds force
+    neither A_ik nor B_kj to vanish; an empty list is a vanishing slot."""
+    return [
+        [
+            [k for k in range(n) if not _vanishes(akind, i, k) and not _vanishes(bkind, k, j)]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def _kind_of(n, is_zero):
@@ -339,11 +256,10 @@ def _diagonal(presentation, diag):
     return tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _matrix_product(presentation, a, b):
-    n = len(a)
+def _matrix_product(presentation, live, a, b):
     return tuple(
-        tuple(_total(presentation, (a[i][k] * b[k][j] for k in range(n))) for j in range(n))
-        for i in range(n)
+        tuple(_total(presentation, (a[i][k] * b[k][j] for k in ks)) for j, ks in enumerate(row))
+        for i, row in enumerate(live)
     )
 
 
@@ -364,19 +280,19 @@ def bullet(amat, bmat):
     if amat.presentation is not bmat.presentation:
         raise ValueError("matrices over different presentations")
     pres, n = amat.presentation, amat.n
-    a, b = amat.entries, bmat.entries
-    # slot (i, j) -> the k for which neither A_ik nor B_kj is Zero
-    live = [[k for k in range(n) if not isinstance(a[i][k], Zero)] for i in range(n)]
-    ks = [[[k for k in live[i] if not isinstance(b[k][j], Zero)] for j in range(n)] for i in range(n)]
+    live = _live(n, amat.kind, bmat.kind)
 
     def value(word):
         bw = bmat.on_word(word)
         return tuple(
-            tuple(_total(pres, (a[i][k].apply(bw[k][j]) for k in ks[i][j])) for j in range(n))
-            for i in range(n)
+            tuple(
+                _total(pres, (amat.entry(i, k, bw[k][j]) for k in ks))
+                for j, ks in enumerate(row)
+            )
+            for i, row in enumerate(live)
         )
 
-    return MapMatrix(pres, n, _kind_of(n, lambda i, j: not ks[i][j]), value)
+    return MapMatrix(pres, n, _kind_of(n, lambda i, j: not live[i][j]), value)
 
 
 def is_identity_on_words(mat, words):
@@ -401,10 +317,10 @@ def _check_diag_inverses(sigma, diag_inverses):
     if len(diag_inverses) != sigma.n:
         raise SizeMismatch("one diagonal inverse per row is required")
     for i, inv in enumerate(diag_inverses):
-        diag = sigma.entries[i][i]
         for g in range(len(pres.generators)):
             target = pres.monomial((g,))
-            if inv.apply(diag.on_word((g,))) != target or diag.apply(inv.on_word((g,))) != target:
+            image = sigma.entry(i, i, target)
+            if inv.apply(image) != target or sigma.entry(i, i, inv.apply(target)) != target:
                 raise DiagonalNotInvertible(
                     f"supplied inverse of diagonal entry {i} fails on "
                     f"generator {pres.generators[g]}"
@@ -435,37 +351,38 @@ def transpose_inverse(m, diag_inverses):
     pres = m.presentation
     n = m.n
     forward = m.kind != "lower_triangular"
-    # the off-diagonal slots in substitution order, with the m_ki to sum over
+    # the off-diagonal slots in substitution order, with the k to sum over
     steps = []
     for gap in range(1, n):
         for lo in range(n - gap):
             hi = lo + gap
             i, j = (hi, lo) if forward else (lo, hi)
-            ks = [
-                (m.entries[k][i], k)
-                for k in range(lo, hi + 1)
-                if k != i and not isinstance(m.entries[k][i], Zero)
-            ]
+            ks = [k for k in range(lo, hi + 1) if k != i and not _vanishes(m.kind, k, i)]
             if ks:
                 steps.append((i, j, ks))
 
     def value(word):
-        diag = [inv._on_word(word) for inv in diag_inverses]
+        diag = [inv.on_word(word) for inv in diag_inverses]
         x = [list(row) for row in _diagonal(pres, diag)]
         for i, j, ks in steps:
-            total = _total(pres, (mki.apply(x[k][j]) for mki, k in ks if x[k][j]))
+            total = _total(pres, (m.entry(k, i, x[k][j]) for k in ks if x[k][j]))
             if total:
                 x[i][j] = -diag_inverses[i].apply(total)
         return tuple(map(tuple, x))
 
     out = MapMatrix(pres, n, _transposed(m.kind), functools.cache(value))
-    _with_diagonal(out, diag_inverses)
     _verify_inverse_pair(out, m.transpose())
     return out
 
 
 def free_pair(sigma, diag_inverses):
-    """(bar, hat): bar inverts sigma^T, hat inverts bar^T by the same step."""
+    """(bar, hat): bar inverts sigma^T, hat inverts bar^T by the same step.
+
+    hat's diagonal inverses are sigma's diagonal entries, algebra maps
+    because sigma is a triangular algebra map.
+    """
     bar = transpose_inverse(sigma, diag_inverses)
-    hat = transpose_inverse(bar, [sigma.entries[i][i] for i in range(sigma.n)])
-    return bar, hat
+    pres = sigma.presentation
+    images = [sigma.on_word((g,)) for g in range(len(pres.generators))]
+    diag = [AlgebraMap(pres, {g: m[i][i] for g, m in enumerate(images)}) for i in range(sigma.n)]
+    return bar, transpose_inverse(bar, diag)

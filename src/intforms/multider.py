@@ -1,7 +1,7 @@
 """Right twisted multi-derivations.
 
 A multi-derivation is a row of n maps (partial_1 ... partial_n) together with
-a matrix sigma of maps, obeying the twisted Leibniz rule
+an algebra map sigma: A -> M_n(A), obeying the twisted Leibniz rule
 
     partial_i(ab) = sum_j partial_j(a) sigma_ji(b) + a partial_i(b).
 
@@ -12,11 +12,12 @@ too, with twist hat: T_i(ab) = sum_j T_j(a) hat_ji(b) + a T_i(b).  (Put
 b = hat_mj(w) in the hom-connection rule nabla(f b) = nabla(f) b + f(db)
 for f supported on omega_m, and sum over m with sum_m bar_mi o hat_mj =
 delta_ij.)  So `_kernel_word` takes the formula on generators only and
-extends it by the same loop.  The derivation is free: sigma is a
-triangular matrix given by its values on words, and the bar =
-(sigma^T)^-1 and hat = (bar^T)^-1 matrices are always built from it and
-the inverses of its diagonal entries by linmap.free_pair, two calls of
-one memoised transpose-inverse.  verify_free re-derives every assumed
+extends it by the same loop.  The derivation is free: sigma is
+triangular, given by its generators' image matrices, so its diagonal
+entries are algebra maps, and the bar = (sigma^T)^-1 and hat =
+(bar^T)^-1 matrices are always built from it and the algebra maps that
+invert its diagonal entries by linmap.free_pair, two calls of one
+memoised transpose-inverse.  verify_free re-derives every assumed
 identity (relations respected, both inverse pairs) and reports failures
 with witnesses instead of raising; inverse_identities is the one sweep of
 the inverse pairs over a list of words.
@@ -56,10 +57,10 @@ class TwistedMultiDerivation:
     @functools.cached_property
     def _kernel_gens(self):
         # the formula sum_jk bar_kj(partial_j(hat_ki(g))), on generators g only
-        pres, bar = self.presentation, self.sigma_bar.entries
+        pres, bar = self.presentation, self.sigma_bar
         hats = [self.sigma_hat.on_word((g,)) for g in range(len(pres.generators))]
         return [
-            tuple(sum((bar[k][j].apply(d) for k, row in enumerate(hat)
+            tuple(sum((bar.entry(k, j, d) for k, row in enumerate(hat)
                        for j, d in enumerate(self.partial(row[i]))), pres.zero)
                   for i in range(self.n))
             for hat in hats
@@ -216,12 +217,10 @@ def detect_q_skew(t):
     pres = t.presentation
     out = []
     for i in range(t.n):
-        sig_i = t.sigma.entries[i][i]
-        inv_i = t.sigma_bar.entries[i][i]
         ratio = None
         for g in range(len(pres.generators)):
             base = t.partial_on_gens[g][i]
-            twisted = inv_i.apply(t.partial(sig_i.on_word((g,)))[i])
+            twisted = t.sigma_bar.entry(i, i, t.partial(t.sigma.on_word((g,))[i][i])[i])
             if base.is_zero():
                 if not twisted.is_zero():
                     return None

@@ -174,15 +174,17 @@ class _ExprParser:
     def parse_product(self):
         value = self.parse_factor()
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+            op = self.next()
             tok = self.peek()
             rhs = self.parse_factor()
-            if op == "/":
+            if op.kind == "/":
                 if rhs.word or rhs.form:
                     self.fail("can only divide by a scalar", tok)
-                value = _Monomial(
-                    value.coeff / rhs.coeff, value.word, value.form, dual=value.dual
-                )
+                try:
+                    coeff = value.coeff / rhs.coeff
+                except ZeroDivisionError:
+                    self.fail("division by zero", op)
+                value = _Monomial(coeff, value.word, value.form, dual=value.dual)
             else:
                 if value.form and rhs.form:
                     self.fail("form words cannot be multiplied here", tok)
@@ -203,7 +205,7 @@ class _ExprParser:
             return self.parse_factor().negated()
         atom = self.parse_atom()
         if self.peek().kind == "^":
-            self.next()
+            caret = self.next()
             sign = 1
             if self.peek().kind == "-":
                 self.next()
@@ -218,7 +220,10 @@ class _ExprParser:
                 if exp < 0:
                     self.fail("generators take nonnegative exponents", tok)
                 return _Monomial(atom.coeff, atom.word * exp if exp else ())
-            return _Monomial(atom.coeff ** exp)
+            try:
+                return _Monomial(atom.coeff ** exp)
+            except ZeroDivisionError:
+                self.fail("division by zero", caret)
         return atom
 
     # atom := INT | parameter | generator | form_word

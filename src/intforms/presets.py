@@ -5,6 +5,12 @@ optionally, its calculus and chain ladder.  The builder turns the parsed
 sections into the same objects the library exposes programmatically; the
 four shipped presets are loaded through exactly this path so the file
 format stays honest.
+
+The twist sigma of a [derivation] is an algebra map A -> M_n(A) given by
+generator images (`sigma images:`), with the inverses of its diagonal
+entries (`sigma inverse i:`).  On a graded algebra, `sigma grades: l_1,
+..., l_n` stands for sigma_ii(g) = l_i^deg(g) * g and its inverses
+g -> l_i^(-deg g) * g.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from .descent import SphereData
 from .dga import CalculusSpec
 from .homconn import HomForm
 from .integrals import LadderDiagram
-from .linmap import AlgebraMap, GradeScale, MapMatrix
+from .linmap import AlgebraMap, MapMatrix
 from .matrixcalc import DerBasis
 from .multider import TwistedMultiDerivation
 from .ncalg import HopfData, Presentation
@@ -183,7 +189,7 @@ def _build_tmd(sections, pres):
             name, value = _split_assign(rest, lineno, "a sigma image")
             images[name] = _parse_matrix(pres, value, lineno)
         elif key == "sigma grades":
-            grades = tuple(ctx.parse(piece.strip()) for piece in rest.split(","))
+            grades = (lineno, tuple(ctx.parse(piece.strip()) for piece in rest.split(",")))
         elif key.startswith("sigma inverse"):
             try:
                 idx = int(key[len("sigma inverse"):])
@@ -206,19 +212,35 @@ def _build_tmd(sections, pres):
         raise ParseError("derivation section lacks partial rows", 1, 1)
     n = len(next(iter(rows.values())))
     if grades is not None:
-        if len(grades) != n:
-            raise ParseError(f"expected {n} sigma grades", 1, 1)
-        sigma = MapMatrix.diagonal(GradeScale(pres, g, 1) for g in grades)
-        inverses = [GradeScale(pres, grades[i] ** -1, 1) for i in range(n)]
-    else:
-        if set(inverse_maps) != set(range(1, n + 1)):
-            raise ParseError(f"need 'sigma inverse 1..{n}' directives", 1, 1)
-        sigma = MapMatrix.from_images(pres, images)
-        inverses = [
-            AlgebraMap(pres, inverse_maps[i + 1], name=f"sigma{i + 1}{i + 1}_inv")
-            for i in range(n)
-        ]
+        images, inverse_maps = _graded_sigma(pres, n, *grades)
+    elif set(inverse_maps) != set(range(1, n + 1)):
+        raise ParseError(f"need 'sigma inverse 1..{n}' directives", 1, 1)
+    sigma = MapMatrix.from_images(pres, images)
+    inverses = [
+        AlgebraMap(pres, inverse_maps[i + 1], name=f"sigma{i + 1}{i + 1}_inv")
+        for i in range(n)
+    ]
     return TwistedMultiDerivation(pres, rows, sigma, diag_inverses=inverses)
+
+
+def _graded_sigma(pres, n, lineno, grades):
+    """The image matrices and inverse tables that `sigma grades` stands for."""
+    if len(grades) != n:
+        raise ParseError(f"expected {n} sigma grades", lineno, 1)
+    if pres.grading is None:
+        raise ParseError("sigma grades need a [grading] section", lineno, 1)
+    if not all(grades):
+        raise ParseError("sigma grades must be invertible", lineno, 1)
+    gens = [(g, pres.gen(g), deg) for g, deg in zip(pres.generators, pres.grading)]
+    images = {
+        g: [[x.scale(lam ** deg) if i == j else pres.zero for j in range(n)]
+            for i, lam in enumerate(grades)]
+        for g, x, deg in gens
+    }
+    inverses = {
+        i + 1: {g: x.scale(lam ** -deg) for g, x, deg in gens} for i, lam in enumerate(grades)
+    }
+    return images, inverses
 
 
 def _scalar_form_terms(pres, names, text, lineno):

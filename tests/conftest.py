@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from intforms.dga import CalculusSpec
-from intforms.linmap import AlgebraMap, GradeScale, MapMatrix
+from intforms.linmap import AlgebraMap, MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import HopfData, Presentation
 from intforms.presets import REGISTRY
@@ -73,6 +73,31 @@ def identity_map(pres):
     return AlgebraMap(pres, {g: pres.gen(g) for g in pres.generators})
 
 
+def diagonal_sigma(pres, diags):
+    """The diagonal sigma with sigma_ii(g) = diags[i][g], from its images."""
+    n = len(diags)
+    return MapMatrix.from_images(
+        pres,
+        {
+            g: [[diags[i][g] if i == j else pres.zero for j in range(n)] for i in range(n)]
+            for g in pres.generators
+        },
+    )
+
+
+def identity_sigma(pres, n):
+    """The n x n identity: sigma(g) = g times the identity matrix."""
+    return diagonal_sigma(pres, [{g: pres.gen(g) for g in pres.generators}] * n)
+
+
+def grade_scaling(pres, base, exponent):
+    """{generator: base^(exponent * deg g) * g}, a diagonal entry of a graded sigma."""
+    return {
+        g: pres.gen(g).scale(base ** (exponent * deg))
+        for g, deg in zip(pres.generators, pres.grading)
+    }
+
+
 def make_qplane_tmd(pres):
     ctx = pres.context
     q, p = ctx.parameter("q"), ctx.parameter("p")
@@ -100,13 +125,13 @@ def make_sl2_3d_tmd(pres):
     a, b, c, d = (pres.gen(g) for g in ("alpha", "beta", "gamma", "delta"))
     zero = pres.zero
     q2 = q * q
-    sigma = MapMatrix.diagonal(
-        [GradeScale(pres, q, -2), GradeScale(pres, q, -1), GradeScale(pres, q, -1)]
+    sigma = diagonal_sigma(
+        pres, [grade_scaling(pres, q, -2), grade_scaling(pres, q, -1), grade_scaling(pres, q, -1)]
     )
     inverses = [
-        GradeScale(pres, q, 2),
-        GradeScale(pres, q, 1),
-        GradeScale(pres, q, 1),
+        AlgebraMap(pres, grade_scaling(pres, q, 2)),
+        AlgebraMap(pres, grade_scaling(pres, q, 1)),
+        AlgebraMap(pres, grade_scaling(pres, q, 1)),
     ]
     rows = {
         "alpha": (a, -q * b, zero),

@@ -183,6 +183,45 @@ def test_exponent_outside_the_range_is_a_config_error(capsys, tmp_path):
     assert err.startswith("error:") and "outside [-2^30, 2^30)" in err
 
 
+@pytest.mark.parametrize("rhs", ["1/0 * x*y", "(q-q)^-1 * x*y", "0^-1 * x*y"])
+def test_division_by_zero_in_a_literal_is_a_config_error(capsys, tmp_path, rhs):
+    source = REGISTRY["qplane"].source.replace(
+        "relation: y*x = q^-1 * x*y", f"relation: y*x = {rhs}"
+    )
+    path = tmp_path / "zero.calc"
+    path.write_text(source)
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 9, col") and "division by zero" in err
+
+
+GRADES = "sigma grades: q^-2, q^-1, q^-1"
+GRADING = "[grading]\nalpha = 1\ngamma = 1\nbeta = -1\ndelta = -1\n"
+
+
+@pytest.mark.parametrize(
+    "preset, old, new, message",
+    [
+        ("sl2-3d", GRADES, "sigma grades: q^-2, 0, q^-1", "sigma grades must be invertible"),
+        ("sl2-3d", GRADING, "", "sigma grades need a [grading] section"),
+        ("sl2-3d", GRADES, "sigma grades: q^-2, q^-1", "expected 3 sigma grades"),
+        ("qplane", "sigma inverse 2: x -> q*p^-1*x, y -> p^-1*y\n", "",
+         "need 'sigma inverse 1..2' directives"),
+    ],
+    ids=["zero-grade", "no-grading", "grade-count", "missing-inverse"],
+)
+def test_bad_sigma_data_is_a_config_error(capsys, tmp_path, preset, old, new, message):
+    source = REGISTRY[preset].source
+    assert old in source
+    path = tmp_path / "bad.calc"
+    path.write_text(source.replace(old, new))
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_file_target_passes_like_the_preset(capsys, tmp_path):
     path = tmp_path / "plane.calc"
     path.write_text(REGISTRY["qplane"].source)

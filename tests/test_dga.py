@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from intforms import cli, dga, linmap
 from intforms.dga import CalculusSpec, DegreeOverflow, check_d_squared, check_density
 from intforms.homconn import twisted_partial
-from intforms.linmap import MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import RuleOrientationError
 
@@ -22,6 +21,7 @@ from intforms.sparse import add_scaled
 
 from conftest import (
     identity_map,
+    identity_sigma,
     make_qplane_calculus,
     make_sl2_3d_calculus,
     qplane_form_rules,
@@ -198,15 +198,17 @@ def test_twist_table_agrees_with_a_cold_table(request, name, data):
 
 
 def _map_applies(monkeypatch):
-    """Count every map evaluation by `apply` (MatrixEntry inherits MapExpr's)."""
+    """Count every map evaluation on an element: `apply` (AlgebraMap inherits
+    MapExpr's) and `MapMatrix.entry`."""
     calls = []
     for cls in vars(linmap).values():
-        if isinstance(cls, type) and "apply" in vars(cls):
-            def counted(self, element, _apply=vars(cls)["apply"]):
-                calls.append(self)
-                return _apply(self, element)
+        for name in ("apply", "entry"):
+            if isinstance(cls, type) and name in vars(cls):
+                def counted(self, *args, _method=vars(cls)[name]):
+                    calls.append(self)
+                    return _method(self, *args)
 
-            monkeypatch.setattr(cls, "apply", counted)
+                monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -618,7 +620,7 @@ def test_density_fails_for_zero_derivation(qplane):
     tmd = TwistedMultiDerivation(
         qplane,
         rows,
-        MapMatrix.diagonal([identity_map(qplane)] * 2),
+        identity_sigma(qplane, 2),
         diag_inverses=[identity_map(qplane), identity_map(qplane)],
     )
     spec = CalculusSpec(

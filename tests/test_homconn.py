@@ -211,7 +211,7 @@ def test_uniqueness_identity(qplane, qplane_calc, sl2, sl2_3d_calc):
             for i in range(spec.n):
                 xi = dual_form(spec, (i,))
                 for k in range(spec.n):
-                    total = total + xi * hat.entry(i, k).apply(f.value((k,)))
+                    total = total + xi * hat.entry(i, k, f.value((k,)))
             assert total == f
 
 

@@ -23,13 +23,12 @@ from intforms.integrals import (
     sl2_lambda,
 )
 from intforms.linalg import LinearSystem
-from intforms.linmap import MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import Presentation
 from intforms.presets import REGISTRY
 from intforms.scalars import ScalarContext
 
-from conftest import identity_map
+from conftest import identity_map, identity_sigma
 
 
 def make_free_line(partial_image=None, grading=None):
@@ -40,7 +39,7 @@ def make_free_line(partial_image=None, grading=None):
     tmd = TwistedMultiDerivation(
         pres,
         {"x": (image,)},
-        MapMatrix.diagonal([identity_map(pres)]),
+        identity_sigma(pres, 1),
         diag_inverses=[identity_map(pres)],
     )
     return CalculusSpec(tmd, ("dx",), {("dx", "dx"): {}}, top_degree=1)

@@ -1,30 +1,32 @@
 """Maps, map matrices given by their values on words, the composition
-product, and the triangular construction of the inverse pair."""
+product, the triangular construction of the inverse pair, and sigma as one
+algebra map A -> M_n(A) on raw words."""
 from __future__ import annotations
 
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intforms import linmap
 from intforms.linmap import (
     AlgebraMap,
     DiagonalNotInvertible,
-    GradeScale,
     MapMatrix,
-    MatrixEntry,
     NotTriangular,
     SizeMismatch,
-    Zero,
     bullet,
     free_pair,
     is_identity_on_words,
     transpose_inverse,
 )
-from intforms.ncalg import AlgElement, GradingAbsent, Presentation
+from intforms.multider import inverse_identities
+from intforms.ncalg import AlgElement, Presentation
+from intforms.presets import REGISTRY, load_calc
 
-from conftest import identity_map, make_qplane_presentation
+from conftest import identity_map, identity_sigma, make_qplane_presentation
 
 
 def _table(mat, words):
@@ -37,24 +39,10 @@ def test_basic_nodes(qplane):
     x, y = qplane.gen("x"), qplane.gen("y")
     ident = identity_map(qplane)
     assert ident.apply(x * y - 2 * y) == x * y - 2 * y
-    assert Zero(qplane).apply(x) == qplane.zero
     swap = AlgebraMap(qplane, {"x": q * y, "y": x}, name="swap")
     assert swap.apply(x * x) == q * q * (y * y)
     assert swap.apply(swap.apply(x)) == q * x
     assert swap.on_word(()) == qplane.one
-
-
-def test_zero_map_shares_the_zero_without_a_memo(qplane, sl2):
-    # the sl2 sigma matrices are mostly Zero entries; each value is the one
-    # shared presentation.zero, and no per-word table fills up
-    zero = Zero(qplane)
-    for word in qplane.normal_words(3):
-        assert zero.on_word(word) is qplane.zero
-    x, y = qplane.gen("x"), qplane.gen("y")
-    assert zero.apply(x * y - 2 * y) is qplane.zero
-    assert not hasattr(zero, "_memo")
-    with pytest.raises(ValueError):
-        zero.apply(sl2.gen("alpha"))
 
 
 def test_algebra_map_validation(qplane):
@@ -62,54 +50,28 @@ def test_algebra_map_validation(qplane):
         AlgebraMap(qplane, {"x": qplane.gen("x")})  # y image missing
 
 
-def test_grade_scale(sl2):
-    q = sl2.context.parameter("q")
-    scale = GradeScale(sl2, q, -2)
-    a, b = sl2.gen("alpha"), sl2.gen("beta")
-    assert scale.apply(a) == (1 / (q * q)) * a
-    assert scale.apply(b) == (q * q) * b
-    assert scale.apply(a * b) == a * b
+def test_grade_scale():
+    # `sigma grades: q^-2, q^-1, q^-1` gives sigma_ii(a) = l_i^deg(a) a on
+    # homogeneous a, extended linearly, and its inverses l_i^(-deg a) a
+    tmd = REGISTRY["sl2-3d"].load().tmd
+    pres = tmd.presentation
+    q = pres.context.parameter("q")
+    a, b = pres.gen("alpha"), pres.gen("beta")
+    assert tmd.sigma.entry(0, 0, a) == (1 / (q * q)) * a
+    assert tmd.sigma.entry(0, 0, b) == (q * q) * b
+    assert tmd.sigma.entry(0, 0, a * b) == a * b
     # mixed-degree input splits into homogeneous words
-    assert scale.apply(a + b) == (1 / (q * q)) * a + (q * q) * b
-    ungraded = Presentation(sl2.context, generators=("t",))
-    with pytest.raises(GradingAbsent):
-        GradeScale(ungraded, q, -2)
-
-
-def test_grade_scale_rejects_a_float_exponent(sl2):
-    # int() would have truncated 2.7 to 2 without a word
-    q = sl2.context.parameter("q")
-    with pytest.raises(TypeError):
-        GradeScale(sl2, q, 2.7)
-
-
-def test_grade_scale_checks_raw_words_only(sl2, monkeypatch):
-    # apply hands over the normal words of an element, already checked; a
-    # raw word through on_word is checked, also when an equal one is memoised
-    q = sl2.context.parameter("q")
-    scale = GradeScale(sl2, q, 1)
-    checked = []
-    coerce = sl2._coerce_word
-
-    def counting(word):
-        checked.append(word)
-        return coerce(word)
-
-    monkeypatch.setattr(sl2, "_coerce_word", counting)
-    a, b = sl2.gen("alpha"), sl2.gen("beta")
-    assert scale.apply(a * a + b) == (q * q) * (a * a) + (1 / q) * b
-    assert checked == []
-    assert scale.on_word((1, 1)) == (q * q) * (a * a)
-    assert checked == [(1, 1)]
-    with pytest.raises(TypeError):
-        scale.on_word((1.0, 1))
+    assert tmd.sigma.entry(0, 0, a + b) == (1 / (q * q)) * a + (q * q) * b
+    assert tmd.sigma.entry(1, 1, a + b) == (1 / q) * a + q * b
+    assert tmd.sigma_bar.entry(0, 0, a + b) == (q * q) * a + (1 / (q * q)) * b
+    assert tmd.sigma.entry(0, 1, a) is pres.zero
 
 
 def test_map_linearity_randomised(qplane_tmd, qplane):
     rng = random.Random(11)
     ctx = qplane.context
     q = ctx.parameter("q")
-    entry = qplane_tmd.sigma_bar.entries[1][0]
+    bar = qplane_tmd.sigma_bar
     words = qplane.normal_words(3)
 
     def rand_elem():
@@ -121,37 +83,46 @@ def test_map_linearity_randomised(qplane_tmd, qplane):
     for _ in range(25):
         u, v = rand_elem(), rand_elem()
         lam = q ** rng.randint(-2, 2) * rng.randint(1, 3)
-        assert entry.apply(u + v.scale(lam)) == entry.apply(u) + entry.apply(v).scale(lam)
+        assert bar.entry(1, 0, u + v.scale(lam)) == bar.entry(1, 0, u) + bar.entry(1, 0, v).scale(lam)
 
 
 def test_matrix_kinds(qplane, qplane_tmd):
     assert qplane_tmd.sigma.kind == "upper_triangular"
     assert qplane_tmd.sigma_bar.kind == "lower_triangular"
     assert qplane_tmd.sigma_hat.kind == "upper_triangular"
-    assert MapMatrix.diagonal([identity_map(qplane)] * 2).kind == "diagonal"
+    assert identity_sigma(qplane, 2).kind == "diagonal"
     assert qplane_tmd.sigma.transpose().kind == "lower_triangular"
     x, y = qplane.gen("x"), qplane.gen("y")
     with pytest.raises(SizeMismatch):
         MapMatrix.from_images(qplane, {"x": [[x]], "y": [[y, x], [x, y]]})
 
 
-def test_entries_are_shared_zeros_and_views(qplane, qplane_tmd, sl2_3d_tmd):
-    # the slots a kind forces to vanish hold one Zero, which callers skip;
-    # an off-diagonal slot reads the matrix's value and keeps no memo
-    for mat in (qplane_tmd.sigma, qplane_tmd.sigma_bar, sl2_3d_tmd.sigma_hat):
-        zeros = {id(e) for row in mat.entries for e in row if isinstance(e, Zero)}
-        assert len(zeros) == 1
-    bar = qplane_tmd.sigma_bar
-    assert isinstance(bar.entries[0][1], Zero)
-    entry = bar.entries[1][0]
-    assert isinstance(entry, MatrixEntry) and not hasattr(entry, "_memo")
-    for word in qplane.normal_words(3):
-        assert entry.on_word(word) is bar.on_word(word)[1][0]
-    diag = MapMatrix.diagonal([identity_map(qplane)] * 3)
-    assert [isinstance(e, Zero) for e in diag.entries[0]] == [False, True, True]
-    # a diagonal slot of a diagonal matrix or of an inverse holds its map
-    assert all(isinstance(sl2_3d_tmd.sigma.entries[i][i], GradeScale) for i in range(3))
-    assert [repr(bar.entries[i][i]) for i in range(2)] == ["sigma11_inv", "sigma22_inv"]
+def test_entry_reads_the_value_or_the_forced_zero(qplane, sl2):
+    # a slot the kind forces to vanish is the shared zero, and the value is
+    # not read; any other slot sums on_word(w)[i][j] over the terms
+    x, y = qplane.gen("x"), qplane.gen("y")
+    reads = []
+
+    def value(word):
+        reads.append(word)
+        m = qplane.monomial(word)
+        return ((m, qplane.zero), (m.scale(2) + x, m.scale(3)))
+
+    mat = MapMatrix(qplane, 2, "lower_triangular", value)
+    a = x * y - 2 * y
+    assert mat.entry(0, 1, a) is qplane.zero
+    assert reads == []
+    want = qplane.zero
+    for word, coeff in a.terms.items():
+        want = want + value(word)[1][0].scale(coeff)
+    reads.clear()
+    assert mat.entry(1, 0, a) == want == a.scale(2) + x.scale(-1)
+    assert sorted(reads) == sorted(a.terms)
+    with pytest.raises(ValueError):
+        mat.entry(1, 0, sl2.gen("alpha"))
+    diag = identity_sigma(qplane, 3)
+    assert [diag.entry(0, j, x) for j in range(3)] == [x, qplane.zero, qplane.zero]
+    assert diag.entry(0, 2, x) is qplane.zero
 
 
 def test_multiplicative_matrix_on_words(qplane, qplane_tmd):
@@ -168,12 +139,12 @@ def test_multiplicative_matrix_on_words(qplane, qplane_tmd):
 
 def test_bullet_identity_and_shapes(qplane, qplane_tmd):
     sigma = qplane_tmd.sigma
-    ident = MapMatrix.diagonal([identity_map(qplane)] * 2)
+    ident = identity_sigma(qplane, 2)
     words = qplane.normal_words(3)
     assert _table(bullet(sigma, ident), words) == _table(sigma, words)
     assert _table(bullet(ident, sigma), words) == _table(sigma, words)
     with pytest.raises(SizeMismatch):
-        bullet(sigma, MapMatrix.diagonal([identity_map(qplane)] * 3))
+        bullet(sigma, identity_sigma(qplane, 3))
 
 
 def test_bullet_is_entrywise_composition(qplane, qplane_tmd):
@@ -185,10 +156,8 @@ def test_bullet_is_entrywise_composition(qplane, qplane_tmd):
             for j in range(2):
                 direct = qplane.zero
                 for k in range(2):
-                    direct = direct + bar.entries[i][k].apply(
-                        sigma.entries[k][j].on_word(word)
-                    )
-                assert prod.entries[i][j].on_word(word) == direct
+                    direct = direct + bar.entry(i, k, sigma.on_word(word)[k][j])
+                assert prod.on_word(word)[i][j] == direct
 
 
 def test_qplane_bar_matches_closed_form(qplane, qplane_tmd):
@@ -261,7 +230,7 @@ def test_transpose_inverse_rejects(qplane, qplane_tmd):
 
 def test_single_generator_trivial_inverse(qctx):
     pres = Presentation(qctx, generators=("t",))
-    sigma = MapMatrix.diagonal([identity_map(pres)])
+    sigma = identity_sigma(pres, 1)
     bar = transpose_inverse(sigma, [identity_map(pres)])
     assert bar.on_word(pres.word("t"))[0][0] == pres.gen("t")
     hat = transpose_inverse(bar, [identity_map(pres)])
@@ -345,9 +314,9 @@ def test_sigma_extends_its_memoised_prefix(qpctx, monkeypatch):
     calls = []
     product = linmap._matrix_product
 
-    def counted(presentation, a, b):
+    def counted(*args):
         calls.append(1)
-        return product(presentation, a, b)
+        return product(*args)
 
     monkeypatch.setattr(linmap, "_matrix_product", counted)
     sigma = MapMatrix.from_images(pres, images)
@@ -389,3 +358,60 @@ def test_algebra_map_extends_its_memoised_prefix(qpctx, monkeypatch):
         for letter in word:
             want = want * swap.images[letter]
         assert got == want
+
+
+# -- sigma as one algebra map A -> M_n(A) ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fresh_tmds():
+    """The shipped qplane and sl2-3d derivations, loaded apart from the
+    registry so that random raw words stay out of its memos."""
+    return {name: load_calc(REGISTRY[name].source).tmd for name in ("qplane", "sl2-3d")}
+
+
+def _matmul(pres, a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), pres.zero) for j in range(n))
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("name", ["qplane", "sl2-3d"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_sigma_is_one_algebra_map_on_raw_words(fresh_tmds, name, data):
+    tmd = fresh_tmds[name]
+    pres, n = tmd.presentation, tmd.n
+    letters = st.integers(0, len(pres.generators) - 1)
+    u = tuple(data.draw(st.lists(letters, max_size=8), label="u"))
+    v = tuple(data.draw(st.lists(letters, max_size=8 - len(u)), label="v"))
+    mats = (tmd.sigma, tmd.sigma_bar, tmd.sigma_hat)
+    # multiplicative on raw words
+    assert tmd.sigma.on_word(u + v) == _matmul(pres, tmd.sigma.on_word(u), tmd.sigma.on_word(v))
+    # entry is the (i, j) slot of apply, and linear
+    c = data.draw(st.integers(-3, 3), label="c")
+    a, b = pres.monomial(u), pres.monomial(v, 2) - pres.monomial(v[::-1])
+    for mat in mats:
+        whole = mat.apply(a + b.scale(c))
+        for i in range(n):
+            for j in range(n):
+                got = mat.entry(i, j, a + b.scale(c))
+                assert got == whole[i][j]
+                assert got == mat.entry(i, j, a) + mat.entry(i, j, b).scale(c)
+    for identity, witness in inverse_identities(tmd, [u, v, u + v]):
+        assert witness is None, identity
+    if name == "sl2-3d":
+        q = pres.context.parameter("q")
+        grades = (q ** -2, q ** -1, q ** -1)
+        for w in (u, v, u + v):
+            deg = sum(pres.grading[g] for g in w)
+            mono = pres.monomial(w)
+            for mat, sign in ((tmd.sigma, 1), (tmd.sigma_bar, -1)):
+                want = tuple(
+                    tuple(mono.scale(lam ** (sign * deg)) if i == j else pres.zero for j in range(n))
+                    for i, lam in enumerate(grades)
+                )
+                assert mat.on_word(w) == want
+            assert tmd.sigma_hat.on_word(w) == tmd.sigma.on_word(w)

@@ -19,6 +19,7 @@ from intforms.ncalg import MIXED
 
 from conftest import (
     identity_map,
+    identity_sigma,
     make_qplane_presentation,
     make_qplane_tmd,
     make_sl2_3d_tmd,
@@ -125,9 +126,9 @@ def _kernel_formula(tmd, u):
     for i in range(tmd.n):
         total = pres.zero
         for k in range(tmd.n):
-            part = tmd.partial(tmd.sigma_hat.entry(k, i).apply(unit))
+            part = tmd.partial(tmd.sigma_hat.entry(k, i, unit))
             for j in range(tmd.n):
-                total = total + tmd.sigma_bar.entry(k, j).apply(part[j])
+                total = total + tmd.sigma_bar.entry(k, j, part[j])
         row.append(total)
     return tuple(row)
 
@@ -222,7 +223,7 @@ def test_detect_q_skew_requires_diagonal(qplane_tmd):
 
 
 def test_detect_q_skew_untwisted(qplane):
-    sigma = MapMatrix.diagonal([identity_map(qplane)] * 2)
+    sigma = identity_sigma(qplane, 2)
     rows = {"x": (qplane.one, qplane.zero), "y": (qplane.zero, qplane.one)}
     tmd = TwistedMultiDerivation(qplane, rows, sigma, [identity_map(qplane)] * 2)
     ones = detect_q_skew(tmd)
@@ -231,7 +232,7 @@ def test_detect_q_skew_untwisted(qplane):
 
 def test_row_validation(qplane):
     inverses = [identity_map(qplane)] * 2
-    sigma = MapMatrix.diagonal([identity_map(qplane)] * 2)
+    sigma = identity_sigma(qplane, 2)
     with pytest.raises(ValueError):
         TwistedMultiDerivation(qplane, {"x": (qplane.one,)}, sigma, inverses)
     with pytest.raises(ValueError):

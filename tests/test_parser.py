@@ -3,10 +3,12 @@ rules, and the sectioned presentation-file reader."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intforms import descent
 from intforms.descent import sphere_fixtures
-from intforms.ncalg import Presentation, TensorElement
+from intforms.ncalg import Presentation, ReductionBudgetExceeded, TensorElement
 from intforms.parser import (
     ParseError,
     parse_element,
@@ -16,6 +18,7 @@ from intforms.parser import (
     parse_scalar,
     parse_tensor,
 )
+from intforms.scalars import CoefficientTooLarge, ExponentOutOfRange
 
 
 def test_scalar_errors_carry_position(qctx):
@@ -237,3 +240,37 @@ def test_fixture_errors_carry_the_file_line(monkeypatch, tmp_path, sl2, body, li
     with pytest.raises(ParseError) as err:
         sphere_fixtures(sl2, "broken.fixtures")
     assert err.value.line == line
+
+
+# -- fuzzing the grammar ------------------------------------------------------
+
+# the grammar's tokens over qplane: ints of at most two digits, its
+# parameters and generators, and the operators
+INTS = st.integers(0, 99).map(str)
+TOKENS = st.one_of(
+    INTS, st.sampled_from(("q", "p", "x", "y", "+", "-", "*", "/", "^", "(", ")", "@"))
+)
+# token strings shaped by the grammar's productions, so that most of them
+# get past the syntax checks to the arithmetic
+EXPRESSIONS = st.recursive(
+    st.one_of(INTS, st.sampled_from(("q", "p", "x", "y"))),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(("+", "-", "*", "/", "@")), inner).map(" ".join),
+        st.tuples(inner, st.sampled_from(("^", "^ -")), INTS).map(" ".join),
+        inner.map("( {} )".format),
+        inner.map("- {}".format),
+    ),
+    max_leaves=6,
+)
+# what a bad literal may raise; anything else escapes the CLI's exit 2
+REFUSALS = (ParseError, ExponentOutOfRange, CoefficientTooLarge, ReductionBudgetExceeded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.lists(TOKENS, max_size=10).map(" ".join), EXPRESSIONS))
+def test_literals_parse_or_raise_a_refusal(qplane, text):
+    for parse, target in ((parse_scalar, qplane.context), (parse_element, qplane)):
+        try:
+            parse(target, text)
+        except REFUSALS:
+            pass
