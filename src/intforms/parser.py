@@ -11,10 +11,10 @@ algebra elements, tensors, form expressions and ladder rules:
                | 'dual' '(' form_word ')' | '(' sum ')'
     form_word := FORM ('.' FORM)*
 
-Parentheses group scalars only, generators take nonnegative powers, and
-algebra coefficients precede the form word.  Every entry point parses one
-whole sum and then checks that each term has a kind it accepts: scalar,
-algebra, form, dual or tensor.
+Parentheses group scalars only, generators take nonnegative powers up to
+2^16, and algebra coefficients precede the form word.  Every entry point
+parses one whole sum and then checks that each term has a kind it accepts:
+scalar, algebra, form, dual or tensor.
 
 Presentation and fixture files are ini-like: [section] headers, # comments,
 directive lines.  This module splits them into positioned raw directives;
@@ -42,6 +42,7 @@ class _Token:
 
 
 _PUNCT = ("@", "^", "*", "+", "-", "/", "(", ")", ".")
+_MAX_POWER = 1 << 16  # of a generator, checked before its word is built
 
 
 def tokenize(text, line=1, col_offset=0, literals=()):
@@ -219,6 +220,8 @@ class _ExprParser:
                     self.fail("only a bare generator can be raised to a power", tok)
                 if exp < 0:
                     self.fail("generators take nonnegative exponents", tok)
+                if exp > _MAX_POWER:
+                    self.fail("a generator power over 2^16", caret)
                 return _Monomial(atom.coeff, atom.word * exp if exp else ())
             try:
                 return _Monomial(atom.coeff ** exp)
@@ -359,21 +362,23 @@ _SECTIONS = (
 def parse_presentation_file(text, sections=_SECTIONS):
     """Split a sectioned file into {header: [(lineno, directive text)]}.
 
-    Comments (# to end of line) and blank lines are dropped.  Every name in
-    `sections` (the presentation-file sections by default) is listed, empty
-    or not, and any other header raises ParseError.  Directive semantics
-    are checked by the caller.
+    Comments (# to end of line) and blank lines are dropped.  A directive
+    keeps its indentation, so an offset in its text is one in its line.
+    Every name in `sections` (the presentation-file sections by default) is
+    listed, empty or not, and any other header raises ParseError.  Directive
+    semantics are checked by the caller.
     """
     out = {name: [] for name in sections}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0].rstrip()
+        header = line.strip()
+        if not header:
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
+        if header.startswith("["):
+            if not header.endswith("]"):
                 raise ParseError("unterminated section header", lineno, 1)
-            current = line[1:-1].strip()
+            current = header[1:-1].strip()
             if current not in sections:
                 raise ParseError(
                     f"unknown section [{current}]", lineno, 1, expected="|".join(sections)

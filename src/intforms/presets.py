@@ -32,6 +32,7 @@ from .parser import (
     parse_form_terms,
     parse_ladder_rhs,
     parse_presentation_file,
+    parse_scalar,
     parse_tensor,
 )
 from .scalars import ScalarContext
@@ -67,11 +68,27 @@ class CalcBundle:
         return f"<CalcBundle {' + '.join(parts)}>"
 
 
+def _cut(text, sep):
+    # text.partition(sep) with the part after sep blanked out up to its
+    # place in the line, so that the parser's columns are the line's
+    head, found, tail = text.partition(sep)
+    return head, found, " " * len(head + found) + tail
+
+
+def _pieces(text, sep=","):
+    # the pieces of text between seps, each blanked out up to its place
+    start = 0
+    for piece in text.split(sep):
+        yield " " * start + piece
+        start += len(piece) + len(sep)
+
+
 def _split_assign(rest, lineno, what):
-    lhs, eq, rhs = rest.partition("=")
+    # the stripped left side and the blanked-out right side
+    lhs, eq, rhs = _cut(rest, "=")
     if not eq:
         raise ParseError(f"{what} needs 'lhs = rhs'", lineno, 1)
-    return lhs.strip(), rhs.strip()
+    return lhs.strip(), rhs
 
 
 def _names_list(text):
@@ -81,7 +98,7 @@ def _names_list(text):
 def _build_presentation(sections):
     params = ()
     for lineno, text in sections["scalars"]:
-        key, sep, rest = text.partition(":")
+        key, sep, rest = _cut(text, ":")
         if key.strip() != "parameters" or not sep:
             raise ParseError("expected 'parameters: name, ...'", lineno, 1)
         params = _names_list(rest)
@@ -89,7 +106,7 @@ def _build_presentation(sections):
     generators = None
     relations = []
     for lineno, text in sections["algebra"]:
-        key, sep, rest = text.partition(":")
+        key, sep, rest = _cut(text, ":")
         key = key.strip()
         if not sep:
             raise ParseError(
@@ -98,7 +115,8 @@ def _build_presentation(sections):
         if key == "generators":
             generators = _names_list(rest)
         elif key == "relation":
-            relations.append((lineno,) + _split_assign(rest, lineno, "a relation"))
+            _, rhs = _split_assign(rest, lineno, "a relation")
+            relations.append((lineno, _cut(rest, "=")[0], rhs))
         else:
             raise ParseError(f"unknown algebra directive '{key}'", lineno, 1)
     if generators is None:
@@ -134,7 +152,7 @@ def _build_hopf(directives, free):
     ctx = free.context
     coproduct, counit, antipode, antipode_inv = {}, {}, {}, {}
     for lineno, text in directives:
-        key, sep, rest = text.partition(":")
+        key, sep, rest = _cut(text, ":")
         key = key.strip()
         if not sep:
             raise ParseError("hopf directives are 'map: generator = value'", lineno, 1)
@@ -145,7 +163,7 @@ def _build_hopf(directives, free):
                 (left, right, c) for (left, right), c in sorted(tensor.terms.items())
             ]
         elif key == "counit":
-            counit[name] = ctx.parse(value)
+            counit[name] = parse_scalar(ctx, value, line=lineno)
         elif key == "antipode":
             antipode[name] = dict(parse_element(free, value, line=lineno).terms)
         elif key == "antipode inverse":
@@ -161,11 +179,11 @@ def _build_hopf(directives, free):
 
 
 def _parse_matrix(pres, text, lineno):
-    if not (text.startswith("[") and text.endswith("]")):
+    if not (text.lstrip().startswith("[") and text.endswith("]")):
         raise ParseError("matrix literals look like [a, b; c, d]", lineno, 1)
     return [
-        [parse_element(pres, piece, line=lineno) for piece in row.split(",")]
-        for row in text[1:-1].split(";")
+        [parse_element(pres, piece, line=lineno) for piece in _pieces(row)]
+        for row in _pieces(text.replace("[", " ", 1)[:-1], ";")
     ]
 
 
@@ -176,20 +194,20 @@ def _build_tmd(sections, pres):
     grades = None
     inverse_maps = {}
     for lineno, text in sections["derivation"]:
-        key, sep, rest = text.partition(":")
+        key, sep, rest = _cut(text, ":")
         key = key.strip()
         if not sep:
             raise ParseError("derivation directives need ':'", lineno, 1)
         if key == "partial":
             name, value = _split_assign(rest, lineno, "a partial row")
             rows[name] = tuple(
-                parse_element(pres, piece, line=lineno) for piece in value.split(",")
+                parse_element(pres, piece, line=lineno) for piece in _pieces(value)
             )
         elif key == "sigma images":
             name, value = _split_assign(rest, lineno, "a sigma image")
             images[name] = _parse_matrix(pres, value, lineno)
         elif key == "sigma grades":
-            grades = (lineno, tuple(ctx.parse(piece.strip()) for piece in rest.split(",")))
+            grades = lineno, tuple(parse_scalar(ctx, piece, line=lineno) for piece in _pieces(rest))
         elif key.startswith("sigma inverse"):
             try:
                 idx = int(key[len("sigma inverse"):])
@@ -198,8 +216,8 @@ def _build_tmd(sections, pres):
                     "expected 'sigma inverse <index>: gen -> image, ...'", lineno, 1
                 ) from None
             maps = {}
-            for piece in rest.split(","):
-                gen, arrow, image = piece.partition("->")
+            for piece in _pieces(rest):
+                gen, arrow, image = _cut(piece, "->")
                 if not arrow:
                     raise ParseError(
                         "inverse entries are 'generator -> image'", lineno, 1
@@ -260,7 +278,7 @@ def _build_calculus(sections, tmd):
     bases = {}
     rules = {}
     for lineno, text in sections["forms"]:
-        key, sep, rest = text.partition(":")
+        key, sep, rest = _cut(text, ":")
         key = key.strip()
         if not sep:
             raise ParseError("forms directives need ':'", lineno, 1)
@@ -290,11 +308,11 @@ def _build_calculus(sections, tmd):
     top = None
     d_rules = {}
     for lineno, text in sections["calculus"]:
-        if text.startswith("d "):
+        if text.lstrip().startswith("d "):
             head, rhs = _split_assign(text, lineno, "a d rule")
             d_rules[head[2:].strip()] = rhs
         else:
-            key, sep, rest = text.partition(":")
+            key, sep, rest = _cut(text, ":")
             if key.strip() == "top" and sep:
                 try:
                     top = int(rest.strip())
@@ -323,7 +341,7 @@ def _build_ladder(sections, spec):
     top = spec.top_degree
     verticals = [dict() for _ in range(top + 1)]
     for lineno, text in sections["ladder"]:
-        key, sep, rest = text.partition(":")
+        key, sep, rest = _cut(text, ":")
         if not sep:
             raise ParseError("ladder directives are 'k: source = image'", lineno, 1)
         try:

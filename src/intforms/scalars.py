@@ -35,12 +35,20 @@ coefficient, a sum's by an estimate of its terms times their bits.
 Sums, products, integer powers and division by a monomial of Laurent values
 stay in the dict.  Division by a non-monomial and anything involving a true
 rational function work on fractions, with Henrici's cross-cancelled products
-and sums.  Their polynomial gcds over Z take the primitive PRS method
-(Knuth, TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971).  A gcd with a
-monomial side is a monomial times an integer gcd, and one whose images
-modulo a prime are coprime is 1 times the gcd of the contents; neither
-runs the PRS.  A fraction whose reduced denominator is a monomial goes back
-to the dict.  Reduced is the canonical
+and sums, which read the cofactors f/h, g/h beside the gcd h over Z.  A gcd
+with a single-term side is a monomial times an integer gcd; any other runs
+the heuristic gcd (Char, Geddes and Gonnet, "GCDHEU", J. Symbolic Comput. 7,
+1989).  It evaluates f and g at an odd integer xi, from 2 min(|f|, |g|) + 29
+on (|.| the largest coefficient), takes the gcd of the images, by recursion
+over the other parameters, and reads a candidate from its symmetric xi-adic
+digits.  A candidate of content 1 dividing both primitive sides exactly is
+their gcd, and the quotients are the cofactors: each answer is certified by
+trial division, and a failed one moves xi on.  Where one parameter varies,
+each side's monomial content comes out and the rest is a dense integer
+list.  Images of degree * bits(xi) bits over 2**20 raise CoefficientTooLarge;
+after six points the primitive PRS takes over (Knuth, TAOCP vol. 2, 4.6.1;
+Brown, J. ACM 18, 1971).  A fraction whose reduced
+denominator is a monomial goes back to the dict.  Reduced is the canonical
 form of sympy's fraction field ZZ(params): numerator and denominator share
 no factor, integer content included, and the leading coefficient of the
 denominator under grlex is positive.  So each value has one representation,
@@ -265,7 +273,7 @@ class ScalarContext:
                     for exps, c in numer.items()
                 },
             )
-        if denom[max(denom, key=_grlex)] < 0:
+        if _sign(denom) < 0:
             numer, denom = _neg(numer), _neg(denom)
         return ScalarRF(self, None, (numer, denom))
 
@@ -442,10 +450,7 @@ class ScalarRF:
         return self._fraction_terms()[0]
 
     def denom_terms(self):
-        if self._terms is None:
-            return _sorted_terms(list(self._frac[1].items()))
-        items = self.context._unpacked(self._terms)
-        return [_denominator(items, self.context._unit_exps)]
+        return self._fraction_terms()[1]
 
     def _fraction_terms(self):
         if self._terms is None:
@@ -627,22 +632,18 @@ def _mul(a, b):
 def _fraction_mul(a, b):
     # Henrici: cancel across, so the product of the reduced cofactors is reduced
     (n1, d1), (n2, d2) = a, b
-    g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
-    return (
-        _mul(_divexact(n1, g1), _divexact(n2, g2)),
-        _mul(_divexact(d1, g2), _divexact(d2, g1)),
-    )
+    _, n1, d2 = _gcd_cofactors(n1, d2)
+    _, n2, d1 = _gcd_cofactors(n2, d1)
+    return _mul(n1, n2), _mul(d1, d2)
 
 
 def _fraction_add(a, b):
     # Henrici: over d1*d2/g with g = gcd(d1, d2), only g can share a factor
     # with the numerator
     (n1, d1), (n2, d2) = a, b
-    g = _gcd(d1, d2)
-    e1, e2 = _divexact(d1, g), _divexact(d2, g)
-    numer = _add(_mul(n1, e2), _mul(n2, e1))
-    h = _gcd(numer, g)
-    return _divexact(numer, h), _mul(e1, _divexact(d2, h))
+    g, e1, e2 = _gcd_cofactors(d1, d2)
+    _, numer, g = _gcd_cofactors(_add(_mul(n1, e2), _mul(n2, e1)), g)
+    return numer, _mul(_mul(e1, e2), g)
 
 
 def _fraction_sub(a, b):
@@ -650,17 +651,164 @@ def _fraction_sub(a, b):
     return _fraction_add(a, (_neg(numer), denom))
 
 
-def _gcd(f, g):
-    """The gcd over Z of f and g, with a positive leading coefficient."""
-    if not f:
-        out = g
-    elif not g or f == g:
-        out = f
+_HEU_POINTS = 6  # points of the heuristic gcd before the PRS takes over
+
+
+def _gcd_cofactors(f, g):
+    """(h, f/h, g/h) for the gcd h over Z of f and g, with h's leading
+    coefficient under grlex positive (see the module docstring)."""
+    if not f or not g or f == g:
+        h = f or g
+        if not h:
+            return {}, {}, {}
+        sign = _sign(h)
+        unit = {(0,) * len(next(iter(h))): sign}
+        return (h if sign > 0 else _neg(h)), (unit if f else {}), (unit if g else {})
+    if len(f) == 1 or len(g) == 1:
+        # the monomial of the least exponents times the content's gcd
+        low, content = tuple(map(min, *f, *g)), gcd(*f.values(), *g.values())
+        if content == 1 and not any(low):
+            return {low: 1}, f, g
+        return {low: content}, _shifted(f, low, content), _shifted(g, low, content)
+    low_f, low_g = tuple(map(min, *f)), tuple(map(min, *g))
+    top_f, top_g = tuple(map(max, *f)), tuple(map(max, *g))
+    ends = zip(low_f, top_f, low_g, top_g)
+    varying = [i for i, (a, b, c, d) in enumerate(ends) if a != b or c != d]
+    i = varying[0]
+    if len(varying) == 1:
+        # dense lists in the one parameter i that varies, without each
+        # side's monomial content; no point is below 29, so a degree past
+        # the size bound is refused before the lists are built
+        _check_gcd_size(max(top_f[i] - low_f[i], top_g[i] - low_g[i]), 29)
+        out = _dense_gcd(_dense(f, i, low_f[i], top_f[i]), _dense(g, i, low_g[i], top_g[i]))
+        if out is not None:
+            low = tuple(map(min, low_f, low_g))
+            shifts = (low, tuple(map(sub, low_f, low)), tuple(map(sub, low_g, low)))
+            # each list times x^shift
+            return tuple(
+                {s[:i] + (s[i] + k,) + s[i + 1 :]: c for k, c in enumerate(part) if c}
+                for part, s in zip(out, shifts)
+            )
     else:
-        out = _prs_gcd(f, g, 0)
-    if out and out[max(out, key=_grlex)] < 0:
-        return _neg(out)
+        out = _heu_gcd(f, g, i, max(top_f[i], top_g[i]))
+        if out is not None:
+            return out if _sign(out[0]) > 0 else tuple(map(_neg, out))
+    h = _prs_gcd(f, g, 0)
+    h = h if _sign(h) > 0 else _neg(h)
+    return h, _divexact(f, h), _divexact(g, h)
+
+
+def _dense_gcd(a, b):
+    # the heuristic on coefficient lists, lowest degree first, with nonzero
+    # ends: (h, a/h, b/h) with h's last entry positive, or None
+    content = gcd(*a, *b)
+    if content != 1:
+        a, b = [c // content for c in a], [c // content for c in b]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_POINTS):
+        _check_gcd_size(max(len(a), len(b)) - 1, xi)
+        h = _digits(gcd(_horner(a, xi), _horner(b, xi)), xi)
+        divisor = gcd(*h)
+        h = [c // divisor for c in h]
+        u = _dense_quotient(a, h)
+        v = None if u is None else _dense_quotient(b, h)
+        if v is not None:
+            return [c * content for c in h], u, v
+        xi = xi * 73794 // 27011 | 1
+    return None
+
+
+def _heu_gcd(f, g, i, degree):
+    # the heuristic on dicts of that degree in parameter i, through images
+    # at x_i = xi, whose gcd is taken recursively: (h, f/h, g/h) with h of
+    # either sign, or None
+    content = gcd(*f.values(), *g.values())
+    if content != 1:
+        f, g = ({e: c // content for e, c in poly.items()} for poly in (f, g))
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_POINTS):
+        _check_gcd_size(degree, xi)
+        images = [{}, {}]
+        for image, poly in zip(images, (f, g)):
+            for e, c in poly.items():
+                key = e[:i] + (0,) + e[i + 1 :]
+                image[key] = image.get(key, 0) + c * xi ** e[i]
+        images = [{e: c for e, c in image.items() if c} for image in images]
+        h = {
+            e[:i] + (k,) + e[i + 1 :]: d
+            for e, c in _gcd_cofactors(*images)[0].items()
+            for k, d in enumerate(_digits(c, xi))
+            if d
+        }
+        divisor = gcd(*h.values())
+        h = {e: c // divisor for e, c in h.items()}
+        try:
+            return {e: c * content for e, c in h.items()}, _divexact(f, h), _divexact(g, h)
+        except ArithmeticError:
+            xi = xi * 73794 // 27011 | 1
+    return None
+
+
+def _check_gcd_size(degree, xi):
+    if degree * xi.bit_length() > _COEFF_BITS:
+        raise CoefficientTooLarge(f"a gcd of degree {degree} has images over 2^20 bits")
+
+
+def _horner(coeffs, xi):
+    # a run of zeros is one power of xi; the constant term is nonzero
+    value = gap = 0
+    for c in reversed(coeffs):
+        if c:
+            value, gap = value * xi**gap + c, 0
+        gap += 1
+    return value
+
+
+def _digits(n, xi):
+    # the symmetric digits of n in the odd base xi, lowest first.  The
+    # balanced residue of n modulo xi^m is its low m digits, so a long n is
+    # halved first rather than losing one digit per division
+    if n.bit_length() > 64 * xi.bit_length():
+        m = n.bit_length() // xi.bit_length() // 2
+        power = xi**m
+        low = (n + power // 2) % power - power // 2
+        digits = _digits(low, xi)
+        return digits + [0] * (m - len(digits)) + _digits((n - low) // power, xi)
+    half, out = xi // 2, []
+    while n:
+        out.append((n + half) % xi - half)
+        n = (n - out[-1]) // xi
     return out
+
+
+def _dense_quotient(a, b):
+    # a / b over Z for coefficient lists, or None if b does not divide a
+    m = len(b) - 1
+    if len(a) <= m or not b[0] or a[0] % b[0]:
+        return None
+    r, lead, quotient = list(a), b[-1], []
+    rest = [(j, c) for j, c in enumerate(b[:m]) if c]
+    for k in range(len(a) - 1 - m, -1, -1):
+        coeff, remainder = divmod(r[k + m], lead)
+        if remainder:
+            return None
+        quotient.append(coeff)
+        for j, c in rest:
+            r[k + j] -= coeff * c
+    return None if any(r[:m]) else quotient[::-1]
+
+
+def _dense(f, i, low, top):
+    # the coefficient list of f / x_i^low, in which only x_i varies
+    out = [0] * (top - low + 1)
+    for e, c in f.items():
+        out[e[i] - low] = c
+    return out
+
+
+def _shifted(f, shift, den):
+    # f / (den * x^shift), exact
+    return {tuple(map(sub, e, shift)): c // den for e, c in f.items()}
 
 
 def _prs_gcd(f, g, k):
@@ -669,77 +817,17 @@ def _prs_gcd(f, g, k):
     # contents times gcd of the primitive parts, and the latter is the last
     # nonzero pseudo-remainder of the primitive PRS, made primitive.
     if len(f) == 1 or len(g) == 1:
-        return _monomial_gcd(f, g)
-    a, b = _split(f, k), _split(g, k)
-    content_a, content_b = _content(a, k), _content(b, k)
-    content = _prs_gcd(content_a, content_b, k + 1)
-    a, b = _primitive(a, content_a), _primitive(b, content_b)
-    if max(a) < max(b):
-        a, b = b, a
-    if max(b) and _coprime_images(a, b):
-        return content
+        return _gcd_cofactors(f, g)[0]
+    a, b = _primitive(_split(f, k), k), _primitive(_split(g, k), k)
+    content = _prs_gcd(a[1], b[1], k + 1)
+    a, b = sorted((a[0], b[0]), key=max, reverse=True)
     while max(b):
         r = _pseudo_remainder(a, b)
         if not r:
-            return _mul(content, _join(b, k))
-        a, b = b, _primitive(r, _content(r, k))
+            joined = {e[:k] + (d,) + e[k + 1 :]: c for d, p in b.items() for e, c in p.items()}
+            return _mul(content, joined)
+        a, b = b, _primitive(r, k)[0]
     return content  # the primitive parts are coprime
-
-
-# Images modulo a prime, with every variable after the main one at a fixed
-# point.  A common factor of two polynomials maps to a common factor of
-# their images, of the same degree in the main variable when a leading
-# coefficient stays nonzero; so coprime images settle that the primitive
-# parts are coprime, and the PRS, whose pseudo-remainders swell on large
-# coprime inputs, runs only where a factor may be shared.
-_PRIME = 2**31 - 1
-_POINTS = (1009, 2003, 3001, 4001, 5003, 6007)
-
-
-def _coprime_images(a, b):
-    images = []
-    for coeffs in (a, b):
-        image = [0] * (max(coeffs) + 1)
-        for degree, poly in coeffs.items():
-            image[degree] = _image(poly)
-        if not image[-1]:
-            return False  # the point is a zero of the leading coefficient
-        images.append(image)
-    f, g = images
-    while len(g) > 1:
-        inverse = pow(g[-1], -1, _PRIME)
-        while len(f) >= len(g):
-            factor = f[-1] * inverse % _PRIME
-            shift = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[shift + i] = (f[shift + i] - factor * c) % _PRIME
-            while f and not f[-1]:
-                f.pop()
-        if not f:
-            return False
-        f, g = g, f
-    return True
-
-
-def _image(poly):
-    total = 0
-    for exps, coeff in poly.items():
-        for point, e in zip(_POINTS, exps):
-            if e:
-                coeff = coeff * pow(point, e, _PRIME)
-        total += coeff
-    return total % _PRIME
-
-
-def _monomial_gcd(f, g):
-    # one side is a single term: the gcd is the monomial of the least
-    # exponents times the gcd of all integer coefficients
-    low, content = None, 0
-    for poly in (f, g):
-        for exps, coeff in poly.items():
-            low = exps if low is None else tuple(map(min, low, exps))
-            content = gcd(content, coeff)
-    return {low: content}
 
 
 def _split(f, k):
@@ -750,25 +838,13 @@ def _split(f, k):
     return out
 
 
-def _join(coeffs, k):
-    return {
-        exps[:k] + (degree,) + exps[k + 1 :]: coeff
-        for degree, poly in coeffs.items()
-        for exps, coeff in poly.items()
-    }
-
-
-def _content(coeffs, k):
-    # gcd of the coefficients of a polynomial split at variable k
+def _primitive(coeffs, k):
+    # the primitive part and the content of a polynomial split at variable k
     polys = sorted(coeffs.values(), key=len)
-    out = polys[0]
+    content = polys[0]
     for poly in polys[1:]:
-        out = _prs_gcd(out, poly, k + 1)
-    return out
-
-
-def _primitive(coeffs, content):
-    return {degree: _divexact(poly, content) for degree, poly in coeffs.items()}
+        content = _prs_gcd(content, poly, k + 1)
+    return {degree: _divexact(poly, content) for degree, poly in coeffs.items()}, content
 
 
 def _pseudo_remainder(a, b):
@@ -796,12 +872,10 @@ def _pseudo_remainder(a, b):
 
 
 def _divexact(f, g):
-    """The quotient f / g of polynomials over Z, where g divides f."""
-    if len(g) == 1:
-        ((shift, den),) = g.items()
-        if den == 1 and not any(shift):
-            return f
-        return {tuple(map(sub, exps, shift)): coeff // den for exps, coeff in f.items()}
+    """The quotient f / g of polynomials over Z; ArithmeticError unless g
+    divides f."""
+    if g == {(0,) * len(next(iter(g))): 1}:
+        return f
     lead = max(g, key=_grlex)
     lead_coeff = g[lead]
     quotient = {}
@@ -824,6 +898,11 @@ def _sorted_terms(terms):
 
 def _grlex(exps):
     return sum(exps), exps
+
+
+def _sign(f):
+    # the sign of the leading coefficient under grlex
+    return 1 if f[max(f, key=_grlex)] > 0 else -1
 
 
 def _grlex_term(term):

@@ -196,6 +196,28 @@ def test_division_by_zero_in_a_literal_is_a_config_error(capsys, tmp_path, rhs):
     assert err.startswith("error: line 9, col") and "division by zero" in err
 
 
+@pytest.mark.parametrize(
+    "preset, old, new, where",
+    [
+        ("qplane", "relation: y*x = q^-1 * x*y", "relation: y*x = 1/0 * x*y", "line 9, col 18"),
+        ("qplane", "partial: y = 0, 1", "partial: y = 0, 1/0", "line 17, col 18"),
+        ("sl2-3d", "counit: beta = 0", "counit: beta = 1/0", "line 30, col 17"),
+    ],
+    ids=["relation", "partial", "counit"],
+)
+def test_parse_errors_give_the_column_in_the_line(capsys, tmp_path, preset, old, new, where):
+    # the column of the '/' counts from the start of the line, not of the
+    # directive's value
+    source = REGISTRY[preset].source
+    assert old in source
+    path = tmp_path / "columns.calc"
+    path.write_text(source.replace(old, new))
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {where}: division by zero")
+
+
 GRADES = "sigma grades: q^-2, q^-1, q^-1"
 GRADING = "[grading]\nalpha = 1\ngamma = 1\nbeta = -1\ndelta = -1\n"
 
@@ -269,14 +291,14 @@ sys.exit(status)
 """
 
 
-def _assert_power_is_refused_in_a_child(tmp_path, coefficient):
-    # verify qplane with its relation coefficient replaced, in a child
+def _refused_in_a_child(tmp_path, rhs):
+    # verify qplane with its relation's right side replaced, in a child
     # process under a 1 GiB address-space limit, so a regression fails or
-    # times out instead of holding this one
+    # times out instead of holding this one; returns the error line
     source = REGISTRY["qplane"].source.replace(
-        "relation: y*x = q^-1 * x*y", f"relation: y*x = {coefficient} * x*y"
+        "relation: y*x = q^-1 * x*y", f"relation: y*x = {rhs}"
     )
-    assert coefficient in source
+    assert rhs in source
     path = tmp_path / "huge.calc"
     path.write_text(source)
     proc = subprocess.run(
@@ -289,8 +311,13 @@ def _assert_power_is_refused_in_a_child(tmp_path, coefficient):
     assert proc.returncode == 2
     assert proc.stdout == ""
     *message, elapsed = proc.stderr.strip().splitlines()
-    assert message[0].startswith("error:") and "over 2^20 bits" in message[0]
     assert float(elapsed.split()[1]) < 1.0
+    return message[0]
+
+
+def _assert_power_is_refused_in_a_child(tmp_path, coefficient):
+    message = _refused_in_a_child(tmp_path, f"{coefficient} * x*y")
+    assert message.startswith("error:") and "over 2^20 bits" in message
 
 
 def test_huge_coefficient_power_is_a_config_error(tmp_path):
@@ -303,6 +330,19 @@ def test_huge_power_of_a_sum_is_a_config_error(tmp_path):
     # about 10^5 terms of up to 1.6 * 10^5 bits each; squaring up to it
     # would take days, so the size is estimated and refused first
     _assert_power_is_refused_in_a_child(tmp_path, "(q + 2)^100000")
+
+
+def test_huge_degree_gcd_is_a_config_error(tmp_path):
+    # the gcd of q + 3 and q^(2^30 - 1) + 2 would evaluate them to about
+    # 6 * 2^30 bits; the degree is refused before anything is evaluated
+    _assert_power_is_refused_in_a_child(tmp_path, "1/(q^1073741823 + 2)*(q + 3)")
+
+
+def test_huge_generator_power_is_a_config_error(tmp_path):
+    # x^100000000 would be a word of 10^8 letters; the exponent is refused
+    # at its '^'
+    message = _refused_in_a_child(tmp_path, "x^100000000")
+    assert message == "error: line 9, col 18: a generator power over 2^16"
 
 
 def test_module_entry_point():

@@ -410,8 +410,8 @@ def test_operations_agree_with_the_fraction_field(qpctx, data):
 
 
 # `_monomials` with some exponents shifted to within 4 of an end of the
-# range.  Only Laurent arithmetic meets them: the fallback's gcd builds
-# dense images as long as the degree, so these stay out of its way.
+# range.  Only Laurent arithmetic meets them: the fallback's gcd refuses
+# degrees whose images pass its size bound, so these stay out of its way.
 _edge_exponents = st.one_of(
     st.integers(-3, 3), st.integers(-_BOUND, -_BOUND + 3), st.integers(_BOUND - 4, _BOUND - 1)
 )
@@ -485,32 +485,106 @@ def integer_polynomials(draw, min_size=0):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_gcd_agrees_with_sympy(data):
-    common = data.draw(integer_polynomials(min_size=1))
+    # the planted common factor is a product of one to three small polynomials
+    small = integer_polynomials(min_size=1).filter(bool)
+    factors = data.draw(st.lists(small, min_size=1, max_size=3))
+    common = _RING.one
+    for factor in factors:
+        common *= factor
     f = data.draw(integer_polynomials()) * common
     g = data.draw(integer_polynomials()) * common
     assume(f or g)
-    h = scalars._gcd(_int_poly(f), _int_poly(g))
+    h, *cofactors = scalars._gcd_cofactors(_int_poly(f), _int_poly(g))
     # sympy's gcd carries the full integer content, with its sign taken
     # from the lex leading term; ours has a positive leading coefficient
     # under grlex, the order of the fractions' canonical form
     expected = f.gcd(g)
     assert h in (_int_poly(expected), _int_poly(-expected))
     assert h[max(h, key=lambda e: (sum(e), e))] > 0
-    # it divides both inputs, and the cofactors are coprime
-    cofactors = [scalars._divexact(_int_poly(x), h) for x in (f, g)]
+    # h times each cofactor is its input, and the cofactors are coprime
     for x, cofactor in zip((f, g), cofactors):
         assert scalars._mul(cofactor, h) == _int_poly(x)
-    assert scalars._gcd(*cofactors) == {(0, 0): 1}
+    assert scalars._gcd_cofactors(*cofactors)[0] == {(0, 0): 1}
 
 
 def test_gcd_edge_cases():
     q2, qp = {(2, 0): 1}, {(1, 1): 1}
-    assert scalars._gcd({}, {}) == {}
-    assert scalars._gcd({}, {(1, 0): -3, (0, 0): 6}) == {(1, 0): 3, (0, 0): -6}
-    assert scalars._gcd({(2, 1): -4}, {(3, 0): 6, (1, 2): 2}) == {(1, 0): 2}
-    assert scalars._gcd(q2, qp) == {(1, 0): 1}
+    assert scalars._gcd_cofactors({}, {}) == ({}, {}, {})
+    line = {(1, 0): -3, (0, 0): 6}
+    assert scalars._gcd_cofactors({}, line) == (scalars._neg(line), {}, {(0, 0): -1})
+    assert scalars._gcd_cofactors({(2, 1): -4}, {(3, 0): 6, (1, 2): 2}) == (
+        {(1, 0): 2},
+        {(1, 1): -2},
+        {(2, 0): 3, (0, 2): 1},
+    )
+    assert scalars._gcd_cofactors(q2, qp) == ({(1, 0): 1}, {(1, 0): 1}, {(0, 1): 1})
     with pytest.raises(ArithmeticError):
         scalars._divexact({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1})
+
+
+# N^2 * C and D^2 * C share only C, but their primitive PRS swells: it took
+# seconds where the heuristic takes a fraction of a millisecond
+_N = -20 * _RQ**2 * _RP**6 + 4 * _RQ**4 + 10
+_D = 30 * _RQ**2 * _RP**4 - 40 * _RP**6 - 15 * _RQ**5
+_C = _RQ * _RP + 3 * _RQ**2 - _RP
+
+
+_RING3, _X, _Y, _Z = ring("x,y,z", ZZ, grlex)
+
+
+@pytest.mark.parametrize(
+    "common, f, g",
+    [
+        (_C, _N**2, _D**2),
+        (_X * _Y - 3 * _Z**2 + 1, (_X + _Y + _Z) ** 2, _X * _Z**3 - 2 * _Y + 5),
+    ],
+    ids=["swelling-pair", "three-parameters"],
+)
+def test_the_heuristic_settles_common_factors_without_the_prs(monkeypatch, common, f, g):
+    def refuse(*args):
+        raise AssertionError("the primitive PRS was reached")
+
+    monkeypatch.setattr(scalars, "_prs_gcd", refuse)
+    h, u, v = scalars._gcd_cofactors(_int_poly(f * common), _int_poly(g * common))
+    assert (h, u, v) == (_int_poly(common), _int_poly(f), _int_poly(g))
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (_RQ**2 - 1, _RQ**2 + 2 * _RQ + 1),
+        (2 * _RQ**3 * _RP - 2 * _RP, 6 * _RQ**2 * _RP**2 - 6 * _RP**2),
+        (_N * _C, _D * _C),
+        (_RQ + _RP, _RQ - _RP),
+    ],
+)
+def test_the_prs_takes_over_when_the_heuristic_gives_up(monkeypatch, f, g):
+    calls = []
+    prs = scalars._prs_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return prs(*args)
+
+    monkeypatch.setattr(scalars, "_HEU_POINTS", 0)
+    monkeypatch.setattr(scalars, "_prs_gcd", counted)
+    h, u, v = scalars._gcd_cofactors(_int_poly(f), _int_poly(g))
+    assert calls
+    expected = f.gcd(g)
+    if expected.LT[1] < 0:
+        expected = -expected
+    assert h == _int_poly(expected)
+    assert (u, v) == (_int_poly(f.quo(expected)), _int_poly(g.quo(expected)))
+
+
+def test_a_sparse_gcd_of_high_degree_is_exact_up_to_its_size_bound(qctx):
+    q = qctx.parameter("q")
+    value = 1 / (q**10_000 + 2) * (q + 3)
+    assert value.numer_terms() == [((1,), 1), ((0,), 3)]
+    assert value.denom_terms() == [((10_000,), 1), ((0,), 2)]
+    # its images at the least point would have about 5 * 2^30 bits
+    with pytest.raises(CoefficientTooLarge):
+        1 / (q ** (2**30 - 1) + 2) * (q + 3)
 
 
 # -- shared Laurent monomials -------------------------------------------------
