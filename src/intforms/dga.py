@@ -72,9 +72,9 @@ class CalculusSpec:
     form_order lists the same names in ascending canonical order (defaults
     to form_names); rule right-hand sides must be strictly smaller in the
     induced degree-lexicographic order.  rules maps a word of form names to
-    {word: scalar}; d_on_forms maps a form name to its degree-2 value
-    (omitted names differentiate to zero).  bases optionally pins the
-    stored basis order for degrees >= 2.
+    {word: scalar}; d_on_forms maps a form name to its degree-2 value as
+    {word: coefficient} (omitted names differentiate to zero).  bases
+    optionally pins the stored basis order for degrees >= 2.
 
     The spec holds the calculus's twist table (see the module docstring):
     `_twists` maps (kind, form word, normal word u, appended word) to the
@@ -145,9 +145,6 @@ class CalculusSpec:
         if not 0 <= name < self.n:
             raise KeyError(f"form index {name} out of range")
         return name
-
-    def form_word(self, *names):
-        return tuple(self.index(n) for n in names)
 
     def _coerce_form_word(self, word):
         if isinstance(word, str):
@@ -225,20 +222,13 @@ class CalculusSpec:
         return bases
 
     def _coerce_d_value(self, name, value):
-        if value is None:
-            return FormElement(self, 2, {})
-        if isinstance(value, str):
-            value = self.parse(value)
-        elif isinstance(value, FormElement):
-            if value.spec is not self:
-                raise ValueError("d value belongs to a different calculus")
-        else:
-            value = self.form(2, value)
-        if value.terms and value.degree != 2:
+        value = value or {}
+        if any(len(self._coerce_form_word(word)) != 2 for word in value):
             raise ValueError(f"d {name} must be a degree-2 form")
+        value = self.form(2, value)
         if value.terms and self.top_degree < 2:
             raise ValueError(f"d {name} exceeds the top degree")
-        return value if value.degree == 2 else FormElement(self, 2, value.terms)
+        return value
 
     # -- elements ---------------------------------------------------------
 
@@ -273,28 +263,6 @@ class CalculusSpec:
                 coeff = self.presentation.scalar(coeff)
             if coeff:
                 add_scaled(out, self._reduce_word(word), coeff)
-        return FormElement(self, degree, out)
-
-    def parse(self, text):
-        from .parser import parse_form_terms
-
-        terms = parse_form_terms(self.presentation, self.form_names, text)
-        degree = None
-        out = {}
-        for coeff, names in terms:
-            if not names:
-                if coeff:
-                    raise ValueError("expression has a term with no form word")
-                continue
-            word = self.form_word(*names)
-            if degree is None:
-                degree = len(word)
-            elif len(word) != degree:
-                raise ValueError("expression mixes degrees")
-            if coeff:
-                add_scaled(out, self._reduce_word(word), coeff)
-        if degree is None:
-            raise ValueError("expression has no form word")
         return FormElement(self, degree, out)
 
     def __repr__(self):

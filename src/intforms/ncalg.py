@@ -224,11 +224,6 @@ class Presentation:
         value = self.context.coerce(value)
         return AlgElement(self, {(): value} if value else {})
 
-    def parse(self, text):
-        from .parser import parse_element
-
-        return parse_element(self, text)
-
     # -- basis enumeration ----------------------------------------------------
 
     def normal_words(self, max_len, degree=None):

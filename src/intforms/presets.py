@@ -305,12 +305,16 @@ def _build_calculus(sections, tmd):
             ]
         else:
             raise ParseError(f"unknown forms directive '{key}'", lineno, 1)
+    if names is None:
+        raise ParseError("a calculus needs form 'names:' and 'top:'", 1, 1)
     top = None
     d_rules = {}
     for lineno, text in sections["calculus"]:
         if text.lstrip().startswith("d "):
             head, rhs = _split_assign(text, lineno, "a d rule")
-            d_rules[head[2:].strip()] = rhs
+            value = d_rules[head[2:].strip()] = {}
+            for coeff, word in parse_form_terms(pres, names, rhs, line=lineno):
+                add_scaled(value, {word: coeff})
         else:
             key, sep, rest = _cut(text, ":")
             if key.strip() == "top" and sep:
@@ -322,7 +326,7 @@ def _build_calculus(sections, tmd):
                 raise ParseError(
                     "calculus directives are 'top: <n>' or 'd <form> = ...'", lineno, 1
                 )
-    if names is None or top is None:
+    if top is None:
         raise ParseError("a calculus needs form 'names:' and 'top:'", 1, 1)
     return CalculusSpec(
         tmd,

@@ -35,25 +35,46 @@ coefficient, a sum's by an estimate of its terms times their bits.
 Sums, products, integer powers and division by a monomial of Laurent values
 stay in the dict.  Division by a non-monomial and anything involving a true
 rational function work on fractions, with Henrici's cross-cancelled products
-and sums, which read the cofactors f/h, g/h beside the gcd h over Z.  A gcd
-with a single-term side is a monomial times an integer gcd; any other runs
-the heuristic gcd (Char, Geddes and Gonnet, "GCDHEU", J. Symbolic Comput. 7,
-1989).  It evaluates f and g at an odd integer xi, from 2 min(|f|, |g|) + 29
-on (|.| the largest coefficient), takes the gcd of the images, by recursion
-over the other parameters, and reads a candidate from its symmetric xi-adic
-digits.  A candidate of content 1 dividing both primitive sides exactly is
-their gcd, and the quotients are the cofactors: each answer is certified by
-trial division, and a failed one moves xi on.  Where one parameter varies,
-each side's monomial content comes out and the rest is a dense integer
-list.  Images of degree * bits(xi) bits over 2**20 raise CoefficientTooLarge;
-after six points the primitive PRS takes over (Knuth, TAOCP vol. 2, 4.6.1;
-Brown, J. ACM 18, 1971).  A fraction whose reduced
-denominator is a monomial goes back to the dict.  Reduced is the canonical
-form of sympy's fraction field ZZ(params): numerator and denominator share
-no factor, integer content included, and the leading coefficient of the
-denominator under grlex is positive.  So each value has one representation,
-and equality is equality of canonical forms.  There are no floats anywhere
-and no tolerance knobs.
+and sums, which read the cofactors f/h, g/h beside the gcd h over Z.  A
+fraction whose reduced denominator is a monomial goes back to the dict.
+Reduced is the canonical form of sympy's fraction field ZZ(params):
+numerator and denominator share no factor, integer content included, and
+the leading coefficient of the denominator under grlex is positive.  So
+each value has one representation, and equality is equality of canonical
+forms.  There are no floats anywhere and no tolerance knobs.
+
+A gcd with a single-term side is a monomial times an integer gcd; every
+other runs the heuristic gcd (Char, Geddes and Gonnet, "GCDHEU",
+J. Symbolic Comput. 7, 1989).  It evaluates f and g, without their common
+content, at an odd integer xi in a parameter x that varies, from
+2 min(|f|, |g|) + 29 on (|.| the largest coefficient), takes the gcd of the
+images, by recursion over the other parameters, and reads a candidate from
+its symmetric xi-adic digits.  A candidate of content 1 dividing both sides
+exactly is their gcd, and the quotients are the cofactors: each answer is
+certified by trial division, and a failed one moves xi on by about e.
+Where one parameter varies, each side's monomial content comes out and the
+rest is a dense integer list.  Each point is first held to the size bound:
+images of degree * bits(xi) bits over 2**20 raise CoefficientTooLarge.  The
+bound holds at every level of the recursion, and the inner points grow with
+the outer images, so a sparse pair of high degree in two parameters is
+refused rather than answered: (q^600 + p^600 + 1)(q + p) against
+(q^600 - p^600 + 2)(q + p) has images of about 3,600 bits at q = xi, too
+large for points of their gcd of degree 601 in p.
+
+The loop stops, since the degree is at least 1 and xi grows until the bound
+refuses it; before that, a large enough xi gives a certificate.  Write the
+sides f = h F and g = h G with F, G coprime.  The coefficients of F and G
+in the other parameters are polynomials in x that share no factor, so some
+combination of them over Z[x] is a nonzero integer r; in one variable,
+r = Res(F, G).  At x = xi the gcd of the images is h(xi) times
+gcd(F(xi), G(xi)), up to sign.  Only finitely many xi are unlucky, where that has
+positive degree (Brown, J. ACM 18, 1971): a shared factor in a parameter y
+makes xi a root of a nonzero polynomial in x, a y-leading coefficient of
+F or G or their resultant in y.  At any other xi it is an integer s that
+divides r.  Once xi > 2 |r| |h|, the symmetric digits of s h(xi) are s
+times the coefficients of h, so the candidate is h, and it divides.  The
+heuristic needs few points in practice (Liao and Fateman, "Evaluation of
+the heuristic polynomial GCD", ISSAC 1995).
 
 The constant 1 is the context's `one` whenever it is built from an int or
 a Fraction, and a product with `one` returns the other factor without
@@ -135,11 +156,6 @@ class ScalarContext:
 
     def from_int(self, value):
         return self._scalar(operator.index(value))
-
-    def parse(self, text):
-        from .parser import parse_scalar  # grammar is shared with the frontend
-
-        return parse_scalar(self, text)
 
     def coerce(self, value):
         if isinstance(value, ScalarRF):
@@ -651,9 +667,6 @@ def _fraction_sub(a, b):
     return _fraction_add(a, (_neg(numer), denom))
 
 
-_HEU_POINTS = 6  # points of the heuristic gcd before the PRS takes over
-
-
 def _gcd_cofactors(f, g):
     """(h, f/h, g/h) for the gcd h over Z of f and g, with h's leading
     coefficient under grlex positive (see the module docstring)."""
@@ -675,38 +688,42 @@ def _gcd_cofactors(f, g):
     ends = zip(low_f, top_f, low_g, top_g)
     varying = [i for i, (a, b, c, d) in enumerate(ends) if a != b or c != d]
     i = varying[0]
-    if len(varying) == 1:
-        # dense lists in the one parameter i that varies, without each
-        # side's monomial content; no point is below 29, so a degree past
-        # the size bound is refused before the lists are built
-        _check_gcd_size(max(top_f[i] - low_f[i], top_g[i] - low_g[i]), 29)
-        out = _dense_gcd(_dense(f, i, low_f[i], top_f[i]), _dense(g, i, low_g[i], top_g[i]))
-        if out is not None:
-            low = tuple(map(min, low_f, low_g))
-            shifts = (low, tuple(map(sub, low_f, low)), tuple(map(sub, low_g, low)))
-            # each list times x^shift
-            return tuple(
-                {s[:i] + (s[i] + k,) + s[i + 1 :]: c for k, c in enumerate(part) if c}
-                for part, s in zip(out, shifts)
-            )
-    else:
+    if len(varying) > 1:
         out = _heu_gcd(f, g, i, max(top_f[i], top_g[i]))
-        if out is not None:
-            return out if _sign(out[0]) > 0 else tuple(map(_neg, out))
-    h = _prs_gcd(f, g, 0)
-    h = h if _sign(h) > 0 else _neg(h)
-    return h, _divexact(f, h), _divexact(g, h)
+        return out if _sign(out[0]) > 0 else tuple(map(_neg, out))
+    # dense lists in the one parameter i that varies, without each side's
+    # monomial content; no point is below 29, so a degree past the size
+    # bound is refused before the lists are built
+    _check_gcd_size(max(top_f[i] - low_f[i], top_g[i] - low_g[i]), 29)
+    out = _dense_gcd(_dense(f, i, low_f[i], top_f[i]), _dense(g, i, low_g[i], top_g[i]))
+    low = tuple(map(min, low_f, low_g))
+    shifts = (low, tuple(map(sub, low_f, low)), tuple(map(sub, low_g, low)))
+    # each list times x^shift
+    return tuple(
+        {s[:i] + (s[i] + k,) + s[i + 1 :]: c for k, c in enumerate(part) if c}
+        for part, s in zip(out, shifts)
+    )
+
+
+def _points(degree, norm):
+    # the heuristic's points for a gcd of that degree, from the smaller
+    # side's largest coefficient: odd, from 2 * norm + 29 on, growing by
+    # about e.  The sequence has no end; the size bound refuses a point
+    xi = 2 * norm + 29
+    while True:
+        _check_gcd_size(degree, xi)
+        yield xi
+        xi = xi * 73794 // 27011 | 1
 
 
 def _dense_gcd(a, b):
     # the heuristic on coefficient lists, lowest degree first, with nonzero
-    # ends: (h, a/h, b/h) with h's last entry positive, or None
+    # ends: (h, a/h, b/h) with h's last entry positive
     content = gcd(*a, *b)
     if content != 1:
         a, b = [c // content for c in a], [c // content for c in b]
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    for _ in range(_HEU_POINTS):
-        _check_gcd_size(max(len(a), len(b)) - 1, xi)
+    norm = min(max(map(abs, a)), max(map(abs, b)))
+    for xi in _points(max(len(a), len(b)) - 1, norm):
         h = _digits(gcd(_horner(a, xi), _horner(b, xi)), xi)
         divisor = gcd(*h)
         h = [c // divisor for c in h]
@@ -714,20 +731,17 @@ def _dense_gcd(a, b):
         v = None if u is None else _dense_quotient(b, h)
         if v is not None:
             return [c * content for c in h], u, v
-        xi = xi * 73794 // 27011 | 1
-    return None
 
 
 def _heu_gcd(f, g, i, degree):
     # the heuristic on dicts of that degree in parameter i, through images
     # at x_i = xi, whose gcd is taken recursively: (h, f/h, g/h) with h of
-    # either sign, or None
+    # either sign
     content = gcd(*f.values(), *g.values())
     if content != 1:
         f, g = ({e: c // content for e, c in poly.items()} for poly in (f, g))
-    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
-    for _ in range(_HEU_POINTS):
-        _check_gcd_size(degree, xi)
+    norm = min(max(map(abs, f.values())), max(map(abs, g.values())))
+    for xi in _points(degree, norm):
         images = [{}, {}]
         for image, poly in zip(images, (f, g)):
             for e, c in poly.items():
@@ -745,8 +759,7 @@ def _heu_gcd(f, g, i, degree):
         try:
             return {e: c * content for e, c in h.items()}, _divexact(f, h), _divexact(g, h)
         except ArithmeticError:
-            xi = xi * 73794 // 27011 | 1
-    return None
+            pass
 
 
 def _check_gcd_size(degree, xi):
@@ -809,66 +822,6 @@ def _dense(f, i, low, top):
 def _shifted(f, shift, den):
     # f / (den * x^shift), exact
     return {tuple(map(sub, e, shift)): c // den for e, c in f.items()}
-
-
-def _prs_gcd(f, g, k):
-    # f and g are nonzero and hold no variable before the k-th.  As
-    # polynomials in variable k over Z[later variables], gcd = gcd of the
-    # contents times gcd of the primitive parts, and the latter is the last
-    # nonzero pseudo-remainder of the primitive PRS, made primitive.
-    if len(f) == 1 or len(g) == 1:
-        return _gcd_cofactors(f, g)[0]
-    a, b = _primitive(_split(f, k), k), _primitive(_split(g, k), k)
-    content = _prs_gcd(a[1], b[1], k + 1)
-    a, b = sorted((a[0], b[0]), key=max, reverse=True)
-    while max(b):
-        r = _pseudo_remainder(a, b)
-        if not r:
-            joined = {e[:k] + (d,) + e[k + 1 :]: c for d, p in b.items() for e, c in p.items()}
-            return _mul(content, joined)
-        a, b = b, _primitive(r, k)[0]
-    return content  # the primitive parts are coprime
-
-
-def _split(f, k):
-    # {degree in variable k: coefficient polynomial without variable k}
-    out = {}
-    for exps, coeff in f.items():
-        out.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1 :]] = coeff
-    return out
-
-
-def _primitive(coeffs, k):
-    # the primitive part and the content of a polynomial split at variable k
-    polys = sorted(coeffs.values(), key=len)
-    content = polys[0]
-    for poly in polys[1:]:
-        content = _prs_gcd(content, poly, k + 1)
-    return {degree: _divexact(poly, content) for degree, poly in coeffs.items()}, content
-
-
-def _pseudo_remainder(a, b):
-    # the remainder of lc(b)^e * a by b in the main variable, where each
-    # reduction step multiplies by lc(b) once; only its primitive part is
-    # used, so the further power of lc(b) in prem proper is left out
-    top = max(b)
-    lead = b[top]
-    rest = {degree: poly for degree, poly in b.items() if degree != top}
-    r = dict(a)
-    while r:
-        degree = max(r)
-        if degree < top:
-            break
-        factor = _neg(r.pop(degree))
-        r = {d: _mul(poly, lead) for d, poly in r.items()}
-        for d, poly in rest.items():
-            d += degree - top
-            total = _add(r.get(d, {}), _mul(poly, factor))
-            if total:
-                r[d] = total
-            else:
-                r.pop(d, None)
-    return r
 
 
 def _divexact(f, g):

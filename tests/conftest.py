@@ -10,8 +10,10 @@ from intforms.dga import CalculusSpec
 from intforms.linmap import AlgebraMap, MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import HopfData, Presentation
+from intforms.parser import parse_form_terms
 from intforms.presets import REGISTRY
 from intforms.scalars import ScalarContext
+from intforms.sparse import add_scaled
 
 
 def make_qplane_presentation(ctx):
@@ -174,19 +176,28 @@ def make_qplane_calculus(tmd):
 
 
 def make_sl2_3d_calculus(tmd):
+    q = tmd.presentation.context.parameter("q")
     return CalculusSpec(
         tmd,
         form_names=("w0", "w+", "w-"),
         form_order=("w-", "w0", "w+"),
         rules=sl2_3d_form_rules(tmd.presentation.context),
         d_on_forms={
-            "w0": "q * w-.w+",
-            "w+": "q^2*(q^2 + 1) * w0.w+",
-            "w-": "q^2*(q^2 + 1) * w-.w0",
+            "w0": {("w-", "w+"): q},
+            "w+": {("w0", "w+"): q**2 * (q**2 + 1)},
+            "w-": {("w-", "w0"): q**2 * (q**2 + 1)},
         },
         top_degree=3,
         bases={2: [("w-", "w+"), ("w-", "w0"), ("w0", "w+")]},
     )
+
+
+def parse_form(spec, text):
+    """The form a text spells in the form names of spec."""
+    coords = {}
+    for coeff, word in parse_form_terms(spec.presentation, spec.form_names, text):
+        add_scaled(coords, {word: coeff})
+    return spec.form(len(next(iter(coords))), coords)
 
 
 def random_element(pres, rng, max_len=3, terms=2):

@@ -1,9 +1,10 @@
-"""Every public name of the package has a reader in the program itself.
+"""Every name of the package has a reader in the program itself.
 
-Each public top-level name of `src/intforms/*.py`, and each public method
-of its public classes, must be read somewhere in `src/` or `perfbench/`
-outside its own definition.  Tests do not count as readers: a name that
-only tests call is surface without a user, and goes.
+Each top-level name of `src/intforms/*.py`, and each method of its classes,
+must be read somewhere in `src/` or `perfbench/` outside its own
+definition; only dunders are exempt.  Tests do not count as readers: a
+public name that only tests call is surface without a user, and a private
+helper that nothing calls is dead code, and either goes.
 
 A top-level function or class is read where its module reads its bare
 name, or where another module reads it through what it imported: a name
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,8 +126,17 @@ def _reads(tree, module, modules, top):
     return qualified, bare
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _private(qualified):
+    return any(part.startswith("_") for part in qualified.split(".")[1:])
+
+
 def _definitions(module, tree):
-    """(qualified name, is a method, defining node) of each public name."""
+    """(qualified name, is a method, defining node) of each name but the
+    dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -136,16 +147,17 @@ def _definitions(module, tree):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
+            if not _dunder(name):
                 yield f"{module}.{name}", False, node
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                if isinstance(member, ast.FunctionDef) and not _dunder(member.name):
                     yield f"{module}.{node.name}.{member.name}", True, member
 
 
+@cache
 def _scan():
-    """Qualified names of all public definitions, and of those nothing reads."""
+    """Qualified names of all definitions, and of those nothing reads."""
     package = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
     modules = set(package)
     top = {
@@ -176,6 +188,11 @@ def _scan():
 
 def test_every_public_name_has_a_reader():
     defined, unread = _scan()
-    assert sorted(unread - ALLOWED.keys()) == []
+    assert sorted(name for name in unread - ALLOWED.keys() if not _private(name)) == []
     # an entry whose definition went goes with it
     assert sorted(ALLOWED.keys() - defined) == []
+
+
+def test_every_private_helper_has_a_reader():
+    _, unread = _scan()
+    assert sorted(name for name in unread if _private(name)) == []

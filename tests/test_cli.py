@@ -202,8 +202,9 @@ def test_division_by_zero_in_a_literal_is_a_config_error(capsys, tmp_path, rhs):
         ("qplane", "relation: y*x = q^-1 * x*y", "relation: y*x = 1/0 * x*y", "line 9, col 18"),
         ("qplane", "partial: y = 0, 1", "partial: y = 0, 1/0", "line 17, col 18"),
         ("sl2-3d", "counit: beta = 0", "counit: beta = 1/0", "line 30, col 17"),
+        ("sl2-3d", "d w0 = q * w-.w+", "d w0 = 1/0 * w0.w+", "line 62, col 9"),
     ],
-    ids=["relation", "partial", "counit"],
+    ids=["relation", "partial", "counit", "d-rule"],
 )
 def test_parse_errors_give_the_column_in_the_line(capsys, tmp_path, preset, old, new, where):
     # the column of the '/' counts from the start of the line, not of the

@@ -24,6 +24,7 @@ from conftest import (
     identity_sigma,
     make_qplane_calculus,
     make_sl2_3d_calculus,
+    parse_form,
     qplane_form_rules,
     sl2_3d_form_rules,
 )
@@ -60,7 +61,7 @@ def test_right_mul_3d_relations(sl2, sl2_3d_calc):
 
 
 def test_right_mul_unit_and_zero(qplane, qplane_calc):
-    form = qplane_calc.parse("x*dx + y*dy")
+    form = parse_form(qplane_calc, "x*dx + y*dy")
     assert form * qplane.one == form
     assert (form * qplane.zero).is_zero()
     assert form * 1 == form
@@ -93,20 +94,20 @@ def test_right_mul_higher_degree_iterates(qplane, qplane_calc):
 def test_left_from_right_quantum_plane(qplane, qplane_calc):
     p = qplane.context.parameter("p")
     x = qplane.gen("x")
-    dx = qplane_calc.form_word("dx")
+    dx = (qplane_calc.index("dx"),)
     assert dga.right_coords(qplane_calc, qplane_calc.form(1, {dx: x})) == {dx: x / p}
 
 
 def test_left_from_right_3d(sl2, sl2_3d_calc):
     q = sl2.context.parameter("q")
     alpha = sl2.gen("alpha")
-    w0 = sl2_3d_calc.form_word("w0")
+    w0 = (sl2_3d_calc.index("w0"),)
     omega = sl2_3d_calc.form(1, {w0: alpha})
     assert dga.right_coords(sl2_3d_calc, omega) == {w0: alpha * q**2}
 
 
 def test_left_from_right_unit(qplane, qplane_calc):
-    dy = qplane_calc.form_word("dy")
+    dy = (qplane_calc.index("dy"),)
     assert dga.right_coords(qplane_calc, qplane_calc.basis_form(dy)) == {dy: qplane.one}
 
 
@@ -267,10 +268,10 @@ def test_twist_table_grows_with_words_not_coefficients(cold_preset, monkeypatch,
 
 def test_d_on_3d_generators(sl2, sl2_3d_calc):
     spec = sl2_3d_calc
-    assert dga.d(spec, sl2.gen("alpha")) == spec.parse("alpha*w0 - q*beta*w+")
-    assert dga.d(spec, sl2.gen("beta")) == spec.parse("-q^2*beta*w0 + alpha*w-")
-    assert dga.d(spec, sl2.gen("gamma")) == spec.parse("gamma*w0 - q*delta*w+")
-    assert dga.d(spec, sl2.gen("delta")) == spec.parse("-q^2*delta*w0 + gamma*w-")
+    assert dga.d(spec, sl2.gen("alpha")) == parse_form(spec, "alpha*w0 - q*beta*w+")
+    assert dga.d(spec, sl2.gen("beta")) == parse_form(spec, "-q^2*beta*w0 + alpha*w-")
+    assert dga.d(spec, sl2.gen("gamma")) == parse_form(spec, "gamma*w0 - q*delta*w+")
+    assert dga.d(spec, sl2.gen("delta")) == parse_form(spec, "-q^2*delta*w0 + gamma*w-")
 
 
 def test_d_of_unit_vanishes(sl2, sl2_3d_calc, qplane, qplane_calc):
@@ -283,7 +284,7 @@ def test_d_alpha_beta_left_and_right_coords(sl2, sl2_3d_calc):
     q = sl2.context.parameter("q")
     alpha, beta = sl2.gen("alpha"), sl2.gen("beta")
     left = dga.d(spec, alpha * beta)
-    assert left == spec.parse("alpha^2*w- - q^2*beta^2*w+")
+    assert left == parse_form(spec, "alpha^2*w- - q^2*beta^2*w+")
     # the same form with coefficients on the right: q^2 w-. alpha^2 - w+.beta^2
     right = spec.basis_form("w-") * (alpha * alpha * q**2) - spec.basis_form(
         "w+"
@@ -293,9 +294,9 @@ def test_d_alpha_beta_left_and_right_coords(sl2, sl2_3d_calc):
 
 def test_d_on_basis_forms(sl2, sl2_3d_calc):
     spec = sl2_3d_calc
-    assert dga.d(spec, spec.basis_form("w0")) == spec.parse("q * w-.w+")
-    assert dga.d(spec, spec.basis_form("w+")) == spec.parse("q^2*(q^2 + 1) * w0.w+")
-    assert dga.d(spec, spec.basis_form("w-")) == spec.parse("q^2*(q^2 + 1) * w-.w0")
+    assert dga.d(spec, spec.basis_form("w0")) == parse_form(spec, "q * w-.w+")
+    assert dga.d(spec, spec.basis_form("w+")) == parse_form(spec, "q^2*(q^2 + 1) * w0.w+")
+    assert dga.d(spec, spec.basis_form("w-")) == parse_form(spec, "q^2*(q^2 + 1) * w-.w0")
 
 
 def test_d_is_linear(sl2, sl2_3d_calc):
@@ -416,8 +417,8 @@ def test_normal_forms_agree_with_all_positions_rewriting(request, calc, form_rul
     spec = request.getfixturevalue(calc)
     rules = [
         (
-            spec.form_word(*lhs),
-            {spec.form_word(*w): spec.context.coerce(c) for w, c in rhs.items()},
+            tuple(map(spec.index, lhs)),
+            {tuple(map(spec.index, w)): spec.context.coerce(c) for w, c in rhs.items()},
         )
         for lhs, rhs in form_rules(spec.context).items()
     ]
@@ -445,15 +446,15 @@ def test_mixed_degrees_rejected(qplane, qplane_calc):
     with pytest.raises(ValueError):
         spec.form(1, {("dx", "dy"): 1})
     with pytest.raises(ValueError):
-        spec.parse("x*dx + dx.dy")
+        parse_form(spec, "x*dx + dx.dy")
     with pytest.raises(ValueError):
-        spec.parse("x*dx") + spec.parse("dx.dy")
+        parse_form(spec, "x*dx") + parse_form(spec, "dx.dy")
 
 
 def test_form_str_roundtrip(sl2, sl2_3d_calc):
     spec = sl2_3d_calc
     text = "alpha*w0 - q*beta*w+"
-    assert str(spec.parse(text)) == text
+    assert str(parse_form(spec, text)) == text
     assert str(spec.zero(2)) == "0"
     assert str(spec.basis_form(("w-", "w0"))) == "w-.w0"
 
@@ -549,7 +550,7 @@ def test_d_value_must_be_degree_two(sl2_3d_tmd):
                 ("w0", "w-"): {("w-", "w0"): -(q**4)},
                 ("w+", "w0"): {("w0", "w+"): -(q**4)},
             },
-            d_on_forms={"w0": "q * w-"},
+            d_on_forms={"w0": {("w-",): q}},
             top_degree=3,
         )
 
@@ -586,16 +587,16 @@ def test_d_squared_catches_corrupted_differential(sl2, sl2_3d_tmd):
         },
         # the q in front of w-.w+ is dropped
         d_on_forms={
-            "w0": "w-.w+",
-            "w+": "q^2*(q^2 + 1) * w0.w+",
-            "w-": "q^2*(q^2 + 1) * w-.w0",
+            "w0": {("w-", "w+"): 1},
+            "w+": {("w0", "w+"): q2 * (q2 + 1)},
+            "w-": {("w-", "w0"): q2 * (q2 + 1)},
         },
         top_degree=3,
     )
     report = check_d_squared(corrupted, 2)
     assert not report.ok
     by_input = {f["input"]: f["witness"] for f in report.failures}
-    assert by_input["alpha"] == corrupted.parse("(1 - q)*alpha*w-.w+")
+    assert by_input["alpha"] == parse_form(corrupted, "(1 - q)*alpha*w-.w+")
 
 
 # -- density ------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_scalar_grammar(qctx):
     assert parse_scalar(qctx, "-q^2 + 1") == 1 - q * q
     assert parse_scalar(qctx, "q^-2") == 1 / (q * q)
     assert parse_scalar(qctx, "(q + 1)*(q - 1)") == q * q - 1
-    assert parse_scalar(qctx, "1/2/2") == qctx.parse("1/4")
+    assert parse_scalar(qctx, "1/2/2") == parse_scalar(qctx, "1/4")
 
 
 def test_element_grammar(sl2):

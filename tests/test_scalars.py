@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Rational, grlex, symbols
+from sympy import ZZ, Rational, factorint, grlex, symbols
+from sympy.ntheory.modular import crt
 from sympy.polys.fields import field
 from sympy.polys.rings import ring
 
 from intforms import scalars
 from intforms.ncalg import AlgElement
+from intforms.parser import parse_scalar
 from intforms.scalars import (
     CoefficientTooLarge,
     ExponentOutOfRange,
@@ -146,15 +148,15 @@ def test_parse_round_trip_examples(qpctx):
         "-p^3*q + 1/2",
         "(q - q^-1)/(q^2 - q^-2)",
     ]:
-        s = qpctx.parse(text)
-        assert qpctx.parse(str(s)) == s
+        s = parse_scalar(qpctx, text)
+        assert parse_scalar(qpctx, str(s)) == s
 
 
 def test_parse_matches_constructed(qctx):
     q = qctx.parameter("q")
-    assert qctx.parse("(q - q^-1)/(q^2 - q^-2)") == q / (q * q + 1)
-    assert qctx.parse("q^2*(q^2+1)") == q**4 + q**2
-    assert qctx.parse("2 - q") == 2 - q
+    assert parse_scalar(qctx, "(q - q^-1)/(q^2 - q^-2)") == q / (q * q + 1)
+    assert parse_scalar(qctx, "q^2*(q^2+1)") == q**4 + q**2
+    assert parse_scalar(qctx, "2 - q") == 2 - q
 
 
 def test_constants_hash_like_ints_and_fractions(qctx):
@@ -167,7 +169,7 @@ def test_constants_hash_like_ints_and_fractions(qctx):
 
 def test_empty_context():
     ctx = ScalarContext(())
-    assert ctx.parse("3/4 - 1") == ctx.from_fraction(Fraction(-1, 4))
+    assert parse_scalar(ctx, "3/4 - 1") == ctx.from_fraction(Fraction(-1, 4))
     assert str(ctx.from_fraction(Fraction(-1, 4))) == "-1/4"
 
 
@@ -206,7 +208,7 @@ def test_field_laws_and_round_trip(qpctx, data):
     assert a - a == 0
     if not b.is_zero():
         assert (a / b) * b == a
-    assert qpctx.parse(str(a)) == a
+    assert parse_scalar(qpctx, str(a)) == a
 
 
 @given(data=st.data())
@@ -358,7 +360,7 @@ def _assert_matches(s, f):
     if all(-_BOUND <= e < _BOUND for e in printed):
         # the parser reads each printed power as a scalar, so a printed
         # exponent outside the range cannot be read back
-        assert s == ctx.parse(str(s))
+        assert s == parse_scalar(ctx, str(s))
 
 
 def _sympy_value(f, point):
@@ -540,41 +542,62 @@ _RING3, _X, _Y, _Z = ring("x,y,z", ZZ, grlex)
     ],
     ids=["swelling-pair", "three-parameters"],
 )
-def test_the_heuristic_settles_common_factors_without_the_prs(monkeypatch, common, f, g):
-    def refuse(*args):
-        raise AssertionError("the primitive PRS was reached")
-
-    monkeypatch.setattr(scalars, "_prs_gcd", refuse)
+def test_the_heuristic_settles_common_factors_without_the_prs(common, f, g):
     h, u, v = scalars._gcd_cofactors(_int_poly(f * common), _int_poly(g * common))
     assert (h, u, v) == (_int_poly(common), _int_poly(f), _int_poly(g))
 
 
-@pytest.mark.parametrize(
-    "f, g",
-    [
-        (_RQ**2 - 1, _RQ**2 + 2 * _RQ + 1),
-        (2 * _RQ**3 * _RP - 2 * _RP, 6 * _RQ**2 * _RP**2 - 6 * _RP**2),
-        (_N * _C, _D * _C),
-        (_RQ + _RP, _RQ - _RP),
-    ],
-)
-def test_the_prs_takes_over_when_the_heuristic_gives_up(monkeypatch, f, g):
-    calls = []
-    prs = scalars._prs_gcd
+def _heuristic_points(n):
+    # the first n points of a gcd whose smaller side has largest coefficient 1
+    xi, out = 31, []
+    for _ in range(n):
+        out.append(xi)
+        xi = xi * 73794 // 27011 | 1
+    return out
 
-    def counted(*args):
-        calls.append(args)
-        return prs(*args)
 
-    monkeypatch.setattr(scalars, "_HEU_POINTS", 0)
-    monkeypatch.setattr(scalars, "_prs_gcd", counted)
+def _defeating_constant(n):
+    """A c for which q + c and q^2 + q + 1 have images at each of the first
+    n points with a common prime P > xi/2, so that P's xi-adic digits read
+    as a candidate of positive degree, which does not divide: c = -xi mod P
+    at each point, by the CRT."""
+    moduli, residues = [], []
+    for xi in _heuristic_points(n):
+        prime = max(factorint(xi * xi + xi + 1))
+        assert 2 * prime > xi
+        moduli.append(prime)
+        residues.append(-xi % prime)
+    return int(crt(moduli, residues)[0])
+
+
+@pytest.mark.parametrize("points", [6, 12])
+@pytest.mark.parametrize("shape", ["univariate", "bivariate"])
+def test_the_heuristic_moves_past_points_that_a_crafted_constant_defeats(
+    monkeypatch, points, shape
+):
+    assert _heuristic_points(3) == [31, 85, 233]
+    c = _defeating_constant(points)
+    # the bivariate pair runs the retry of the recursive heuristic
+    f = _RQ + c if shape == "univariate" else (_RQ + c) * (_RP + 1)
+    g = _RQ**2 + _RQ + 1
+    seen = []
+    check = scalars._check_gcd_size
+
+    def spy(degree, xi):
+        seen.append(xi)
+        return check(degree, xi)
+
+    monkeypatch.setattr(scalars, "_check_gcd_size", spy)
+    start = time.perf_counter()
     h, u, v = scalars._gcd_cofactors(_int_poly(f), _int_poly(g))
-    assert calls
+    assert time.perf_counter() - start < 1
+    # every crafted point fails, and the next one settles the gcd; the
+    # univariate path first holds the degree to the bound at xi = 29
+    first = [29] if shape == "univariate" else []
+    assert seen == first + _heuristic_points(points + 1)
     expected = f.gcd(g)
-    if expected.LT[1] < 0:
-        expected = -expected
-    assert h == _int_poly(expected)
-    assert (u, v) == (_int_poly(f.quo(expected)), _int_poly(g.quo(expected)))
+    assert expected == 1
+    assert (h, u, v) == (_int_poly(expected), _int_poly(f), _int_poly(g))
 
 
 def test_a_sparse_gcd_of_high_degree_is_exact_up_to_its_size_bound(qctx):
@@ -585,6 +608,23 @@ def test_a_sparse_gcd_of_high_degree_is_exact_up_to_its_size_bound(qctx):
     # its images at the least point would have about 5 * 2^30 bits
     with pytest.raises(CoefficientTooLarge):
         1 / (q ** (2**30 - 1) + 2) * (q + 3)
+
+
+def test_a_sparse_bivariate_gcd_of_high_degree_is_refused(qpctx):
+    q, p = qpctx.parameter("q"), qpctx.parameter("p")
+
+    def quotient(n):
+        return (q**n + p**n + 1) * (q + p) / ((q**n - p**n + 2) * (q + p))
+
+    value = quotient(300)
+    assert value.numer_terms() == [((300, 0), 1), ((0, 300), 1), ((0, 0), 1)]
+    assert value.denom_terms() == [((300, 0), 1), ((0, 300), -1), ((0, 0), 2)]
+    # the images at q = xi have coefficients of about 3,600 bits, so the
+    # points of their gcd in p are refused at the size bound
+    start = time.perf_counter()
+    with pytest.raises(CoefficientTooLarge, match="a gcd of degree 601 "):
+        quotient(600)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- shared Laurent monomials -------------------------------------------------
@@ -736,8 +776,8 @@ def test_products_past_the_exponent_range_raise(qpctx, name):
 
 def test_powers_parsing_and_the_fallback_check_the_bound(qpctx):
     q, p = qpctx.parameter("q"), qpctx.parameter("p")
-    assert qpctx.parse("q^-1073741824") == q**_BOTTOM
-    assert str(qpctx.parse("p^1073741823")) == f"p^{_TOP}"
+    assert parse_scalar(qpctx, "q^-1073741824") == q**_BOTTOM
+    assert str(parse_scalar(qpctx, "p^1073741823")) == f"p^{_TOP}"
     assert (q ** (2**29 - 1) + p) ** 2 == q ** (2**30 - 2) + 2 * q ** (2**29 - 1) * p + p**2
     routes = [
         lambda: q**_BOUND,
@@ -748,8 +788,8 @@ def test_powers_parsing_and_the_fallback_check_the_bound(qpctx):
         # the bound is checked before the first product of a power
         lambda: (q ** (2**29) + p) ** 2,
         lambda: (p ** -(2**29) + q) ** 3,
-        lambda: qpctx.parse("q^1073741824"),
-        lambda: qpctx.parse("p^-1073741825"),
+        lambda: parse_scalar(qpctx, "q^1073741824"),
+        lambda: parse_scalar(qpctx, "p^-1073741825"),
         # a fraction that returns to the dict with a shifted exponent
         lambda: q**_TOP / (q + 1) * (q**2 + q),
         lambda: q**_BOTTOM / (p + 1) * ((p + 1) / q),
