@@ -402,7 +402,9 @@ class BHomForm(SparseVector, space=("sphere", "degree"), mismatch=DegreeMismatch
 
     def __mul__(self, other):
         if isinstance(other, FormElement):
-            # contraction (f*w)(w') = f(w w'), one degree down
+            # contraction (f*w)(w') = f(w w'), one degree down; no check
+            # calls it or the degree-2 call: the tests use both as the
+            # reference for nabla_coH_1
             if self.degree != 2 or other.degree != 1:
                 raise DegreeMismatch("contraction needs a two-form functional and a one-form")
             plus_values = [self(other * g) for g in self.sphere.plus_generators]

@@ -280,10 +280,6 @@ class FormElement(SparseVector, space=("spec", "degree")):
         self.degree = degree
         self.terms = terms
 
-    def coefficient(self, word):
-        word = self.spec._coerce_form_word(word)
-        return self.terms.get(word, self.spec.presentation.zero)
-
     def _like(self, terms):
         return FormElement(self.spec, self.degree, terms)
 

@@ -126,13 +126,8 @@ class Gaussian:
         return f"<Gaussian {self}>"
 
 
-def gaussian(re, im=0):
-    """The Gaussian re + im*I from ints, Fractions or Gaussians."""
-    re, im = _exact(re), _exact(im)
-    return re + im * I if im else re
-
-
-def _exact(value):
+def gaussian(value):
+    """The Gaussian an int, a Fraction or a Gaussian stands for."""
     out = _operand(value)
     if out is None:
         raise TypeError(

@@ -77,10 +77,6 @@ class HomForm(SparseVector, space=("spec", "degree"), mismatch=DegreeMismatch):
         self.degree = degree
         self.terms = table
 
-    def value(self, word):
-        word = self.spec._coerce_form_word(word)
-        return self.terms.get(word, self.spec.presentation.zero)
-
     def __call__(self, omega):
         return hom_apply(self.spec, self, omega)
 
@@ -170,7 +166,8 @@ def hom_right_act(spec, f, a):
 
 
 def hom_mul_form(spec, f, omega):
-    """(f*omega)(e) = f(omega*e); lowers the degree by deg(omega)."""
+    """(f*omega)(e) = f(omega*e); lowers the degree by deg(omega).  No check
+    calls it: the tests use it, as HomForm's form product, to check nabla_n."""
     _check_hom(spec, f)
     if not isinstance(omega, FormElement) or omega.spec is not spec:
         raise ValueError("expected a form of the same calculus")

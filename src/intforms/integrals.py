@@ -155,20 +155,18 @@ def sl2_lambda(a):
     return total
 
 
-def check_lambda_annihilates(spec, length_bound, lam=None):
-    """Certify lam(nabla(xi_i * w)) = 0 on every window coordinate.
+def check_lambda_annihilates(spec, length_bound):
+    """Certify sl2_lambda(nabla(xi_i * w)) = 0 on every window coordinate.
 
-    lam defaults to sl2_lambda; passing a different functional turns the
-    same sweep into a control.  Only failing coordinates become checks;
-    counts carry the number of coordinates swept.
+    Only failing coordinates become checks; counts carry the number of
+    coordinates swept.
     """
-    lam = sl2_lambda if lam is None else lam
     pres = spec.presentation
     report = CheckReport(coordinates=0)
     for i, xi in enumerate(dual_basis(spec, 1)):
         name = spec.form_names[spec.basis(1)[i][0]]
         for w in pres.normal_words(length_bound):
-            value = lam(nabla(spec, xi * pres._monomial(w)))
+            value = sl2_lambda(nabla(spec, xi * pres._monomial(w)))
             report.counts["coordinates"] += 1
             if value:
                 report.add(

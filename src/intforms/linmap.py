@@ -67,7 +67,9 @@ class DiagonalNotInvertible(ValueError):
 
 
 class MapExpr:
-    """Base: a linear endomorphism of the algebra, evaluated per word."""
+    """Base: a linear endomorphism of the algebra, evaluated per word.  It
+    stays apart from AlgebraMap, its one subclass, because perfbench/spans.py
+    counts calls of `MapExpr.on_word` as `linmap.on_word_calls`."""
 
     __slots__ = ("presentation", "_memo")
 
@@ -89,9 +91,6 @@ class MapExpr:
             add_scaled(terms, self.on_word(word).terms, coeff)
         return AlgElement(self.presentation, terms)
 
-    def _eval_word(self, word):
-        raise NotImplementedError
-
 
 class AlgebraMap(MapExpr):
     """Endomorphism given by a complete generator-image table.
@@ -101,19 +100,18 @@ class AlgebraMap(MapExpr):
     costs one product per letter the memo lacks.
     """
 
-    __slots__ = ("images", "name")
+    __slots__ = ("images",)
 
-    def __init__(self, presentation, images, name=None):
+    def __init__(self, presentation, images):
         super().__init__(presentation)
         self.images = by_generator(presentation, images, "generator images")
-        self.name = name
         self._memo[()] = presentation.one
 
     def _eval_word(self, word):
         return _extend_prefix(self._memo, word, self.images, operator.mul)
 
     def __repr__(self):
-        return self.name or f"<AlgebraMap {len(self.images)} gens>"
+        return f"<AlgebraMap {len(self.images)} gens>"
 
 
 # kind -> (the entries below the diagonal vanish, those above it vanish)

@@ -198,9 +198,9 @@ class Presentation:
                 break
         return cache[word]
 
-    def element(self, coeffs, budget=DEFAULT_BUDGET):
+    def element(self, coeffs):
         """Normalize a {word: scalar} mapping into an AlgElement."""
-        bud = _Budget(budget)
+        bud = _Budget(DEFAULT_BUDGET)
         out = {}
         for word, coeff in coeffs.items():
             word = self._coerce_word(word)
@@ -426,7 +426,7 @@ def zdegree(a):
     return 0 if degree is None else degree
 
 
-def check_local_confluence(presentation, max_degree, budget=DEFAULT_BUDGET):
+def check_local_confluence(presentation, max_degree):
     """Resolve every overlap ambiguity between rule left-hand sides.
 
     Overlap words longer than max_degree are skipped.  Returns a
@@ -448,26 +448,26 @@ def check_local_confluence(presentation, max_degree, budget=DEFAULT_BUDGET):
                 if l1[-k:] != l2[:k]:
                     continue
                 word = l1 + l2[k:]
-                _record_ambiguity(pres, report, seen, max_degree, budget,
+                _record_ambiguity(pres, report, seen, max_degree,
                                   word, (0, l1, r1), (len(l1) - k, l2, r2))
             # l2 strictly inside l1
             if len(l2) < len(l1):
                 for pos in range(1, len(l1) - len(l2)):
                     if l1[pos : pos + len(l2)] == l2:
-                        _record_ambiguity(pres, report, seen, max_degree, budget,
+                        _record_ambiguity(pres, report, seen, max_degree,
                                           l1, (0, l1, r1), (pos, l2, r2))
     return report
 
 
-def _record_ambiguity(pres, report, seen, max_degree, budget, word, hit1, hit2):
+def _record_ambiguity(pres, report, seen, max_degree, word, hit1, hit2):
     if len(word) > max_degree:
         return
     key = (word, hit1[0], id(hit1[1]), hit2[0], id(hit2[1]))
     if key in seen:
         return
     seen.add(key)
-    nf1 = _apply_then_normalize(pres, word, hit1, budget)
-    nf2 = _apply_then_normalize(pres, word, hit2, budget)
+    nf1 = _apply_then_normalize(pres, word, hit1)
+    nf2 = _apply_then_normalize(pres, word, hit2)
     resolved = nf1 == nf2
     report.add(
         pres.word_str(word),
@@ -479,14 +479,14 @@ def _record_ambiguity(pres, report, seen, max_degree, budget, word, hit1, hit2):
     )
 
 
-def _apply_then_normalize(pres, word, hit, budget):
+def _apply_then_normalize(pres, word, hit):
     pos, lhs, coeffs = hit
     head, tail = word[:pos], word[pos + len(lhs) :]
     raw = {}
     for rword, rcoeff in coeffs.items():
         cand = head + rword + tail
         raw[cand] = raw.get(cand, pres.context.zero) + rcoeff
-    return pres.element(raw, budget=budget)
+    return pres.element(raw)
 
 
 # -- Hopf structure -----------------------------------------------------------
@@ -532,12 +532,9 @@ class TensorElement(SparseVector, space=("presentation",)):
     def _like(self, terms):
         return TensorElement(self.presentation, terms)
 
-    def scale(self, coeff):
-        return self._scaled(self.presentation.context.coerce(coeff))
-
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
-            return self.scale(other) if isinstance(other, _SCALARS) else NotImplemented
+            return NotImplemented
         other = self._mate(other)
         # componentwise: (a x b)(c x d) = ac x bd
         pres = self.presentation
@@ -548,11 +545,6 @@ class TensorElement(SparseVector, space=("presentation",)):
                 right = pres._monomial(u2 + v2)
                 add_scaled(terms, TensorElement.of(left, right, c * d).terms)
         return TensorElement(pres, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.scale(other)
-        return NotImplemented
 
     def sweedler(self):
         """List of (left AlgElement, right AlgElement, scalar) components."""

@@ -45,7 +45,7 @@ _PUNCT = ("@", "^", "*", "+", "-", "/", "(", ")", ".")
 _MAX_POWER = 1 << 16  # of a generator, checked before its word is built
 
 
-def tokenize(text, line=1, col_offset=0, literals=()):
+def tokenize(text, line=1, literals=()):
     """Tokens with 1-based columns.  `literals` are exact strings (form
     names like "w+") matched with priority, longest first."""
     literals = sorted(literals, key=len, reverse=True)
@@ -56,7 +56,7 @@ def tokenize(text, line=1, col_offset=0, literals=()):
         if ch in " \t":
             i += 1
             continue
-        col = col_offset + i + 1
+        col = i + 1
         matched = None
         for lit in literals:
             if text.startswith(lit, i):
@@ -91,7 +91,7 @@ def tokenize(text, line=1, col_offset=0, literals=()):
                 break
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", None, col_offset + n + 1))
+    tokens.append(_Token("EOF", None, n + 1))
     return tokens
 
 
@@ -278,12 +278,10 @@ class _ExprParser:
         return tuple(word)
 
 
-def _terms(what, kinds, context, text, line, col_offset, presentation=None, form_names=()):
+def _terms(what, kinds, context, text, line, presentation=None, form_names=()):
     """The terms of `text` read as one whole sum, each checked to be of one
     of `kinds`; `what` names the input in error messages."""
-    parser = _ExprParser(
-        tokenize(text, line, col_offset, literals=form_names), context, presentation, line
-    )
+    parser = _ExprParser(tokenize(text, line, literals=form_names), context, presentation, line)
     terms = parser.parse_sum()
     tok = parser.peek()
     if tok.kind != "EOF":
@@ -296,50 +294,47 @@ def _terms(what, kinds, context, text, line, col_offset, presentation=None, form
     return terms
 
 
-def parse_scalar(context, text, line=1, col_offset=0):
+def parse_scalar(context, text, line=1):
     total = context.zero
-    for t in _terms("a scalar literal", ("scalar",), context, text, line, col_offset):
+    for t in _terms("a scalar literal", ("scalar",), context, text, line):
         total = total + t.coeff
     return total
 
 
-def parse_element(presentation, text, line=1, col_offset=0):
+def parse_element(presentation, text, line=1):
     ctx = presentation.context
     kinds = ("scalar", "algebra")
     coeffs = {}
-    for t in _terms("an algebra element", kinds, ctx, text, line, col_offset, presentation):
+    for t in _terms("an algebra element", kinds, ctx, text, line, presentation):
         coeffs[t.word] = coeffs.get(t.word, ctx.zero) + t.coeff
     return presentation.element(coeffs)
 
 
-def parse_tensor(presentation, text, line=1, col_offset=0):
+def parse_tensor(presentation, text, line=1):
     """Sum of `product @ product` terms."""
     from .ncalg import TensorElement
 
     ctx = presentation.context
     out = TensorElement(presentation, {})
-    for t in _terms("a tensor", ("tensor",), ctx, text, line, col_offset, presentation):
+    for t in _terms("a tensor", ("tensor",), ctx, text, line, presentation):
         left, right = presentation.monomial(t.word), presentation.monomial(t.right)
         out = out + TensorElement.of(left, right, t.coeff)
     return out
 
 
-def parse_form_terms(presentation, form_names, text, line=1, col_offset=0):
+def parse_form_terms(presentation, form_names, text, line=1):
     """Parse into [(coefficient AlgElement, form word tuple)]; empty form
     words (pure algebra terms) are allowed and returned with word ()."""
     kinds = ("scalar", "algebra", "form")
     terms = _terms(
-        "a form expression", kinds, presentation.context, text, line, col_offset,
-        presentation, form_names,
+        "a form expression", kinds, presentation.context, text, line, presentation, form_names
     )
     return [(presentation.element({t.word: t.coeff}), t.form) for t in terms]
 
 
-def parse_ladder_rhs(context, form_names, text, line=1, col_offset=0):
+def parse_ladder_rhs(context, form_names, text, line=1):
     """`scalar * dual(formword)` or `dual(formword)`; returns (scalar, word)."""
-    terms = _terms(
-        "a ladder rule", ("dual",), context, text, line, col_offset, form_names=form_names
-    )
+    terms = _terms("a ladder rule", ("dual",), context, text, line, form_names=form_names)
     if len(terms) > 1:
         raise ParseError("a ladder rule has one dual(...) term", line, terms[1].col)
     return terms[0].coeff, terms[0].form

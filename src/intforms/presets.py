@@ -95,6 +95,22 @@ def _names_list(text):
     return tuple(piece.strip() for piece in text.split(",") if piece.strip())
 
 
+def _each_key_once(sections):
+    # a directive's key is its text up to '=', or up to ':' without one
+    # ("partial: y", "1: dx", "top"); a repeat would silently replace the
+    # first.  Relations are not keyed: the confluence check judges them.
+    for directives in sections.values():
+        seen = {}
+        for lineno, text in directives:
+            if text.partition(":")[0].strip() == "relation":
+                continue
+            head = text.partition("=" if "=" in text else ":")[0]
+            key = "".join(head.split())
+            if key in seen:
+                raise ParseError(f"'{head.strip()}' repeats line {seen[key]}", lineno, 1)
+            seen[key] = lineno
+
+
 def _build_presentation(sections):
     params = ()
     for lineno, text in sections["scalars"]:
@@ -230,14 +246,13 @@ def _build_tmd(sections, pres):
         raise ParseError("derivation section lacks partial rows", 1, 1)
     n = len(next(iter(rows.values())))
     if grades is not None:
+        if images or inverse_maps:
+            raise ParseError("sigma grades replace sigma images and inverses", grades[0], 1)
         images, inverse_maps = _graded_sigma(pres, n, *grades)
     elif set(inverse_maps) != set(range(1, n + 1)):
         raise ParseError(f"need 'sigma inverse 1..{n}' directives", 1, 1)
     sigma = MapMatrix.from_images(pres, images)
-    inverses = [
-        AlgebraMap(pres, inverse_maps[i + 1], name=f"sigma{i + 1}{i + 1}_inv")
-        for i in range(n)
-    ]
+    inverses = [AlgebraMap(pres, inverse_maps[i + 1]) for i in range(n)]
     return TwistedMultiDerivation(pres, rows, sigma, diag_inverses=inverses)
 
 
@@ -312,7 +327,10 @@ def _build_calculus(sections, tmd):
     for lineno, text in sections["calculus"]:
         if text.lstrip().startswith("d "):
             head, rhs = _split_assign(text, lineno, "a d rule")
-            value = d_rules[head[2:].strip()] = {}
+            name = head[2:].strip()
+            if name not in names:
+                raise ParseError(f"'{head}': {name!r} is not in 'names:'", lineno, 1)
+            value = d_rules[name] = {}
             for coeff, word in parse_form_terms(pres, names, rhs, line=lineno):
                 add_scaled(value, {word: coeff})
         else:
@@ -368,6 +386,7 @@ def _build_ladder(sections, spec):
 def load_calc(text):
     """Build the full bundle a presentation file describes."""
     sections = parse_presentation_file(text)
+    _each_key_once(sections)
     presentation = _build_presentation(sections)
     tmd = _build_tmd(sections, presentation) if sections["derivation"] else None
     spec = None

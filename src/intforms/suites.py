@@ -71,10 +71,10 @@ class Options:
         self.degree = degree
 
 
-def _random_element(pres, rng, max_len, terms=2):
+def _random_element(pres, rng, max_len):
     words = pres.normal_words(max_len)
     out = pres.zero
-    for _ in range(terms):
+    for _ in range(2):
         out = out + pres.monomial(rng.choice(words), coeff=rng.randint(-3, 3))
     return out
 

@@ -113,8 +113,8 @@ def make_qplane_tmd(pres):
         },
     )
     inverses = [
-        AlgebraMap(pres, {"x": (1 / p) * x, "y": (1 / q) * y}, name="sigma11_inv"),
-        AlgebraMap(pres, {"x": (q / p) * x, "y": (1 / p) * y}, name="sigma22_inv"),
+        AlgebraMap(pres, {"x": (1 / p) * x, "y": (1 / q) * y}),
+        AlgebraMap(pres, {"x": (q / p) * x, "y": (1 / p) * y}),
     ]
     rows = {"x": (pres.one, zero), "y": (zero, pres.one)}
     return TwistedMultiDerivation(pres, rows, sigma, diag_inverses=inverses)

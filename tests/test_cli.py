@@ -219,8 +219,66 @@ def test_parse_errors_give_the_column_in_the_line(capsys, tmp_path, preset, old,
     assert err.startswith(f"error: {where}: division by zero")
 
 
+def test_a_file_without_a_ladder_skips_the_ladder_row(capsys, tmp_path):
+    source = REGISTRY["qplane"].source
+    path = tmp_path / "no_ladder.calc"
+    path.write_text(source[: source.index("[ladder]")])
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 0 and err == ""
+    rows = [line for line in out.splitlines() if "chain ladder" in line]
+    assert rows == [f"SKIP  {GENERIC_ROWS[5]} :: no ladder section"]
+    assert "8 passed, 0 failed, 1 skipped" in out
+
+
 GRADES = "sigma grades: q^-2, q^-1, q^-1"
 GRADING = "[grading]\nalpha = 1\ngamma = 1\nbeta = -1\ndelta = -1\n"
+
+
+# case -> (preset, a line of its file, a line put right after it, where the
+# load stops, what it says); each edit used to load silently, the later line
+# winning, or to fail later with no line
+INVERSE_2 = "sigma inverse 2: x -> q*p^-1*x, y -> p^-1*y"
+REPEATS = {
+    "parameters": ("qplane", "parameters: q, p", "parameters: q",
+                   6, "'parameters' repeats line 5"),
+    "generators": ("qplane", "generators: x, y", "generators: y, x",
+                   9, "'generators' repeats line 8"),
+    "grading": ("qplane", "y = 1", "y = 2", 14, "'y' repeats line 13"),
+    "partial": ("qplane", "partial: y = 0, 1", "partial: y = 1, 0",
+                18, "'partial: y' repeats line 17"),
+    "sigma-images": ("qplane", "sigma images: y = [q*y, (p - 1)*x; 0, p*y]",
+                     "sigma images: y = [y, 0; 0, y]", 20, "'sigma images: y' repeats line 19"),
+    "sigma-inverse": ("qplane", INVERSE_2, "sigma inverse 2: x -> x, y -> y",
+                      22, "'sigma inverse 2' repeats line 21"),
+    "grades-and-images": ("qplane", INVERSE_2, "sigma grades: p, p",
+                          22, "sigma grades replace sigma images and inverses"),
+    "names": ("qplane", "names: dx, dy", "names: dy, dx", 25, "'names' repeats line 24"),
+    "rule": ("qplane", "rule: dy.dx = -p*q^-1 * dx.dy", "rule: dy . dx = 0",
+             28, "'rule: dy . dx' repeats line 27"),
+    "top": ("qplane", "top: 2", "top: 2", 31, "'top' repeats line 30"),
+    "ladder": ("qplane", "1: dx = -1 * dual(dy)", "1: dx = 1 * dual(dy)",
+               35, "'1: dx' repeats line 34"),
+    "counit": ("sl2-3d", "counit: beta = 0", "counit: beta = 1",
+               31, "'counit: beta' repeats line 30"),
+    "sigma-grades": ("sl2-3d", GRADES, "sigma grades: q, q, q",
+                     48, "'sigma grades' repeats line 47"),
+    "d-rule": ("sl2-3d", "d w0 = q * w-.w+", "d w0 = 0", 63, "'d w0' repeats line 62"),
+    "d-unknown": ("sl2-3d", "d w0 = q * w-.w+", "d wX = q * w-.w+",
+                  63, "'wX' is not in 'names:'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_a_keyed_directive_is_given_once(capsys, tmp_path, case):
+    preset, line, added, lineno, message = REPEATS[case]
+    source = REGISTRY[preset].source
+    assert f"\n{line}\n" in source
+    path = tmp_path / "repeat.calc"
+    path.write_text(source.replace(f"\n{line}\n", f"\n{line}\n{added}\n", 1))
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {lineno}, col 1: ") and message in err
 
 
 @pytest.mark.parametrize(

@@ -223,13 +223,13 @@ def test_fixtures_match_hopf_data(sphere, sl2):
     assert fx["delta^2"] == coproduct(sl2, delta * delta)
     want = (
         TensorElement.of(alpha * alpha, alpha * alpha)
-        + TensorElement.of(beta * alpha, alpha * gamma).scale(q + q**-1)
+        + TensorElement.of(beta * alpha, alpha * gamma, q + q**-1)
         + TensorElement.of(beta * beta, gamma * gamma)
     )
     assert fx["alpha^2"] == want
     want = (
         TensorElement.of(gamma * gamma, beta * beta)
-        + TensorElement.of(delta * gamma, beta * delta).scale(q + q**-1)
+        + TensorElement.of(delta * gamma, beta * delta, q + q**-1)
         + TensorElement.of(delta * delta, delta * delta)
     )
     assert fx["delta^2"] == want

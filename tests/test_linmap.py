@@ -39,7 +39,7 @@ def test_basic_nodes(qplane):
     x, y = qplane.gen("x"), qplane.gen("y")
     ident = identity_map(qplane)
     assert ident.apply(x * y - 2 * y) == x * y - 2 * y
-    swap = AlgebraMap(qplane, {"x": q * y, "y": x}, name="swap")
+    swap = AlgebraMap(qplane, {"x": q * y, "y": x})
     assert swap.apply(x * x) == q * q * (y * y)
     assert swap.apply(swap.apply(x)) == q * x
     assert swap.on_word(()) == qplane.one

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intforms import ncalg
 from intforms.ncalg import (
     DEFAULT_BUDGET,
     MIXED,
@@ -213,6 +214,21 @@ def test_confluence_qplane(qplane):
     assert report.checks == []
 
 
+@pytest.mark.parametrize("scaled", [False, True])
+def test_confluence_resolves_an_inclusion_ambiguity(qctx, scaled):
+    # b -> a rewrites inside a*b*c -> (q)*a^2*c and overlaps no rule's end,
+    # so the strict-inclusion branch alone finds the ambiguity
+    coeff = qctx.parameter("q") if scaled else 1
+    rules = [(("a", "b", "c"), {("a", "a", "c"): coeff}), (("b",), {("a",): 1})]
+    pres = Presentation(qctx, generators=("a", "b", "c"), rules=rules)
+    report = check_local_confluence(pres, max_degree=3)
+    (check,) = report.checks
+    assert check["name"] == "a*b*c"
+    assert check["ok"] is not scaled
+    assert str(check["route1"]) == ("q*a^2*c" if scaled else "a^2*c")
+    assert str(check["route2"]) == "a^2*c"
+
+
 def test_confluence_detects_bad_coefficient(qctx):
     # corrupt the unit-resolving rule: alpha*delta -> 1 + q^2*beta*gamma
     q = qctx.parameter("q")
@@ -231,11 +247,13 @@ def test_confluence_detects_bad_coefficient(qctx):
     assert witness["route1"] != witness["route2"]
 
 
-def test_reduction_budget(qctx):
+def test_reduction_budget(qctx, monkeypatch):
     pres = make_sl2_presentation(qctx)
     long_word = ("delta",) * 4 + ("alpha",) * 4
-    with pytest.raises(ReductionBudgetExceeded):
-        pres.element({long_word: 1}, budget=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(ncalg, "DEFAULT_BUDGET", 3)
+        with pytest.raises(ReductionBudgetExceeded):
+            pres.element({long_word: 1})
     assert pres.monomial(long_word) == pres.monomial(long_word)
 
 
@@ -250,13 +268,15 @@ def test_long_word_normalises_without_recursion(qctx):
 
 
 @pytest.mark.parametrize("budget", [100, 40 * 40 - 1])
-def test_long_word_exhausts_the_budget(qctx, budget):
+def test_long_word_exhausts_the_budget(qctx, budget, monkeypatch):
     pres = make_qplane_presentation(qctx)
     word = pres.word(*("y",) * 40 + ("x",) * 40)
+    monkeypatch.setattr(ncalg, "DEFAULT_BUDGET", budget)
     with pytest.raises(ReductionBudgetExceeded):
-        pres.element({word: 1}, budget=budget)
+        pres.element({word: 1})
     # one budget unit per rewrite step: k^2 units are exactly enough
-    assert pres.element({word: 1}, budget=40 * 40)
+    monkeypatch.setattr(ncalg, "DEFAULT_BUDGET", 40 * 40)
+    assert pres.element({word: 1})
 
 
 def _leftmost_normal_form(pres, word):
@@ -338,7 +358,7 @@ def test_one_term_chain_caches_only_its_ends(qctx):
     assert len(pres._nf_cache) - before <= 3
 
 
-def test_long_words_never_recurse(qctx):
+def test_long_words_never_recurse(qctx, monkeypatch):
     sl2 = make_sl2_presentation(qctx)
     plane = make_qplane_presentation(qctx)
     limit = sys.getrecursionlimit()
@@ -346,8 +366,9 @@ def test_long_words_never_recurse(qctx):
     try:
         # delta alpha branches into two words at every step
         value = sl2.monomial(sl2.word(*("delta",) * 10 + ("alpha",) * 10))
+        monkeypatch.setattr(ncalg, "DEFAULT_BUDGET", 10**4)
         with pytest.raises(ReductionBudgetExceeded):
-            plane.element({plane.word(*("y",) * 200 + ("x",) * 200): 1}, budget=10**4)
+            plane.element({plane.word(*("y",) * 200 + ("x",) * 200): 1})
     finally:
         sys.setrecursionlimit(limit)
     # the counit is multiplicative with counit(alpha) = counit(delta) = 1
@@ -448,14 +469,15 @@ def test_tensor_element_ops(sl2):
     a, b = sl2.gen("alpha"), sl2.gen("beta")
     t = TensorElement.of(a, b) - TensorElement.of(a, b)
     assert t.is_zero()
-    s = TensorElement.of(a, a) + 2 * TensorElement.of(b, b)
+    s = TensorElement.of(a, a) + TensorElement.of(b, b, 2)
     assert s.sweedler()
     assert "@" in str(s)
 
 
 def test_tensor_arithmetic_rejects_non_tensors(qplane):
     # x (x) y + x used to build a tensor with a bare word among its keys,
-    # and t + 5 failed inside the method with an AttributeError
+    # and t + 5 failed inside the method with an AttributeError; a tensor
+    # takes its coefficient in TensorElement.of, so t * 5 is refused too
     x, y = qplane.gen("x"), qplane.gen("y")
     t = TensorElement.of(x, y)
     for other in (x, 5):
@@ -465,23 +487,24 @@ def test_tensor_arithmetic_rejects_non_tensors(qplane):
             t - other
         with pytest.raises(TypeError):
             other + t
+        with pytest.raises(TypeError):
+            t * other
+        with pytest.raises(TypeError):
+            other * t
     assert t != x
 
 
 def test_fraction_factors_scale(qplane, monkeypatch):
-    # a Fraction used to take the word product on elements and raise
-    # TypeError on tensors
+    # a Fraction used to take the word product on elements
     half = Fraction(1, 2)
-    x, y = qplane.gen("x"), qplane.gen("y")
-    t = TensorElement.of(x, y)
-    scaled_x, scaled_t = x.scale(half), t.scale(half)
+    x = qplane.gen("x")
+    scaled_x = x.scale(half)
 
     def refuse(word, budget):
         raise AssertionError("a scalar factor took the word product")
 
     monkeypatch.setattr(qplane, "_normal_word", refuse)
     assert half * x == x * half == scaled_x
-    assert half * t == t * half == scaled_t
 
 
 def test_scalar_elements_equal_their_fractions(qplane):
