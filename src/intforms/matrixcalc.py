@@ -10,6 +10,10 @@ which are `gaussians.Gaussian` values, and every scalar factor is applied
 on the right of a matrix.  Entries and factors must be ints, Fractions or
 Gaussians; anything else raises TypeError.  The two-by-two case is the
 certified preset; nothing below assumes it except the tests.
+
+Each `DerBasis` fills two tables on first use: the images i[E_l, E_rs]
+of the matrix units, and d(e_w) of each basis word w with coefficient 1.
+Contractions and pairings of basis words come from permutation signs.
 """
 
 from __future__ import annotations
@@ -144,7 +148,13 @@ def commutator(a, b):
 
 
 class DerBasis:
-    """Commutator derivations a -> i[E_l, a] for a traceless matrix basis."""
+    """Commutator derivations a -> i[E_l, a] for a traceless matrix basis.
+
+    `_ad[l][(r, s)]`, the entries of i[E_l, E_rs], is a function of the
+    matrices.  `_unit_d[w]`, d(e_w), is one of the matrices and the structure
+    constants, so a basis given other `_constants` by hand, as the negative
+    control's corrupted twin is, must be fresh and fills a table of its own.
+    """
 
     def __init__(self, matrices):
         matrices = tuple(matrices)
@@ -160,6 +170,8 @@ class DerBasis:
         self.n = n
         self.N = len(matrices)
         self._constants = None
+        self._ad = None
+        self._unit_d = {}
 
     @classmethod
     def pauli(cls):
@@ -172,7 +184,24 @@ class DerBasis:
         )
 
     def derive(self, l, a):
-        return commutator(self.matrices[l], a) * I_UNIT
+        a = self.matrices[l]._mate(a)  # a matrix of another size raises
+        if self._ad is None:
+            self._ad = [
+                {(r, s): (commutator(m, MatElement.unit(self.n, r, s)) * I_UNIT).terms
+                 for r in range(self.n) for s in range(self.n)}
+                for m in self.matrices
+            ]
+        out = {}
+        for key, value in a.terms.items():
+            add_scaled(out, self._ad[l][key], value)
+        return MatElement._sparse(self.n, out)
+
+    def unit_d(self, word):
+        """d(e_w) for the basis word w with identity coefficient, from the table."""
+        if word not in self._unit_d:
+            e_w = MatForm(self, len(word), {word: MatElement.identity(self.n)})
+            self._unit_d[word] = koszul_d(self, e_w)
+        return self._unit_d[word]
 
     def constants(self):
         if self._constants is None:
@@ -401,14 +430,19 @@ class MatHomForm(SparseVector, space=("basis", "degree"), mismatch=DegreeOverflo
 
     def __mul__(self, other):
         if isinstance(other, MatForm):
-            # contraction (f*w)(w') = f(w w')
+            # contraction (f*w)(e_v) = f(w e_v), the sum of +-f(sorted(u+v)) w_u
             if other.basis is not self.basis or other.degree >= self.degree:
                 raise DegreeOverflow("contraction must drop the degree")
             left = self.degree - other.degree
-            values = {
-                word: self(other * MatForm(self.basis, left, {word: MatElement.identity(self.basis.n)}))
-                for word in combinations(range(self.basis.N), left)
-            }
+            values = {}
+            for v in combinations(range(self.basis.N), left):
+                total = MatElement.zero(self.basis.n)
+                for u, coeff in other.terms.items():
+                    word, sign = _sort_word(u + v)
+                    if word in self.terms:
+                        term = self.terms[word] * coeff
+                        total = total + (term if sign > 0 else -term)
+                values[v] = total
             return MatHomForm(self.basis, left, values)
         if not isinstance(other, MatElement):
             other = gaussian(other)
@@ -458,7 +492,7 @@ def nabla_chain(basis, m, f):
     values = {}
     for word in combinations(range(basis.N), m):
         w = MatForm(basis, m, {word: one})
-        value = nabla_hom(basis, f * w) + sign * f(koszul_d(basis, w))
+        value = nabla_hom(basis, f * w) + sign * f(basis.unit_d(word))
         values[word] = value
     return MatHomForm(basis, m, values)
 
@@ -521,14 +555,10 @@ def phi_inv(basis, k, f):
     if not isinstance(f, MatHomForm) or f.degree != basis.N - k:
         raise DegreeOverflow(f"expected an ({basis.N - k})-form functional")
     sign_k = -1 if ((basis.N - 1) * k) % 2 else 1
-    one = MatElement.identity(basis.n)
     coords = {}
     for word in combinations(range(basis.N), k):
         complement = tuple(l for l in range(basis.N) if l not in word)
-        wedge = MatForm(basis, k, {word: one}) * MatForm(
-            basis, basis.N - k, {complement: one}
-        )
-        pair_sign = 1 if wedge.terms.get(basis.top_word()) == one else -1
+        _, pair_sign = _sort_word(word + complement)
         value = f.value(complement)
         coords[word] = value if sign_k * pair_sign > 0 else -value
     return MatForm(basis, k, coords)

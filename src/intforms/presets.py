@@ -91,6 +91,13 @@ def _split_assign(rest, lineno, what):
     return lhs.strip(), rhs
 
 
+def _generator(pres, name, lineno):
+    # the generator a directive names, which 'generators:' must list
+    if name not in pres.generators:
+        raise ParseError(f"{name!r} is not in 'generators:'", lineno, 1)
+    return name
+
+
 def _names_list(text):
     return tuple(piece.strip() for piece in text.split(",") if piece.strip())
 
@@ -154,6 +161,7 @@ def _build_presentation(sections):
         grading = {}
         for lineno, text in sections["grading"]:
             name, value = _split_assign(text, lineno, "a grading line")
+            name = _generator(free, name, lineno)
             try:
                 grading[name] = int(value)
             except ValueError:
@@ -173,6 +181,7 @@ def _build_hopf(directives, free):
         if not sep:
             raise ParseError("hopf directives are 'map: generator = value'", lineno, 1)
         name, value = _split_assign(rest, lineno, "a hopf directive")
+        name = _generator(free, name, lineno)
         if key == "coproduct":
             tensor = parse_tensor(free, value, line=lineno)
             coproduct[name] = [
@@ -216,12 +225,12 @@ def _build_tmd(sections, pres):
             raise ParseError("derivation directives need ':'", lineno, 1)
         if key == "partial":
             name, value = _split_assign(rest, lineno, "a partial row")
-            rows[name] = tuple(
+            rows[_generator(pres, name, lineno)] = tuple(
                 parse_element(pres, piece, line=lineno) for piece in _pieces(value)
             )
         elif key == "sigma images":
             name, value = _split_assign(rest, lineno, "a sigma image")
-            images[name] = _parse_matrix(pres, value, lineno)
+            images[_generator(pres, name, lineno)] = _parse_matrix(pres, value, lineno)
         elif key == "sigma grades":
             grades = lineno, tuple(parse_scalar(ctx, piece, line=lineno) for piece in _pieces(rest))
         elif key.startswith("sigma inverse"):
@@ -238,7 +247,7 @@ def _build_tmd(sections, pres):
                     raise ParseError(
                         "inverse entries are 'generator -> image'", lineno, 1
                     )
-                maps[gen.strip()] = parse_element(pres, image, line=lineno)
+                maps[_generator(pres, gen.strip(), lineno)] = parse_element(pres, image, line=lineno)
             inverse_maps[idx] = maps
         else:
             raise ParseError(f"unknown derivation directive '{key}'", lineno, 1)

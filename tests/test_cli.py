@@ -235,9 +235,10 @@ GRADING = "[grading]\nalpha = 1\ngamma = 1\nbeta = -1\ndelta = -1\n"
 
 
 # case -> (preset, a line of its file, a line put right after it, where the
-# load stops, what it says); each edit used to load silently, the later line
-# winning, or to fail later with no line
+# load stops, what it says); each edit, a repeated key or an undeclared name,
+# used to load silently, the later line winning, or to fail later with no line
 INVERSE_2 = "sigma inverse 2: x -> q*p^-1*x, y -> p^-1*y"
+UNKNOWN_Z, UNKNOWN_ZETA = "'z' is not in 'generators:'", "'zeta' is not in 'generators:'"
 REPEATS = {
     "parameters": ("qplane", "parameters: q, p", "parameters: q",
                    6, "'parameters' repeats line 5"),
@@ -265,6 +266,14 @@ REPEATS = {
     "d-rule": ("sl2-3d", "d w0 = q * w-.w+", "d w0 = 0", 63, "'d w0' repeats line 62"),
     "d-unknown": ("sl2-3d", "d w0 = q * w-.w+", "d wX = q * w-.w+",
                   63, "'wX' is not in 'names:'"),
+    "grading-unknown": ("qplane", "y = 1", "z = 5", 14, UNKNOWN_Z),
+    "partial-unknown": ("qplane", "partial: y = 0, 1", "partial: z = 0, 1", 18, UNKNOWN_Z),
+    "sigma-images-unknown": ("qplane", "sigma images: y = [q*y, (p - 1)*x; 0, p*y]",
+                             "sigma images: z = [x, 0; 0, x]", 20, UNKNOWN_Z),
+    "sigma-inverse-unknown": ("qplane", INVERSE_2, "sigma inverse 3: z -> x", 22, UNKNOWN_Z),
+    "coproduct-unknown": ("sl2-3d", "coproduct: alpha = alpha @ alpha + beta @ gamma",
+                          "coproduct: zeta = alpha @ alpha", 26, UNKNOWN_ZETA),
+    "counit-unknown": ("sl2-3d", "counit: beta = 0", "counit: zeta = 0", 31, UNKNOWN_ZETA),
 }
 
 

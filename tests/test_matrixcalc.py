@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +16,8 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ_I
 
 from intforms import matrixcalc as mc
+from intforms import suites
+from intforms.cli import main
 from intforms.dga import DegreeOverflow
 from intforms.gaussians import Gaussian, I
 from intforms.matrixcalc import (
@@ -35,6 +40,7 @@ from intforms.matrixcalc import (
     structure_constants,
     trace_integral,
 )
+from intforms.presets import REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +257,14 @@ def test_derivation_values(pauli):
     for l in range(3):
         assert not pauli.derive(l, MatElement.identity(2))
         assert not pauli.derive(l, pauli.matrices[l])
+    # the sum over the tabled images of the matrix units is the commutator
+    rng = random.Random(19)
+    for _ in range(20):
+        a = random_matrix(rng)
+        for l in range(3):
+            assert pauli.derive(l, a) == commutator(pauli.matrices[l], a) * I_UNIT
+    with pytest.raises(ValueError, match="2x2 and a 3x3"):
+        pauli.derive(0, MatElement.identity(3))
 
 
 def test_derivation_leibniz(pauli):
@@ -369,6 +383,12 @@ def test_d_kills_punctured_top_words(pauli):
     one = MatElement.identity(2)
     for word in pauli.words(2):
         assert koszul_d(pauli, MatForm(pauli, 2, {word: one})).is_zero()
+    # the table of d(e_w) holds what a fresh differential gives
+    for k in (1, 2):
+        for word in pauli.words(k):
+            fresh = koszul_d(pauli, MatForm(pauli, k, {word: one}))
+            assert pauli.unit_d(word) == fresh
+            assert pauli.unit_d(word) is pauli.unit_d(word)
 
 
 def test_d_squared_vanishes(pauli):
@@ -425,6 +445,18 @@ def test_functional_algebra(pauli):
     fw = f * w
     assert fw.degree == 1
     assert fw.value((0,)) == f(w * pauli.one_form(0))
+    # on every degree pair, contraction by permutation signs matches
+    # evaluation on the wedge
+    one = MatElement.identity(2)
+    for top in range(2, 4):
+        for low in range(1, top):
+            for _ in range(3):
+                f = MatHomForm(pauli, top, {u: random_matrix(rng) for u in pauli.words(top)})
+                w = MatForm(pauli, low, {u: random_matrix(rng) for u in pauli.words(low)})
+                fw = f * w
+                assert fw.degree == top - low
+                for v in pauli.words(top - low):
+                    assert fw.value(v) == f(w * MatForm(pauli, top - low, {v: one}))
 
 
 def test_nabla_values(pauli):
@@ -530,11 +562,34 @@ def corrupted_pauli(i, j, l):
     return basis
 
 
+# the first failure of the ladder on corrupted_pauli(0, 2, 0); the tables
+# must leave it where the commutators found it
+BROKEN_SQUARE = (
+    "square from degree 0 commutes (1 cases): word (), unit [[1, 0], [0, 0]]: "
+    "w1.w3 := [[0, 1], [1, 0]], w2.w3 := [[0, -I], [I, 0]] versus "
+    "w1.w2 := [[-1, 0], [0, 0]], w1.w3 := [[0, 1], [1, 0]], w2.w3 := [[0, -I], [I, 0]]"
+)
+
+
 def test_phi_ladder_catches_broken_constants():
     report = phi_ladder(corrupted_pauli(0, 2, 0))
     assert not report.ok
     assert any("square" in f["name"] and f["witness"] for f in report.failures)
     assert report.first_failure().startswith(report.failures[0]["name"])
+    assert report.first_failure() == BROKEN_SQUARE
+    assert [f["name"] for f in report.failures] == [
+        f"square from degree {k} commutes (1 cases)" for k in range(3)
+    ]
+
+
+def test_corrupted_twin_fills_its_own_table():
+    basis = DerBasis.pauli()
+    twin = suites._corrupted_constants(basis)
+    assert twin.constants() != basis.constants()
+    assert [twin.unit_d(w) for w in basis.words(1)] != [basis.unit_d(w) for w in basis.words(1)]
+    assert phi_ladder(twin).first_failure() == BROKEN_SQUARE
+    # the table of ad-images depends on the matrices alone
+    assert twin._ad == basis._ad
 
 
 def test_square_of_d_catches_what_the_ladder_cannot():
@@ -544,3 +599,31 @@ def test_square_of_d_catches_what_the_ladder_cannot():
     assert phi_ladder(basis).ok
     broken = [u for u in units() if koszul_d(basis, koszul_d(basis, u))]
     assert broken
+
+
+# calls of each kind in one in-process `matrix verify`; a change that
+# moves them says so, with the old and the new figures
+WORK = {"koszul_d": 75, "commutator": 42, "MatElement products": 692}
+
+
+def test_matrix_verify_work_counts(monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    koszul = counted("koszul_d", mc.koszul_d)
+    monkeypatch.setattr(mc, "koszul_d", koszul)
+    monkeypatch.setattr(suites, "koszul_d", koszul)
+    monkeypatch.setattr(mc, "commutator", counted("commutator", mc.commutator))
+    monkeypatch.setattr(
+        MatElement, "__mul__", counted("MatElement products", MatElement.__mul__)
+    )
+    monkeypatch.setattr(REGISTRY["matrix-m2"], "_cache", None)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["matrix", "verify", "--format", "json"]) == 0
+    assert dict(counts) == WORK
