@@ -24,9 +24,9 @@ __all__ = [
     "LadderDiagram",
     "NoPreimageUpToBound",
     "Truncation",
+    "block_ranks",
     "check_ladder",
     "check_lambda_annihilates",
-    "image_rank",
     "integral_class",
     "sl2_lambda",
 ]
@@ -95,35 +95,46 @@ class Truncation:
         value = self._image(i, w)
         if self.degree is None or not value:
             return value
+        return value if self._degree(i, w, value) == self.degree else None
+
+    def _degree(self, i, w, value):
+        # the Z-degree of the nonzero image value of column (i, w)
         deg = zdegree(value)
         if deg is MIXED:
             raise FiltrationViolated(
                 f"image of ({self.spec.form_names[i]}, "
                 f"{self.spec.presentation.word_str(w)}) mixes Z-degrees"
             )
-        return value if deg == self.degree else None
+        return deg
 
 
-def image_rank(spec, length_bound, degree=None):
-    """Row-reduce nabla on the window; returns (rank, cokernel).
+def block_ranks(spec, length_bound, degrees):
+    """Row-reduce nabla on the window's degree blocks; yields (rank, cokernel)
+    for each degree in turn.
 
-    The cokernel is a tuple of monomials, one per window word whose class
-    is not hit.  Representatives are exact, because the reduced row space
-    has canonical pivot words independent of assembly order.
+    The cokernel is a tuple of monomials, one per window word of the
+    block's degree whose class is not hit.  Representatives are exact,
+    because the reduced row space has canonical pivot words independent of
+    assembly order.  Every column's image is built once, before the first
+    block, so the filtration and mixed-degree errors of a degree-d
+    Truncation come in its column order; a caller that stops early
+    eliminates no further block.
     """
-    trunc = Truncation(spec, length_bound, degree)
-    system = LinearSystem(key=_pivot_key)
-    for i, w in trunc.columns():
-        value = trunc._block_image(i, w)
-        if value is None or not value:
-            continue
-        system.add(dict(value.terms))
-    pivots = set(system.pivot_columns())
+    trunc = Truncation(spec, length_bound)
     pres = spec.presentation
-    cokernel = tuple(
-        pres.monomial(w) for w in trunc.target_words if w not in pivots
-    )
-    return system.rank(), cokernel
+    # first, so GradingAbsent comes before any image as in a degree-d Truncation
+    targets = [pres.normal_words(length_bound, degree=d) for d in degrees]
+    blocks = {}
+    for i, w in trunc.columns():
+        value = trunc._image(i, w)
+        if value:
+            blocks.setdefault(trunc._degree(i, w, value), []).append(value)
+    for degree, target in zip(degrees, targets):
+        system = LinearSystem(key=_pivot_key)
+        for value in blocks.get(degree, ()):
+            system.add(dict(value.terms))
+        pivots = set(system.pivot_columns())
+        yield system.rank(), tuple(pres.monomial(w) for w in target if w not in pivots)
 
 
 def sl2_lambda(a):

@@ -6,6 +6,10 @@ of strictly deglex-smaller words.  Elements are finite linear combinations of
 irreducible ("normal") words with ScalarRF coefficients.  Optional extras: a
 Z-grading on generators and Hopf structure maps (coproduct, counit, antipode
 and its inverse on generators, extended (anti)multiplicatively).
+
+Normal forms rewrite the leftmost redex.  With two-letter left sides only, a
+letter moves left past all its transposing neighbours in one run, charged
+one budget unit per swap; a run is taken only at a length no cached word has.
 """
 from __future__ import annotations
 
@@ -60,8 +64,8 @@ class _Budget:
     def __init__(self, limit):
         self.left = limit
 
-    def spend(self):
-        self.left -= 1
+    def spend(self, units=1):
+        self.left -= units
         if self.left < 0:
             raise ReductionBudgetExceeded("rewrite step budget exhausted")
 
@@ -79,12 +83,19 @@ class Presentation:
         self._rules_at = {i: [] for i in range(len(self.generators))}
         self._max_lhs = 1
         self._nf_cache = {}
+        self._nf_lengths = set()  # the lengths of the words in _nf_cache
         self._words_memo = {}
         self.grading = None
         if grading is not None:
             self.grading = tuple(int(grading[name]) for name in self.generators)
         for lhs, rhs in rules:
             self._add_rule(lhs, rhs)
+        # (a, b) -> c where the rule _find_redex applies on a*b is the
+        # transposition a*b -> c*b*a; None unless every left side has two letters
+        first = dict(reversed(self.rules))
+        self._swaps = None if any(len(lhs) != 2 for lhs in first) else {
+            lhs: rhs[lhs[::-1]] for lhs, rhs in first.items() if list(rhs) == [lhs[::-1]]
+        }
         self.hopf = hopf
         self._hopf_tables = {}
         self.one = AlgElement(self, {(): context.one})
@@ -161,11 +172,17 @@ class Presentation:
         redex resumes there, and a word rewritten at pos resumes at
         max(pos - (max_lhs - 1), 0): a redex starting further left would
         end inside the untouched head, which had none.
+
+        A run swaps b = lhs[1] on left while the redex at its left is a
+        transposition, as no other redex can be leftmost.  It would skip the
+        lookups of the words it passes, but none of them hits: a one-term
+        chain keeps its length, and no cached word has it.
         """
         cache = self._nf_cache
         result = cache.get(word)
         if result is not None:
             return result
+        lengths, swaps = self._nf_lengths, self._swaps
         back = self._max_lhs - 1
         one = self.context.one
         stack = [(word, start, None)]
@@ -176,6 +193,7 @@ class Presentation:
                 for piece, coeff in pieces:
                     add_scaled(result, cache[piece], coeff)
                 cache[node] = result
+                lengths.add(len(node))
                 continue
             if node in cache:
                 continue
@@ -184,9 +202,22 @@ class Presentation:
                 hit = self._find_redex(top, start)
                 if hit is None:
                     cache[node] = {top: scale}
+                    lengths.add(len(node))
                     break
                 budget.spend()
                 pos, lhs, coeffs = hit
+                if swaps is not None and lhs in swaps and len(top) not in lengths:
+                    b, p = lhs[1], pos
+                    while p and (top[p - 1], b) in swaps:
+                        p -= 1
+                    if p < pos:
+                        budget.spend(pos - p)
+                        passed = top[p : pos + 1]
+                        for a in set(passed):
+                            scale = scale * swaps[a, b] ** passed.count(a)
+                        top = top[:p] + (b,) + passed + top[pos + 2 :]
+                        start = max(p - back, 0)
+                        continue
                 head, tail = top[:pos], top[pos + len(lhs) :]
                 start = max(pos - back, 0)
                 pieces = [(head + rword + tail, scale * rcoeff) for rword, rcoeff in coeffs.items()]

@@ -166,6 +166,9 @@ def _build_presentation(sections):
                 grading[name] = int(value)
             except ValueError:
                 raise ParseError("grading degree must be an integer", lineno, 1) from None
+        for name in generators:
+            if name not in grading:
+                raise ParseError(f"{name!r} has no degree", sections["grading"][0][0], 1)
     hopf = _build_hopf(sections["hopf"], free) if sections["hopf"] else None
     return Presentation(
         ctx, generators=generators, rules=rules, grading=grading, hopf=hopf

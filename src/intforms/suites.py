@@ -32,9 +32,9 @@ from .descent import (
 from .dga import check_d_squared, check_density
 from .homconn import HomForm, dual_basis, dual_form, is_flat, nabla, nabla_n
 from .integrals import (
+    block_ranks,
     check_ladder,
     check_lambda_annihilates,
-    image_rank,
     integral_class,
     sl2_lambda,
 )
@@ -267,8 +267,7 @@ def _qplane_integral(bundle, opts):
         # a degree-d preimage uses words one letter longer, so the top
         # block of the window stays out of the sweep
         degrees = (opts.degree,) if opts.degree is not None else range(opts.max_len)
-        for degree in degrees:
-            _, cokernel = image_rank(spec, opts.max_len, degree=degree)
+        for degree, (_, cokernel) in zip(degrees, block_ranks(spec, opts.max_len, degrees)):
             if cokernel:
                 missed = ", ".join(str(m) for m in cokernel)
                 return f"degree {degree} block misses {missed}"

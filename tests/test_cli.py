@@ -291,6 +291,22 @@ def test_a_keyed_directive_is_given_once(capsys, tmp_path, case):
 
 
 @pytest.mark.parametrize(
+    "preset, line, lineno, name",
+    [("qplane", "y = 1", 12, "y"), ("qplane", "x = 1", 12, "x"), ("sl2-3d", "beta = -1", 19, "beta")],
+)
+def test_grading_gives_every_generator_a_degree(capsys, tmp_path, preset, line, lineno, name):
+    # a generator left out of [grading] used to exit 2 with just "error: y"
+    source = REGISTRY[preset].source
+    assert f"\n{line}\n" in source
+    path = tmp_path / "ungraded.calc"
+    path.write_text(source.replace(f"\n{line}\n", "\n", 1))
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line {lineno}, col 1: {name!r} has no degree\n"
+
+
+@pytest.mark.parametrize(
     "preset, old, new, message",
     [
         ("sl2-3d", GRADES, "sigma grades: q^-2, 0, q^-1", "sigma grades must be invertible"),
@@ -411,6 +427,46 @@ def test_huge_generator_power_is_a_config_error(tmp_path):
     # at its '^'
     message = _refused_in_a_child(tmp_path, "x^100000000")
     assert message == "error: line 9, col 18: a generator power over 2^16"
+
+
+REWRITE_STEPS = """
+import contextlib, io, sys
+from intforms import ncalg
+from intforms.cli import main
+
+steps = 0
+spend = ncalg._Budget.spend
+
+def counted(self, units=1):
+    global steps
+    steps += units
+    spend(self, units)
+
+ncalg._Budget.spend = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+print(status, steps)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, steps",
+    [(["verify", "preset:sl2-3d", "--max-len", "6"], 5319), (["sphere", "verify"], 1476)],
+    ids=["sl2-window", "sphere"],
+)
+def test_transposition_runs_skip_no_cache_hit(argv, steps):
+    # rewrite steps are budget units, and a fresh interpreter starts with
+    # empty caches.  The pinned counts are those of rewriting one swap at a
+    # time; a run past a word the normal-form cache holds would rewrite that
+    # word again (with no length guard the runs spend 6,035 and 1,703)
+    proc = subprocess.run(
+        [sys.executable, "-c", REWRITE_STEPS, *argv, "--seed", "1"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.stdout == f"0 {steps}\n", proc.stderr
 
 
 def test_module_entry_point():

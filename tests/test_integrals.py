@@ -10,15 +10,16 @@ import pytest
 from intforms import dga
 from intforms.dga import CalculusSpec
 from intforms.homconn import HomForm, dual_form, nabla, nabla_n
-from intforms import integrals
+from intforms import integrals, suites
+from intforms.cli import main
 from intforms.integrals import (
     FiltrationViolated,
     LadderDiagram,
     NoPreimageUpToBound,
     Truncation,
+    block_ranks,
     check_ladder,
     check_lambda_annihilates,
-    image_rank,
     integral_class,
     sl2_lambda,
 )
@@ -27,6 +28,7 @@ from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import Presentation
 from intforms.presets import REGISTRY
 from intforms.scalars import ScalarContext
+from intforms.suites import Options, checks_for
 
 from conftest import identity_map, identity_sigma
 
@@ -117,28 +119,43 @@ def test_lambda_sign_control(sl2, sl2_3d_calc, monkeypatch):
 # -- image rank and cokernel -------------------------------------------------
 
 
+def _single_block(spec, length_bound, degree):
+    """Reference: (rank, cokernel) of one degree block, from that block's
+    own Truncation and its images alone."""
+    trunc = Truncation(spec, length_bound, degree)
+    system = LinearSystem(key=integrals._pivot_key)
+    for i, w in trunc.columns():
+        value = trunc._block_image(i, w)
+        if value:
+            system.add(dict(value.terms))
+    hit = set(system.pivot_columns())
+    pres = spec.presentation
+    return system.rank(), tuple(pres.monomial(w) for w in trunc.target_words if w not in hit)
+
+
 def test_image_rank_quantum_plane_blocks(qplane_calc):
-    for d in range(6):
-        rank, cokernel = image_rank(qplane_calc, 6, degree=d)
+    for d, (rank, cokernel) in enumerate(block_ranks(qplane_calc, 6, range(6))):
         assert rank == d + 1
         assert cokernel == ()
 
 
 def test_image_rank_sl2_degree_zero_block(sl2, sl2_3d_calc):
-    rank, cokernel = image_rank(sl2_3d_calc, 6, degree=0)
+    ((rank, cokernel),) = block_ranks(sl2_3d_calc, 6, (0,))
     assert cokernel == (sl2.one,)
     assert rank == len(Truncation(sl2_3d_calc, 6, 0).target_words) - 1
 
 
 def test_image_rank_zero_derivation():
-    spec = make_free_line()
-    rank, cokernel = image_rank(spec, 4)
-    assert rank == 0
-    assert len(cokernel) == len(spec.presentation.normal_words(4))
+    spec = make_free_line(grading={"x": 1})
+    pres = spec.presentation
+    for d, (rank, cokernel) in enumerate(block_ranks(spec, 4, range(5))):
+        assert rank == 0
+        assert cokernel == (pres.monomial((0,) * d),)
 
 
 def test_image_rank_order_invariant(sl2_3d_calc):
-    rank, cokernel = image_rank(sl2_3d_calc, 3, degree=0)
+    ((rank, cokernel),) = block_ranks(sl2_3d_calc, 3, (0,))
+    assert (rank, cokernel) == _single_block(sl2_3d_calc, 3, 0)
     trunc = Truncation(sl2_3d_calc, 3, degree=0)
     rows = []
     for i, w in trunc.columns():
@@ -170,6 +187,58 @@ def test_mixed_degree_violation():
     )
     with pytest.raises(FiltrationViolated):
         Truncation(spec, 3, degree=2)._block_image(0, (0,))
+
+
+SWEEP = "truncated cokernel vanishes in every degree block"
+
+
+def test_degree_sweep_builds_each_image_once(monkeypatch):
+    # --max-len 12 has 91 window words on each of qplane's two forms; block
+    # by block the sweep would build those 182 images 12 times, 2,184 calls
+    calls = []
+    image = Truncation._image
+
+    def counted(self, i, w):
+        calls.append((i, w))
+        return image(self, i, w)
+
+    monkeypatch.setattr(Truncation, "_image", counted)
+    checks = dict(checks_for(REGISTRY["qplane"], "integral", Options(max_len=12)))
+    assert checks[SWEEP]() is None
+    assert len(calls) == len(set(calls)) == 182
+
+
+def test_degree_sweep_matches_single_blocks(qplane_calc):
+    degrees = range(12)
+    for d, block in zip(degrees, block_ranks(qplane_calc, 12, degrees)):
+        assert block == _single_block(qplane_calc, 12, d)
+
+
+@pytest.mark.parametrize("bound, image", [
+    (2, lambda pres: pres.gen("x") ** 2),
+    (3, lambda pres: pres.one + pres.gen("x") ** 2),
+], ids=["filtration", "mixed"])
+def test_degree_sweep_raises_what_the_first_block_raises(bound, image):
+    spec = make_free_line(image, grading={"x": 1})
+    with pytest.raises(FiltrationViolated) as want:
+        _single_block(spec, bound, 0)
+    with pytest.raises(FiltrationViolated) as got:
+        next(block_ranks(spec, bound, range(bound)))
+    assert str(got.value) == str(want.value)
+
+
+def test_integral_command_output_is_that_of_single_blocks(capsys, monkeypatch):
+    def run(*extra):
+        assert main(["integral", "preset:qplane", "--format", "json", *extra]) == 0
+        return capsys.readouterr().out
+
+    degrees = [[]] + [["--degree", str(d)] for d in range(4)]
+    swept = [run(*extra) for extra in degrees]
+    monkeypatch.setattr(
+        suites, "block_ranks",
+        lambda spec, bound, ds: (_single_block(spec, bound, d) for d in ds),
+    )
+    assert [run(*extra) for extra in degrees] == swept
 
 
 # -- integral classes --------------------------------------------------------

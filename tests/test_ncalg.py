@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intforms import ncalg
@@ -30,6 +30,7 @@ from intforms.ncalg import (
 )
 
 from intforms.presets import get_preset
+from intforms.scalars import ScalarContext
 
 from conftest import make_qplane_presentation, make_sl2_presentation
 
@@ -347,6 +348,70 @@ def test_products_match_leftmost_rewriting(name, data):
     a = {w: coerce(c) for w, c in a.items()}
     b = {w: coerce(c) for w, c in b.items()}
     assert mul_terms(pres, a, b, {}) == want
+
+
+def _three_letter(shipped):
+    # the shipped rules plus one with a three-letter left side, which
+    # turns the runs off: y^3 -> x*y^2 on qplane, delta^3 -> gamma*delta^2
+    # on sl2-3d
+    *_, penult, last = range(len(shipped.generators))
+    rule = ((last,) * 3, {(penult, last, last): shipped.context.one})
+    pres = Presentation(shipped.context, shipped.generators, [*shipped.rules, rule])
+    assert pres._swaps is None
+    return pres
+
+
+@pytest.mark.parametrize("case", ["length-cached", "length-fresh", "three-letter"])
+@given(
+    name=st.sampled_from(sorted(PRESETS)),
+    letters=st.lists(st.integers(0, 3), max_size=14),
+    other=st.lists(st.integers(0, 3), max_size=14),
+)
+# on sl2-3d, beta crosses gamma (coefficient 1) and then alpha (q) or delta
+# (1/q) in one run
+@example(name="sl2-3d", letters=[1, 3, 0], other=[])
+@example(name="sl2-3d", letters=[2, 3, 3, 0], other=[1])
+@settings(max_examples=40, deadline=None)
+def test_runs_match_leftmost_rewriting(case, name, letters, other):
+    shipped = PRESETS[name]
+    n = len(shipped.generators)
+    word = tuple(g % n for g in letters)
+    if case == "three-letter":
+        pres = _three_letter(shipped)
+    else:
+        pres = Presentation(shipped.context, shipped.generators, shipped.rules)
+        assert pres._swaps
+    if case == "length-cached":
+        # a word of the same length, normalised first, so no run is taken
+        # at that length
+        primer = tuple(g % n for g in other + letters)[: len(word)]
+        pres._normal_word(primer, _Budget(DEFAULT_BUDGET))
+        assert len(word) in pres._nf_lengths
+    got = pres._normal_word(word, _Budget(DEFAULT_BUDGET))
+    assert got == _leftmost_normal_form(pres, word)
+
+
+def test_a_transposition_run_is_one_step(monkeypatch):
+    # each x of y^k x^k crosses the k y's in one run: k + 1 redex searches
+    # and one power of q^-1 per run, where one step per swap took k^2 + 1
+    # searches and interned a new monomial of the running scale each time
+    k = 40
+    ctx = ScalarContext(("q",))
+    pres = make_qplane_presentation(ctx)
+    searches = []
+    find = Presentation._find_redex
+
+    def counted(self, word, start=0):
+        searches.append(start)
+        return find(self, word, start)
+
+    monkeypatch.setattr(Presentation, "_find_redex", counted)
+    before = len(ctx._monomials)
+    value = pres.monomial(pres.word(*("y",) * k + ("x",) * k))
+    assert len(searches) <= k + 1
+    assert len(ctx._monomials) - before <= 2 * k
+    q = ctx.parameter("q")
+    assert value == pres.monomial(pres.word(*("x",) * k + ("y",) * k), coeff=q ** (-k * k))
 
 
 def test_one_term_chain_caches_only_its_ends(qctx):
