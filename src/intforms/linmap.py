@@ -1,19 +1,23 @@
-"""Linear maps on a presented algebra and square matrices of them.
+"""Square matrices of linear maps on a presented algebra.
 
-A map is a linear endomorphism evaluated per word; the one kind built here
-is the algebra map given by its generator images.  A MapMatrix is its
-value on words: value(word) is the n x n tuple of the entries' images of
-the word, and entry(i, j, a) applies the (i, j) map to an element.  Its
-kind records the triangular zero pattern, and an entry in a slot the kind
-forces to vanish is presentation.zero without a look at the value.
+A MapMatrix is the one map type here: an n x n matrix of linear
+endomorphisms, given by its value on words.  on_word(word) is the n x n
+tuple of the entries' images of the word, memoised per word, and
+entry(i, j, a), the (i, j) map applied to an element, is the one way to
+apply a map.  Its kind records the triangular zero pattern, and an entry
+in a slot the kind forces to vanish is presentation.zero without a look at
+the value.
 
-A twist matrix sigma is an algebra map A -> M_n(A) and has one
-constructor, from_images: a word evaluates to the product of its letters'
-image matrices, and the products skip the slots the kind forces to vanish.
-transpose_inverse is the one triangular substitution that builds the
-inverse pair of a free twisted multi-derivation (bar inverts sigma^T, and
-hat inverts bar^T by the same step); both memoise per word.  transpose
-and bullet, the product with entrywise composition, read through to the
+Every map a free twisted multi-derivation needs is fixed by its values on
+the generators, and from_images is the constructor for those: an algebra
+map A -> M_n(A) in which a word evaluates to the product of its letters'
+image matrices, the products skipping the slots the kind forces to vanish.
+The twist sigma is one, and so are the inverses of its diagonal entries,
+given together as one diagonal matrix.  transpose_inverse is the one
+triangular substitution that builds the inverse pair: bar inverts sigma^T
+with the supplied inverse's diagonal, and hat inverts bar^T with sigma's
+own diagonal, whose memoised values it shares.  transpose and bullet, the
+product with entrywise composition, read through the on_word of the
 matrices they are built from.
 
 Evaluation is defined on raw words, not only normal ones: a generator-image
@@ -24,24 +28,18 @@ passes compare raw-word evaluation of each relation's two sides.
 from __future__ import annotations
 
 import functools
-import operator
 
 from .ncalg import AlgElement
 from .sparse import add_scaled
 
 
 def by_generator(presentation, table, what):
-    """{generator index: value} of a table keyed by generator name or index.
+    """{generator index: value} of a table keyed by generator name.
 
     Elements, alone or in rows or matrices, are taken into the presentation;
     every generator needs an entry.
     """
-    out = {}
-    for key, value in table.items():
-        idx = presentation.index(key) if isinstance(key, str) else key
-        if not 0 <= idx < len(presentation.generators):
-            raise ValueError(f"no generator with index {idx}")
-        out[idx] = _elements(presentation, value)
+    out = {presentation.index(name): _elements(presentation, v) for name, v in table.items()}
     missing = [g for i, g in enumerate(presentation.generators) if i not in out]
     if missing:
         raise ValueError(f"{what} missing for {missing}")
@@ -67,51 +65,22 @@ class DiagonalNotInvertible(ValueError):
 
 
 class MapExpr:
-    """Base: a linear endomorphism of the algebra, evaluated per word.  It
-    stays apart from AlgebraMap, its one subclass, because perfbench/spans.py
-    counts calls of `MapExpr.on_word` as `linmap.on_word_calls`."""
+    """Base of MapMatrix: a value per word and its one memo.  It stays a
+    class of its own because perfbench/spans.py counts calls of
+    `MapExpr.on_word` as `linmap.on_word_calls`."""
 
-    __slots__ = ("presentation", "_memo")
+    __slots__ = ("presentation", "_value", "_memo")
 
-    def __init__(self, presentation):
+    def __init__(self, presentation, value):
         self.presentation = presentation
+        self._value = value
         self._memo = {}
 
     def on_word(self, word):
         cached = self._memo.get(word)
         if cached is None:
-            cached = self._memo[word] = self._eval_word(word)
+            cached = self._memo[word] = self._value(word)
         return cached
-
-    def apply(self, element):
-        if element.presentation is not self.presentation:
-            raise ValueError("element from a different presentation")
-        terms = {}
-        for word, coeff in element.terms.items():
-            add_scaled(terms, self.on_word(word).terms, coeff)
-        return AlgElement(self.presentation, terms)
-
-
-class AlgebraMap(MapExpr):
-    """Endomorphism given by a complete generator-image table.
-
-    A word maps to the product of the images of its letters; 1 maps to 1.
-    A new word extends the value of its longest memoised prefix, so it
-    costs one product per letter the memo lacks.
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, presentation, images):
-        super().__init__(presentation)
-        self.images = by_generator(presentation, images, "generator images")
-        self._memo[()] = presentation.one
-
-    def _eval_word(self, word):
-        return _extend_prefix(self._memo, word, self.images, operator.mul)
-
-    def __repr__(self):
-        return f"<AlgebraMap {len(self.images)} gens>"
 
 
 # kind -> (the entries below the diagonal vanish, those above it vanish)
@@ -124,22 +93,22 @@ KINDS = {
 _KIND_OF = {zeros: kind for kind, zeros in KINDS.items()}
 
 
-class MapMatrix:
+class MapMatrix(MapExpr):
     """Square matrix of maps, given by its value on words.
 
     value(word) is the n x n tuple whose entry (i, j) is the (i, j) map
-    applied to the word.  The kind records the structural zero pattern.
+    applied to the word; on_word memoises it.  The kind records the
+    structural zero pattern.
     """
 
-    __slots__ = ("presentation", "n", "kind", "value")
+    __slots__ = ("n", "kind")
 
     def __init__(self, presentation, n, kind, value):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        self.presentation = presentation
+        super().__init__(presentation, value)
         self.n = n
         self.kind = kind
-        self.value = value
 
     @classmethod
     def from_images(cls, presentation, images):
@@ -154,13 +123,11 @@ class MapMatrix:
         if any(len(m) != n or any(len(row) != n for row in m) for m in table.values()):
             raise SizeMismatch("generator image matrices must share one square size")
         kind = _kind_of(n, lambda i, j: all(m[i][j].is_zero() for m in table.values()))
-        memo = {(): _diagonal(presentation, (presentation.one,) * n)}
         times = functools.partial(_matrix_product, presentation, _live(n, kind, kind))
-
-        def product(word):
-            return _extend_prefix(memo, word, table, times)
-
-        return cls(presentation, n, kind, product)
+        memo = {(): _diagonal(presentation, (presentation.one,) * n)}
+        out = cls(presentation, n, kind, functools.partial(_extend_prefix, memo, table, times))
+        out._memo = memo
+        return out
 
     def entry(self, i, j, a):
         """The (i, j) map applied to the element a."""
@@ -174,35 +141,17 @@ class MapMatrix:
             add_scaled(terms, self.on_word(word)[i][j].terms, coeff)
         return AlgElement(pres, terms)
 
-    def on_word(self, word):
-        return self.value(word)
-
-    def apply(self, element):
-        n = self.n
-        out = [[{} for _ in range(n)] for _ in range(n)]
-        for word, coeff in element.terms.items():
-            m = self.on_word(word)
-            for i in range(n):
-                for j in range(n):
-                    add_scaled(out[i][j], m[i][j].terms, coeff)
-        pres = self.presentation
-        return tuple(tuple(AlgElement(pres, terms) for terms in row) for row in out)
-
     def transpose(self):
         if self.kind == "diagonal":
             return self
-        value = self.value
-
-        def flipped(word):
-            return tuple(zip(*value(word)))
-
-        return MapMatrix(self.presentation, self.n, _transposed(self.kind), flipped)
+        kind = _transposed(self.kind)
+        return MapMatrix(self.presentation, self.n, kind, lambda w: tuple(zip(*self.on_word(w))))
 
     def __repr__(self):
         return f"<MapMatrix {self.n}x{self.n} {self.kind}>"
 
 
-def _extend_prefix(memo, word, images, times):
+def _extend_prefix(memo, images, times, word):
     """Value of word under a multiplicative map, memoising every prefix.
 
     memo holds the empty word and, with each word, all its prefixes.  The
@@ -310,15 +259,17 @@ def is_identity_on_words(mat, words):
     return None
 
 
-def _check_diag_inverses(sigma, diag_inverses):
-    pres = sigma.presentation
-    if len(diag_inverses) != sigma.n:
-        raise SizeMismatch("one diagonal inverse per row is required")
-    for i, inv in enumerate(diag_inverses):
+def _check_diag_inverses(m, inverse):
+    pres = m.presentation
+    if inverse.n != m.n:
+        raise SizeMismatch("the inverse needs one diagonal entry per row")
+    for i in range(m.n):
         for g in range(len(pres.generators)):
             target = pres.monomial((g,))
-            image = sigma.entry(i, i, target)
-            if inv.apply(image) != target or sigma.entry(i, i, inv.apply(target)) != target:
+            if (
+                inverse.entry(i, i, m.entry(i, i, target)) != target
+                or m.entry(i, i, inverse.entry(i, i, target)) != target
+            ):
                 raise DiagonalNotInvertible(
                     f"supplied inverse of diagonal entry {i} fails on "
                     f"generator {pres.generators[g]}"
@@ -334,18 +285,18 @@ def _verify_inverse_pair(left, right):
             raise RuntimeError(f"inverse identity fails at {witness}")
 
 
-def transpose_inverse(m, diag_inverses):
-    """Matrix x with x o m^T = m^T o x = id, for a triangular m; memoised.
+def transpose_inverse(m, inverse):
+    """Matrix x with x o m^T = m^T o x = id, for a triangular m.
 
-    On each word, x_ii = inv_i and x_ij = -inv_i(sum_k m_ki(x_kj)), k from
-    j to i with i left out: forward substitution when m^T is lower
-    triangular, backward when it is upper.  The supplied inverses of the
-    diagonal entries are verified by round trip on every generator, and
-    they are x's diagonal entries.
+    inverse's diagonal entries invert m's; they are verified by round trip
+    on every generator and become x's diagonal, values and all.  On each
+    word, x_ij = -inv_i(sum_k m_ki(x_kj)) off the diagonal, k from j to i
+    with i left out: forward substitution when m^T is lower triangular,
+    backward when it is upper.
     """
     if m.kind == "general":
         raise NotTriangular(f"matrix is {m.kind}")
-    _check_diag_inverses(m, diag_inverses)
+    _check_diag_inverses(m, inverse)
     pres = m.presentation
     n = m.n
     forward = m.kind != "lower_triangular"
@@ -360,27 +311,24 @@ def transpose_inverse(m, diag_inverses):
                 steps.append((i, j, ks))
 
     def value(word):
-        diag = [inv.on_word(word) for inv in diag_inverses]
-        x = [list(row) for row in _diagonal(pres, diag)]
+        diag = inverse.on_word(word)
+        x = [list(row) for row in _diagonal(pres, [diag[i][i] for i in range(n)])]
         for i, j, ks in steps:
             total = _total(pres, (m.entry(k, i, x[k][j]) for k in ks if x[k][j]))
             if total:
-                x[i][j] = -diag_inverses[i].apply(total)
+                x[i][j] = -inverse.entry(i, i, total)
         return tuple(map(tuple, x))
 
-    out = MapMatrix(pres, n, _transposed(m.kind), functools.cache(value))
+    out = MapMatrix(pres, n, _transposed(m.kind), value)
     _verify_inverse_pair(out, m.transpose())
     return out
 
 
-def free_pair(sigma, diag_inverses):
+def free_pair(sigma, inverse):
     """(bar, hat): bar inverts sigma^T, hat inverts bar^T by the same step.
 
-    hat's diagonal inverses are sigma's diagonal entries, algebra maps
-    because sigma is a triangular algebra map.
+    inverse's diagonal inverts sigma's, and sigma's own diagonal inverts
+    bar's, so hat's diagonal values are the ones sigma memoises.
     """
-    bar = transpose_inverse(sigma, diag_inverses)
-    pres = sigma.presentation
-    images = [sigma.on_word((g,)) for g in range(len(pres.generators))]
-    diag = [AlgebraMap(pres, {g: m[i][i] for g, m in enumerate(images)}) for i in range(sigma.n)]
-    return bar, transpose_inverse(bar, diag)
+    bar = transpose_inverse(sigma, inverse)
+    return bar, transpose_inverse(bar, sigma)

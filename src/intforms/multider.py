@@ -12,15 +12,15 @@ too, with twist hat: T_i(ab) = sum_j T_j(a) hat_ji(b) + a T_i(b).  (Put
 b = hat_mj(w) in the hom-connection rule nabla(f b) = nabla(f) b + f(db)
 for f supported on omega_m, and sum over m with sum_m bar_mi o hat_mj =
 delta_ij.)  So `_kernel_word` takes the formula on generators only and
-extends it by the same loop.  The derivation is free: sigma is
-triangular, given by its generators' image matrices, so its diagonal
-entries are algebra maps, and the bar = (sigma^T)^-1 and hat =
-(bar^T)^-1 matrices are always built from it and the algebra maps that
-invert its diagonal entries by linmap.free_pair, two calls of one
-memoised transpose-inverse.  verify_free re-derives every assumed
-identity (relations respected, both inverse pairs) and reports failures
-with witnesses instead of raising; inverse_identities is the one sweep of
-the inverse pairs over a list of words.
+extends it by the same loop.  The derivation is free: sigma is a
+triangular linmap.MapMatrix given by its generators' image matrices, the
+inverses of its diagonal entries are a diagonal one given the same way, and
+linmap.free_pair builds bar = (sigma^T)^-1 and hat = (bar^T)^-1 from the
+two by one transpose-inverse step.  Every map is applied through its
+entries.  verify_free re-derives every assumed identity (relations
+respected, both inverse pairs) and reports failures with witnesses instead
+of raising; inverse_identities is the one sweep of the inverse pairs over a
+list of words.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class SigmaNotDiagonal(ValueError):
 
 
 class TwistedMultiDerivation:
-    def __init__(self, presentation, partial_on_gens, sigma, diag_inverses):
+    def __init__(self, presentation, partial_on_gens, sigma, inverse):
         self.presentation = presentation
         self.n = sigma.n
         rows = by_generator(presentation, partial_on_gens, "partial rows")
@@ -45,7 +45,7 @@ class TwistedMultiDerivation:
             raise ValueError("partial row length differs from sigma size")
         self.partial_on_gens = rows
         self.sigma = sigma
-        self.sigma_bar, self.sigma_hat = free_pair(sigma, diag_inverses)
+        self.sigma_bar, self.sigma_hat = free_pair(sigma, inverse)
         self._memo = {(): (presentation.zero,) * self.n}
         self._kernel_memo = dict(self._memo)
 
@@ -128,14 +128,12 @@ def _fill_rows(pres, memo, word, gen_rows, twist):
 
 def _relation_respected(pres, matrix, lhs, rhs):
     got = matrix.on_word(lhs)
-    want = matrix.apply(pres.element(dict(rhs)))
+    rhs = pres.element(dict(rhs))
     for i in range(matrix.n):
         for j in range(matrix.n):
-            if got[i][j] != want[i][j]:
-                return (
-                    f"entry ({i},{j}) on rule {pres.word_str(lhs)}: "
-                    f"{got[i][j]} != {want[i][j]}"
-                )
+            want = matrix.entry(i, j, rhs)
+            if got[i][j] != want:
+                return f"entry ({i},{j}) on rule {pres.word_str(lhs)}: {got[i][j]} != {want}"
     return None
 
 

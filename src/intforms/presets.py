@@ -7,22 +7,28 @@ four shipped presets are loaded through exactly this path so the file
 format stays honest.
 
 The twist sigma of a [derivation] is an algebra map A -> M_n(A) given by
-generator images (`sigma images:`), with the inverses of its diagonal
-entries (`sigma inverse i:`).  On a graded algebra, `sigma grades: l_1,
-..., l_n` stands for sigma_ii(g) = l_i^deg(g) * g and its inverses
-g -> l_i^(-deg g) * g.
+generator images (`sigma images:`), and the inverses of its diagonal
+entries are one diagonal algebra map given the same way, a `sigma inverse
+i:` line per entry.  On a graded algebra, `sigma grades: l_1, ..., l_n`
+stands for sigma_ii(g) = l_i^deg(g) * g and its inverses
+g -> l_i^(-deg g) * g.  Both are linmap.MapMatrix.from_images.
 """
 
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
+
+# the builtin SHA-256: importing hashlib would load OpenSSL for one digest
+try:
+    from _sha2 import sha256
+except ImportError:  # Python 3.10 and 3.11
+    from _sha256 import sha256
 
 from .descent import SphereData
 from .dga import CalculusSpec
 from .homconn import HomForm
 from .integrals import LadderDiagram
-from .linmap import AlgebraMap, MapMatrix
+from .linmap import MapMatrix
 from .matrixcalc import DerBasis
 from .multider import TwistedMultiDerivation
 from .ncalg import HopfData, Presentation
@@ -247,10 +253,11 @@ def _build_tmd(sections, pres):
             for piece in _pieces(rest):
                 gen, arrow, image = _cut(piece, "->")
                 if not arrow:
-                    raise ParseError(
-                        "inverse entries are 'generator -> image'", lineno, 1
-                    )
+                    raise ParseError("inverse entries are 'generator -> image'", lineno, 1)
                 maps[_generator(pres, gen.strip(), lineno)] = parse_element(pres, image, line=lineno)
+            for name in pres.generators:
+                if name not in maps:
+                    raise ParseError(f"{name!r} has no image under '{key}'", lineno, 1)
             inverse_maps[idx] = maps
         else:
             raise ParseError(f"unknown derivation directive '{key}'", lineno, 1)
@@ -260,16 +267,25 @@ def _build_tmd(sections, pres):
     if grades is not None:
         if images or inverse_maps:
             raise ParseError("sigma grades replace sigma images and inverses", grades[0], 1)
-        images, inverse_maps = _graded_sigma(pres, n, *grades)
+        images, inverse = _graded_sigma(pres, n, *grades)
     elif set(inverse_maps) != set(range(1, n + 1)):
         raise ParseError(f"need 'sigma inverse 1..{n}' directives", 1, 1)
+    else:
+        inverse = _diagonal_images(pres, [inverse_maps[i + 1] for i in range(n)])
     sigma = MapMatrix.from_images(pres, images)
-    inverses = [AlgebraMap(pres, inverse_maps[i + 1]) for i in range(n)]
-    return TwistedMultiDerivation(pres, rows, sigma, diag_inverses=inverses)
+    return TwistedMultiDerivation(pres, rows, sigma, MapMatrix.from_images(pres, inverse))
+
+
+def _diagonal_images(pres, diags):
+    # {generator: the diagonal matrix whose entry i is diags[i][generator]}
+    zero, n = pres.zero, len(diags)
+    return {g: [[d[g] if i == j else zero for j in range(n)] for i, d in enumerate(diags)]
+            for g in pres.generators}
 
 
 def _graded_sigma(pres, n, lineno, grades):
-    """The image matrices and inverse tables that `sigma grades` stands for."""
+    """The image matrices of sigma and of its diagonal inverse that
+    `sigma grades` stands for."""
     if len(grades) != n:
         raise ParseError(f"expected {n} sigma grades", lineno, 1)
     if pres.grading is None:
@@ -277,15 +293,11 @@ def _graded_sigma(pres, n, lineno, grades):
     if not all(grades):
         raise ParseError("sigma grades must be invertible", lineno, 1)
     gens = [(g, pres.gen(g), deg) for g, deg in zip(pres.generators, pres.grading)]
-    images = {
-        g: [[x.scale(lam ** deg) if i == j else pres.zero for j in range(n)]
-            for i, lam in enumerate(grades)]
-        for g, x, deg in gens
-    }
-    inverses = {
-        i + 1: {g: x.scale(lam ** -deg) for g, x, deg in gens} for i, lam in enumerate(grades)
-    }
-    return images, inverses
+    return tuple(
+        _diagonal_images(pres, [{g: x.scale(lam ** (sign * deg)) for g, x, deg in gens}
+                                for lam in grades])
+        for sign in (1, -1)
+    )
 
 
 def _scalar_form_terms(pres, names, text, lineno):
@@ -436,7 +448,7 @@ class Preset:
     @property
     def digest(self):
         payload = f"{self.name}\n{self.source}".encode()
-        return hashlib.sha256(payload).hexdigest()
+        return sha256(payload).hexdigest()
 
     def __repr__(self):
         return f"<Preset {self.name}>"

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from intforms.dga import CalculusSpec
-from intforms.linmap import AlgebraMap, MapMatrix
+from intforms.linmap import MapMatrix
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import HopfData, Presentation
 from intforms.parser import parse_form_terms
@@ -70,13 +70,9 @@ def make_sl2_presentation(ctx):
     )
 
 
-def identity_map(pres):
-    """The identity endomorphism: the algebra map fixing every generator."""
-    return AlgebraMap(pres, {g: pres.gen(g) for g in pres.generators})
-
-
 def diagonal_sigma(pres, diags):
-    """The diagonal sigma with sigma_ii(g) = diags[i][g], from its images."""
+    """The diagonal algebra map with entry i sending g to diags[i][g]: a
+    diagonal sigma, or the inverses of a sigma's diagonal entries."""
     n = len(diags)
     return MapMatrix.from_images(
         pres,
@@ -88,7 +84,8 @@ def diagonal_sigma(pres, diags):
 
 
 def identity_sigma(pres, n):
-    """The n x n identity: sigma(g) = g times the identity matrix."""
+    """The n x n identity: sigma(g) = g times the identity matrix, and the
+    inverse of its own diagonal."""
     return diagonal_sigma(pres, [{g: pres.gen(g) for g in pres.generators}] * n)
 
 
@@ -112,12 +109,11 @@ def make_qplane_tmd(pres):
             "y": [[q * y, (p - 1) * x], [zero, p * y]],
         },
     )
-    inverses = [
-        AlgebraMap(pres, {"x": (1 / p) * x, "y": (1 / q) * y}),
-        AlgebraMap(pres, {"x": (q / p) * x, "y": (1 / p) * y}),
-    ]
+    inverse = diagonal_sigma(
+        pres, [{"x": (1 / p) * x, "y": (1 / q) * y}, {"x": (q / p) * x, "y": (1 / p) * y}]
+    )
     rows = {"x": (pres.one, zero), "y": (zero, pres.one)}
-    return TwistedMultiDerivation(pres, rows, sigma, diag_inverses=inverses)
+    return TwistedMultiDerivation(pres, rows, sigma, inverse)
 
 
 def make_sl2_3d_tmd(pres):
@@ -130,18 +126,16 @@ def make_sl2_3d_tmd(pres):
     sigma = diagonal_sigma(
         pres, [grade_scaling(pres, q, -2), grade_scaling(pres, q, -1), grade_scaling(pres, q, -1)]
     )
-    inverses = [
-        AlgebraMap(pres, grade_scaling(pres, q, 2)),
-        AlgebraMap(pres, grade_scaling(pres, q, 1)),
-        AlgebraMap(pres, grade_scaling(pres, q, 1)),
-    ]
+    inverse = diagonal_sigma(
+        pres, [grade_scaling(pres, q, 2), grade_scaling(pres, q, 1), grade_scaling(pres, q, 1)]
+    )
     rows = {
         "alpha": (a, -q * b, zero),
         "beta": (-q2 * b, zero, a),
         "gamma": (c, -q * d, zero),
         "delta": (-q2 * d, zero, c),
     }
-    return TwistedMultiDerivation(pres, rows, sigma, diag_inverses=inverses)
+    return TwistedMultiDerivation(pres, rows, sigma, inverse)
 
 
 def qplane_form_rules(ctx):

@@ -314,8 +314,13 @@ def test_grading_gives_every_generator_a_degree(capsys, tmp_path, preset, line, 
         ("sl2-3d", GRADES, "sigma grades: q^-2, q^-1", "expected 3 sigma grades"),
         ("qplane", "sigma inverse 2: x -> q*p^-1*x, y -> p^-1*y\n", "",
          "need 'sigma inverse 1..2' directives"),
+        ("qplane", "sigma inverse 1: x -> p^-1*x, y -> q^-1*y", "sigma inverse 1: x -> p^-1*x",
+         "line 20, col 1: 'y' has no image under 'sigma inverse 1'"),
+        ("qplane", ", y -> p^-1*y", "",
+         "line 21, col 1: 'y' has no image under 'sigma inverse 2'"),
     ],
-    ids=["zero-grade", "no-grading", "grade-count", "missing-inverse"],
+    ids=["zero-grade", "no-grading", "grade-count", "missing-inverse",
+         "inverse-omits-y", "second-inverse-omits-y"],
 )
 def test_bad_sigma_data_is_a_config_error(capsys, tmp_path, preset, old, new, message):
     source = REGISTRY[preset].source
@@ -326,6 +331,32 @@ def test_bad_sigma_data_is_a_config_error(capsys, tmp_path, preset, old, new, me
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("sigma images: y = [q*y, (p - 1)*x; 0, p*y]",
+         "sigma images: y = [q*y, (p - 1)*y; 0, p*y]",
+         "sigma respects the defining relations: entry (0,1) on rule y*x"),
+        ("(p - 1)*x", "(p - 2)*x",
+         "partial annihilates the defining relations: index 1 on rule y*x"),
+    ],
+    ids=["sigma-breaks-the-relation", "partial-breaks-the-relation"],
+)
+def test_freeness_row_fails_on_wrong_derivation_data(capsys, tmp_path, old, new, witness):
+    # one wrong datum in qplane's [derivation] loads, and the freeness row
+    # reports the identity it breaks
+    source = REGISTRY["qplane"].source
+    assert source.count(old) == 1
+    path = tmp_path / "unfree.calc"
+    path.write_text(source.replace(old, new))
+    code, out, err = run_cli(capsys, "invert-sigma", str(path), "--max-len", "2", "--format", "json")
+    assert code == 1 and err == ""
+    rows = {row["name"]: row for row in json.loads(out)["checks"]}
+    row = rows["derivation data verifies as free"]
+    assert row["status"] == "fail"
+    assert row["witness"].startswith(witness)
 
 
 def test_file_target_passes_like_the_preset(capsys, tmp_path):
@@ -533,6 +564,31 @@ def test_import_path_skips_packaging_metadata():
     assert "intforms.cli" in imported
     assert not [name for name in imported if name.startswith("importlib.metadata")]
     assert intforms.report.tool_version() == f"intforms {intforms.__version__}"
+
+
+NO_OPENSSL = """
+import contextlib, io, sys
+from intforms.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(["verify", "preset:qplane", *FAST_FLAGS, "--format", "json"])
+assert status == 0, status
+assert "_hashlib" not in sys.modules, "hashlib's OpenSSL digests were loaded"
+print("ok")
+"""
+
+
+def test_report_digest_loads_no_openssl():
+    # the report's input digest is the builtin SHA-256, since hashlib would
+    # load OpenSSL for it; -S keeps site's own imports out of the count
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", NO_OPENSSL.replace("FAST_FLAGS", repr(FAST))],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 @pytest.mark.parametrize(

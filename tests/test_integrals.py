@@ -30,7 +30,7 @@ from intforms.presets import REGISTRY
 from intforms.scalars import ScalarContext
 from intforms.suites import Options, checks_for
 
-from conftest import identity_map, identity_sigma
+from conftest import identity_sigma
 
 
 def make_free_line(partial_image=None, grading=None):
@@ -42,7 +42,7 @@ def make_free_line(partial_image=None, grading=None):
         pres,
         {"x": (image,)},
         identity_sigma(pres, 1),
-        diag_inverses=[identity_map(pres)],
+        identity_sigma(pres, 1),
     )
     return CalculusSpec(tmd, ("dx",), {("dx", "dx"): {}}, top_degree=1)
 

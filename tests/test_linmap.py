@@ -1,8 +1,9 @@
-"""Maps, map matrices given by their values on words, the composition
-product, the triangular construction of the inverse pair, and sigma as one
-algebra map A -> M_n(A) on raw words."""
+"""Map matrices given by their values on words (a single map is a
+diagonal entry), the composition product, the triangular construction of
+the inverse pair, and sigma as one algebra map A -> M_n(A) on raw words."""
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from intforms import linmap
 from intforms.linmap import (
-    AlgebraMap,
     DiagonalNotInvertible,
     MapMatrix,
     NotTriangular,
@@ -26,7 +26,7 @@ from intforms.multider import inverse_identities
 from intforms.ncalg import AlgElement, Presentation
 from intforms.presets import REGISTRY, load_calc
 
-from conftest import identity_map, identity_sigma, make_qplane_presentation
+from conftest import diagonal_sigma, identity_sigma, make_qplane_presentation
 
 
 def _table(mat, words):
@@ -37,17 +37,20 @@ def _table(mat, words):
 def test_basic_nodes(qplane):
     q = qplane.context.parameter("q")
     x, y = qplane.gen("x"), qplane.gen("y")
-    ident = identity_map(qplane)
-    assert ident.apply(x * y - 2 * y) == x * y - 2 * y
-    swap = AlgebraMap(qplane, {"x": q * y, "y": x})
-    assert swap.apply(x * x) == q * q * (y * y)
-    assert swap.apply(swap.apply(x)) == q * x
-    assert swap.on_word(()) == qplane.one
+    ident = identity_sigma(qplane, 1)
+    assert ident.entry(0, 0, x * y - 2 * y) == x * y - 2 * y
+    swap = diagonal_sigma(qplane, [{"x": q * y, "y": x}])
+    assert swap.entry(0, 0, x * x) == q * q * (y * y)
+    assert swap.entry(0, 0, swap.entry(0, 0, x)) == q * x
+    assert swap.on_word(()) == ((qplane.one,),)
 
 
 def test_algebra_map_validation(qplane):
-    with pytest.raises(ValueError):
-        AlgebraMap(qplane, {"x": qplane.gen("x")})  # y image missing
+    x = qplane.gen("x")
+    with pytest.raises(ValueError, match=r"missing for \['y'\]"):
+        MapMatrix.from_images(qplane, {"x": [[x]]})
+    with pytest.raises(KeyError):
+        MapMatrix.from_images(qplane, {"x": [[x]], "y": [[x]], "z": [[x]]})
 
 
 def test_grade_scale():
@@ -222,18 +225,19 @@ def test_transpose_inverse_rejects(qplane, qplane_tmd):
     general = bullet(sigma, sigma.transpose())
     assert general.kind == "general"
     with pytest.raises(NotTriangular):
-        transpose_inverse(general, [identity_map(qplane), identity_map(qplane)])
-    bad_inv = [identity_map(qplane), identity_map(qplane)]
+        transpose_inverse(general, identity_sigma(qplane, 2))
     with pytest.raises(DiagonalNotInvertible):
-        transpose_inverse(sigma, bad_inv)
+        transpose_inverse(sigma, identity_sigma(qplane, 2))
+    with pytest.raises(SizeMismatch):
+        transpose_inverse(sigma, identity_sigma(qplane, 3))
 
 
 def test_single_generator_trivial_inverse(qctx):
     pres = Presentation(qctx, generators=("t",))
     sigma = identity_sigma(pres, 1)
-    bar = transpose_inverse(sigma, [identity_map(pres)])
+    bar = transpose_inverse(sigma, sigma)
     assert bar.on_word(pres.word("t"))[0][0] == pres.gen("t")
-    hat = transpose_inverse(bar, [identity_map(pres)])
+    hat = transpose_inverse(bar, sigma)
     assert hat.on_word(pres.word("t", "t"))[0][0] == pres.gen("t") ** 2
 
 
@@ -249,18 +253,18 @@ def test_three_by_three_inverse_pairs(qctx):
         "y": [[y, x + y, one], [zero, (1 / q) * y, x], [zero, zero, 3 * y]],
     }
     lower = {g: [list(col) for col in zip(*m)] for g, m in upper.items()}
-    inverses = [
-        AlgebraMap(pres, {"x": (1 / q) * x, "y": y}),
-        AlgebraMap(pres, {"x": x / 2, "y": q * y}),
-        AlgebraMap(pres, {"x": (1 / (q * q)) * x, "y": y / 3}),
-    ]
+    inverse = diagonal_sigma(pres, [
+        {"x": (1 / q) * x, "y": y},
+        {"x": x / 2, "y": q * y},
+        {"x": (1 / (q * q)) * x, "y": y / 3},
+    ])
     words = pres.normal_words(3)
     for images, kinds, corner in (
         (upper, ("lower_triangular", "upper_triangular"), (2, 0)),
         (lower, ("upper_triangular", "lower_triangular"), (0, 2)),
     ):
         sigma = MapMatrix.from_images(pres, images)
-        bar, hat = free_pair(sigma, inverses)
+        bar, hat = free_pair(sigma, inverse)
         assert (bar.kind, hat.kind) == kinds
         sigma_t, bar_t = sigma.transpose(), bar.transpose()
         for left, right in ((bar, sigma_t), (sigma_t, bar), (hat, bar_t), (bar_t, hat)):
@@ -308,9 +312,10 @@ def test_sigma_extends_its_memoised_prefix(qpctx, monkeypatch):
     q, p = qpctx.parameter("q"), qpctx.parameter("p")
     x, y, zero = pres.gen("x"), pres.gen("y"), pres.zero
     images = {
-        0: ((p * x, zero), (zero, (p / q) * x)),
-        1: ((q * y, (p - 1) * x), (zero, p * y)),
+        "x": ((p * x, zero), (zero, (p / q) * x)),
+        "y": ((q * y, (p - 1) * x), (zero, p * y)),
     }
+    by_letter = [images["x"], images["y"]]
     calls = []
     product = linmap._matrix_product
 
@@ -321,23 +326,24 @@ def test_sigma_extends_its_memoised_prefix(qpctx, monkeypatch):
     monkeypatch.setattr(linmap, "_matrix_product", counted)
     sigma = MapMatrix.from_images(pres, images)
     first, second = _long_words(random.Random(20))
-    assert _low_stack(sigma.on_word, first) == _fold_matrices(pres, images, first)
+    assert _low_stack(sigma.on_word, first) == _fold_matrices(pres, by_letter, first)
     # one matrix product per new word: the word and each of its prefixes
     assert len(calls) == 200
-    assert _low_stack(sigma.on_word, second) == _fold_matrices(pres, images, second)
+    assert _low_stack(sigma.on_word, second) == _fold_matrices(pres, by_letter, second)
     assert len(calls) == 260
     # every prefix of both words is memoised
     for word in (first, second):
         for k in range(len(word) + 1):
             sigma.on_word(word[:k])
     assert len(calls) == 260
-    assert sigma.on_word(first[:37]) == _fold_matrices(pres, images, first[:37])
+    assert sigma.on_word(first[:37]) == _fold_matrices(pres, by_letter, first[:37])
 
 
 def test_algebra_map_extends_its_memoised_prefix(qpctx, monkeypatch):
     pres = make_qplane_presentation(qpctx)
     q, p = qpctx.parameter("q"), qpctx.parameter("p")
-    swap = AlgebraMap(pres, {"x": p * pres.gen("y"), "y": q * pres.gen("x")})
+    images = {"x": p * pres.gen("y"), "y": q * pres.gen("x")}
+    swap = diagonal_sigma(pres, [images])
     calls = []
     mul = AlgElement.__mul__
 
@@ -356,8 +362,8 @@ def test_algebra_map_extends_its_memoised_prefix(qpctx, monkeypatch):
     for word, got in ((first, value), (second, swap.on_word(second))):
         want = pres.one
         for letter in word:
-            want = want * swap.images[letter]
-        assert got == want
+            want = want * images[pres.generators[letter]]
+        assert got == ((want,),)
 
 
 # -- sigma as one algebra map A -> M_n(A) ------------------------------------
@@ -390,15 +396,13 @@ def test_sigma_is_one_algebra_map_on_raw_words(fresh_tmds, name, data):
     mats = (tmd.sigma, tmd.sigma_bar, tmd.sigma_hat)
     # multiplicative on raw words
     assert tmd.sigma.on_word(u + v) == _matmul(pres, tmd.sigma.on_word(u), tmd.sigma.on_word(v))
-    # entry is the (i, j) slot of apply, and linear
+    # entry is linear
     c = data.draw(st.integers(-3, 3), label="c")
     a, b = pres.monomial(u), pres.monomial(v, 2) - pres.monomial(v[::-1])
     for mat in mats:
-        whole = mat.apply(a + b.scale(c))
         for i in range(n):
             for j in range(n):
                 got = mat.entry(i, j, a + b.scale(c))
-                assert got == whole[i][j]
                 assert got == mat.entry(i, j, a) + mat.entry(i, j, b).scale(c)
     for identity, witness in inverse_identities(tmd, [u, v, u + v]):
         assert witness is None, identity
@@ -415,3 +419,17 @@ def test_sigma_is_one_algebra_map_on_raw_words(fresh_tmds, name, data):
                 )
                 assert mat.on_word(w) == want
             assert tmd.sigma_hat.on_word(w) == tmd.sigma.on_word(w)
+
+
+@pytest.mark.parametrize("name", ["qplane", "sl2-3d"])
+def test_hat_shares_the_diagonal_sigma_memoises(fresh_tmds, name):
+    # hat's diagonal entries are sigma's, so hat reads sigma's memo instead
+    # of evaluating them again: on every raw word up to length 4 they are
+    # the very objects sigma holds
+    tmd = fresh_tmds[name]
+    letters = range(len(tmd.presentation.generators))
+    for length in range(5):
+        for word in itertools.product(letters, repeat=length):
+            hat, sigma = tmd.sigma_hat.on_word(word), tmd.sigma.on_word(word)
+            for i in range(tmd.n):
+                assert hat[i][i] is sigma[i][i]

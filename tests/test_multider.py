@@ -18,7 +18,6 @@ from intforms.multider import (
 from intforms.ncalg import MIXED
 
 from conftest import (
-    identity_map,
     identity_sigma,
     make_qplane_presentation,
     make_qplane_tmd,
@@ -72,11 +71,10 @@ def test_twisted_leibniz_randomised(fixture, request):
         left = tmd.partial(a * b)
         pa = tmd.partial(a)
         pb = tmd.partial(b)
-        sig_b = tmd.sigma.apply(b)
         for i in range(tmd.n):
             twisted = pres.zero
             for j in range(tmd.n):
-                twisted = twisted + pa[j] * sig_b[j][i]
+                twisted = twisted + pa[j] * tmd.sigma.entry(j, i, b)
             assert left[i] == twisted + a * pb[i]
 
 
@@ -225,15 +223,14 @@ def test_detect_q_skew_requires_diagonal(qplane_tmd):
 def test_detect_q_skew_untwisted(qplane):
     sigma = identity_sigma(qplane, 2)
     rows = {"x": (qplane.one, qplane.zero), "y": (qplane.zero, qplane.one)}
-    tmd = TwistedMultiDerivation(qplane, rows, sigma, [identity_map(qplane)] * 2)
+    tmd = TwistedMultiDerivation(qplane, rows, sigma, sigma)
     ones = detect_q_skew(tmd)
     assert ones == [qplane.context.one] * 2
 
 
 def test_row_validation(qplane):
-    inverses = [identity_map(qplane)] * 2
     sigma = identity_sigma(qplane, 2)
     with pytest.raises(ValueError):
-        TwistedMultiDerivation(qplane, {"x": (qplane.one,)}, sigma, inverses)
+        TwistedMultiDerivation(qplane, {"x": (qplane.one,)}, sigma, sigma)
     with pytest.raises(ValueError):
-        TwistedMultiDerivation(qplane, {"x": (qplane.one, qplane.zero)}, sigma, inverses)
+        TwistedMultiDerivation(qplane, {"x": (qplane.one, qplane.zero)}, sigma, sigma)

@@ -46,10 +46,11 @@ def test_get_preset_prefix_resolution():
 
 
 def test_digest_is_sha256_of_name_and_source():
-    preset = REGISTRY["qplane"]
-    payload = f"{preset.name}\n{preset.source}".encode()
-    assert preset.digest == hashlib.sha256(payload).hexdigest()
-    assert preset.digest == preset.digest
+    # the builtin digest the presets use is hashlib's SHA-256
+    for preset in REGISTRY.values():
+        payload = f"{preset.name}\n{preset.source}".encode()
+        assert preset.digest == hashlib.sha256(payload).hexdigest()
+        assert preset.digest == preset.digest
 
 
 def test_minimal_file_builds_a_presentation():
