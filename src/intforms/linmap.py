@@ -60,10 +60,6 @@ class NotTriangular(ValueError):
     pass
 
 
-class DiagonalNotInvertible(ValueError):
-    pass
-
-
 class MapExpr:
     """Base of MapMatrix: a value per word and its one memo.  It stays a
     class of its own because perfbench/spans.py counts calls of
@@ -259,44 +255,20 @@ def is_identity_on_words(mat, words):
     return None
 
 
-def _check_diag_inverses(m, inverse):
-    pres = m.presentation
-    if inverse.n != m.n:
-        raise SizeMismatch("the inverse needs one diagonal entry per row")
-    for i in range(m.n):
-        for g in range(len(pres.generators)):
-            target = pres.monomial((g,))
-            if (
-                inverse.entry(i, i, m.entry(i, i, target)) != target
-                or m.entry(i, i, inverse.entry(i, i, target)) != target
-            ):
-                raise DiagonalNotInvertible(
-                    f"supplied inverse of diagonal entry {i} fails on "
-                    f"generator {pres.generators[g]}"
-                )
-
-
-def _verify_inverse_pair(left, right):
-    pres = left.presentation
-    words = [()] + [(g,) for g in range(len(pres.generators))]
-    for amat, bmat in ((left, right), (right, left)):
-        witness = is_identity_on_words(bullet(amat, bmat), words)
-        if witness is not None:
-            raise RuntimeError(f"inverse identity fails at {witness}")
-
-
 def transpose_inverse(m, inverse):
     """Matrix x with x o m^T = m^T o x = id, for a triangular m.
 
-    inverse's diagonal entries invert m's; they are verified by round trip
-    on every generator and become x's diagonal, values and all.  On each
-    word, x_ij = -inv_i(sum_k m_ki(x_kj)) off the diagonal, k from j to i
-    with i left out: forward substitution when m^T is lower triangular,
-    backward when it is upper.
+    inverse's diagonal entries are to invert m's, and become x's diagonal,
+    values and all.  Nothing here checks that they do: the rows of
+    multider.verify_free report x o m^T = m^T o x = id with a witness.  On
+    each word, x_ij = -inv_i(sum_k m_ki(x_kj)) off the diagonal, k from j
+    to i with i left out: forward substitution when m^T is lower
+    triangular, backward when it is upper.
     """
     if m.kind == "general":
         raise NotTriangular(f"matrix is {m.kind}")
-    _check_diag_inverses(m, inverse)
+    if inverse.n != m.n:
+        raise SizeMismatch("the inverse needs one diagonal entry per row")
     pres = m.presentation
     n = m.n
     forward = m.kind != "lower_triangular"
@@ -319,9 +291,7 @@ def transpose_inverse(m, inverse):
                 x[i][j] = -inverse.entry(i, i, total)
         return tuple(map(tuple, x))
 
-    out = MapMatrix(pres, n, _transposed(m.kind), value)
-    _verify_inverse_pair(out, m.transpose())
-    return out
+    return MapMatrix(pres, n, _transposed(m.kind), value)
 
 
 def free_pair(sigma, inverse):

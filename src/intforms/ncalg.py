@@ -10,6 +10,11 @@ and its inverse on generators, extended (anti)multiplicatively).
 Normal forms rewrite the leftmost redex.  With two-letter left sides only, a
 letter moves left past all its transposing neighbours in one run, charged
 one budget unit per swap; a run is taken only at a length no cached word has.
+A product of normal words folds the letters of the shorter factor onto the
+other one at a time, so each letter-times-normal-word product is rewritten
+once and cached, whatever head or tail the product carries.  On a confluent
+system (check_local_confluence) every order of reduction gives the same
+normal form (Bergman's diamond lemma).
 """
 from __future__ import annotations
 
@@ -405,18 +410,39 @@ def mul_terms(pres, a, b, out):
     """out += a*b for term dicts {normal word: scalar} of pres; returns out.
 
     The product behind AlgElement.__mul__, open to callers that sum several
-    products into one dict; out must be a dict the caller owns.  Since wa is
-    normal, a redex of wa + wb starts at len(wa) - (max_lhs - 1) or later.
+    products into one dict; out must be a dict the caller owns.  A product
+    word wa + wb the normal-form cache lacks is built one letter at a time:
+    the letters of the shorter factor fold onto the other, g*v from the
+    right of wa or v*g from the left of wb, each normal word v times a
+    letter read from or left in the cache.  So a letter crossing a normal
+    word is rewritten once, whatever head the product carries.  Since v is
+    normal, a redex of v*g starts at len(v) - (max_lhs - 1) or later.
     """
     bud = _Budget(DEFAULT_BUDGET)
+    cache, normal, one = pres._nf_cache, pres._normal_word, pres.context.one
     back = pres._max_lhs - 1
     for wa, ca in a.items():
         if not wa:  # the unit word: each wb is its own normal form
             add_scaled(out, b, ca)
             continue
-        start = max(len(wa) - back, 0)
         for wb, cb in b.items():
-            add_scaled(out, pres._normal_word(wa + wb, bud, start), ca * cb)
+            word = wa + wb
+            nf = cache.get(word)
+            if nf is None:
+                left = len(wa) <= len(wb)
+                nf = {wb if left else wa: one}
+                for g in reversed(wa) if left else wb:
+                    step = {}
+                    for v, c in nf.items():
+                        if left:
+                            vg = normal((g,) + v, bud)
+                        else:
+                            vg = normal(v + (g,), bud, max(len(v) - back, 0))
+                        add_scaled(step, vg, None if c is one else c)
+                    nf = step
+                cache[word] = nf
+                pres._nf_lengths.add(len(word))
+            add_scaled(out, nf, ca * cb)
     return out
 
 

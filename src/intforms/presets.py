@@ -272,8 +272,11 @@ def _build_tmd(sections, pres):
         raise ParseError(f"need 'sigma inverse 1..{n}' directives", 1, 1)
     else:
         inverse = _diagonal_images(pres, [inverse_maps[i + 1] for i in range(n)])
-    sigma = MapMatrix.from_images(pres, images)
-    return TwistedMultiDerivation(pres, rows, sigma, MapMatrix.from_images(pres, inverse))
+    try:
+        sigma = MapMatrix.from_images(pres, images)
+        return TwistedMultiDerivation(pres, rows, sigma, MapMatrix.from_images(pres, inverse))
+    except ValueError as exc:  # such as a generator with no partial row or sigma image
+        raise ParseError(str(exc), sections["derivation"][0][0], 1) from None
 
 
 def _diagonal_images(pres, diags):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from intforms import linmap
 from intforms.linmap import (
-    DiagonalNotInvertible,
     MapMatrix,
     NotTriangular,
     SizeMismatch,
@@ -22,7 +21,7 @@ from intforms.linmap import (
     is_identity_on_words,
     transpose_inverse,
 )
-from intforms.multider import inverse_identities
+from intforms.multider import TwistedMultiDerivation, inverse_identities, verify_free
 from intforms.ncalg import AlgElement, Presentation
 from intforms.presets import REGISTRY, load_calc
 
@@ -226,10 +225,15 @@ def test_transpose_inverse_rejects(qplane, qplane_tmd):
     assert general.kind == "general"
     with pytest.raises(NotTriangular):
         transpose_inverse(general, identity_sigma(qplane, 2))
-    with pytest.raises(DiagonalNotInvertible):
-        transpose_inverse(sigma, identity_sigma(qplane, 2))
     with pytest.raises(SizeMismatch):
         transpose_inverse(sigma, identity_sigma(qplane, 3))
+    # the identity does not invert sigma's diagonal: the pair still builds,
+    # and the freeness row names the first identity it breaks
+    rows = {qplane.generators[g]: row for g, row in qplane_tmd.partial_on_gens.items()}
+    tmd = TwistedMultiDerivation(qplane, rows, sigma, identity_sigma(qplane, 2))
+    (row,) = [c for c in verify_free(tmd).checks if c["name"] == "bar o sigma^T = id"]
+    assert not row["ok"]
+    assert row["witness"] == "entry (0,0) on x: p*x != x"
 
 
 def test_single_generator_trivial_inverse(qctx):

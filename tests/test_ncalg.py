@@ -326,15 +326,32 @@ def test_worklist_matches_leftmost_rewriting(name, words):
         assert got == _leftmost_normal_form(pres, word)
 
 
-@given(name=st.sampled_from(sorted(PRESETS)), data=st.data())
+def _factors(name):
+    # two {normal word: coefficient} factors of up to three words of length
+    # up to 6, so either factor may be the longer one
+    words = PRESETS[name].normal_words(6)
+    factor = st.dictionaries(st.sampled_from(words), st.integers(1, 3), max_size=3)
+    return st.tuples(st.just(name), factor, factor)
+
+
+SL2 = PRESETS["sl2-3d"].word
+
+
+@given(case=st.sampled_from(sorted(PRESETS)).flatmap(_factors))
+# on sl2-3d, a longer left factor, a longer right factor, and a single-letter
+# factor on each side (the last after delta runs past gamma^2).  Each product
+# meets a multi-term branch at its junction: alpha*delta -> 1 + q*beta*gamma
+# or delta*alpha -> alpha*delta + (q^-1 - q)*beta*gamma
+@example(case=("sl2-3d", {SL2("beta", "alpha", "alpha", "alpha"): 1}, {SL2("delta", "gamma"): 2}))
+@example(case=("sl2-3d", {SL2("beta", "alpha"): 1}, {SL2("delta", "delta", "gamma", "gamma"): 1}))
+@example(case=("sl2-3d", {SL2("delta"): 1, SL2("beta", "alpha"): 3},
+               {SL2("alpha", "gamma"): 1, SL2("alpha"): 2}))
+@example(case=("sl2-3d", {SL2("beta", "alpha", "gamma", "gamma"): 1, (): 2}, {SL2("delta"): 1}))
 @settings(max_examples=60, deadline=None)
-def test_products_match_leftmost_rewriting(name, data):
-    # mul_terms starts the redex search near the end of the left word
+def test_products_match_leftmost_rewriting(case):
+    name, a, b = case
     shipped = PRESETS[name]
     pres = Presentation(shipped.context, shipped.generators, shipped.rules)
-    words = shipped.normal_words(4)
-    factor = st.dictionaries(st.sampled_from(words), st.integers(1, 3), max_size=3)
-    a, b = data.draw(factor), data.draw(factor)
     coerce = pres.context.coerce
     want = {}
     for wa, ca in a.items():
@@ -348,6 +365,38 @@ def test_products_match_leftmost_rewriting(name, data):
     a = {w: coerce(c) for w, c in a.items()}
     b = {w: coerce(c) for w, c in b.items()}
     assert mul_terms(pres, a, b, {}) == want
+
+
+def test_a_letter_times_a_word_is_rewritten_once(monkeypatch):
+    # (h g) * v folds g onto v first, so the pair g * v is rewritten in the
+    # first product and read from the cache under any other head h
+    shipped = PRESETS["sl2-3d"]
+    one = shipped.context.one
+    g, v = SL2("delta"), SL2("alpha", "alpha", "gamma")
+    steps = []
+    spend = _Budget.spend
+
+    def counted(self, units=1):
+        steps.append(units)
+        spend(self, units)
+
+    monkeypatch.setattr(_Budget, "spend", counted)
+
+    def cost(pres, left, right):
+        del steps[:]
+        mul_terms(pres, {left: one}, {right: one}, {})
+        return sum(steps)
+
+    def fresh():
+        return Presentation(shipped.context, shipped.generators, shipped.rules)
+
+    heads = SL2("beta"), SL2("alpha")
+    cold = fresh()
+    both = sum(cost(cold, h + g, v) for h in heads)
+    warm = fresh()
+    pair = cost(warm, g, v)
+    assert pair > 0
+    assert both == pair + sum(cost(warm, h + g, v) for h in heads)
 
 
 def _three_letter(shipped):
