@@ -16,9 +16,10 @@ The twist sigma is one, and so are the inverses of its diagonal entries,
 given together as one diagonal matrix.  transpose_inverse is the one
 triangular substitution that builds the inverse pair: bar inverts sigma^T
 with the supplied inverse's diagonal, and hat inverts bar^T with sigma's
-own diagonal, whose memoised values it shares.  transpose and bullet, the
-product with entrywise composition, read through the on_word of the
-matrices they are built from.
+own diagonal, whose memoised values it shares.  transpose reads through
+the on_word of the matrix it is built from, and composite_is_identity
+checks a product with entrywise composition, A o B = id, on a list of
+words without building A o B: it sums each entry's terms into one dict.
 
 Evaluation is defined on raw words, not only normal ones: a generator-image
 map multiplies images along the word as written.  Whether that descends to
@@ -213,45 +214,36 @@ def _total(presentation, parts):
     return AlgElement(presentation, terms) if terms else presentation.zero
 
 
-def bullet(amat, bmat):
-    """Matrix product with entrywise composition: (A o B)_ij = sum_k A_ik . B_kj.
+def composite_is_identity(amat, bmat, words):
+    """None when A o B, (A o B)_ij = sum_k A_ik . B_kj, is the identity on
+    every word of words, else the first witness.
 
-    Read through: each word takes B's value and applies A's entries to it.
+    Each entry is summed straight into one term dict, A's (i, k) values on
+    the terms of B_kj(word), and compared with the word's normal form on the
+    diagonal and with nothing off it.  Words go in order and entries row by
+    row; only the first mismatch is made into elements and text.
     """
     if amat.n != bmat.n:
         raise SizeMismatch(f"sizes {amat.n} and {bmat.n}")
-    if amat.presentation is not bmat.presentation:
+    pres = amat.presentation
+    if bmat.presentation is not pres:
         raise ValueError("matrices over different presentations")
-    pres, n = amat.presentation, amat.n
-    live = _live(n, amat.kind, bmat.kind)
-
-    def value(word):
-        bw = bmat.on_word(word)
-        return tuple(
-            tuple(
-                _total(pres, (amat.entry(i, k, bw[k][j]) for k in ks))
-                for j, ks in enumerate(row)
-            )
-            for i, row in enumerate(live)
-        )
-
-    return MapMatrix(pres, n, _kind_of(n, lambda i, j: not live[i][j]), value)
-
-
-def is_identity_on_words(mat, words):
-    """None when mat is the identity on every word, else the first witness."""
-    pres = mat.presentation
+    live = _live(amat.n, amat.kind, bmat.kind)
     for word in words:
-        m = mat.on_word(word)
-        target = pres.monomial(word)
-        for i in range(mat.n):
-            for j in range(mat.n):
+        bw = bmat.on_word(word)
+        target = pres._monomial(word)
+        for i, row in enumerate(live):
+            for j, ks in enumerate(row):
+                if not ks:
+                    continue  # A o B vanishes here by the kinds
+                terms = {}
+                for k in ks:
+                    for u, coeff in bw[k][j].terms.items():
+                        add_scaled(terms, amat.on_word(u)[i][k].terms, coeff)
                 want = target if i == j else pres.zero
-                if m[i][j] != want:
-                    return (
-                        f"entry ({i},{j}) on {pres.word_str(word)}: "
-                        f"{m[i][j]} != {want}"
-                    )
+                if terms != want.terms:
+                    got = AlgElement(pres, terms)
+                    return f"entry ({i},{j}) on {pres.word_str(word)}: {got} != {want}"
     return None
 
 

@@ -20,13 +20,14 @@ two by one transpose-inverse step.  Every map is applied through its
 entries.  verify_free re-derives every assumed identity (relations
 respected, both inverse pairs) and reports failures with witnesses instead
 of raising; inverse_identities is the one sweep of the inverse pairs over a
-list of words.
+list of words, each product checked entry by entry on term dicts by
+linmap.composite_is_identity.
 """
 from __future__ import annotations
 
 import functools
 
-from .linmap import bullet, by_generator, free_pair, is_identity_on_words
+from .linmap import by_generator, composite_is_identity, free_pair
 from .ncalg import MIXED, AlgElement, mul_terms, zdegree
 from .report import CheckReport
 from .sparse import add_scaled
@@ -151,7 +152,7 @@ def inverse_identities(t, words):
         ("hat o bar^T = id", t.sigma_hat, bar_t),
         ("bar^T o hat = id", bar_t, t.sigma_hat),
     ):
-        yield name, is_identity_on_words(bullet(left, right), words)
+        yield name, composite_is_identity(left, right, words)
 
 
 def verify_free(t):

@@ -149,7 +149,8 @@ def _build_presentation(sections):
         else:
             raise ParseError(f"unknown algebra directive '{key}'", lineno, 1)
     if generators is None:
-        raise ParseError("missing 'generators:' directive", 1, 1)
+        line = sections["algebra"][0][0] if sections["algebra"] else 1
+        raise ParseError("missing 'generators:' directive", line, 1)
     # relations are parsed against the free algebra so nothing rewrites yet
     free = Presentation(ctx, generators=generators, rules=[])
     rules = []
@@ -261,22 +262,23 @@ def _build_tmd(sections, pres):
             inverse_maps[idx] = maps
         else:
             raise ParseError(f"unknown derivation directive '{key}'", lineno, 1)
+    first = sections["derivation"][0][0]
     if not rows:
-        raise ParseError("derivation section lacks partial rows", 1, 1)
+        raise ParseError("derivation section lacks partial rows", first, 1)
     n = len(next(iter(rows.values())))
     if grades is not None:
         if images or inverse_maps:
             raise ParseError("sigma grades replace sigma images and inverses", grades[0], 1)
         images, inverse = _graded_sigma(pres, n, *grades)
     elif set(inverse_maps) != set(range(1, n + 1)):
-        raise ParseError(f"need 'sigma inverse 1..{n}' directives", 1, 1)
+        raise ParseError(f"need 'sigma inverse 1..{n}' directives", first, 1)
     else:
         inverse = _diagonal_images(pres, [inverse_maps[i + 1] for i in range(n)])
     try:
         sigma = MapMatrix.from_images(pres, images)
         return TwistedMultiDerivation(pres, rows, sigma, MapMatrix.from_images(pres, inverse))
     except ValueError as exc:  # such as a generator with no partial row or sigma image
-        raise ParseError(str(exc), sections["derivation"][0][0], 1) from None
+        raise ParseError(str(exc), first, 1) from None
 
 
 def _diagonal_images(pres, diags):
@@ -347,8 +349,9 @@ def _build_calculus(sections, tmd):
             ]
         else:
             raise ParseError(f"unknown forms directive '{key}'", lineno, 1)
+    first = (sections["calculus"] or sections["forms"])[0][0]
     if names is None:
-        raise ParseError("a calculus needs form 'names:' and 'top:'", 1, 1)
+        raise ParseError("a calculus needs form 'names:' and 'top:'", first, 1)
     top = None
     d_rules = {}
     for lineno, text in sections["calculus"]:
@@ -372,16 +375,19 @@ def _build_calculus(sections, tmd):
                     "calculus directives are 'top: <n>' or 'd <form> = ...'", lineno, 1
                 )
     if top is None:
-        raise ParseError("a calculus needs form 'names:' and 'top:'", 1, 1)
-    return CalculusSpec(
-        tmd,
-        form_names=names,
-        rules=rules,
-        d_on_forms=d_rules or None,
-        top_degree=top,
-        form_order=order,
-        bases=bases or None,
-    )
+        raise ParseError("a calculus needs form 'names:' and 'top:'", first, 1)
+    try:
+        return CalculusSpec(
+            tmd,
+            form_names=names,
+            rules=rules,
+            d_on_forms=d_rules or None,
+            top_degree=top,
+            form_order=order,
+            bases=bases or None,
+        )
+    except ValueError as exc:  # such as form rules that are not confluent
+        raise ParseError(str(exc), sections["forms"][0][0], 1) from None
 
 
 def _build_ladder(sections, spec):
@@ -407,7 +413,10 @@ def _build_ladder(sections, spec):
             coeff, word = parse_ladder_rhs(ctx, spec.form_names, rhs, line=lineno)
             image = HomForm(spec, top - k, {word: coeff})
         verticals[k][source] = image
-    return LadderDiagram(spec, verticals)
+    try:
+        return LadderDiagram(spec, verticals)
+    except ValueError as exc:  # such as a level that misses a basis form
+        raise ParseError(str(exc), sections["ladder"][0][0], 1) from None
 
 
 def load_calc(text):

@@ -52,8 +52,9 @@ from .matrixcalc import (
     trace_integral,
 )
 from .multider import inverse_identities, verify_free
-from .ncalg import check_local_confluence
+from .ncalg import AlgElement, check_local_confluence
 from .presets import load_calc
+from .sparse import add_scaled
 
 __all__ = ["Options", "SUITES", "checks_for", "run_checks"]
 
@@ -72,11 +73,16 @@ class Options:
 
 
 def _random_element(pres, rng, max_len):
+    # two drawn terms; a normal word is its own normal form
     words = pres.normal_words(max_len)
-    out = pres.zero
+    ctx = pres.context
+    terms = {}
     for _ in range(2):
-        out = out + pres.monomial(rng.choice(words), coeff=rng.randint(-3, 3))
-    return out
+        word = rng.choice(words)
+        coeff = ctx.coerce(rng.randint(-3, 3))
+        if coeff:
+            add_scaled(terms, {word: ctx.one}, coeff)
+    return AlgElement(pres, terms)
 
 
 # -- calculus slices -----------------------------------------------------------

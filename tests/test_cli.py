@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -325,6 +326,57 @@ def test_derivation_gives_every_generator_its_data(capsys, tmp_path, line, messa
     assert err == f"error: line 16, col 1: {message}\n"
 
 
+# case -> (the lines of qplane.calc deleted, 1-based, and the refusal); each
+# names the first directive line of its section in the edited file, where
+# the first four used to give line 1 and the last two no line
+SECTION_REFUSALS = {
+    "generators": ((8,), "line 8, col 1: missing 'generators:' directive"),
+    "partial-rows": ((16, 17), "line 16, col 1: derivation section lacks partial rows"),
+    "sigma-inverse": ((21,), "line 16, col 1: need 'sigma inverse 1..2' directives"),
+    "top": ((30,), "line 24, col 1: a calculus needs form 'names:' and 'top:'"),
+    "form-rule": ((25,), "line 24, col 1: form word dx.dx.dx of degree 3 does not reduce "
+                         "to zero above the top degree"),
+    "ladder": ((34,), "line 33, col 1: vertical 1 must cover the degree-1 basis"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECTION_REFUSALS))
+def test_a_section_refusal_names_its_first_line(capsys, tmp_path, case):
+    gone, message = SECTION_REFUSALS[case]
+    lines = REGISTRY["qplane"].source.splitlines(keepends=True)
+    assert all(lines[n - 1].strip() for n in gone)
+    path = tmp_path / "short.calc"
+    path.write_text("".join(line for n, line in enumerate(lines, 1) if n not in gone))
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def _directive_lines(lines):
+    return [n for n, line in enumerate(lines, 1) if line.strip() and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("filename", ["qplane.calc", "sl2_3d.calc"])
+def test_every_one_line_deletion_fails_a_row_or_names_its_line(capsys, tmp_path, filename):
+    # each directive line of a shipped file, deleted alone, leaves a file
+    # that passes, fails a check row, or is refused at a directive line of
+    # the edited file; a blank or comment line is nothing the loader reads
+    lines = (DATA / filename).read_text().splitlines(keepends=True)
+    path = tmp_path / filename
+    for n in _directive_lines(lines):
+        edited = lines[: n - 1] + lines[n:]
+        path.write_text("".join(edited))
+        code, out, err = run_cli(capsys, "verify", str(path), *FAST, "--format", "json")
+        if code == 1:
+            assert any(row["status"] == "fail" for row in json.loads(out)["checks"]), n
+        elif code == 2:
+            named = re.match(r"error: line (\d+), col \d+: ", err)
+            assert named and int(named[1]) in _directive_lines(edited), (n, err)
+        else:
+            assert code == 0, (n, code, err)
+
+
 @pytest.mark.parametrize(
     "preset, old, new, message",
     [
@@ -377,6 +429,21 @@ def test_freeness_row_fails_on_wrong_derivation_data(capsys, tmp_path, old, new,
     row = rows["derivation data verifies as free"]
     assert row["status"] == "fail"
     assert row["witness"].startswith(witness)
+
+
+def test_inverse_identities_row_fails_on_a_wrong_inverse(capsys, tmp_path):
+    # the sweep of the four products over the window's words reports the
+    # first one a wrong 'sigma inverse' line breaks
+    source = REGISTRY["qplane"].source
+    assert source.count("y -> q^-1*y") == 1
+    path = tmp_path / "unfree.calc"
+    path.write_text(source.replace("y -> q^-1*y", "y -> y"))
+    code, out, err = run_cli(capsys, "invert-sigma", str(path), "--max-len", "2", "--format", "json")
+    assert code == 1 and err == ""
+    rows = {row["name"]: row for row in json.loads(out)["checks"]}
+    row = rows["inverse identities hold on words up to length 2"]
+    assert row["status"] == "fail"
+    assert row["witness"] == "bar o sigma^T = id: entry (0,0) on y: q*y != y"
 
 
 def test_file_target_passes_like_the_preset(capsys, tmp_path):

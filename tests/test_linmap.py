@@ -1,6 +1,7 @@
 """Map matrices given by their values on words (a single map is a
-diagonal entry), the composition product, the triangular construction of
-the inverse pair, and sigma as one algebra map A -> M_n(A) on raw words."""
+diagonal entry), the check that a composition product is the identity, the
+triangular construction of the inverse pair, and sigma as one algebra map
+A -> M_n(A) on raw words."""
 from __future__ import annotations
 
 import itertools
@@ -16,9 +17,8 @@ from intforms.linmap import (
     MapMatrix,
     NotTriangular,
     SizeMismatch,
-    bullet,
+    composite_is_identity,
     free_pair,
-    is_identity_on_words,
     transpose_inverse,
 )
 from intforms.multider import TwistedMultiDerivation, inverse_identities, verify_free
@@ -139,27 +139,49 @@ def test_multiplicative_matrix_on_words(qplane, qplane_tmd):
     assert m[1][1] == (p * p / q) * (qplane.gen("x") * qplane.gen("y"))
 
 
-def test_bullet_identity_and_shapes(qplane, qplane_tmd):
+def _composite_witness(amat, bmat, words):
+    """composite_is_identity by its definition: each entry of A o B summed
+    from A.entry over every k, no slot skipped, against the word's normal
+    form on the diagonal and zero off it."""
+    pres, n = amat.presentation, amat.n
+    for word in words:
+        bw = bmat.on_word(word)
+        for i in range(n):
+            for j in range(n):
+                got = sum((amat.entry(i, k, bw[k][j]) for k in range(n)), pres.zero)
+                want = pres.monomial(word) if i == j else pres.zero
+                if got != want:
+                    return f"entry ({i},{j}) on {pres.word_str(word)}: {got} != {want}"
+    return None
+
+
+def test_composite_identity_and_shapes(qplane, qplane_tmd, sl2):
     sigma = qplane_tmd.sigma
     ident = identity_sigma(qplane, 2)
     words = qplane.normal_words(3)
-    assert _table(bullet(sigma, ident), words) == _table(sigma, words)
-    assert _table(bullet(ident, sigma), words) == _table(sigma, words)
+    assert composite_is_identity(ident, ident, words) is None
+    # sigma composed with the identity, either way round, is sigma
+    witness = "entry (0,0) on x: p*x != x"
+    assert composite_is_identity(sigma, ident, words) == witness
+    assert composite_is_identity(ident, sigma, words) == witness
     with pytest.raises(SizeMismatch):
-        bullet(sigma, identity_sigma(qplane, 3))
+        composite_is_identity(sigma, identity_sigma(qplane, 3), words)
+    with pytest.raises(ValueError, match="different presentations"):
+        composite_is_identity(identity_sigma(sl2, 2), ident, words)
 
 
-def test_bullet_is_entrywise_composition(qplane, qplane_tmd):
+def test_composite_is_entrywise_composition(qplane, qplane_tmd):
+    # bar inverts sigma^T, not sigma, so bar o sigma differs from the
+    # identity; the raw word y*x goes first, and on it bar o sigma^T is the
+    # identity only against its normal form q^-1*x*y
     sigma = qplane_tmd.sigma
     bar = qplane_tmd.sigma_bar
-    prod = bullet(bar, sigma)
-    for word in qplane.normal_words(3):
-        for i in range(2):
-            for j in range(2):
-                direct = qplane.zero
-                for k in range(2):
-                    direct = direct + bar.entry(i, k, sigma.on_word(word)[k][j])
-                assert prod.on_word(word)[i][j] == direct
+    words = [qplane.word("y", "x"), *qplane.normal_words(3)]
+    witness = composite_is_identity(bar, sigma, words)
+    assert witness == _composite_witness(bar, sigma, words)
+    assert witness == "entry (0,1) on y*x: ((p - 1)/(q*p))*x^2 != 0"
+    assert composite_is_identity(bar, sigma, words[1:]).startswith("entry (0,1) on y: ")
+    assert composite_is_identity(bar, sigma.transpose(), words) is None
 
 
 def test_qplane_bar_matches_closed_form(qplane, qplane_tmd):
@@ -206,10 +228,10 @@ def test_inverse_pair_identities_to_length_four(qplane, qplane_tmd):
     words = qplane.normal_words(4)
     sigma_t = qplane_tmd.sigma.transpose()
     bar_t = qplane_tmd.sigma_bar.transpose()
-    assert is_identity_on_words(bullet(qplane_tmd.sigma_bar, sigma_t), words) is None
-    assert is_identity_on_words(bullet(sigma_t, qplane_tmd.sigma_bar), words) is None
-    assert is_identity_on_words(bullet(qplane_tmd.sigma_hat, bar_t), words) is None
-    assert is_identity_on_words(bullet(bar_t, qplane_tmd.sigma_hat), words) is None
+    assert composite_is_identity(qplane_tmd.sigma_bar, sigma_t, words) is None
+    assert composite_is_identity(sigma_t, qplane_tmd.sigma_bar, words) is None
+    assert composite_is_identity(qplane_tmd.sigma_hat, bar_t, words) is None
+    assert composite_is_identity(bar_t, qplane_tmd.sigma_hat, words) is None
 
 
 def test_diagonal_sigma_hat_equals_sigma(sl2, sl2_3d_tmd):
@@ -221,8 +243,7 @@ def test_diagonal_sigma_hat_equals_sigma(sl2, sl2_3d_tmd):
 
 def test_transpose_inverse_rejects(qplane, qplane_tmd):
     sigma = qplane_tmd.sigma
-    general = bullet(sigma, sigma.transpose())
-    assert general.kind == "general"
+    general = MapMatrix(qplane, 2, "general", sigma.on_word)
     with pytest.raises(NotTriangular):
         transpose_inverse(general, identity_sigma(qplane, 2))
     with pytest.raises(SizeMismatch):
@@ -272,10 +293,70 @@ def test_three_by_three_inverse_pairs(qctx):
         assert (bar.kind, hat.kind) == kinds
         sigma_t, bar_t = sigma.transpose(), bar.transpose()
         for left, right in ((bar, sigma_t), (sigma_t, bar), (hat, bar_t), (bar_t, hat)):
-            assert is_identity_on_words(bullet(left, right), words) is None
+            assert composite_is_identity(left, right, words) is None
         i, j = corner
         assert any(bar.on_word(w)[i][j] for w in words)
         assert any(hat.on_word(w)[j][i] for w in words)
+
+
+@pytest.fixture(scope="module")
+def plane(qctx):
+    """A quantum plane over Q(q) of its own, so that the drawn maps and raw
+    words stay out of the shared presentations' memos."""
+    return make_qplane_presentation(qctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_composite_matches_the_entrywise_definition(plane, data):
+    # a drawn 3x3 triangular sigma whose diagonal entries scale each
+    # generator: free_pair's four products are the identity on normal
+    # words, and on any words, raw ones included, composite_is_identity
+    # gives what the definition does, also once an entry of bar is corrupted
+    q = plane.context.parameter("q")
+    x, y, one, zero = plane.gen("x"), plane.gen("y"), plane.one, plane.zero
+    units = st.sampled_from([q, 1 / q, plane.context.coerce(2), q * q])
+    entries = st.sampled_from([zero, zero, one, x, y, x + y, q * x - y])
+    scales = [[data.draw(units) for _ in range(3)] for _ in plane.generators]
+    images = {
+        g: [[scales[a][i] * plane.gen(g) if i == j else data.draw(entries) if i < j else zero
+             for j in range(3)] for i in range(3)]
+        for a, g in enumerate(plane.generators)
+    }
+    if data.draw(st.booleans(), label="lower"):
+        images = {g: [list(col) for col in zip(*m)] for g, m in images.items()}
+    inverse = diagonal_sigma(plane, [
+        {g: (1 / scales[a][i]) * plane.gen(g) for a, g in enumerate(plane.generators)}
+        for i in range(3)
+    ])
+    sigma = MapMatrix.from_images(plane, images)
+    bar, hat = free_pair(sigma, inverse)
+    sigma_t, bar_t = sigma.transpose(), bar.transpose()
+    normal = data.draw(st.lists(st.sampled_from(plane.normal_words(3)), min_size=1, max_size=4))
+    raw = data.draw(st.lists(st.lists(st.integers(0, 1), max_size=4).map(tuple), max_size=3))
+    for left, right in ((bar, sigma_t), (sigma_t, bar), (hat, bar_t), (bar_t, hat)):
+        assert composite_is_identity(left, right, normal) is None
+        assert composite_is_identity(left, right, raw) == _composite_witness(left, right, raw)
+    # one entry of bar, on one of the normal words, off by a nonzero element
+    i, j = data.draw(st.sampled_from(
+        [(i, j) for i in range(3) for j in range(3) if not linmap._vanishes(bar.kind, i, j)]
+    ), label="slot")
+    spot = data.draw(st.sampled_from(normal), label="word")
+    error = data.draw(entries.filter(bool), label="error")
+
+    def corrupted(word):
+        m = [list(row) for row in bar.on_word(word)]
+        if word == spot:
+            m[i][j] = m[i][j] + error
+        return tuple(map(tuple, m))
+
+    broken = MapMatrix(plane, 3, bar.kind, corrupted)
+    words = raw + normal
+    for left, right in ((broken, sigma_t), (sigma_t, broken)):
+        assert composite_is_identity(left, right, words) == _composite_witness(left, right, words)
+    # sigma^T o bar reads bar on the word itself, and sigma's diagonal
+    # entries are invertible, so the corruption shows on spot
+    assert composite_is_identity(sigma_t, broken, [spot]) is not None
 
 
 # -- values from the memoised prefix -----------------------------------------

@@ -205,6 +205,50 @@ def test_verify_free_catches_sign_flip(qplane, qplane_tmd):
     assert [w for _, w in sound] == [None] * 4
 
 
+def _sign_flipped(mat, i, j):
+    def value(word):
+        m = [list(row) for row in mat.on_word(word)]
+        m[i][j] = -m[i][j]
+        return tuple(map(tuple, m))
+
+    return MapMatrix(mat.presentation, mat.n, mat.kind, value)
+
+
+# (algebra, corrupted matrix, flipped entry) -> each product's witness on the
+# normal words up to length 2, in the sweep's order.  sl2-3d's bar and hat
+# are diagonal, so a flip off their diagonal flips a forced zero and changes
+# nothing (the last two cases); the 3x3 witnesses come from a flipped
+# diagonal entry.
+FLIPS = [
+    ("qplane", "sigma_bar", (1, 0), [
+        "entry (1,0) on y: ((2*q*p - 2*q)/p)*x != 0",
+        "entry (1,0) on y: ((2*p - 2)/q)*x != 0",
+        "entry (0,1) on y: (2*p - 2)*x != 0",
+        "entry (0,1) on y: (2*p - 2)*x != 0",
+    ]),
+    ("qplane", "sigma_hat", (0, 1), [
+        None, None, "entry (0,1) on y: (-2*p + 2)*x != 0", "entry (0,1) on y: (-2*p + 2)*x != 0",
+    ]),
+    ("sl2-3d", "sigma_bar", (1, 1), ["entry (1,1) on 1: -1 != 1"] * 4),
+    ("sl2-3d", "sigma_hat", (1, 1), [None, None] + ["entry (1,1) on 1: -1 != 1"] * 2),
+    ("sl2-3d", "sigma_bar", (1, 0), [None] * 4),
+    ("sl2-3d", "sigma_hat", (0, 1), [None] * 4),
+]
+
+
+@pytest.mark.parametrize(
+    "algebra, matrix, slot, witnesses", FLIPS,
+    ids=["qplane-bar", "qplane-hat", "sl2-bar", "sl2-hat", "sl2-bar-zero", "sl2-hat-zero"],
+)
+def test_inverse_identity_witnesses_are_pinned(qplane, sl2, algebra, matrix, slot, witnesses):
+    pres, make = (qplane, make_qplane_tmd) if algebra == "qplane" else (sl2, make_sl2_3d_tmd)
+    tmd = make(pres)
+    setattr(tmd, matrix, _sign_flipped(getattr(tmd, matrix), *slot))
+    got = list(inverse_identities(tmd, pres.normal_words(2)))
+    names = ["bar o sigma^T = id", "sigma^T o bar = id", "hat o bar^T = id", "bar^T o hat = id"]
+    assert got == list(zip(names, witnesses))
+
+
 def test_degree_shifts(sl2_3d_tmd):
     assert sl2_3d_tmd.degree_shifts() == [0, -2, 2]
 
