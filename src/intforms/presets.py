@@ -337,6 +337,9 @@ def _build_calculus(sections, tmd):
             pair = tuple(piece.strip() for piece in lhs.split("."))
             if len(pair) != 2:
                 raise ParseError("form rules rewrite two-letter words", lineno, 1)
+            for name in pair:
+                if name not in names:
+                    raise ParseError(f"'{lhs.strip()}': {name!r} is not in 'names:'", lineno, 1)
             rules[pair] = _scalar_form_terms(pres, names, rhs, lineno)
         elif key.startswith("basis"):
             try:
@@ -406,12 +409,18 @@ def _build_ladder(sections, spec):
         if not 0 <= k <= top:
             raise ParseError(f"ladder level {k} outside 0..{top}", lineno, 1)
         lhs, rhs = _split_assign(rest, lineno, "a ladder directive")
-        source = () if lhs == "1" else tuple(piece.strip() for piece in lhs.split("."))
         if k == top:
             image = parse_element(pres, rhs, line=lineno)
         else:
             coeff, word = parse_ladder_rhs(ctx, spec.form_names, rhs, line=lineno)
-            image = HomForm(spec, top - k, {word: coeff})
+        try:  # an unknown form name is a KeyError, a misplaced word a ValueError
+            source = () if lhs == "1" else spec._coerce_form_word(
+                piece.strip() for piece in lhs.split(".")
+            )
+            if k < top:
+                image = HomForm(spec, top - k, {word: coeff})
+        except (KeyError, ValueError) as exc:
+            raise ParseError(exc.args[0], lineno, 1) from None
         verticals[k][source] = image
     try:
         return LadderDiagram(spec, verticals)

@@ -261,11 +261,15 @@ def _qplane_integral(bundle, opts):
         for w in pres.normal_words(opts.max_len):
             r = sum(1 for g in w if names[g] == "x")
             s = len(w) - r
-            # the closed-form preimage of x^r y^s under the connection
-            coeff = p ** (r + s) * q**-r * (p - 1) / (p ** (s + 1) - 1)
+            # the closed-form preimage of x^r y^s under the connection is
+            # (num/den)*g; scalars are central and nabla and the right
+            # action are linear over them, and den != 0 for s >= 0, so
+            # num*nabla(g) == den*x^r y^s states it with Laurent scalars only
+            num = p ** (r + s) * q**-r * (p - 1)
+            den = p ** (s + 1) - 1
             longer = pres.word(*(("x",) * r + ("y",) * (s + 1)))
-            f = dual_form(spec, ("dy",)) * pres.monomial(longer, coeff=coeff)
-            if nabla(spec, f) != pres._monomial(w):
+            g = dual_form(spec, ("dy",)) * pres._monomial(longer)
+            if num * nabla(spec, g) != den * pres._monomial(w):
                 return f"closed-form preimage misses x^{r} y^{s}"
         return None
 

@@ -378,6 +378,31 @@ def test_every_one_line_deletion_fails_a_row_or_names_its_line(capsys, tmp_path,
 
 
 @pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("rule: dy.dx =", "rule: dy.dz =", "rule: dy.dz ="),
+        ("1: dx = -1 * dual(dy)", "1: dz = -1 * dual(dy)", "1: dz ="),
+        ("1: dx = -1 * dual(dy)", "1: dx = -1 * dual(dx.dy)", "1: dx = -1 * dual(dx.dy)"),
+        # no degree-3 hom-form exists, and the level-0 vertical is the first
+        # directive that asks for one
+        ("top: 2", "top: 3", "0: 1 = dual(dx.dy)"),
+    ],
+    ids=["rule-unknown-name", "ladder-unknown-name", "ladder-wrong-degree", "top-too-high"],
+)
+def test_refused_token_edit_names_its_line(capsys, tmp_path, old, new, named):
+    source = (DATA / "qplane.calc").read_text()
+    assert old in source
+    edited = source.replace(old, new, 1)
+    path = tmp_path / "qplane.calc"
+    path.write_text(edited)
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2 and out == ""
+    line = re.match(r"error: line (\d+), col \d+: ", err)
+    assert line, err
+    assert edited.splitlines()[int(line[1]) - 1].startswith(named), err
+
+
+@pytest.mark.parametrize(
     "preset, old, new, message",
     [
         ("sl2-3d", GRADES, "sigma grades: q^-2, 0, q^-1", "sigma grades must be invertible"),

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intforms import cli, dga
@@ -393,6 +393,26 @@ def test_hom_evaluation_matches_right_coords(request, fixture, data):
         assert acted.terms.get(e, pres.zero) == _generic_apply(
             spec, f, FormElement(spec, degree, {e: a})
         )
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_nabla_is_linear_over_rational_scalars(qplane_calc, data):
+    # scalars are central, so nabla(f*(c*a)) == c*nabla(f*a) with c on the
+    # rational path: a denominator that is not a monomial
+    spec = qplane_calc
+    pres = spec.presentation
+    q, p = pres.context.parameter("q"), pres.context.parameter("p")
+    k = data.draw(st.integers(1, 3))
+    denom = data.draw(st.sampled_from([p**k - 1, q**k - 1, q - p, q + p**k]))
+    numer = data.draw(st.integers(-3, 3).filter(bool)) * q ** data.draw(
+        st.integers(-2, 2)
+    ) * p ** data.draw(st.integers(-2, 2)) + data.draw(st.integers(-2, 2))
+    c = numer / denom
+    assume(c._terms is None)  # the reduced denominator is not a monomial
+    f = _hom_form(data, spec, 1)
+    a = data.draw(values(pres))
+    assert nabla(spec, f * (c * a)) == c * nabla(spec, f * a)
 
 
 def test_nabla_n_table_has_one_entry_per_level_and_word(cold_preset, capsys):

@@ -10,7 +10,7 @@ import pytest
 from intforms import dga
 from intforms.dga import CalculusSpec
 from intforms.homconn import HomForm, dual_form, nabla, nabla_n
-from intforms import integrals, suites
+from intforms import integrals, scalars, suites
 from intforms.cli import main
 from intforms.integrals import (
     FiltrationViolated,
@@ -26,7 +26,7 @@ from intforms.integrals import (
 from intforms.linalg import LinearSystem
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import Presentation
-from intforms.presets import REGISTRY
+from intforms.presets import REGISTRY, load_calc
 from intforms.scalars import ScalarContext
 from intforms.suites import Options, checks_for
 
@@ -239,6 +239,74 @@ def test_integral_command_output_is_that_of_single_blocks(capsys, monkeypatch):
         lambda spec, bound, ds: (_single_block(spec, bound, d) for d in ds),
     )
     assert [run(*extra) for extra in degrees] == swept
+
+
+# -- qplane's closed-form preimages -------------------------------------------
+
+QPLANE_PARTIAL_X = ("partial: x = 1, 0", "partial: x = 1, 1")
+
+
+def _qplane_onto(old=None, new=None, max_len=4):
+    source = REGISTRY["qplane"].source
+    if old is not None:
+        assert old in source
+        source = source.replace(old, new, 1)
+    bundle = load_calc(source)
+    ((_, onto), _) = suites._qplane_integral(bundle, Options(max_len=max_len))
+    return bundle, onto
+
+
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        (*QPLANE_PARTIAL_X, "x^1 y^0"),
+        ("partial: y = 0, 1", "partial: y = 0, 2", "x^0 y^0"),
+        ("sigma inverse 2: x -> q*p^-1*x, y -> p^-1*y",
+         "sigma inverse 2: x -> q*p^-1*x, y -> q^-1*y", "x^0 y^0"),
+    ],
+    ids=["partial-x", "partial-y", "sigma-inverse-2"],
+)
+def test_closed_form_row_fails_on_a_wrong_datum(old, new, witness):
+    _, onto = _qplane_onto(old, new)
+    assert onto() == f"closed-form preimage misses {witness}"
+
+
+@pytest.mark.parametrize("edit, holds", [((), True), (QPLANE_PARTIAL_X, False)],
+                         ids=["shipped", "partial-x"])
+def test_closed_form_cross_multiplied_agrees_with_the_quotient(edit, holds):
+    # nabla((num/den)*g) == x^r y^s, the statement on rational scalars, and
+    # num*nabla(g) == den*x^r y^s, the one the check makes, on every word
+    bundle, _ = _qplane_onto(*edit)
+    spec, pres = bundle.spec, bundle.presentation
+    q, p = pres.context.parameter("q"), pres.context.parameter("p")
+    dy = dual_form(spec, ("dy",))
+    agreed = []
+    for w in pres.normal_words(6):
+        r = sum(1 for g in w if pres.generators[g] == "x")
+        s = len(w) - r
+        num, den = p ** (r + s) * q**-r * (p - 1), p ** (s + 1) - 1
+        longer = pres.word(*(("x",) * r + ("y",) * (s + 1)))
+        target = pres._monomial(w)
+        quotient = nabla(spec, dy * pres.monomial(longer, coeff=num / den)) == target
+        crossed = num * nabla(spec, dy * pres._monomial(longer)) == den * target
+        assert quotient == crossed, w
+        agreed.append(crossed)
+    assert all(agreed) is holds
+
+
+def test_closed_form_preimages_stay_off_the_rational_path(monkeypatch):
+    # the coefficient num/den has a denominator that is not a monomial;
+    # cross-multiplied, the check's scalars are all Laurent polynomials
+    calls = dict.fromkeys(("_rational", "_divide", "_gcd_cofactors"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(scalars, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(scalars, name, counted)
+    ((_, onto), _) = checks_for(REGISTRY["qplane"], "integral", Options(max_len=12))
+    assert onto() is None
+    assert calls == dict.fromkeys(calls, 0)
 
 
 # -- integral classes --------------------------------------------------------
