@@ -7,7 +7,7 @@ an honest finite model.  On top of it: image ranks and cokernel
 representatives of the connection, the Haar-type functional on quantum
 SL(2), the annihilation law lambda(nabla(f)) = 0, connection integrals
 with explicit preimages, and commutation of the ladder diagrams tying the
-de Rham complex to the integral one.
+de Rham complex to the integral one, each leg read from rows built once.
 """
 
 from __future__ import annotations
@@ -239,8 +239,8 @@ class LadderDiagram:
 
     verticals[k] sends each basis k-form word (the empty word at k = 0) to
     its image under the k-th vertical map: a hom-form of degree top-k
-    below the top, an algebra element at the top.  Right-linearity does
-    the rest.
+    below the top, an algebra element at the top.  Right-linearity,
+    V_k(e*a) = V_k(e)*a, extends it to all forms (`check_ladder`'s rows).
     """
 
     def __init__(self, spec, verticals):
@@ -269,24 +269,23 @@ class LadderDiagram:
         self.spec = spec
         self.verticals = table
 
-    def apply(self, k, coords):
-        """V_k on the form sum_b b*R_b of degree k >= 1, given by its right
-        coordinates {basis word b: term dict R_b}; right-linearity makes it
-        sum_b V_k(b)*R_b."""
-        spec = self.spec
-        pres = spec.presentation
-        terms = {}
-        for b, r in coords.items():
-            if r:
-                add_scaled(terms, (self.verticals[k][b] * AlgElement(pres, r)).terms)
-        if k == spec.top_degree:
-            return AlgElement(pres, terms)
-        return HomForm._unchecked(spec, spec.top_degree - k, terms)
+
+def _flat(x):
+    # a hom-form as {(basis word, normal word): scalar}, an element as its terms
+    if isinstance(x, AlgElement):
+        return x.terms
+    return {(word, u): c for word, value in x.terms.items() for u, c in value.terms.items()}
 
 
-def _hom_vector(f):
-    return {(word, u): c for word, value in f.terms.items()
-            for u, c in value.terms.items()}
+def _unflat(spec, degree, vector):
+    """What _flat gave vector: an element at degree 0, else a hom-form."""
+    pres = spec.presentation
+    if degree == 0:
+        return AlgElement(pres, vector)
+    values = {}
+    for (word, u), c in vector.items():
+        values.setdefault(word, {})[u] = c
+    return HomForm._unchecked(spec, degree, {b: AlgElement(pres, t) for b, t in values.items()})
 
 
 def _d_right_mul(spec, e, a, da):
@@ -311,15 +310,16 @@ def check_ladder(diagram, length_bound):
     """Walk every square on the windowed basis and rank the verticals.
 
     A square at level k compares V_(k+1)(d omega) with the level-(top-k-1)
-    connection applied to V_k(omega), omega running over basis-word times
-    normal-word products.  The upper leg (`_d_right_mul`) takes d(e*a) in
-    right coordinates by the graded Leibniz rule d(e*a) = (-1)^k (e*da -
-    S_e*a), S_e the right coordinates of (-1)^(k+1) d e, with those of d a
-    built once per window word.  Verticals are bijective on the window iff
-    their matrix rank matches both dimensions.  The report counts the
-    squares and holds one check per failing square (with its level, source,
-    word, lhs and rhs) followed by one check per vertical (with its level,
-    rank, domain and codomain).
+    connection applied to V_k(omega), omega = e*u running over basis words
+    e times normal words u.  The row V_k(e)*u, built once and flat, is the
+    vertical's matrix row, the lower leg of square (k, e, u) and, scalars
+    being central, a summand of level k-1's upper legs sum R_b[u] V_k(b)*u,
+    R_b the right coordinates of d omega (`_d_right_mul`).  Legs compare
+    flat; a failing square's upper leg is rebuilt for its witness.  Verticals
+    are bijective on the window iff their matrix rank matches both
+    dimensions.  The report counts the squares and holds one check per
+    failing square (with its level, source, word, lhs and rhs) followed by
+    one check per vertical (with its level, rank, domain and codomain).
     """
     spec = diagram.spec
     pres = spec.presentation
@@ -329,34 +329,40 @@ def check_ladder(diagram, length_bound):
     ranks = []
     # right coordinates of d a, one per window word, shared by every source
     d_words = {w: dga._right_terms(spec, dga.d(spec, pres._monomial(w))) for w in words}
+    rows = [{} for _ in range(top + 1)]  # flat V_k(e)*u, built on demand
+
+    def row(k, e, u):
+        vector = rows[k].get((e, u))
+        if vector is None:
+            vector = rows[k][e, u] = _flat(diagram.verticals[k][e] * pres._monomial(u))
+        return vector
+
     for k in range(top + 1):
         sources = ((),) if k == 0 else spec.basis(k)
         level = top - k - 1
         system = LinearSystem()
         for e in sources:
             for w in words:
-                a = pres._monomial(w)
-                # right-linearity: V_k(e*a) = V_k(e)*a, the square's lower
-                # leg and the vertical's matrix row at once
-                below = diagram.verticals[k][e] * a
-                vector = dict(below.terms) if k == top else _hom_vector(below)
-                for label in vector:
-                    u = label if k == top else label[1]
-                    if len(u) > length_bound:
-                        raise FiltrationViolated(
-                            f"vertical {k} escapes the window on "
-                            f"{pres.word_str(w)}"
-                        )
-                if vector:
-                    system.add(vector)
+                vector = row(k, e, w)
+                del rows[k][e, w]  # its own square is its last reader
+                if any(len(key if k == top else key[1]) > length_bound for key in vector):
+                    raise FiltrationViolated(
+                        f"vertical {k} escapes the window on {pres.word_str(w)}"
+                    )
+                system.add(vector)
                 if k == top:
                     continue
-                lhs = diagram.apply(k + 1, _d_right_mul(spec, e, a, d_words[w]))
+                lhs = {}
+                for b, r in _d_right_mul(spec, e, pres._monomial(w), d_words[w]).items():
+                    for u, c in r.items():
+                        add_scaled(lhs, row(k + 1, b, u), c)
+                below = _unflat(spec, top - k, vector)
                 rhs = nabla(spec, below) if level == 0 else nabla_n(spec, level, below)
                 report.counts["squares"] += 1
-                if lhs != rhs:
+                if lhs != _flat(rhs):
                     source = "1" if k == 0 else spec.word_str(e)
                     word = pres.word_str(w)
+                    lhs = _unflat(spec, level, lhs)
                     report.add(
                         f"level {k} at {source} * {word}",
                         False,

@@ -369,6 +369,7 @@ def _build_calculus(sections, tmd):
         else:
             key, sep, rest = _cut(text, ":")
             if key.strip() == "top" and sep:
+                top_line = lineno
                 try:
                     top = int(rest.strip())
                 except ValueError:
@@ -380,7 +381,7 @@ def _build_calculus(sections, tmd):
     if top is None:
         raise ParseError("a calculus needs form 'names:' and 'top:'", first, 1)
     try:
-        return CalculusSpec(
+        spec = CalculusSpec(
             tmd,
             form_names=names,
             rules=rules,
@@ -391,6 +392,9 @@ def _build_calculus(sections, tmd):
         )
     except ValueError as exc:  # such as form rules that are not confluent
         raise ParseError(str(exc), sections["forms"][0][0], 1) from None
+    if not spec.basis(top):  # the rules leave no form of the top degree
+        raise ParseError(f"no basis forms in degree {top}", top_line, 1)
+    return spec
 
 
 def _build_ladder(sections, spec):

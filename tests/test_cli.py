@@ -377,17 +377,23 @@ def test_every_one_line_deletion_fails_a_row_or_names_its_line(capsys, tmp_path,
             assert code == 0, (n, code, err)
 
 
+# qplane.calc from its 'top:' line to the end, the ladder section included
+_QPLANE = (DATA / "qplane.calc").read_text()
+QPLANE_CALCULUS_TAIL = _QPLANE[_QPLANE.index("top: 2"):]
+
+
 @pytest.mark.parametrize(
     "old, new, named",
     [
         ("rule: dy.dx =", "rule: dy.dz =", "rule: dy.dz ="),
         ("1: dx = -1 * dual(dy)", "1: dz = -1 * dual(dy)", "1: dz ="),
         ("1: dx = -1 * dual(dy)", "1: dx = -1 * dual(dx.dy)", "1: dx = -1 * dual(dx.dy)"),
-        # no degree-3 hom-form exists, and the level-0 vertical is the first
-        # directive that asks for one
-        ("top: 2", "top: 3", "0: 1 = dual(dx.dy)"),
+        # the form rules leave no degree-3 form, with or without a ladder
+        ("top: 2", "top: 3", "top: 3"),
+        (QPLANE_CALCULUS_TAIL, "top: 3\n", "top: 3"),
     ],
-    ids=["rule-unknown-name", "ladder-unknown-name", "ladder-wrong-degree", "top-too-high"],
+    ids=["rule-unknown-name", "ladder-unknown-name", "ladder-wrong-degree", "top-too-high",
+         "top-too-high-no-ladder"],
 )
 def test_refused_token_edit_names_its_line(capsys, tmp_path, old, new, named):
     source = (DATA / "qplane.calc").read_text()

@@ -3,11 +3,12 @@ lambda annihilation, image ranks and cokernels, connection integrals with
 preimages, and the ladder diagrams linking the two complexes."""
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from intforms import dga
+from intforms import dga, homconn
 from intforms.dga import CalculusSpec
 from intforms.homconn import HomForm, dual_form, nabla, nabla_n
 from intforms import integrals, scalars, suites
@@ -478,6 +479,88 @@ def test_ladder_validation(qplane, qplane_calc):
                 {("dx", "dy"): qplane.one},
             ],
         )
+
+
+SL2_FAST = ["--max-len", "2", "--max-degree", "3", "--cases", "5"]
+
+
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("1: w0 = -q^4 * dual(w-.w+)", "1: w0 = q^4 * dual(w-.w+)",
+         "level 0 at 1 * beta: w-.w+ := -q^2*beta, w0.w+ := q^4*alpha "
+         "versus w-.w+ := q^2*beta, w0.w+ := q^4*alpha"),
+        ("2: w-.w+ = -q^4 * dual(w0)", "2: w-.w+ = q^4 * dual(w0)",
+         "level 1 at w- * alpha: w0 := q^2*beta, w+ := q^5*alpha "
+         "versus w0 := -q^2*beta, w+ := q^5*alpha"),
+        ("3: w-.w0.w+ = 1", "3: w-.w0.w+ = q",
+         "level 2 at w-.w+ * beta: q^5*beta versus q^4*beta"),
+    ],
+    ids=["upper-leg-level-1", "upper-leg-level-2", "upper-leg-top"],
+)
+def test_sl2_ladder_witness_at_each_upper_leg_level(capsys, tmp_path, old, new, witness):
+    # one vertical edited per level that supplies an upper leg; the first
+    # failing square is the one whose upper leg reads the edited rows first
+    source = REGISTRY["sl2-3d"].source
+    assert old in source
+    path = tmp_path / "sl2_3d.calc"
+    path.write_text(source.replace(old, new, 1))
+    assert main(["verify", str(path), *SL2_FAST, "--format", "json"]) == 1
+    failed = [row for row in json.loads(capsys.readouterr().out)["checks"]
+              if row["status"] != "pass"]
+    assert failed == [{
+        "name": "chain ladder commutes with bijective verticals up to length 2",
+        "status": "fail",
+        "witness": witness,
+    }]
+
+
+@pytest.mark.parametrize("name, bound", [("sl2-3d", 3), ("qplane", 4)])
+def test_upper_legs_agree_with_the_vertical_on_right_coordinates(monkeypatch, name, bound):
+    # with the connection side zeroed every square with a nonzero upper leg
+    # fails and reports it; each must equal sum_b V_(k+1)(b)*R_b over the
+    # right coordinates R_b of d(e*a), the vertical applied by the right
+    # action without the rows of check_ladder
+    bundle = REGISTRY[name].load()
+    spec, diagram = bundle.spec, bundle.ladder
+    pres = spec.presentation
+    top = spec.top_degree
+    monkeypatch.setattr(integrals, "nabla", lambda spec, f: pres.zero)
+    monkeypatch.setattr(integrals, "nabla_n", lambda spec, n, f: HomForm(spec, n, {}))
+    report = check_ladder(diagram, bound)
+    seen = {(c["level"], c["source"], c["word"]): c["lhs"] for c in report.failures}
+    nonzero = 0
+    for k, e in [(0, ())] + [(k, e) for k in range(1, top) for e in spec.basis(k)]:
+        for w in pres.normal_words(bound):
+            a = pres._monomial(w)
+            omega = a if not e else dga.right_mul(spec, spec.basis_form(e), a)
+            want = pres.zero if k + 1 == top else HomForm(spec, top - k - 1, {})
+            for b, r in dga.right_coords(spec, dga.d(spec, omega)).items():
+                want = want + diagram.verticals[k + 1][b] * r
+            key = (k, "1" if k == 0 else spec.word_str(e), pres.word_str(w))
+            assert seen.pop(key, want._like({})) == want, key
+            nonzero += bool(want)
+    assert not seen
+    assert nonzero == len(report.failures) > 0
+
+
+@pytest.mark.parametrize("name, bound, calls", [("sl2-3d", 3, 210), ("qplane", 4, 45)])
+def test_ladder_acts_once_per_square_below_the_top(monkeypatch, name, bound, calls):
+    # each row V_k(e)*u is one right action, shared by the matrix, the lower
+    # leg and the upper legs of the level below
+    diagram = REGISTRY[name].load().ladder
+    count = 0
+    real = homconn.hom_right_act
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    monkeypatch.setattr(homconn, "hom_right_act", counted)
+    report = check_ladder(diagram, bound)
+    assert report.ok
+    assert count == report.counts["squares"] == calls
 
 
 def _nonempty(coords):
