@@ -25,6 +25,11 @@ and every route reads them through the two letter values f(e+) and f(e-):
 evaluation, the right action, the consistency check, combinations of the
 dual bases, psi_inv and the connection.  f is right linear, so a value at a
 letter times a coefficient is the letter value times that coefficient.
+Each functional computes that pair once, from the weighted coefficients
+w_i*b_i that the sphere rebuilds whenever its weights are assigned, and
+recomputes it only under new weights.  The lift to two-form functionals is
+factored too: f contracted with a generator is f's top value times the unit
+top dual's contraction, stored with no weight in the wedge table.
 """
 
 from __future__ import annotations
@@ -62,14 +67,16 @@ class SphereData:
     Stores the ambient 3D calculus together with the generator coefficients
     of the two projective summands (one per vertical form letter), the
     scalar weights entering the plus-side pairing, and the six module
-    generators in their customary left-coefficient spelling.  The duals,
-    the determinant identities and every evaluation read the weights and
-    coefficients live, so a corrupted weight is caught by the determinant
-    identities instead of being baked into cached duals.  Two tables are
-    built once, on first use: the coproducts of alpha^2 and delta^2
-    (_sweedler_squares) and the two-form coefficients of the generators'
-    products and differentials (_generator_wedges).  Both read only the
-    Hopf data, the generators and the calculus, never the weights.
+    generators in their customary left-coefficient spelling.  Assigning
+    plus_weights rebuilds the weighted coefficients w_i*b_i (weighted_minus)
+    that the plus letter and the plus duals read, and a functional's letter
+    values are kept only with the weighted coefficients they came from, so
+    a corrupted weight reaches every later evaluation and is caught by the
+    determinant identities instead of being baked into cached values.  Two
+    tables are built once, on first use: the coproducts of alpha^2 and
+    delta^2 (_sweedler_squares) and the contractions and differentials of
+    the generators (_generator_wedges).  Both read only the Hopf data, the
+    generators and the calculus, never the weights.
     """
 
     def __init__(self, spec):
@@ -123,6 +130,16 @@ class SphereData:
         )
         self.top_form = spec.basis_form((self.minus, self.plus))
 
+    @property
+    def plus_weights(self):
+        return self._plus_weights
+
+    @plus_weights.setter
+    def plus_weights(self, weights):
+        # the plus letter's coefficients w_i*b_i follow every assignment
+        self._plus_weights = weights
+        self.weighted_minus = tuple(w * b for w, b in zip(weights, self.minus_coeffs))
+
     def one_form(self, r, s):
         """Assemble the one-form with right coefficients r (minus) and s (plus)."""
         return self.unit_minus * r + self.unit_plus * s
@@ -169,9 +186,7 @@ class SphereData:
 
     def plus_dual(self, i):
         zero = self.presentation.zero
-        values = tuple(
-            self.plus_weights[i] * (self.minus_coeffs[i] * a) for a in self.plus_coeffs
-        )
+        values = tuple(self.weighted_minus[i] * a for a in self.plus_coeffs)
         return BHomForm(self, 1, values, (zero, zero, zero))
 
     def minus_dual(self, i):
@@ -199,9 +214,10 @@ class SphereData:
     def _generator_wedges(self):
         """Two-form coefficients of products with the projective generators.
 
-        One entry per generator w, plus side first: the coefficients of w*g
-        for the six generators g, in the same order, and the coefficient of
-        d w.  nabla_coH_1 reads a two-form functional through them.
+        One entry per generator w, plus side first: the contraction of the
+        unit top dual with w, whose values are the coefficients of w*g for
+        the six generators g, and the coefficient of d w.  nabla_coH_1 reads
+        a two-form functional through them.
         """
         spec = self.spec
         gens = self.plus_generators + self.minus_generators
@@ -209,10 +225,11 @@ class SphereData:
         def coeff(omega):
             return _form_coords(self, omega, 2)[0]
 
-        return tuple(
-            (tuple(coeff(w * g) for g in gens), coeff(dga.d(spec, w)))
-            for w in gens
-        )
+        def contraction(w):
+            values = [coeff(w * g) for g in gens]
+            return BHomForm(self, 1, values[:3], values[3:])
+
+        return tuple((contraction(w), coeff(dga.d(spec, w))) for w in gens)
 
 
 def _form_coords(sphere, omega, degree):
@@ -240,43 +257,36 @@ def _form_coords(sphere, omega, degree):
     return tuple(totals.values())
 
 
-def _on_plus(sphere, values, s=None):
-    """f(plus letter * s) for f with these plus values; s = None stands for 1.
+def _on_plus(sphere, values):
+    """f(plus letter) for f with these plus values.
 
-    The letter value is sum_i v_i*(w_i*b_i) over the values, the weights and
-    the minus coefficients, summed into one term dict.  f is right linear,
-    so s multiplies that sum once instead of entering each of its terms.
+    The letter value is sum_i v_i*(w_i*b_i) over the values and the weighted
+    minus coefficients, summed into one term dict.  f is right linear, so a
+    factor s after the letter multiplies that sum once (value_on_plus).
     """
     terms = {}
-    for w, v, b in zip(sphere.plus_weights, values, sphere.minus_coeffs):
-        mul_terms(sphere.presentation, v.terms, (w * b).terms, terms)
-    total = AlgElement(sphere.presentation, terms)
-    return total if s is None else total * s
+    for v, wb in zip(values, sphere.weighted_minus):
+        mul_terms(sphere.presentation, v.terms, wb.terms, terms)
+    return AlgElement(sphere.presentation, terms)
 
 
-def _on_minus(sphere, values, r=None):
-    """f(minus letter * r) for f with these minus values; r = None stands for 1.
-
-    The letter value is sum_i v_i*a_i over the values and the plus
-    coefficients, and r multiplies it once, as on the plus side.
-    """
+def _on_minus(sphere, values):
+    """f(minus letter) for f with these minus values: sum_i v_i*a_i over the
+    values and the plus coefficients, as on the plus side."""
     terms = {}
     for v, a in zip(values, sphere.plus_coeffs):
         mul_terms(sphere.presentation, v.terms, a.terms, terms)
-    total = AlgElement(sphere.presentation, terms)
-    return total if r is None else total * r
+    return AlgElement(sphere.presentation, terms)
 
 
-def _expand(sphere, plus_values, minus_values, b=None):
-    """Generator values of f*b for f = sum of values times the dual bases.
+def _expand(sphere, at_plus, at_minus, b=None):
+    """Generator values of f*b for f with these letter values f(e+), f(e-).
 
-    Read with f's own values this is f*b, and f itself exactly when the
-    values are consistent; b = None stands for 1 without the products by it.
-    Each letter value is computed once and multiplied by b times each
-    generator's coefficient.
+    Read with f's own letter values this is f*b, and f itself exactly when
+    f's values are consistent; b = None stands for 1 without the products by
+    it.  Each letter value is multiplied by b times each generator's
+    coefficient.
     """
-    at_plus = _on_plus(sphere, plus_values)
-    at_minus = _on_minus(sphere, minus_values)
 
     def at(c):
         return c if b is None else b * c
@@ -293,11 +303,12 @@ class BHomForm(SparseVector, space=("sphere", "degree"), mismatch=DegreeMismatch
     Degree one stores the six values on the projective generators, plus side
     in slots 0-2 and minus side in slots 3-5; evaluation expands any sphere
     form through the dual bases, so the values determine the functional
-    everywhere.  Degree two stores the single value on the free generator
-    in slot 0.  Values always lie in the degree-zero subalgebra.
+    everywhere, and every reader goes through its two letter values, kept
+    once computed.  Degree two stores the single value on the free
+    generator in slot 0.  Values always lie in the degree-zero subalgebra.
     """
 
-    __slots__ = ("sphere", "degree")
+    __slots__ = ("sphere", "degree", "_letters")
 
     def __init__(self, sphere, degree, plus_values=(), minus_values=(), top_value=None):
         pres = sphere.presentation
@@ -321,6 +332,7 @@ class BHomForm(SparseVector, space=("sphere", "degree"), mismatch=DegreeMismatch
         self.sphere = sphere
         self.degree = degree
         self.terms = terms
+        self._letters = None
 
     def _values(self, slots):
         zero = self.sphere.presentation.zero
@@ -345,6 +357,7 @@ class BHomForm(SparseVector, space=("sphere", "degree"), mismatch=DegreeMismatch
         f.sphere = self.sphere
         f.degree = self.degree
         f.terms = terms
+        f._letters = None
         return f
 
     @classmethod
@@ -367,21 +380,35 @@ class BHomForm(SparseVector, space=("sphere", "degree"), mismatch=DegreeMismatch
         pres = sphere.presentation
         plus_coords = tuple(plus_coords) + (pres.zero,) * (3 - len(plus_coords))
         minus_coords = tuple(minus_coords) + (pres.zero,) * (3 - len(minus_coords))
-        return cls(sphere, 1, *_expand(sphere, plus_coords, minus_coords))
+        at_plus = _on_plus(sphere, plus_coords)
+        return cls(sphere, 1, *_expand(sphere, at_plus, _on_minus(sphere, minus_coords)))
 
     @classmethod
     def top(cls, sphere, value):
         return cls(sphere, 2, top_value=value)
 
+    def _letter_values(self):
+        """(f(e+), f(e-)), kept until the sphere's weights are reassigned."""
+        sphere = self.sphere
+        if self._letters is None or self._letters[0] is not sphere.weighted_minus:
+            self._letters = (
+                sphere.weighted_minus,
+                _on_plus(sphere, self.plus_values),
+                _on_minus(sphere, self.minus_values),
+            )
+        return self._letters[1:]
+
     def value_on_plus(self, s):
-        """Value at the plus letter times s."""
-        return _on_plus(self.sphere, self.plus_values, s)
+        """Value at the plus letter times s; s = None stands for 1."""
+        at_plus = self._letter_values()[0]
+        return at_plus if s is None else at_plus * s
 
     def value_on_minus(self, r):
-        return _on_minus(self.sphere, self.minus_values, r)
+        at_minus = self._letter_values()[1]
+        return at_minus if r is None else at_minus * r
 
     def _consistency_witness(self):
-        again = _expand(self.sphere, self.plus_values, self.minus_values)
+        again = _expand(self.sphere, *self._letter_values())
         for side, values, expanded in zip(
             ("plus", "minus"), (self.plus_values, self.minus_values), again
         ):
@@ -418,9 +445,7 @@ class BHomForm(SparseVector, space=("sphere", "degree"), mismatch=DegreeMismatch
             return BHomForm.top(self.sphere, self.top_value * b)
         # b slides through the free letters, so acting on the argument is
         # just right multiplication inside each value
-        return BHomForm(
-            self.sphere, 1, *_expand(self.sphere, self.plus_values, self.minus_values, b)
-        )
+        return BHomForm(self.sphere, 1, *_expand(self.sphere, *self._letter_values(), b))
 
     def __str__(self):
         if self.degree == 2:
@@ -482,9 +507,16 @@ def _fhat_values(sphere, f, squares):
 def _nabla_from_letter_values(sphere, at_plus, at_minus):
     q = sphere.q
     tmd = sphere.spec.tmd
-    return (q**-2) * tmd.partial(at_plus)[sphere.plus] + (q**2) * tmd.partial(
-        at_minus
-    )[sphere.minus]
+    return (q**-2) * tmd.partial(at_plus, sphere.plus) + (q**2) * tmd.partial(
+        at_minus, sphere.minus
+    )
+
+
+def _invariant_nabla(sphere, at_plus, at_minus):
+    out = _nabla_from_letter_values(sphere, at_plus, at_minus)
+    if out and zdegree(out) != 0:
+        raise RuntimeError(f"the descended connection left the invariants: {out}")
+    return out
 
 
 def nabla_coH(sphere, f):
@@ -499,12 +531,7 @@ def nabla_coH(sphere, f):
     """
     if not isinstance(f, BHomForm) or f.degree != 1:
         raise DegreeMismatch("the descended connection starts at one-form functionals")
-    out = _nabla_from_letter_values(
-        sphere, f.value_on_plus(None), f.value_on_minus(None)
-    )
-    if out and zdegree(out) != 0:
-        raise RuntimeError(f"the descended connection left the invariants: {out}")
-    return out
+    return _invariant_nabla(sphere, *f._letter_values())
 
 
 def nabla_coH_1(sphere, f):
@@ -512,19 +539,18 @@ def nabla_coH_1(sphere, f):
 
     The value on a one-form w is nabla(f*w) + f(dw); evaluating on the six
     projective generators pins the result down, and the constructor checks
-    that those values extend.  f*w and f(dw) are the top value times the
-    coefficients of _generator_wedges, as the contraction and evaluation
-    would compute them.
+    that those values extend.  f*w is the top value t times the unit top
+    dual's contraction with w in _generator_wedges, so by associativity its
+    letter values are t times that contraction's letter values: twelve
+    products per call, and f(dw) is t times the stored coefficient of dw.
     """
     if not isinstance(f, BHomForm) or f.degree != 2:
         raise DegreeMismatch("the lifted connection starts at two-form functionals")
     top = f.top_value
     values = []
-    for products, dw in sphere._generator_wedges:
-        contracted = BHomForm(
-            sphere, 1, [top * c for c in products[:3]], [top * c for c in products[3:]]
-        )
-        values.append(nabla_coH(sphere, contracted) + top * dw)
+    for contraction, dw in sphere._generator_wedges:
+        at_plus, at_minus = contraction._letter_values()
+        values.append(_invariant_nabla(sphere, top * at_plus, top * at_minus) + top * dw)
     return BHomForm.from_values(sphere, values[:3], values[3:])
 
 
@@ -539,10 +565,10 @@ def _nabla_written_out(sphere, f):
     tmd = sphere.spec.tmd
 
     def raised(a):
-        return tmd.partial(a)[sphere.minus]
+        return tmd.partial(a, sphere.minus)
 
     def lowered(a):
-        return tmd.partial(a)[sphere.plus]
+        return tmd.partial(a, sphere.plus)
 
     return (
         (q**2) * raised(vm0) * (delta * delta)
@@ -575,7 +601,7 @@ def fhat_crosscheck(sphere, f, fixtures=None):
     turns the comparison into a control.
     """
     if isinstance(f, int):
-        f = sphere.dual_basis()[f]
+        f = sphere.plus_dual(f) if f < 3 else sphere.minus_dual(f - 3)
     if fixtures is None:
         fixtures = sphere_fixtures(sphere.presentation)
     # every route reads f through the same dual-basis expansion, so a broken
@@ -658,8 +684,8 @@ def psi_inv(sphere, f):
     """Explicit inverse of psi on consistent functionals."""
     if not isinstance(f, BHomForm) or f.degree != 1:
         raise DegreeMismatch("psi_inv starts at one-form functionals")
-    r = -(sphere.q**-2) * _on_plus(sphere, f.plus_values)
-    return sphere.one_form(r, _on_minus(sphere, f.minus_values))
+    at_plus, at_minus = f._letter_values()
+    return sphere.one_form(-(sphere.q**-2) * at_plus, at_minus)
 
 
 def theta(sphere, b):

@@ -72,15 +72,18 @@ class TwistedMultiDerivation:
         pres, gens = self.presentation, self._kernel_gens
         return _fill_rows(pres, self._kernel_memo, word, gens, self.sigma_hat)
 
-    def partial(self, a):
-        """Row (partial_1(a), ..., partial_n(a))."""
+    def partial(self, a, index=None):
+        """Row (partial_1(a), ..., partial_n(a)), or partial_index(a) alone."""
         if a.presentation is not self.presentation:
             raise ValueError("element from a different presentation")
-        out = [{} for _ in range(self.n)]
+        rows = range(self.n) if index is None else (index,)
+        out = [{} for _ in rows]
         for word, coeff in a.terms.items():
-            for terms, part in zip(out, self._partial_word(word)):
-                add_scaled(terms, part.terms, coeff)
-        return tuple(AlgElement(self.presentation, terms) for terms in out)
+            row = self._partial_word(word)
+            for terms, i in zip(out, rows):
+                add_scaled(terms, row[i].terms, coeff)
+        out = tuple(AlgElement(self.presentation, terms) for terms in out)
+        return out if index is None else out[0]
 
     def degree_shifts(self):
         """Per-index Z-degree shift on generators, MIXED when inconsistent."""

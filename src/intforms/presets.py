@@ -374,6 +374,8 @@ def _build_calculus(sections, tmd):
                     top = int(rest.strip())
                 except ValueError:
                     raise ParseError("'top:' takes an integer", lineno, 1) from None
+                if top < 1:
+                    raise ParseError("top degree must be at least 1", lineno, 1)
             else:
                 raise ParseError(
                     "calculus directives are 'top: <n>' or 'd <form> = ...'", lineno, 1

@@ -410,12 +410,12 @@ def _sphere_checks(sphere, opts):
         tmd = sphere.spec.tmd
         for i in range(3):
             want = (sphere.plus_weights[i] * q**-2) * tmd.partial(
-                sphere.minus_coeffs[i]
-            )[sphere.plus]
+                sphere.minus_coeffs[i], sphere.plus
+            )
             got = nabla_coH(sphere, sphere.plus_dual(i))
             if got != want:
                 return f"plus dual {i}: {got} versus {want}"
-            want = (q * q) * tmd.partial(sphere.plus_coeffs[i])[sphere.minus]
+            want = (q * q) * tmd.partial(sphere.plus_coeffs[i], sphere.minus)
             got = nabla_coH(sphere, sphere.minus_dual(i))
             if got != want:
                 return f"minus dual {i}: {got} versus {want}"

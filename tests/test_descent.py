@@ -537,15 +537,15 @@ def test_letter_values_match_the_six_product_expansion(sphere, sl2):
         )
     tuples.append(((sl2.one, sl2.zero, sl2.zero), (sl2.zero,) * 3))
     for plus_values, minus_values in tuples:
+        f = BHomForm(sphere, 1, plus_values, minus_values)
         for s, r in ((None, None), (beta * beta, alpha * alpha), (beta * delta, gamma * alpha)):
-            assert descent._on_plus(sphere, plus_values, s) == _on_plus_six_products(
-                sphere, plus_values, s
-            )
-            assert descent._on_minus(sphere, minus_values, r) == _on_minus_six_products(
-                sphere, minus_values, r
-            )
+            assert f.value_on_plus(s) == _on_plus_six_products(sphere, plus_values, s)
+            assert f.value_on_minus(r) == _on_minus_six_products(sphere, minus_values, r)
+        letters = (
+            descent._on_plus(sphere, plus_values), descent._on_minus(sphere, minus_values)
+        )
         for b in (None, sl2.one, invariant_sample(sl2, rng)):
-            assert descent._expand(sphere, plus_values, minus_values, b) == (
+            assert descent._expand(sphere, *letters, b) == (
                 _expand_six_products(sphere, plus_values, minus_values, b)
             )
 
@@ -602,3 +602,97 @@ def test_letter_values_and_the_wedge_table_bound_the_work(monkeypatch, sl2_3d_ca
     lifted = nabla_coH_1(fresh, fresh.top_dual() * b)
     assert calls["mul"] == 0 and calls["d"] == 0
     assert lifted == psi(fresh, dga.d(fresh.spec, b))
+
+
+def test_letter_values_are_computed_once_per_functional(monkeypatch):
+    # a freshly loaded calculus, so that no other test has filled its memos
+    source = (resources.files("intforms") / "data" / "sl2_3d.calc").read_text()
+    fresh = SphereData(load_calc(source).spec)
+    calls = collections.Counter()
+    for name in ("_on_plus", "_on_minus"):
+        monkeypatch.setattr(descent, name, counting(calls, name, getattr(descent, name)))
+    mul = ncalg.AlgElement.__mul__
+    products = []  # (left operand, right operand) ids, in order
+
+    def traced(self, other):
+        products.append((id(self), id(other)))
+        return mul(self, other)
+
+    monkeypatch.setattr(ncalg.AlgElement, "__mul__", traced)
+    report = check_sphere_ladder(fresh, 4)
+    assert report.ok and report.counts == {"squares": 63, "round_trips": 108}
+    # the six contractions of the wedge table once, then per invariant word
+    # (9 of them) 1 lift, 6 images read by their square and their round trip,
+    # 6 coordinate functionals and the psi_inv of each (279 per side, and
+    # 2,358 products, when every reader recomputed the letter values)
+    assert calls["_on_plus"] == calls["_on_minus"] == 6 + 9 * 19
+    assert len(products) <= 2142
+
+    table = {id(v) for c, _ in fresh._generator_wedges for v in c._letter_values()}
+    f = fresh.top_dual() * invariant_sample(fresh.presentation, random.Random(3))
+    calls.clear()
+    products.clear()
+    nabla_coH_1(fresh, f)
+    by_top = [right in table for left, right in products if left == id(f.top_value)]
+    # t times the twelve stored letter values and the six differentials;
+    # the one letter evaluation per side is from_values' consistency check
+    assert by_top.count(True) == 12 and len(by_top) == 18
+    assert calls["_on_plus"] == calls["_on_minus"] == 1
+
+    builds = collections.Counter()
+    kept = []
+    letter_values = BHomForm._letter_values
+
+    def watched(g):
+        before = g._letters
+        out = letter_values(g)
+        if g._letters is not before:
+            builds[id(g)] += 1
+            kept.append(g)  # keeps ids unique while the ladder runs
+        return out
+
+    monkeypatch.setattr(BHomForm, "_letter_values", watched)
+    assert check_sphere_ladder(fresh, 2).ok
+    assert builds and max(builds.values()) == 1
+
+
+def test_reassigned_weights_reach_every_later_evaluation(sl2_3d_calc):
+    fresh = SphereData(sl2_3d_calc)
+    pres, q = fresh.presentation, fresh.q
+    rng = random.Random(5)
+    values = tuple(invariant_sample(pres, rng) for _ in range(3))
+    f = random_functional(fresh, rng)
+    nabla_coH(fresh, f)  # f's letter values are now kept
+    fresh.plus_weights = (fresh.plus_weights[0], q**-3, fresh.plus_weights[2])
+    assert descent._on_plus(fresh, values) == _on_plus_six_products(fresh, values)
+    assert f.value_on_plus(None) == _on_plus_six_products(fresh, f.plus_values)
+    for i in range(3):
+        unit = tuple(pres.one if k == i else pres.zero for k in range(3))
+        want = tuple(_on_plus_six_products(fresh, unit, a) for a in fresh.plus_coeffs)
+        assert fresh.plus_dual(i).plus_values == want
+    reports = (sphere_flatness(fresh), check_sphere_ladder(fresh, 3), fhat_crosscheck(fresh, 0))
+    for report in reports:
+        assert report.failures[0]["name"].startswith("quantum determinant")
+
+
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("d w+ = q^2*(q^2 + 1) * w0.w+", "d w+ = q^2*(q^2 + 2) * w0.w+",
+         "DegreeMismatch: not a two-form on the sphere: component at w0.w+"),
+        ("partial: beta = -q^2*beta, 0, alpha", "partial: beta = -q^2*beta, 0, -alpha",
+         "ValueError: value at plus generator 0 fails the dual-basis expansion: "
+         "(q^7 + 2*q^5)*beta^2*gamma^2 + (q^6 + 3*q^4)*beta*gamma + q^3 versus "
+         "-2*q^7*beta^4*gamma^4 + (2*q^8 - 2*q^6 - 2*q^4)*beta^3*gamma^3 + "
+         "(3*q^7 + 2*q^5 - 2*q^3)*beta^2*gamma^2 + (q^6 + 3*q^4)*beta*gamma + q^3"),
+    ],
+    ids=["d-w-plus", "partial-beta"],
+)
+def test_sphere_ladder_row_reports_a_broken_calculus(old, new, witness):
+    source = (resources.files("intforms") / "data" / "sl2_3d.calc").read_text()
+    assert old in source
+    sphere = SphereData(load_calc(source.replace(old, new, 1)).spec)
+    name = "projective ladder commutes with exact round trips"
+    thunk = dict(suites._sphere_checks(sphere, suites.Options()))[name]
+    (row,) = suites.run_checks([(name, thunk)])
+    assert (row["status"], row["witness"]) == ("fail", witness)

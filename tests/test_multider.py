@@ -76,6 +76,7 @@ def test_twisted_leibniz_randomised(fixture, request):
             for j in range(tmd.n):
                 twisted = twisted + pa[j] * tmd.sigma.entry(j, i, b)
             assert left[i] == twisted + a * pb[i]
+            assert tmd.partial(a * b, i) == left[i]  # one row alone
 
 
 def _recursive_partial(tmd, word):
