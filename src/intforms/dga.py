@@ -35,8 +35,8 @@ normal words as partial does (`multider`).
 
 Beside it, `CalculusSpec._signed_d` holds the right coordinates of
 (-1)^(n+1) d e for each basis n-word e (`signed_d`), built once, on first
-use.  `homconn.nabla_n` and the ladder's Leibniz rule for d(e*a)
-(`integrals.check_ladder`) pair them with the scalars of `reduce_word`.
+use.  The connection's level tables (`homconn._level`) pair them with
+the scalars of `reduce_word`, for `nabla_n` and both legs of the ladder.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ class CalculusSpec:
         self._reduce_memo = {}
         self._dword_memo = {}
         self._signed_d = {}
+        self._levels = {}
         self._twists = {}
         self._bases = self._build_bases(bases)
 

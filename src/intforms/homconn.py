@@ -17,12 +17,15 @@ right twisted multi-derivation with twist hat,
 
 take f supported on omega_m, put b = hat_mj(w), and sum over m with
 sum_m bar_mi o hat_mj = delta_ij.  So its rows on normal words extend
-like partial's (`multider`).  Its
-level-n extension, e -> nabla(f*e) + (-1)^(n+1) f(d e), reads the
-scalar coordinates of the basis products e.(i,) from `spec.reduce_word`
-and the right coordinates of the signed d e from `dga.signed_d`, built
-once per basis word.  So a call costs the scalar products that combine
-them with f's values, and no form product or differential.
+like partial's (`multider`).
+
+The level-n extension, e -> nabla(f*e) + (-1)^(n+1) f(d e), runs on flat
+{(basis word, normal word): scalar} vectors (`_nabla_level`) from tables
+built once per level (`_level`): for each basis (n+1)-word b, the triples
+(e, i, r), r the scalar of b in e.(i,) (`spec.reduce_word`), and the pairs
+(e, S), S the right coordinate at b of (-1)^(n+1) d e (`dga.signed_d`).
+A coordinate c at (b, u) adds r*c*T_i(u) and u*S*c to the value at e; a
+call visits only its vector's support, with no form product or d.
 """
 
 from __future__ import annotations
@@ -126,10 +129,10 @@ def _check_hom(spec, f):
         raise ValueError("expected a hom-form of the same calculus")
 
 
-def _pair(pres, f, coords, out):
-    """out += sum_w f(w)*c_w over right coordinates {w: terms}; returns out."""
+def _pair(pres, values, coords, out):
+    """out += sum_w values[w]*c_w over right coordinates {w: terms}; returns out."""
     for w, c in coords.items():
-        fv = f.terms.get(w)
+        fv = values.get(w)
         if fv:
             mul_terms(pres, fv.terms, c, out)
     return out
@@ -146,23 +149,27 @@ def hom_apply(spec, f, omega):
             f"hom-form of degree {f.degree} applied to degree {omega.degree}"
         )
     pres = spec.presentation
-    return AlgElement(pres, _pair(pres, f, dga._right_terms(spec, omega), {}))
+    return AlgElement(pres, _pair(pres, f.terms, dga._right_terms(spec, omega), {}))
+
+
+def _right_act(spec, values, degree, a):
+    """{e: terms of f(a*e)} over the basis words e of the degree, entries
+    possibly empty, for f given by values {basis word: element} and a by its
+    terms: the right coordinates of a*e are read where f has values."""
+    pres = spec.presentation
+    return {
+        e: _pair(pres, values, dga._twisted(spec, "right", e, a, (), {}, values), {})
+        for e in spec.basis(degree)
+    }
 
 
 def hom_right_act(spec, f, a):
-    """(f*a)(e) = f(a*e): the right module structure on hom-forms, reading
-    the right coordinates of a*e on the basis words where f has values."""
+    """(f*a)(e) = f(a*e): the right module structure on hom-forms."""
     _check_hom(spec, f)
-    pres = spec.presentation
     if not isinstance(a, AlgElement):
-        a = pres.scalar(a)
-    values = {}
-    for e in spec.basis(f.degree):
-        coords = dga._twisted(spec, "right", e, a.terms, (), {}, f.terms)
-        terms = _pair(pres, f, coords, {})
-        if terms:
-            values[e] = AlgElement(pres, terms)
-    return HomForm._unchecked(spec, f.degree, values)
+        a = spec.presentation.scalar(a)
+    values = _right_act(spec, f.terms, f.degree, a.terms)
+    return HomForm._unchecked(spec, f.degree, dga._elements(spec, values))
 
 
 def hom_mul_form(spec, f, omega):
@@ -209,37 +216,67 @@ def nabla(spec, f):
     return AlgElement(spec.presentation, out)
 
 
+def _level(spec, n):
+    """(triples, pairs) of level n by basis (n+1)-word, as the module
+    docstring has them; level 0 has the one source (), r = 1 and d 1 = 0."""
+    tables = spec._levels.get(n)
+    if tables is None:
+        lift, pair = {}, {}
+        for e in spec.basis(n) if n else ((),):
+            for i in range(spec.n):
+                reduced = spec._reduce_word(e + (i,)) if n else {(i,): spec.context.one}
+                for b, r in reduced.items():
+                    lift.setdefault(b, []).append((e, i, r))
+            for b, terms in dga.signed_d(spec, e).items() if n else ():
+                pair.setdefault(b, []).append((e, terms))
+        tables = spec._levels[n] = (lift, pair)
+    return tables
+
+
+def _nabla_level(spec, n, vector):
+    """The level-n connection from degree n+1 to degree n on flat vectors,
+    keyed ((), v) at n = 0, read from the level's tables."""
+    lift, pair = _level(spec, n)
+    pres = spec.presentation
+    values = {}
+    for (b, u), c in vector.items():
+        row = spec.tmd._kernel_word(u)
+        for e, i, r in lift.get(b, ()):
+            add_scaled(values.setdefault(e, {}), row[i].terms, r * c if n else c)
+        for e, terms in pair.get(b, ()):
+            mul_terms(pres, {u: c}, terms, values.setdefault(e, {}))
+    return _flat(values)
+
+
+def _flat(values):
+    """{(word, u): c} from {word: {u: c}}, term dicts."""
+    return {(word, u): c for word, terms in values.items() for u, c in terms.items()}
+
+
+def _unflat(spec, degree, vector):
+    """The hom-form of degree >= 1, or the element at degree 0, whose flat
+    vector is vector."""
+    values = {}
+    for (word, u), c in vector.items():
+        values.setdefault(word, {})[u] = c
+    if degree == 0:
+        return AlgElement(spec.presentation, values.get((), {}))
+    return HomForm._unchecked(spec, degree, dga._elements(spec, values))
+
+
 def nabla_n(spec, n, f):
     """Level-n extension: values e -> nabla(f*e) + (-1)^(n+1) f(d e).
 
     A basis word e has coefficient 1, and sigma(1) = sigma-bar(1) = id, so
     (f*e)(i) = f(e.(i,)) = sum_b r_b*f(b) over the scalar coordinates r_b
-    of e.(i,) (`spec.reduce_word`), and d(1*e) is d e (`dga.signed_d`).
+    of e.(i,), and d(1*e) is d e; `_nabla_level` reads both from tables.
     """
     _check_hom(spec, f)
     if not 1 <= n < spec.top_degree:
-        raise DegreeMismatch(
-            f"level {n} outside 1..{spec.top_degree - 1}"
-        )
+        raise DegreeMismatch(f"level {n} outside 1..{spec.top_degree - 1}")
     if f.degree != n + 1:
-        raise DegreeMismatch(
-            f"level {n} consumes degree {n + 1}, got {f.degree}"
-        )
-    pres = spec.presentation
-    values = {}
-    for e in spec.basis(n):
-        out = {}
-        for i in range(spec.n):
-            lowered = {}
-            for b, r in spec._reduce_word(e + (i,)).items():
-                fv = f.terms.get(b)
-                if fv:
-                    add_scaled(lowered, fv.terms, r)
-            _kernel(spec, i, lowered, out)
-        terms = _pair(pres, f, dga.signed_d(spec, e), out)
-        if terms:
-            values[e] = AlgElement(pres, terms)
-    return HomForm._unchecked(spec, n, values)
+        raise DegreeMismatch(f"level {n} consumes degree {n + 1}, got {f.degree}")
+    return _unflat(spec, n, _nabla_level(spec, n, _flat({b: v.terms for b, v in f.terms.items()})))
 
 
 def curvature(spec, f):

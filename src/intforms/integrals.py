@@ -12,7 +12,7 @@ de Rham complex to the integral one, each leg read from rows built once.
 
 from __future__ import annotations
 
-from . import dga
+from . import dga, homconn
 from .homconn import HomForm, dual_basis, nabla, nabla_n, twisted_partial
 from .linalg import LinearSystem
 from .ncalg import AlgElement, MIXED, mul_terms, zdegree
@@ -141,8 +141,10 @@ def sl2_lambda(a):
     """Haar-type functional on quantum SL(2), normalised to 1 at 1.
 
     Supported on the powers (beta*gamma)^l, where it evaluates to
-    (-1)^l (q - q^-1)/(q^(l+1) - q^-(l+1)); every other normal word,
-    in particular anything containing alpha or delta, is sent to 0.
+    (-1)^l (q - q^-1)/(q^(l+1) - q^-(l+1)) = (-1)^l/[l+1]_q, with
+    [l+1]_q = sum_j q^(l-2j) over j = 0..l, so each word costs one division
+    of its coefficient; every other normal word, in particular anything
+    containing alpha or delta, is sent to 0.
     """
     pres = a.presentation
     names = set(pres.generators)
@@ -153,16 +155,11 @@ def sl2_lambda(a):
     q = ctx.parameter("q")
     total = ctx.zero
     for word, coeff in a.terms.items():
-        if at["alpha"] in word or at["delta"] in word:
+        m = word.count(at["beta"])
+        if at["alpha"] in word or at["delta"] in word or 2 * m != len(word):
             continue
-        m = sum(1 for g in word if g == at["beta"])
-        n = len(word) - m
-        if m != n:
-            continue
-        value = (q - q**-1) / (q ** (m + 1) - q ** (-m - 1))
-        if m % 2:
-            value = -value
-        total = total + coeff * value
+        qint = sum((q ** (m - 2 * j) for j in range(m + 1)), ctx.zero)
+        total = total + (-1) ** m * coeff / qint
     return total
 
 
@@ -270,39 +267,33 @@ class LadderDiagram:
         self.verticals = table
 
 
-def _flat(x):
-    # a hom-form as {(basis word, normal word): scalar}, an element as its terms
-    if isinstance(x, AlgElement):
-        return x.terms
-    return {(word, u): c for word, value in x.terms.items() for u, c in value.terms.items()}
+def _leibniz(spec, k):
+    """The d leg's tables at level k >= 1, from the connection's: for each
+    basis k-word e, the lifts {i: [(b, (-1)^k r_b)]} over the scalars r_b of
+    e.(i,) and the right coordinates {b: terms} of d e = (-1)^(k+1) S_e, for
+    d(e*a) = d(e)*a + (-1)^k e*da with e*omega_i*R = sum_b r_b b*R."""
+    lift, pair = homconn._level(spec, k)
+    sign = spec.context.coerce((-1) ** k)
+    tables = {e: ({i: [] for i in range(spec.n)}, {}) for e in spec.basis(k)}
+    for b, triples in lift.items():
+        for e, i, r in triples:
+            tables[e][0][i].append((b, sign * r))
+    for b, pairs in pair.items():
+        for e, terms in pairs:
+            tables[e][1][b] = {u: -sign * s for u, s in terms.items()}
+    return tables
 
 
-def _unflat(spec, degree, vector):
-    """What _flat gave vector: an element at degree 0, else a hom-form."""
-    pres = spec.presentation
-    if degree == 0:
-        return AlgElement(pres, vector)
-    values = {}
-    for (word, u), c in vector.items():
-        values.setdefault(word, {})[u] = c
-    return HomForm._unchecked(spec, degree, {b: AlgElement(pres, t) for b, t in values.items()})
-
-
-def _d_right_mul(spec, e, a, da):
-    """Right coordinates of d(e*a) from those of d a, which they are at the
-    empty source (k = 0).  For a basis k-word e the graded Leibniz rule
-    gives d(e*a) = d(e)*a + (-1)^k e*da = (-1)^k (e*da - S_e*a), S_e being
-    (-1)^(k+1) d e in right coordinates (`dga.signed_d`), and e*omega_i*R =
-    sum_b r_b b*R over the scalars r_b of e.(i,).  Entries may be empty."""
-    if not e:
-        return da
-    sign = spec.context.coerce((-1) ** len(e))
+def _d_leg(pres, tables, a, da):
+    """Right coordinates {b: terms} of d(e*a) from those of d a, for a term
+    dict a and the Leibniz tables of e; entries may be empty."""
+    lifts, de = tables
     out = {}
     for (i,), terms in da.items():
-        for b, r in spec._reduce_word(e + (i,)).items():
-            add_scaled(out.setdefault(b, {}), terms, sign * r)
-    for b, terms in dga.signed_d(spec, e).items():
-        add_scaled(out.setdefault(b, {}), mul_terms(spec.presentation, terms, a.terms, {}), -sign)
+        for b, r in lifts[i]:
+            add_scaled(out.setdefault(b, {}), terms, r)
+    for b, terms in de.items():
+        mul_terms(pres, terms, a, out.setdefault(b, {}))
     return out
 
 
@@ -311,18 +302,21 @@ def check_ladder(diagram, length_bound):
 
     A square at level k compares V_(k+1)(d omega) with the level-(top-k-1)
     connection applied to V_k(omega), omega = e*u running over basis words
-    e times normal words u.  The row V_k(e)*u, built once and flat, is the
-    vertical's matrix row, the lower leg of square (k, e, u) and, scalars
-    being central, a summand of level k-1's upper legs sum R_b[u] V_k(b)*u,
-    R_b the right coordinates of d omega (`_d_right_mul`).  Legs compare
-    flat; a failing square's upper leg is rebuilt for its witness.  Verticals
-    are bijective on the window iff their matrix rank matches both
-    dimensions.  The report counts the squares and holds one check per
-    failing square (with its level, source, word, lhs and rhs) followed by
-    one check per vertical (with its level, rank, domain and codomain).
+    e times normal words u.  The row V_k(e)*u, built once and flat by the
+    right action on term dicts (`homconn._right_act`), is the vertical's
+    matrix row, the lower leg's input at square (k, e, u) and, scalars being
+    central, a summand of level k-1's upper legs sum R_b[u] V_k(b)*u, R_b the
+    right coordinates of d omega.  Both legs read tables built once per
+    level: the connection's, walked over the row's support, and the Leibniz
+    lifts (`_leibniz`).  A failing square's legs are rebuilt for its
+    witness.  Verticals are bijective on the window iff their matrix rank
+    matches both dimensions.  The report counts the squares and holds one
+    check per failing square (with its level, source, word, lhs and rhs),
+    then one per vertical (with its level, rank, domain and codomain).
     """
     spec = diagram.spec
     pres = spec.presentation
+    one = spec.context.one
     top = spec.top_degree
     words = pres.normal_words(length_bound)
     report = CheckReport(squares=0)
@@ -334,18 +328,24 @@ def check_ladder(diagram, length_bound):
     def row(k, e, u):
         vector = rows[k].get((e, u))
         if vector is None:
-            vector = rows[k][e, u] = _flat(diagram.verticals[k][e] * pres._monomial(u))
+            image = diagram.verticals[k][e]
+            if k == top:
+                values = {(): mul_terms(pres, image.terms, {u: one}, {})}
+            else:
+                values = homconn._right_act(spec, image.terms, top - k, {u: one})
+            vector = rows[k][e, u] = homconn._flat(values)
         return vector
 
     for k in range(top + 1):
         sources = ((),) if k == 0 else spec.basis(k)
         level = top - k - 1
+        leibniz = _leibniz(spec, k) if 0 < k < top else {}
         system = LinearSystem()
         for e in sources:
             for w in words:
                 vector = row(k, e, w)
                 del rows[k][e, w]  # its own square is its last reader
-                if any(len(key if k == top else key[1]) > length_bound for key in vector):
+                if any(len(u) > length_bound for _, u in vector):
                     raise FiltrationViolated(
                         f"vertical {k} escapes the window on {pres.word_str(w)}"
                     )
@@ -353,16 +353,18 @@ def check_ladder(diagram, length_bound):
                 if k == top:
                     continue
                 lhs = {}
-                for b, r in _d_right_mul(spec, e, pres._monomial(w), d_words[w]).items():
+                domega = _d_leg(pres, leibniz[e], {w: one}, d_words[w]) if e else d_words[w]
+                for b, r in domega.items():
                     for u, c in r.items():
                         add_scaled(lhs, row(k + 1, b, u), c)
-                below = _unflat(spec, top - k, vector)
-                rhs = nabla(spec, below) if level == 0 else nabla_n(spec, level, below)
+                rhs = homconn._nabla_level(spec, level, vector)
                 report.counts["squares"] += 1
-                if lhs != _flat(rhs):
+                if lhs != rhs:
+                    below = homconn._unflat(spec, top - k, vector)
+                    rhs = nabla(spec, below) if level == 0 else nabla_n(spec, level, below)
                     source = "1" if k == 0 else spec.word_str(e)
                     word = pres.word_str(w)
-                    lhs = _unflat(spec, level, lhs)
+                    lhs = homconn._unflat(spec, level, lhs)
                     report.add(
                         f"level {k} at {source} * {word}",
                         False,

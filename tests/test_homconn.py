@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intforms import cli, dga
+from intforms import cli, dga, homconn
 from intforms.dga import FormElement
 from intforms.homconn import (
     DegreeMismatch,
@@ -367,14 +367,35 @@ def _generic_apply(spec, f, omega):
 
 
 @pytest.mark.parametrize(
-    "fixture, n", [("sl2_3d_calc", 1), ("sl2_3d_calc", 2), ("qplane_calc", 1)]
+    "fixture, n",
+    [
+        ("sl2_3d_calc", 0),
+        ("sl2_3d_calc", 1),
+        ("sl2_3d_calc", 2),
+        ("qplane_calc", 0),
+        ("qplane_calc", 1),
+    ],
 )
-@given(data=st.data())
-@settings(max_examples=20, deadline=None)
-def test_nabla_n_table_matches_the_generic_extension(request, fixture, n, data):
+@given(data=st.data(), row=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_nabla_n_table_matches_the_generic_extension(request, fixture, n, data, row):
+    # dense random hom-forms, and the ladder's row shape: one basis word
+    # carrying one normal word; the flat kernel at every level, level 0
+    # against nabla's own loop
     spec = request.getfixturevalue(fixture)
-    f = _hom_form(data, spec, n + 1)
-    assert nabla_n(spec, n, f) == _generic_nabla_n(spec, n, f)
+    pres = spec.presentation
+    if row:
+        word = data.draw(st.sampled_from(spec.basis(n + 1)))
+        u = data.draw(st.sampled_from(pres.normal_words(3)))
+        c = data.draw(st.integers(-3, 3).filter(bool))
+        f = HomForm(spec, n + 1, {word: pres.monomial(u, coeff=c)})
+    else:
+        f = _hom_form(data, spec, n + 1)
+    want = nabla(spec, f) if n == 0 else _generic_nabla_n(spec, n, f)
+    vector = {(b, u): c for b, value in f.terms.items() for u, c in value.terms.items()}
+    assert homconn._unflat(spec, n, homconn._nabla_level(spec, n, vector)) == want
+    if n:
+        assert nabla_n(spec, n, f) == want
 
 
 @pytest.mark.parametrize("fixture", ["sl2_3d_calc", "qplane_calc"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -59,6 +60,16 @@ def test_lambda_values(sl2):
     assert sl2_lambda(bg) == -1 / (q + q**-1)
     assert sl2_lambda(bg * bg) == (q - q**-1) / (q**3 - q**-3)
     assert sl2_lambda(2 * sl2.one + 3 * bg) == 2 - 3 / (q + q**-1)
+
+
+def test_lambda_closed_form_matches_the_quotient(sl2):
+    # (-1)^l/[l+1]_q, the form sl2_lambda divides by, against the quotient
+    # (-1)^l (q - q^-1)/(q^(l+1) - q^-(l+1)) it replaces
+    q = sl2.context.parameter("q")
+    beta, gamma = sl2.gen("beta"), sl2.gen("gamma")
+    for l in range(21):
+        want = (-1) ** l * (q - q**-1) / (q ** (l + 1) - q ** -(l + 1))
+        assert sl2_lambda(beta**l * gamma**l) == want, l
 
 
 def test_lambda_kills_alpha_delta_and_unbalanced(sl2):
@@ -515,18 +526,63 @@ def test_sl2_ladder_witness_at_each_upper_leg_level(capsys, tmp_path, old, new, 
     }]
 
 
+@pytest.mark.parametrize(
+    "old, new, rows",
+    [
+        ("d w0 = q * w-.w+", "d w0 = q * alpha * w-.w+", [
+            ("fail", "dual of w-.w+ maps to w0 := q^3*alpha"),
+            ("pass", None),
+            ("fail", "curvature on dual of w-.w+: q^3*alpha"),
+            ("fail", "level 1 at w0 * 1: w0 := -q^9*alpha versus w0 := -q^7*alpha"),
+        ]),
+        ("d w+ = q^2*(q^2 + 1) * w0.w+", "d w+ = q^2*(q^2 + 2) * w0.w+", [
+            ("fail", "dual of w0.w+ maps to w+ := (q^4 + 2*q^2)"),
+            ("fail", "w-.w+ := q^2"),
+            ("pass", None),
+            ("fail", "level 0 at 1 * 1: 0 versus w-.w+ := q^2"),
+        ]),
+        ("d w+ = q^2*(q^2 + 1) * w0.w+", "d w+ = q^2*(q^2 + 1) * alpha * w0.w+", [
+            ("fail", "dual of w0.w+ maps to w+ := (q^7 + q^5)*alpha"),
+            ("fail", "w-.w+ := (q^7 + q^5)*alpha + (-q^4 - q^2)"),
+            ("fail", "curvature on dual of w0.w+: (-q^6 - q^4)*beta"),
+            ("fail", "level 0 at 1 * 1: 0 versus "
+                     "w-.w+ := (q^7 + q^5)*alpha + (-q^4 - q^2)"),
+        ]),
+    ],
+    ids=["alpha-in-d-w0", "scalar-in-d-w+", "alpha-in-d-w+"],
+)
+def test_level_n_connection_rows_fail_on_a_d_edit(old, new, rows):
+    """The rows that read the level-n connection, on one `d` rule edited:
+    sl2-3d's level-one and level-two rows, the generic curvature row and
+    the ladder, at the fast flags.
+
+    The curvature row fails only when an algebra coefficient enters `d`.
+    With scalar `d` coefficients, level one sends each degree-2 dual to a
+    hom-form with scalar values (the scalars of e.(i,) and the right
+    coordinates of d e), and every T_i kills scalars, so nabla of it is 0
+    whatever the scalars are.
+    """
+    source = REGISTRY["sl2-3d"].source
+    assert old in source
+    bundle = load_calc(source.replace(old, new, 1))
+    opts = Options(max_len=2, max_degree=3, cases=5)
+    checks = (suites._sl2_flatness(bundle, opts) + suites._flatness_checks(bundle, opts)
+              + suites._ladder_checks(bundle, opts))
+    got = [(row["status"], row["witness"]) for row in suites.run_checks(checks)]
+    assert got == rows
+
+
 @pytest.mark.parametrize("name, bound", [("sl2-3d", 3), ("qplane", 4)])
 def test_upper_legs_agree_with_the_vertical_on_right_coordinates(monkeypatch, name, bound):
-    # with the connection side zeroed every square with a nonzero upper leg
-    # fails and reports it; each must equal sum_b V_(k+1)(b)*R_b over the
-    # right coordinates R_b of d(e*a), the vertical applied by the right
+    # with the connection kernel zeroed every square with a nonzero upper
+    # leg fails and reports it; each must equal sum_b V_(k+1)(b)*R_b over
+    # the right coordinates R_b of d(e*a), the vertical applied by the right
     # action without the rows of check_ladder
     bundle = REGISTRY[name].load()
     spec, diagram = bundle.spec, bundle.ladder
     pres = spec.presentation
     top = spec.top_degree
-    monkeypatch.setattr(integrals, "nabla", lambda spec, f: pres.zero)
-    monkeypatch.setattr(integrals, "nabla_n", lambda spec, n, f: HomForm(spec, n, {}))
+    monkeypatch.setattr(homconn, "_nabla_level", lambda spec, n, vector: {})
     report = check_ladder(diagram, bound)
     seen = {(c["level"], c["source"], c["word"]): c["lhs"] for c in report.failures}
     nonzero = 0
@@ -550,17 +606,41 @@ def test_ladder_acts_once_per_square_below_the_top(monkeypatch, name, bound, cal
     # leg and the upper legs of the level below
     diagram = REGISTRY[name].load().ladder
     count = 0
-    real = homconn.hom_right_act
+    real = homconn._right_act
 
     def counted(*args):
         nonlocal count
         count += 1
         return real(*args)
 
-    monkeypatch.setattr(homconn, "hom_right_act", counted)
+    monkeypatch.setattr(homconn, "_right_act", counted)
     report = check_ladder(diagram, bound)
     assert report.ok
     assert count == report.counts["squares"] == calls
+
+
+@pytest.mark.parametrize("name, bound, reads", [("sl2-3d", 3, 18), ("qplane", 4, 4)])
+def test_ladder_reads_each_level_product_once(monkeypatch, name, bound, reads):
+    # warm: a first run fills the twist table and the signed differentials;
+    # with the level tables emptied, a second run reduces each product
+    # e.(i,) of a level's source e and form index i once, not once a square
+    bundle = load_calc(REGISTRY[name].source)
+    spec = bundle.spec
+    assert check_ladder(bundle.ladder, bound).ok
+    getattr(spec, "_levels", {}).clear()
+    seen = Counter()
+    real = CalculusSpec._reduce_word
+
+    def counted(self, word):
+        seen[word] += 1
+        return real(self, word)
+
+    monkeypatch.setattr(CalculusSpec, "_reduce_word", counted)
+    assert check_ladder(bundle.ladder, bound).ok
+    products = {e + (i,) for n in range(1, spec.top_degree) for e in spec.basis(n)
+                for i in range(spec.n)}
+    assert set(seen) <= products
+    assert sum(seen.values()) == len(products) == reads
 
 
 def _nonempty(coords):
@@ -569,19 +649,23 @@ def _nonempty(coords):
 
 @pytest.mark.parametrize("name, bound, pairs", [("sl2-3d", 6, 980), ("qplane", 12, 273)])
 def test_leibniz_coordinates_match_the_form_product(name, bound, pairs):
-    # the ladder's right coordinates of d(e*a) against the differential of
-    # the form product, on every source and window word of the benchmark
+    # the ladder's right coordinates of d(e*a), read from its d-leg tables
+    # (d a itself at the empty source), against the differential of the
+    # form product, on every source and window word of the benchmark
     spec = REGISTRY[name].load().spec
     pres = spec.presentation
-    sources = [()] + [e for k in range(1, spec.top_degree) for e in spec.basis(k)]
+    tables = {(): None}
+    for k in range(1, spec.top_degree):
+        tables.update(integrals._leibniz(spec, k))
     seen = 0
     for w in pres.normal_words(bound):
         a = pres._monomial(w)
         da = dga._right_terms(spec, dga.d(spec, a))
-        for e in sources:
+        for e, table in tables.items():
             omega = a if not e else dga.right_mul(spec, spec.basis_form(e), a)
             want = _nonempty(dga._right_terms(spec, dga.d(spec, omega)))
-            assert _nonempty(integrals._d_right_mul(spec, e, a, da)) == want, (e, w)
+            got = integrals._d_leg(pres, table, a.terms, da) if e else da
+            assert _nonempty(got) == want, (e, w)
             seen += 1
     assert seen == pairs
 
