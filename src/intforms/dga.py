@@ -33,10 +33,9 @@ nabla(f) b + f(db) for f supported on omega_m, and sum over m with
 sum_m sigma-bar_mi o sigma-hat_mj = delta_ij), so it keeps rows on
 normal words as partial does (`multider`).
 
-Beside it, `CalculusSpec._signed_d` holds the right coordinates of
-(-1)^(n+1) d e for each basis n-word e (`signed_d`), built once, on first
-use.  The connection's level tables (`homconn._level`) pair them with
-the scalars of `reduce_word`, for `nabla_n` and both legs of the ladder.
+Degree 0 is the algebra itself, free on the empty form word: `basis(0)`
+is ((),), written 1, and d 1 = 0.  So the connection's level tables
+(`homconn._level`) and the ladder read every degree alike.
 """
 
 from __future__ import annotations
@@ -74,15 +73,16 @@ class CalculusSpec:
     induced degree-lexicographic order.  rules maps a word of form names to
     {word: scalar}; d_on_forms maps a form name to its degree-2 value as
     {word: coefficient} (omitted names differentiate to zero).  bases
-    optionally pins the stored basis order for degrees >= 2.
+    optionally pins the stored basis order for degrees >= 2; degree 0 has
+    the one basis word (), the empty word.
 
     The spec holds the calculus's twist table (see the module docstring):
     `_twists` maps (kind, form word, normal word u, appended word) to the
     kind's evaluation on the monomial u; the kinds are "right" and "left".
     The maps behind each kind are linear over the scalars, so one entry per
     normal word serves every coefficient, and the table grows with the
-    words reached, never with the coefficients.  `_signed_d` maps a basis
-    n-word e to the right coordinates of (-1)^(n+1) d e (`signed_d`).
+    words reached, never with the coefficients.  `_levels` holds the
+    connection's tables per level (`homconn._level`).
     """
 
     def __init__(
@@ -124,7 +124,6 @@ class CalculusSpec:
         self._sigma_t = tmd.sigma.transpose()
         self._reduce_memo = {}
         self._dword_memo = {}
-        self._signed_d = {}
         self._levels = {}
         self._twists = {}
         self._bases = self._build_bases(bases)
@@ -153,7 +152,7 @@ class CalculusSpec:
         return tuple(self.index(l) for l in word)
 
     def word_str(self, word):
-        return ".".join(self.form_names[i] for i in word)
+        return ".".join(self.form_names[i] for i in word) or "1"
 
     def _rank_key(self, word):
         return tuple(self._rank[l] for l in word)
@@ -201,8 +200,7 @@ class CalculusSpec:
                 f"reduces to different normal forms"
             )
         bases = {}
-        # normal_words starts with the empty word, which is no form
-        for letters in self._letters.normal_words(top + 1)[1:]:
+        for letters in self._letters.normal_words(top + 1):
             word = self._form_word_of(letters)
             if len(word) > top:
                 raise ValueError(
@@ -234,9 +232,10 @@ class CalculusSpec:
     # -- elements ---------------------------------------------------------
 
     def basis(self, degree):
-        """Stored basis words of the given degree (empty above the top)."""
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
+        """Stored basis words of the given degree: ((),) at degree 0, empty
+        above the top."""
+        if degree < 0:
+            raise ValueError("degree must be at least 0")
         return self._bases.get(degree, ())
 
     def zero(self, degree):
@@ -469,7 +468,9 @@ def d(spec, x):
 def _d_word(spec, word):
     hit = spec._dword_memo.get(word)
     if hit is None:
-        if len(word) == 1:
+        if not word:  # d 1 = 0
+            hit = spec.zero(1)
+        elif len(word) == 1:
             hit = spec.d_on_forms[word[0]]
         else:
             pres = spec.presentation
@@ -481,19 +482,6 @@ def _d_word(spec, word):
             )
         spec._dword_memo[word] = hit
     return hit
-
-
-def signed_d(spec, e):
-    """Right coordinates of (-1)^(n+1) d e for the basis n-word e, from
-    the spec's table, built on first use."""
-    entry = spec._signed_d.get(e)
-    if entry is None:
-        sign = spec.context.coerce((-1) ** (len(e) + 1))
-        entry = spec._signed_d[e] = {
-            w: {u: sign * s for u, s in terms.items()}
-            for w, terms in _right_terms(spec, _d_word(spec, e)).items()
-        }
-    return entry
 
 
 def check_d_squared(spec, length_bound):
@@ -512,7 +500,7 @@ def check_d_squared(spec, length_bound):
         dd = d(spec, d(spec, pres._monomial(word)))
         report.counts["inputs"] += 1
         if dd:
-            fail(pres.word_str(word) or "1", dd)
+            fail(pres.word_str(word), dd)
     for i, name in enumerate(spec.form_names):
         report.counts["inputs"] += 1
         value = spec.d_on_forms[i]

@@ -23,9 +23,10 @@ The level-n extension, e -> nabla(f*e) + (-1)^(n+1) f(d e), runs on flat
 {(basis word, normal word): scalar} vectors (`_nabla_level`) from tables
 built once per level (`_level`): for each basis (n+1)-word b, the triples
 (e, i, r), r the scalar of b in e.(i,) (`spec.reduce_word`), and the pairs
-(e, S), S the right coordinate at b of (-1)^(n+1) d e (`dga.signed_d`).
+(e, S), S the right coordinate at b of (-1)^(n+1) d e (`dga._d_word`).
 A coordinate c at (b, u) adds r*c*T_i(u) and u*S*c to the value at e; a
-call visits only its vector's support, with no form product or d.
+call visits only its vector's support, with no form product or d.  Level
+0 is the connection itself: its one source is the empty word, and d 1 = 0.
 """
 
 from __future__ import annotations
@@ -218,31 +219,31 @@ def nabla(spec, f):
 
 def _level(spec, n):
     """(triples, pairs) of level n by basis (n+1)-word, as the module
-    docstring has them; level 0 has the one source (), r = 1 and d 1 = 0."""
+    docstring has them."""
     tables = spec._levels.get(n)
     if tables is None:
         lift, pair = {}, {}
-        for e in spec.basis(n) if n else ((),):
+        sign = spec.context.coerce((-1) ** (n + 1))
+        for e in spec.basis(n):
             for i in range(spec.n):
-                reduced = spec._reduce_word(e + (i,)) if n else {(i,): spec.context.one}
-                for b, r in reduced.items():
+                for b, r in spec._reduce_word(e + (i,)).items():
                     lift.setdefault(b, []).append((e, i, r))
-            for b, terms in dga.signed_d(spec, e).items() if n else ():
-                pair.setdefault(b, []).append((e, terms))
+            for b, terms in dga._right_terms(spec, dga._d_word(spec, e)).items():
+                pair.setdefault(b, []).append((e, {u: sign * s for u, s in terms.items()}))
         tables = spec._levels[n] = (lift, pair)
     return tables
 
 
 def _nabla_level(spec, n, vector):
     """The level-n connection from degree n+1 to degree n on flat vectors,
-    keyed ((), v) at n = 0, read from the level's tables."""
+    read from the level's tables."""
     lift, pair = _level(spec, n)
     pres = spec.presentation
     values = {}
     for (b, u), c in vector.items():
         row = spec.tmd._kernel_word(u)
         for e, i, r in lift.get(b, ()):
-            add_scaled(values.setdefault(e, {}), row[i].terms, r * c if n else c)
+            add_scaled(values.setdefault(e, {}), row[i].terms, r * c)
         for e, terms in pair.get(b, ()):
             mul_terms(pres, {u: c}, terms, values.setdefault(e, {}))
     return _flat(values)

@@ -13,7 +13,7 @@ de Rham complex to the integral one, each leg read from rows built once.
 from __future__ import annotations
 
 from . import dga, homconn
-from .homconn import HomForm, dual_basis, nabla, nabla_n, twisted_partial
+from .homconn import HomForm, dual_basis, nabla, twisted_partial
 from .linalg import LinearSystem
 from .ncalg import AlgElement, MIXED, mul_terms, zdegree
 from .report import CheckReport
@@ -23,7 +23,6 @@ __all__ = [
     "FiltrationViolated",
     "LadderDiagram",
     "NoPreimageUpToBound",
-    "Truncation",
     "block_ranks",
     "check_ladder",
     "check_lambda_annihilates",
@@ -51,61 +50,37 @@ def _pivot_key(word):
     return (-len(word),) + tuple(-g for g in word)
 
 
-class Truncation:
-    """Window of hom-form coordinates with words of length <= length_bound.
+def _column_images(spec, length_bound):
+    """{Z-degree: [(i, w, T_i(w))]} over the window's columns (i, w) whose
+    image is nonzero, w a normal word of length <= length_bound, in column
+    order (by form index, then by window word).
 
-    degree restricts the codomain to one Z-degree block; columns whose
-    image lands elsewhere are dropped, columns with images of mixed degree
-    are a filtration violation.
+    T_i(w) is nabla of the coordinate hom-form with value w at form i.  An
+    image with a word longer than the bound, or of mixed Z-degree, raises
+    FiltrationViolated at its column.
     """
-
-    def __init__(self, spec, length_bound, degree=None):
-        self.spec = spec
-        self.length_bound = length_bound
-        self.degree = degree
-        pres = spec.presentation
-        self.words = pres.normal_words(length_bound)
-        if degree is None:
-            self.target_words = self.words
-        else:
-            self.target_words = pres.normal_words(length_bound, degree=degree)
-
-    def columns(self):
-        for i in range(self.spec.n):
-            for w in self.words:
-                yield (i, w)
-
-    def _image(self, i, w):
-        # nabla of the coordinate hom-form with value w at form i, for an
-        # index word such as the window's own words in columns()
-        pres = self.spec.presentation
-        value = twisted_partial(self.spec, i, pres._monomial(w))
-        for word in value.terms:
-            if len(word) > self.length_bound:
+    pres = spec.presentation
+    words = pres.normal_words(length_bound)
+    blocks = {}
+    for i in range(spec.n):
+        for w in words:
+            value = twisted_partial(spec, i, pres._monomial(w))
+            for word in value.terms:
+                if len(word) > length_bound:
+                    raise FiltrationViolated(
+                        f"nabla escapes the window: coordinate "
+                        f"({spec.form_names[i]}, {pres.word_str(w)}) produced "
+                        f"{pres.word_str(word)}"
+                    )
+            if not value:
+                continue
+            degree = zdegree(value)
+            if degree is MIXED:
                 raise FiltrationViolated(
-                    f"nabla escapes the window: coordinate "
-                    f"({self.spec.form_names[i]}, "
-                    f"{pres.word_str(w)}) produced "
-                    f"{pres.word_str(word)}"
+                    f"image of ({spec.form_names[i]}, {pres.word_str(w)}) mixes Z-degrees"
                 )
-        return value
-
-    def _block_image(self, i, w):
-        # _image, or None when the degree filter excludes the column
-        value = self._image(i, w)
-        if self.degree is None or not value:
-            return value
-        return value if self._degree(i, w, value) == self.degree else None
-
-    def _degree(self, i, w, value):
-        # the Z-degree of the nonzero image value of column (i, w)
-        deg = zdegree(value)
-        if deg is MIXED:
-            raise FiltrationViolated(
-                f"image of ({self.spec.form_names[i]}, "
-                f"{self.spec.presentation.word_str(w)}) mixes Z-degrees"
-            )
-        return deg
+            blocks.setdefault(degree, []).append((i, w, value))
+    return blocks
 
 
 def block_ranks(spec, length_bound, degrees):
@@ -116,22 +91,17 @@ def block_ranks(spec, length_bound, degrees):
     block's degree whose class is not hit.  Representatives are exact,
     because the reduced row space has canonical pivot words independent of
     assembly order.  Every column's image is built once, before the first
-    block, so the filtration and mixed-degree errors of a degree-d
-    Truncation come in its column order; a caller that stops early
+    block (`_column_images`), so the filtration and mixed-degree errors come
+    in column order whatever the degrees; a caller that stops early
     eliminates no further block.
     """
-    trunc = Truncation(spec, length_bound)
     pres = spec.presentation
-    # first, so GradingAbsent comes before any image as in a degree-d Truncation
+    # first, so GradingAbsent comes before any image
     targets = [pres.normal_words(length_bound, degree=d) for d in degrees]
-    blocks = {}
-    for i, w in trunc.columns():
-        value = trunc._image(i, w)
-        if value:
-            blocks.setdefault(trunc._degree(i, w, value), []).append(value)
+    blocks = _column_images(spec, length_bound)
     for degree, target in zip(degrees, targets):
         system = LinearSystem(key=_pivot_key)
-        for value in blocks.get(degree, ()):
+        for _, _, value in blocks.get(degree, ()):
             system.add(dict(value.terms))
         pivots = set(system.pivot_columns())
         yield system.rank(), tuple(pres.monomial(w) for w in target if w not in pivots)
@@ -198,12 +168,8 @@ def integral_class(spec, a, length_bound):
     degree = zdegree(a)
     if degree is MIXED:
         raise ValueError("integral classes need a Z-homogeneous element")
-    trunc = Truncation(spec, length_bound, degree)
     rows = {}
-    for i, w in trunc.columns():
-        value = trunc._block_image(i, w)
-        if value is None:
-            continue
+    for i, w, value in _column_images(spec, length_bound).get(degree, ()):
         for word, coeff in value.terms.items():
             rows.setdefault(word, {})[("f", i, w)] = coeff
     if degree == 0:
@@ -246,12 +212,8 @@ class LadderDiagram:
             raise ValueError(f"expected {top + 1} vertical maps")
         table = []
         for k, given in enumerate(verticals):
-            expected = ((),) if k == 0 else spec.basis(k)
-            images = {}
-            for word, image in given.items():
-                word = () if k == 0 and word == () else spec._coerce_form_word(word)
-                images[word] = image
-            if set(images) != set(expected):
+            images = {spec._coerce_form_word(word): image for word, image in given.items()}
+            if set(images) != set(spec.basis(k)):
                 raise ValueError(f"vertical {k} must cover the degree-{k} basis")
             for word, image in images.items():
                 if k == top:
@@ -268,10 +230,11 @@ class LadderDiagram:
 
 
 def _leibniz(spec, k):
-    """The d leg's tables at level k >= 1, from the connection's: for each
-    basis k-word e, the lifts {i: [(b, (-1)^k r_b)]} over the scalars r_b of
+    """The d leg's tables at level k, from the connection's: for each basis
+    k-word e, the lifts {i: [(b, (-1)^k r_b)]} over the scalars r_b of
     e.(i,) and the right coordinates {b: terms} of d e = (-1)^(k+1) S_e, for
-    d(e*a) = d(e)*a + (-1)^k e*da with e*omega_i*R = sum_b r_b b*R."""
+    d(e*a) = d(e)*a + (-1)^k e*da with e*omega_i*R = sum_b r_b b*R; at
+    k = 0, e = 1 and d(1*a) = da."""
     lift, pair = homconn._level(spec, k)
     sign = spec.context.coerce((-1) ** k)
     tables = {e: ({i: [] for i in range(spec.n)}, {}) for e in spec.basis(k)}
@@ -308,8 +271,8 @@ def check_ladder(diagram, length_bound):
     central, a summand of level k-1's upper legs sum R_b[u] V_k(b)*u, R_b the
     right coordinates of d omega.  Both legs read tables built once per
     level: the connection's, walked over the row's support, and the Leibniz
-    lifts (`_leibniz`).  A failing square's legs are rebuilt for its
-    witness.  Verticals are bijective on the window iff their matrix rank
+    lifts (`_leibniz`).  A failing square's witness is its two legs, as
+    computed.  Verticals are bijective on the window iff their matrix rank
     matches both dimensions.  The report counts the squares and holds one
     check per failing square (with its level, source, word, lhs and rhs),
     then one per vertical (with its level, rank, domain and codomain).
@@ -337,9 +300,9 @@ def check_ladder(diagram, length_bound):
         return vector
 
     for k in range(top + 1):
-        sources = ((),) if k == 0 else spec.basis(k)
+        sources = spec.basis(k)
         level = top - k - 1
-        leibniz = _leibniz(spec, k) if 0 < k < top else {}
+        leibniz = _leibniz(spec, k) if k < top else {}
         system = LinearSystem()
         for e in sources:
             for w in words:
@@ -353,18 +316,17 @@ def check_ladder(diagram, length_bound):
                 if k == top:
                     continue
                 lhs = {}
-                domega = _d_leg(pres, leibniz[e], {w: one}, d_words[w]) if e else d_words[w]
+                domega = _d_leg(pres, leibniz[e], {w: one}, d_words[w])
                 for b, r in domega.items():
                     for u, c in r.items():
                         add_scaled(lhs, row(k + 1, b, u), c)
                 rhs = homconn._nabla_level(spec, level, vector)
                 report.counts["squares"] += 1
                 if lhs != rhs:
-                    below = homconn._unflat(spec, top - k, vector)
-                    rhs = nabla(spec, below) if level == 0 else nabla_n(spec, level, below)
-                    source = "1" if k == 0 else spec.word_str(e)
+                    source = spec.word_str(e)
                     word = pres.word_str(w)
                     lhs = homconn._unflat(spec, level, lhs)
+                    rhs = homconn._unflat(spec, level, rhs)
                     report.add(
                         f"level {k} at {source} * {word}",
                         False,
@@ -375,8 +337,8 @@ def check_ladder(diagram, length_bound):
                         lhs=lhs,
                         rhs=rhs,
                     )
-        n_target = 1 if k == top else len(spec.basis(top - k))
-        ranks.append((k, system.rank(), len(sources) * len(words), n_target * len(words)))
+        codomain = len(spec.basis(top - k)) * len(words)
+        ranks.append((k, system.rank(), len(sources) * len(words), codomain))
     for k, rank, domain, codomain in ranks:
         report.add(
             f"vertical at level {k} has rank {rank}",

@@ -319,7 +319,7 @@ def _build_calculus(sections, tmd):
     pres = tmd.presentation
     names = None
     order = None
-    bases = {}
+    bases, basis_lines = {}, {}
     rules = {}
     for lineno, text in sections["forms"]:
         key, sep, rest = _cut(text, ":")
@@ -346,10 +346,11 @@ def _build_calculus(sections, tmd):
                 degree = int(key[len("basis"):])
             except ValueError:
                 raise ParseError("expected 'basis <degree>: words'", lineno, 1) from None
-            bases[degree] = [
-                tuple(w.strip() for w in piece.strip().split("."))
-                for piece in rest.split(",")
-            ]
+            words = [tuple(w.strip() for w in piece.split(".")) for piece in rest.split(",")]
+            unknown = [name for word in words for name in word if name not in (names or ())]
+            if unknown:
+                raise ParseError(f"{unknown[0]!r} is not in 'names:'", lineno, 1)
+            bases[degree], basis_lines[degree] = words, lineno
         else:
             raise ParseError(f"unknown forms directive '{key}'", lineno, 1)
     first = (sections["calculus"] or sections["forms"])[0][0]
@@ -393,7 +394,9 @@ def _build_calculus(sections, tmd):
             bases=bases or None,
         )
     except ValueError as exc:  # such as form rules that are not confluent
-        raise ParseError(str(exc), sections["forms"][0][0], 1) from None
+        # or a declared basis the rules disagree with, refused at its line
+        named = [n for k, n in basis_lines.items() if f"declared degree-{k} basis" in str(exc)]
+        raise ParseError(str(exc), (named or [sections["forms"][0][0]])[0], 1) from None
     if not spec.basis(top):  # the rules leave no form of the top degree
         raise ParseError(f"no basis forms in degree {top}", top_line, 1)
     return spec

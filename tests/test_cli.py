@@ -410,6 +410,30 @@ def test_refused_token_edit_names_its_line(capsys, tmp_path, old, new, named):
 
 
 @pytest.mark.parametrize(
+    "new, message",
+    [
+        ("w0.wx", "'wx' is not in 'names:'"),
+        ("w+.w0", "declared degree-2 basis disagrees with the rules"),
+    ],
+    ids=["basis-unknown-name", "basis-reducible-word"],
+)
+def test_refused_basis_edit_names_its_line(capsys, tmp_path, new, message):
+    # sl2-3d's declared degree-2 basis, with a name that is no form and with
+    # a word the rules reduce: both are refused at the 'basis 2:' line
+    old = "basis 2: w-.w+, w-.w0, w0.w+"
+    source = (DATA / "sl2_3d.calc").read_text()
+    assert source.count(old) == 1
+    edited = source.replace(old, old.replace("w0.w+", new))
+    path = tmp_path / "sl2_3d.calc"
+    path.write_text(edited)
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2 and out == ""
+    line = re.match(r"error: line (\d+), col \d+: (.*)", err)
+    assert line and message in line[2], err
+    assert edited.splitlines()[int(line[1]) - 1].startswith("basis 2:"), err
+
+
+@pytest.mark.parametrize(
     "preset, old, new, message",
     [
         ("sl2-3d", GRADES, "sigma grades: q^-2, 0, q^-1", "sigma grades must be invertible"),

@@ -16,6 +16,7 @@ from intforms.dga import CalculusSpec, DegreeOverflow, check_d_squared, check_de
 from intforms.homconn import twisted_partial
 from intforms.multider import TwistedMultiDerivation
 from intforms.ncalg import RuleOrientationError
+from intforms.presets import REGISTRY, load_calc
 
 from intforms.sparse import add_scaled
 
@@ -363,6 +364,16 @@ def test_bases_match_declared_order(qplane_calc, sl2_3d_calc):
     assert [q2.word_str(w) for w in q2.basis(3)] == ["w-.w0.w+"]
     assert q2.basis(4) == ()
     assert [qplane_calc.word_str(w) for w in qplane_calc.basis(2)] == ["dx.dy"]
+
+
+def test_degree_zero_is_the_empty_word(qplane_calc, sl2_3d_calc):
+    # the forms of degree 0 are the algebra, free on the empty word 1
+    from_file = load_calc(REGISTRY["qplane"].source).spec
+    for spec in (qplane_calc, sl2_3d_calc, from_file):
+        assert spec.basis(0) == ((),)
+        assert spec.word_str(()) == "1"
+        with pytest.raises(ValueError):
+            spec.basis(-1)
 
 
 def test_every_degree_three_product_hits_the_volume_form(sl2_3d_calc):

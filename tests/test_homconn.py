@@ -5,6 +5,7 @@ their generic definitions."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -440,6 +441,16 @@ def test_nabla_n_table_has_one_entry_per_level_and_word(cold_preset, capsys):
     preset = cold_preset("sl2-3d")
     assert cli.main(["verify", "preset:sl2-3d", "--max-len", "3"]) == 0
     capsys.readouterr()
+    # the level tables, built once per level from 0 to top-1, hold each
+    # source e once: one triple per basis word of e.(i,), one pair per right
+    # coordinate of d e, and no pair at level 0, where d 1 = 0
     spec = preset.load().spec
-    want = [e for n in range(1, spec.top_degree) for e in spec.basis(n)]
-    assert sorted(spec._signed_d) == sorted(want)
+    assert sorted(spec._levels) == list(range(spec.top_degree))
+    for n, (lift, pair) in spec._levels.items():
+        triples = Counter((e, i, b) for b, rows in lift.items() for e, i, _ in rows)
+        assert triples == Counter((e, i, b) for e in spec.basis(n) for i in range(spec.n)
+                                  for b in spec.reduce_word(e + (i,)))
+        pairs = Counter((e, b) for b, rows in pair.items() for e, _ in rows)
+        assert pairs == Counter((e, b) for e in spec.basis(n)
+                                for b in dga._right_terms(spec, dga._d_word(spec, e)))
+    assert not spec._levels[0][1] and spec._levels[1][1]

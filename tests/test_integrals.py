@@ -11,14 +11,13 @@ import pytest
 
 from intforms import dga, homconn
 from intforms.dga import CalculusSpec
-from intforms.homconn import HomForm, dual_form, nabla, nabla_n
+from intforms.homconn import HomForm, dual_form, nabla, nabla_n, twisted_partial
 from intforms import integrals, scalars, suites
 from intforms.cli import main
 from intforms.integrals import (
     FiltrationViolated,
     LadderDiagram,
     NoPreimageUpToBound,
-    Truncation,
     block_ranks,
     check_ladder,
     check_lambda_annihilates,
@@ -27,7 +26,7 @@ from intforms.integrals import (
 )
 from intforms.linalg import LinearSystem
 from intforms.multider import TwistedMultiDerivation
-from intforms.ncalg import Presentation
+from intforms.ncalg import MIXED, Presentation, zdegree
 from intforms.presets import REGISTRY, load_calc
 from intforms.scalars import ScalarContext
 from intforms.suites import Options, checks_for
@@ -131,18 +130,40 @@ def test_lambda_sign_control(sl2, sl2_3d_calc, monkeypatch):
 # -- image rank and cokernel -------------------------------------------------
 
 
+def _block_images(spec, length_bound, degree):
+    """Reference: the nonzero images T_i(w) of one Z-degree block, column
+    by column, from twisted_partial and zdegree alone, raising what the
+    window raises."""
+    pres = spec.presentation
+    out = []
+    for i in range(spec.n):
+        for w in pres.normal_words(length_bound):
+            value = twisted_partial(spec, i, pres._monomial(w))
+            for word in value.terms:
+                if len(word) > length_bound:
+                    raise FiltrationViolated(
+                        f"nabla escapes the window: coordinate ({spec.form_names[i]}, "
+                        f"{pres.word_str(w)}) produced {pres.word_str(word)}"
+                    )
+            if value and zdegree(value) is MIXED:
+                raise FiltrationViolated(
+                    f"image of ({spec.form_names[i]}, {pres.word_str(w)}) mixes Z-degrees"
+                )
+            if value and zdegree(value) == degree:
+                out.append(value)
+    return out
+
+
 def _single_block(spec, length_bound, degree):
     """Reference: (rank, cokernel) of one degree block, from that block's
-    own Truncation and its images alone."""
-    trunc = Truncation(spec, length_bound, degree)
-    system = LinearSystem(key=integrals._pivot_key)
-    for i, w in trunc.columns():
-        value = trunc._block_image(i, w)
-        if value:
-            system.add(dict(value.terms))
-    hit = set(system.pivot_columns())
+    own images alone."""
     pres = spec.presentation
-    return system.rank(), tuple(pres.monomial(w) for w in trunc.target_words if w not in hit)
+    targets = pres.normal_words(length_bound, degree=degree)
+    system = LinearSystem(key=integrals._pivot_key)
+    for value in _block_images(spec, length_bound, degree):
+        system.add(dict(value.terms))
+    hit = set(system.pivot_columns())
+    return system.rank(), tuple(pres.monomial(w) for w in targets if w not in hit)
 
 
 def test_image_rank_quantum_plane_blocks(qplane_calc):
@@ -154,7 +175,7 @@ def test_image_rank_quantum_plane_blocks(qplane_calc):
 def test_image_rank_sl2_degree_zero_block(sl2, sl2_3d_calc):
     ((rank, cokernel),) = block_ranks(sl2_3d_calc, 6, (0,))
     assert cokernel == (sl2.one,)
-    assert rank == len(Truncation(sl2_3d_calc, 6, 0).target_words) - 1
+    assert rank == len(sl2.normal_words(6, degree=0)) - 1
 
 
 def test_image_rank_zero_derivation():
@@ -168,12 +189,8 @@ def test_image_rank_zero_derivation():
 def test_image_rank_order_invariant(sl2_3d_calc):
     ((rank, cokernel),) = block_ranks(sl2_3d_calc, 3, (0,))
     assert (rank, cokernel) == _single_block(sl2_3d_calc, 3, 0)
-    trunc = Truncation(sl2_3d_calc, 3, degree=0)
-    rows = []
-    for i, w in trunc.columns():
-        value = trunc._block_image(i, w)
-        if value:
-            rows.append(dict(value.terms))
+    rows = [dict(value.terms) for value in _block_images(sl2_3d_calc, 3, 0)]
+    targets = sl2_3d_calc.presentation.normal_words(3, degree=0)
     rng = random.Random(5)
     for _ in range(3):
         rng.shuffle(rows)
@@ -182,23 +199,24 @@ def test_image_rank_order_invariant(sl2_3d_calc):
             system.add(row)
         assert system.rank() == rank
         hit = set(system.pivot_columns())
-        assert {w for w in trunc.target_words if w not in hit} == {
+        assert {w for w in targets if w not in hit} == {
             tuple(rep.terms)[0] for rep in cokernel
         }
 
 
 def test_filtration_violation():
-    spec = make_free_line(lambda pres: pres.gen("x") ** 2)
-    with pytest.raises(FiltrationViolated):
-        Truncation(spec, 2)._image(0, (0, 0))
+    # every caller of the window is graded, so the free line is too
+    spec = make_free_line(lambda pres: pres.gen("x") ** 2, grading={"x": 1})
+    with pytest.raises(FiltrationViolated, match=r"coordinate \(dx, x\^2\) produced x\^3"):
+        integrals._column_images(spec, 2)
 
 
 def test_mixed_degree_violation():
     spec = make_free_line(
         lambda pres: pres.one + pres.gen("x") ** 2, grading={"x": 1}
     )
-    with pytest.raises(FiltrationViolated):
-        Truncation(spec, 3, degree=2)._block_image(0, (0,))
+    with pytest.raises(FiltrationViolated, match=r"image of \(dx, x\) mixes Z-degrees"):
+        integrals._column_images(spec, 3)
 
 
 SWEEP = "truncated cokernel vanishes in every degree block"
@@ -208,13 +226,13 @@ def test_degree_sweep_builds_each_image_once(monkeypatch):
     # --max-len 12 has 91 window words on each of qplane's two forms; block
     # by block the sweep would build those 182 images 12 times, 2,184 calls
     calls = []
-    image = Truncation._image
+    image = integrals.twisted_partial
 
-    def counted(self, i, w):
-        calls.append((i, w))
-        return image(self, i, w)
+    def counted(spec, i, a):
+        calls.append((i, tuple(a.terms)))
+        return image(spec, i, a)
 
-    monkeypatch.setattr(Truncation, "_image", counted)
+    monkeypatch.setattr(integrals, "twisted_partial", counted)
     checks = dict(checks_for(REGISTRY["qplane"], "integral", Options(max_len=12)))
     assert checks[SWEEP]() is None
     assert len(calls) == len(set(calls)) == 182
@@ -368,6 +386,32 @@ def test_chain_property_on_window(qplane, qplane_calc, sl2, sl2_3d_calc):
             for w in pres.normal_words(2):
                 f = HomForm(spec, 2, {e: pres.monomial(w)})
                 assert nabla(spec, nabla_n(spec, 1, f)) == pres.zero
+
+
+@pytest.mark.parametrize(
+    "name, old, new, build, max_len, rows",
+    [
+        ("qplane", "partial: y = 0, 1", "partial: y = 0, 1 + x", suites._qplane_integral, 4, [
+            ("fail", "closed-form preimage misses x^0 y^0"),
+            ("fail", "FiltrationViolated: image of (dy, y) mixes Z-degrees"),
+        ]),
+        ("sl2-3d", "partial: beta = -q^2*beta, 0, alpha", "partial: beta = -q^3*beta, 0, alpha",
+         suites._sl2_integral, 2, [
+            ("fail", "lambda(nabla(dual(w0)*beta*gamma)): (q^2 - q)/(q^2 + 1)"),
+            ("fail", "(beta*gamma)^1: got 0, want -q/(q^2 + 1)"),
+        ]),
+    ],
+    ids=["qplane-partial-y", "sl2-partial-beta"],
+)
+def test_window_rows_fail_on_a_partial_edit(name, old, new, build, max_len, rows):
+    # one coefficient of a partial row edited: qplane's degree-block row
+    # meets an image of mixed Z-degree in the window, and sl2-3d's Haar and
+    # cokernel-class rows see the functional and the class of beta*gamma move
+    source = REGISTRY[name].source
+    assert source.count(old) == 1
+    bundle = load_calc(source.replace(old, new))
+    got = suites.run_checks(build(bundle, Options(max_len=max_len)))
+    assert [(row["status"], row["witness"]) for row in got] == rows
 
 
 # -- ladder diagrams ---------------------------------------------------------
@@ -619,11 +663,12 @@ def test_ladder_acts_once_per_square_below_the_top(monkeypatch, name, bound, cal
     assert count == report.counts["squares"] == calls
 
 
-@pytest.mark.parametrize("name, bound, reads", [("sl2-3d", 3, 18), ("qplane", 4, 4)])
+@pytest.mark.parametrize("name, bound, reads", [("sl2-3d", 3, 21), ("qplane", 4, 6)])
 def test_ladder_reads_each_level_product_once(monkeypatch, name, bound, reads):
-    # warm: a first run fills the twist table and the signed differentials;
-    # with the level tables emptied, a second run reduces each product
-    # e.(i,) of a level's source e and form index i once, not once a square
+    # warm: a first run fills the twist table and the differentials of the
+    # basis words; with the level tables emptied, a second run reduces each
+    # product e.(i,) of a level's source e and form index i once, not once a
+    # square, from level 0 (e = 1, so the products are the (i,)) up
     bundle = load_calc(REGISTRY[name].source)
     spec = bundle.spec
     assert check_ladder(bundle.ladder, bound).ok
@@ -637,7 +682,7 @@ def test_ladder_reads_each_level_product_once(monkeypatch, name, bound, reads):
 
     monkeypatch.setattr(CalculusSpec, "_reduce_word", counted)
     assert check_ladder(bundle.ladder, bound).ok
-    products = {e + (i,) for n in range(1, spec.top_degree) for e in spec.basis(n)
+    products = {e + (i,) for n in range(spec.top_degree) for e in spec.basis(n)
                 for i in range(spec.n)}
     assert set(seen) <= products
     assert sum(seen.values()) == len(products) == reads
@@ -654,8 +699,8 @@ def test_leibniz_coordinates_match_the_form_product(name, bound, pairs):
     # form product, on every source and window word of the benchmark
     spec = REGISTRY[name].load().spec
     pres = spec.presentation
-    tables = {(): None}
-    for k in range(1, spec.top_degree):
+    tables = {}
+    for k in range(spec.top_degree):
         tables.update(integrals._leibniz(spec, k))
     seen = 0
     for w in pres.normal_words(bound):
@@ -664,7 +709,7 @@ def test_leibniz_coordinates_match_the_form_product(name, bound, pairs):
         for e, table in tables.items():
             omega = a if not e else dga.right_mul(spec, spec.basis_form(e), a)
             want = _nonempty(dga._right_terms(spec, dga.d(spec, omega)))
-            got = integrals._d_leg(pres, table, a.terms, da) if e else da
+            got = integrals._d_leg(pres, table, a.terms, da)
             assert _nonempty(got) == want, (e, w)
             seen += 1
     assert seen == pairs
