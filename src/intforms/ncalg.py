@@ -4,8 +4,9 @@ An algebra is a finite generator list with an ordered rewrite system whose
 left-hand sides are words and whose right-hand sides are linear combinations
 of strictly deglex-smaller words.  Elements are finite linear combinations of
 irreducible ("normal") words with ScalarRF coefficients.  Optional extras: a
-Z-grading on generators and Hopf structure maps (coproduct, counit, antipode
-and its inverse on generators, extended (anti)multiplicatively).
+Z-grading on generators and Hopf structure maps: tables of the generator
+images of the coproduct, counit, antipode and its inverse, which
+coproduct, counit and antipode extend (anti)multiplicatively.
 
 Normal forms rewrite the leftmost redex.  With two-letter left sides only, a
 letter moves left past all its transposing neighbours in one run, charged
@@ -78,7 +79,7 @@ class _Budget:
 class Presentation:
     """Generators in rewrite order plus an oriented rewrite system."""
 
-    def __init__(self, context, generators, rules=(), grading=None, hopf=None):
+    def __init__(self, context, generators, rules=(), grading=None):
         self.context = context
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
@@ -101,8 +102,9 @@ class Presentation:
         self._swaps = None if any(len(lhs) != 2 for lhs in first) else {
             lhs: rhs[lhs[::-1]] for lhs, rhs in first.items() if list(rhs) == [lhs[::-1]]
         }
-        self.hopf = hopf
-        self._hopf_tables = {}
+        # {map: {letter: image}} for the maps "coproduct", "counit",
+        # "antipode" and "antipode inverse"; set by the loader of a [hopf] section
+        self.hopf = None
         self.one = AlgElement(self, {(): context.one})
         self.zero = AlgElement(self, {})
 
@@ -549,21 +551,6 @@ def _apply_then_normalize(pres, word, hit):
 # -- Hopf structure -----------------------------------------------------------
 
 
-class HopfData:
-    """Generator images of the Hopf maps; extension is automatic.
-
-    coproduct: name -> list of (left word, right word, scalar)
-    counit:    name -> scalar
-    antipode / antipode_inv: name -> {word: scalar}
-    """
-
-    def __init__(self, coproduct, counit, antipode, antipode_inv):
-        self.coproduct = coproduct
-        self.counit = counit
-        self.antipode = antipode
-        self.antipode_inv = antipode_inv
-
-
 class TensorElement(SparseVector, space=("presentation",)):
     """Element of A tensor A, normal-word pairs with scalar coefficients."""
 
@@ -629,56 +616,34 @@ class TensorElement(SparseVector, space=("presentation",)):
     __repr__ = __str__
 
 
-def _generator_table(pres, datum, image):
-    """{letter: image(value)} for one HopfData table, built once per presentation."""
-    if datum not in pres._hopf_tables:
-        if pres.hopf is None:
-            raise ValueError("presentation carries no Hopf data")
-        values = getattr(pres.hopf, datum)
-        pres._hopf_tables[datum] = {pres.index(g): image(v) for g, v in values.items()}
-    return pres._hopf_tables[datum]
+def _extend(pres, table, a, unit, backwards=False):
+    """Sum of unit(c) times the images of w's letters, read from the Hopf
+    table, over the terms c*w of a; backwards for an antihomomorphism."""
+    if pres.hopf is None:
+        raise ValueError("presentation carries no Hopf data")
+    images = pres.hopf[table]
+    total = unit(pres.context.zero)
+    for word, coeff in a.terms.items():
+        part = unit(coeff)
+        for letter in reversed(word) if backwards else word:
+            part = part * images[letter]
+        total = total + part
+    return total
 
 
 def coproduct(presentation, a):
     """Multiplicative extension of the generator coproducts."""
     pres = presentation
-    gen_delta = _generator_table(pres, "coproduct", lambda parts: sum(
-        (TensorElement.of(pres.monomial(u), pres.monomial(v), c) for u, v, c in parts),
-        TensorElement(pres, {}),
-    ))
-    terms = {}
-    for word, coeff in a.terms.items():
-        part = TensorElement(pres, {((), ()): pres.context.coerce(coeff)})
-        for letter in word:
-            part = part * gen_delta[letter]
-        add_scaled(terms, part.terms)
-    return TensorElement(pres, terms)
+    return _extend(pres, "coproduct", a, lambda c: TensorElement.of(pres.one, pres.one, c))
 
 
 def counit(presentation, a):
-    pres = presentation
-    eps = _generator_table(pres, "counit", pres.context.coerce)
-    total = pres.context.zero
-    for word, coeff in a.terms.items():
-        value = pres.context.coerce(coeff)
-        for letter in word:
-            value = value * eps[letter]
-            if not value:
-                break
-        total = total + value
-    return total
+    return _extend(presentation, "counit", a, presentation.context.coerce)
 
 
 def antipode(presentation, a, power=1):
     """Anti-multiplicative extension of S (power 1) or S^{-1} (power -1)."""
     if power not in (1, -1):
         raise ValueError("antipode power must be 1 or -1")
-    pres = presentation
-    table = _generator_table(pres, "antipode" if power > 0 else "antipode_inv", pres.element)
-    terms = {}
-    for word, coeff in a.terms.items():
-        part = pres.scalar(coeff)
-        for letter in reversed(word):
-            part = part * table[letter]
-        add_scaled(terms, part.terms)
-    return AlgElement(pres, terms)
+    table = "antipode" if power > 0 else "antipode inverse"
+    return _extend(presentation, table, a, presentation.scalar, backwards=True)

@@ -31,7 +31,7 @@ from .integrals import LadderDiagram
 from .linmap import MapMatrix
 from .matrixcalc import DerBasis
 from .multider import TwistedMultiDerivation
-from .ncalg import HopfData, Presentation
+from .ncalg import Presentation
 from .parser import (
     ParseError,
     parse_element,
@@ -176,41 +176,35 @@ def _build_presentation(sections):
         for name in generators:
             if name not in grading:
                 raise ParseError(f"{name!r} has no degree", sections["grading"][0][0], 1)
-    hopf = _build_hopf(sections["hopf"], free) if sections["hopf"] else None
-    return Presentation(
-        ctx, generators=generators, rules=rules, grading=grading, hopf=hopf
-    )
+    pres = Presentation(ctx, generators=generators, rules=rules, grading=grading)
+    if sections["hopf"]:
+        pres.hopf = _build_hopf(sections["hopf"], pres)
+    return pres
 
 
-def _build_hopf(directives, free):
-    ctx = free.context
-    coproduct, counit, antipode, antipode_inv = {}, {}, {}, {}
+# the parser of each [hopf] map's generator images
+_HOPF_PARSERS = {
+    "coproduct": parse_tensor,
+    "counit": lambda pres, text, line: parse_scalar(pres.context, text, line=line),
+    "antipode": parse_element,
+    "antipode inverse": parse_element,
+}
+
+
+def _build_hopf(directives, pres):
+    """{map: {letter index: generator image}}, each image an element of pres."""
+    tables = {key: {} for key in _HOPF_PARSERS}
     for lineno, text in directives:
         key, sep, rest = _cut(text, ":")
         key = key.strip()
         if not sep:
             raise ParseError("hopf directives are 'map: generator = value'", lineno, 1)
         name, value = _split_assign(rest, lineno, "a hopf directive")
-        name = _generator(free, name, lineno)
-        if key == "coproduct":
-            tensor = parse_tensor(free, value, line=lineno)
-            coproduct[name] = [
-                (left, right, c) for (left, right), c in sorted(tensor.terms.items())
-            ]
-        elif key == "counit":
-            counit[name] = parse_scalar(ctx, value, line=lineno)
-        elif key == "antipode":
-            antipode[name] = dict(parse_element(free, value, line=lineno).terms)
-        elif key == "antipode inverse":
-            antipode_inv[name] = dict(parse_element(free, value, line=lineno).terms)
-        else:
+        name = _generator(pres, name, lineno)
+        if key not in tables:
             raise ParseError(f"unknown hopf directive '{key}'", lineno, 1)
-    return HopfData(
-        coproduct=coproduct,
-        counit=counit,
-        antipode=antipode,
-        antipode_inv=antipode_inv,
-    )
+        tables[key][pres.index(name)] = _HOPF_PARSERS[key](pres, value, line=lineno)
+    return tables
 
 
 def _parse_matrix(pres, text, lineno):

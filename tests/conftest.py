@@ -9,7 +9,7 @@ import pytest
 from intforms.dga import CalculusSpec
 from intforms.linmap import MapMatrix
 from intforms.multider import TwistedMultiDerivation
-from intforms.ncalg import HopfData, Presentation
+from intforms.ncalg import Presentation, TensorElement
 from intforms.parser import parse_form_terms
 from intforms.presets import REGISTRY
 from intforms.scalars import ScalarContext
@@ -38,36 +38,31 @@ def make_sl2_presentation(ctx):
         (("delta", "alpha"), {("alpha", "delta"): ctx.one, ("beta", "gamma"): qi - q}),
         (("alpha", "delta"), {(): ctx.one, ("beta", "gamma"): q}),
     ]
-    hopf = HopfData(
-        coproduct={
-            "alpha": [(("alpha",), ("alpha",), 1), (("beta",), ("gamma",), 1)],
-            "beta": [(("alpha",), ("beta",), 1), (("beta",), ("delta",), 1)],
-            "gamma": [(("gamma",), ("alpha",), 1), (("delta",), ("gamma",), 1)],
-            "delta": [(("delta",), ("delta",), 1), (("gamma",), ("beta",), 1)],
-        },
-        counit={"alpha": 1, "beta": 0, "gamma": 0, "delta": 1},
-        antipode={
-            "alpha": {("delta",): 1},
-            "delta": {("alpha",): 1},
-            "beta": {("beta",): -qi},
-            "gamma": {("gamma",): -q},
-        },
-        antipode_inv={
-            "alpha": {("delta",): 1},
-            "delta": {("alpha",): 1},
-            "beta": {("beta",): -q},
-            "gamma": {("gamma",): -qi},
-        },
-    )
     # generator order beta < alpha < delta < gamma makes all seven relations
     # deglex-decreasing and the system locally confluent
-    return Presentation(
+    pres = Presentation(
         ctx,
         generators=("beta", "alpha", "delta", "gamma"),
         rules=rules,
         grading={"alpha": 1, "gamma": 1, "beta": -1, "delta": -1},
-        hopf=hopf,
     )
+    a, b, c, d = (pres.gen(g) for g in ("alpha", "beta", "gamma", "delta"))
+    of = TensorElement.of
+    images = {
+        "coproduct": {
+            "alpha": of(a, a) + of(b, c),
+            "beta": of(a, b) + of(b, d),
+            "gamma": of(c, a) + of(d, c),
+            "delta": of(d, d) + of(c, b),
+        },
+        "counit": {"alpha": ctx.one, "beta": ctx.zero, "gamma": ctx.zero, "delta": ctx.one},
+        "antipode": {"alpha": d, "delta": a, "beta": b.scale(-qi), "gamma": c.scale(-q)},
+        "antipode inverse": {"alpha": d, "delta": a, "beta": b.scale(-q), "gamma": c.scale(-qi)},
+    }
+    pres.hopf = {
+        key: {pres.index(g): image for g, image in table.items()} for key, table in images.items()
+    }
+    return pres
 
 
 def diagonal_sigma(pres, diags):

@@ -409,6 +409,43 @@ def test_refused_token_edit_names_its_line(capsys, tmp_path, old, new, named):
     assert edited.splitlines()[int(line[1]) - 1].startswith(named), err
 
 
+# [hopf] line edits of sl2_3d.calc -> the exact error; the refusals come in
+# the order: no ':', no '=', an unknown generator, an unknown map
+HOPF_REFUSALS = {
+    "counit-parameter": ("counit: alpha = 1", "counit: alpha = alpha",
+                         "line 29, col 17: unknown parameter 'alpha'"),
+    "no-colon": ("counit: alpha = 1", "counit alpha = 1",
+                 "line 29, col 1: hopf directives are 'map: generator = value'"),
+    "no-equals": ("counit: alpha = 1", "counit: alpha 1",
+                  "line 29, col 1: a hopf directive needs 'lhs = rhs'"),
+    "unknown-generator": ("counit: alpha = 1", "counit: alfa = 1",
+                          "line 29, col 1: 'alfa' is not in 'generators:'"),
+    "unknown-map": ("counit: alpha = 1", "counits: alpha = 1",
+                    "line 29, col 1: unknown hopf directive 'counits'"),
+    "coproduct-algebra-term": ("coproduct: alpha = alpha @ alpha + beta @ gamma",
+                               "coproduct: alpha = alpha * alpha + beta @ gamma",
+                               "line 25, col 20: algebra term in a tensor (expected tensor terms)"),
+    "antipode-tensor-term": ("antipode: alpha = delta", "antipode: alpha = delta @ delta",
+                             "line 33, col 19: tensor term in an algebra element"
+                             " (expected scalar or algebra terms)"),
+    "antipode-inverse-dual": ("antipode inverse: alpha = delta",
+                              "antipode inverse: alpha = dual(w0)",
+                              "line 37, col 32: dual(...) needs a form word (expected form name)"),
+}
+
+
+@pytest.mark.parametrize("case", list(HOPF_REFUSALS))
+def test_refused_hopf_edit_names_its_line(capsys, tmp_path, case):
+    old, new, where = HOPF_REFUSALS[case]
+    source = (DATA / "sl2_3d.calc").read_text()
+    assert f"\n{old}\n" in source
+    path = tmp_path / "sl2_3d.calc"
+    path.write_text(source.replace(f"\n{old}\n", f"\n{new}\n", 1))
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2 and out == ""
+    assert err == f"error: {where}\n"
+
+
 @pytest.mark.parametrize(
     "new, message",
     [

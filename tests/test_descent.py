@@ -329,6 +329,29 @@ def test_crosscheck_catches_a_negated_antipode():
     assert nabla_coH(bad, f) == descent._nabla_written_out(bad, f)
 
 
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("antipode: alpha = delta", "antipode: alpha = -delta",
+         "dual 0: translation route equals the written-out formula: "),
+        ("coproduct: alpha = alpha @ alpha + beta @ gamma",
+         "coproduct: alpha = alpha @ alpha - beta @ gamma",
+         "dual 0: fixture coproduct of alpha^2 matches the Hopf data: "),
+    ],
+    ids=["antipode", "coproduct"],
+)
+def test_double_route_row_fails_on_a_hopf_edit(old, new, witness):
+    # a broken [hopf] line fails the row that compares the Hopf data's
+    # route to the connection with the fixtures' and the written-out one
+    text = resources.files("intforms").joinpath("data", "sl2_3d.calc").read_text()
+    assert text.count(old + "\n") == 1
+    bad = SphereData(load_calc(text.replace(old + "\n", new + "\n")).spec)
+    rows = suites.run_checks(suites._sphere_checks(bad, suites.Options(max_len=2, cases=5)))
+    failed = [row for row in rows if row["status"] != "pass"]
+    assert [row["name"] for row in failed] == ["double route to the connection agrees on every dual"]
+    assert failed[0]["status"] == "fail" and failed[0]["witness"].startswith(witness)
+
+
 def test_crosscheck_random_functionals(sphere):
     rng = random.Random(17)
     for _ in range(3):

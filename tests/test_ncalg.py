@@ -541,8 +541,8 @@ def test_antipode(sl2):
 
 
 def test_antipode_table_is_built_once(sl2, monkeypatch):
-    # the generator images depend only on the presentation, so after a
-    # first call S and S^-1 normalise no element for their tables
+    # the tables are built at load, so S and S^-1 normalise no element
+    # for their generator images
     w = sl2.gen("alpha") * sl2.gen("beta") + sl2.gen("delta")
     first = {power: antipode(sl2, w, power=power) for power in (1, -1)}
     calls = []
@@ -557,6 +557,13 @@ def test_antipode_table_is_built_once(sl2, monkeypatch):
         for power in (1, -1):
             assert antipode(sl2, w, power=power) == first[power]
     assert calls == []
+
+
+@pytest.mark.parametrize("hopf_map", [coproduct, counit, antipode])
+def test_hopf_maps_refuse_a_presentation_without_hopf_data(qplane, hopf_map):
+    # qplane has no [hopf] section
+    with pytest.raises(ValueError, match="presentation carries no Hopf data"):
+        hopf_map(qplane, qplane.gen("x"))
 
 
 def test_antipode_axiom(sl2):

@@ -6,7 +6,13 @@ import pytest
 
 from intforms.descent import SphereData
 from intforms.matrixcalc import DerBasis
-from intforms.parser import ParseError, parse_presentation_file
+from intforms.parser import (
+    ParseError,
+    parse_element,
+    parse_presentation_file,
+    parse_scalar,
+    parse_tensor,
+)
 from intforms.presets import (
     REGISTRY,
     get_preset,
@@ -78,13 +84,28 @@ def test_qplane_bundle_matches_the_programmatic_build(qplane, qplane_tmd):
 
 
 def test_sl2_bundle_carries_the_hopf_data():
-    pres = REGISTRY["sl2-3d"].load().presentation
+    preset = REGISTRY["sl2-3d"]
+    pres = preset.load().presentation
     hopf = pres.hopf
     assert hopf is not None
     q = pres.context.parameter("q")
-    beta = pres.word("beta")
-    assert hopf.antipode["beta"] == {beta: -(q**-1)}
-    assert hopf.counit["alpha"] == pres.context.one
+    beta = pres.gen("beta")
+    assert hopf["antipode"][pres.index("beta")] == -(q**-1) * beta
+    assert hopf["counit"][pres.index("alpha")] == pres.context.one
+    # every table entry is its [hopf] line's image, parsed in the loaded algebra
+    parsers = {
+        "coproduct": parse_tensor,
+        "counit": lambda pres, text: parse_scalar(pres.context, text),
+        "antipode": parse_element,
+        "antipode inverse": parse_element,
+    }
+    lines = parse_presentation_file(preset.source)["hopf"]
+    assert len(lines) == 16
+    for _, text in lines:
+        key, _, rest = text.partition(":")
+        name, _, value = rest.partition("=")
+        assert hopf[key][pres.index(name.strip())] == parsers[key](pres, value), text
+    assert sum(len(table) for table in hopf.values()) == 16
 
 
 def test_parse_error_carries_the_position():
