@@ -19,14 +19,15 @@ take f supported on omega_m, put b = hat_mj(w), and sum over m with
 sum_m bar_mi o hat_mj = delta_ij.  So its rows on normal words extend
 like partial's (`multider`).
 
-The level-n extension, e -> nabla(f*e) + (-1)^(n+1) f(d e), runs on flat
-{(basis word, normal word): scalar} vectors (`_nabla_level`) from tables
-built once per level (`_level`): for each basis (n+1)-word b, the triples
-(e, i, r), r the scalar of b in e.(i,) (`spec.reduce_word`), and the pairs
-(e, S), S the right coordinate at b of (-1)^(n+1) d e (`dga._d_word`).
-A coordinate c at (b, u) adds r*c*T_i(u) and u*S*c to the value at e; a
-call visits only its vector's support, with no form product or d.  Level
-0 is the connection itself: its one source is the empty word, and d 1 = 0.
+The connection is one function of the hom-form's degree: at level
+n = deg f - 1 it sends f to e -> nabla(f*e) + (-1)^(n+1) f(d e) on the
+basis n-words e; level 0, whose one source e = 1 has d 1 = 0, is the map
+above.  Every level runs on {basis word: term dict} values, as a hom-form
+holds them (`_nabla_level`), from tables built once per level (`_level`):
+for each basis (n+1)-word b, the triples (e, i, r), r the scalar of b in
+e.(i,) (`spec.reduce_word`), and the pairs (e, S), S the right coordinate
+at b of (-1)^(n+1) d e (`dga._d_word`).  The value f(b) adds r*T_i(f(b))
+and f(b)*S to the value at e, with no form product or d.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "hom_right_act",
     "is_flat",
     "nabla",
-    "nabla_n",
     "twisted_partial",
 ]
 
@@ -63,9 +63,9 @@ class HomForm(SparseVector, space=("spec", "degree"), mismatch=DegreeMismatch):
     __slots__ = ("spec", "degree")
 
     def __init__(self, spec, degree, terms):
-        allowed = set(spec.basis(degree))
+        allowed = set(spec.basis(degree)) if degree >= 1 else ()
         if not allowed:
-            raise DegreeMismatch(f"no basis forms in degree {degree}")
+            raise DegreeMismatch(f"no hom-forms in degree {degree}")
         table = {}
         for word, elem in terms.items():
             word = spec._coerce_form_word(word)
@@ -154,14 +154,16 @@ def hom_apply(spec, f, omega):
 
 
 def _right_act(spec, values, degree, a):
-    """{e: terms of f(a*e)} over the basis words e of the degree, entries
-    possibly empty, for f given by values {basis word: element} and a by its
-    terms: the right coordinates of a*e are read where f has values."""
+    """{e: terms of f(a*e)} over the basis words e of the degree where it is
+    nonzero, for f given by values {basis word: element} and a by its terms:
+    the right coordinates of a*e are read where f has values."""
     pres = spec.presentation
-    return {
-        e: _pair(pres, values, dga._twisted(spec, "right", e, a, (), {}, values), {})
-        for e in spec.basis(degree)
-    }
+    out = {}
+    for e in spec.basis(degree):
+        terms = _pair(pres, values, dga._twisted(spec, "right", e, a, (), {}, values), {})
+        if terms:
+            out[e] = terms
+    return out
 
 
 def hom_right_act(spec, f, a):
@@ -175,7 +177,8 @@ def hom_right_act(spec, f, a):
 
 def hom_mul_form(spec, f, omega):
     """(f*omega)(e) = f(omega*e); lowers the degree by deg(omega).  No check
-    calls it: the tests use it, as HomForm's form product, to check nabla_n."""
+    calls it: the tests use it, as HomForm's form product, to check the
+    connection's levels above 0."""
     _check_hom(spec, f)
     if not isinstance(omega, FormElement) or omega.spec is not spec:
         raise ValueError("expected a form of the same calculus")
@@ -193,27 +196,12 @@ def hom_mul_form(spec, f, omega):
     return HomForm._unchecked(spec, m, values)
 
 
-def _kernel(spec, i, a, out):
-    """out += T_i(a) for a term dict a, read from the kernel rows; returns out."""
-    rows = spec.tmd._kernel_word
-    for u, s in a.items():
-        add_scaled(out, rows(u)[i].terms, s)
-    return out
-
-
 def twisted_partial(spec, i, a):
     """Row i of the connection kernel, sum_jk bar_kj(partial_j(hat_ki(a)))."""
-    return AlgElement(spec.presentation, _kernel(spec, i, a.terms, {}))
-
-
-def nabla(spec, f):
-    """The unique hom-connection vanishing on the dual basis forms."""
-    _check_hom(spec, f)
-    if f.degree != 1:
-        raise DegreeMismatch("the connection consumes degree-1 hom-forms")
+    rows = spec.tmd._kernel_word
     out = {}
-    for (i,), v in f.terms.items():
-        _kernel(spec, i, v.terms, out)
+    for u, s in a.terms.items():
+        add_scaled(out, rows(u)[i].terms, s)
     return AlgElement(spec.presentation, out)
 
 
@@ -234,55 +222,48 @@ def _level(spec, n):
     return tables
 
 
-def _nabla_level(spec, n, vector):
-    """The level-n connection from degree n+1 to degree n on flat vectors,
-    read from the level's tables."""
+def _nabla_level(spec, n, values):
+    """The level-n connection from degree n+1 to degree n on {basis word:
+    term dict}, read from the level's tables; entries may be empty."""
     lift, pair = _level(spec, n)
     pres = spec.presentation
-    values = {}
-    for (b, u), c in vector.items():
-        row = spec.tmd._kernel_word(u)
+    kernel = spec.tmd._kernel_word
+    out = {}
+    for b, terms in values.items():
         for e, i, r in lift.get(b, ()):
-            add_scaled(values.setdefault(e, {}), row[i].terms, r * c)
-        for e, terms in pair.get(b, ()):
-            mul_terms(pres, {u: c}, terms, values.setdefault(e, {}))
-    return _flat(values)
+            target = out.setdefault(e, {})
+            for u, c in terms.items():
+                add_scaled(target, kernel(u)[i].terms, r * c)
+        for e, d_terms in pair.get(b, ()):
+            mul_terms(pres, terms, d_terms, out.setdefault(e, {}))
+    return out
 
 
-def _flat(values):
-    """{(word, u): c} from {word: {u: c}}, term dicts."""
-    return {(word, u): c for word, terms in values.items() for u, c in terms.items()}
-
-
-def _unflat(spec, degree, vector):
-    """The hom-form of degree >= 1, or the element at degree 0, whose flat
-    vector is vector."""
-    values = {}
-    for (word, u), c in vector.items():
-        values.setdefault(word, {})[u] = c
-    if degree == 0:
+def _value(spec, n, values):
+    """The element at n = 0, else the degree-n hom-form, holding the
+    {basis word: term dict} values of level n."""
+    if n == 0:
         return AlgElement(spec.presentation, values.get((), {}))
-    return HomForm._unchecked(spec, degree, dga._elements(spec, values))
+    return HomForm._unchecked(spec, n, dga._elements(spec, values))
 
 
-def nabla_n(spec, n, f):
-    """Level-n extension: values e -> nabla(f*e) + (-1)^(n+1) f(d e).
+def nabla(spec, f):
+    """The connection at level n = deg f - 1: for a degree-1 hom-form, the
+    element the unique hom-connection vanishing on the dual basis forms
+    gives; above, a degree-n hom-form (see the module docstring).
 
     A basis word e has coefficient 1, and sigma(1) = sigma-bar(1) = id, so
     (f*e)(i) = f(e.(i,)) = sum_b r_b*f(b) over the scalar coordinates r_b
     of e.(i,), and d(1*e) is d e; `_nabla_level` reads both from tables.
     """
     _check_hom(spec, f)
-    if not 1 <= n < spec.top_degree:
-        raise DegreeMismatch(f"level {n} outside 1..{spec.top_degree - 1}")
-    if f.degree != n + 1:
-        raise DegreeMismatch(f"level {n} consumes degree {n + 1}, got {f.degree}")
-    return _unflat(spec, n, _nabla_level(spec, n, _flat({b: v.terms for b, v in f.terms.items()})))
+    n = f.degree - 1
+    return _value(spec, n, _nabla_level(spec, n, {b: v.terms for b, v in f.terms.items()}))
 
 
 def curvature(spec, f):
-    """nabla after its level-1 extension, on a degree-2 hom-form."""
-    return nabla(spec, nabla_n(spec, 1, f))
+    """nabla at level 0 after level 1, on a degree-2 hom-form."""
+    return nabla(spec, nabla(spec, f))
 
 
 def is_flat(spec):

@@ -260,22 +260,28 @@ def _d_leg(pres, tables, a, da):
     return out
 
 
+def _flat(values):
+    """{(word, u): c} from {word: {u: c}}, term dicts."""
+    return {(word, u): c for word, terms in values.items() for u, c in terms.items()}
+
+
 def check_ladder(diagram, length_bound):
     """Walk every square on the windowed basis and rank the verticals.
 
     A square at level k compares V_(k+1)(d omega) with the level-(top-k-1)
     connection applied to V_k(omega), omega = e*u running over basis words
-    e times normal words u.  The row V_k(e)*u, built once and flat by the
-    right action on term dicts (`homconn._right_act`), is the vertical's
-    matrix row, the lower leg's input at square (k, e, u) and, scalars being
-    central, a summand of level k-1's upper legs sum R_b[u] V_k(b)*u, R_b the
-    right coordinates of d omega.  Both legs read tables built once per
-    level: the connection's, walked over the row's support, and the Leibniz
-    lifts (`_leibniz`).  A failing square's witness is its two legs, as
-    computed.  Verticals are bijective on the window iff their matrix rank
-    matches both dimensions.  The report counts the squares and holds one
-    check per failing square (with its level, source, word, lhs and rhs),
-    then one per vertical (with its level, rank, domain and codomain).
+    e times normal words u.  The row V_k(e)*u, built once as {basis word:
+    term dict} by the right action on term dicts (`homconn._right_act`), is
+    the vertical's matrix row, flattened to (word, u) columns, the lower
+    leg's input at square (k, e, u) and, scalars being central, a summand of
+    level k-1's upper legs sum R_b[u] V_k(b)*u, R_b the right coordinates
+    of d omega.  Both legs read tables built once per level: the
+    connection's, walked over the row's support, and the Leibniz lifts
+    (`_leibniz`).  A failing square's witness is its two legs, as computed.
+    Verticals are bijective on the window iff their matrix rank matches both
+    dimensions.  The report counts the squares and holds one check per
+    failing square (with its level, source, word, lhs and rhs), then one per
+    vertical (with its level, rank, domain and codomain).
     """
     spec = diagram.spec
     pres = spec.presentation
@@ -286,18 +292,18 @@ def check_ladder(diagram, length_bound):
     ranks = []
     # right coordinates of d a, one per window word, shared by every source
     d_words = {w: dga._right_terms(spec, dga.d(spec, pres._monomial(w))) for w in words}
-    rows = [{} for _ in range(top + 1)]  # flat V_k(e)*u, built on demand
+    rows = [{} for _ in range(top + 1)]  # V_k(e)*u by word, built on demand
 
     def row(k, e, u):
-        vector = rows[k].get((e, u))
-        if vector is None:
+        values = rows[k].get((e, u))
+        if values is None:
             image = diagram.verticals[k][e]
             if k == top:
                 values = {(): mul_terms(pres, image.terms, {u: one}, {})}
             else:
                 values = homconn._right_act(spec, image.terms, top - k, {u: one})
-            vector = rows[k][e, u] = homconn._flat(values)
-        return vector
+            rows[k][e, u] = values
+        return values
 
     for k in range(top + 1):
         sources = spec.basis(k)
@@ -306,8 +312,9 @@ def check_ladder(diagram, length_bound):
         system = LinearSystem()
         for e in sources:
             for w in words:
-                vector = row(k, e, w)
+                values = row(k, e, w)
                 del rows[k][e, w]  # its own square is its last reader
+                vector = _flat(values)
                 if any(len(u) > length_bound for _, u in vector):
                     raise FiltrationViolated(
                         f"vertical {k} escapes the window on {pres.word_str(w)}"
@@ -319,14 +326,16 @@ def check_ladder(diagram, length_bound):
                 domega = _d_leg(pres, leibniz[e], {w: one}, d_words[w])
                 for b, r in domega.items():
                     for u, c in r.items():
-                        add_scaled(lhs, row(k + 1, b, u), c)
-                rhs = homconn._nabla_level(spec, level, vector)
+                        for word, terms in row(k + 1, b, u).items():
+                            add_scaled(lhs.setdefault(word, {}), terms, c)
+                rhs = homconn._nabla_level(spec, level, values)
                 report.counts["squares"] += 1
-                if lhs != rhs:
+                # the legs agree when their nonzero entries do
+                if lhs != rhs and _flat(lhs) != _flat(rhs):
                     source = spec.word_str(e)
                     word = pres.word_str(w)
-                    lhs = homconn._unflat(spec, level, lhs)
-                    rhs = homconn._unflat(spec, level, rhs)
+                    lhs = homconn._value(spec, level, lhs)
+                    rhs = homconn._value(spec, level, rhs)
                     report.add(
                         f"level {k} at {source} * {word}",
                         False,

@@ -3,13 +3,14 @@
 Forms are antisymmetric multilinear maps on the commutator derivations
 attached to a traceless matrix basis, so the whole complex is finite
 dimensional over exact Gaussian rationals: the Koszul differential, the
-hom-connection with its trace integral, the curvature formula, and the
-chain maps identifying the de Rham complex with the complex of integral
-forms.  Matrices are sparse vectors holding only their nonzero entries,
-which are `gaussians.Gaussian` values, and every scalar factor is applied
-on the right of a matrix.  Entries and factors must be ints, Fractions or
-Gaussians; anything else raises TypeError.  The two-by-two case is the
-certified preset; nothing below assumes it except the tests.
+hom-connection at every level with its trace integral, the curvature
+formula, and the chain maps identifying the de Rham complex with the
+complex of integral forms.  Matrices are sparse vectors holding only their
+nonzero entries, which are `gaussians.Gaussian` values, and every scalar
+factor is applied on the right of a matrix.  Entries and factors must be
+ints, Fractions or Gaussians; anything else raises TypeError.  The
+two-by-two case is the certified preset; nothing below assumes it except
+the tests.
 
 Each `DerBasis` fills two tables on first use: the images i[E_l, E_rs]
 of the matrix units, and d(e_w) of each basis word w with coefficient 1.
@@ -37,9 +38,7 @@ __all__ = [
     "curvature_mn",
     "gaussian",
     "koszul_d",
-    "nabla_chain",
     "nabla_hom",
-    "nabla_mn",
     "phi",
     "phi_inv",
     "phi_ladder",
@@ -461,39 +460,27 @@ class MatHomForm(SparseVector, space=("basis", "degree"), mismatch=DegreeOverflo
         return f"<MatHomForm degree {self.degree}: {self}>"
 
 
-def nabla_mn(basis, coords):
-    """Connection value on a sum of derivation-matrix pairs (l, a_l)."""
-    total = MatElement.zero(basis.n)
-    for l, a in coords:
-        total = total + basis.derive(l, a)
-    return total
-
-
 def nabla_hom(basis, f):
-    """Connection on a one-form functional: sum of X_l(f(w_l))."""
-    if not isinstance(f, MatHomForm) or f.degree != 1:
-        raise DegreeOverflow("the connection starts at one-form functionals")
-    return nabla_mn(basis, [(l, f.value((l,))) for l in range(basis.N)])
+    """The connection at level m = deg f - 1, sending f down one degree.
 
-
-def nabla_chain(basis, m, f):
-    """Chain-level connection sending (m+1)-form functionals down to m.
-
-    For m = 0 this is the plain connection; otherwise the value on a basis
-    m-form is nabla(f*w) plus (-1)^(m+1) f(dw), and dw vanishes here only
-    when the structure constants say so.
+    At m = 0 it is the matrix sum of X_l(f(w_l)); above, the value on a
+    basis m-form w is nabla(f*w) plus (-1)^(m+1) f(dw), and dw vanishes here
+    only when the structure constants say so.
     """
-    if not isinstance(f, MatHomForm) or f.degree != m + 1:
-        raise DegreeOverflow(f"expected an ({m + 1})-form functional")
+    if not isinstance(f, MatHomForm) or f.basis is not basis:
+        raise ValueError("expected a functional on this basis")
+    m = f.degree - 1
     if m == 0:
-        return nabla_hom(basis, f)
+        total = MatElement.zero(basis.n)
+        for l in range(basis.N):
+            total = total + basis.derive(l, f.value((l,)))
+        return total
     one = MatElement.identity(basis.n)
-    sign = 1 if (m + 1) % 2 == 0 else -1
+    sign = 1 if m % 2 else -1
     values = {}
     for word in combinations(range(basis.N), m):
         w = MatForm(basis, m, {word: one})
-        value = nabla_hom(basis, f * w) + sign * f(basis.unit_d(word))
-        values[word] = value
+        values[word] = nabla_hom(basis, f * w) + sign * f(basis.unit_d(word))
     return MatHomForm(basis, m, values)
 
 
@@ -585,7 +572,7 @@ def phi_ladder(basis):
                     else MatForm(basis, k, {word: unit})
                 )
                 upper = phi(basis, koszul_d(basis, omega))
-                lowered = nabla_chain(basis, N - k - 1, phi(basis, omega))
+                lowered = nabla_hom(basis, phi(basis, omega))
                 count += 1
                 if upper != lowered:
                     bad = f"word {word}, unit {unit}: {upper} versus {lowered}"
@@ -607,7 +594,7 @@ def phi_ladder(basis):
     system = LinearSystem()
     for l in range(N):
         for unit in units:
-            system.add(nabla_mn(basis, [(l, unit)]).terms)
+            system.add(basis.derive(l, unit).terms)
     rank = system.rank()
     ok = rank == n * n - 1
     report.add(

@@ -124,14 +124,25 @@ def _each_key_once(sections):
             seen[key] = lineno
 
 
+def _at_line(named, fallback, build, *args, **kwargs):
+    # build(*args, **kwargs), its ValueError (such as a name given twice or
+    # form rules that are not confluent) refused at the line of the first
+    # (needle, line) of named whose needle the message holds, else at fallback
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        line = next((line for needle, line in named if needle in str(exc)), fallback)
+        raise ParseError(str(exc), line, 1) from None
+
+
 def _build_presentation(sections):
-    params = ()
+    params, named = (), []
     for lineno, text in sections["scalars"]:
         key, sep, rest = _cut(text, ":")
         if key.strip() != "parameters" or not sep:
             raise ParseError("expected 'parameters: name, ...'", lineno, 1)
-        params = _names_list(rest)
-    ctx = ScalarContext(params)
+        params, named = _names_list(rest), [("parameter", lineno)]
+    ctx = _at_line(named, 1, ScalarContext, params)
     generators = None
     relations = []
     for lineno, text in sections["algebra"]:
@@ -143,6 +154,7 @@ def _build_presentation(sections):
             )
         if key == "generators":
             generators = _names_list(rest)
+            named.append(("generator", lineno))
         elif key == "relation":
             _, rhs = _split_assign(rest, lineno, "a relation")
             relations.append((lineno, _cut(rest, "=")[0], rhs))
@@ -152,7 +164,7 @@ def _build_presentation(sections):
         line = sections["algebra"][0][0] if sections["algebra"] else 1
         raise ParseError("missing 'generators:' directive", line, 1)
     # relations are parsed against the free algebra so nothing rewrites yet
-    free = Presentation(ctx, generators=generators, rules=[])
+    free = _at_line(named, 1, Presentation, ctx, generators=generators, rules=[])
     rules = []
     for lineno, lhs_text, rhs_text in relations:
         lhs = parse_element(free, lhs_text, line=lineno)
@@ -163,6 +175,7 @@ def _build_presentation(sections):
             raise ParseError("relation left side must be a bare word", lineno, 1)
         rhs = parse_element(free, rhs_text, line=lineno)
         rules.append((word, dict(rhs.terms)))
+        named.append((f"rule {free.word_str(word)} ", lineno))
     grading = None
     if sections["grading"]:
         grading = {}
@@ -176,7 +189,8 @@ def _build_presentation(sections):
         for name in generators:
             if name not in grading:
                 raise ParseError(f"{name!r} has no degree", sections["grading"][0][0], 1)
-    pres = Presentation(ctx, generators=generators, rules=rules, grading=grading)
+    pres = _at_line(named, sections["algebra"][0][0], Presentation, ctx,
+                    generators=generators, rules=rules, grading=grading)
     if sections["hopf"]:
         pres.hopf = _build_hopf(sections["hopf"], pres)
     return pres
@@ -268,11 +282,10 @@ def _build_tmd(sections, pres):
         raise ParseError(f"need 'sigma inverse 1..{n}' directives", first, 1)
     else:
         inverse = _diagonal_images(pres, [inverse_maps[i + 1] for i in range(n)])
-    try:
-        sigma = MapMatrix.from_images(pres, images)
-        return TwistedMultiDerivation(pres, rows, sigma, MapMatrix.from_images(pres, inverse))
-    except ValueError as exc:  # such as a generator with no partial row or sigma image
-        raise ParseError(str(exc), first, 1) from None
+    # a generator with no partial row or sigma image is refused at the first line
+    sigma = _at_line((), first, MapMatrix.from_images, pres, images)
+    inverse = _at_line((), first, MapMatrix.from_images, pres, inverse)
+    return _at_line((), first, TwistedMultiDerivation, pres, rows, sigma, inverse)
 
 
 def _diagonal_images(pres, diags):
@@ -313,7 +326,7 @@ def _build_calculus(sections, tmd):
     pres = tmd.presentation
     names = None
     order = None
-    bases, basis_lines = {}, {}
+    bases, named = {}, []
     rules = {}
     for lineno, text in sections["forms"]:
         key, sep, rest = _cut(text, ":")
@@ -324,6 +337,7 @@ def _build_calculus(sections, tmd):
             names = _names_list(rest)
         elif key == "order":
             order = _names_list(rest)
+            named.append(("form order", lineno))
         elif key == "rule":
             if names is None:
                 raise ParseError("'names:' must precede form rules", lineno, 1)
@@ -344,7 +358,8 @@ def _build_calculus(sections, tmd):
             unknown = [name for word in words for name in word if name not in (names or ())]
             if unknown:
                 raise ParseError(f"{unknown[0]!r} is not in 'names:'", lineno, 1)
-            bases[degree], basis_lines[degree] = words, lineno
+            bases[degree] = words
+            named.append((f"declared degree-{degree} basis", lineno))
         else:
             raise ParseError(f"unknown forms directive '{key}'", lineno, 1)
     first = (sections["calculus"] or sections["forms"])[0][0]
@@ -359,6 +374,7 @@ def _build_calculus(sections, tmd):
             if name not in names:
                 raise ParseError(f"'{head}': {name!r} is not in 'names:'", lineno, 1)
             value = d_rules[name] = {}
+            named.append((f"d {name} ", lineno))
             for coeff, word in parse_form_terms(pres, names, rhs, line=lineno):
                 add_scaled(value, {word: coeff})
         else:
@@ -377,20 +393,9 @@ def _build_calculus(sections, tmd):
                 )
     if top is None:
         raise ParseError("a calculus needs form 'names:' and 'top:'", first, 1)
-    try:
-        spec = CalculusSpec(
-            tmd,
-            form_names=names,
-            rules=rules,
-            d_on_forms=d_rules or None,
-            top_degree=top,
-            form_order=order,
-            bases=bases or None,
-        )
-    except ValueError as exc:  # such as form rules that are not confluent
-        # or a declared basis the rules disagree with, refused at its line
-        named = [n for k, n in basis_lines.items() if f"declared degree-{k} basis" in str(exc)]
-        raise ParseError(str(exc), (named or [sections["forms"][0][0]])[0], 1) from None
+    spec = _at_line(named, sections["forms"][0][0], CalculusSpec, tmd, form_names=names,
+                    rules=rules, d_on_forms=d_rules or None, top_degree=top,
+                    form_order=order, bases=bases or None)
     if not spec.basis(top):  # the rules leave no form of the top degree
         raise ParseError(f"no basis forms in degree {top}", top_line, 1)
     return spec
@@ -425,10 +430,8 @@ def _build_ladder(sections, spec):
         except (KeyError, ValueError) as exc:
             raise ParseError(exc.args[0], lineno, 1) from None
         verticals[k][source] = image
-    try:
-        return LadderDiagram(spec, verticals)
-    except ValueError as exc:  # such as a level that misses a basis form
-        raise ParseError(str(exc), sections["ladder"][0][0], 1) from None
+    # a level that misses a basis form is refused at the first line
+    return _at_line((), sections["ladder"][0][0], LadderDiagram, spec, verticals)
 
 
 def load_calc(text):

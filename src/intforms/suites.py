@@ -30,7 +30,7 @@ from .descent import (
     sphere_flatness,
 )
 from .dga import check_d_squared, check_density
-from .homconn import HomForm, dual_basis, dual_form, is_flat, nabla, nabla_n
+from .homconn import HomForm, dual_basis, dual_form, is_flat, nabla
 from .integrals import (
     block_ranks,
     check_ladder,
@@ -44,9 +44,7 @@ from .matrixcalc import (
     MatHomForm,
     curvature_mn,
     koszul_d,
-    nabla_chain,
     nabla_hom,
-    nabla_mn,
     phi_ladder,
     structure_constants,
     trace_integral,
@@ -315,7 +313,7 @@ def _sl2_level_one(bundle):
         ("w0", "w+"): HomForm(spec, 1, {"w+": heavy}),
     }
     for word, want in expected.items():
-        got = nabla_n(spec, 1, dual_form(spec, word))
+        got = nabla(spec, dual_form(spec, word))
         if got != want:
             return f"dual of {'.'.join(word)} maps to {got}"
     return None
@@ -326,7 +324,7 @@ def _sl2_flatness(bundle, opts):
     spec = bundle.spec
 
     def level_two():
-        top = nabla_n(spec, 2, dual_form(spec, ("w-", "w0", "w+")))
+        top = nabla(spec, dual_form(spec, ("w-", "w0", "w+")))
         return None if top.is_zero() else str(top)
 
     return [
@@ -518,7 +516,7 @@ def _matrix_checks(basis, opts):
             for unit in MatElement.units(basis.n):
                 f = MatHomForm(basis, 2, {word: unit})
                 direct = curvature_mn(basis, f)
-                composed = nabla_hom(basis, nabla_chain(basis, 1, f))
+                composed = nabla_hom(basis, nabla_hom(basis, f))
                 if direct or composed:
                     return f"word {word}, unit {unit}: {direct} versus {composed}"
         return None
@@ -528,7 +526,7 @@ def _matrix_checks(basis, opts):
     def trace_kills():
         for l in range(basis.N):
             for unit in MatElement.units(basis.n):
-                value = trace_integral(nabla_mn(basis, [(l, unit)]))
+                value = trace_integral(basis.derive(l, unit))
                 if value:
                     return f"derivation {l}, unit {unit}: {value}"
         return None

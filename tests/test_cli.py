@@ -409,6 +409,40 @@ def test_refused_token_edit_names_its_line(capsys, tmp_path, old, new, named):
     assert edited.splitlines()[int(line[1]) - 1].startswith(named), err
 
 
+# edits refused by a constructor the loader calls (a context, a
+# presentation, a calculus) -> the exact error, at the directive it names
+CONSTRUCTOR_REFUSALS = {
+    "relation-lengthens": ("qplane.calc", "relation: y*x = q^-1 * x*y", "relation: y*x = q^-1 * x*y*y",
+                           "line 9, col 1: rule y*x -> ... does not decrease deglex"
+                           " (offending word x*y^2)"),
+    "relation-reversed": ("qplane.calc", "relation: y*x = q^-1 * x*y", "relation: x*y = q^-1 * y*x",
+                          "line 9, col 1: rule x*y -> ... does not decrease deglex"
+                          " (offending word y*x)"),
+    "relation-inhomogeneous": ("qplane.calc", "relation: y*x = q^-1 * x*y", "relation: y*x = q^-1 * x",
+                               "line 9, col 1: rule y*x is not degree-homogeneous"),
+    "generator-twice": ("qplane.calc", "generators: x, y", "generators: x, y, x",
+                        "line 8, col 1: duplicate generator names"),
+    "parameter-twice": ("qplane.calc", "parameters: q, p", "parameters: q, p, q",
+                        "line 5, col 1: duplicate parameter 'q'"),
+    "order-not-a-permutation": ("sl2_3d.calc", "order: w-, w0, w+", "order: w-, w0, w0",
+                                "line 51, col 1: form order must permute the form names"),
+    "d-of-degree-one": ("sl2_3d.calc", "d w0 = q * w-.w+", "d w0 = w0",
+                        "line 62, col 1: d w0 must be a degree-2 form"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTRUCTOR_REFUSALS))
+def test_refused_constructor_edit_names_its_line(capsys, tmp_path, case):
+    filename, old, new, where = CONSTRUCTOR_REFUSALS[case]
+    source = (DATA / filename).read_text()
+    assert f"\n{old}\n" in source
+    path = tmp_path / filename
+    path.write_text(source.replace(f"\n{old}\n", f"\n{new}\n", 1))
+    code, out, err = run_cli(capsys, "verify", str(path), *FAST)
+    assert code == 2 and out == ""
+    assert err == f"error: {where}\n"
+
+
 # [hopf] line edits of sl2_3d.calc -> the exact error; the refusals come in
 # the order: no ':', no '=', an unknown generator, an unknown map
 HOPF_REFUSALS = {

@@ -11,7 +11,7 @@ import pytest
 
 from intforms import dga, homconn
 from intforms.dga import CalculusSpec
-from intforms.homconn import HomForm, dual_form, nabla, nabla_n, twisted_partial
+from intforms.homconn import HomForm, dual_form, nabla, twisted_partial
 from intforms import integrals, scalars, suites
 from intforms.cli import main
 from intforms.integrals import (
@@ -385,7 +385,7 @@ def test_chain_property_on_window(qplane, qplane_calc, sl2, sl2_3d_calc):
         for e in spec.basis(2):
             for w in pres.normal_words(2):
                 f = HomForm(spec, 2, {e: pres.monomial(w)})
-                assert nabla(spec, nabla_n(spec, 1, f)) == pres.zero
+                assert nabla(spec, nabla(spec, f)) == pres.zero
 
 
 @pytest.mark.parametrize(

@@ -31,9 +31,7 @@ from intforms.matrixcalc import (
     curvature_mn,
     gaussian,
     koszul_d,
-    nabla_chain,
     nabla_hom,
-    nabla_mn,
     phi,
     phi_inv,
     phi_ladder,
@@ -461,14 +459,20 @@ def test_functional_algebra(pauli):
 
 def test_nabla_values(pauli):
     sx, sy, sz = pauli.matrices
-    assert nabla_mn(pauli, [(2, sx)]) == -2 * sy
-    assert nabla_mn(pauli, [(0, sx), (1, sy), (2, sz)]) == MatElement.zero(2)
-    assert nabla_mn(pauli, []) == MatElement.zero(2)
+    assert pauli.derive(2, sx) == -2 * sy
     f = MatHomForm(pauli, 1, {(2,): sx})
     assert nabla_hom(pauli, f) == -2 * sy
-    # a functional on the wrong degree is rejected
-    with pytest.raises(DegreeOverflow):
-        nabla_hom(pauli, MatHomForm(pauli, 2, {(0, 1): sx}))
+    g = MatHomForm(pauli, 1, {(0,): sx, (1,): sy, (2,): sz})
+    assert nabla_hom(pauli, g) == MatElement.zero(2)
+    assert nabla_hom(pauli, MatHomForm(pauli, 1, {})) == MatElement.zero(2)
+    # above degree 1 the level is the degree less one
+    h = nabla_hom(pauli, MatHomForm(pauli, 2, {(0, 1): sx}))
+    assert isinstance(h, MatHomForm) and h.degree == 1
+    # a functional of another basis, or no functional, is rejected
+    with pytest.raises(ValueError, match="functional on this basis"):
+        nabla_hom(pauli, MatHomForm(DerBasis(pauli.matrices), 1, {(0,): sx}))
+    with pytest.raises(ValueError, match="functional on this basis"):
+        nabla_hom(pauli, sx)
 
 
 def test_trace_integral(pauli):
@@ -481,7 +485,7 @@ def test_trace_integral(pauli):
 def test_trace_kills_connection_image(pauli):
     for l in range(3):
         for u in units():
-            assert not trace_integral(nabla_mn(pauli, [(l, u)]))
+            assert not trace_integral(pauli.derive(l, u))
 
 
 def test_trace_separates_only_by_class(pauli):
@@ -497,7 +501,7 @@ def test_curvature_vanishes_both_routes(pauli):
         for u in units():
             f = MatHomForm(pauli, 2, {word: u})
             assert not curvature_mn(pauli, f)
-            assert not nabla_hom(pauli, nabla_chain(pauli, 1, f))
+            assert not nabla_hom(pauli, nabla_hom(pauli, f))
     with pytest.raises(DegreeOverflow, match="two-form"):
         curvature_mn(pauli, MatHomForm(pauli, 1, {(0,): MatElement.identity(2)}))
 
@@ -599,6 +603,35 @@ def test_square_of_d_catches_what_the_ladder_cannot():
     assert phi_ladder(basis).ok
     broken = [u for u in units() if koszul_d(basis, koszul_d(basis, u))]
     assert broken
+
+
+def test_connection_rows_fail_on_the_corrupted_twin():
+    # the negative control's twin, one structure constant off by one: the
+    # curvature and d^2 rows fail; the trace row passes, since the trace of
+    # i[E_l, a] vanishes whatever the constants are
+    twin = suites._corrupted_constants(DerBasis.pauli())
+    rows = {row["name"]: (row["status"], row["witness"])
+            for row in suites.run_checks(suites._matrix_checks(twin, suites.Options()))}
+    assert rows["curvature vanishes by formula and by composition"] == (
+        "fail", "word (0, 2), unit [[1, 0], [0, 0]]: [[0, 0], [0, 0]] versus [[0, I], [-I, 0]]")
+    assert rows["differential squares to zero on the basis"] == (
+        "fail", "d^2 at [[1, 0], [0, 0]]")
+    assert rows["trace integral kills the connection image"] == ("pass", None)
+
+
+def test_trace_row_fails_on_a_patched_derivation(monkeypatch):
+    """The "trace integral kills the connection image" row, seen failing.
+
+    No structure constant reaches this row: the trace of a commutator
+    vanishes for any matrices.  So each derivation is patched to add its
+    argument, a + i[E_l, a], whose trace is that of a.
+    """
+    real = DerBasis.derive
+    monkeypatch.setattr(DerBasis, "derive", lambda self, l, a: real(self, l, a) + a)
+    checks = dict(suites._matrix_checks(DerBasis.pauli(), suites.Options()))
+    name = "trace integral kills the connection image"
+    [row] = suites.run_checks([(name, checks[name])])
+    assert (row["status"], row["witness"]) == ("fail", "derivation 0, unit [[1, 0], [0, 0]]: 1/2")
 
 
 # calls of each kind in one in-process `matrix verify`; a change that
