@@ -262,7 +262,11 @@ def nabla(spec, f):
 
 
 def curvature(spec, f):
-    """nabla at level 0 after level 1, on a degree-2 hom-form."""
+    """nabla after nabla, on a hom-form of degree n + 2 >= 2: an element for
+    a degree-2 hom-form, level 0 after level 1; above, a degree-n hom-form."""
+    _check_hom(spec, f)
+    if f.degree < 2:
+        raise DegreeMismatch(f"the curvature starts at degree 2, got degree {f.degree}")
     return nabla(spec, nabla(spec, f))
 
 

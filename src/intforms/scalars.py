@@ -52,14 +52,15 @@ images, by recursion over the other parameters, and reads a candidate from
 its symmetric xi-adic digits.  A candidate of content 1 dividing both sides
 exactly is their gcd, and the quotients are the cofactors: each answer is
 certified by trial division, and a failed one moves xi on by about e.
-Where one parameter varies, each side's monomial content comes out and the
-rest is a dense integer list.  Each point is first held to the size bound:
-images of degree * bits(xi) bits over 2**20 raise CoefficientTooLarge.  The
-bound holds at every level of the recursion, and the inner points grow with
-the outer images, so a sparse pair of high degree in two parameters is
-refused rather than answered: (q^600 + p^600 + 1)(q + p) against
-(q^600 - p^600 + 2)(q + p) has images of about 3,600 bits at q = xi, too
-large for points of their gcd of degree 601 in p.
+Each side's monomial content comes out at every level of the recursion, so
+q^300000 (q + p) against (q + p)(q - p) is a gcd of degree 1.  Each point is
+first held to the size bound: images of degree * bits(xi) bits over 2**20
+raise CoefficientTooLarge.  The bound holds at every level of the
+recursion, and the inner points grow with the outer images, so a sparse
+pair of high degree in two parameters is refused rather than answered:
+(q^600 + p^600 + 1)(q + p) against (q^600 - p^600 + 2)(q + p) has images
+of about 3,600 bits at q = xi, too large for points of their gcd of degree
+601 in p.
 
 The loop stops, since the degree is at least 1 and xi grows until the bound
 refuses it; before that, a large enough xi gives a certificate.  Write the
@@ -683,25 +684,19 @@ def _gcd_cofactors(f, g):
         if content == 1 and not any(low):
             return {low: 1}, f, g
         return {low: content}, _shifted(f, low, content), _shifted(g, low, content)
+    # without each side's monomial content, in the first parameter that varies
     low_f, low_g = tuple(map(min, *f)), tuple(map(min, *g))
-    top_f, top_g = tuple(map(max, *f)), tuple(map(max, *g))
-    ends = zip(low_f, top_f, low_g, top_g)
-    varying = [i for i, (a, b, c, d) in enumerate(ends) if a != b or c != d]
-    i = varying[0]
-    if len(varying) > 1:
-        out = _heu_gcd(f, g, i, max(top_f[i], top_g[i]))
-        return out if _sign(out[0]) > 0 else tuple(map(_neg, out))
-    # dense lists in the one parameter i that varies, without each side's
-    # monomial content; no point is below 29, so a degree past the size
-    # bound is refused before the lists are built
-    _check_gcd_size(max(top_f[i] - low_f[i], top_g[i] - low_g[i]), 29)
-    out = _dense_gcd(_dense(f, i, low_f[i], top_f[i]), _dense(g, i, low_g[i], top_g[i]))
+    f, g = _shifted(f, low_f, 1), _shifted(g, low_g, 1)
+    top = tuple(map(max, *f, *g))
+    i = next(i for i, e in enumerate(top) if e)
+    out = _heu_gcd(f, g, i, top[i])
+    if _sign(out[0]) < 0:
+        out = tuple(map(_neg, out))
     low = tuple(map(min, low_f, low_g))
     shifts = (low, tuple(map(sub, low_f, low)), tuple(map(sub, low_g, low)))
-    # each list times x^shift
+    # each part times x^shift
     return tuple(
-        {s[:i] + (s[i] + k,) + s[i + 1 :]: c for k, c in enumerate(part) if c}
-        for part, s in zip(out, shifts)
+        {tuple(map(add, e, s)): c for e, c in part.items()} for part, s in zip(out, shifts)
     )
 
 
@@ -714,23 +709,6 @@ def _points(degree, norm):
         _check_gcd_size(degree, xi)
         yield xi
         xi = xi * 73794 // 27011 | 1
-
-
-def _dense_gcd(a, b):
-    # the heuristic on coefficient lists, lowest degree first, with nonzero
-    # ends: (h, a/h, b/h) with h's last entry positive
-    content = gcd(*a, *b)
-    if content != 1:
-        a, b = [c // content for c in a], [c // content for c in b]
-    norm = min(max(map(abs, a)), max(map(abs, b)))
-    for xi in _points(max(len(a), len(b)) - 1, norm):
-        h = _digits(gcd(_horner(a, xi), _horner(b, xi)), xi)
-        divisor = gcd(*h)
-        h = [c // divisor for c in h]
-        u = _dense_quotient(a, h)
-        v = None if u is None else _dense_quotient(b, h)
-        if v is not None:
-            return [c * content for c in h], u, v
 
 
 def _heu_gcd(f, g, i, degree):
@@ -767,16 +745,6 @@ def _check_gcd_size(degree, xi):
         raise CoefficientTooLarge(f"a gcd of degree {degree} has images over 2^20 bits")
 
 
-def _horner(coeffs, xi):
-    # a run of zeros is one power of xi; the constant term is nonzero
-    value = gap = 0
-    for c in reversed(coeffs):
-        if c:
-            value, gap = value * xi**gap + c, 0
-        gap += 1
-    return value
-
-
 def _digits(n, xi):
     # the symmetric digits of n in the odd base xi, lowest first.  The
     # balanced residue of n modulo xi^m is its low m digits, so a long n is
@@ -791,31 +759,6 @@ def _digits(n, xi):
     while n:
         out.append((n + half) % xi - half)
         n = (n - out[-1]) // xi
-    return out
-
-
-def _dense_quotient(a, b):
-    # a / b over Z for coefficient lists, or None if b does not divide a
-    m = len(b) - 1
-    if len(a) <= m or not b[0] or a[0] % b[0]:
-        return None
-    r, lead, quotient = list(a), b[-1], []
-    rest = [(j, c) for j, c in enumerate(b[:m]) if c]
-    for k in range(len(a) - 1 - m, -1, -1):
-        coeff, remainder = divmod(r[k + m], lead)
-        if remainder:
-            return None
-        quotient.append(coeff)
-        for j, c in rest:
-            r[k + j] -= coeff * c
-    return None if any(r[:m]) else quotient[::-1]
-
-
-def _dense(f, i, low, top):
-    # the coefficient list of f / x_i^low, in which only x_i varies
-    out = [0] * (top - low + 1)
-    for e, c in f.items():
-        out[e[i] - low] = c
     return out
 
 

@@ -352,6 +352,35 @@ def test_double_route_row_fails_on_a_hopf_edit(old, new, witness):
     assert failed[0]["status"] == "fail" and failed[0]["witness"].startswith(witness)
 
 
+def test_flatness_and_haar_rows_fail_on_a_partial_edit():
+    """sl2-3d's partial(alpha) with -q^2*beta for -q*beta breaks the sphere's
+    connection: its flatness row fails on the dual-basis expansion, and the
+    Haar functional no longer kills nabla of the third dual, a rational
+    value printed through the gcd.  Neither row had been seen failing."""
+    old, new = "partial: alpha = alpha, -q*beta, 0", "partial: alpha = alpha, -q^2*beta, 0"
+    source = (resources.files("intforms") / "data" / "sl2_3d.calc").read_text()
+    assert source.count(old) == 1
+    sphere = SphereData(load_calc(source.replace(old, new)).spec)
+    rows = suites.run_checks(suites._sphere_checks(sphere, suites.Options(max_len=2, cases=5)))
+    witnesses = {row["name"]: row["witness"] for row in rows if row["status"] == "fail"}
+    assert list(witnesses) == [
+        "determinants, dual reproduction, and flatness",
+        "double route to the connection agrees on every dual",
+        "projective ladder commutes with exact round trips",
+        "Haar functional restricts to the descended integral",
+    ]
+    assert witnesses["Haar functional restricts to the descended integral"] == (
+        "dual 2: Lambda o nabla = (q - 1)/(q^5 + q^3)"
+    )
+    assert witnesses["determinants, dual reproduction, and flatness"] == (
+        "ValueError: value at minus generator 0 fails the dual-basis expansion: "
+        "((q^4 - q^3 + q^2 - q - 1)/q^3)*beta^2*gamma^2 + ((q^5 - q^4 - q^2 - 1)/q^3)*beta*gamma"
+        " - 1 versus ((q^5 - q^4 - 2*q + 2)/q^8)*beta^4*gamma^4 + ((q^7 - q^6 + 2*q^5 - 2*q^4 "
+        "- 2*q^3 + 2*q^2 - 2*q + 2)/q^7)*beta^3*gamma^3 + ((2*q^5 - 2*q^4 + q^3 - q^2 - 2*q + 1)"
+        "/q^4)*beta^2*gamma^2 + ((q^5 - q^4 - q^2 - 1)/q^3)*beta*gamma - 1"
+    )
+
+
 def test_crosscheck_random_functionals(sphere):
     rng = random.Random(17)
     for _ in range(3):

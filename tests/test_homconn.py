@@ -290,6 +290,15 @@ def test_curvature_right_linear(qplane, qplane_calc, sl2, sl2_3d_calc):
             assert curvature(spec, f * a) == curvature(spec, f) * a
 
 
+def test_curvature_refuses_a_degree_one_hom_form(qplane_calc, sl2_3d_calc):
+    # nabla sends degree 1 to an element, which a second nabla cannot take
+    with pytest.raises(DegreeMismatch, match="got degree 1"):
+        curvature(qplane_calc, dual_form(qplane_calc, "dx"))
+    # above degree 2 it is nabla twice, a hom-form two degrees lower
+    value = curvature(sl2_3d_calc, dual_form(sl2_3d_calc, ("w-", "w0", "w+")))
+    assert value.degree == 1 and value.is_zero()
+
+
 def test_corrupted_connection_detected(sl2, sl2_3d_tmd, sl2_3d_calc):
     # replace the q^-2 weight by q^-1; the Leibniz rule breaks and the
     # curvature picks it up on a right-translate of a dual form

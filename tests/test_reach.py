@@ -63,8 +63,6 @@ ALLOWED = {
     "scalars._power": INPUT,
     "scalars._check_power_size": INPUT,
     "scalars._fraction_sub": INPUT,
-    "scalars._heu_gcd": INPUT,
-    "scalars._divexact": INPUT,
     "parser._ExprParser.fail": INPUT,
     "dga.check_d_squared.<locals>.fail": INPUT,
     "presets._data_text": IMPORT,

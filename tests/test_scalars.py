@@ -493,8 +493,12 @@ def test_gcd_agrees_with_sympy(data):
     common = _RING.one
     for factor in factors:
         common *= factor
-    f = data.draw(integer_polynomials()) * common
-    g = data.draw(integer_polynomials()) * common
+    # each side also carries a monomial, which the gcd takes out before the
+    # heuristic and multiplies back into h and the cofactors
+    exponents = st.tuples(st.integers(0, 40), st.integers(0, 40))
+    (a, b), (c, d) = data.draw(exponents), data.draw(exponents)
+    f = data.draw(integer_polynomials()) * common * _RQ**a * _RP**b
+    g = data.draw(integer_polynomials()) * common * _RQ**c * _RP**d
     assume(f or g)
     h, *cofactors = scalars._gcd_cofactors(_int_poly(f), _int_poly(g))
     # sympy's gcd carries the full integer content, with its sign taken
@@ -591,10 +595,8 @@ def test_the_heuristic_moves_past_points_that_a_crafted_constant_defeats(
     start = time.perf_counter()
     h, u, v = scalars._gcd_cofactors(_int_poly(f), _int_poly(g))
     assert time.perf_counter() - start < 1
-    # every crafted point fails, and the next one settles the gcd; the
-    # univariate path first holds the degree to the bound at xi = 29
-    first = [29] if shape == "univariate" else []
-    assert seen == first + _heuristic_points(points + 1)
+    # every crafted point fails, and the next one settles the gcd
+    assert seen == _heuristic_points(points + 1)
     expected = f.gcd(g)
     assert expected == 1
     assert (h, u, v) == (_int_poly(expected), _int_poly(f), _int_poly(g))
@@ -625,6 +627,18 @@ def test_a_sparse_bivariate_gcd_of_high_degree_is_refused(qpctx):
     with pytest.raises(CoefficientTooLarge, match="a gcd of degree 601 "):
         quotient(600)
     assert time.perf_counter() - start < 0.5
+
+
+def test_a_high_monomial_content_is_no_part_of_the_gcd_degree(qctx, qpctx):
+    # each side's monomial content comes out before the heuristic, so the
+    # size bound sees a gcd of degree 1, in one parameter as in two
+    q = qctx.parameter("q")
+    assert str(q**300_000 * (q + 1) / ((q + 1) * (q - 1))) == "q^300000/(q - 1)"
+    q, p = qpctx.parameter("q"), qpctx.parameter("p")
+    value = q**300_000 * (q + p) / ((q + p) * (q - p))
+    assert value.numer_terms() == [((300_000, 0), 1)]
+    assert value.denom_terms() == [((1, 0), 1), ((0, 1), -1)]
+    assert str(value) == "q^300000/(q - p)"
 
 
 # -- shared Laurent monomials -------------------------------------------------
